@@ -11,7 +11,7 @@ Run:  python examples/stateful_nf_offload.py
 
 from repro.core.offload import FpgaSessionOffload, offload_throughput_mpps
 from repro.cpu.stateful import write_heavy_nf, write_light_nf
-from repro.experiments.common import ScaledPod
+from repro.scenarios import PodSpec, ScenarioSpec, build
 from repro.sim import MS
 from repro.workloads import CbrSource, uniform_population
 
@@ -34,21 +34,24 @@ def scaling_table():
 def simulated_offload():
     print("\nsimulated fast path (4 cores, 200 flows, 80% load):")
     for offloaded in (False, True):
-        scaled = ScaledPod(data_cores=4, per_core_pps=100_000, seed=3)
+        handle = build(ScenarioSpec(
+            name="scaled-pod", seed=3,
+            pods=(PodSpec(data_cores=4, per_core_pps=100_000),),
+        ))
         if offloaded:
-            scaled.pod.nic.session_offload = FpgaSessionOffload(
-                scaled.sim, capacity=4096
+            handle.pod.nic.session_offload = FpgaSessionOffload(
+                handle.sim, capacity=4096
             )
         population = uniform_population(200, tenants=20)
         CbrSource(
-            scaled.sim, scaled.rngs.stream("traffic"), scaled.pod.ingress,
+            handle.sim, handle.rngs.stream("traffic"), handle.pod.ingress,
             population, rate_pps=320_000,
         )
-        scaled.run_for(200 * MS)
-        cpu = sum(core.stats.processed for core in scaled.pod.cores)
-        fast = scaled.pod.counters.get("offload_fast_path")
+        handle.run(200 * MS)
+        cpu = sum(core.stats.processed for core in handle.pod.cores)
+        fast = handle.pod.counters.get("offload_fast_path")
         label = "with offload" if offloaded else "no offload  "
-        print(f"  {label}: {scaled.pod.transmitted()} delivered, "
+        print(f"  {label}: {handle.pod.transmitted()} delivered, "
               f"{cpu} via CPU, {fast} via FPGA fast path")
 
 

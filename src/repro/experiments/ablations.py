@@ -14,8 +14,9 @@ from repro.core.meta import MetaPlacement
 from repro.core.ratelimit import TwoStageRateLimiter
 from repro.cpu.service import MemoryTimings, ServiceChain, standard_services
 from repro.cpu.stateful import write_heavy_nf, write_light_nf
-from repro.experiments.common import ExperimentResult, ScaledPod
+from repro.experiments.common import ExperimentResult
 from repro.packet.hashing import crc32_vni_hash
+from repro.scenarios import PodSpec, ScenarioSpec, build
 from repro.sim.units import MS, SECOND
 from repro.workloads.generators import CbrSource, uniform_population
 
@@ -24,27 +25,30 @@ def run_meta_placement(per_core_pps=100_000, duration_ns=150 * MS):
     """Throughput with the PLB meta at the packet tail vs head."""
     rows = []
     for placement in (MetaPlacement.TAIL, MetaPlacement.HEAD):
-        scaled = ScaledPod(data_cores=2, per_core_pps=per_core_pps, seed=91)
-        scaled.pod.nic.config.meta_placement = placement
+        handle = build(ScenarioSpec(
+            name="scaled-pod", seed=91,
+            pods=(PodSpec(data_cores=2, per_core_pps=per_core_pps),),
+        ))
+        handle.pod.nic.config.meta_placement = placement
         # Re-apply the CPU factor the runtime derives from the placement.
         from repro.core.meta import placement_throughput_factor
 
         factor = placement_throughput_factor(placement)
-        for core in scaled.pod.cores:
+        for core in handle.pod.cores:
             core.speed_factor = 1.0 / factor
         population = uniform_population(200, tenants=20)
         CbrSource(
-            scaled.sim,
-            scaled.rngs.stream("traffic"),
-            scaled.pod.ingress,
+            handle.sim,
+            handle.rngs.stream("traffic"),
+            handle.pod.ingress,
             population,
             rate_pps=int(per_core_pps * 2 * 1.3),
         )
-        scaled.run_for(duration_ns)
+        handle.run(duration_ns)
         rows.append(
             {
                 "placement": placement.value,
-                "throughput_kpps": round(scaled.pod.transmitted() * 1e6 / duration_ns, 1),
+                "throughput_kpps": round(handle.pod.transmitted() * 1e6 / duration_ns, 1),
             }
         )
     base = rows[0]["throughput_kpps"]
@@ -132,27 +136,31 @@ def run_reorder_queue_tradeoff(
     rows = []
     for queues in queue_counts:
         depth = min(4096, total_entries // queues)
-        scaled = ScaledPod(
-            data_cores=4,
-            per_core_pps=per_core_pps,
-            seed=97,
-            reorder_queues=queues,
-            silent_drop_probability=silent_drop_probability,
-        )
-        scaled.pod.nic.reorder.config.depth = depth
+        handle = build(ScenarioSpec(
+            name="scaled-pod", seed=97,
+            pods=(
+                PodSpec(
+                    data_cores=4,
+                    per_core_pps=per_core_pps,
+                    reorder_queues=queues,
+                    silent_drop_probability=silent_drop_probability,
+                ),
+            ),
+        ))
+        handle.pod.nic.reorder.config.depth = depth
         population = uniform_population(400, tenants=40)
         CbrSource(
-            scaled.sim,
-            scaled.rngs.stream("traffic"),
-            scaled.pod.ingress,
+            handle.sim,
+            handle.rngs.stream("traffic"),
+            handle.pod.ingress,
             population,
             rate_pps=int(per_core_pps * 4 * 0.6),
         )
-        scaled.run_for(duration_ns)
-        stats = scaled.pod.reorder_stats
+        handle.run(duration_ns)
+        stats = handle.pod.reorder_stats
         # C1: max pps one queue can buffer for the 100 us timeout window.
         tolerance_mpps = depth / 100e-6 / 1e6
-        histogram = scaled.pod.latency_histogram
+        histogram = handle.pod.latency_histogram
         rows.append(
             {
                 "queues": queues,
@@ -218,28 +226,31 @@ def run_session_offload_sim(
 
     rows = []
     for offloaded in (False, True):
-        scaled = ScaledPod(data_cores=4, per_core_pps=per_core_pps, seed=113)
+        handle = build(ScenarioSpec(
+            name="scaled-pod", seed=113,
+            pods=(PodSpec(data_cores=4, per_core_pps=per_core_pps),),
+        ))
         if offloaded:
-            offload = FpgaSessionOffload(scaled.sim, capacity=4096)
-            scaled.pod.nic.session_offload = offload
+            offload = FpgaSessionOffload(handle.sim, capacity=4096)
+            handle.pod.nic.session_offload = offload
         population = uniform_population(flows, tenants=20)
         CbrSource(
-            scaled.sim,
-            scaled.rngs.stream("traffic"),
-            scaled.pod.ingress,
+            handle.sim,
+            handle.rngs.stream("traffic"),
+            handle.pod.ingress,
             population,
             rate_pps=int(per_core_pps * 4 * 0.8),
         )
-        scaled.run_for(duration_ns)
-        cpu_packets = sum(core.stats.processed for core in scaled.pod.cores)
+        handle.run(duration_ns)
+        cpu_packets = sum(core.stats.processed for core in handle.pod.cores)
         row = {
             "offload": "on" if offloaded else "off",
-            "transmitted": scaled.pod.transmitted(),
+            "transmitted": handle.pod.transmitted(),
             "cpu_packets": cpu_packets,
-            "fast_path_packets": scaled.pod.counters.get("offload_fast_path"),
+            "fast_path_packets": handle.pod.counters.get("offload_fast_path"),
         }
         if offloaded:
-            row["hit_rate"] = round(scaled.pod.nic.session_offload.hit_rate, 3)
+            row["hit_rate"] = round(handle.pod.nic.session_offload.hit_rate, 3)
         rows.append(row)
     return ExperimentResult(
         "Ablation: session offload fast path (simulated)",

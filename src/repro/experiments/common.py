@@ -4,14 +4,11 @@ Experiments run *scaled down*: the paper's 88-core, 120 Mpps server
 becomes a handful of cores at ~0.1-1 Mpps each, with every ratio that
 matters (load fraction, heavy-hitter multiple, cache-to-table ratio,
 timeout-to-service-time ratio) preserved.  The scaling discipline lives
-in :func:`repro.scenarios.scaled_service`; :class:`ScaledPod` is kept as
-a thin deprecation shim over :func:`repro.scenarios.build` so older
-experiments keep working while new code states a
-:class:`~repro.scenarios.ScenarioSpec` directly.
+in :func:`repro.scenarios.scaled_service`: an experiment states a
+one-pod :class:`~repro.scenarios.ScenarioSpec` with ``per_core_pps``
+set, calls :func:`repro.scenarios.build` and injects its own traffic
+through the returned handle.
 """
-
-from repro.scenarios import PodSpec, ScenarioSpec, build
-from repro.scenarios import scaled_service  # noqa: F401  (compat re-export)
 
 
 class ExperimentResult:
@@ -84,82 +81,3 @@ def _fmt(value):
     if isinstance(value, float):
         return f"{value:.4g}"
     return str(value)
-
-
-class ScaledPod:
-    """Deprecated: a GW pod plus simulator, ready for workload injection.
-
-    A shim over :func:`repro.scenarios.build` kept for existing
-    experiments; new code should construct a
-    :class:`~repro.scenarios.ScenarioSpec` and call ``build`` directly.
-    Parameters mirror :class:`~repro.core.gateway.PodConfig` but with a
-    synthetic service calibrated to ``per_core_pps``.
-    """
-
-    def __init__(
-        self,
-        data_cores=4,
-        per_core_pps=100_000,
-        mode="plb",
-        seed=1,
-        reorder_queues=None,
-        rate_limiter=None,
-        drop_flag_enabled=True,
-        acl_drop_probability=0.0,
-        silent_drop_probability=0.0,
-        jitter=None,
-        rx_capacity=1024,
-        lookups=4,
-        numa_node=None,
-        memory_node=None,
-    ):
-        extras = {}
-        if rate_limiter is not None:
-            extras["rate_limiter"] = rate_limiter
-        if jitter is not None:
-            extras["jitter"] = jitter
-        spec = ScenarioSpec(
-            name="scaled-pod",
-            pods=(
-                PodSpec(
-                    name="pod",
-                    data_cores=data_cores,
-                    mode=mode,
-                    per_core_pps=per_core_pps,
-                    lookups=lookups,
-                    reorder_queues=reorder_queues,
-                    rx_capacity=rx_capacity,
-                    drop_flag_enabled=drop_flag_enabled,
-                    acl_drop_probability=acl_drop_probability,
-                    silent_drop_probability=silent_drop_probability,
-                    numa_node=numa_node,
-                    memory_node=memory_node,
-                ),
-            ),
-            seed=seed,
-        )
-        self._handle = build(spec, pod_extras={"pod": extras})
-        self.sim = self._handle.sim
-        self.rngs = self._handle.rngs
-        self.server = self._handle.server
-        self.per_core_pps = per_core_pps
-        self.pod = self._handle.pod
-
-    @property
-    def capacity_pps(self):
-        return self._handle.capacity_pps()
-
-    def run_for(self, duration_ns):
-        self.sim.run_until(self.sim.now + duration_ns)
-
-    def egress_counts_by_vni(self):
-        """Install and return a per-VNI egress counter (call before running)."""
-        counts = {}
-        original = self.pod.nic.egress_fn
-
-        def counting(packet, outcome):
-            counts[packet.vni] = counts.get(packet.vni, 0) + 1
-            original(packet, outcome)
-
-        self.pod.nic.egress_fn = counting
-        return counts

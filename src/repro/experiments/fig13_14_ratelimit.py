@@ -15,7 +15,8 @@ limiter 40 + 10 Kpps.
 """
 
 from repro.core.ratelimit import TwoStageRateLimiter
-from repro.experiments.common import ExperimentResult, ScaledPod
+from repro.experiments.common import ExperimentResult
+from repro.scenarios import PodSpec, ScenarioSpec, build
 from repro.sim.units import MS, SECOND
 from repro.workloads.tenants import TenantSet, overload_scenario_profiles
 
@@ -29,20 +30,22 @@ BUCKET_NS = 250 * MS
 def run(with_limiter, duration_ns=2 * SECOND, seed=61):
     """One scenario run; returns per-(bucket, tenant) delivered rates."""
     limiter = None
-    scaled = ScaledPod(
-        data_cores=CORES,
-        per_core_pps=PER_CORE_PPS,
-        mode="plb",
-        seed=seed,
-        rx_capacity=256,
-    )
+    handle = build(ScenarioSpec(
+        name="scaled-pod", seed=seed,
+        pods=(
+            PodSpec(
+                data_cores=CORES, per_core_pps=PER_CORE_PPS, mode="plb",
+                rx_capacity=256,
+            ),
+        ),
+    ))
     if with_limiter:
         limiter = TwoStageRateLimiter(
-            scaled.rngs.stream("limiter"),
+            handle.rngs.stream("limiter"),
             stage1_rate_pps=int(8e6 * SCALE),
             stage2_rate_pps=int(2e6 * SCALE),
         )
-        scaled.pod.nic.rate_limiter = limiter
+        handle.pod.nic.rate_limiter = limiter
 
     profiles = overload_scenario_profiles(
         rates_mpps=(4, 3, 2, 1),
@@ -52,7 +55,7 @@ def run(with_limiter, duration_ns=2 * SECOND, seed=61):
     )
 
     buckets = {}  # (bucket_index, vni) -> delivered count
-    original = scaled.pod.nic.egress_fn
+    original = handle.pod.nic.egress_fn
 
     def egress(packet, outcome):
         bucket = packet.departure_ns // BUCKET_NS
@@ -60,9 +63,9 @@ def run(with_limiter, duration_ns=2 * SECOND, seed=61):
         buckets[key] = buckets.get(key, 0) + 1
         original(packet, outcome)
 
-    scaled.pod.nic.egress_fn = egress
-    tenants = TenantSet(scaled.sim, scaled.rngs, scaled.pod.ingress, profiles)
-    scaled.run_for(duration_ns)
+    handle.pod.nic.egress_fn = egress
+    tenants = TenantSet(handle.sim, handle.rngs, handle.pod.ingress, profiles)
+    handle.run(duration_ns)
     tenants.stop_all()
 
     rows = []

@@ -10,7 +10,8 @@ the maximum latency.
 """
 
 from repro.cpu.numa import NumaBalancer, NumaTopology
-from repro.experiments.common import ExperimentResult, ScaledPod
+from repro.experiments.common import ExperimentResult
+from repro.scenarios import PodSpec, ScenarioSpec, build
 from repro.sim.units import MS, US
 from repro.workloads.generators import CbrSource, uniform_population
 
@@ -21,27 +22,29 @@ def run_fig16(per_core_pps=100_000, duration_ns=200 * MS):
     """Throughput with intra- vs cross-NUMA placement, saturated pod."""
     rows = []
     for placement, memory_node in (("intra", None), ("cross", 1)):
-        scaled = ScaledPod(
-            data_cores=CORES,
-            per_core_pps=per_core_pps,
-            seed=71,
-            numa_node=0,
-            memory_node=memory_node,
-        )
+        handle = build(ScenarioSpec(
+            name="scaled-pod", seed=71,
+            pods=(
+                PodSpec(
+                    data_cores=CORES, per_core_pps=per_core_pps,
+                    numa_node=0, memory_node=memory_node,
+                ),
+            ),
+        ))
         population = uniform_population(500, tenants=50)
         CbrSource(
-            scaled.sim,
-            scaled.rngs.stream("traffic"),
-            scaled.pod.ingress,
+            handle.sim,
+            handle.rngs.stream("traffic"),
+            handle.pod.ingress,
             population,
             rate_pps=int(per_core_pps * CORES * 1.3),  # saturation
         )
-        scaled.run_for(duration_ns)
+        handle.run(duration_ns)
         rows.append(
             {
                 "placement": placement,
                 "throughput_kpps": round(
-                    scaled.pod.transmitted() * 1e6 / duration_ns, 1
+                    handle.pod.transmitted() * 1e6 / duration_ns, 1
                 ),
             }
         )
@@ -64,27 +67,30 @@ def run_fig17(per_core_pps=100_000, load=0.9, duration_ns=400 * MS):
     """Max latency / jitter at 90% load with numa_balancing on vs off."""
     rows = []
     for balancing in (True, False):
-        scaled = ScaledPod(
-            data_cores=CORES, per_core_pps=per_core_pps, seed=73, numa_node=0
-        )
+        handle = build(ScenarioSpec(
+            name="scaled-pod", seed=73,
+            pods=(
+                PodSpec(data_cores=CORES, per_core_pps=per_core_pps, numa_node=0),
+            ),
+        ))
         balancer = NumaBalancer(
-            scaled.sim,
-            scaled.pod.cores,
+            handle.sim,
+            handle.pod.cores,
             enabled=balancing,
             scan_period_ns=50 * MS,
             stall_ns=300 * US,
-            rng=scaled.rngs.stream("balancer"),
+            rng=handle.rngs.stream("balancer"),
         )
         population = uniform_population(500, tenants=50)
         CbrSource(
-            scaled.sim,
-            scaled.rngs.stream("traffic"),
-            scaled.pod.ingress,
+            handle.sim,
+            handle.rngs.stream("traffic"),
+            handle.pod.ingress,
             population,
             rate_pps=int(load * per_core_pps * CORES),
         )
-        scaled.run_for(duration_ns)
-        histogram = scaled.pod.latency_histogram
+        handle.run(duration_ns)
+        histogram = handle.pod.latency_histogram
         rows.append(
             {
                 "numa_balancing": "on" if balancing else "off",

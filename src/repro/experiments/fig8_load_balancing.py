@@ -8,8 +8,9 @@ overloads and drops; PLB spreads it across all three cores and survives.
 Scaled setup: identical ratios at ~0.1 Mpps per core.
 """
 
-from repro.experiments.common import ExperimentResult, ScaledPod
+from repro.experiments.common import ExperimentResult
 from repro.packet.flows import flow_for_tenant
+from repro.scenarios import PodSpec, ScenarioSpec, build
 from repro.sim.units import MS
 from repro.workloads.generators import CbrSource, FlowPopulation, uniform_population
 
@@ -43,13 +44,16 @@ def run(
 
 
 def _run_point(mode, hitter_fraction, per_core_pps, duration_ns, background_flows):
-    scaled = ScaledPod(data_cores=CORES, per_core_pps=per_core_pps, mode=mode, seed=11)
+    handle = build(ScenarioSpec(
+        name="scaled-pod", seed=11,
+        pods=(PodSpec(data_cores=CORES, per_core_pps=per_core_pps, mode=mode),),
+    ))
     background_rate = int(BACKGROUND_UTILIZATION * per_core_pps * CORES)
     background = uniform_population(background_flows, tenants=50)
     CbrSource(
-        scaled.sim,
-        scaled.rngs.stream("background"),
-        scaled.pod.ingress,
+        handle.sim,
+        handle.rngs.stream("background"),
+        handle.pod.ingress,
         background,
         rate_pps=background_rate,
     )
@@ -57,17 +61,17 @@ def _run_point(mode, hitter_fraction, per_core_pps, duration_ns, background_flow
     if hitter_rate > 0:
         hitter_flow = FlowPopulation([flow_for_tenant(999, 0)], vnis=[999])
         CbrSource(
-            scaled.sim,
-            scaled.rngs.stream("hitter"),
-            scaled.pod.ingress,
+            handle.sim,
+            handle.rngs.stream("hitter"),
+            handle.pod.ingress,
             hitter_flow,
             rate_pps=hitter_rate,
         )
-    scaled.run_for(duration_ns)
+    handle.run(duration_ns)
 
-    utilizations = scaled.pod.core_utilizations(duration_ns)
+    utilizations = handle.pod.core_utilizations(duration_ns)
     offered = background_rate + hitter_rate
-    delivered = scaled.pod.transmitted() * 1e9 / duration_ns
+    delivered = handle.pod.transmitted() * 1e9 / duration_ns
     loss = max(0.0, 1.0 - delivered / offered) if offered else 0.0
     return {
         "mode": mode,
@@ -75,5 +79,5 @@ def _run_point(mode, hitter_fraction, per_core_pps, duration_ns, background_flow
         "core_util_min": round(min(utilizations), 3),
         "core_util_max": round(max(utilizations), 3),
         "loss_rate": round(loss, 4),
-        "rx_drops": sum(core.rx_dropped for core in scaled.pod.cores),
+        "rx_drops": sum(core.rx_dropped for core in handle.pod.cores),
     }

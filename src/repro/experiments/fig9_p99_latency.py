@@ -12,8 +12,9 @@ RSS core only saturates once its background share passes ~75% -- placing
 the crossover where the paper places it).
 """
 
-from repro.experiments.common import ExperimentResult, ScaledPod
+from repro.experiments.common import ExperimentResult
 from repro.packet.flows import flow_for_tenant
+from repro.scenarios import PodSpec, ScenarioSpec, build
 from repro.sim.units import MS, US
 from repro.workloads.generators import CbrSource, FlowPopulation, uniform_population
 
@@ -58,7 +59,10 @@ def _run_point(
     burst_duration_ns,
     burst_gap_ns,
 ):
-    scaled = ScaledPod(data_cores=CORES, per_core_pps=per_core_pps, mode=mode, seed=23)
+    handle = build(ScenarioSpec(
+        name="scaled-pod", seed=23,
+        pods=(PodSpec(data_cores=CORES, per_core_pps=per_core_pps, mode=mode),),
+    ))
     burst_rate = int(burst_core_fraction * per_core_pps)
     # Average burst contribution counts toward the load target.
     duty_cycle = burst_duration_ns / (burst_duration_ns + burst_gap_ns)
@@ -66,17 +70,17 @@ def _run_point(
     background_rate = max(0, int(load * per_core_pps * CORES - burst_average))
     background = uniform_population(400, tenants=40)
     CbrSource(
-        scaled.sim,
-        scaled.rngs.stream("background"),
-        scaled.pod.ingress,
+        handle.sim,
+        handle.rngs.stream("background"),
+        handle.pod.ingress,
         background,
         rate_pps=background_rate,
     )
     _schedule_bursts(
-        scaled, burst_rate, burst_duration_ns, burst_gap_ns, duration_ns
+        handle, burst_rate, burst_duration_ns, burst_gap_ns, duration_ns
     )
-    scaled.run_for(duration_ns)
-    histogram = scaled.pod.latency_histogram
+    handle.run(duration_ns)
+    histogram = handle.pod.latency_histogram
     return {
         "mode": mode,
         "load_pct": int(load * 100),
@@ -87,7 +91,7 @@ def _run_point(
     }
 
 
-def _schedule_bursts(scaled, burst_rate, burst_duration_ns, burst_gap_ns, horizon_ns):
+def _schedule_bursts(handle, burst_rate, burst_duration_ns, burst_gap_ns, horizon_ns):
     """Repeated single-flow microbursts on rotating flows."""
     burst_index = 0
     start = burst_gap_ns
@@ -95,13 +99,13 @@ def _schedule_bursts(scaled, burst_rate, burst_duration_ns, burst_gap_ns, horizo
         flow = flow_for_tenant(7000 + burst_index, burst_index)
         population = FlowPopulation([flow], vnis=[7000 + burst_index])
         source = CbrSource(
-            scaled.sim,
-            scaled.rngs.stream(f"burst{burst_index}"),
-            scaled.pod.ingress,
+            handle.sim,
+            handle.rngs.stream(f"burst{burst_index}"),
+            handle.pod.ingress,
             population,
             rate_pps=0,
         )
-        scaled.sim.schedule_at(start, source.set_rate, burst_rate)
-        scaled.sim.schedule_at(start + burst_duration_ns, source.set_rate, 0)
+        handle.sim.schedule_at(start, source.set_rate, burst_rate)
+        handle.sim.schedule_at(start + burst_duration_ns, source.set_rate, 0)
         start += burst_duration_ns + burst_gap_ns
         burst_index += 1

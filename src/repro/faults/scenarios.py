@@ -37,7 +37,6 @@ from repro.faults.injector import FaultInjector, FaultTargets, SteadyStateTracke
 from repro.faults.plan import Fault, FaultKind, FaultPlan
 from repro.metrics.counters import CounterSet
 from repro.scenarios import PodSpec, ScenarioSpec, build
-from repro.sim.rng import RngRegistry
 from repro.sim.units import MS, SECOND, US
 from repro.workloads.generators import CbrSource, uniform_population
 
@@ -416,27 +415,23 @@ def chaos(seed=42, quick=False):
     fault_count = 4 if quick else 6
     rate_pps = 20_000
 
-    # The live limiter (a non-scalar) rides in through pod_extras; the
-    # registry is built first so the limiter's sampler stream exists
-    # before build() wires the pod.
-    rngs = RngRegistry(seed=seed)
+    handle = build(ScenarioSpec(
+        name="chaos",
+        pods=(PodSpec(name="gw-chaos", data_cores=4, rx_capacity=256),),
+        duration_ns=run_ns,
+        seed=seed,
+    ))
+    sim, rngs = handle.sim, handle.rngs
+    pod = handle.pods["gw-chaos"]
+    # Attached live rather than declared on the PodSpec: the fault
+    # targets need the limiter object, and its historical stream name
+    # is not the one build() derives from the pod name.
     limiter = TwoStageRateLimiter(
         rngs.stream("limiter.sampler"),
         stage1_rate_pps=15_000,
         stage2_rate_pps=5_000,
     )
-    handle = build(
-        ScenarioSpec(
-            name="chaos",
-            pods=(PodSpec(name="gw-chaos", data_cores=4, rx_capacity=256),),
-            duration_ns=run_ns,
-            seed=seed,
-        ),
-        rngs=rngs,
-        pod_extras={"gw-chaos": {"rate_limiter": limiter}},
-    )
-    sim = handle.sim
-    pod = handle.pods["gw-chaos"]
+    pod.nic.rate_limiter = limiter
 
     targets = FaultTargets(
         nic=pod.nic, pod=pod, cores=pod.cores, limiter=limiter

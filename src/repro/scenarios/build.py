@@ -1,10 +1,12 @@
 """Build a :class:`ScenarioSpec` into a running deployment.
 
 ``build(spec)`` is the one construction path behind every entry point:
-it creates the simulator, the rng registry, an
-:class:`~repro.core.gateway.AlbatrossServer`, one pod per
-:class:`~repro.scenarios.spec.PodSpec` and (optionally) the declared
-workload, and returns a :class:`RunHandle` the caller drives.
+it creates the simulator, the rng registry, one
+:class:`~repro.core.gateway.AlbatrossServer` per server (a flat spec is
+a single anonymous server), one pod per
+:class:`~repro.scenarios.spec.PodSpec` and (optionally) the migration
+controller, the AZ tiers, the declared workload, telemetry and the
+checkpointer, and returns a :class:`RunHandle` the caller drives.
 
 The handle's :meth:`RunHandle.report` emits the **run report**: a plain,
 deterministic, JSON-safe dict -- the unit the fleet engine merges across
@@ -12,6 +14,7 @@ shards, so its key order and value types must stay stable.
 """
 
 from repro.core.gateway import AlbatrossServer, PodConfig
+from repro.scenarios.spec import EcmpSpec
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 
@@ -32,39 +35,27 @@ def scaled_service(name="scaled", per_core_pps=100_000, lookups=4):
     return GatewayService(name, base_ns, specs)
 
 
-def _pod_config(pod_spec, extras=None):
-    """Translate a :class:`PodSpec` into a :class:`PodConfig`."""
-    extras = dict(extras or {})
-    custom_service = None
+#: PodSpec fields build() turns into live objects (the synthetic service,
+#: the limiter); every other field is a PodConfig kwarg of the same name.
+_BUILT_FIELDS = (
+    "per_core_pps", "lookups", "limiter_stage1_pps", "limiter_stage2_pps",
+)
+
+
+def _build_pod(pod_spec, server, rngs):
+    """Add one pod to ``server``, constructing its live service and limiter."""
+    kwargs = {
+        name: value for name, value in pod_spec.to_dict().items()
+        if name not in _BUILT_FIELDS
+    }
     if pod_spec.per_core_pps is not None:
-        custom_service = scaled_service(
+        kwargs["custom_service"] = scaled_service(
             per_core_pps=pod_spec.per_core_pps, lookups=pod_spec.lookups
         )
-    return PodConfig(
-        name=pod_spec.name,
-        data_cores=pod_spec.data_cores,
-        ctrl_cores=pod_spec.ctrl_cores,
-        service=pod_spec.service,
-        mode=pod_spec.mode,
-        reorder_queues=pod_spec.reorder_queues,
-        rx_capacity=pod_spec.rx_capacity,
-        drop_flag_enabled=pod_spec.drop_flag_enabled,
-        acl_drop_probability=pod_spec.acl_drop_probability,
-        silent_drop_probability=pod_spec.silent_drop_probability,
-        numa_node=pod_spec.numa_node,
-        memory_node=pod_spec.memory_node,
-        custom_service=custom_service,
-        **extras,
-    )
-
-
-def _build_pod(pod_spec, server, rngs, pod_extras):
-    """Add one pod to ``server``, wiring the limiter extra when declared."""
-    extras = dict(pod_extras.get(pod_spec.name, {}))
-    if pod_spec.limiter_stage1_pps is not None and "rate_limiter" not in extras:
+    if pod_spec.limiter_stage1_pps is not None:
         from repro.core.ratelimit import TwoStageRateLimiter
 
-        extras["rate_limiter"] = TwoStageRateLimiter(
+        kwargs["rate_limiter"] = TwoStageRateLimiter(
             rngs.stream(f"limiter.{pod_spec.name}"),
             stage1_rate_pps=pod_spec.limiter_stage1_pps,
             stage2_rate_pps=(
@@ -73,21 +64,38 @@ def _build_pod(pod_spec, server, rngs, pod_extras):
                 else pod_spec.limiter_stage1_pps // 4 or 1
             ),
         )
-    return server.add_pod(_pod_config(pod_spec, extras))
+    return server.add_pod(PodConfig(**kwargs))
+
+
+def _pod_capacity_pps(pod_spec, pod):
+    """Nominal packet capacity of one pod (the base ``WorkloadSpec.load``
+    is a fraction of)."""
+    if pod_spec.per_core_pps is not None:
+        return pod_spec.per_core_pps * pod_spec.data_cores
+    return pod.expected_capacity_mpps() * 1e6
 
 
 class ServerRuntime:
-    """One live AZ member: its deployment, pods and offload tier."""
+    """One live server: its deployment, pods and (on AZ runs) offload tier."""
 
     __slots__ = ("name", "server", "pods", "dispatch", "dpu", "promoter")
 
-    def __init__(self, name, server, pods, dispatch, dpu=None, promoter=None):
-        self.name = name
+    def __init__(self, name, server, pods):
+        self.name = name            # None for a flat spec's only server
         self.server = server        # the AlbatrossServer
         self.pods = pods            # {name: GwPodRuntime}, spec order
-        self.dispatch = dispatch    # FlowPodDispatch
-        self.dpu = dpu              # DpuPreClassifier or None
-        self.promoter = promoter    # HotFlowPromoter or None
+        self.dispatch = None        # FlowPodDispatch (topology specs)
+        self.dpu = None             # DpuPreClassifier or None
+        self.promoter = None        # HotFlowPromoter or None
+
+
+def _build_server(name, pod_specs, sim, rngs):
+    """One server and its pods; a flat spec is a single unnamed server."""
+    server = AlbatrossServer(sim, rngs)
+    return ServerRuntime(name, server, {
+        pod_spec.name: _build_pod(pod_spec, server, rngs)
+        for pod_spec in pod_specs
+    })
 
 
 class TopologyRuntime:
@@ -100,18 +108,6 @@ class TopologyRuntime:
         self.servers = servers      # {name: ServerRuntime}, spec order
 
 
-def _build_population(workload):
-    from repro.workloads.generators import uniform_population, zipf_population
-
-    if workload.population == "zipf":
-        return zipf_population(
-            workload.flows,
-            exponent=workload.zipf_exponent,
-            tenants=workload.tenants,
-        )
-    return uniform_population(workload.flows, tenants=workload.tenants)
-
-
 class RunHandle:
     """A built scenario: simulator, server, pods and attached sources.
 
@@ -121,7 +117,8 @@ class RunHandle:
     is theirs to extend.
     """
 
-    def __init__(self, spec, sim, rngs, server, pods, sources, migration=None):
+    def __init__(self, spec, sim, rngs, server, pods, sources, migration=None,
+                 checkpointer=None, telemetry=None, topology=None):
         self.spec = spec
         self.sim = sim
         self.rngs = rngs
@@ -131,39 +128,27 @@ class RunHandle:
         # The MigrationController when spec.migration is set; it swaps
         # the migrated pod's entry in self.pods in place on restore.
         self.migration = migration
-        # The SimCheckpointer when spec.checkpoint_every_ns is set
-        # (attached by build() after sources exist).
-        self.checkpointer = None
+        # The SimCheckpointer when spec.checkpoint_every_ns is set.
+        self.checkpointer = checkpointer
         # The TimeSeriesRecorder when spec.timeseries_every_ns is set.
-        self.telemetry = None
+        self.telemetry = telemetry
         # The TopologyRuntime when spec.servers is set.
-        self.topology = None
+        self.topology = topology
 
     @property
     def pod(self):
         """The first (often only) pod."""
         return next(iter(self.pods.values()))
 
-    def capacity_pps(self, pod_name=None):
-        """Nominal packet capacity of one pod (see ``WorkloadSpec.load``)."""
-        all_pods = self.spec.all_pods
-        spec = all_pods[0] if pod_name is None else next(
-            pod for pod in all_pods if pod.name == pod_name
-        )
-        if spec.per_core_pps is not None:
-            return spec.per_core_pps * spec.data_cores
-        pod = self.pods[spec.name]
-        return pod.expected_capacity_mpps() * 1e6
+    def capacity_pps(self):
+        """Nominal packet capacity of the first pod."""
+        return _pod_capacity_pps(self.spec.all_pods[0], self.pod)
 
     def run(self, duration_ns=None):
         """Advance the clock by ``duration_ns`` (default: the spec's)."""
         span = self.spec.duration_ns if duration_ns is None else duration_ns
         self.sim.run_until(self.sim.now + span)
         return self
-
-    def run_for(self, duration_ns):
-        """Alias kept for :class:`ScaledPod` compatibility."""
-        return self.run(duration_ns)
 
     def restore_checkpoint(self, snapshot):
         """Adopt a ``SimCheckpoint`` on a freshly built handle.
@@ -306,69 +291,85 @@ class RunHandle:
         return tiers
 
 
-def build(spec, sim=None, rngs=None, pod_extras=None):
+def build(spec):
     """Construct the deployment a :class:`ScenarioSpec` describes.
 
-    Parameters:
-        spec: the scenario.
-        sim / rngs: pass to embed the scenario in an existing simulation
-            (defaults: fresh ``Simulator`` and ``RngRegistry(spec.seed)``).
-        pod_extras: ``{pod_name: {kwarg: object}}`` of live-object
-            :class:`PodConfig` kwargs (``rate_limiter``, ``jitter``, ...)
-            that plain-data specs cannot carry.  Handles built with
-            extras run fine but their specs no longer describe the full
-            deployment -- keep extras out of sweep-bound scenarios.
+    Construction order is part of the determinism contract: every
+    component that schedules an event at construction takes the next
+    heap sequence number, which breaks same-timestamp ties.
     """
-    sim = sim if sim is not None else Simulator()
-    rngs = rngs if rngs is not None else RngRegistry(seed=spec.seed)
-    pod_extras = pod_extras or {}
+    sim = Simulator()
+    rngs = RngRegistry(seed=spec.seed)
 
+    runtimes = [
+        _build_server(server.name, server.pods, sim, rngs)
+        for server in spec.servers
+    ] or [_build_server(None, spec.pods, sim, rngs)]
+    pods = {
+        name: pod for runtime in runtimes for name, pod in runtime.pods.items()
+    }
+    sinks = {name: pod.ingress for name, pod in pods.items()}
+
+    migration = None
+    if spec.migration is not None:
+        from repro.controlplane.migration import MigrationController
+
+        home = next(
+            runtime for runtime in runtimes if spec.migration.pod in runtime.pods
+        )
+        migration = MigrationController(sim, home.server, spec.migration, pods)
+        # The migrating pod's traffic goes through the controller's
+        # route() indirection: buffered during the blackout, and
+        # re-resolved after the pods-dict entry swap on restore.
+        sinks[spec.migration.pod] = migration.route
+
+    topology = None
     if spec.servers:
-        topology, migration, pods = _build_topology(spec, sim, rngs, pod_extras)
-        # handle.server stays the first member's deployment so
-        # single-server tooling (capacity probes, fault routers) keeps
-        # a meaningful default target.
-        server = next(iter(topology.servers.values())).server
-    else:
-        topology = None
-        server = AlbatrossServer(sim, rngs)
-        pods = {}
-        for pod_spec in spec.pods:
-            pods[pod_spec.name] = _build_pod(pod_spec, server, rngs, pod_extras)
-        migration = None
-        if spec.migration is not None:
-            from repro.controlplane.migration import MigrationController
-
-            migration = MigrationController(sim, server, spec.migration, pods)
+        topology = _build_topology(spec, sim, runtimes, sinks)
 
     sources = []
     if spec.workload is not None:
-        if not spec.all_pods:
+        if not pods:
             raise ValueError(f"scenario {spec.name!r} has a workload but no pods")
-        sink = topology.uplink.forward if topology is not None else None
-        sources.append(_attach_workload(spec, sim, rngs, pods, migration, sink))
+        if topology is not None:
+            # Topology runs spread load over the whole AZ: the offered
+            # rate is a fraction of the summed per-pod capacity.
+            sink, targets = topology.uplink.forward, spec.all_pods
+        else:
+            sink, targets = sinks[spec.pods[0].name], spec.pods[:1]
+        rate = spec.workload.rate_pps
+        if rate is None:
+            capacity = sum(
+                _pod_capacity_pps(target, pods[target.name]) for target in targets
+            )
+            rate = int(capacity * spec.workload.load)
+        sources.append(_attach_workload(spec.workload, sim, rngs, sink, rate))
 
-    handle = RunHandle(spec, sim, rngs, server, pods, sources, migration=migration)
-    handle.topology = topology
+    telemetry = checkpointer = None
     if spec.timeseries_every_ns is not None:
         from repro.telemetry import TimeSeriesRecorder
 
-        handle.telemetry = TimeSeriesRecorder(
+        telemetry = TimeSeriesRecorder(
             sim, pods, spec.timeseries_every_ns, seed=spec.seed
         )
     if spec.checkpoint_every_ns is not None:
         from repro.controlplane.snapshot import SimCheckpointer
 
-        handle.checkpointer = SimCheckpointer(
+        checkpointer = SimCheckpointer(
             sim, rngs, pods, sources, spec.checkpoint_every_ns,
-            recorder=handle.telemetry,
+            recorder=telemetry,
         )
-    return handle
+    # handle.server is the first (on flat specs: only) server's
+    # deployment, so single-server tooling (capacity probes, fault
+    # routers) keeps a meaningful default target on topology runs.
+    return RunHandle(
+        spec, sim, rngs, runtimes[0].server, pods, sources, migration=migration,
+        checkpointer=checkpointer, telemetry=telemetry, topology=topology,
+    )
 
 
-def _build_topology(spec, sim, rngs, pod_extras):
-    """Construct the AZ: per-server deployments, tiers and the uplink."""
-    from repro.scenarios.spec import EcmpSpec
+def _build_topology(spec, sim, runtimes, sinks):
+    """Put the AZ tiers and the ECMP uplink in front of the built servers."""
     from repro.topology import (
         DpuPreClassifier,
         EcmpUplink,
@@ -377,108 +378,54 @@ def _build_topology(spec, sim, rngs, pod_extras):
     )
 
     ecmp = spec.ecmp if spec.ecmp is not None else EcmpSpec()
-    pods = {}
-    deployments = {}            # server name -> (AlbatrossServer, {pod runtimes})
-    for server_spec in spec.servers:
-        az_server = AlbatrossServer(sim, rngs)
-        server_pods = {}
-        for pod_spec in server_spec.pods:
-            runtime = _build_pod(pod_spec, az_server, rngs, pod_extras)
-            pods[pod_spec.name] = runtime
-            server_pods[pod_spec.name] = runtime
-        deployments[server_spec.name] = (az_server, server_pods)
-
-    migration = None
-    if spec.migration is not None:
-        from repro.controlplane.migration import MigrationController
-
-        home = next(
-            server.name for server in spec.servers
-            if any(pod.name == spec.migration.pod for pod in server.pods)
-        )
-        migration = MigrationController(
-            sim, deployments[home][0], spec.migration, pods
-        )
-
+    tier = spec.dpu_tier
     members = []
-    servers = {}
-    for server_spec in spec.servers:
-        az_server, server_pods = deployments[server_spec.name]
-        sinks = []
-        for pod_spec in server_spec.pods:
-            # The migrating pod's traffic goes through the controller's
-            # route() indirection: buffered during the blackout, and
-            # re-resolved after the pods-dict entry swap on restore.
-            if migration is not None and migration.pod_name == pod_spec.name:
-                sinks.append((pod_spec.name, migration.route))
-            else:
-                sinks.append((pod_spec.name, server_pods[pod_spec.name].ingress))
-        dispatch = FlowPodDispatch(
-            server_spec.name, sinks, hash_seed=ecmp.pod_hash_seed
+    for runtime in runtimes:
+        runtime.dispatch = FlowPodDispatch(
+            runtime.name, [(name, sinks[name]) for name in runtime.pods],
+            hash_seed=ecmp.pod_hash_seed,
         )
-        dpu = promoter = None
-        entry = dispatch.forward
-        if spec.dpu_tier is not None:
-            tier = spec.dpu_tier
-            dpu = DpuPreClassifier(
-                sim, dispatch.forward,
+        entry = runtime.dispatch.forward
+        if tier is not None:
+            runtime.dpu = DpuPreClassifier(
+                sim, runtime.dispatch.forward,
                 table_capacity=tier.table_capacity,
                 fast_latency_ns=tier.fast_latency_ns,
                 seed=spec.seed,
             )
-            promoter = HotFlowPromoter(
-                sim, dpu,
+            runtime.promoter = HotFlowPromoter(
+                sim, runtime.dpu,
                 threshold_pps=tier.threshold_pps,
                 epoch_ns=tier.epoch_ns,
                 demote_after_epochs=tier.demote_after_epochs,
                 sketch_capacity=tier.sketch_capacity,
             )
-            dpu.promoter = promoter
-            entry = dpu.ingress
-        servers[server_spec.name] = ServerRuntime(
-            server_spec.name, az_server, server_pods, dispatch, dpu, promoter
-        )
-        members.append((server_spec.name, entry))
-
+            runtime.dpu.promoter = runtime.promoter
+            entry = runtime.dpu.ingress
+        members.append((runtime.name, entry))
     uplink = EcmpUplink(
         members, hash_seed=ecmp.hash_seed, pin_flows=ecmp.pin_flows
     )
-    return TopologyRuntime(uplink, servers), migration, pods
+    return TopologyRuntime(uplink, {runtime.name: runtime for runtime in runtimes})
 
 
-def _attach_workload(spec, sim, rngs, pods, migration=None, sink=None):
-    from repro.workloads.generators import CbrSource
+def _attach_workload(workload, sim, rngs, sink, rate):
+    """Start the declared source at ``rate`` pps into ``sink``."""
+    from repro.workloads.generators import (
+        CbrSource,
+        uniform_population,
+        zipf_population,
+    )
     from repro.workloads.microburst import MicroburstSource
 
-    workload = spec.workload
-    target_spec = spec.all_pods[0]
-    if sink is None:
-        target = pods[target_spec.name]
-        # Traffic aimed at a migrating pod goes through the controller's
-        # route() indirection: buffered during the blackout, never dropped.
-        if migration is not None and migration.pod_name == target_spec.name:
-            sink = migration.route
-        else:
-            sink = target.ingress
-    population = _build_population(workload)
-    if workload.rate_pps is not None:
-        rate = workload.rate_pps
-    elif spec.servers:
-        # Topology runs spread load over the whole AZ: the offered rate
-        # is a fraction of the summed per-pod capacity.
-        capacity = 0
-        for pod_spec in spec.all_pods:
-            if pod_spec.per_core_pps is not None:
-                capacity += pod_spec.per_core_pps * pod_spec.data_cores
-            else:
-                capacity += pods[pod_spec.name].expected_capacity_mpps() * 1e6
-        rate = int(capacity * workload.load)
+    if workload.population == "zipf":
+        population = zipf_population(
+            workload.flows,
+            exponent=workload.zipf_exponent,
+            tenants=workload.tenants,
+        )
     else:
-        if target_spec.per_core_pps is not None:
-            capacity = target_spec.per_core_pps * target_spec.data_cores
-        else:
-            capacity = pods[target_spec.name].expected_capacity_mpps() * 1e6
-        rate = int(capacity * workload.load)
+        population = uniform_population(workload.flows, tenants=workload.tenants)
     stream = rngs.stream(workload.stream)
     if workload.kind == "microburst":
         burst_kwargs = {"burst_factor": workload.burst_factor}

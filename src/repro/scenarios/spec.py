@@ -6,16 +6,19 @@ workload, this long, this seed" -- every entry point (``simulate``,
 scenario defined once is runnable from every command and shardable
 across a worker fleet.
 
-Specs are **plain data**: every field is a scalar, so a spec round-trips
-losslessly through :meth:`ScenarioSpec.to_dict` /
-:meth:`ScenarioSpec.from_dict` (the wire format the fleet engine ships
-to worker processes, and the schema ``python -m repro sweep`` embeds in
-its report).  Anything that is not plain data -- a live
-``TwoStageRateLimiter``, a jitter model -- is attached *after*
-:func:`repro.scenarios.build` by the calling scenario, or passed through
-``build``'s ``pod_extras`` escape hatch (such handles are runnable but
-not serializable).
+Specs are **plain data**: every field is a scalar, a nested spec or a
+tuple of nested specs, declared exactly once as a dataclass field, so a
+spec round-trips losslessly through the one generic
+:meth:`Spec.to_dict` / :meth:`Spec.from_dict` pair (the wire format the
+fleet engine ships to worker processes, and the schema
+``python -m repro sweep`` embeds in its report).  Anything that is not
+plain data -- a jitter model, a bespoke limiter, an egress tap -- is
+attached *after* :func:`repro.scenarios.build` by the calling scenario,
+through the returned handle (such runs are not shardable).
 """
+
+from dataclasses import dataclass, field, fields
+from typing import Optional
 
 
 def _require(condition, message):
@@ -26,9 +29,8 @@ def _require(condition, message):
 #: Declarative feature-compatibility table.  Each entry is
 #: ``(feature_a, feature_b, why)``; a spec that activates both sides of
 #: any row is rejected with one uniform message.  Features are named by
-#: the spec field that arms them (``_feature_active`` knows how to test
-#: each), so adding a new mutually-exclusive pair is one line here
-#: instead of another hand-rolled ``_require`` in ``__init__``.
+#: the spec field that arms them, so adding a new mutually-exclusive
+#: pair is one line here instead of another hand-rolled ``_require``.
 INCOMPATIBLE_FEATURES = (
     (
         "migration", "checkpoint_every_ns",
@@ -46,19 +48,71 @@ INCOMPATIBLE_FEATURES = (
 )
 
 
-def _feature_active(spec, feature):
-    """Is the named spec feature armed on ``spec``?"""
-    value = getattr(spec, feature)
+def _is_set(value):
+    """Is a field armed?  Tuples by non-emptiness, the rest by not-None."""
     return bool(value) if isinstance(value, tuple) else value is not None
 
 
-def _check_feature_compatibility(spec):
-    for left, right, why in INCOMPATIBLE_FEATURES:
-        if _feature_active(spec, left) and _feature_active(spec, right):
-            raise ValueError(f"{left} cannot be combined with {right}: {why}")
+def _field(default=None, spec=None, only_with=None):
+    """Declare a field that needs more than ``name: type = default``.
+
+    Parameters:
+        spec: the nested spec class the value -- or, with a ``()``
+            default, each element of the tuple -- is an instance of;
+            :meth:`Spec.from_dict` rebuilds it from its wire dict.
+        only_with: name of the field (possibly this one) that must be
+            set for this key to appear on the wire.  A field added with
+            ``only_with`` naming itself is omitted while unset, so every
+            spec that predates it keeps its bytes and its fingerprint.
+    """
+    return field(default=default, metadata={"spec": spec, "only_with": only_with})
 
 
-class WorkloadSpec:
+def _to_wire(value):
+    if isinstance(value, Spec):
+        return value.to_dict()
+    if isinstance(value, tuple):
+        return [item.to_dict() for item in value]
+    return value
+
+
+class Spec:
+    """The wire format every spec dataclass shares.
+
+    Keys are the dataclass fields in declaration order; validation stays
+    in each class's ``__post_init__``.
+    """
+
+    def to_dict(self):
+        return {
+            f.name: _to_wire(getattr(self, f.name))
+            for f in fields(self)
+            if f.metadata.get("only_with") is None
+            or _is_set(getattr(self, f.metadata["only_with"]))
+        }
+
+    @classmethod
+    def from_dict(cls, data):
+        """Rebuild from a wire dict.
+
+        Absent keys take the field default (so specs serialized before a
+        field existed still load); an unknown key raises ``TypeError``.
+        """
+        kwargs = dict(data)
+        for f in fields(cls):
+            nested = f.metadata.get("spec")
+            value = kwargs.get(f.name)
+            if nested is None or value is None:
+                continue
+            if f.default == ():
+                kwargs[f.name] = tuple(nested.from_dict(item) for item in value)
+            else:
+                kwargs[f.name] = nested.from_dict(value)
+        return cls(**kwargs)
+
+
+@dataclass(eq=False)
+class WorkloadSpec(Spec):
     """One packet source aimed at a pod's ingress.
 
     ``rate_pps`` and ``load`` are mutually exclusive: ``load`` is a
@@ -68,58 +122,33 @@ class WorkloadSpec:
 
     KINDS = ("cbr", "microburst")
 
-    __slots__ = (
-        "kind", "flows", "tenants", "rate_pps", "load", "size", "stream",
-        "population", "zipf_exponent", "burst_factor", "burst_duration_ns",
-        "burst_period_ns",
-    )
+    kind: str = "cbr"
+    flows: int = 1000
+    tenants: int = 50
+    rate_pps: Optional[int] = None
+    load: Optional[float] = None
+    size: int = 256
+    stream: str = "traffic"
+    population: str = "uniform"
+    zipf_exponent: float = 1.05
+    burst_factor: float = 6.0
+    burst_duration_ns: Optional[int] = None
+    burst_period_ns: Optional[int] = None
 
-    def __init__(
-        self,
-        kind="cbr",
-        flows=1000,
-        tenants=50,
-        rate_pps=None,
-        load=None,
-        size=256,
-        stream="traffic",
-        population="uniform",
-        zipf_exponent=1.05,
-        burst_factor=6.0,
-        burst_duration_ns=None,
-        burst_period_ns=None,
-    ):
-        _require(kind in self.KINDS, f"unknown workload kind {kind!r}")
-        _require(population in ("uniform", "zipf"),
-                 f"unknown population {population!r}")
-        _require((rate_pps is None) != (load is None),
+    def __post_init__(self):
+        _require(self.kind in self.KINDS, f"unknown workload kind {self.kind!r}")
+        _require(self.population in ("uniform", "zipf"),
+                 f"unknown population {self.population!r}")
+        _require((self.rate_pps is None) != (self.load is None),
                  "exactly one of rate_pps/load must be set")
-        self.kind = kind
-        self.flows = flows
-        self.tenants = tenants
-        self.rate_pps = rate_pps
-        self.load = load
-        self.size = size
-        self.stream = stream
-        self.population = population
-        self.zipf_exponent = zipf_exponent
-        self.burst_factor = burst_factor
-        self.burst_duration_ns = burst_duration_ns
-        self.burst_period_ns = burst_period_ns
-
-    def to_dict(self):
-        return {slot: getattr(self, slot) for slot in self.__slots__}
-
-    @classmethod
-    def from_dict(cls, data):
-        return cls(**data)
 
 
-class PodSpec:
+@dataclass(eq=False)
+class PodSpec(Spec):
     """One GW pod, described with scalars only.
 
     ``per_core_pps`` selects a synthetic service calibrated to that
-    per-core rate (the ``ScaledPod`` scaling discipline); when ``None``
+    per-core rate (:func:`repro.scenarios.scaled_service`); when ``None``
     the named paper ``service`` is used instead.
 
     ``limiter_stage1_pps``/``limiter_stage2_pps`` declare the two-stage
@@ -129,60 +158,29 @@ class PodSpec:
     data and shard cleanly.
     """
 
-    __slots__ = (
-        "name", "data_cores", "ctrl_cores", "mode", "service",
-        "per_core_pps", "lookups", "reorder_queues", "rx_capacity",
-        "drop_flag_enabled", "acl_drop_probability",
-        "silent_drop_probability", "numa_node", "memory_node",
-        "limiter_stage1_pps", "limiter_stage2_pps",
-    )
+    name: str = "pod"
+    data_cores: int = 4
+    ctrl_cores: int = 2
+    mode: str = "plb"
+    service: str = "VPC-Internet"
+    per_core_pps: Optional[int] = None
+    lookups: int = 4
+    reorder_queues: Optional[int] = None
+    rx_capacity: int = 1024
+    drop_flag_enabled: bool = True
+    acl_drop_probability: float = 0.0
+    silent_drop_probability: float = 0.0
+    numa_node: Optional[int] = None
+    memory_node: Optional[int] = None
+    limiter_stage1_pps: Optional[int] = None
+    limiter_stage2_pps: Optional[int] = None
 
-    def __init__(
-        self,
-        name="pod",
-        data_cores=4,
-        ctrl_cores=2,
-        mode="plb",
-        service="VPC-Internet",
-        per_core_pps=None,
-        lookups=4,
-        reorder_queues=None,
-        rx_capacity=1024,
-        drop_flag_enabled=True,
-        acl_drop_probability=0.0,
-        silent_drop_probability=0.0,
-        numa_node=None,
-        memory_node=None,
-        limiter_stage1_pps=None,
-        limiter_stage2_pps=None,
-    ):
-        _require(data_cores >= 1, "a pod needs at least one data core")
-        self.name = name
-        self.data_cores = data_cores
-        self.ctrl_cores = ctrl_cores
-        self.mode = mode
-        self.service = service
-        self.per_core_pps = per_core_pps
-        self.lookups = lookups
-        self.reorder_queues = reorder_queues
-        self.rx_capacity = rx_capacity
-        self.drop_flag_enabled = drop_flag_enabled
-        self.acl_drop_probability = acl_drop_probability
-        self.silent_drop_probability = silent_drop_probability
-        self.numa_node = numa_node
-        self.memory_node = memory_node
-        self.limiter_stage1_pps = limiter_stage1_pps
-        self.limiter_stage2_pps = limiter_stage2_pps
-
-    def to_dict(self):
-        return {slot: getattr(self, slot) for slot in self.__slots__}
-
-    @classmethod
-    def from_dict(cls, data):
-        return cls(**data)
+    def __post_init__(self):
+        _require(self.data_cores >= 1, "a pod needs at least one data core")
 
 
-class MigrationSpec:
+@dataclass(eq=False)
+class MigrationSpec(Spec):
     """A planned live migration of one pod, described with scalars only.
 
     The live :class:`~repro.controlplane.migration.MigrationController`
@@ -218,54 +216,37 @@ class MigrationSpec:
             zero-reordering guarantee under load.
     """
 
-    __slots__ = (
-        "pod", "start_ns", "target_numa_node", "target_memory_node",
-        "poll_ns", "freeze_ns", "per_kib_ns", "restore_ns",
-        "route_update_ns", "flush_rate_pps", "server",
-    )
+    pod: str
+    start_ns: int
+    target_numa_node: Optional[int] = None
+    target_memory_node: Optional[int] = None
+    poll_ns: int = 50_000
+    freeze_ns: int = 0
+    per_kib_ns: int = 0
+    restore_ns: int = 0
+    route_update_ns: int = 0
+    flush_rate_pps: Optional[int] = None
+    server: Optional[str] = None
 
-    def __init__(
-        self,
-        pod,
-        start_ns,
-        target_numa_node=None,
-        target_memory_node=None,
-        poll_ns=50_000,
-        freeze_ns=0,
-        per_kib_ns=0,
-        restore_ns=0,
-        route_update_ns=0,
-        flush_rate_pps=None,
-        server=None,
-    ):
-        _require(bool(pod), "a migration needs a pod name")
-        _require(start_ns >= 0, "migration start_ns must be >= 0")
-        _require(poll_ns > 0, "migration poll_ns must be > 0")
+    def __post_init__(self):
+        _require(bool(self.pod), "a migration needs a pod name")
+        _require(self.start_ns >= 0, "migration start_ns must be >= 0")
+        _require(self.poll_ns > 0, "migration poll_ns must be > 0")
         _require(
-            flush_rate_pps is None or flush_rate_pps > 0,
+            self.flush_rate_pps is None or self.flush_rate_pps > 0,
             "migration flush_rate_pps must be > 0 when set",
         )
-        self.pod = pod
-        self.start_ns = start_ns
-        self.target_numa_node = target_numa_node
-        self.target_memory_node = target_memory_node
-        self.poll_ns = poll_ns
-        self.freeze_ns = freeze_ns
-        self.per_kib_ns = per_kib_ns
-        self.restore_ns = restore_ns
-        self.route_update_ns = route_update_ns
-        self.flush_rate_pps = flush_rate_pps
-        self.server = server
-
-    def to_dict(self):
-        return {slot: getattr(self, slot) for slot in self.__slots__}
-
-    @classmethod
-    def from_dict(cls, data):
-        return cls(**data)
 
 
-class ServerSpec:
+def _require_unique(names, what):
+    seen = set()
+    for name in names:
+        _require(name not in seen, f"duplicate {what} name {name!r}")
+        seen.add(name)
+
+
+@dataclass(eq=False)
+class ServerSpec(Spec):
     """One gateway server of an AZ topology, described with scalars only.
 
     Groups the :class:`PodSpec` deployments the server hosts; NUMA
@@ -274,31 +255,18 @@ class ServerSpec:
     be unique across the whole AZ -- the uplink addresses pods by name.
     """
 
-    __slots__ = ("name", "pods")
+    name: str
+    pods: tuple = _field((), spec=PodSpec)
 
-    def __init__(self, name, pods=()):
-        _require(bool(name), "a server needs a name")
-        pods = tuple(pods)
-        _require(bool(pods), f"server {name!r} needs at least one pod")
-        seen = set()
-        for pod in pods:
-            _require(pod.name not in seen, f"duplicate pod name {pod.name!r}")
-            seen.add(pod.name)
-        self.name = name
-        self.pods = pods
-
-    def to_dict(self):
-        return {"name": self.name, "pods": [pod.to_dict() for pod in self.pods]}
-
-    @classmethod
-    def from_dict(cls, data):
-        return cls(
-            name=data["name"],
-            pods=tuple(PodSpec.from_dict(pod) for pod in data["pods"]),
-        )
+    def __post_init__(self):
+        _require(bool(self.name), "a server needs a name")
+        self.pods = tuple(self.pods)
+        _require(bool(self.pods), f"server {self.name!r} needs at least one pod")
+        _require_unique((pod.name for pod in self.pods), "pod")
 
 
-class EcmpSpec:
+@dataclass(eq=False)
+class EcmpSpec(Spec):
     """The AZ uplink switch's ECMP behaviour, described with scalars only.
 
     Parameters:
@@ -314,22 +282,13 @@ class EcmpSpec:
             invariant that makes per-flow ordering across the AZ trivial.
     """
 
-    __slots__ = ("hash_seed", "pod_hash_seed", "pin_flows")
-
-    def __init__(self, hash_seed=101, pod_hash_seed=211, pin_flows=True):
-        self.hash_seed = hash_seed
-        self.pod_hash_seed = pod_hash_seed
-        self.pin_flows = pin_flows
-
-    def to_dict(self):
-        return {slot: getattr(self, slot) for slot in self.__slots__}
-
-    @classmethod
-    def from_dict(cls, data):
-        return cls(**data)
+    hash_seed: int = 101
+    pod_hash_seed: int = 211
+    pin_flows: bool = True
 
 
-class DpuTierSpec:
+@dataclass(eq=False)
+class DpuTierSpec(Spec):
     """The cheap per-server "DPU" pre-classifier tier, scalars only.
 
     Hot tenants are promoted into the DPU's fast table by the hitter
@@ -349,42 +308,22 @@ class DpuTierSpec:
         sketch_capacity: tracked tenants in the space-saving sketch.
     """
 
-    __slots__ = (
-        "table_capacity", "threshold_pps", "epoch_ns",
-        "demote_after_epochs", "fast_latency_ns", "sketch_capacity",
-    )
+    table_capacity: int = 256
+    threshold_pps: int = 5_000
+    epoch_ns: int = 10_000_000
+    demote_after_epochs: int = 2
+    fast_latency_ns: int = 2_000
+    sketch_capacity: int = 1024
 
-    def __init__(
-        self,
-        table_capacity=256,
-        threshold_pps=5_000,
-        epoch_ns=10_000_000,
-        demote_after_epochs=2,
-        fast_latency_ns=2_000,
-        sketch_capacity=1024,
-    ):
-        _require(table_capacity > 0, "dpu table_capacity must be > 0")
-        _require(threshold_pps > 0, "dpu threshold_pps must be > 0")
-        _require(epoch_ns > 0, "dpu epoch_ns must be > 0")
-        _require(demote_after_epochs > 0, "dpu demote_after_epochs must be > 0")
-        _require(fast_latency_ns >= 0, "dpu fast_latency_ns must be >= 0")
-        _require(sketch_capacity > 0, "dpu sketch_capacity must be > 0")
-        self.table_capacity = table_capacity
-        self.threshold_pps = threshold_pps
-        self.epoch_ns = epoch_ns
-        self.demote_after_epochs = demote_after_epochs
-        self.fast_latency_ns = fast_latency_ns
-        self.sketch_capacity = sketch_capacity
-
-    def to_dict(self):
-        return {slot: getattr(self, slot) for slot in self.__slots__}
-
-    @classmethod
-    def from_dict(cls, data):
-        return cls(**data)
+    def __post_init__(self):
+        for name in ("table_capacity", "threshold_pps", "epoch_ns",
+                     "demote_after_epochs", "sketch_capacity"):
+            _require(getattr(self, name) > 0, f"dpu {name} must be > 0")
+        _require(self.fast_latency_ns >= 0, "dpu fast_latency_ns must be >= 0")
 
 
-class ScenarioSpec:
+@dataclass(eq=False)
+class ScenarioSpec(Spec):
     """A named, seeded, fully-declarative simulation run.
 
     Parameters:
@@ -422,45 +361,49 @@ class ScenarioSpec:
     :data:`INCOMPATIBLE_FEATURES` table, not in ad-hoc guards here.
     """
 
-    def __init__(self, name, pods=(), workload=None, duration_ns=0, seed=42,
-                 migration=None, checkpoint_every_ns=None,
-                 timeseries_every_ns=None, servers=(), ecmp=None,
-                 dpu_tier=None):
-        _require(bool(name), "a scenario needs a name")
-        pods = tuple(pods)
-        servers = tuple(servers)
+    name: str
+    pods: tuple = _field((), spec=PodSpec)
+    workload: Optional[WorkloadSpec] = _field(spec=WorkloadSpec)
+    duration_ns: int = 0
+    seed: int = 42
+    migration: Optional[MigrationSpec] = _field(spec=MigrationSpec)
+    checkpoint_every_ns: Optional[int] = None
+    timeseries_every_ns: Optional[int] = None
+    # Topology keys appear only on topology specs: single-server wire
+    # dicts (and their spec fingerprints, which key the durable run
+    # store's resume cache) stay byte-for-byte what they were before the
+    # topology fields existed.
+    servers: tuple = _field((), spec=ServerSpec, only_with="servers")
+    ecmp: Optional[EcmpSpec] = _field(spec=EcmpSpec, only_with="servers")
+    dpu_tier: Optional[DpuTierSpec] = _field(spec=DpuTierSpec, only_with="servers")
+
+    def __post_init__(self):
+        _require(bool(self.name), "a scenario needs a name")
+        self.pods = tuple(self.pods)
+        self.servers = tuple(self.servers)
         _require(
-            not (pods and servers),
+            not (self.pods and self.servers),
             "a scenario declares flat pods or a server topology, not both",
         )
         _require(
-            servers or (ecmp is None and dpu_tier is None),
+            self.servers or (self.ecmp is None and self.dpu_tier is None),
             "ecmp/dpu_tier require a server topology (set servers)",
         )
-        seen_servers = set()
-        for server in servers:
-            _require(
-                server.name not in seen_servers,
-                f"duplicate server name {server.name!r}",
-            )
-            seen_servers.add(server.name)
-        pod_homes = {}
-        seen = set()
-        for server_name, pod in (
-            [(None, pod) for pod in pods]
-            + [(server.name, pod) for server in servers for pod in server.pods]
-        ):
-            _require(pod.name not in seen, f"duplicate pod name {pod.name!r}")
-            seen.add(pod.name)
-            pod_homes[pod.name] = server_name
+        _require_unique((server.name for server in self.servers), "server")
+        _require_unique((pod.name for pod in self.all_pods), "pod")
+        pod_homes = {pod.name: None for pod in self.pods}
+        pod_homes.update(
+            (pod.name, server.name) for server in self.servers for pod in server.pods
+        )
+        migration = self.migration
         if migration is not None:
             _require(
-                migration.pod in seen,
+                migration.pod in pod_homes,
                 f"migration targets unknown pod {migration.pod!r}",
             )
             if migration.server is not None:
                 _require(
-                    bool(servers),
+                    bool(self.servers),
                     f"migration names server {migration.server!r} but the "
                     f"spec has no topology",
                 )
@@ -470,93 +413,20 @@ class ScenarioSpec:
                     f"migration targets pod {migration.pod!r} on server "
                     f"{migration.server!r}, but it lives on {home!r}",
                 )
-        if checkpoint_every_ns is not None:
+        for cadence in ("checkpoint_every_ns", "timeseries_every_ns"):
+            value = getattr(self, cadence)
+            _require(value is None or value > 0, f"{cadence} must be > 0 when set")
+        for left, right, why in INCOMPATIBLE_FEATURES:
             _require(
-                checkpoint_every_ns > 0,
-                "checkpoint_every_ns must be > 0 when set",
+                not (_is_set(getattr(self, left)) and _is_set(getattr(self, right))),
+                f"{left} cannot be combined with {right}: {why}",
             )
-        if timeseries_every_ns is not None:
-            _require(
-                timeseries_every_ns > 0,
-                "timeseries_every_ns must be > 0 when set",
-            )
-        self.name = name
-        self.pods = pods
-        self.workload = workload
-        self.duration_ns = duration_ns
-        self.seed = seed
-        self.migration = migration
-        self.checkpoint_every_ns = checkpoint_every_ns
-        self.timeseries_every_ns = timeseries_every_ns
-        self.servers = servers
-        self.ecmp = ecmp
-        self.dpu_tier = dpu_tier
-        _check_feature_compatibility(self)
 
     @property
     def all_pods(self):
         """Every :class:`PodSpec`, across flat pods and all servers."""
-        if self.servers:
-            return tuple(
-                pod for server in self.servers for pod in server.pods
-            )
-        return self.pods
-
-    def to_dict(self):
-        data = {
-            "name": self.name,
-            "pods": [pod.to_dict() for pod in self.pods],
-            "workload": None if self.workload is None else self.workload.to_dict(),
-            "duration_ns": self.duration_ns,
-            "seed": self.seed,
-            "migration": (
-                None if self.migration is None else self.migration.to_dict()
-            ),
-            "checkpoint_every_ns": self.checkpoint_every_ns,
-            "timeseries_every_ns": self.timeseries_every_ns,
-        }
-        # Topology keys appear only on topology specs: single-server
-        # wire dicts (and their spec fingerprints, which key the durable
-        # run store's resume cache) stay byte-for-byte what they were
-        # before the topology fields existed.
-        if self.servers:
-            data["servers"] = [server.to_dict() for server in self.servers]
-            data["ecmp"] = None if self.ecmp is None else self.ecmp.to_dict()
-            data["dpu_tier"] = (
-                None if self.dpu_tier is None else self.dpu_tier.to_dict()
-            )
-        return data
-
-    @classmethod
-    def from_dict(cls, data):
-        return cls(
-            name=data["name"],
-            pods=tuple(PodSpec.from_dict(pod) for pod in data["pods"]),
-            workload=(
-                None if data.get("workload") is None
-                else WorkloadSpec.from_dict(data["workload"])
-            ),
-            duration_ns=data["duration_ns"],
-            seed=data["seed"],
-            migration=(
-                None if data.get("migration") is None
-                else MigrationSpec.from_dict(data["migration"])
-            ),
-            # .get: specs serialized before these fields existed load fine.
-            checkpoint_every_ns=data.get("checkpoint_every_ns"),
-            timeseries_every_ns=data.get("timeseries_every_ns"),
-            servers=tuple(
-                ServerSpec.from_dict(server)
-                for server in data.get("servers") or ()
-            ),
-            ecmp=(
-                None if data.get("ecmp") is None
-                else EcmpSpec.from_dict(data["ecmp"])
-            ),
-            dpu_tier=(
-                None if data.get("dpu_tier") is None
-                else DpuTierSpec.from_dict(data["dpu_tier"])
-            ),
+        return self.pods + tuple(
+            pod for server in self.servers for pod in server.pods
         )
 
     def with_overrides(self, seed=None, duration_ns=None, overrides=None):
@@ -575,15 +445,9 @@ class ScenarioSpec:
             apply_override(data, path, value)
         return ScenarioSpec.from_dict(data)
 
-    def __repr__(self):
-        return (
-            f"<ScenarioSpec {self.name!r}: {len(self.pods)} pod(s), "
-            f"{self.duration_ns} ns, seed {self.seed}>"
-        )
 
-
-def _override_step(node, part, path):
-    """Resolve one path component, or raise the uniform KeyError."""
+def _override_key(node, part, path):
+    """``part`` as a valid key/index into ``node``, or the uniform KeyError."""
     missing = KeyError(f"override path {path!r} does not exist in the spec")
     if isinstance(node, list):
         try:
@@ -592,10 +456,10 @@ def _override_step(node, part, path):
             raise missing from None
         if not -len(node) <= index < len(node):
             raise missing
-        return node, index
+        return index
     if not isinstance(node, dict) or part not in node:
         raise missing
-    return node, part
+    return part
 
 
 def apply_override(data, path, value):
@@ -605,10 +469,8 @@ def apply_override(data, path, value):
     out-of-range list index, or a path that descends through a scalar --
     raises the same ``KeyError`` naming the full path.
     """
-    parts = path.split(".")
+    *parents, last = path.split(".")
     node = data
-    for part in parts[:-1]:
-        node, key = _override_step(node, part, path)
-        node = node[key]
-    node, key = _override_step(node, parts[-1], path)
-    node[key] = value
+    for part in parents:
+        node = node[_override_key(node, part, path)]
+    node[_override_key(node, last, path)] = value

@@ -138,10 +138,17 @@ class Dir24_8Lpm:
     allocate a 256-entry second-level tile.  Lookup is ``top[addr >> 8]``
     and, if that slot points to a tile, ``tile[addr & 0xFF]``.
 
+    Prefixes shorter than /16 are not expanded into the top level (a /0
+    would be 2^24 writes): they stay in the route map and are consulted
+    only when the two-level walk finds nothing, which is correct because
+    every expanded entry is at least a /16 and so outranks them.
+
     Insertion is incremental; route deletion requires a rebuild via
     :meth:`from_routes` (as with DPDK's ``rte_lpm``, deletes are the
     control plane's slow path).
     """
+
+    _SHORT = 16
 
     def __init__(self):
         # top[i] is either ("hop", next_hop, length) or ("tile", index, 0)
@@ -149,6 +156,7 @@ class Dir24_8Lpm:
         self._tiles = []
         self._free_tiles = []
         self._routes = {}
+        self._short_lengths = []    # lengths < _SHORT present, longest first
 
     def __len__(self):
         return len(self._routes)
@@ -161,7 +169,11 @@ class Dir24_8Lpm:
         """Insert or replace ``prefix/length``."""
         Route(prefix, length, next_hop)  # validate
         self._routes[(prefix, length)] = next_hop
-        if length <= 24:
+        if length < self._SHORT:
+            if length not in self._short_lengths:
+                self._short_lengths.append(length)
+                self._short_lengths.sort(reverse=True)
+        elif length <= 24:
             start = prefix >> 8
             count = 1 << (24 - length)
             for slot in range(start, start + count):
@@ -213,12 +225,17 @@ class Dir24_8Lpm:
     def lookup(self, addr):
         """Return the next hop for ``addr``, or None."""
         entry = self._top.get(addr >> 8)
-        if entry is None:
-            return None
-        if entry[0] == "hop":
-            return entry[1]
-        tile_entry = self._tiles[entry[1]][addr & 0xFF]
-        return tile_entry[0] if tile_entry is not None else None
+        if entry is not None:
+            if entry[0] == "hop":
+                return entry[1]
+            tile_entry = self._tiles[entry[1]][addr & 0xFF]
+            if tile_entry is not None:
+                return tile_entry[0]
+        for length in self._short_lengths:
+            key = (addr & _mask(length), length)
+            if key in self._routes:
+                return self._routes[key]
+        return None
 
     @classmethod
     def from_routes(cls, routes):

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.experiments.common import ExperimentResult, ScaledPod, format_table, scaled_service
+from repro.experiments.common import ExperimentResult, format_table
 from repro.experiments.runner import all_experiments
+from repro.scenarios import scaled_service
 
 
 class TestExperimentResult:
@@ -65,26 +66,31 @@ class TestScaledService:
         chain = ServiceChain(service, assumed_hit_rate=0.35)
         assert chain.per_core_mpps() * 1e6 == pytest.approx(target, rel=0.01)
 
-    def test_scaled_pod_capacity(self):
-        scaled = ScaledPod(data_cores=4, per_core_pps=50_000)
-        assert scaled.capacity_pps == 200_000
-        assert scaled.pod.expected_capacity_mpps() * 1e6 == pytest.approx(
-            200_000, rel=0.02
-        )
-
-    def test_egress_counter_hook(self):
+    def test_egress_fn_is_assignable_after_build(self):
+        # Experiments count deliveries by wrapping the NIC's egress hook.
+        from repro.scenarios import PodSpec, ScenarioSpec, build
         from repro.sim.units import MS
         from repro.workloads.generators import CbrSource, uniform_population
 
-        scaled = ScaledPod(data_cores=2, per_core_pps=100_000)
-        counts = scaled.egress_counts_by_vni()
+        handle = build(ScenarioSpec(
+            name="scaled-pod", seed=1,
+            pods=(PodSpec(data_cores=2, per_core_pps=100_000),),
+        ))
+        counts = {}
+        forward = handle.pod.nic.egress_fn
+
+        def count_egress(packet, outcome):
+            counts[packet.vni] = counts.get(packet.vni, 0) + 1
+            forward(packet, outcome)
+
+        handle.pod.nic.egress_fn = count_egress
         population = uniform_population(10, tenants=2)
         CbrSource(
-            scaled.sim, scaled.rngs.stream("t"), scaled.pod.ingress,
+            handle.sim, handle.rngs.stream("t"), handle.pod.ingress,
             population, rate_pps=50_000,
         )
-        scaled.run_for(10 * MS)
-        assert sum(counts.values()) == scaled.pod.transmitted()
+        handle.run(10 * MS)
+        assert sum(counts.values()) == handle.pod.transmitted()
         assert set(counts) == {0, 1}
 
 

@@ -85,14 +85,18 @@ class TestShardFailureNaming:
         payload = {
             "index": 3,
             "axes": {"workload.tenants": 7},
-            "spec": {"name": "broken"},
+            "spec": {"name": "broken", "no_such_field": 1},
         }
         with pytest.raises(ShardFailure, match=r"shard 3 workload.tenants=7"):
             pool_map(run_shard, [payload], workers=1)
 
     def test_pool_failure_names_shard_and_carries_traceback(self):
         payloads = [
-            {"index": index, "axes": {"replica": index}, "spec": {"name": "broken"}}
+            {
+                "index": index,
+                "axes": {"replica": index},
+                "spec": {"name": "broken", "no_such_field": 1},
+            }
             for index in range(2)
         ]
         with pytest.raises(ShardFailure) as excinfo:

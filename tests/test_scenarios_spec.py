@@ -4,7 +4,7 @@ The acceptance bar for the API redesign: a scenario defined once as a
 :class:`ScenarioSpec` must (a) survive the wire format losslessly --
 that is what the fleet engine ships to workers -- and (b) produce the
 same deployment from every entry point (simulate, bench, faults,
-experiments' ``ScaledPod`` shim).
+experiments).
 """
 
 import json
@@ -149,20 +149,21 @@ class TestBuildEntryPoints:
             "packets": handle.pod.transmitted(),
         }
 
-    def test_scaled_pod_shim_matches_direct_build(self):
-        from repro.experiments.common import ScaledPod
+    def test_per_core_pps_builds_the_scaled_service(self):
+        from repro.scenarios import scaled_service
 
-        shim = ScaledPod(data_cores=4, per_core_pps=50_000, seed=3)
-        direct = build(ScenarioSpec(
+        handle = build(ScenarioSpec(
             name="scaled-pod",
-            pods=(PodSpec(name="pod", data_cores=4, per_core_pps=50_000),),
+            pods=(PodSpec(data_cores=4, per_core_pps=50_000),),
             seed=3,
         ))
-        assert shim.capacity_pps == direct.capacity_pps() == 200_000
-        assert shim.pod.config.data_cores == direct.pod.config.data_cores
+        assert handle.capacity_pps() == 200_000
+        assert handle.pod.expected_capacity_mpps() * 1e6 == pytest.approx(
+            200_000, rel=0.02
+        )
         assert (
-            shim.pod.config.custom_service.base_ns
-            == direct.pod.config.custom_service.base_ns
+            handle.pod.config.custom_service.base_ns
+            == scaled_service(per_core_pps=50_000).base_ns
         )
 
     def test_limiter_fields_construct_a_live_limiter(self):

@@ -117,6 +117,19 @@ class TestDir24_8:
         assert table.lookup(ip_from_str("10.0.9.9")) == "net16"
         assert table.lookup(ip_from_str("10.99.0.1")) == "net8"
 
+    def test_default_route_is_not_expanded(self):
+        # A /0 must not cost 2^24 top-level writes, and must serve both a
+        # top-level miss and a hole in a tile allocated before it existed.
+        table = Dir24_8Lpm()
+        table.insert(ip_from_str("10.0.0.128"), 25, "hi")
+        table.insert(0, 0, "default")
+        table.insert(ip_from_str("10.0.0.0"), 8, "net8")
+        assert len(table._top) == 1
+        assert table.lookup(ip_from_str("10.0.0.200")) == "hi"
+        assert table.lookup(ip_from_str("10.0.0.5")) == "net8"
+        assert table.lookup(ip_from_str("10.9.9.9")) == "net8"
+        assert table.lookup(ip_from_str("192.0.2.1")) == "default"
+
     def test_memory_accounting(self):
         table = Dir24_8Lpm()
         base = table.memory_bytes()
