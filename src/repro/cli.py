@@ -538,13 +538,7 @@ def cmd_sweep(args):
 
     shards = build_sweep(args.name, quick=args.quick, seed=args.seed)
     if args.timeseries_every_ms is not None:
-        try:
-            shards = with_timeseries(shards, int(args.timeseries_every_ms * MS))
-        except ValueError as error:
-            # e.g. a migration sweep: telemetry and migration are
-            # mutually exclusive at the spec level.
-            print(str(error), file=sys.stderr)
-            return 2
+        shards = with_timeseries(shards, int(args.timeseries_every_ms * MS))
     workers = args.workers if args.workers > 0 else default_workers()
     store = RunStore(args.runs_dir)
     try:

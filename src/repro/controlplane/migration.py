@@ -221,6 +221,10 @@ class MigrationController:
             config.memory_node = migration.target_memory_node
         new_pod = self.server.add_pod(config)
         new_pod.restore_state(self.snapshot)
+        # The telemetry recorder reads counters through the shared pods
+        # dict; its per-window latency tap is the one binding to the pod
+        # object itself, so it moves with the pod.
+        new_pod.latency_tap = old_pod.latency_tap
         self.pods[self.pod_name] = new_pod
         self.plan.target_numa_node = new_pod.numa_node
         if self.on_restore is not None:

@@ -37,11 +37,6 @@ INCOMPATIBLE_FEATURES = (
         "a mid-migration deployment is not quiescent-restorable",
     ),
     (
-        "migration", "timeseries_every_ns",
-        "the migrated pod is rebuilt mid-run, which would silently "
-        "detach its latency tap",
-    ),
-    (
         "servers", "checkpoint_every_ns",
         "the uplink switch and DPU tier are not snapshot-aware yet",
     ),

@@ -171,8 +171,7 @@ def scenario_specs(draw):
         )
     elif not topology:
         common["checkpoint_every_ns"] = draw(_optional_int)
-    if "migration" not in common:
-        common["timeseries_every_ns"] = draw(_optional_int)
+    common["timeseries_every_ns"] = draw(_optional_int)
     if not topology:
         return ScenarioSpec(pods=pods, **common)
     return ScenarioSpec(
@@ -196,10 +195,11 @@ class TestGeneratedRoundTrip:
 
     @given(scenario_specs(), st.data())
     @settings(max_examples=100, deadline=None)
-    def test_unknown_nested_key_still_raises(self, spec, data):
+    def test_unknown_key_raises_at_every_level(self, spec, data):
         wire = spec.to_dict()
-        nested = [pod for pod in wire["pods"]]
-        nested += [pod for server in wire.get("servers", ()) for pod in server["pods"]]
+        servers = wire.get("servers", [])
+        nested = [wire] + wire["pods"] + servers
+        nested += [pod for server in servers for pod in server["pods"]]
         nested += [
             wire[key] for key in ("workload", "migration", "ecmp", "dpu_tier")
             if wire.get(key) is not None

@@ -14,9 +14,15 @@ import pytest
 
 from repro.analysis.statecheck import probe_object
 from repro.core.gateway import AlbatrossServer, PodConfig
-from repro.fleet import replicate, run_sweep, sweep_to_json, with_timeseries
+from repro.controlplane import migration_scenario_names, migration_scenario_spec
+from repro.fleet import (
+    build_sweep,
+    replicate,
+    run_sweep,
+    sweep_to_json,
+    with_timeseries,
+)
 from repro.scenarios import (
-    MigrationSpec,
     PodSpec,
     ScenarioSpec,
     WorkloadSpec,
@@ -199,14 +205,33 @@ class TestSpec:
         with pytest.raises(ValueError, match="timeseries_every_ns"):
             _spec(every_ns=0)
 
-    def test_rejects_migration_combination(self):
-        # A migration rebuilds its pod mid-run, which would silently
-        # detach the recorder's latency tap -- forbidden at spec level.
-        with pytest.raises(ValueError, match="migration"):
-            _spec(
-                duration_ns=8 * MS,
-                migration=MigrationSpec(pod="gw", start_ns=2 * MS),
-            )
+
+
+class TestMigration:
+    """The rebuilt pod keeps the recorder's latency tap."""
+
+    @pytest.mark.parametrize("name", migration_scenario_names())
+    def test_armed_migration_conserves_per_window(self, name):
+        spec = migration_scenario_spec(name, seed=7, quick=True).with_overrides(
+            overrides={"timeseries_every_ns": 2 * MS}
+        )
+        handle = build(spec).run()
+        report = handle.report()
+        assert report["migration"]["state"] == "complete"
+        windows = report["timeseries"]["windows"]
+        validate_series(report["timeseries"])
+        # Every transmitted packet lands in exactly one window's latency
+        # histogram -- before, during and after the pod is rebuilt.
+        for window in windows:
+            for pod in window["pods"].values():
+                assert pod["latency"]["count"] == pod["counters"].get("tx_packets", 0)
+        migrated = spec.migration.pod
+        completed_ns = report["migration"]["completed_ns"]
+        after = [w for w in windows if w["start_ns"] >= completed_ns]
+        assert after and all(w["pods"][migrated]["latency"]["count"] for w in after)
+        for pod_name, pod in handle.pods.items():
+            total = sum(w["pods"][pod_name]["latency"]["count"] for w in windows)
+            assert total == pod.transmitted()
 
 
 class TestFleetMerge:
@@ -228,6 +253,18 @@ class TestFleetMerge:
         assert section["every_ns"] == 2 * MS
         assert [w["shard"] for w in section["windows"]] == [0, 0, 1, 1]
         assert [w["window"] for w in section["windows"]] == [0, 1, 0, 1]
+
+    def test_armed_migration_sweep_is_worker_invariant(self):
+        # python -m repro sweep migration-replication --quick
+        #   --timeseries-every-ms 5, on 1 and 2 workers.
+        shards = with_timeseries(
+            build_sweep("migration-replication", quick=True, seed=42), 5 * MS
+        )
+        solo = run_sweep("migration-replication", shards, workers=1, seed=42)
+        pooled = run_sweep("migration-replication", shards, workers=2, seed=42)
+        assert sweep_to_json(solo) == sweep_to_json(pooled)
+        merged = json.loads(sweep_to_json(solo))["merged"]
+        validate_series(merged["timeseries"])
 
     def test_merge_without_telemetry_omits_section(self):
         base = _spec(duration_ns=4 * MS, every_ns=2 * MS)
