@@ -16,6 +16,8 @@ Modules:
 * :mod:`repro.bgp.switch` -- uplink switch control-plane model with the
   64-peer safe threshold and convergence-time degradation.
 * :mod:`repro.bgp.proxy` -- the BGP proxy pod.
+* :mod:`repro.bgp.pod` -- binds a speaker and a BFD session to a GW pod's
+  priority path (imported by name: it pulls in the pod runtime).
 """
 
 from repro.bgp.bfd import BfdSession, BfdState

@@ -343,39 +343,38 @@ def cmd_experiment(args):
     return 0
 
 
-def cmd_faults(args):
-    from repro.analysis.sanitizer import get_sanitizer
-    from repro.faults.scenarios import run_scenario
-
-    names = FAULT_SCENARIOS if args.scenario == "all" else (args.scenario,)
-    for index, name in enumerate(names):
+def _run_named_scenarios(args, names, runner):
+    """Run ``args.scenario`` (or every name) and print each report."""
+    selected = names if args.scenario == "all" else (args.scenario,)
+    for index, name in enumerate(selected):
         if index:
             print()
-        report = run_scenario(name, seed=args.seed, quick=args.quick)
-        print(report.render())
+        print(runner(name, seed=args.seed, quick=args.quick).render())
+
+
+def _print_sanitizer_summary():
+    from repro.analysis.sanitizer import get_sanitizer
+
     sanitizer = get_sanitizer()
     if sanitizer is not None:
         # Summary on stderr: stdout must stay byte-identical to an
         # unsanitized run (CI diffs the two).
         print(sanitizer.summary(), file=sys.stderr)
+
+
+def cmd_faults(args):
+    from repro.faults.scenarios import run_scenario
+
+    _run_named_scenarios(args, FAULT_SCENARIOS, run_scenario)
+    _print_sanitizer_summary()
     return 0
 
 
 def cmd_migrate(args):
-    from repro.analysis.sanitizer import get_sanitizer
     from repro.controlplane import run_migration_scenario
 
-    names = MIGRATIONS if args.scenario == "all" else (args.scenario,)
-    for index, name in enumerate(names):
-        if index:
-            print()
-        report = run_migration_scenario(name, seed=args.seed, quick=args.quick)
-        print(report.render())
-    sanitizer = get_sanitizer()
-    if sanitizer is not None:
-        # Summary on stderr: stdout must stay byte-identical to an
-        # unsanitized run (CI diffs the two).
-        print(sanitizer.summary(), file=sys.stderr)
+    _run_named_scenarios(args, MIGRATIONS, run_migration_scenario)
+    _print_sanitizer_summary()
     return 0
 
 
@@ -480,14 +479,9 @@ def cmd_sanitize(args):
     from repro.analysis.sanitizer import SanitizerViolation, install, uninstall
     from repro.faults.scenarios import run_scenario
 
-    names = FAULT_SCENARIOS if args.scenario == "all" else (args.scenario,)
     sanitizer = install()
     try:
-        for index, name in enumerate(names):
-            if index:
-                print()
-            report = run_scenario(name, seed=args.seed, quick=args.quick)
-            print(report.render())
+        _run_named_scenarios(args, FAULT_SCENARIOS, run_scenario)
     except SanitizerViolation as violation:
         print(f"sanitizer violation in scenario run:\n{violation}")
         return 1

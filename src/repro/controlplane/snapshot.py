@@ -63,10 +63,9 @@ class SimCheckpointer:
     quiescent` it freezes a plain-data snapshot of the clock, every rng
     stream, every pod and every workload source.  A non-quiescent
     instant is not abandoned for a whole period: the checkpointer
-    retries every ``retry_ns`` (default ``every_ns // 64``) until it
-    lands in an idle window -- under load the quiescent instants sit in
-    the gaps between packet arrivals, rarely exactly on a period
-    boundary.  Skips are counted, and the skip/capture decision depends
+    retries every ``every_ns // 64`` until it lands in an idle window --
+    under load the quiescent instants sit in the gaps between packet
+    arrivals, rarely exactly on a period boundary.  Skips are counted, and the skip/capture decision depends
     only on simulation state, so an interrupted-and-restored run makes
     the exact same decisions as an uninterrupted one.
 
@@ -86,7 +85,7 @@ class SimCheckpointer:
     """
 
     def __init__(self, sim, rngs, pods, sources, every_ns, sink=None,
-                 retry_ns=None, recorder=None):
+                 recorder=None):
         if every_ns <= 0:
             raise ValueError(f"checkpoint cadence must be positive (got {every_ns})")
         self.sim = sim
@@ -98,7 +97,7 @@ class SimCheckpointer:
         # telemetry-less checkpoints keep their exact historical bytes).
         self.recorder = recorder
         self.every_ns = int(every_ns)
-        self.retry_ns = max(1, self.every_ns // 64) if retry_ns is None else int(retry_ns)
+        self.retry_ns = max(1, self.every_ns // 64)
         self.sink = sink
         self.latest = None
         # Capture-process telemetry about *this* run of the checkpointer,

@@ -4,8 +4,8 @@ import pytest
 
 from repro.bgp.bfd import BfdSession, BfdState
 from repro.bgp.fsm import BgpState
+from repro.bgp.pod import PodControlPlane
 from repro.bgp.switch import UplinkSwitch
-from repro.core.controlplane import PodControlPlane
 from repro.core.gateway import AlbatrossServer, PodConfig
 from repro.core.watchdog import PlbWatchdog
 from repro.sim import MS, RngRegistry, SECOND, Simulator
