@@ -18,10 +18,8 @@ SCALE = 1 / 200  # paper rates are tens of Mpps; run at hundreds of Kpps
 
 
 def run_scenario(with_limiter):
-    handle = build(ScenarioSpec(
-        name="scaled-pod", seed=7,
-        pods=(PodSpec(data_cores=4, per_core_pps=25_000, rx_capacity=256),),
-    ))
+    pod_spec = PodSpec(data_cores=4, per_core_pps=25_000, rx_capacity=256)
+    handle = build(ScenarioSpec(name="scaled-pod", seed=7, pods=(pod_spec,)))
     if with_limiter:
         handle.pod.nic.rate_limiter = TwoStageRateLimiter(
             handle.rngs.stream("limiter"),

@@ -18,10 +18,8 @@ CORES = 3
 
 
 def run_mode(mode, hitter_fraction):
-    handle = build(ScenarioSpec(
-        name="scaled-pod", seed=5,
-        pods=(PodSpec(data_cores=CORES, per_core_pps=PER_CORE_PPS, mode=mode),),
-    ))
+    pod_spec = PodSpec(data_cores=CORES, per_core_pps=PER_CORE_PPS, mode=mode)
+    handle = build(ScenarioSpec(name="scaled-pod", seed=5, pods=(pod_spec,)))
     background = uniform_population(500, tenants=50)
     CbrSource(
         handle.sim, handle.rngs.stream("bg"), handle.pod.ingress, background,

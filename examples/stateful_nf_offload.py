@@ -34,10 +34,8 @@ def scaling_table():
 def simulated_offload():
     print("\nsimulated fast path (4 cores, 200 flows, 80% load):")
     for offloaded in (False, True):
-        handle = build(ScenarioSpec(
-            name="scaled-pod", seed=3,
-            pods=(PodSpec(data_cores=4, per_core_pps=100_000),),
-        ))
+        pod_spec = PodSpec(data_cores=4, per_core_pps=100_000)
+        handle = build(ScenarioSpec(name="scaled-pod", seed=3, pods=(pod_spec,)))
         if offloaded:
             handle.pod.nic.session_offload = FpgaSessionOffload(
                 handle.sim, capacity=4096

@@ -25,10 +25,8 @@ def run_meta_placement(per_core_pps=100_000, duration_ns=150 * MS):
     """Throughput with the PLB meta at the packet tail vs head."""
     rows = []
     for placement in (MetaPlacement.TAIL, MetaPlacement.HEAD):
-        handle = build(ScenarioSpec(
-            name="scaled-pod", seed=91,
-            pods=(PodSpec(data_cores=2, per_core_pps=per_core_pps),),
-        ))
+        pod_spec = PodSpec(data_cores=2, per_core_pps=per_core_pps)
+        handle = build(ScenarioSpec(name="scaled-pod", seed=91, pods=(pod_spec,)))
         handle.pod.nic.config.meta_placement = placement
         # Re-apply the CPU factor the runtime derives from the placement.
         from repro.core.meta import placement_throughput_factor
@@ -136,17 +134,13 @@ def run_reorder_queue_tradeoff(
     rows = []
     for queues in queue_counts:
         depth = min(4096, total_entries // queues)
-        handle = build(ScenarioSpec(
-            name="scaled-pod", seed=97,
-            pods=(
-                PodSpec(
-                    data_cores=4,
-                    per_core_pps=per_core_pps,
-                    reorder_queues=queues,
-                    silent_drop_probability=silent_drop_probability,
-                ),
-            ),
-        ))
+        pod_spec = PodSpec(
+            data_cores=4,
+            per_core_pps=per_core_pps,
+            reorder_queues=queues,
+            silent_drop_probability=silent_drop_probability,
+        )
+        handle = build(ScenarioSpec(name="scaled-pod", seed=97, pods=(pod_spec,)))
         handle.pod.nic.reorder.config.depth = depth
         population = uniform_population(400, tenants=40)
         CbrSource(
@@ -226,10 +220,8 @@ def run_session_offload_sim(
 
     rows = []
     for offloaded in (False, True):
-        handle = build(ScenarioSpec(
-            name="scaled-pod", seed=113,
-            pods=(PodSpec(data_cores=4, per_core_pps=per_core_pps),),
-        ))
+        pod_spec = PodSpec(data_cores=4, per_core_pps=per_core_pps)
+        handle = build(ScenarioSpec(name="scaled-pod", seed=113, pods=(pod_spec,)))
         if offloaded:
             offload = FpgaSessionOffload(handle.sim, capacity=4096)
             handle.pod.nic.session_offload = offload

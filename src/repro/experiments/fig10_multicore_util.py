@@ -71,10 +71,8 @@ def _run_mode(
     burst_duration_ns,
     burst_gap_ns,
 ):
-    handle = build(ScenarioSpec(
-        name="scaled-pod", seed=31,
-        pods=(PodSpec(data_cores=CORES, per_core_pps=per_core_pps, mode=mode),),
-    ))
+    pod_spec = PodSpec(data_cores=CORES, per_core_pps=per_core_pps, mode=mode)
+    handle = build(ScenarioSpec(name="scaled-pod", seed=31, pods=(pod_spec,)))
     base_rate = int(average_load * per_core_pps * CORES)
     background = uniform_population(800, tenants=80)
     source = CbrSource(

@@ -58,10 +58,8 @@ def _run_pod(
     slow_branch_probability,
     slow_branch_ns,
 ):
-    handle = build(ScenarioSpec(
-        name="scaled-pod", seed=41,
-        pods=(PodSpec(data_cores=CORES, per_core_pps=per_core_pps, mode="plb"),),
-    ))
+    pod_spec = PodSpec(data_cores=CORES, per_core_pps=per_core_pps, mode="plb")
+    handle = build(ScenarioSpec(name="scaled-pod", seed=41, pods=(pod_spec,)))
     # Attach jitter after construction so each pod gets its own stream.
     # The rare slow branch (beyond the 100 us PLB timeout) is what makes
     # the ~1e-5 disorder rate of the paper's production pods.

@@ -37,18 +37,14 @@ def run(
 
 
 def _run_mode(drop_flag, per_core_pps, load, acl_drop_probability, duration_ns):
-    handle = build(ScenarioSpec(
-        name="scaled-pod", seed=53,
-        pods=(
-            PodSpec(
-                data_cores=CORES,
-                per_core_pps=per_core_pps,
-                mode="plb",
-                drop_flag_enabled=drop_flag,
-                acl_drop_probability=acl_drop_probability,
-            ),
-        ),
-    ))
+    pod_spec = PodSpec(
+        data_cores=CORES,
+        per_core_pps=per_core_pps,
+        mode="plb",
+        drop_flag_enabled=drop_flag,
+        acl_drop_probability=acl_drop_probability,
+    )
+    handle = build(ScenarioSpec(name="scaled-pod", seed=53, pods=(pod_spec,)))
     population = uniform_population(400, tenants=40)
     CbrSource(
         handle.sim,

@@ -30,15 +30,13 @@ BUCKET_NS = 250 * MS
 def run(with_limiter, duration_ns=2 * SECOND, seed=61):
     """One scenario run; returns per-(bucket, tenant) delivered rates."""
     limiter = None
-    handle = build(ScenarioSpec(
-        name="scaled-pod", seed=seed,
-        pods=(
-            PodSpec(
-                data_cores=CORES, per_core_pps=PER_CORE_PPS, mode="plb",
-                rx_capacity=256,
-            ),
-        ),
-    ))
+    pod_spec = PodSpec(
+        data_cores=CORES,
+        per_core_pps=PER_CORE_PPS,
+        mode="plb",
+        rx_capacity=256,
+    )
+    handle = build(ScenarioSpec(name="scaled-pod", seed=seed, pods=(pod_spec,)))
     if with_limiter:
         limiter = TwoStageRateLimiter(
             handle.rngs.stream("limiter"),

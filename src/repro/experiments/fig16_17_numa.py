@@ -22,15 +22,13 @@ def run_fig16(per_core_pps=100_000, duration_ns=200 * MS):
     """Throughput with intra- vs cross-NUMA placement, saturated pod."""
     rows = []
     for placement, memory_node in (("intra", None), ("cross", 1)):
-        handle = build(ScenarioSpec(
-            name="scaled-pod", seed=71,
-            pods=(
-                PodSpec(
-                    data_cores=CORES, per_core_pps=per_core_pps,
-                    numa_node=0, memory_node=memory_node,
-                ),
-            ),
-        ))
+        pod_spec = PodSpec(
+            data_cores=CORES,
+            per_core_pps=per_core_pps,
+            numa_node=0,
+            memory_node=memory_node,
+        )
+        handle = build(ScenarioSpec(name="scaled-pod", seed=71, pods=(pod_spec,)))
         population = uniform_population(500, tenants=50)
         CbrSource(
             handle.sim,
@@ -67,12 +65,8 @@ def run_fig17(per_core_pps=100_000, load=0.9, duration_ns=400 * MS):
     """Max latency / jitter at 90% load with numa_balancing on vs off."""
     rows = []
     for balancing in (True, False):
-        handle = build(ScenarioSpec(
-            name="scaled-pod", seed=73,
-            pods=(
-                PodSpec(data_cores=CORES, per_core_pps=per_core_pps, numa_node=0),
-            ),
-        ))
+        pod_spec = PodSpec(data_cores=CORES, per_core_pps=per_core_pps, numa_node=0)
+        handle = build(ScenarioSpec(name="scaled-pod", seed=73, pods=(pod_spec,)))
         balancer = NumaBalancer(
             handle.sim,
             handle.pod.cores,

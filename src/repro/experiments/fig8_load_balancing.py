@@ -44,10 +44,8 @@ def run(
 
 
 def _run_point(mode, hitter_fraction, per_core_pps, duration_ns, background_flows):
-    handle = build(ScenarioSpec(
-        name="scaled-pod", seed=11,
-        pods=(PodSpec(data_cores=CORES, per_core_pps=per_core_pps, mode=mode),),
-    ))
+    pod_spec = PodSpec(data_cores=CORES, per_core_pps=per_core_pps, mode=mode)
+    handle = build(ScenarioSpec(name="scaled-pod", seed=11, pods=(pod_spec,)))
     background_rate = int(BACKGROUND_UTILIZATION * per_core_pps * CORES)
     background = uniform_population(background_flows, tenants=50)
     CbrSource(

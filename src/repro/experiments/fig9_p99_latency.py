@@ -59,10 +59,8 @@ def _run_point(
     burst_duration_ns,
     burst_gap_ns,
 ):
-    handle = build(ScenarioSpec(
-        name="scaled-pod", seed=23,
-        pods=(PodSpec(data_cores=CORES, per_core_pps=per_core_pps, mode=mode),),
-    ))
+    pod_spec = PodSpec(data_cores=CORES, per_core_pps=per_core_pps, mode=mode)
+    handle = build(ScenarioSpec(name="scaled-pod", seed=23, pods=(pod_spec,)))
     burst_rate = int(burst_core_fraction * per_core_pps)
     # Average burst contribution counts toward the load target.
     duty_cycle = burst_duration_ns / (burst_duration_ns + burst_gap_ns)

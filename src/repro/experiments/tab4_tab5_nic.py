@@ -45,10 +45,8 @@ def run_latency(measure=True):
 
 def _measure_unloaded_latency():
     """One packet through an idle pod: NIC latency + one service time."""
-    handle = build(ScenarioSpec(
-        name="scaled-pod", seed=1,
-        pods=(PodSpec(data_cores=1, per_core_pps=1_000_000),),
-    ))
+    pod_spec = PodSpec(data_cores=1, per_core_pps=1_000_000)
+    handle = build(ScenarioSpec(name="scaled-pod", seed=1, pods=(pod_spec,)))
     packet = Packet(flow_for_tenant(1, 0), vni=1)
     handle.pod.ingress(packet)
     handle.run(1 * MS)

@@ -13,7 +13,6 @@
 
 from repro.scenarios.build import RunHandle, build, scaled_service
 from repro.scenarios.registry import (
-    SCENARIO_FACTORIES,
     scenario_descriptions,
     scenario_names,
     scenario_spec,
@@ -35,7 +34,6 @@ __all__ = [
     "MigrationSpec",
     "PodSpec",
     "RunHandle",
-    "SCENARIO_FACTORIES",
     "ScenarioSpec",
     "ServerSpec",
     "WorkloadSpec",

@@ -13,6 +13,9 @@ deterministic, JSON-safe dict -- the unit the fleet engine merges across
 shards, so its key order and value types must stay stable.
 """
 
+from dataclasses import dataclass
+from typing import Optional
+
 from repro.core.gateway import AlbatrossServer, PodConfig
 from repro.scenarios.spec import EcmpSpec
 from repro.sim.engine import Simulator
@@ -68,25 +71,22 @@ def _build_pod(pod_spec, server, rngs):
 
 
 def _pod_capacity_pps(pod_spec, pod):
-    """Nominal packet capacity of one pod (the base ``WorkloadSpec.load``
-    is a fraction of)."""
+    """Nominal packet capacity of one pod: what ``WorkloadSpec.load`` scales."""
     if pod_spec.per_core_pps is not None:
         return pod_spec.per_core_pps * pod_spec.data_cores
     return pod.expected_capacity_mpps() * 1e6
 
 
+@dataclass
 class ServerRuntime:
     """One live server: its deployment, pods and (on AZ runs) offload tier."""
 
-    __slots__ = ("name", "server", "pods", "dispatch", "dpu", "promoter")
-
-    def __init__(self, name, server, pods):
-        self.name = name            # None for a flat spec's only server
-        self.server = server        # the AlbatrossServer
-        self.pods = pods            # {name: GwPodRuntime}, spec order
-        self.dispatch = None        # FlowPodDispatch (topology specs)
-        self.dpu = None             # DpuPreClassifier or None
-        self.promoter = None        # HotFlowPromoter or None
+    name: Optional[str]             # None for a flat spec's only server
+    server: AlbatrossServer
+    pods: dict                      # {name: GwPodRuntime}, spec order
+    dispatch: object = None         # FlowPodDispatch (topology specs)
+    dpu: object = None              # DpuPreClassifier or None
+    promoter: object = None         # HotFlowPromoter or None
 
 
 def _build_server(name, pod_specs, sim, rngs):
@@ -98,14 +98,12 @@ def _build_server(name, pod_specs, sim, rngs):
     })
 
 
+@dataclass
 class TopologyRuntime:
     """The live AZ: the ECMP uplink plus every :class:`ServerRuntime`."""
 
-    __slots__ = ("uplink", "servers")
-
-    def __init__(self, uplink, servers):
-        self.uplink = uplink
-        self.servers = servers      # {name: ServerRuntime}, spec order
+    uplink: object                  # EcmpUplink
+    servers: dict                   # {name: ServerRuntime}, spec order
 
 
 class RunHandle:

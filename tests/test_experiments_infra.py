@@ -72,10 +72,8 @@ class TestScaledService:
         from repro.sim.units import MS
         from repro.workloads.generators import CbrSource, uniform_population
 
-        handle = build(ScenarioSpec(
-            name="scaled-pod", seed=1,
-            pods=(PodSpec(data_cores=2, per_core_pps=100_000),),
-        ))
+        pod_spec = PodSpec(data_cores=2, per_core_pps=100_000)
+        handle = build(ScenarioSpec(name="scaled-pod", seed=1, pods=(pod_spec,)))
         counts = {}
         forward = handle.pod.nic.egress_fn
 
