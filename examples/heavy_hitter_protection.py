@@ -27,13 +27,12 @@ def run_scenario(with_limiter):
             stage2_rate_pps=int(2e6 * SCALE),   # paper: 2 Mpps
         )
     counts = {}                        # delivered packets per tenant VNI
-    forward = handle.pod.nic.egress_fn
 
-    def count_egress(packet, outcome):
-        counts[packet.vni] = counts.get(packet.vni, 0) + 1
-        forward(packet, outcome)
+    @handle.subscribe
+    def count_delivered(packet, where, outcome):
+        if packet.drop_reason is None:
+            counts[packet.vni] = counts.get(packet.vni, 0) + 1
 
-    handle.pod.nic.egress_fn = count_egress
     profiles = overload_scenario_profiles(
         rates_mpps=(4, 3, 2, 1), burst_rate_mpps=34,
         burst_at_ns=500 * MS, scale=SCALE,

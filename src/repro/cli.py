@@ -358,7 +358,7 @@ def _print_sanitizer_summary():
     sanitizer = get_sanitizer()
     if sanitizer is not None:
         # Summary on stderr: stdout must stay byte-identical to an
-        # unsanitized run (CI diffs the two).
+        # unsanitized run (test_analysis_sanitizer compares the two).
         print(sanitizer.summary(), file=sys.stderr)
 
 

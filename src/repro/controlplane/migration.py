@@ -140,21 +140,17 @@ class MigrationController:
             :class:`~repro.scenarios.build.RunHandle`); the controller
             swaps the migrated pod's entry in place so every reader --
             report code, fault routers, tests -- sees the restored pod.
-        on_restore: optional ``fn(old_pod, new_pod)`` called right after
-            the restore, before any packet reaches the new pod.  Tests
-            use it to re-wrap egress taps onto the rebuilt pipeline.
 
     Traffic aimed at the migrating pod must flow through :meth:`route`
     (``build()`` wires the scenario workload that way); packets arriving
     while the pod is frozen are buffered, not dropped.
     """
 
-    def __init__(self, sim, server, migration, pods, on_restore=None):
+    def __init__(self, sim, server, migration, pods):
         self.sim = sim
         self.server = server
         self.migration = migration
         self.pods = pods
-        self.on_restore = on_restore
         self.pod_name = migration.pod
         self.plan = MigrationPlan(migration.pod)
         self.snapshot = None
@@ -221,14 +217,10 @@ class MigrationController:
             config.memory_node = migration.target_memory_node
         new_pod = self.server.add_pod(config)
         new_pod.restore_state(self.snapshot)
-        # The telemetry recorder reads counters through the shared pods
-        # dict; its per-window latency tap is the one binding to the pod
-        # object itself, so it moves with the pod.
-        new_pod.latency_tap = old_pod.latency_tap
+        # Readers go through the shared pods dict and exit subscribers
+        # through the list add_pod() hands every pod: nothing to carry over.
         self.pods[self.pod_name] = new_pod
         self.plan.target_numa_node = new_pod.numa_node
-        if self.on_restore is not None:
-            self.on_restore(old_pod, new_pod)
         self.sim.schedule(migration.restore_ns, self._route_update)
 
     def _route_update(self):

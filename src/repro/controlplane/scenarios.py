@@ -16,21 +16,13 @@ the migration test battery pins down.
   fleet-scheduler rebalancing story.
 """
 
+from repro.core.nic import NicPipeline
 from repro.faults.scenarios import ScenarioReport
 from repro.scenarios import MigrationSpec, PodSpec, ScenarioSpec, WorkloadSpec, build
 from repro.sim.units import MS, US
 
 #: Drop counters summed into the headline ``drops_total`` metric.
-_DROP_COUNTERS = (
-    "fpga_stall_drops",
-    "rate_limited_drops",
-    "reorder_fifo_drops",
-    "rx_queue_drops",
-    "cpu_silent_drops",
-    "cpu_acl_drops",
-    "reorder_payload_gone",
-    "pod_crashed_drops",
-)
+_DROP_COUNTERS = frozenset(NicPipeline.DROP_COUNTERS.values())
 
 
 def rolling_upgrade_spec(seed=42, quick=False):

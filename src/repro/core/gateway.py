@@ -18,6 +18,10 @@ Quick example::
     # feed pod.ingress(packet) from a workload, then sim.run_until(...)
 """
 
+from dataclasses import dataclass
+from typing import Optional
+
+from repro.core.meta import MetaPlacement
 from repro.core.nic import NicPipeline, NicPipelineConfig
 from repro.core.plb.reorder import ReorderQueueConfig
 from repro.cpu.cache import SharedL3Cache
@@ -37,60 +41,37 @@ def default_reorder_queue_count(data_cores):
     return max(1, min(8, data_cores // 10))
 
 
+@dataclass(eq=False)
 class PodConfig:
     """Declarative description of one GW pod."""
 
-    def __init__(
-        self,
-        name,
-        data_cores,
-        ctrl_cores=2,
-        service="VPC-Internet",
-        mode="plb",
-        reorder_queues=None,
-        reorder_depth=4096,
-        rate_limiter=None,
-        drop_flag_enabled=True,
-        header_only=False,
-        meta_placement=None,
-        rx_capacity=1024,
-        acl_drop_probability=0.0,
-        silent_drop_probability=0.0,
-        jitter=None,
-        numa_node=None,
-        memory_node=None,
-        assumed_hit_rate=0.35,
-        table_scale=None,
-        memory_frequency_mhz=4800,
-        custom_service=None,
-    ):
-        if data_cores < 1:
+    name: str
+    data_cores: int
+    ctrl_cores: int = 2
+    service: str = "VPC-Internet"
+    mode: str = "plb"
+    reorder_queues: Optional[int] = None    # None: scale with data_cores
+    reorder_depth: int = 4096
+    rate_limiter: object = None
+    drop_flag_enabled: bool = True
+    header_only: bool = False
+    meta_placement: MetaPlacement = MetaPlacement.TAIL
+    rx_capacity: int = 1024
+    acl_drop_probability: float = 0.0
+    silent_drop_probability: float = 0.0
+    jitter: object = None
+    numa_node: Optional[int] = None
+    memory_node: Optional[int] = None
+    assumed_hit_rate: float = 0.35
+    table_scale: Optional[float] = None
+    memory_frequency_mhz: int = 4800
+    custom_service: object = None
+
+    def __post_init__(self):
+        if self.data_cores < 1:
             raise ValueError("a pod needs at least one data core")
-        self.name = name
-        self.data_cores = data_cores
-        self.ctrl_cores = ctrl_cores
-        self.service = service
-        self.mode = mode
-        self.reorder_queues = (
-            reorder_queues
-            if reorder_queues is not None
-            else default_reorder_queue_count(data_cores)
-        )
-        self.reorder_depth = reorder_depth
-        self.rate_limiter = rate_limiter
-        self.drop_flag_enabled = drop_flag_enabled
-        self.header_only = header_only
-        self.meta_placement = meta_placement
-        self.rx_capacity = rx_capacity
-        self.acl_drop_probability = acl_drop_probability
-        self.silent_drop_probability = silent_drop_probability
-        self.jitter = jitter
-        self.numa_node = numa_node
-        self.memory_node = memory_node
-        self.assumed_hit_rate = assumed_hit_rate
-        self.table_scale = table_scale
-        self.memory_frequency_mhz = memory_frequency_mhz
-        self.custom_service = custom_service
+        if self.reorder_queues is None:
+            self.reorder_queues = default_reorder_queue_count(self.data_cores)
 
     @property
     def total_cores(self):
@@ -98,18 +79,20 @@ class PodConfig:
 
 
 class GwPodRuntime:
-    """A running GW pod: cores + NIC pipeline slice + metrics."""
+    """A running GW pod: cores + NIC pipeline slice + metrics.
 
-    def __init__(self, sim, config, core_ids, rng, l3_cache=None, numa_factor=1.0):
+    A data packet leaves the pod through exactly one of two exits,
+    :meth:`_on_egress` (the wire) or :meth:`_on_drop`; both call the
+    deployment's exit subscribers (see :class:`AlbatrossServer`).
+    """
+
+    def __init__(self, sim, config, core_ids, rng, l3_cache=None,
+                 numa_factor=1.0, subscribers=()):
         self.sim = sim
         self.config = config
         self.rng = rng
+        self.subscribers = subscribers
         self.latency_histogram = LatencyHistogram()
-        # Optional per-latency callback (the telemetry recorder binds a
-        # per-window histogram's record here); sees exactly the stream
-        # that feeds latency_histogram.  Not checkpointed: the recorder
-        # that owns the tap checkpoints its own histograms.
-        self.latency_tap = None
         self.outcomes = {}
         self.crashed = False
         self._started_ns = sim.now
@@ -148,11 +131,7 @@ class GwPodRuntime:
             rate_limiter=config.rate_limiter,
             drop_flag_enabled=config.drop_flag_enabled,
             header_only=config.header_only,
-            **(
-                {"meta_placement": config.meta_placement}
-                if config.meta_placement is not None
-                else {}
-            ),
+            meta_placement=config.meta_placement,
         )
 
         # Service time inflates for cross-NUMA placement; the HEAD
@@ -184,7 +163,8 @@ class GwPodRuntime:
             self.cores.append(core)
 
         self.nic = NicPipeline(
-            sim, self.cores, nic_config, self._on_egress, protocol_fn=self._on_protocol
+            sim, self.cores, nic_config, self._on_egress,
+            protocol_fn=self._on_protocol, drop_fn=self._on_drop,
         )
         # Meta placement penalty applies to CPU processing, not the NIC.
         if self.nic.cpu_throughput_factor != 1.0:
@@ -210,9 +190,6 @@ class GwPodRuntime:
         latency = packet.latency_ns
         if latency is not None and packet.drop_reason is None:
             self.latency_histogram.record(latency)
-            tap = self.latency_tap
-            if tap is not None:
-                tap(latency)
         try:
             key = outcome.value
         except AttributeError:
@@ -222,6 +199,13 @@ class GwPodRuntime:
             outcomes[key] += 1
         except KeyError:
             outcomes[key] = 1
+        for subscriber in self.subscribers:
+            subscriber(packet, self.config.name, outcome)
+
+    def _on_drop(self, packet):
+        """The pod's drop exit; ``packet.drop_reason`` already says why."""
+        for subscriber in self.subscribers:
+            subscriber(packet, self.config.name, None)
 
     def _on_protocol(self, packet):
         self.protocol_delivered.append((self.sim.now, packet))
@@ -234,7 +218,8 @@ class GwPodRuntime:
             # The container is gone; anything still routed here blackholes
             # until BGP converges away from the dead pod.
             packet.drop_reason = "pod_crashed"
-            self.nic.counters.incr("pod_crashed_drops")
+            self.nic.counters.incr(NicPipeline.DROP_COUNTERS["pod_crashed"])
+            self._on_drop(packet)
             return
         self.nic.ingress(packet)
 
@@ -362,13 +347,24 @@ class AlbatrossServer:
         cache_mode: ``"analytic"`` (expected hit rate; fast) or
             ``"simulated"`` (shared LRU L3 per node; Fig. 4/5 mode).
         l3_bytes: per-node L3 capacity for simulated mode.
+        subscribers: the deployment's exit-subscriber list (servers of
+            one AZ share one); defaults to a fresh empty list.
+
+    Every pod :meth:`add_pod` creates is handed ``subscribers`` -- a pod
+    rebuilt by a migration included -- and calls each entry as
+    ``fn(packet, where, outcome)`` for every data packet that leaves it:
+    ``where`` is the pod name and ``outcome`` what ``egress_fn`` saw, or
+    ``None`` for a drop (``packet.drop_reason`` says why).  Subscribers
+    only read: they may not schedule events or draw from the run's rngs.
     """
 
     POD_READY_SECONDS = 10  # container elasticity (Tab. 6)
 
-    def __init__(self, sim, rngs, topology=None, cache_mode="analytic", l3_bytes=None):
+    def __init__(self, sim, rngs, topology=None, cache_mode="analytic",
+                 l3_bytes=None, subscribers=None):
         self.sim = sim
         self.rngs = rngs
+        self.subscribers = subscribers if subscribers is not None else []
         self.topology = topology if topology is not None else NumaTopology()
         self.cache_mode = cache_mode
         self.pods = {}
@@ -418,6 +414,7 @@ class AlbatrossServer:
             self.rngs.stream(f"pod.{config.name}"),
             l3_cache=self._l3.get(memory_node),
             numa_factor=numa_factor,
+            subscribers=self.subscribers,
         )
         pod.numa_node = node_id
         pod.memory_node = memory_node

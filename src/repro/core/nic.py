@@ -11,6 +11,8 @@ Per-module latencies come from Tab. 4 via
 :class:`~repro.core.resources.NicLatencyModel`.
 """
 
+from dataclasses import dataclass, field
+
 from repro.analysis.sanitizer import get_sanitizer
 from repro.core.meta import MetaPlacement, placement_throughput_factor
 from repro.core.offload import FAST_PATH_LATENCY_NS
@@ -24,38 +26,27 @@ from repro.cpu.core import Verdict
 from repro.metrics.counters import CounterSet
 
 
+@dataclass(eq=False)
 class NicPipelineConfig:
     """Configuration for one pod's slice of the NIC pipeline."""
 
-    def __init__(
-        self,
-        mode="plb",
-        reorder=None,
-        rate_limiter=None,
-        drop_flag_enabled=True,
-        header_only=False,
-        meta_placement=MetaPlacement.TAIL,
-        latency_model=None,
-        session_offload=None,
-        pcie_link=None,
-    ):
-        if mode not in ("plb", "rss"):
-            raise ValueError(f"mode must be 'plb' or 'rss': {mode!r}")
-        self.mode = mode
-        self.reorder = reorder if reorder is not None else ReorderQueueConfig()
-        self.rate_limiter = rate_limiter
-        self.drop_flag_enabled = drop_flag_enabled
-        self.header_only = header_only
-        self.meta_placement = meta_placement
-        self.latency_model = (
-            latency_model if latency_model is not None else NicLatencyModel()
-        )
-        # Optional FpgaSessionOffload (§7 roadmap): established sessions
-        # are forwarded entirely on the FPGA fast path.
-        self.session_offload = session_offload
-        # Optional PcieLinkModel: accounts FPGA<->CPU bytes, honouring
-        # header-payload-split mode (appendix A).
-        self.pcie_link = pcie_link
+    mode: str = "plb"
+    reorder: ReorderQueueConfig = field(default_factory=ReorderQueueConfig)
+    rate_limiter: object = None
+    drop_flag_enabled: bool = True
+    header_only: bool = False
+    meta_placement: MetaPlacement = MetaPlacement.TAIL
+    latency_model: NicLatencyModel = field(default_factory=NicLatencyModel)
+    # Optional FpgaSessionOffload (§7 roadmap): established sessions
+    # are forwarded entirely on the FPGA fast path.
+    session_offload: object = None
+    # Optional PcieLinkModel: accounts FPGA<->CPU bytes, honouring
+    # header-payload-split mode (appendix A).
+    pcie_link: object = None
+
+    def __post_init__(self):
+        if self.mode not in ("plb", "rss"):
+            raise ValueError(f"mode must be 'plb' or 'rss': {self.mode!r}")
 
 
 class NicPipeline:
@@ -67,20 +58,25 @@ class NicPipeline:
         config: a :class:`NicPipelineConfig`.
         egress_fn: called as ``egress_fn(packet, outcome)`` when a packet
             hits the wire (outcome is a
-            :class:`~repro.core.plb.reorder.TxOutcome` or ``"rss"``).
+            :class:`~repro.core.plb.reorder.TxOutcome`, ``"rss"`` or
+            ``"fpga_fast_path"``).
         protocol_fn: handler for protocol packets delivered via the
             priority path (defaults to a no-op).
+        drop_fn: optional; called as ``drop_fn(packet)`` once
+            :meth:`_drop` has named, counted and settled a terminal drop.
 
     The pod's cores must have been constructed with this pipeline's
     :meth:`on_cpu_completion` as their completion callback (the
     :mod:`~repro.core.gateway` runtime wires this up).
     """
 
-    def __init__(self, sim, cores, config, egress_fn, protocol_fn=None):
+    def __init__(self, sim, cores, config, egress_fn, protocol_fn=None,
+                 drop_fn=None):
         self.sim = sim
         self.cores = list(cores)
         self.config = config
         self.egress_fn = egress_fn
+        self.drop_fn = drop_fn
         self.counters = CounterSet()
         self.pkt_dir = PktDir(
             DeliveryPath.PLB if config.mode == "plb" else DeliveryPath.RSS
@@ -162,6 +158,22 @@ class NicPipeline:
         "reorder_payload_gone",
     )
 
+    #: ``Packet.drop_reason`` -> the counter that accounts for the drop,
+    #: for every reason a data packet can die of inside a pod
+    #: (``pod_crashed`` is the pod's own, see ``GwPodRuntime.ingress``).
+    DROP_COUNTERS = {
+        "fpga_stall": "fpga_stall_drops",
+        "rate_limit_drop_meter": "rate_limited_drops",
+        "rate_limit_drop_pre": "rate_limited_drops",
+        "no_available_core": "reorder_fifo_drops",
+        "reorder_fifo_full": "reorder_fifo_drops",
+        "rx_queue_overflow": "rx_queue_drops",
+        "cpu_silent": "cpu_silent_drops",
+        "cpu_acl": "cpu_acl_drops",
+        "payload_released": "reorder_payload_gone",
+        "pod_crashed": "pod_crashed_drops",
+    }
+
     def in_flight(self):
         """Data-plane packets inside the pipeline right now.
 
@@ -172,6 +184,17 @@ class NicPipeline:
         counters = self.counters
         settled = sum(counters.get(name) for name in self.TERMINAL_COUNTERS)
         return counters.get("rx_packets") - settled
+
+    def _drop(self, packet, reason):
+        """The one terminal-drop point: name the drop on the packet, bump
+        the counter that accounts for it, settle the sanitizer ledger and
+        tell the pod -- a drop site cannot do half of it."""
+        packet.drop_reason = reason
+        self._incr(self.DROP_COUNTERS[reason])
+        if self._sanitizer is not None:
+            self._san_settle(packet, reason)
+        if self.drop_fn is not None:
+            self.drop_fn(packet)
 
     # ------------------------------------------------------------------
     # Ingress
@@ -188,10 +211,7 @@ class NicPipeline:
         if self._fpga_stalled:
             # A stalled pipeline makes no forward progress; the wire keeps
             # delivering and the packets are simply lost.
-            packet.drop_reason = "fpga_stall"
-            incr("fpga_stall_drops")
-            if sanitizer is not None:
-                self._san_settle(packet, "fpga_stall_drop")
+            self._drop(packet, "fpga_stall")
             return
         path, header_only = self._classify(packet)
 
@@ -206,10 +226,7 @@ class NicPipeline:
         if self.rate_limiter is not None:
             decision = self.rate_limiter.admit(packet.vni, self.sim._now)
             if not decision.allowed:
-                packet.drop_reason = f"rate_limit_{decision.value}"
-                incr("rate_limited_drops")
-                if sanitizer is not None:
-                    self._san_settle(packet, "rate_limited_drop")
+                self._drop(packet, f"rate_limit_{decision.value}")
                 return
 
         if self.session_offload is not None and self.session_offload.lookup(
@@ -227,9 +244,8 @@ class NicPipeline:
                 packet, header_only=header_only or self.config.header_only
             )
             if core is None:
-                incr("reorder_fifo_drops")
-                if sanitizer is not None:
-                    self._san_settle(packet, "ingress_drop")
+                # The dispatcher already said why (FIFO full, no core).
+                self._drop(packet, packet.drop_reason)
                 return
         else:
             core = self._rss_dispatch(packet)
@@ -243,10 +259,7 @@ class NicPipeline:
         if not core.enqueue(packet):
             # Silent driver loss: the NIC is never told.  For PLB packets
             # this leaves a hole in the reorder FIFO -> HOL until timeout.
-            packet.drop_reason = "rx_queue_overflow"
-            self._incr("rx_queue_drops")
-            if self._sanitizer is not None:
-                self._san_settle(packet, "rx_queue_overflow")
+            self._drop(packet, "rx_queue_overflow")
 
     # ------------------------------------------------------------------
     # Egress
@@ -256,15 +269,11 @@ class NicPipeline:
         """Wired as every data core's completion callback."""
         if verdict is not Verdict.FORWARD:
             if verdict is Verdict.DROP_SILENT:
-                self._incr("cpu_silent_drops")
-                if self._sanitizer is not None:
-                    self._san_settle(packet, "cpu_silent_drop")
+                self._drop(packet, "cpu_silent")
                 return
-            self._incr("cpu_acl_drops")
-            if self._sanitizer is not None:
-                # Terminal here: the later drop-flag release only reclaims
-                # reorder resources, it must not settle the packet again.
-                self._san_settle(packet, "cpu_acl_drop")
+            # Terminal here: the later drop-flag release only reclaims
+            # reorder resources, it must not settle the packet again.
+            self._drop(packet, "cpu_acl")
             if packet.meta is not None and self.config.drop_flag_enabled:
                 # Active drop flag: notify the NIC so reorder resources are
                 # released without waiting for the 100 us timeout.
@@ -287,17 +296,14 @@ class NicPipeline:
             )
 
     def _on_reorder_transmit(self, packet, outcome):
-        if outcome is TxOutcome.RELEASED_DROP_FLAG or outcome is TxOutcome.DROPPED_PAYLOAD_GONE:
-            self._incr(f"reorder_{outcome.value}")
-            if (
-                self._sanitizer is not None
-                and outcome is TxOutcome.DROPPED_PAYLOAD_GONE
-            ):
-                # Drop-flag releases settled at the CPU ACL drop; a
-                # payload-gone drop is this packet's first terminal stage.
-                self._san_settle(packet, "payload_gone_drop")
-            return
-        self._schedule(self._tx_post_reorder_ns, self._transmit, packet, outcome)
+        if outcome is TxOutcome.RELEASED_DROP_FLAG:
+            # Dropped at the CPU ACL verdict; this only reclaims the slot.
+            self._incr("reorder_drop_flag")
+        elif outcome is TxOutcome.DROPPED_PAYLOAD_GONE:
+            # The reorder engine already said why (payload released).
+            self._drop(packet, packet.drop_reason)
+        else:
+            self._schedule(self._tx_post_reorder_ns, self._transmit, packet, outcome)
 
     def _transmit(self, packet, outcome):
         if self._sanitizer is not None:

@@ -173,6 +173,7 @@ class CpuCore:
             self._busy = False
             return
         self._busy = True
+        packet.cpu_start_ns = self.sim._now
         service_ns = self.chain.service_time_ns(packet)
         jitter = self.jitter
         if jitter is not None:
@@ -198,6 +199,7 @@ class CpuCore:
         self.sim.schedule(service_ns, self._finish, packet)
 
     def _finish(self, packet):
+        packet.cpu_done_ns = self.sim._now
         stats = self.stats
         stats.processed += 1
         verdict_fn = self.verdict_fn

@@ -65,9 +65,6 @@ class PacketQueue:
             return None
         return self._items.popleft()
 
-    def peek(self):
-        return self._items[0] if self._items else None
-
     def drain(self):
         """Remove and return all queued packets."""
         items = list(self._items)

@@ -53,15 +53,13 @@ def run(with_limiter, duration_ns=2 * SECOND, seed=61):
     )
 
     buckets = {}  # (bucket_index, vni) -> delivered count
-    original = handle.pod.nic.egress_fn
 
-    def egress(packet, outcome):
-        bucket = packet.departure_ns // BUCKET_NS
-        key = (bucket, packet.vni)
-        buckets[key] = buckets.get(key, 0) + 1
-        original(packet, outcome)
+    @handle.subscribe
+    def count_delivered(packet, where, outcome):
+        if packet.drop_reason is None:
+            key = (packet.departure_ns // BUCKET_NS, packet.vni)
+            buckets[key] = buckets.get(key, 0) + 1
 
-    handle.pod.nic.egress_fn = egress
     tenants = TenantSet(handle.sim, handle.rngs, handle.pod.ingress, profiles)
     handle.run(duration_ns)
     tenants.stop_all()

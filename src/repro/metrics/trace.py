@@ -1,31 +1,35 @@
 """Per-packet timeline tracing.
 
-Operations tooling: attach a :class:`PacketTracer` to a pod and every
-traced packet records its stage timestamps (ingress, core enqueue, CPU
-start/finish, reorder writeback, wire).  Used by the latency-breakdown
-tests and handy when debugging HOL incidents -- the same telemetry the
-paper's team leaned on when chasing the millisecond code branches.
+Operations tooling: subscribe a :class:`PacketTracer` to a deployment's
+packet exits and it keeps each sampled packet's stage timestamps
+(ingress, CPU start/finish, wire), read off the stamps the
+:class:`~repro.packet.packet.Packet` carries as it leaves.  Used by the
+latency-breakdown tests and handy when debugging HOL incidents -- the
+same telemetry the paper's team leaned on when chasing the millisecond
+code branches.
 """
 
-
 class PacketTrace:
-    """One packet's recorded (stage, timestamp) pairs in order."""
+    """One packet's (stage, timestamp) pairs in order, and why it died."""
 
-    __slots__ = ("uid", "events")
+    __slots__ = ("uid", "events", "drop_reason")
 
-    def __init__(self, uid):
-        self.uid = uid
-        self.events = []
-
-    def mark(self, stage, timestamp_ns):
-        self.events.append((stage, timestamp_ns))
+    def __init__(self, packet):
+        self.uid = packet.uid
+        stamps = (
+            ("ingress", packet.arrival_ns),
+            ("cpu_start", packet.cpu_start_ns),
+            ("cpu_done", packet.cpu_done_ns),
+            ("egress", packet.departure_ns),
+        )
+        # A stage the packet never reached (dropped first, or an offload
+        # fast path that skips the CPU) has no stamp and no event.
+        self.events = [(stage, ns) for stage, ns in stamps if ns is not None]
+        self.drop_reason = packet.drop_reason
 
     def stage_time(self, stage):
-        """First timestamp recorded for ``stage``, or None."""
-        for name, timestamp in self.events:
-            if name == stage:
-                return timestamp
-        return None
+        """Timestamp recorded for ``stage``, or None."""
+        return dict(self.events).get(stage)
 
     def span_ns(self, first_stage, second_stage):
         """Time between two stages, or None if either is missing."""
@@ -44,112 +48,32 @@ class PacketTrace:
 
 
 class PacketTracer:
-    """Hooks a GW pod's pipeline and records packet timelines.
+    """An exit subscriber that keeps packet timelines.
+
+    Register it with ``handle.subscribe(tracer)`` (or append it to an
+    :class:`~repro.core.gateway.AlbatrossServer`'s ``subscribers``): it
+    sees every data packet leaving the deployment, dropped ones included.
 
     Parameters:
-        pod: a :class:`~repro.core.gateway.GwPodRuntime`.
-        sample_every: trace every Nth ingress packet (1 = all).
+        sample_every: trace every Nth exiting packet (1 = all).
         max_traces: stop collecting after this many packets.
     """
 
-    STAGES = ("ingress", "cpu_start", "cpu_done", "egress")
-
-    def __init__(self, pod, sample_every=1, max_traces=10_000):
-        self.pod = pod
+    def __init__(self, sample_every=1, max_traces=10_000):
         self.sample_every = sample_every
         self.max_traces = max_traces
         self.traces = {}
         self._seen = 0
-        self._active = True
-        self._patched = []
-        self._install()
 
-    def _patch(self, obj, name, replacement):
-        """Shadow ``obj.name`` with an instance attribute, remembering how
-        to undo it (the original may be a class method or a prior
-        instance attribute -- ``uninstall`` restores either exactly)."""
-        self._patched.append((obj, name, name in obj.__dict__, obj.__dict__.get(name)))
-        setattr(obj, name, replacement)
-
-    def uninstall(self):
-        """Remove every pipeline hook, restoring the original callables.
-
-        Leaves collected traces intact.  Idempotent; after this the pod
-        carries no tracer wrappers, so it checkpoints and probes exactly
-        like an untraced pod.  Callers that captured a wrapper directly
-        (a traffic source built against ``pod.ingress`` while the tracer
-        was installed) keep a working pass-through: deactivated wrappers
-        forward without recording.
-        """
-        self._active = False
-        while self._patched:
-            obj, name, had_attr, original = self._patched.pop()
-            if had_attr:
-                setattr(obj, name, original)
-            else:
-                delattr(obj, name)
-
-    def _install(self):
-        pod = self.pod
-        sim = pod.sim
-
-        original_ingress = pod.nic.ingress
-
-        def traced_ingress(packet):
-            if self._active:
-                self._seen += 1
-                # (seen - 1) % N: the first packet of every stride is
-                # traced, so a run shorter than N packets still collects
-                # traces.
-                if (
-                    len(self.traces) < self.max_traces
-                    and (self._seen - 1) % self.sample_every == 0
-                ):
-                    trace = PacketTrace(packet.uid)
-                    trace.mark("ingress", sim.now)
-                    self.traces[packet.uid] = trace
-            original_ingress(packet)
-
-        self._patch(pod.nic, "ingress", traced_ingress)
-        # GwPodRuntime.ingress bound the original method; repoint it.
-        self._patch(pod, "ingress", traced_ingress)
-
-        for core in pod.cores:
-            self._wrap_core(core, sim)
-
-        original_egress = pod.nic.egress_fn
-
-        def traced_egress(packet, outcome):
-            trace = self.traces.get(packet.uid)
-            if trace is not None:
-                trace.mark("egress", sim.now)
-            original_egress(packet, outcome)
-
-        self._patch(pod.nic, "egress_fn", traced_egress)
-
-    def _wrap_core(self, core, sim):
-        original_start = core._start_next
-        tracer = self
-
-        def traced_start():
-            pending = core.rx_queue.peek()
-            if pending is not None:
-                trace = tracer.traces.get(pending.uid)
-                if trace is not None:
-                    trace.mark("cpu_start", sim.now)
-            original_start()
-
-        self._patch(core, "_start_next", traced_start)
-
-        original_finish = core._finish
-
-        def traced_finish(packet):
-            trace = tracer.traces.get(packet.uid)
-            if trace is not None:
-                trace.mark("cpu_done", sim.now)
-            original_finish(packet)
-
-        self._patch(core, "_finish", traced_finish)
+    def __call__(self, packet, where, outcome):
+        self._seen += 1
+        # (seen - 1) % N: the first packet of every stride is traced, so
+        # a run shorter than N packets still collects traces.
+        if (
+            len(self.traces) < self.max_traces
+            and (self._seen - 1) % self.sample_every == 0
+        ):
+            self.traces[packet.uid] = PacketTrace(packet)
 
     # -- analysis -----------------------------------------------------------
 

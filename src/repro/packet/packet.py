@@ -37,6 +37,8 @@ class Packet:
         size: wire size in bytes (Ethernet frame, no FCS).
         kind: :class:`PacketKind` assigned by ``pkt_dir``.
         arrival_ns: ingress timestamp (set by the NIC on arrival).
+        cpu_start_ns / cpu_done_ns: when a data core began / finished
+            processing it; None if none did (dropped first, offloaded).
         departure_ns: egress timestamp (set when transmitted), or None.
         meta: the PLB meta header attached by ``plb_dispatch``, or None.
         header_only: True when delivered in header-payload-split mode.
@@ -50,6 +52,8 @@ class Packet:
         "size",
         "kind",
         "arrival_ns",
+        "cpu_start_ns",
+        "cpu_done_ns",
         "departure_ns",
         "meta",
         "header_only",
@@ -63,6 +67,8 @@ class Packet:
         self.size = size
         self.kind = kind
         self.arrival_ns = None
+        self.cpu_start_ns = None
+        self.cpu_done_ns = None
         self.departure_ns = None
         self.meta = None
         self.header_only = False

@@ -89,9 +89,9 @@ class ServerRuntime:
     promoter: object = None         # HotFlowPromoter or None
 
 
-def _build_server(name, pod_specs, sim, rngs):
+def _build_server(name, pod_specs, sim, rngs, subscribers):
     """One server and its pods; a flat spec is a single unnamed server."""
-    server = AlbatrossServer(sim, rngs)
+    server = AlbatrossServer(sim, rngs, subscribers=subscribers)
     return ServerRuntime(name, server, {
         pod_spec.name: _build_pod(pod_spec, server, rngs)
         for pod_spec in pod_specs
@@ -137,6 +137,13 @@ class RunHandle:
     def pod(self):
         """The first (often only) pod."""
         return next(iter(self.pods.values()))
+
+    def subscribe(self, fn):
+        """Call ``fn(packet, where, outcome)`` at every packet exit of the
+        deployment (see :class:`~repro.core.gateway.AlbatrossServer` and
+        :mod:`repro.topology.dpu`); returns ``fn``, so it decorates too."""
+        self.server.subscribers.append(fn)
+        return fn
 
     def capacity_pps(self):
         """Nominal packet capacity of the first pod."""
@@ -299,10 +306,11 @@ def build(spec):
     sim = Simulator()
     rngs = RngRegistry(seed=spec.seed)
 
+    subscribers = []
     runtimes = [
-        _build_server(server.name, server.pods, sim, rngs)
+        _build_server(server.name, server.pods, sim, rngs, subscribers)
         for server in spec.servers
-    ] or [_build_server(None, spec.pods, sim, rngs)]
+    ] or [_build_server(None, spec.pods, sim, rngs, subscribers)]
     pods = {
         name: pod for runtime in runtimes for name, pod in runtime.pods.items()
     }
@@ -323,7 +331,7 @@ def build(spec):
 
     topology = None
     if spec.servers:
-        topology = _build_topology(spec, sim, runtimes, sinks)
+        topology = _build_topology(spec, sim, runtimes, sinks, subscribers)
 
     sources = []
     if spec.workload is not None:
@@ -350,6 +358,7 @@ def build(spec):
         telemetry = TimeSeriesRecorder(
             sim, pods, spec.timeseries_every_ns, seed=spec.seed
         )
+        subscribers.append(telemetry.on_exit)
     if spec.checkpoint_every_ns is not None:
         from repro.controlplane.snapshot import SimCheckpointer
 
@@ -366,7 +375,7 @@ def build(spec):
     )
 
 
-def _build_topology(spec, sim, runtimes, sinks):
+def _build_topology(spec, sim, runtimes, sinks, subscribers):
     """Put the AZ tiers and the ECMP uplink in front of the built servers."""
     from repro.topology import (
         DpuPreClassifier,
@@ -389,7 +398,7 @@ def _build_topology(spec, sim, runtimes, sinks):
                 sim, runtime.dispatch.forward,
                 table_capacity=tier.table_capacity,
                 fast_latency_ns=tier.fast_latency_ns,
-                seed=spec.seed,
+                seed=spec.seed, name=runtime.name, subscribers=subscribers,
             )
             runtime.promoter = HotFlowPromoter(
                 sim, runtime.dpu,

@@ -12,7 +12,7 @@ spec round-trips losslessly through the one generic
 :meth:`Spec.to_dict` / :meth:`Spec.from_dict` pair (the wire format the
 fleet engine ships to worker processes, and the schema
 ``python -m repro sweep`` embeds in its report).  Anything that is not
-plain data -- a jitter model, a bespoke limiter, an egress tap -- is
+plain data -- a jitter model, a bespoke limiter, an exit subscriber -- is
 attached *after* :func:`repro.scenarios.build` by the calling scenario,
 through the returned handle (such runs are not shardable).
 """

@@ -39,6 +39,7 @@ order -- so a mid-shard resume reproduces the identical series.
 
 from repro.metrics.counters import CounterSet
 from repro.metrics.histogram import LatencyHistogram
+from repro.topology.dpu import DPU_FAST_PATH
 
 TIMESERIES_SCHEMA_VERSION = 1
 
@@ -48,8 +49,9 @@ class TimeSeriesRecorder:
 
     Parameters:
         sim: the :class:`~repro.sim.engine.Simulator`.
-        pods: ``{name: GwPodRuntime}`` (the recorder taps each pod's
-            ``latency_tap`` hook and reads its counters at flush time).
+        pods: ``{name: GwPodRuntime}`` (the recorder reads each pod's
+            counters at flush time; latencies arrive through :meth:`on_exit`,
+            which ``build()`` subscribes to the deployment's packet exits).
         every_ns: window width in sim nanoseconds.
         seed: seed for the per-window reservoir rngs (only observable
             past the reservoir cap; carried for determinism regardless).
@@ -69,13 +71,17 @@ class TimeSeriesRecorder:
         self._prev = {}
         self._hists = {}
         for name in sorted(pods):
-            pod = pods[name]
-            self._prev[name] = self._sample(pod).snapshot()
-            hist = LatencyHistogram(seed=seed)
-            pod.latency_tap = hist.record
-            self._hists[name] = hist
+            self._prev[name] = self._sample(pods[name]).snapshot()
+            self._hists[name] = LatencyHistogram(seed=seed)
         self._event = sim.schedule(self.every_ns, self._fire)
         self._pending = {"time": self._event.time, "seq": self._event.seq}
+
+    def on_exit(self, packet, where, outcome):
+        """Exit subscriber: a pod egress (not a drop, not a DPU
+        fast-forward) lands in that pod's open window -- the stream that
+        feeds the pod's own ``latency_histogram``."""
+        if outcome is not None and outcome != DPU_FAST_PATH:
+            self._hists[where].record(packet.latency_ns)
 
     @staticmethod
     def _sample(pod):
@@ -166,8 +172,7 @@ class TimeSeriesRecorder:
     def restore(self, snapshot):
         """Adopt a checkpoint; return the re-arm entry for the next flush.
 
-        Histograms restore *in place* so the pods' ``latency_tap``
-        bindings stay valid.  The returned entry is executed by
+        The returned entry is executed by
         ``RunHandle.restore_checkpoint`` in global ``(time, seq)`` order.
         """
         if sorted(snapshot["hists"]) != sorted(self._hists):

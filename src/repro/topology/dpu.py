@@ -11,11 +11,16 @@ path.
 The fast path is synchronous and terminal: a fast-forwarded packet gets
 its arrival/departure stamps here and never reaches a pod, exactly like
 hardware offload bypassing the host.  Its latency lands in the tier's
-own histogram so reports can compare the two tiers side by side.
+own histogram so reports can compare the two tiers side by side.  It is
+the deployment's third packet exit, next to a pod's egress and drop
+points (see :class:`~repro.core.gateway.AlbatrossServer`).
 """
 
 from repro.metrics.counters import CounterSet
 from repro.metrics.histogram import LatencyHistogram
+
+#: The ``outcome`` exit subscribers see for a DPU fast-forward.
+DPU_FAST_PATH = "dpu_fast_path"
 
 
 class DpuPreClassifier:
@@ -32,16 +37,21 @@ class DpuPreClassifier:
             packet (both paths) feeds it so installed flows keep
             registering as hot while they stay hot.
         seed: histogram reservoir seed (determinism discipline).
+        name: the hosting server's name.
+        subscribers: the deployment's exit subscribers, each called as
+            ``fn(packet, name, DPU_FAST_PATH)`` on a fast-forward.
 
     Counters: ``fast_forwards``, ``slow_forwards``, ``promotions``,
     ``demotions``, ``table_full``.
     """
 
     __slots__ = ("sim", "slow_sink", "table_capacity", "fast_latency_ns",
-                 "promoter", "counters", "latency_histogram", "_table")
+                 "promoter", "counters", "latency_histogram", "_table",
+                 "name", "subscribers")
 
     def __init__(self, sim, slow_sink, table_capacity=256,
-                 fast_latency_ns=2_000, promoter=None, seed=1):
+                 fast_latency_ns=2_000, promoter=None, seed=1, name=None,
+                 subscribers=()):
         if table_capacity <= 0:
             raise ValueError("table_capacity must be positive")
         self.sim = sim
@@ -52,6 +62,8 @@ class DpuPreClassifier:
         self.counters = CounterSet()
         self.latency_histogram = LatencyHistogram(seed=seed)
         self._table = {}          # FlowKey -> install simtime (ns)
+        self.name = name
+        self.subscribers = subscribers
 
     # -- data path ---------------------------------------------------------
 
@@ -68,6 +80,8 @@ class DpuPreClassifier:
             packet.departure_ns = now + self.fast_latency_ns
             self.counters.incr("fast_forwards")
             self.latency_histogram.record(self.fast_latency_ns)
+            for subscriber in self.subscribers:
+                subscriber(packet, self.name, DPU_FAST_PATH)
             return
         self.counters.incr("slow_forwards")
         self.slow_sink(packet)

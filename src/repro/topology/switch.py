@@ -25,18 +25,14 @@ class EcmpUplink:
             table; later packets follow the pin.  With a static member
             set the pin agrees with the hash, but the table is what
             keeps sessions on their server through scale-out/in.
-        tap: optional ``tap(flow, uid, server_name)`` observer invoked
-            on every forward -- the ordering-invariant tests hang off
-            this hook.
 
     Counters: ``forwarded``, ``affinity_pins`` (first packet of a flow),
     ``affinity_hits`` (pinned lookups) and ``to_server.<name>``.
     """
 
-    __slots__ = ("members", "hash_seed", "pin_flows", "counters",
-                 "_affinity", "tap")
+    __slots__ = ("members", "hash_seed", "pin_flows", "counters", "_affinity")
 
-    def __init__(self, members, hash_seed=101, pin_flows=True, tap=None):
+    def __init__(self, members, hash_seed=101, pin_flows=True):
         members = tuple(members)
         if not members:
             raise ValueError("an ECMP uplink needs at least one server")
@@ -45,7 +41,6 @@ class EcmpUplink:
         self.pin_flows = pin_flows
         self.counters = CounterSet()
         self._affinity = {}       # FlowKey -> member index
-        self.tap = tap
 
     def server_for(self, flow):
         """The member index ``flow`` resolves to (pin first, then hash)."""
@@ -58,7 +53,6 @@ class EcmpUplink:
     def forward(self, packet):
         """Deliver ``packet`` to its flow's server, synchronously."""
         flow = packet.flow
-        index = None
         if self.pin_flows:
             index = self._affinity.get(flow)
             if index is None:
@@ -72,8 +66,6 @@ class EcmpUplink:
         name, sink = self.members[index]
         self.counters.incr("forwarded")
         self.counters.incr(f"to_server.{name}")
-        if self.tap is not None:
-            self.tap(flow, packet.uid, name)
         sink(packet)
 
     @property

@@ -2,11 +2,15 @@
 and clean runs stay clean (and byte-identical to unsanitized runs)."""
 
 import heapq
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.analysis.sanitizer import (
     Sanitizer,
     SanitizerViolation,
@@ -14,6 +18,7 @@ from repro.analysis.sanitizer import (
     install,
     uninstall,
 )
+from repro.cli import main
 from repro.core.gateway import AlbatrossServer, PodConfig
 from repro.core.nic import NicPipeline, NicPipelineConfig
 from repro.core.ratelimit import TokenBucket, TwoStageRateLimiter
@@ -269,6 +274,17 @@ class TestLifecycle:
         assert list(custom.trace) == [(2, "b"), (3, "c")]
         assert custom.events_traced == 3
 
+    def test_environment_variable_installs_at_import(self):
+        # REPRO_SANITIZE is read once, at import: probe a fresh process.
+        probe = "import repro.analysis as a; print(a.get_sanitizer() is not None)"
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        result = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src, "REPRO_SANITIZE": "1"},
+            timeout=60,
+        )
+        assert result.stdout.strip() == "True", result.stderr
+
     def test_components_cache_at_construction(self):
         install()
         sim = Simulator()
@@ -301,15 +317,18 @@ class TestLifecycle:
 
 
 class TestScenarioIntegration:
-    def test_sanitized_report_is_byte_identical(self):
-        plain = run_scenario("pod-crash-reschedule", seed=42, quick=True)
-        install()
-        try:
-            sanitized = run_scenario("pod-crash-reschedule", seed=42,
-                                     quick=True)
-        finally:
-            uninstall()
-        assert sanitized.render() == plain.render()
+    @pytest.mark.parametrize("argv", [
+        ["faults", "pod-crash-reschedule", "--quick"],
+        ["simulate", "--cores", "2", "--duration-ms", "20"],
+        ["migrate", "all", "--quick", "--seed", "7"],
+    ], ids=" ".join)
+    def test_sanitized_cli_stdout_is_byte_identical(self, argv, capsys):
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        sanitizer = install()       # the autouse fixture uninstalls it
+        assert main(argv) == 0
+        assert capsys.readouterr().out == plain
+        assert sanitizer.checks > 0     # the second run really was checked
 
     @settings(
         max_examples=3,

@@ -91,7 +91,7 @@ class TestPhaseTimeline:
 
 
 class TestPerFlowOrderAcrossMigration:
-    """Egress-tap proof: per-flow uid order survives the pod swap."""
+    """Exit-subscriber proof: per-flow uid order survives the pod swap."""
 
     @pytest.fixture(scope="class")
     def tapped_run(self):
@@ -99,19 +99,12 @@ class TestPerFlowOrderAcrossMigration:
         handle = build(spec)
         egress = []
 
-        def tap(pod):
-            inner = pod.nic.egress_fn
-
-            def capture(packet, outcome):
+        # Registered once: add_pod() hands the restored pod the same list.
+        @handle.subscribe
+        def capture(packet, where, outcome):
+            if packet.drop_reason is None:
                 egress.append((packet.flow, packet.uid, outcome))
-                inner(packet, outcome)
 
-            pod.nic.egress_fn = capture
-
-        tap(handle.pods["gw"])
-        # The restored pod has a fresh NIC pipeline: re-arm the tap the
-        # moment it exists, before any buffered packet reaches it.
-        handle.migration.on_restore = lambda old, new: tap(new)
         handle.run()
         # Stop the sources and run on so the last packets settle and the
         # conservation ledger can balance exactly.

@@ -67,7 +67,7 @@ class TestScaledService:
         assert chain.per_core_mpps() * 1e6 == pytest.approx(target, rel=0.01)
 
     def test_egress_fn_is_assignable_after_build(self):
-        # Experiments count deliveries by wrapping the NIC's egress hook.
+        # benchmarks/perf watches flow order by wrapping the NIC's egress hook.
         from repro.scenarios import PodSpec, ScenarioSpec, build
         from repro.sim.units import MS
         from repro.workloads.generators import CbrSource, uniform_population

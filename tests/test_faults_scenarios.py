@@ -182,13 +182,12 @@ class TestRecoveryOrdering:
         injector.load(FaultPlan([Fault(FaultKind.FPGA_STALL, 50 * MS, 60 * MS)]))
 
         egress = []
-        inner = pod.nic.egress_fn
 
-        def capture(packet, outcome):
-            egress.append((packet.flow, packet.uid, outcome))
-            inner(packet, outcome)
+        def capture(packet, where, outcome):
+            if packet.drop_reason is None:
+                egress.append((packet.flow, packet.uid, outcome))
 
-        pod.nic.egress_fn = capture
+        server.subscribers.append(capture)
         population = uniform_population(64, tenants=4)
         CbrSource(
             sim, rngs.stream("traffic"), pod.ingress, population, rate_pps=20_000

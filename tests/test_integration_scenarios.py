@@ -16,6 +16,7 @@ from repro.container.sriov import VfAllocator
 from repro.core.gateway import AlbatrossServer, PodConfig
 from repro.packet.flows import FlowKey
 from repro.packet.packet import Packet, PacketKind
+from repro.scenarios import scaled_service
 from repro.sim import MS, RngRegistry, SECOND, Simulator
 from repro.workloads.generators import CbrSource, uniform_population
 
@@ -27,7 +28,12 @@ class TestPrioritySurvivesSaturation:
         sim = Simulator()
         rngs = RngRegistry(seed=17)
         server = AlbatrossServer(sim, rngs)
-        pod = server.add_pod(PodConfig(name="gw", data_cores=2, rx_capacity=128))
+        # A 50 Kpps/core synthetic service: the same 2x overload over the
+        # same windows (BFD: four 60 ms detection times), ~1/20 the packets.
+        pod = server.add_pod(PodConfig(
+            name="gw", data_cores=2, rx_capacity=128,
+            custom_service=scaled_service(per_core_pps=50_000),
+        ))
         population = uniform_population(100, tenants=10)
         capacity = pod.expected_capacity_mpps() * 1e6
         CbrSource(

@@ -1,5 +1,7 @@
 """Integration tests for the assembled NIC pipeline + GW pod runtime."""
 
+import collections
+
 import pytest
 
 from repro.core.gateway import (
@@ -7,11 +9,13 @@ from repro.core.gateway import (
     PodConfig,
     default_reorder_queue_count,
 )
+from repro.core.nic import NicPipeline
 from repro.core.pktdir import DeliveryPath
 from repro.core.ratelimit import TwoStageRateLimiter
 from repro.cpu.core import Verdict
 from repro.packet.flows import FlowKey, flow_for_tenant
 from repro.packet.packet import Packet, PacketKind
+from repro.scenarios import scaled_service
 from repro.sim import MS, RngRegistry, Simulator, US
 from repro.workloads.generators import CbrSource, uniform_population
 
@@ -40,13 +44,12 @@ class TestEndToEnd:
         matches ingress order even though packets cross 4 cores."""
         sim, rngs, _, pod = make_pod()
         egress_order = {}
-        original = pod.nic.egress_fn
 
-        def track(packet, outcome):
-            egress_order.setdefault(packet.flow, []).append(packet.uid)
-            original(packet, outcome)
+        def track(packet, where, outcome):
+            if packet.drop_reason is None:
+                egress_order.setdefault(packet.flow, []).append(packet.uid)
 
-        pod.nic.egress_fn = track
+        pod.subscribers.append(track)
         ingress_order = {}
         population = uniform_population(20, tenants=5)
         source = CbrSource(
@@ -159,6 +162,53 @@ class TestEndToEnd:
         assert stats.timeout_releases > 50
         # The pipeline keeps flowing despite the holes.
         assert stats.in_order > 3000
+
+
+class TestExits:
+    def test_every_packet_leaves_once_departed_or_with_a_counted_reason(self):
+        # 3x overload through 8-slot RX rings, a limiter, ACL and silent CPU
+        # drops, a 1 ms FPGA stall and finally a crashed pod: every site fires.
+        sim, rngs, _, pod = make_pod(
+            data_cores=2, rx_capacity=8, acl_drop_probability=0.10,
+            silent_drop_probability=0.05,
+            custom_service=scaled_service(per_core_pps=50_000),
+        )
+        pod.nic.rate_limiter = TwoStageRateLimiter(
+            rngs.stream("limiter"), stage1_rate_pps=60_000, stage2_rate_pps=15_000
+        )
+        emitted, exits = [], []
+        pod.subscribers.append(lambda packet, where, outcome: exits.append(packet))
+
+        def ingest(packet):
+            emitted.append(packet)
+            pod.ingress(packet)
+
+        source = CbrSource(
+            sim, rngs.stream("t"), ingest, uniform_population(40, tenants=3),
+            rate_pps=300_000,
+        )
+        sim.schedule_at(10 * MS, pod.nic.set_fpga_stalled, True)
+        sim.schedule_at(11 * MS, pod.nic.set_fpga_stalled, False)
+        sim.run_until(30 * MS)
+        source.set_rate(0)
+        sim.run_until(32 * MS)      # drain: nothing may stay in flight
+        assert pod.in_flight() == 0
+        pod.crash()
+        source.set_rate(300_000)
+        sim.run_until(33 * MS)
+
+        assert [p.uid for p in emitted] == sorted(p.uid for p in exits)
+        dropped = collections.Counter(
+            NicPipeline.DROP_COUNTERS[p.drop_reason]
+            for p in emitted if p.departure_ns is None
+        )
+        assert set(dropped) == set(NicPipeline.DROP_COUNTERS.values()) - {
+            "reorder_fifo_drops", "reorder_payload_gone",
+        }
+        assert dropped == {name: pod.counters.get(name) for name in dropped}
+        # Everything else departed, and nothing that departed has a reason.
+        unnamed = sum(p.drop_reason is None for p in emitted)
+        assert unnamed == pod.counters.get("tx_packets") > 0
 
 
 class TestPodConfigValidation:

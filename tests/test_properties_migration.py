@@ -78,17 +78,11 @@ def _migrated_run(workload, start_ns, seed):
     handle = build(spec)
     egress = []
 
-    def tap(pod):
-        inner = pod.nic.egress_fn
-
-        def capture(packet, outcome):
+    @handle.subscribe
+    def capture(packet, where, outcome):
+        if packet.drop_reason is None:
             egress.append((packet.flow, packet.uid, outcome))
-            inner(packet, outcome)
 
-        pod.nic.egress_fn = capture
-
-    tap(handle.pods["gw"])
-    handle.migration.on_restore = lambda old, new: tap(new)
     handle.run()
     for source in handle.sources:
         source.stop()

@@ -11,6 +11,8 @@ import json
 
 import pytest
 
+from repro.controlplane import migration_scenario_spec
+from repro.metrics.trace import PacketTracer
 from repro.scenarios import (
     PodSpec,
     ScenarioSpec,
@@ -178,6 +180,18 @@ class TestBuildEntryPoints:
         assert handle.pods == {}
         handle.run()
         assert handle.sim.now == MS
+
+    @pytest.mark.parametrize("spec", [
+        _spec(timeseries_every_ns=2 * MS),                  # limiter + telemetry
+        scenario_spec("az-steady", quick=True, servers=2),  # uplink + DPU tier
+        migration_scenario_spec("rolling-upgrade", quick=True),
+    ], ids=lambda spec: spec.name)
+    def test_subscribers_never_perturb_the_report(self, spec):
+        plain = json.dumps(build(spec).run().report())
+        armed = build(spec)
+        tracer = armed.subscribe(PacketTracer(sample_every=3))
+        assert json.dumps(armed.run().report()) == plain
+        assert tracer.completed_traces()
 
     def test_report_shape(self):
         report = build(_spec()).run().report()

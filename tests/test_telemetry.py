@@ -208,7 +208,7 @@ class TestSpec:
 
 
 class TestMigration:
-    """The rebuilt pod keeps the recorder's latency tap."""
+    """A pod rebuilt mid-run keeps feeding the recorder."""
 
     @pytest.mark.parametrize("name", migration_scenario_names())
     def test_armed_migration_conserves_per_window(self, name):

@@ -10,6 +10,7 @@ The load-bearing invariants:
   count, with per-server and per-tier sections present.
 """
 
+import collections
 import json
 
 import pytest
@@ -21,6 +22,7 @@ from repro.scenarios.registry import scenario_spec
 from repro.sim.engine import Simulator
 from repro.sim.units import MS
 from repro.topology import DpuPreClassifier, EcmpUplink, FlowPodDispatch, HotFlowPromoter
+from repro.topology.dpu import DPU_FAST_PATH
 
 
 def _flow(index):
@@ -200,20 +202,37 @@ class TestTopologyScenario:
     def test_per_flow_ordering_across_uplink(self):
         spec = scenario_spec("az-steady", quick=True, servers=3, tenants=1_000)
         handle = build(spec)
-        seen = {}                     # flow -> (server, [uids])
-        def tap(flow, uid, server):
-            entry = seen.setdefault(flow, (server, []))
-            assert entry[0] == server, "flow moved between servers"
-            entry[1].append(uid)
-        handle.topology.uplink.tap = tap
+        uplink = handle.topology.uplink
+        # Exits name the pod or DPU tier; map both back to their server.
+        home = {}
+        for server, runtime in handle.topology.servers.items():
+            home.update(dict.fromkeys([runtime.dpu.name, *runtime.pods], server))
+        uids = {}                     # (flow, exit) -> [uids]
+
+        @handle.subscribe
+        def on_exit(packet, where, outcome):
+            pinned, _sink = uplink.members[uplink.server_for(packet.flow)]
+            assert home[where] == pinned, "flow left its pinned server"
+            if packet.drop_reason is None:
+                # Per exit: a flow promoted mid-run leaves through the DPU
+                # while its earlier packets are still in the host pipeline.
+                uids.setdefault((packet.flow, where), []).append(packet.uid)
+
         handle.run()
-        assert seen
-        for _server, uids in seen.values():
-            assert uids == sorted(uids), "per-flow uid order broke"
+        assert {home[where] for _flow, where in uids} == set(home.values())
+        for stream in uids.values():
+            assert stream == sorted(stream), "per-flow uid order broke"
 
     def test_tier_packet_conservation(self):
-        handle = self._run()
-        report = handle.report()
+        handle = build(scenario_spec("az-steady", quick=True, servers=2))
+        exits = collections.Counter()
+
+        @handle.subscribe
+        def count(packet, where, outcome):
+            host = "drop" if packet.drop_reason is not None else "egress"
+            exits["dpu" if outcome == DPU_FAST_PATH else host] += 1
+
+        report = handle.run().report()
         forwarded = report["uplink"]["counters"]["forwarded"]
         fast = report["tiers"]["dpu"]["counters"]["fast_forwards"]
         dispatched = sum(
@@ -221,6 +240,12 @@ class TestTopologyScenario:
             for entry in report["servers"].values()
         )
         assert forwarded == fast + dispatched
+        # AZ-wide over the three exits: every emitted packet is accounted for.
+        emitted = sum(source.emitted for source in handle.sources)
+        in_flight = sum(pod.in_flight() for pod in handle.pods.values())
+        assert emitted == forwarded == sum(exits.values()) + in_flight
+        assert exits["dpu"] == fast > 0
+        assert exits["egress"] == report["tiers"]["host"]["packets"] > 0
 
     def test_report_sections_present_and_json_safe(self):
         report = self._run().report()

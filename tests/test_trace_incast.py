@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.gateway import AlbatrossServer, PodConfig
+from repro.core.offload import FpgaSessionOffload
 from repro.metrics.trace import PacketTracer
 from repro.sim import MS, RngRegistry, Simulator, US
 from repro.workloads.generators import CbrSource, uniform_population
@@ -17,23 +18,41 @@ def make_pod(data_cores=2, mode="plb"):
     return sim, rngs, pod
 
 
+def traced_pod(mode="plb", **tracer_kwargs):
+    sim, rngs, pod = make_pod(mode=mode)
+    tracer = PacketTracer(**tracer_kwargs)
+    pod.subscribers.append(tracer)
+    return sim, rngs, pod, tracer
+
+
 class TestPacketTracer:
-    def test_stages_recorded_in_order(self):
-        sim, rngs, pod = make_pod()
-        tracer = PacketTracer(pod)
+    @pytest.mark.parametrize("mode", ["plb", "rss"])
+    def test_stages_recorded_in_order(self, mode):
+        sim, rngs, pod, tracer = traced_pod(mode=mode)
         population = uniform_population(10)
         CbrSource(sim, rngs.stream("t"), pod.ingress, population, rate_pps=50_000)
         sim.run_until(5 * MS)
         completed = tracer.completed_traces()
-        assert len(completed) > 100
-        for trace in completed[:20]:
+        assert len(completed) == pod.transmitted() > 100
+        for trace in completed:
             assert trace.stages == ["ingress", "cpu_start", "cpu_done", "egress"]
             times = [timestamp for _, timestamp in trace.events]
             assert times == sorted(times)
 
+    def test_fpga_fast_path_skips_the_cpu_stages(self):
+        sim, rngs, pod, tracer = traced_pod()
+        pod.nic.session_offload = FpgaSessionOffload(sim, capacity=64)
+        population = uniform_population(8)
+        CbrSource(sim, rngs.stream("t"), pod.ingress, population, rate_pps=200_000)
+        sim.run_until(5 * MS)
+        fast = [
+            trace for trace in tracer.completed_traces()
+            if trace.stages == ["ingress", "egress"]
+        ]
+        assert len(fast) == pod.outcomes["fpga_fast_path"] > 100
+
     def test_breakdown_matches_latency_model(self):
-        sim, rngs, pod = make_pod()
-        tracer = PacketTracer(pod)
+        sim, rngs, pod, tracer = traced_pod()
         population = uniform_population(10)
         CbrSource(sim, rngs.stream("t"), pod.ingress, population, rate_pps=50_000)
         sim.run_until(10 * MS)
@@ -50,8 +69,7 @@ class TestPacketTracer:
         )
 
     def test_sampling(self):
-        sim, rngs, pod = make_pod()
-        tracer = PacketTracer(pod, sample_every=10)
+        sim, rngs, pod, tracer = traced_pod(sample_every=10)
         population = uniform_population(10)
         CbrSource(sim, rngs.stream("t"), pod.ingress, population, rate_pps=50_000)
         sim.run_until(5 * MS)
@@ -63,8 +81,7 @@ class TestPacketTracer:
         # Regression: `seen % N == 0` skipped the first N-1 packets, so a
         # short run with a sparse sampler traced nothing.  The first
         # packet of every stride must be traced.
-        sim, rngs, pod = make_pod()
-        tracer = PacketTracer(pod, sample_every=100)
+        sim, rngs, pod, tracer = traced_pod(sample_every=100)
         population = uniform_population(10)
         CbrSource(sim, rngs.stream("t"), pod.ingress, population, rate_pps=50_000)
         # Long enough for a handful of packets, far fewer than 100.
@@ -72,52 +89,8 @@ class TestPacketTracer:
         assert pod.counters.get("rx_packets") < 100
         assert len(tracer.traces) == 1
 
-    def test_uninstall_restores_pipeline_hooks(self):
-        sim, rngs, pod = make_pod()
-        original_nic_ingress = pod.nic.ingress
-        original_egress = pod.nic.egress_fn
-        original_starts = [core._start_next for core in pod.cores]
-        tracer = PacketTracer(pod)
-        assert pod.nic.ingress is not original_nic_ingress
-        tracer.uninstall()
-        assert pod.nic.ingress == original_nic_ingress
-        assert pod.nic.egress_fn == original_egress
-        for core, original in zip(pod.cores, original_starts):
-            assert core._start_next == original
-        # "ingress"/"_start_next" were class methods shadowed by instance
-        # attributes; uninstall must remove the shadow, not pin a bound
-        # method into the instance dict.
-        assert "ingress" not in pod.__dict__
-        for core in pod.cores:
-            assert "_start_next" not in core.__dict__
-            assert "_finish" not in core.__dict__
-        # Idempotent, and traces survive the uninstall.
-        tracer.uninstall()
-        population = uniform_population(10)
-        CbrSource(sim, rngs.stream("t"), pod.ingress, population, rate_pps=50_000)
-        sim.run_until(2 * MS)
-        assert pod.transmitted() > 0
-        assert len(tracer.traces) == 0  # hooks gone: nothing new recorded
-
-    def test_uninstall_mid_flight_keeps_pipeline_running(self):
-        # Uninstalling while packets are in flight must not strand them:
-        # the restored hooks carry the rest of the run.
-        sim, rngs, pod = make_pod()
-        tracer = PacketTracer(pod)
-        population = uniform_population(10)
-        CbrSource(sim, rngs.stream("t"), pod.ingress, population, rate_pps=200_000)
-        sim.run_until(2 * MS)
-        tracer.uninstall()
-        collected = len(tracer.traces)
-        assert collected > 0
-        before = pod.transmitted()
-        sim.run_until(4 * MS)
-        assert pod.transmitted() > before
-        assert len(tracer.traces) == collected
-
     def test_max_traces_cap(self):
-        sim, rngs, pod = make_pod()
-        tracer = PacketTracer(pod, max_traces=50)
+        sim, rngs, pod, tracer = traced_pod(max_traces=50)
         population = uniform_population(10)
         CbrSource(sim, rngs.stream("t"), pod.ingress, population, rate_pps=50_000)
         sim.run_until(5 * MS)

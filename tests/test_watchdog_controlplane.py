@@ -8,6 +8,7 @@ from repro.bgp.pod import PodControlPlane
 from repro.bgp.switch import UplinkSwitch
 from repro.core.gateway import AlbatrossServer, PodConfig
 from repro.core.watchdog import PlbWatchdog
+from repro.scenarios import scaled_service
 from repro.sim import MS, RngRegistry, SECOND, Simulator
 from repro.workloads.generators import CbrSource, uniform_population
 
@@ -114,20 +115,26 @@ class TestPodControlPlane:
     def test_bgp_survives_data_plane_saturation(self):
         """The whole point of the priority path, end to end with real
         BGP bytes through the pod."""
-        sim, rngs, pod = make_pod(rx_capacity=128)
+        # A slow synthetic service makes two hold times of 3x overload
+        # affordable: ~50k packets instead of millions.
+        sim, rngs, pod = make_pod(
+            rx_capacity=128, custom_service=scaled_service(per_core_pps=1_250)
+        )
         switch = UplinkSwitch(sim, "switch")
         control = PodControlPlane(pod, asn=65001)
-        session = control.connect_switch(switch, hold_time_s=3)
+        hold_time_s = 3
+        session = control.connect_switch(switch, hold_time_s=hold_time_s)
         sim.run_until(1 * SECOND)
         assert session.state is BgpState.ESTABLISHED
-        # Saturate the data plane at 3x capacity for many hold times.
+        # Saturate the data plane at 3x capacity for over two hold times:
+        # keepalives lost to the flood would expire the session in the window.
         capacity = pod.expected_capacity_mpps() * 1e6
         population = uniform_population(100, tenants=10)
         CbrSource(
             sim, rngs.stream("flood"), pod.ingress, population,
             rate_pps=int(capacity * 3),
         )
-        sim.run_until(1 * SECOND + 400 * MS)
+        sim.run_until(1 * SECOND + 2 * hold_time_s * SECOND + 500 * MS)
         drops = pod.counters.get("rx_queue_drops") + pod.counters.get(
             "reorder_fifo_drops"
         )
