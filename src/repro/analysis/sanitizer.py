@@ -11,12 +11,13 @@ Checks wired into the platform:
 * ``sim.engine``    -- simtime monotonicity; event causality (no
   scheduling in the past); every executed event is recorded into the
   trace ring buffer.
-* ``core.nic``      -- packet conservation per pipeline stage: packets
-  settled (delivered + dropped + handed off) never exceed packets
-  injected, no double transmission, no dropped-packet leak to the wire.
-* ``core.plb.reorder`` -- in-order releases carry strictly increasing
-  PSNs per order queue (per-flow ordering); FIFO occupancy respects the
-  configured depth.
+* ``core.nic``      -- packet conservation at every settle point (drop,
+  priority hand-off, transmit): the pipeline's own ``in_flight()`` counter
+  arithmetic never goes negative, no double transmission, no
+  dropped-packet leak to the wire.
+* ``core.plb.reorder`` -- an in-order release carries exactly its order
+  queue's FIFO head pointer, hence strictly increasing PSNs per queue
+  (per-flow ordering); FIFO occupancy respects the configured depth.
 * ``core.ratelimit`` -- lazily materialized token buckets never exceed
   the provisioned SRAM table sizes.
 * ``cpu.core``      -- RX queue occupancy respects the descriptor ring
@@ -26,8 +27,10 @@ A failed check raises :class:`SanitizerViolation` carrying the offending
 event trace (the most recent engine events, oldest first), so the report
 shows *how the simulation got there*, not just the broken assertion.
 
-The observer never mutates simulation state, so a sanitized run renders
-byte-identical reports to an unsanitized one (CI diffs both).
+Apart from the event trace the sanitizer keeps no state: each check reads
+the counters and pointers the model already maintains, and it never
+mutates them, so a sanitized run renders byte-identical reports -- pod
+snapshot bytes included -- to an unsanitized one (tier-1 compares both).
 """
 
 import os

@@ -140,11 +140,6 @@ class GwPodRuntime:
         speed_factor = numa_factor
 
         self.cores = []
-        self.nic = None  # assigned below; cores need the completion callback
-
-        def completion(packet, verdict, core):
-            self.nic.on_cpu_completion(packet, verdict, core)
-
         for core_id in core_ids[: config.data_cores]:
             # Cores are only checkpointed quiescent (idle, empty RX ring,
             # no pending stall), so their transient scheduling state has
@@ -154,7 +149,7 @@ class GwPodRuntime:
                 sim,
                 core_id,
                 self.chain,
-                completion,
+                None,  # the NIC's completion callback, once it exists below
                 verdict_fn=self._verdict,
                 jitter=config.jitter,
                 rx_capacity=config.rx_capacity,
@@ -166,6 +161,8 @@ class GwPodRuntime:
             sim, self.cores, nic_config, self._on_egress,
             protocol_fn=self._on_protocol, drop_fn=self._on_drop,
         )
+        for core in self.cores:
+            core.completion_fn = self.nic.on_cpu_completion
         # Meta placement penalty applies to CPU processing, not the NIC.
         if self.nic.cpu_throughput_factor != 1.0:
             for core in self.cores:

@@ -96,15 +96,7 @@ class NicPipeline:
         self.cpu_throughput_factor = placement_throughput_factor(config.meta_placement)
         self._fpga_stalled = False
         self._heartbeat = 0
-        # Sanitizer ledger: every packet entering ingress() must settle at
-        # most once (transmitted, dropped, or handed to the priority path).
         self._sanitizer = get_sanitizer()
-        # Deliberately not snapshot data: carrying the ledger would make
-        # snapshot bytes depend on whether the sanitizer is installed
-        # (see the note in restore()); a fresh pipeline's ledger starts
-        # balanced and conserves over post-restore traffic on its own.
-        self._san_injected = 0  # lint: disable=SNAP001(sanitizer ledger is instrumentation; snapshot bytes must not depend on sanitizer presence)
-        self._san_settled = 0  # lint: disable=SNAP001(sanitizer ledger is instrumentation; snapshot bytes must not depend on sanitizer presence)
         self._rx_latency_ns = self.latency.rx_ns()
         self._tx_dma_ns = self.latency.module_ns("dma", "tx")
         self._tx_post_reorder_ns = self.latency.module_ns(
@@ -118,24 +110,6 @@ class NicPipeline:
         self._classify = self.pkt_dir.classify
         self._plb_dispatch = self.plb.dispatch
         self._rss_dispatch = self.rss.dispatch
-
-    # ------------------------------------------------------------------
-    # Sanitizer ledger
-    # ------------------------------------------------------------------
-
-    def _san_settle(self, packet, stage):
-        """One packet reached a terminal stage; the ledger must balance."""
-        self._san_settled += 1
-        self._sanitizer.ensure(
-            self._san_settled <= self._san_injected, "packet-conservation",
-            f"settled {self._san_settled} packets but only "
-            f"{self._san_injected} entered ingress (stage {stage!r})",
-            uid=packet.uid, stage=stage,
-        )
-
-    def sanitizer_in_flight(self):
-        """Packets injected but not yet settled (>= 0 while conserving)."""
-        return self._san_injected - self._san_settled
 
     #: Counters that settle a packet's fate.  Every packet counted by
     #: ``rx_packets`` ends up in exactly one of these, so
@@ -177,22 +151,34 @@ class NicPipeline:
     def in_flight(self):
         """Data-plane packets inside the pipeline right now.
 
-        Unlike :meth:`sanitizer_in_flight` this works without the
-        sanitizer installed: it is pure counter arithmetic, usable by the
-        control plane to decide when a draining pod has gone quiet.
+        Pure counter arithmetic: the control plane reads it to decide
+        when a draining pod has gone quiet, and under a sanitizer every
+        settle point asserts it has not gone negative.
         """
         counters = self.counters
         settled = sum(counters.get(name) for name in self.TERMINAL_COUNTERS)
         return counters.get("rx_packets") - settled
 
+    def _check_conserved(self, packet, stage):
+        """Sanitizer: ``stage`` just bumped a terminal counter for
+        ``packet``; more packets settled than entered means one settled
+        twice (or never came through :meth:`ingress`)."""
+        in_flight = self.in_flight()
+        self._sanitizer.ensure(
+            in_flight >= 0, "packet-conservation",
+            f"terminal counters exceed rx_packets by {-in_flight} "
+            f"(stage {stage!r})",
+            uid=packet.uid, stage=stage,
+        )
+
     def _drop(self, packet, reason):
         """The one terminal-drop point: name the drop on the packet, bump
-        the counter that accounts for it, settle the sanitizer ledger and
-        tell the pod -- a drop site cannot do half of it."""
+        the counter that accounts for it and tell the pod -- a drop site
+        cannot do half of it."""
         packet.drop_reason = reason
         self._incr(self.DROP_COUNTERS[reason])
         if self._sanitizer is not None:
-            self._san_settle(packet, reason)
+            self._check_conserved(packet, reason)
         if self.drop_fn is not None:
             self.drop_fn(packet)
 
@@ -202,12 +188,9 @@ class NicPipeline:
 
     def ingress(self, packet):
         """A packet arrives from the wire at the current sim time."""
-        sanitizer = self._sanitizer
         incr = self._incr
         packet.arrival_ns = self.sim._now
         incr("rx_packets")
-        if sanitizer is not None:
-            self._san_injected += 1
         if self._fpga_stalled:
             # A stalled pipeline makes no forward progress; the wire keeps
             # delivering and the packets are simply lost.
@@ -219,8 +202,8 @@ class NicPipeline:
             # Priority path skips the rate limiter and PLB entirely.
             self._schedule(self._rx_latency_ns, self.priority.enqueue, packet)
             incr("rx_priority")
-            if sanitizer is not None:
-                self._san_settle(packet, "priority_handoff")
+            if self._sanitizer is not None:
+                self._check_conserved(packet, "priority_handoff")
             return
 
         if self.rate_limiter is not None:
@@ -306,6 +289,7 @@ class NicPipeline:
             self._schedule(self._tx_post_reorder_ns, self._transmit, packet, outcome)
 
     def _transmit(self, packet, outcome):
+        self._incr("tx_packets")
         if self._sanitizer is not None:
             self._sanitizer.ensure(
                 packet.departure_ns is None, "packet-conservation",
@@ -318,9 +302,8 @@ class NicPipeline:
                 f"(drop_reason={packet.drop_reason!r})",
                 uid=packet.uid, outcome=str(outcome),
             )
-            self._san_settle(packet, "tx")
+            self._check_conserved(packet, "tx")
         packet.departure_ns = self.sim._now
-        self._incr("tx_packets")
         self.egress_fn(packet, outcome)
 
     # ------------------------------------------------------------------
@@ -373,11 +356,6 @@ class NicPipeline:
         self.priority.restore(snapshot["priority"])
         self._fpga_stalled = snapshot["fpga_stalled"]
         self._heartbeat = snapshot["heartbeat"]
-        # The sanitizer's conservation ledger is deliberately NOT part of
-        # the snapshot: it is instrumentation, and carrying it would make
-        # snapshot bytes (and thus freeze cost) depend on whether the
-        # sanitizer is installed.  The fresh pipeline's ledger restarts
-        # at zero and balances over post-restore traffic on its own.
 
     # ------------------------------------------------------------------
     # Control operations

@@ -33,6 +33,7 @@ and exact: the head is re-examined whenever (a) a packet writes back,
 """
 
 import enum
+from collections import deque
 
 from repro.analysis.sanitizer import get_sanitizer
 from repro.sim.units import US
@@ -128,9 +129,7 @@ class _ReorderQueue:
         "timeout_event",
     )
 
-    def __init__(self, depth):
-        from collections import deque
-
+    def __init__(self):
         self.fifo = deque()
         self.buf = [None] * 4096          # slot -> (packet, header_only)
         self.bitmap_valid = [False] * 4096
@@ -159,12 +158,8 @@ class ReorderEngine:
         self.payload_retention_ns = payload_retention_ns
         self.stats = ReorderStats()
         self.epoch = 0
-        self._queues = [_ReorderQueue(config.depth) for _ in range(config.queue_count)]
-        # Sanitizer bookkeeping: the PSN of each queue's last in-order
-        # release.  Flows hash onto one order queue, so strictly
-        # increasing PSNs per queue imply per-flow order on the wire.
+        self._queues = [_ReorderQueue() for _ in range(config.queue_count)]
         self._sanitizer = get_sanitizer()
-        self._san_last_release = [None] * config.queue_count
 
     @property
     def queue_count(self):
@@ -223,7 +218,7 @@ class ReorderEngine:
             # best-effort so a stale sequence number can never block or
             # misorder the post-recovery window.
             self.stats.stale_epoch_writebacks += 1
-            self._transmit_late(packet)
+            self._transmit_best_effort(packet, packet.header_only)
             return
         queue = self._queues[meta.ordq]
 
@@ -234,8 +229,9 @@ class ReorderEngine:
         slot = meta.psn12
         outstanding = len(queue.fifo)
         if outstanding == 0 or (slot - (queue.head_ptr & 0xFFF)) & 0xFFF >= outstanding:
-            # Timed-out packet whose slot has already been released.
-            self._transmit_late(packet)
+            # Timed-out packet whose slot has already been released:
+            # best-effort, or dropped if its payload is gone.
+            self._transmit_best_effort(packet, packet.header_only)
             self._drain(meta.ordq, queue)
             return
 
@@ -248,11 +244,9 @@ class ReorderEngine:
         queue.buf[slot] = (packet, meta.header_only or packet.header_only)
         queue.bitmap_valid[slot] = True
         queue.bitmap_psn[slot] = meta.psn
-        if meta.drop:
-            # The CPU is telling us this packet was deliberately dropped --
-            # resources can be reclaimed the moment it reaches the head
-            # (immediately, if it is the head).
-            pass
+        # A set drop flag (the CPU deliberately dropped this packet) is
+        # honoured by the drain: the slot is reclaimed the moment the
+        # packet reaches the head -- immediately, if it is the head.
         self._drain(meta.ordq, queue)
 
     def reset(self):
@@ -270,15 +264,7 @@ class ReorderEngine:
             dropped += len(queue.fifo)
             if queue.timeout_event is not None:
                 queue.timeout_event.cancel()
-                queue.timeout_event = None
-            queue.fifo.clear()
-            queue.buf = [None] * 4096
-            queue.bitmap_valid = [False] * 4096
-            queue.bitmap_psn = [0] * 4096
-            queue.head_ptr = 0
-            queue.tail_ptr = 0
-        # PSN generators rewound with the epoch: release tracking restarts.
-        self._san_last_release = [None] * self.config.queue_count
+            queue.__init__()  # the reset state is the constructed state
         self.epoch += 1
         self.stats.resets += 1
         self.stats.reset_inflight_drops += dropped
@@ -305,7 +291,6 @@ class ReorderEngine:
                 for queue in self._queues
             ],
             "stats": self.stats.checkpoint(),
-            "last_in_order_psn": list(self._san_last_release),
         }
 
     def restore(self, snapshot):
@@ -332,7 +317,6 @@ class ReorderEngine:
             queue.tail_ptr = state["tail_ptr"]
         self.epoch = snapshot["epoch"]
         self.stats.restore(snapshot["stats"])
-        self._san_last_release = list(snapshot["last_in_order_psn"])
 
     def notify_drop(self, packet):
         """Active drop-flag path: the CPU dropped ``packet`` explicitly."""
@@ -375,12 +359,22 @@ class ReorderEngine:
                 self._transmit_best_effort(packet, header_only)
                 continue  # head still waits for its real packet
             # Case 4: in-order transmission (or drop-flag release).
+            if self._sanitizer is not None:
+                # Flows hash onto one order queue and the head pointer
+                # only ever steps by one (a watchdog reset rewinds it with
+                # the PSN generator), so a release that carries exactly
+                # the head pointer implies per-flow order on the wire.
+                self._sanitizer.ensure(
+                    head_psn == queue.head_ptr, "reorder-release-order",
+                    f"order queue {ordq} released PSN {head_psn} in order "
+                    f"with its head pointer at {queue.head_ptr}",
+                    ordq=ordq, psn=head_psn, head_ptr=queue.head_ptr,
+                    epoch=self.epoch,
+                )
             fifo.popleft()
             queue.head_ptr = head_psn + 1
             buf[slot] = None
             bitmap_valid[slot] = False
-            if self._sanitizer is not None:
-                self._note_in_order_release(ordq, head_psn)
             meta = packet.meta
             if meta is not None and meta.drop:
                 stats.drop_flag_releases += 1
@@ -389,20 +383,6 @@ class ReorderEngine:
                 stats.in_order += 1
                 transmit_fn(packet, TxOutcome.IN_ORDER)
         self._arm_timeout(ordq, queue)
-
-    def _note_in_order_release(self, ordq, psn):
-        """Sanitizer: in-order releases must carry strictly increasing PSNs."""
-        last = self._san_last_release[ordq]
-        self._sanitizer.ensure(
-            last is None or psn > last, "reorder-release-order",
-            f"order queue {ordq} released PSN {psn} in order after PSN {last}",
-            ordq=ordq, psn=psn, last_psn=last, epoch=self.epoch,
-        )
-        self._san_last_release[ordq] = psn
-
-    def _clear_slot(self, queue, slot):
-        queue.buf[slot] = None
-        queue.bitmap_valid[slot] = False
 
     def _arm_timeout(self, ordq, queue):
         """(Re)schedule the head-timeout event for this queue."""
@@ -421,10 +401,6 @@ class ReorderEngine:
         queue = self._queues[ordq]
         queue.timeout_event = None
         self._drain(ordq, queue)
-
-    def _transmit_late(self, packet):
-        """A packet that failed the legal check: best-effort or drop."""
-        self._transmit_best_effort(packet, packet.header_only)
 
     def _transmit_best_effort(self, packet, header_only):
         if packet.meta is not None and packet.meta.drop:

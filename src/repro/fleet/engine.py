@@ -32,10 +32,11 @@ artifact still byte-identical to an uninterrupted run.
 import multiprocessing
 import os
 import traceback
+from functools import partial
 
 from repro.fleet.report import SweepReport, merge_run_reports
-from repro.runs.atomic import atomic_write_json, atomic_write_text
-from repro.runs.store import spec_fingerprint
+from repro.runs.atomic import atomic_write_text
+from repro.runs.store import spec_fingerprint, write_checkpoint_file
 from repro.scenarios.build import build
 from repro.scenarios.spec import ScenarioSpec
 
@@ -81,15 +82,9 @@ def run_shard(payload):
     checkpoint_path = payload.get("checkpoint_path")
     if checkpoint_path is not None and handle.checkpointer is not None:
         fingerprint = payload.get("spec_hash") or spec_fingerprint(spec)
-
-        def _persist(snapshot):
-            atomic_write_json(checkpoint_path, {
-                "schema_version": 1,
-                "spec_hash": fingerprint,
-                "checkpoint": snapshot,
-            })
-
-        handle.checkpointer.sink = _persist
+        handle.checkpointer.sink = partial(
+            write_checkpoint_file, checkpoint_path, fingerprint
+        )
     snapshot = payload.get("resume_checkpoint")
     if snapshot is not None:
         handle.restore_checkpoint(snapshot)

@@ -65,6 +65,20 @@ def _checkpoint_name(index):
     return f"shard-{index:04d}.ckpt.json"
 
 
+def write_checkpoint_file(path, fingerprint, snapshot):
+    """Atomically persist a mid-shard checkpoint where
+    :meth:`Run.load_checkpoint` will look for it.
+
+    Module-level and keyed by path (``Run.checkpoint_path``) so a worker
+    process can call it with nothing but its shard payload.
+    """
+    atomic_write_json(path, {
+        "schema_version": CHECKPOINT_FILE_SCHEMA_VERSION,
+        "spec_hash": fingerprint,
+        "checkpoint": snapshot,
+    })
+
+
 class Run:
     """One run directory: manifest plus per-shard results and checkpoints."""
 

@@ -15,10 +15,14 @@ Determinism guarantees:
 Hot-path notes (see DESIGN.md "Performance"):
 
 * the sanitizer is resolved **once, at construction**: a plain run binds a
-  no-check ``step`` implementation and inlined run loops, so it pays zero
-  per-event sanitizer branches;
-* ``run``/``run_until`` bind the heap and ``heapq`` primitives to locals
-  and pop directly instead of delegating to ``step`` per event;
+  no-check ``step`` implementation and the inlined run loop, so it pays
+  zero per-event sanitizer branches;
+* ``run`` and ``run_until`` share one loop (``_drive``; ``run`` is
+  ``run_until`` an end time that never arrives).  Its plain branch binds
+  the heap and ``heapq`` primitives to locals and pops directly instead of
+  delegating to ``step`` per event; a sanitized (or ``max_events``-counted)
+  run calls ``step`` per event, so checked execution is one function,
+  ``_step_checked``, whichever entry point drives it;
 * same-timestamp batches write ``_now`` once per distinct timestamp.
 
 None of this changes observable behaviour: event order, ``now``,
@@ -32,6 +36,9 @@ from repro.analysis.sanitizer import get_sanitizer
 
 _heappush = heapq.heappush
 _heappop = heapq.heappop
+
+# ``run()`` is ``run_until`` an end time that never arrives.
+_NEVER = float("inf")
 
 
 def _event_label(fn):
@@ -175,11 +182,7 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at t={time} before now={self._now}"
             )
-        event = Event(time, fn, args, self, self._sequence)  # lint: disable=SNAP003(heap entries hold closures and are never serialized; owners re-arm their pending events on restore)
-        _heappush(self._heap, (time, self._sequence, event))
-        self._sequence += 1
-        self._live_events += 1
-        return event
+        return self.schedule(time - self._now, fn, *args)
 
     def stop(self):
         """Stop the run loop after the current handler returns."""
@@ -223,35 +226,7 @@ class Simulator:
 
     def run(self, max_events=None):
         """Run until the event heap drains (or ``max_events`` is hit)."""
-        if self._running:
-            raise SimulationError("simulator is already running")
-        self._running = True
-        self._stopped = False
-        try:
-            if self._sanitizer is not None or max_events is not None:
-                step = self.step
-                count = 0
-                while not self._stopped and step():
-                    count += 1
-                    if max_events is not None and count >= max_events:
-                        break
-                return
-            # Fast path: pop inline; heap and heappop bound to locals.
-            heap = self._heap
-            pop = _heappop
-            now = self._now
-            while heap and not self._stopped:
-                time, _, event = pop(heap)
-                if event.cancelled:
-                    continue
-                self._live_events -= 1
-                event._sim = None  # a late cancel() must not decrement again
-                if time != now:
-                    self._now = now = time
-                self._events_processed += 1
-                event.fn(*event.args)
-        finally:
-            self._running = False
+        self._drive(_NEVER, max_events)
 
     def run_until(self, end_time):
         """Run events with timestamp <= ``end_time``, then set now to it.
@@ -263,32 +238,35 @@ class Simulator:
             raise SimulationError(
                 f"run_until({end_time}) is before now={self._now}"
             )
+        self._drive(end_time, None)
+        if not self._stopped:
+            self._now = max(self._now, end_time)
+
+    def _drive(self, end_time, max_events):
+        """The run loop behind :meth:`run` and :meth:`run_until`."""
         if self._running:
             raise SimulationError("simulator is already running")
         self._running = True
         self._stopped = False
-        sanitizer = self._sanitizer
         try:
-            if sanitizer is not None:
-                while not self._stopped and self._heap:
-                    time, _, event = self._heap[0]
+            if self._sanitizer is not None or max_events is not None:
+                # Checked or counted: one ``step`` per event.  Cancelled
+                # heads are skipped here so that the step below runs the
+                # head just compared and never an event past ``end_time``.
+                heap = self._heap
+                step = self.step
+                count = 0
+                while heap and not self._stopped:
+                    time, _, event = heap[0]
                     if time > end_time:
                         break
-                    _heappop(self._heap)
                     if event.cancelled:
+                        _heappop(heap)
                         continue
-                    self._live_events -= 1
-                    event._sim = None  # a late cancel() must not decrement again
-                    sanitizer.ensure(
-                        time >= self._now, "simtime-monotonicity",
-                        f"event at t={time} popped behind now={self._now}",
-                        time_ns=time, now_ns=self._now,
-                        callback=_event_label(event.fn),
-                    )
-                    sanitizer.record_event(time, _event_label(event.fn))
-                    self._now = time
-                    self._events_processed += 1
-                    event.fn(*event.args)
+                    step()
+                    count += 1
+                    if max_events is not None and count >= max_events:
+                        break
             else:
                 # Fast path: pop first and push the single boundary-crossing
                 # entry back, instead of peeking the heap root every event.
@@ -312,8 +290,6 @@ class Simulator:
                     event.fn(*event.args)
         finally:
             self._running = False
-        if not self._stopped:
-            self._now = max(self._now, end_time)
 
     def checkpoint(self):
         """Clock state as plain data (see ``controlplane/snapshot.py``).

@@ -19,14 +19,16 @@ from repro.analysis.sanitizer import (
     uninstall,
 )
 from repro.cli import main
+from repro.controlplane import snapshot_bytes
 from repro.core.gateway import AlbatrossServer, PodConfig
+from repro.core.meta import PlbMeta
 from repro.core.nic import NicPipeline, NicPipelineConfig
 from repro.core.ratelimit import TokenBucket, TwoStageRateLimiter
 from repro.core.plb.reorder import ReorderEngine, ReorderQueueConfig
 from repro.cpu.core import CpuCore
 from repro.faults.scenarios import run_scenario
 from repro.packet.flows import FlowKey
-from repro.packet.packet import Packet
+from repro.packet.packet import Packet, PacketKind
 from repro.sim.engine import Event, SimulationError, Simulator
 from repro.sim.rng import RngRegistry, derived_stream
 from repro.sim.units import MS
@@ -123,7 +125,7 @@ class TestPacketConservation:
         nic = make_nic(sim)
         packet = make_packet()
         packet.drop_reason = "rate_limit_drop_meter"
-        nic._san_injected = 1
+        nic.counters.incr("rx_packets")
         with pytest.raises(SanitizerViolation) as excinfo:
             nic._transmit(packet, "rss")
         violation = excinfo.value
@@ -136,7 +138,7 @@ class TestPacketConservation:
         sim = Simulator()
         nic = make_nic(sim)
         packet = make_packet()
-        nic._san_injected = 2
+        nic.counters.incr("rx_packets", 2)  # the counters alone would balance
         nic._transmit(packet, "rss")
         with pytest.raises(SanitizerViolation) as excinfo:
             nic._transmit(packet, "rss")
@@ -144,13 +146,33 @@ class TestPacketConservation:
         assert "transmitted twice" in str(excinfo.value)
 
     def test_settle_without_ingress_caught(self):
+        """A terminal counter bumped with ``rx_packets`` too low."""
         install()
         sim = Simulator()
         nic = make_nic(sim)
         with pytest.raises(SanitizerViolation) as excinfo:
-            nic._san_settle(make_packet(), "tx")
+            nic._transmit(make_packet(), "rss")
         assert excinfo.value.check == "packet-conservation"
         assert excinfo.value.detail["stage"] == "tx"
+        assert nic.in_flight() == -1
+
+    @pytest.mark.parametrize("kind, stage", [
+        (PacketKind.DATA, "rx_queue_overflow"),
+        (PacketKind.PROTOCOL, "priority_handoff"),
+    ])
+    def test_every_settle_point_reads_the_counters(self, kind, stage):
+        install()
+        sim = Simulator()
+        nic = make_nic(sim)
+        nic.counters.incr("tx_packets")  # a phantom settle nothing accounts for
+        nic.cores[0].rx_queue.capacity = 0  # any data packet overflows the ring
+        packet = make_packet()
+        packet.kind = kind
+        with pytest.raises(SanitizerViolation) as excinfo:
+            nic.ingress(packet)
+            sim.run()
+        assert excinfo.value.check == "packet-conservation"
+        assert excinfo.value.detail == {"uid": packet.uid, "stage": stage}
 
     def test_ledger_balances_on_clean_traffic(self):
         sanitizer = install()
@@ -164,38 +186,63 @@ class TestPacketConservation:
         sim.run_until(5 * MS)
         assert sanitizer.violations == 0
         assert pod.transmitted() > 0
-        assert pod.nic.sanitizer_in_flight() >= 0
+        assert pod.nic.in_flight() >= 0
+
+
+class ReorderHarness:
+    """A sanitized reorder engine driven directly (no CPU model)."""
+
+    def __init__(self, queues):
+        self.sanitizer = install()
+        self.sim = Simulator()
+        self.engine = ReorderEngine(
+            self.sim, ReorderQueueConfig(queue_count=queues), _noop
+        )
+
+    def admit(self, ordq):
+        packet = make_packet()
+        psn = self.engine.admit(ordq, self.sim.now)
+        packet.meta = PlbMeta(psn=psn, ordq=ordq, timestamp_ns=self.sim.now,
+                              epoch=self.engine.epoch)
+        return packet
+
+    def release(self, ordq, count):
+        """Admit and write back ``count`` packets: ``count`` in-order releases."""
+        for _ in range(count):
+            self.engine.writeback(self.admit(ordq))
 
 
 class TestReorderChecks:
     def test_out_of_order_release_caught(self):
-        install()
-        sim = Simulator()
-        engine = ReorderEngine(sim, ReorderQueueConfig(queue_count=2), _noop)
-        engine._note_in_order_release(0, 5)
+        h = ReorderHarness(queues=2)
+        h.admit(0)                       # PSN 0 never returns from the CPU
+        h.engine.writeback(h.admit(0))   # PSN 1 waits in BUF behind it
+        # Lose the FIFO head without advancing the head pointer: the next
+        # drain finds PSN 1 ready at the head while head_ptr still says 0.
+        h.engine._queues[0].fifo.popleft()
         with pytest.raises(SanitizerViolation) as excinfo:
-            engine._note_in_order_release(0, 3)
+            h.sim.run()                  # the head-timeout event drains
         violation = excinfo.value
         assert violation.check == "reorder-release-order"
         assert violation.detail == {
-            "ordq": 0, "psn": 3, "last_psn": 5, "epoch": 0
+            "ordq": 0, "psn": 1, "head_ptr": 0, "epoch": 0
         }
 
     def test_queues_track_release_order_independently(self):
-        install()
-        sim = Simulator()
-        engine = ReorderEngine(sim, ReorderQueueConfig(queue_count=2), _noop)
-        engine._note_in_order_release(0, 5)
-        engine._note_in_order_release(1, 1)  # other queue: no violation
-        engine._note_in_order_release(0, 6)
+        h = ReorderHarness(queues=2)
+        h.release(0, 6)
+        h.release(1, 1)  # other queue starts at PSN 0: no violation
+        h.release(0, 1)
+        assert h.engine.stats.in_order == 8
+        assert h.sanitizer.violations == 0
 
     def test_reset_rewinds_release_tracking(self):
-        install()
-        sim = Simulator()
-        engine = ReorderEngine(sim, ReorderQueueConfig(queue_count=1), _noop)
-        engine._note_in_order_release(0, 9)
-        engine.reset()
-        engine._note_in_order_release(0, 0)  # fresh epoch, PSN 0 is fine
+        h = ReorderHarness(queues=1)
+        h.release(0, 10)
+        h.engine.reset()
+        h.release(0, 1)  # fresh epoch, PSN 0 is fine
+        assert h.engine.stats.in_order == 11
+        assert h.sanitizer.violations == 0
 
     def test_corrupted_release_state_caught_in_live_run(self):
         install()
@@ -207,14 +254,43 @@ class TestReorderChecks:
         CbrSource(sim, rngs.stream("traffic"), pod.ingress, population,
                   rate_pps=200_000)
         sim.run_until(2 * MS)
-        reorder = pod.nic.reorder
-        # Pretend every queue already released a huge PSN: the next real
+        # Rewind every head pointer by one 12-bit wrap: the legal check
+        # (low 12 bits only) still admits writebacks, so the next real
         # in-order release must trip the check from inside the drain path.
-        reorder._san_last_release = [1 << 40] * reorder.queue_count
+        for queue in pod.nic.reorder._queues:
+            queue.head_ptr -= 4096
         with pytest.raises(SanitizerViolation) as excinfo:
             sim.run_until(6 * MS)
         assert excinfo.value.check == "reorder-release-order"
         assert excinfo.value.trace, "violation must carry the event trace"
+
+
+class TestSnapshotsIgnoreTheSanitizer:
+    @staticmethod
+    def _drained_pod_snapshot():
+        sim = Simulator()
+        rngs = RngRegistry(seed=7)
+        server = AlbatrossServer(sim, rngs)
+        pod = server.add_pod(
+            PodConfig(name="snap-plb", data_cores=2, reorder_queues=1)
+        )
+        source = CbrSource(sim, rngs.stream("traffic"), pod.ingress,
+                           uniform_population(16, tenants=2),
+                           rate_pps=1_000_000)
+        sim.run_until(12 * MS)
+        source.stop()
+        sim.run_until(13 * MS)
+        assert pod.quiescent()
+        # Five-digit PSNs: wider than the ``null`` a plain run used to
+        # write where a sanitized one wrote its last released PSN.
+        assert pod.nic.reorder._queues[0].head_ptr >= 10_000
+        return snapshot_bytes(pod.checkpoint())
+
+    def test_pod_snapshot_bytes_identical_with_and_without_sanitizer(self):
+        plain = self._drained_pod_snapshot()
+        sanitizer = install()
+        assert self._drained_pod_snapshot() == plain
+        assert sanitizer.checks > 10_000
 
 
 class TestQueueAndSramChecks:
@@ -321,6 +397,9 @@ class TestScenarioIntegration:
         ["faults", "pod-crash-reschedule", "--quick"],
         ["simulate", "--cores", "2", "--duration-ms", "20"],
         ["migrate", "all", "--quick", "--seed", "7"],
+        # Full mode: released PSNs reach five digits, which a snapshot
+        # that recorded them (or ``null`` when unchecked) cannot hide.
+        ["migrate", "rebalance-hot-pod", "--seed", "7"],
     ], ids=" ".join)
     def test_sanitized_cli_stdout_is_byte_identical(self, argv, capsys):
         assert main(argv) == 0

@@ -203,6 +203,21 @@ class TestRunsCli:
         second = lines[1].split()[1:]
         assert first == second
 
+    def test_compare_timeseries_renders_window_rows(self, tmp_path, capsys):
+        runs_dir = str(tmp_path / "RUNS")
+        output = tmp_path / "armed.json"
+        assert main([
+            "sweep", SWEEP, "--quick", "--timeseries-every-ms", "5",
+            "--runs-dir", runs_dir, "--output", str(output),
+        ]) == 0
+        capsys.readouterr()
+        assert main([
+            "runs", "--runs-dir", runs_dir, "compare", "--timeseries", str(output),
+        ]) == 0
+        header, _rule, *rows = capsys.readouterr().out.splitlines()
+        assert header.split()[:4] == ["source", "shard", "window", "t_ms"]
+        assert {row.split()[1] for row in rows} == {"0", "1", "2", "3"}
+
     def test_compare_rejects_junk_exits_2(self, populated, tmp_path, capsys):
         runs_dir, _output = populated
         junk = tmp_path / "junk.json"

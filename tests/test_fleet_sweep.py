@@ -7,6 +7,7 @@ the machinery that invariant leans on -- injective shard seeding
 """
 
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +29,9 @@ from repro.fleet import (
 )
 from repro.scenarios import PodSpec, ScenarioSpec, WorkloadSpec, build
 from repro.sim.units import MS
+
+
+GOLDEN = Path(__file__).parent / "golden" / "SWEEP_tenant_scaling_quick.json"
 
 
 def _tiny_spec(seed=5, tenants=4):
@@ -205,6 +209,16 @@ class TestSweepCli:
     def test_unknown_sweep_rejected_by_parser(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["sweep", "nope"])
+
+    def test_quick_tenant_scaling_matches_committed_golden(self, tmp_path):
+        """The disabled-telemetry artifact, byte for byte: every change
+        that claims "reports byte-identical" is held to this file."""
+        output = tmp_path / "sweep.json"
+        assert main([
+            "sweep", "tenant-scaling", "--quick",
+            "--runs-dir", str(tmp_path / "RUNS"), "--output", str(output),
+        ]) == 0
+        assert output.read_bytes() == GOLDEN.read_bytes()
 
     def test_end_to_end_artifact(self, tmp_path, capsys):
         output = tmp_path / "sweep.json"

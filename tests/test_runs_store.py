@@ -24,6 +24,7 @@ from repro.runs import (
     spec_fingerprint,
 )
 from repro.runs.query import classify_artifact, list_rows, resolve_operand, show_rows
+from repro.runs.store import write_checkpoint_file
 
 
 @pytest.fixture
@@ -191,6 +192,18 @@ class TestShardCache:
         run.record_shard(0, fingerprint, _fake_result(0, shards[0].axes))
         assert not os.path.exists(run.checkpoint_path(0))
         assert run.load_checkpoint(0, fingerprint) is None
+
+    def test_written_checkpoint_round_trips(self, store, shards):
+        run = store.create("s", 1, shards, run_id="r")
+        fingerprint = spec_fingerprint(shards[0].spec)
+        write_checkpoint_file(run.checkpoint_path(0), fingerprint, {"taken_ns": 5})
+        assert run.load_checkpoint(0, fingerprint) == {"taken_ns": 5}
+        assert run.load_checkpoint(0, "another-spec") is None
+        assert read_json(run.checkpoint_path(0)) == {
+            "schema_version": 1,
+            "spec_hash": fingerprint,
+            "checkpoint": {"taken_ns": 5},
+        }
 
     def test_stale_checkpoint_is_none(self, store, shards):
         run = store.create("s", 1, shards, run_id="r")
