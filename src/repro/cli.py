@@ -274,23 +274,27 @@ def cmd_simulate(args):
     from repro.scenarios import PodSpec, ScenarioSpec, WorkloadSpec, build
     from repro.sim.units import MS, US
 
-    spec = ScenarioSpec(
-        name="cli-simulate",
-        pods=(
-            PodSpec(name="cli-pod", data_cores=args.cores, mode=args.mode,
-                    service=args.service),
-        ),
-        workload=WorkloadSpec(
-            kind="cbr", flows=args.flows, tenants=args.tenants,
-            load=args.load, stream="traffic",
-        ),
-        duration_ns=args.duration_ms * MS,
-        seed=args.seed,
-        timeseries_every_ns=(
-            None if args.timeseries_every_ms is None
-            else int(args.timeseries_every_ms * MS)
-        ),
-    )
+    try:
+        spec = ScenarioSpec(
+            name="cli-simulate",
+            pods=(
+                PodSpec(name="cli-pod", data_cores=args.cores, mode=args.mode,
+                        service=args.service),
+            ),
+            workload=WorkloadSpec(
+                kind="cbr", flows=args.flows, tenants=args.tenants,
+                load=args.load, stream="traffic",
+            ),
+            duration_ns=args.duration_ms * MS,
+            seed=args.seed,
+            timeseries_every_ns=(
+                None if args.timeseries_every_ms is None
+                else int(args.timeseries_every_ms * MS)
+            ),
+        )
+    except ValueError as error:
+        print(str(error), file=sys.stderr)
+        return 2
     handle = build(spec).run()
     pod = handle.pod
     rate = int(handle.capacity_pps() * args.load)

@@ -136,6 +136,12 @@ class WorkloadSpec(Spec):
                  f"unknown population {self.population!r}")
         _require((self.rate_pps is None) != (self.load is None),
                  "exactly one of rate_pps/load must be set")
+        _require(self.flows >= 1, f"workload flows must be >= 1, got {self.flows}")
+        _require(self.tenants >= 1,
+                 f"workload tenants must be >= 1, got {self.tenants}")
+        _require(self.zipf_exponent >= 0,
+                 f"zipf_exponent must be >= 0, got {self.zipf_exponent}")
+        _require(self.size >= 1, f"workload size must be >= 1, got {self.size}")
 
 
 @dataclass(eq=False)

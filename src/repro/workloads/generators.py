@@ -4,10 +4,17 @@ A :class:`FlowPopulation` is a weighted set of flows (per-tenant VNIs
 attached); sources draw flows from it and emit
 :class:`~repro.packet.packet.Packet` objects into a sink -- normally a GW
 pod's ``ingress``.
+
+A population costs what is *drawn* from it, not what is declared: the
+two factories describe flow ``i`` by arithmetic on ``i``
+(:class:`_TenantFlows`), so a million tenants are three integers until
+:meth:`FlowPopulation.choose` first draws one of their flows.
 """
 
 import bisect
 import itertools
+from array import array
+from collections.abc import Sequence
 
 from repro.packet.flows import flow_for_tenant
 from repro.packet.packet import Packet, PacketKind
@@ -15,21 +22,37 @@ from repro.sim.units import SECOND
 
 
 class FlowPopulation:
-    """Weighted flows: ``choose`` picks one proportionally to its weight."""
+    """Weighted flows: ``choose`` picks one proportionally to its weight.
+
+    ``flows`` and ``vnis`` are sequences -- lists, or views that compute
+    item ``i`` on demand -- held by reference.  What the population itself
+    keeps is one ``FlowKey`` per flow *drawn so far* (built on first draw,
+    at most ``len(flows)`` of them) and, only with ``weights``, one
+    ``array('d')`` of cumulative weight; a VNI is looked up per draw.
+    """
 
     def __init__(self, flows, weights=None, vnis=None):
-        self.flows = list(flows)
-        if not self.flows:
+        count = len(flows)
+        if not count:
             raise ValueError("population needs at least one flow")
         if weights is None:
-            weights = [1.0] * len(self.flows)
-        if len(weights) != len(self.flows):
-            raise ValueError("weights/flows length mismatch")
-        self.vnis = list(vnis) if vnis is not None else [0] * len(self.flows)
-        if len(self.vnis) != len(self.flows):
+            # No table: bisect_right over the equal weights' running sums
+            # [1.0, 2.0, ..., n] is exactly int(point) for 0 <= point < n,
+            # and their total is exactly float(n).
+            self._cumulative = None
+            self.total_weight = float(count)
+        else:
+            self._cumulative = array("d", itertools.accumulate(weights))
+            if len(self._cumulative) != count:
+                raise ValueError("weights/flows length mismatch")
+            self.total_weight = self._cumulative[-1]
+        self.flows = flows
+        self.vnis = vnis if vnis is not None else _TenantVnis(count, tenants=1)
+        if len(self.vnis) != count:
             raise ValueError("vnis/flows length mismatch")
-        self._cumulative = list(itertools.accumulate(weights))
-        self.total_weight = self._cumulative[-1]
+        self._vni_at = self.vnis.__getitem__  # bound once, called per draw
+        self._last = count - 1
+        self._drawn = {}
 
     def __len__(self):
         return len(self.flows)
@@ -37,21 +60,48 @@ class FlowPopulation:
     def choose(self, rng):
         """Return (flow, vni) sampled by weight."""
         point = rng.random() * self.total_weight
-        index = bisect.bisect_right(self._cumulative, point)
-        index = min(index, len(self.flows) - 1)
-        return self.flows[index], self.vnis[index]
+        table = self._cumulative
+        index = int(point) if table is None else bisect.bisect_right(table, point)
+        if index > self._last:
+            index = self._last
+        flow = self._drawn.get(index)
+        if flow is None:
+            flow = self._drawn[index] = self.flows[index]
+        return flow, self._vni_at(index)
+
+
+class _TenantFlows(Sequence):
+    """The factories' flows, computed per index and never stored: flow
+    ``i`` belongs to tenant ``i // flows_per_tenant % tenants``."""
+
+    def __init__(self, count, tenants, flows_per_tenant=None):
+        if flows_per_tenant is None:
+            flows_per_tenant = max(1, count // max(1, tenants))
+        if min(count, tenants, flows_per_tenant) < 1:
+            raise ValueError("flows, tenants and flows per tenant must be >= 1")
+        self._indexes = range(count)  # bounds check and negative indexes
+        self.tenants = tenants
+        self.flows_per_tenant = flows_per_tenant
+
+    def __len__(self):
+        return len(self._indexes)
+
+    def __getitem__(self, index):
+        index = self._indexes[index]
+        return flow_for_tenant(index // self.flows_per_tenant % self.tenants, index)
+
+
+class _TenantVnis(_TenantFlows):
+    """The VNI (tenant) of each of those flows."""
+
+    def __getitem__(self, index):
+        return self._indexes[index] // self.flows_per_tenant % self.tenants
 
 
 def uniform_population(flow_count, tenants=1, flows_per_tenant=None):
     """Equal-weight flows spread across ``tenants`` VNIs."""
-    if flows_per_tenant is None:
-        flows_per_tenant = max(1, flow_count // tenants)
-    flows, vnis = [], []
-    for index in range(flow_count):
-        tenant = index // flows_per_tenant % tenants
-        flows.append(flow_for_tenant(tenant, index))
-        vnis.append(tenant)
-    return FlowPopulation(flows, vnis=vnis)
+    layout = (flow_count, tenants, flows_per_tenant)
+    return FlowPopulation(_TenantFlows(*layout), vnis=_TenantVnis(*layout))
 
 
 def zipf_population(flow_count, exponent=1.05, tenants=1, flows_per_tenant=None):
@@ -60,15 +110,13 @@ def zipf_population(flow_count, exponent=1.05, tenants=1, flows_per_tenant=None)
     ``exponent`` ~1 gives the heavy skew that produces the paper's 30-45%
     L3 hit rates despite multi-GB tables.
     """
-    if flows_per_tenant is None:
-        flows_per_tenant = max(1, flow_count // tenants)
-    flows, vnis, weights = [], [], []
-    for index in range(flow_count):
-        tenant = index // flows_per_tenant % tenants
-        flows.append(flow_for_tenant(tenant, index))
-        vnis.append(tenant)
-        weights.append(1.0 / (index + 1) ** exponent)
-    return FlowPopulation(flows, weights=weights, vnis=vnis)
+    if exponent < 0:
+        raise ValueError(f"zipf exponent must be >= 0, got {exponent}")
+    layout = (flow_count, tenants, flows_per_tenant)
+    weights = (1.0 / (index + 1) ** exponent for index in range(flow_count))
+    return FlowPopulation(
+        _TenantFlows(*layout), weights=weights, vnis=_TenantVnis(*layout)
+    )
 
 
 class _SourceBase:

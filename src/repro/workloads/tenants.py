@@ -40,7 +40,7 @@ class TenantSet:
             source = CbrSource(
                 sim,
                 rng,
-                self._sink_for(profile, sink),
+                sink,
                 profile.population(),
                 profile.rate_pps,
                 size=profile.size,
@@ -48,12 +48,6 @@ class TenantSet:
             self.sources[profile.vni] = source
             for time_ns, rate_pps in profile.rate_changes:
                 sim.schedule_at(time_ns, source.set_rate, rate_pps)
-
-    def _sink_for(self, profile, sink):
-        def deliver(packet):
-            sink(packet)
-
-        return deliver
 
     def emitted(self, vni):
         return self.sources[vni].emitted

@@ -58,6 +58,20 @@ class TestCommands:
         assert code == 0
         assert "reorder:" not in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "flag, message",
+        [("--tenants", "tenants must be >= 1"), ("--flows", "flows must be >= 1")],
+    )
+    def test_simulate_degenerate_workload_exits_2(self, capsys, flag, message):
+        """Regression: ``--tenants 0`` died with a ``ZeroDivisionError``
+        traceback from inside ``uniform_population``, ``--flows 0`` with an
+        uncaught ``ValueError``."""
+        code = main(["simulate", "--cores", "2", "--duration-ms", "5", flag, "0"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+
     def test_experiment_by_name(self, capsys):
         code = main(["experiment", "fig15"])
         assert code == 0

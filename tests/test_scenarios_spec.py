@@ -75,6 +75,20 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="rate_pps/load"):
             WorkloadSpec()
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("flows", 0), ("flows", -1), ("tenants", 0), ("tenants", -4),
+            ("zipf_exponent", -0.1), ("size", 0),
+        ],
+    )
+    def test_degenerate_workload_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            WorkloadSpec(load=0.5, **{field: value})
+
+    def test_smallest_workload_accepted(self):
+        WorkloadSpec(load=0.5, flows=1, tenants=1, zipf_exponent=0, size=1)
+
     def test_duplicate_pod_names_rejected(self):
         with pytest.raises(ValueError, match="duplicate pod name"):
             ScenarioSpec(name="x", pods=(PodSpec(name="a"), PodSpec(name="a")))

@@ -1,12 +1,17 @@
 """Workload generator and metrics tests."""
 
+import random
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tests import reference_population as reference
 from repro.metrics.counters import CounterSet
 from repro.metrics.histogram import LatencyHistogram
 from repro.metrics.summary import UtilizationSampler, mean, stddev
+from repro.scenarios import build, scenario_spec
 from repro.sim import MS, SECOND, Simulator
 from repro.sim.rng import RngRegistry
 from repro.workloads.generators import (
@@ -65,6 +70,175 @@ class TestPopulations:
             flow, vni = population.choose(rng)
             assert flow in population.flows
             assert 0 <= vni < tenants
+
+
+def _assert_same_draws(population, oracle, make_rng, draws=2000):
+    """``population`` and the eager ``oracle`` draw the same pairs from
+    identical RNGs and leave them in the same state."""
+    rng, oracle_rng = make_rng(), make_rng()
+    for _ in range(draws):
+        assert population.choose(rng) == oracle.choose(oracle_rng)
+    assert rng.getstate() == oracle_rng.getstate()
+    assert len(population) == len(oracle)
+
+
+class _ScriptedRng(random.Random):
+    """``random()`` replays ``points``: puts a draw exactly where we want it."""
+
+    def __init__(self, points):
+        super().__init__(0)
+        self._points = iter(points)
+
+    def random(self):
+        return next(self._points)
+
+
+class TestPopulationDrawEquivalence:
+    """The index-computed population against the eager one it replaced
+    (``tests/reference_population.py``): a draw must never move."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 5000).flatmap(
+            lambda count: st.tuples(st.just(count), st.integers(1, count + 3))
+        ),
+        st.none() | st.integers(1, 50),
+        st.floats(0.5, 2.0),
+        st.integers(0, 2**32),
+    )
+    def test_property_factories_match_eager_reference(
+        self, layout, flows_per_tenant, exponent, seed
+    ):
+        flow_count, tenants = layout
+        kwargs = {"tenants": tenants, "flows_per_tenant": flows_per_tenant}
+        for population, oracle in (
+            (
+                uniform_population(flow_count, **kwargs),
+                reference.uniform_population(flow_count, **kwargs),
+            ),
+            (
+                zipf_population(flow_count, exponent, **kwargs),
+                reference.zipf_population(flow_count, exponent, **kwargs),
+            ),
+        ):
+            _assert_same_draws(population, oracle, lambda: random.Random(seed))
+            assert list(population.flows) == oracle.flows
+            assert list(population.vnis) == oracle.vnis
+
+    @pytest.mark.parametrize(
+        "flow_count, weights, vnis",
+        [
+            (2, [9.0, 1.0], [1, 2]),
+            (2, [9, 1], None),  # int weights, default VNIs
+            (1, None, [7]),  # a single flow, as fig. 8/9/10 pass
+            (1, [0.25], None),
+            (5, None, None),
+        ],
+    )
+    def test_explicit_lists_match_eager_reference(self, flow_count, weights, vnis):
+        flows = list(reference.uniform_population(flow_count, tenants=3).flows)
+        population = FlowPopulation(flows, weights=weights, vnis=vnis)
+        oracle = reference.FlowPopulation(flows, weights=weights, vnis=vnis)
+        _assert_same_draws(population, oracle, lambda: random.Random(5))
+        assert list(population.flows) == oracle.flows
+        assert list(population.vnis) == oracle.vnis
+        assert population.total_weight == oracle.total_weight
+
+    @pytest.mark.parametrize("flow_count", [1, 2, 3, 7, 10, 49, 64, 1000])
+    def test_points_on_integer_boundaries(self, flow_count):
+        """``point`` landing on (or a rounding error beside) a cumulative
+        weight: ``k / n * n`` for every ``k``, and the largest ``random()``."""
+        points = [k / flow_count for k in range(flow_count)] + [1.0 - 2.0**-53]
+        for make, make_oracle in (
+            (uniform_population, reference.uniform_population),
+            (
+                lambda n: zipf_population(n, exponent=0.0),
+                lambda n: reference.zipf_population(n, exponent=0.0),
+            ),
+        ):
+            _assert_same_draws(
+                make(flow_count),
+                make_oracle(flow_count),
+                lambda: _ScriptedRng(points),
+                draws=len(points),
+            )
+
+    def test_views_are_sequences(self):
+        population = uniform_population(10, tenants=3, flows_per_tenant=2)
+        oracle = reference.uniform_population(10, tenants=3, flows_per_tenant=2)
+        assert len(population.flows) == len(population.vnis) == 10
+        assert population.flows[-1] == oracle.flows[-1]
+        assert population.vnis[4] == oracle.vnis[4]
+        assert oracle.flows[3] in population.flows
+        with pytest.raises(IndexError):
+            population.flows[10]
+        with pytest.raises(IndexError):
+            population.vnis[-11]
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"flow_count": 0},
+            {"flow_count": 10, "tenants": 0},
+            {"flow_count": 10, "tenants": -1},
+            {"flow_count": 10, "flows_per_tenant": 0},
+        ],
+    )
+    def test_factories_reject_degenerate_layouts(self, kwargs):
+        for factory in (uniform_population, zipf_population):
+            with pytest.raises(ValueError):
+                factory(**kwargs)
+        with pytest.raises(ValueError):
+            zipf_population(10, exponent=-0.5)
+
+
+class TestPopulationScale:
+    """A population costs what is drawn, not what is declared -- in bytes
+    under ``tracemalloc``, so a slow host cannot flake it."""
+
+    MILLION = 1_000_000
+
+    @staticmethod
+    def _traced(fn):
+        """``(result, current_bytes, peak_bytes)`` of running ``fn``."""
+        tracemalloc.start()
+        try:
+            result = fn()
+            return (result, *tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+
+    def test_uniform_million_is_constant_size(self):
+        _, _, peak = self._traced(
+            lambda: uniform_population(self.MILLION, tenants=self.MILLION)
+        )
+        assert peak < 64 * 1024
+
+    def test_zipf_million_is_one_flat_column(self):
+        # array('d') cumulative weights (8 B/flow, over-allocated while it
+        # grows) -- never a list of boxed floats (~300 B/flow when eager).
+        _, _, peak = self._traced(
+            lambda: zipf_population(self.MILLION, tenants=self.MILLION)
+        )
+        assert peak < 24 * self.MILLION
+
+    def test_resident_state_is_bounded_by_draws(self):
+        draws = 10_000
+
+        def draw():
+            population = uniform_population(self.MILLION, tenants=self.MILLION)
+            rng = random.Random(9)
+            for _ in range(draws):
+                population.choose(rng)
+            return population  # still alive when the bytes are read
+
+        _, current, _ = self._traced(draw)
+        assert current < draws * 400  # a FlowKey and its memo slot each
+
+    def test_building_a_million_tenant_shard_is_small(self):
+        spec = scenario_spec("fleet-steady", tenants=self.MILLION)
+        _, _, peak = self._traced(lambda: build(spec))
+        assert peak < 4 * 1024 * 1024
 
 
 class TestSources:
