@@ -10,11 +10,6 @@ Commands:
   :mod:`repro.faults.scenarios` and print its recovery report.  With
   ``REPRO_SANITIZE=1`` in the environment the run is sanitized (summary on
   stderr; stdout stays byte-identical to an unsanitized run).
-* ``bench`` -- run the canonical performance scenarios
-  (:mod:`repro.perf`), print per-scenario throughput, and write
-  ``BENCH_repro.json``.  With ``--baseline`` it exits 1 when any scenario
-  regresses more than ``--max-regress`` (default 10%), 2 when the
-  baseline file is missing.
 * ``sweep`` -- shard a named parameter sweep (:mod:`repro.fleet`)
   across worker processes and write the merged ``SWEEP_repro.json``;
   the merged report is byte-identical for any ``--workers`` count.
@@ -131,35 +126,6 @@ def build_parser():
         "scenario",
         choices=FAULT_SCENARIOS + ("all",),
         help="named scenario (or 'all')",
-    )
-
-    bench = commands.add_parser(
-        "bench", help="benchmark the simulator hot path",
-        parents=[quick_parent],
-    )
-    bench.add_argument(
-        "--output", default="BENCH_repro.json",
-        help="report path (default: BENCH_repro.json)",
-    )
-    bench.add_argument(
-        "--baseline", default=None,
-        help="prior BENCH_*.json to compare against",
-    )
-    bench.add_argument(
-        "--max-regress", default="10%",
-        help="allowed throughput drop vs the baseline (e.g. 10%%, 0.1)",
-    )
-    bench.add_argument(
-        "--scenario", action="append", dest="scenarios", metavar="NAME",
-        help="run only this scenario (repeatable)",
-    )
-    bench.add_argument(
-        "--repeat", type=int, default=1,
-        help="replicate each scenario N times, keep the best wall time",
-    )
-    bench.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes for --repeat replications (0 = auto)",
     )
 
     sweep = commands.add_parser(
@@ -382,68 +348,6 @@ def cmd_migrate(args):
     return 0
 
 
-def cmd_bench(args):
-    import json
-    import os
-
-    from repro.perf import (
-        compare_to_baseline, parse_max_regress, run_bench, write_report,
-    )
-
-    try:
-        budget = parse_max_regress(args.max_regress)
-    except ValueError as error:
-        print(f"bad --max-regress: {error}", file=sys.stderr)
-        return 2
-    baseline = None
-    if args.baseline is not None:
-        # Fail before spending minutes benchmarking against nothing.
-        if not os.path.exists(args.baseline):
-            print(f"baseline file not found: {args.baseline}", file=sys.stderr)
-            return 2
-        with open(args.baseline, encoding="utf-8") as handle:
-            baseline = json.load(handle)
-
-    try:
-        report = run_bench(
-            quick=args.quick, names=args.scenarios,
-            repeat=args.repeat, workers=args.workers,
-        )
-    except ValueError as error:
-        print(str(error), file=sys.stderr)
-        return 2
-    write_report(report, args.output)
-
-    mode = "quick" if args.quick else "full"
-    print(f"bench ({mode} mode) -> {args.output}")
-    for name, entry in report["scenarios"].items():
-        if entry["events_per_sec"] is not None:
-            rate_text = f", {entry['events_per_sec']:,.0f} events/s"
-        elif entry["wall_pps"] is not None:
-            rate_text = f", {entry['wall_pps']:,.0f} pkts/s (wall)"
-        else:
-            rate_text = ""
-        print(f"  {name}: {entry['wall_s']:.3f} s wall{rate_text}")
-
-    if baseline is not None:
-        try:
-            regressions = compare_to_baseline(report, baseline, budget)
-        except ValueError as error:
-            print(f"baseline comparison failed: {error}", file=sys.stderr)
-            return 2
-        if regressions:
-            print(f"\nregressions beyond {budget:.0%} vs {args.baseline}:")
-            for item in regressions:
-                print(
-                    f"  {item['scenario']}: {item['metric']} "
-                    f"{item['baseline']:g} -> {item['current']:g} "
-                    f"({item['change_pct']:+.1f}%)"
-                )
-            return 1
-        print(f"\nno regressions beyond {budget:.0%} vs {args.baseline}")
-    return 0
-
-
 def cmd_lint(args):
     from repro.analysis import all_project_rules, all_rules, lint_paths, select_rules
 
@@ -529,9 +433,9 @@ def cmd_inventory(_args):
 def cmd_sweep(args):
     from repro.fleet import (
         ShardFailure, build_sweep, default_workers, run_sweep,
-        sweep_to_json, with_timeseries, write_sweep_report,
+        sweep_to_json, with_timeseries,
     )
-    from repro.runs import RunStore, RunStoreError
+    from repro.runs import RunStore, RunStoreError, atomic_write_text
     from repro.sim.units import MS
 
     shards = build_sweep(args.name, quick=args.quick, seed=args.seed)
@@ -567,7 +471,7 @@ def cmd_sweep(args):
         )
         return 1
     text = sweep_to_json(report)
-    write_sweep_report(report, args.output)
+    atomic_write_text(args.output, text)
     run.write_merged(text)
     cached = report.cached_shards
     print(
@@ -591,7 +495,6 @@ def main(argv=None):
         "simulate": cmd_simulate,
         "experiment": cmd_experiment,
         "faults": cmd_faults,
-        "bench": cmd_bench,
         "sweep": cmd_sweep,
         "runs": cmd_runs,
         "migrate": cmd_migrate,

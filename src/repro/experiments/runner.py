@@ -1,12 +1,7 @@
-"""Run every experiment and print its table: ``python -m repro.experiments.runner``.
+"""The experiment registry behind ``python -m repro experiment all|<name>``.
 
-Useful for regenerating the EXPERIMENTS.md numbers in one pass.  Each
-experiment is independent; pass ``--quick`` for shorter runs.
+Each experiment is independent; ``--quick`` scales the simulated runs down.
 """
-
-import argparse
-import sys
-import time  # lint: disable=DET001(host-side wall-clock timing of experiment runs, not sim state)
 
 
 def all_experiments(quick=False):
@@ -67,23 +62,3 @@ def all_experiments(quick=False):
     yield "ablation_offload_sim", ablations.run_session_offload_sim
     yield "appendix_split", appendix_nic.run_header_split
     yield "appendix_port", appendix_nic.run_port_overload
-
-
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--quick", action="store_true", help="shorter runs")
-    parser.add_argument("--only", help="run a single experiment by name")
-    args = parser.parse_args(argv)
-
-    for name, fn in all_experiments(quick=args.quick):
-        if args.only and name != args.only:
-            continue
-        started = time.perf_counter()
-        result = fn()
-        result.print_table()
-        print(f"  [{name} took {time.perf_counter() - started:.1f}s]")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -147,7 +147,7 @@ def _export_import_path():
 
 
 def pool_map(fn, payloads, workers, on_result=None):
-    """Order-preserving parallel map (the bench harness reuses this).
+    """Order-preserving parallel map.
 
     ``workers <= 1`` runs inline -- same code path, no pool -- so a
     parallel run can always be cross-checked against a serial one.

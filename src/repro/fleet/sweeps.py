@@ -8,7 +8,7 @@ specs from the unified scenario registry:
   mode spans 1k-50k but still covers >= 100k tenants *in total*, the CI
   smoke bar).  Per-flow state, limiter pressure and histogram shape all
   scale with the axis while the offered load fraction stays fixed.
-* ``seed-replication`` -- the steady-state bench scenario replicated
+* ``seed-replication`` -- the ``steady-state-plb`` scenario replicated
   under independently derived seeds: the cheap way to tell a real
   regression from seed luck, and the fleet engine's own determinism
   canary (every replica is a byte-stable sub-run).

@@ -1,31 +1,1 @@
-"""Performance benchmark harness (``python -m repro bench``).
-
-The hot-path work in :mod:`repro.sim.engine` and friends only stays fast
-if something measures it.  This package defines a small set of canonical
-scenarios (:mod:`repro.perf.scenarios`) and a harness
-(:mod:`repro.perf.harness`) that times them, writes a stable JSON report
-(``BENCH_repro.json``), and can compare a fresh run against a saved
-baseline to fail CI on a throughput regression.
-
-Scenarios never read the wall clock themselves -- all host-side timing
-lives in the harness, so the scenario module stays clean under the
-determinism linter.
-"""
-
-from repro.perf.harness import (
-    SCHEMA_VERSION,
-    compare_to_baseline,
-    parse_max_regress,
-    run_bench,
-    write_report,
-)
-from repro.perf.scenarios import SCENARIOS
-
-__all__ = [
-    "SCENARIOS",
-    "SCHEMA_VERSION",
-    "compare_to_baseline",
-    "parse_max_regress",
-    "run_bench",
-    "write_report",
-]
+"""Host facts for the repo benchmark (``BENCHMARK.json``, ``benchmarks/perf/``)."""

@@ -1,35 +1,10 @@
-"""Benchmark timing, report schema, and baseline comparison.
+"""``host_metadata``, the one function ``benchmarks/perf/child.py`` imports."""
 
-The report written to ``BENCH_repro.json`` is a stable, append-friendly
-schema::
+# The next ``benchmark`` issue inlines this into child.py and deletes
+# ``src/repro/perf/``; no other PR may touch ``benchmarks/perf``.
 
-    {"schema_version": 1,
-     "created_unix": <int>,
-     "quick": <bool>,
-     "host": {"python": ..., "implementation": ..., "platform": ...,
-              "machine": ..., "cpu_count": ...},
-     "scenarios": {"steady-state-plb": {"wall_s": ..., "events": ...,
-                                        "packets": ..., "sim_ns": ...,
-                                        "events_per_sec": ...,
-                                        "sim_pps": ..., "wall_pps": ...},
-                   ...}}
-
-``events_per_sec`` (engine events retired per wall second) is the primary
-regression metric; ``wall_pps`` (packets delivered per wall second) is the
-fallback for scenarios that aggregate several simulators and report no
-single event count.  ``sim_pps`` is the *simulated* packet rate -- a
-determinism check, not a speed metric: it must not move between runs of
-the same code.
-"""
-
-import json
 import os
 import platform
-import time  # lint: disable=DET001(host-side wall-clock benchmark timing, not sim state)
-
-from repro.perf.scenarios import SCENARIOS
-
-SCHEMA_VERSION = 1
 
 
 def host_metadata():
@@ -41,230 +16,3 @@ def host_metadata():
         "machine": platform.machine(),
         "cpu_count": os.cpu_count(),
     }
-
-
-def _entry(wall_s, events, packets, sim_ns):
-    return {
-        "wall_s": round(wall_s, 6),
-        "events": events,
-        "packets": packets,
-        "sim_ns": sim_ns,
-        "events_per_sec": (
-            round(events / wall_s, 1) if events and wall_s > 0 else None
-        ),
-        "sim_pps": round(packets / (sim_ns / 1e9), 1) if sim_ns else None,
-        "wall_pps": round(packets / wall_s, 1) if packets and wall_s > 0 else None,
-    }
-
-
-def _time_scenario(fn, quick):
-    start = time.perf_counter()
-    raw = fn(quick)
-    wall_s = time.perf_counter() - start
-    return _entry(
-        wall_s, raw.get("events"), raw.get("packets") or 0, raw.get("sim_ns")
-    )
-
-
-def _bench_job(payload):
-    """One timed scenario run -- top-level so worker processes can pickle it."""
-    fn = dict(SCENARIOS)[payload["name"]]
-    return _time_scenario(fn, payload["quick"])
-
-
-def _consolidate(name, runs):
-    """Fold repeat runs of one scenario into a single entry.
-
-    The simulated quantities are a determinism cross-check: every repeat
-    replays the same seeded event stream, so ``events``/``packets``/
-    ``sim_ns`` must agree exactly.  Wall time keeps the best (minimum)
-    run, the standard practice for noisy timing.
-    """
-    first = runs[0]
-    for other in runs[1:]:
-        for key in ("events", "packets", "sim_ns"):
-            if other[key] != first[key]:
-                raise RuntimeError(
-                    f"scenario {name!r} is nondeterministic across repeats: "
-                    f"{key} {first[key]} vs {other[key]}"
-                )
-    wall_s = min(run["wall_s"] for run in runs)
-    return _entry(wall_s, first["events"], first["packets"], first["sim_ns"])
-
-
-class BenchReport(dict):
-    """The bench artifact: a plain dict plus the common report shape."""
-
-    def to_dict(self):
-        return dict(self)
-
-    def rows(self):
-        """Per-scenario rows for table rendering / cross-report joins."""
-        return [
-            {"scenario": name, **entry}
-            for name, entry in self.get("scenarios", {}).items()
-        ]
-
-
-def run_bench(quick=False, names=None, repeat=1, workers=1):
-    """Run the canonical scenarios and return the :class:`BenchReport`.
-
-    ``names`` optionally restricts the run to a subset (unknown names
-    raise ``ValueError`` so a CLI typo fails loudly).  ``repeat``
-    replicates every scenario and keeps the best wall time; ``workers``
-    spreads the replications across processes (0 = auto).  The simulated
-    quantities are asserted identical across repeats.
-    """
-    available = dict(SCENARIOS)
-    if names is not None:
-        unknown = [name for name in names if name not in available]
-        if unknown:
-            raise ValueError(
-                f"unknown scenario(s) {', '.join(unknown)}; "
-                f"choose from {', '.join(name for name, _ in SCENARIOS)}"
-            )
-    if repeat < 1:
-        raise ValueError(f"repeat must be >= 1, got {repeat}")
-    from repro.fleet import default_workers, pool_map
-
-    selected = [
-        (name, fn) for name, fn in SCENARIOS
-        if names is None or name in names
-    ]
-    payloads = [
-        {"name": name, "quick": bool(quick)}
-        for name, _fn in selected
-        for _ in range(repeat)
-    ]
-    workers = workers if workers > 0 else default_workers()
-    timings = pool_map(_bench_job, payloads, workers=workers)
-    report = BenchReport({
-        "schema_version": SCHEMA_VERSION,
-        "created_unix": int(time.time()),
-        "quick": bool(quick),
-        "repeat": int(repeat),
-        "host": host_metadata(),
-        "scenarios": {},
-    })
-    for index, (name, _fn) in enumerate(selected):
-        runs = timings[index * repeat:(index + 1) * repeat]
-        report["scenarios"][name] = _consolidate(name, runs)
-    return report
-
-
-def write_report(report, path):
-    """Write the report as deterministic-key-order JSON (atomically)."""
-    from repro.runs.atomic import atomic_write_text
-
-    atomic_write_text(path, json.dumps(dict(report), indent=2) + "\n")
-
-
-def parse_max_regress(text):
-    """Parse a regression budget: ``10%``, ``10`` and ``0.10`` all mean 10%.
-
-    Bare numbers above 1 are read as percentages; at or below 1 as
-    fractions.  Returns the fraction.
-    """
-    value = str(text).strip()
-    if value.endswith("%"):
-        fraction = float(value[:-1]) / 100.0
-    else:
-        number = float(value)
-        fraction = number / 100.0 if number > 1.0 else number
-    if fraction < 0:
-        raise ValueError(f"regression budget must be >= 0, got {text!r}")
-    return fraction
-
-
-def _usable(value):
-    """True for a rate metric comparisons can use: a non-zero number.
-
-    ``None`` (a scenario that reported no events), missing keys and
-    string debris from hand-edited baselines all fail this test.
-    """
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and value
-
-
-def _timing(value):
-    """True for a usable ``wall_s``: any number, **including zero**.
-
-    A sub-resolution wall time legitimately rounds to 0.0; treating it
-    as missing would make the comparison flap between runs of the same
-    code.  (A zero *rate* stays unusable -- it means "not measured".)
-    """
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def compare_to_baseline(report, baseline, max_regress):
-    """Compare ``report`` against ``baseline``; return regression records.
-
-    For each scenario present in both, the primary throughput metric
-    (``events_per_sec``, else ``wall_pps``) must be at least
-    ``(1 - max_regress)`` of the baseline value.  Scenarios with neither
-    metric (aggregate suites) fall back to ``wall_s``, which must not
-    *grow* beyond ``(1 + max_regress)``.  Scenarios missing from either
-    side are skipped -- the bench set may grow over time without
-    invalidating old baselines.
-
-    A scenario that reports no events emits ``events_per_sec: null``;
-    such entries fall through to the next metric.  A scenario with no
-    usable metric *in the current report* is skipped (it measured
-    nothing, so nothing can regress); one whose report is measurable but
-    whose baseline entry carries only nulls or non-numeric debris raises
-    ``ValueError`` naming the scenario (a truncated or hand-edited
-    baseline must fail loudly, not TypeError deep inside a comparison).
-    """
-    baseline_scenarios = (
-        baseline.get("scenarios") if isinstance(baseline, dict) else None
-    )
-    if not isinstance(baseline_scenarios, dict):
-        raise ValueError(
-            "baseline is not a bench report (no 'scenarios' mapping); "
-            "re-create it with: python -m repro bench"
-        )
-    regressions = []
-    for name, entry in report.get("scenarios", {}).items():
-        base = baseline_scenarios.get(name)
-        if base is None:
-            continue
-        if not isinstance(base, dict):
-            raise ValueError(
-                f"baseline entry for scenario {name!r} is not a mapping; "
-                "the baseline file may be truncated or hand-edited"
-            )
-        metrics = ("events_per_sec", "wall_pps", "wall_s")
-        for metric in metrics:
-            new_value = entry.get(metric)
-            old_value = base.get(metric)
-            ok = _timing if metric == "wall_s" else _usable
-            if ok(new_value) and ok(old_value):
-                break
-        else:
-            if not any(
-                (_timing if metric == "wall_s" else _usable)(entry.get(metric))
-                for metric in metrics
-            ):
-                # The scenario measured nothing on our side either (an
-                # aggregate suite too fast to time) -- nothing to regress.
-                continue
-            raise ValueError(
-                f"scenario {name!r} has no comparable metric pair: the "
-                "report carries a usable metric but the baseline's "
-                "events_per_sec / wall_pps / wall_s are all null or "
-                "missing (truncated or hand-edited baseline?)"
-            )
-        if metric == "wall_s":
-            # A zero baseline wall time cannot be judged (and must not
-            # divide); anything measured against it passes.
-            regressed = old_value > 0 and new_value > old_value * (1.0 + max_regress)
-        else:
-            regressed = new_value < old_value * (1.0 - max_regress)
-        if regressed:
-            regressions.append({
-                "scenario": name,
-                "metric": metric,
-                "baseline": old_value,
-                "current": new_value,
-                "change_pct": round((new_value - old_value) / old_value * 100, 1),
-            })
-    return regressions

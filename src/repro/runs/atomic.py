@@ -1,8 +1,8 @@
 """Crash-safe artifact writes: tmp file + ``os.replace``.
 
-Every JSON artifact the toolkit persists (``SWEEP_repro.json``,
-``BENCH_repro.json``, the run store's manifests, shard results and
-mid-shard checkpoints) goes through :func:`atomic_write_text`.  A plain
+Every JSON artifact the toolkit persists (``SWEEP_repro.json``, the
+run store's manifests, shard results and mid-shard checkpoints) goes
+through :func:`atomic_write_text`.  A plain
 truncate-then-write leaves a half-written file behind when the process
 dies mid-write -- exactly the moment a *durable* run store must survive
 -- so writers stage the full payload in a sibling temp file and publish

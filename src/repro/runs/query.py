@@ -1,8 +1,9 @@
 """The ``python -m repro runs`` query layer.
 
 Reads what the toolkit has accumulated on disk -- ``RUNS/<run-id>/``
-directories, merged ``SWEEP_*.json`` artifacts and ``BENCH_*.json``
-reports -- and renders cross-run trajectory tables with the repo's
+directories, merged ``SWEEP_*.json`` artifacts and the benchmark
+ledger's ``BENCH_<pr>.json`` (``benchmarks/trajectory/``) -- and
+renders cross-run trajectory tables with the repo's
 :func:`~repro.experiments.common.format_table`.  Everything here is a
 pure function of the files it reads: listing or comparing runs never
 mutates the store.
@@ -116,7 +117,7 @@ def classify_artifact(payload):
         return None
     if "sweep" in payload and "merged" in payload:
         return "sweep"
-    if "scenarios" in payload:
+    if "schema" in payload and isinstance(payload.get("workloads"), dict):
         return "bench"
     return None
 
@@ -138,18 +139,22 @@ def _sweep_rows(source, payload):
 
 
 def _bench_rows(source, payload):
+    """One row per workload of a ``benchmarks/perf/run.py --out`` ledger."""
     rows = []
-    for name, entry in payload.get("scenarios", {}).items():
+    for name, entry in payload["workloads"].items():
         if not isinstance(entry, dict):
             continue
+        metrics = entry.get("untraced", {}).get("metrics", {})
         rows.append({
             "source": source,
             "kind": "bench",
             "name": name,
-            "wall_s": entry.get("wall_s", "-"),
-            "events": entry.get("events", "-"),
-            "packets": entry.get("packets", "-"),
-            "events_per_sec": entry.get("events_per_sec", "-"),
+            "seed": payload.get("seed", "-"),
+            "commit": str(payload.get("commit", "-"))[:7],
+            **{key: metrics.get(key, "-") for key in (
+                "wall_s", "pkts_per_s", "peak_rss_mb", "setup_s",
+                "sim_delivered_frac",
+            )},
         })
     return rows
 
@@ -182,7 +187,7 @@ def resolve_operand(operand, store):
     if kind is None:
         raise RunStoreError(
             f"{operand!r} is not a SWEEP or BENCH artifact "
-            "(expected a 'sweep'+'merged' or a 'scenarios' mapping)"
+            "(expected 'sweep'+'merged', or 'schema' + a 'workloads' mapping)"
         )
     return os.path.basename(operand), kind, payload
 

@@ -5,9 +5,8 @@
   duration, seed -- serializable via ``to_dict``/``from_dict``.
 * :func:`build` turns a spec into a live :class:`RunHandle` (simulator,
   server, pods, sources) every entry point drives: ``simulate`` runs one
-  and prints it, ``bench`` times them, ``faults`` wires injectors onto
-  them, and ``sweep`` ships them to worker processes and merges the
-  run reports.
+  and prints it, ``faults`` wires injectors onto them, and ``sweep``
+  ships them to worker processes and merges the run reports.
 * :mod:`repro.scenarios.registry` names the canonical specs.
 """
 

@@ -1,7 +1,7 @@
 """The unified scenario registry.
 
-One place that names every canonical :class:`ScenarioSpec`; ``bench``
-runs them under a timer, ``sweep`` shards them across workers, and
+One place that names every canonical :class:`ScenarioSpec`; ``sweep``
+shards them across workers, the repo benchmark times them, and
 ``python -m repro inventory`` lists them next to the experiments and
 fault plans.  Each entry is a factory ``fn(quick) -> ScenarioSpec`` so
 quick mode can shorten durations without forking the definition.

@@ -2,9 +2,9 @@
 
 A :class:`ScenarioSpec` is the single way to say "this deployment, this
 workload, this long, this seed" -- every entry point (``simulate``,
-``bench``, ``faults``, ``sweep``) builds its servers from one, so a
-scenario defined once is runnable from every command and shardable
-across a worker fleet.
+``faults``, ``sweep``) builds its servers from one, so a scenario
+defined once is runnable from every command and shardable across a
+worker fleet.
 
 Specs are **plain data**: every field is a scalar, a nested spec or a
 tuple of nested specs, declared exactly once as a dataclass field, so a

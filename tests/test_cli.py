@@ -1,8 +1,31 @@
 """CLI tests."""
 
+import re
+import shlex
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+
+REPO = Path(__file__).parent.parent
+DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md")
+DOC_COMMAND = re.compile(r"^\s*(?:[A-Z_]+=\S+\s+)*python3? -m repro\s+(.*)$")
+
+
+def _documented_commands():
+    """``(doc:line, argv)`` for every ``python -m repro ...`` line the docs show."""
+    found = []
+    for doc in DOCS:
+        for number, line in enumerate((REPO / doc).read_text().splitlines(), 1):
+            match = DOC_COMMAND.match(line)
+            if match is None:
+                continue
+            command = re.split(r" #| > | \| ", match.group(1))[0]
+            if "<" in command or "--help" in command:
+                continue
+            found.append((f"{doc}:{number}", shlex.split(command)))
+    return found
 
 
 class TestParser:
@@ -43,6 +66,24 @@ class TestParser:
     def test_sanitize_rejects_unknown_scenario(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["sanitize", "nope"])
+
+    def test_bench_is_not_a_command(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["bench"])
+
+    def test_every_documented_command_parses(self):
+        """Regression: README advertised ``simulate steady-state-plb``, which
+        argparse rejects (``simulate`` takes no positional)."""
+        commands = _documented_commands()
+        assert len(commands) >= 30
+        parser = build_parser()
+        rejected = []
+        for where, argv in commands:
+            try:
+                parser.parse_args(argv)
+            except SystemExit:
+                rejected.append(f"{where}: {' '.join(argv)}")
+        assert rejected == []
 
 
 class TestCommands:

@@ -9,6 +9,7 @@ stale result leaking into a merged artifact.
 
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -23,8 +24,21 @@ from repro.runs import (
     read_json,
     spec_fingerprint,
 )
-from repro.runs.query import classify_artifact, list_rows, resolve_operand, show_rows
+from repro.runs.query import (
+    classify_artifact,
+    compare_rows,
+    list_rows,
+    resolve_operand,
+    show_rows,
+)
 from repro.runs.store import write_checkpoint_file
+
+REPO = Path(__file__).parent.parent
+TRAJECTORY = [
+    str(REPO / "benchmarks" / "trajectory" / name)
+    for name in ("BENCH_16.json", "BENCH_17.json")
+]
+GOLDEN_SWEEP = str(REPO / "tests" / "golden" / "SWEEP_tenant_scaling_quick.json")
 
 
 @pytest.fixture
@@ -247,7 +261,8 @@ class TestQueryLayer:
 
     def test_classify_artifact(self):
         assert classify_artifact({"sweep": "s", "merged": {}}) == "sweep"
-        assert classify_artifact({"scenarios": {}}) == "bench"
+        assert classify_artifact({"schema": 1, "workloads": {}}) == "bench"
+        assert classify_artifact({"scenarios": {}}) is None
         assert classify_artifact({"other": 1}) is None
         assert classify_artifact("not a dict") is None
 
@@ -263,5 +278,32 @@ class TestQueryLayer:
     def test_resolve_operand_unclassifiable(self, store, tmp_path):
         path = tmp_path / "other.json"
         path.write_text('{"not": "an artifact"}')
-        with pytest.raises(RunStoreError, match="not a SWEEP or BENCH"):
+        with pytest.raises(
+            RunStoreError, match="not a SWEEP or BENCH.*'schema'.*'workloads'"
+        ):
             resolve_operand(str(path), store)
+
+    def test_compare_rows_renders_the_committed_trajectory(self, store):
+        rows = compare_rows(TRAJECTORY, store)
+        assert len(rows) == 8
+        assert {row["kind"] for row in rows} == {"bench"}
+        for path in TRAJECTORY:
+            payload = read_json(path)
+            metrics = payload["workloads"]["fleet-build-1m"]["untraced"]["metrics"]
+            (row,) = [
+                row for row in rows
+                if row["source"] == os.path.basename(path)
+                and row["name"] == "fleet-build-1m"
+            ]
+            assert row["commit"] == payload["commit"][:7]
+            for key in ("wall_s", "pkts_per_s", "peak_rss_mb", "setup_s",
+                        "sim_delivered_frac"):
+                assert row[key] == metrics[key]
+
+    def test_compare_rows_mixes_sweep_and_bench_operands(self, store):
+        from repro.experiments.common import format_table
+
+        rows = compare_rows([GOLDEN_SWEEP, TRAJECTORY[1]], store)
+        assert [row["kind"] for row in rows] == ["sweep"] + ["bench"] * 4
+        table = format_table(rows)
+        assert "tenant-scaling" in table and "fleet-build-1m" in table
