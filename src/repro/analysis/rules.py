@@ -16,7 +16,7 @@ import ast
 from repro.analysis.registry import LintRule, register
 
 #: Calls that commit a scheduling or dispatch decision (DET002 sinks).
-SCHEDULING_CALLS = frozenset({"schedule", "schedule_at", "every", "dispatch"})
+SCHEDULING_CALLS = frozenset({"schedule", "schedule_at", "post", "rearm", "every", "dispatch"})
 
 #: Wrappers that impose a deterministic order on an unordered iterable.
 ORDERING_WRAPPERS = frozenset({"sorted", "list", "tuple", "min", "max"})
@@ -157,8 +157,8 @@ class UnorderedIterationRule(LintRule):
 
     code = "DET002"
     summary = (
-        "no iteration over unsorted dict/set values where the result feeds "
-        "Simulator.schedule*/dispatch; wrap the iterable in sorted(...)"
+        "no iteration over unsorted dict/set values where the result feeds Simulator."
+        "schedule*/post/rearm/dispatch; wrap the iterable in sorted(...)"
     )
 
     def _check(self, node, iterable, body):
@@ -272,8 +272,8 @@ class HandRolledHeapRule(LintRule):
 
     code = "DET004"
     summary = (
-        "event callbacks must go through Simulator.schedule/schedule_at/"
-        "every; no hand-rolled heapq/PriorityQueue/sched event loops"
+        "event callbacks must go through Simulator.schedule/schedule_at/post/"
+        "rearm/every; no hand-rolled heapq/PriorityQueue/sched event loops"
     )
     EXEMPT_SUFFIXES = ("repro/sim/engine.py",)
     FORBIDDEN_MODULES = frozenset({"heapq", "sched"})

@@ -23,7 +23,7 @@ from typing import Optional
 
 from repro.core.meta import MetaPlacement
 from repro.core.nic import NicPipeline, NicPipelineConfig
-from repro.core.plb.reorder import ReorderQueueConfig
+from repro.core.plb.reorder import ReorderQueueConfig, TxOutcome
 from repro.cpu.cache import SharedL3Cache
 from repro.cpu.core import CpuCore, Verdict
 from repro.cpu.numa import NumaTopology
@@ -31,6 +31,11 @@ from repro.cpu.service import MemoryTimings, ServiceChain, standard_services
 from repro.metrics.histogram import LatencyHistogram
 from repro.sim.rng import rng_state, set_rng_state
 from repro.sim.units import SECOND
+
+# Egress outcome -> report key.  ``Enum.value`` is a Python-level descriptor
+# call, paid per packet; the NIC's two string outcomes are their own keys.
+_OUTCOME_KEYS = {outcome: outcome.value for outcome in TxOutcome}
+_OUTCOME_KEYS.update({"rss": "rss", "fpga_fast_path": "fpga_fast_path"})
 
 
 def default_reorder_queue_count(data_cores):
@@ -184,13 +189,15 @@ class GwPodRuntime:
         return Verdict.FORWARD
 
     def _on_egress(self, packet, outcome):
-        latency = packet.latency_ns
-        if latency is not None and packet.drop_reason is None:
-            self.latency_histogram.record(latency)
-        try:
-            key = outcome.value
-        except AttributeError:
-            key = str(outcome)
+        arrival, departure = packet.arrival_ns, packet.departure_ns
+        if arrival is not None and departure is not None and packet.drop_reason is None:
+            self.latency_histogram.record(departure - arrival)
+        key = _OUTCOME_KEYS.get(outcome)
+        if key is None:
+            try:
+                key = outcome.value
+            except AttributeError:
+                key = str(outcome)
         outcomes = self.outcomes
         try:
             outcomes[key] += 1

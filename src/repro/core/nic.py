@@ -83,7 +83,7 @@ class NicPipeline:
         )
         self.latency = config.latency_model
         self.reorder = ReorderEngine(sim, config.reorder, self._on_reorder_transmit)
-        self.plb = PlbDispatcher(self.cores, self.reorder, lambda: sim.now)
+        self.plb = PlbDispatcher(self.cores, self.reorder, lambda: sim._now)
         self.rss = RssDispatcher(self.cores)
         self.rate_limiter = config.rate_limiter
         self.session_offload = config.session_offload
@@ -105,7 +105,7 @@ class NicPipeline:
         # Hot-path bindings: these objects never change over the pipeline's
         # lifetime (unlike egress_fn/rate_limiter/session_offload, which
         # experiments swap post-construction and must be read per call).
-        self._schedule = sim.schedule
+        self._post = sim.post
         self._incr = self.counters.incr
         self._classify = self.pkt_dir.classify
         self._plb_dispatch = self.plb.dispatch
@@ -200,7 +200,7 @@ class NicPipeline:
 
         if path is DeliveryPath.PRIORITY:
             # Priority path skips the rate limiter and PLB entirely.
-            self._schedule(self._rx_latency_ns, self.priority.enqueue, packet)
+            self._post(self._rx_latency_ns, self.priority.enqueue, packet)
             incr("rx_priority")
             if self._sanitizer is not None:
                 self._check_conserved(packet, "priority_handoff")
@@ -217,7 +217,7 @@ class NicPipeline:
         ):
             # FPGA fast path: established session, CPU never sees it.
             incr("offload_fast_path")
-            self._schedule(
+            self._post(
                 FAST_PATH_LATENCY_NS, self._transmit, packet, "fpga_fast_path"
             )
             return
@@ -233,7 +233,7 @@ class NicPipeline:
         else:
             core = self._rss_dispatch(packet)
         incr("dispatched")
-        self._schedule(self._rx_latency_ns, self._deliver_to_core, packet, core)
+        self._post(self._rx_latency_ns, self._deliver_to_core, packet, core)
 
     def _deliver_to_core(self, packet, core):
         if self.pcie_link is not None:
@@ -260,7 +260,7 @@ class NicPipeline:
             if packet.meta is not None and self.config.drop_flag_enabled:
                 # Active drop flag: notify the NIC so reorder resources are
                 # released without waiting for the 100 us timeout.
-                self._schedule(self._tx_dma_ns, self.reorder.notify_drop, packet)
+                self._post(self._tx_dma_ns, self.reorder.notify_drop, packet)
             # Without the flag (or under RSS) the drop is invisible to the
             # NIC -- PLB pays for it with head-of-line blocking.
             return
@@ -271,10 +271,10 @@ class NicPipeline:
             # TX crossing of the CPU->FPGA DMA.
             self.pcie_link.record(packet.size, split=packet.header_only)
         if packet.meta is not None:
-            self._schedule(self._tx_dma_ns, self.reorder.writeback, packet)
+            self._post(self._tx_dma_ns, self.reorder.writeback, packet)
         else:
             # RSS path: no reordering, straight to the deparser.
-            self._schedule(
+            self._post(
                 self._tx_dma_ns + self._tx_post_reorder_ns, self._transmit, packet, "rss"
             )
 
@@ -286,7 +286,7 @@ class NicPipeline:
             # The reorder engine already said why (payload released).
             self._drop(packet, packet.drop_reason)
         else:
-            self._schedule(self._tx_post_reorder_ns, self._transmit, packet, outcome)
+            self._post(self._tx_post_reorder_ns, self._transmit, packet, outcome)
 
     def _transmit(self, packet, outcome):
         self._incr("tx_packets")

@@ -79,14 +79,23 @@ class PlbDispatcher:
         (RSS, hash-pinned, cannot -- that contrast is the
         core-stall-plb-vs-rss fault scenario).
         """
-        core, next_index = self._next_available_core()
-        if core is None:
-            self.dead_core_drops += 1
-            packet.drop_reason = "no_available_core"
-            return None
+        # The rotation's next core, inline; the scan only when it is failed.
+        index = self._rr_index
+        core = self.cores[index]
+        next_index = index + 1 if index + 1 < len(self.cores) else 0
+        if getattr(core, "_failed", False):
+            core, next_index = self._next_available_core()
+            if core is None:
+                self.dead_core_drops += 1
+                packet.drop_reason = "no_available_core"
+                return None
+        reorder = self.reorder
         now = self.now_fn()
-        ordq = self.ordq_index(packet.flow)
-        psn = self.reorder.admit(ordq, now)
+        flow = packet.flow
+        ordq = self._ordq_cache.get(flow)
+        if ordq is None:
+            ordq = self.ordq_index(flow)
+        psn = reorder.admit(ordq, now)
         if psn is None:
             # Rotation is not advanced on a drop: the slot stays with this
             # core for the next successful dispatch.
@@ -94,10 +103,7 @@ class PlbDispatcher:
             packet.drop_reason = "reorder_fifo_full"
             return None
         self._rr_index = next_index
-        packet.meta = PlbMeta(
-            psn=psn, ordq=ordq, timestamp_ns=now, header_only=header_only,
-            epoch=self.reorder.epoch,
-        )
+        packet.meta = PlbMeta(psn, ordq, now, False, header_only, reorder.epoch)
         packet.header_only = header_only
         self.dispatched += 1
         return core

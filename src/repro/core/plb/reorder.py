@@ -226,7 +226,7 @@ class ReorderEngine:
         # 4096?  Only the low 12 bits are compared, exactly as in the
         # hardware; a very stale packet can alias into the window (caught
         # later by the reorder check's PSN comparison, case 3).
-        slot = meta.psn12
+        slot = meta.psn & 0xFFF
         outstanding = len(queue.fifo)
         if outstanding == 0 or (slot - (queue.head_ptr & 0xFFF)) & 0xFFF >= outstanding:
             # Timed-out packet whose slot has already been released:
@@ -385,17 +385,25 @@ class ReorderEngine:
         self._arm_timeout(ordq, queue)
 
     def _arm_timeout(self, ordq, queue):
-        """(Re)schedule the head-timeout event for this queue."""
-        if queue.timeout_event is not None:
-            queue.timeout_event.cancel()
-            queue.timeout_event = None
+        """Point the queue's timeout event at the current head's deadline.
+
+        Head deadlines only move later (FIFO ``enqueue_ns`` is monotone, a past
+        deadline clamps to now), so an armed event is rearmed in place.
+        """
+        event = queue.timeout_event
         if not queue.fifo:
+            if event is not None:
+                event.cancel()
+                queue.timeout_event = None
             return
         sim = self.sim
         delay = queue.fifo[0].enqueue_ns + self.config.timeout_ns - sim._now
         if delay < 0:
             delay = 0
-        queue.timeout_event = sim.schedule(delay, self._on_timeout, ordq)
+        if event is not None:
+            sim.rearm(event, delay)
+        else:
+            queue.timeout_event = sim.schedule(delay, self._on_timeout, ordq)
 
     def _on_timeout(self, ordq):
         queue = self._queues[ordq]

@@ -57,7 +57,7 @@ class PriorityQueueManager:
             self._busy = False
             return
         self._busy = True
-        self.sim.schedule(self.service_ns, self._finish, packet)
+        self.sim.post(self.service_ns, self._finish, packet)
 
     def _finish(self, packet):
         self.delivered += 1

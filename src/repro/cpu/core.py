@@ -196,7 +196,7 @@ class CpuCore:
                 core=self.core_id, service_ns=service_ns,
             )
         self.stats.busy_ns += service_ns
-        self.sim.schedule(service_ns, self._finish, packet)
+        self.sim.post(service_ns, self._finish, packet)
 
     def _finish(self, packet):
         packet.cpu_done_ns = self.sim._now

@@ -50,13 +50,14 @@ class PacketQueue:
 
     def push(self, packet):
         """Enqueue; returns False (and counts a drop) when full."""
-        if self.is_full:
+        items = self._items
+        if len(items) >= self.capacity:
             self.dropped += 1
             return False
-        self._items.append(packet)
+        items.append(packet)
         self.enqueued += 1
-        if len(self._items) > self.high_watermark:
-            self.high_watermark = len(self._items)
+        if len(items) > self.high_watermark:
+            self.high_watermark = len(items)
         return True
 
     def pop(self):

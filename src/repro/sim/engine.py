@@ -1,10 +1,25 @@
 """Event loop for the discrete-event simulator.
 
-The design is intentionally small: a binary heap of ``(time, sequence,
-Event)`` triples and a handful of run/stop primitives.  Components interact
-by scheduling callbacks; there is no process/coroutine machinery to keep the
-hot path cheap (the reorder and dispatch models schedule millions of events
-per simulated second).
+The design is intentionally small: a binary heap of ``(time, seq, fn, args,
+event_or_None)`` entries and a handful of run/stop primitives.  Components
+interact by scheduling callbacks; there is no process/coroutine machinery to
+keep the hot path cheap (the reorder and dispatch models schedule millions of
+events per simulated second).
+
+Three ways to queue a callback, one heap entry each:
+
+* ``schedule(delay, fn, *args)`` returns a cancellable :class:`Event` whose
+  ``(time, seq)`` a checkpoint may record;
+* ``post(delay, fn, *args)`` is the same push with no ``Event`` allocated,
+  for callers that keep no handle.  Anything that is ever cancelled, or
+  checkpointed by ``(time, seq)``, needs ``schedule``;
+* ``rearm(event, delay)`` moves a *pending* event to a later-or-equal
+  instant in place: it takes the next sequence number exactly as
+  ``cancel()`` + ``schedule()`` would and leaves the heap entry where it
+  is.  When that stale entry surfaces (``entry seq != event.seq``) the run
+  loop re-pushes it, uncounted, at ``(event.time, event.seq)``.  The old
+  slot sorts first, so the event still fires at the ``(time, seq)`` the
+  cancel-and-reschedule spelling gives it: every tie-break is unchanged.
 
 Determinism guarantees:
 
@@ -25,9 +40,10 @@ Hot-path notes (see DESIGN.md "Performance"):
   ``_step_checked``, whichever entry point drives it;
 * same-timestamp batches write ``_now`` once per distinct timestamp.
 
-None of this changes observable behaviour: event order, ``now``,
-``events_processed`` and ``pending`` accounting are identical on the fast
-and checked paths (asserted by the engine test suite).
+``pending`` is derived (heap entries minus cancelled ones still queued), so
+no per-event counter is kept.  None of this changes observable behaviour:
+event order, ``now``, ``events_processed`` and ``pending`` are identical on
+the fast and checked paths (asserted by the engine test suite).
 """
 
 import heapq
@@ -52,19 +68,20 @@ class SimulationError(Exception):
 class Event:
     """Handle for a scheduled callback.
 
-    Returned by :meth:`Simulator.schedule`; the only supported operation is
-    :meth:`cancel`.  Cancelled events stay in the heap but are skipped when
-    popped (lazy deletion), which is O(1) instead of O(n).
+    Returned by :meth:`Simulator.schedule`; it can be cancelled
+    (:meth:`cancel`) or moved later (:meth:`Simulator.rearm`).  Cancelled
+    events stay in the heap but are skipped when popped (lazy deletion),
+    which is O(1) instead of O(n).
     """
 
-    __slots__ = ("time", "fn", "args", "cancelled", "_sim", "seq")
+    __slots__ = ("time", "fn", "args", "cancelled", "fired", "seq")
 
-    def __init__(self, time, fn, args, sim=None, seq=0):
+    def __init__(self, time, fn, args, seq=0):
         self.time = time
         self.fn = fn
         self.args = args
         self.cancelled = False
-        self._sim = sim
+        self.fired = False
         # The heap tie-break, exposed so checkpoints can record the
         # relative order of same-timestamp pending events (restore
         # re-creates them sorted by (time, seq)).
@@ -72,13 +89,10 @@ class Event:
 
     def cancel(self):
         """Prevent the callback from firing.  Idempotent."""
-        if not self.cancelled:
-            self.cancelled = True
-            if self._sim is not None:
-                self._sim._live_events -= 1
+        self.cancelled = True
 
     def __repr__(self):
-        state = "cancelled" if self.cancelled else "pending"
+        state = "cancelled" if self.cancelled else "fired" if self.fired else "pending"
         name = getattr(self.fn, "__qualname__", repr(self.fn))
         return f"<Event t={self.time} fn={name} {state}>"
 
@@ -104,7 +118,6 @@ class Simulator:
         "_heap",
         "_sequence",
         "_events_processed",
-        "_live_events",
         "_running",
         "_stopped",
         "_sanitizer",
@@ -121,7 +134,6 @@ class Simulator:
         # preserve the original firing order.
         self._sequence = 0  # lint: disable=SNAP001(tie-break counter; restore re-arms events in checkpointed time-seq order, so fresh numbers preserve firing order)
         self._events_processed = 0
-        self._live_events = 0  # lint: disable=SNAP001(derived count of the live heap; rebuilt as owners re-arm their events on restore)
         self._running = False
         self._stopped = False  # lint: disable=SNAP001(run-loop transient; checkpoints are only taken between runs)
         self._sanitizer = get_sanitizer()
@@ -142,11 +154,13 @@ class Simulator:
     def pending(self):
         """Number of not-yet-cancelled events still queued.
 
-        O(1): a live-event counter is maintained across schedule, cancel
-        and pop instead of scanning the heap (fault plans cancel many
-        timers, and chaos runs read ``pending`` inside assertions).
+        A heap scan (every event has exactly one entry, rearmed or not):
+        nothing on a hot path reads it, so no live-event counter is kept.
         """
-        return self._live_events
+        heap = self._heap
+        return len(heap) - sum(
+            1 for entry in heap if entry[4] is not None and entry[4].cancelled
+        )
 
     def schedule(self, delay, fn, *args):
         """Schedule ``fn(*args)`` to run ``delay`` nanoseconds from now.
@@ -156,19 +170,47 @@ class Simulator:
         completes but at the same timestamp.
         """
         if delay < 0:
-            if self._sanitizer is not None:
-                self._sanitizer.violation(
-                    "event-causality",
-                    f"cannot schedule in the past (delay={delay})",
-                    delay_ns=delay, now_ns=self._now, callback=_event_label(fn),
-                )
-            raise SimulationError(f"cannot schedule in the past (delay={delay})")
+            self._reject_past(delay, fn)
         time = self._now + int(delay)
-        event = Event(time, fn, args, self, self._sequence)  # lint: disable=SNAP003(heap entries hold closures and are never serialized; owners re-arm their pending events on restore)
-        _heappush(self._heap, (time, self._sequence, event))
-        self._sequence += 1
-        self._live_events += 1
+        seq = self._sequence
+        event = Event(time, fn, args, seq)  # lint: disable=SNAP003(heap entries hold closures and are never serialized; owners re-arm their pending events on restore)
+        _heappush(self._heap, (time, seq, fn, args, event))
+        self._sequence = seq + 1
         return event
+
+    def post(self, delay, fn, *args):
+        """:meth:`schedule` without a handle: same ordering and negative-delay
+        rejection, no :class:`Event` allocated, nothing to cancel."""
+        if delay < 0:
+            self._reject_past(delay, fn)
+        seq = self._sequence
+        _heappush(self._heap, (self._now + int(delay), seq, fn, args, None))
+        self._sequence = seq + 1
+
+    def rearm(self, event, delay):
+        """Move a pending ``event`` to ``delay`` ns from now, in place.
+
+        ``event.cancel()`` + ``schedule(delay, ...)`` without the second
+        heap entry and :class:`Event`.  The new instant must not precede
+        the current one: the entry is re-pushed when its old slot surfaces.
+        """
+        time = self._now + int(delay)
+        if event.cancelled or event.fired or time < event.time:
+            raise SimulationError(
+                f"cannot rearm {event!r} to t={time}: not pending, or earlier"
+            )
+        event.time = time
+        event.seq = self._sequence
+        self._sequence += 1
+
+    def _reject_past(self, delay, fn):
+        if self._sanitizer is not None:
+            self._sanitizer.violation(
+                "event-causality",
+                f"cannot schedule in the past (delay={delay})",
+                delay_ns=delay, now_ns=self._now, callback=_event_label(fn),
+            )
+        raise SimulationError(f"cannot schedule in the past (delay={delay})")
 
     def schedule_at(self, time, fn, *args):
         """Schedule ``fn(*args)`` at an absolute timestamp."""
@@ -188,41 +230,53 @@ class Simulator:
         """Stop the run loop after the current handler returns."""
         self._stopped = True
 
-    def _step_fast(self):
-        """Execute the next pending event.  Returns False if none remain."""
+    def _pop_due(self, end_time):
+        """Pop the next entry that fires by ``end_time`` (None: there is
+        none), dropping cancelled entries and re-pushing stale (rearmed) ones."""
         heap = self._heap
         while heap:
-            time, _, event = _heappop(heap)
-            if event.cancelled:
-                continue
-            self._live_events -= 1
-            event._sim = None  # a late cancel() must not decrement again
-            self._now = time
-            self._events_processed += 1
-            event.fn(*event.args)
-            return True
-        return False
+            entry = _heappop(heap)
+            if entry[0] > end_time:
+                _heappush(heap, entry)
+                break
+            event = entry[4]
+            if event is not None:
+                if event.cancelled:
+                    continue
+                if event.seq != entry[1]:
+                    _heappush(heap, (event.time, event.seq, entry[2], entry[3], event))
+                    continue
+                event.fired = True
+            return entry
+        return None
 
-    def _step_checked(self):
+    def _step_fast(self, end_time=_NEVER):
+        """Execute the next pending event.  Returns False if none remain
+        (or, for the run loop, none is due by ``end_time``)."""
+        entry = self._pop_due(end_time)
+        if entry is None:
+            return False
+        self._now = entry[0]
+        self._events_processed += 1
+        entry[2](*entry[3])
+        return True
+
+    def _step_checked(self, end_time=_NEVER):
         """`step` with sanitizer invariant checks and event tracing."""
-        heap = self._heap
-        while heap:
-            time, _, event = _heappop(heap)
-            if event.cancelled:
-                continue
-            self._live_events -= 1
-            event._sim = None  # a late cancel() must not decrement again
-            self._sanitizer.ensure(
-                time >= self._now, "simtime-monotonicity",
-                f"event at t={time} popped behind now={self._now}",
-                time_ns=time, now_ns=self._now, callback=_event_label(event.fn),
-            )
-            self._sanitizer.record_event(time, _event_label(event.fn))
-            self._now = time
-            self._events_processed += 1
-            event.fn(*event.args)
-            return True
-        return False
+        entry = self._pop_due(end_time)
+        if entry is None:
+            return False
+        time, _, fn, args, _ = entry
+        self._sanitizer.ensure(
+            time >= self._now, "simtime-monotonicity",
+            f"event at t={time} popped behind now={self._now}",
+            time_ns=time, now_ns=self._now, callback=_event_label(fn),
+        )
+        self._sanitizer.record_event(time, _event_label(fn))
+        self._now = time
+        self._events_processed += 1
+        fn(*args)
+        return True
 
     def run(self, max_events=None):
         """Run until the event heap drains (or ``max_events`` is hit)."""
@@ -250,23 +304,12 @@ class Simulator:
         self._stopped = False
         try:
             if self._sanitizer is not None or max_events is not None:
-                # Checked or counted: one ``step`` per event.  Cancelled
-                # heads are skipped here so that the step below runs the
-                # head just compared and never an event past ``end_time``.
-                heap = self._heap
+                # Checked or counted: one ``step`` per event.
                 step = self.step
                 count = 0
-                while heap and not self._stopped:
-                    time, _, event = heap[0]
-                    if time > end_time:
-                        break
-                    if event.cancelled:
-                        _heappop(heap)
-                        continue
-                    step()
+                while (not self._stopped and (max_events is None or count < max_events)
+                       and step(end_time)):
                     count += 1
-                    if max_events is not None and count >= max_events:
-                        break
             else:
                 # Fast path: pop first and push the single boundary-crossing
                 # entry back, instead of peeking the heap root every event.
@@ -275,19 +318,22 @@ class Simulator:
                 now = self._now
                 while heap and not self._stopped:
                     entry = pop(heap)
-                    time = entry[0]
+                    time, seq, fn, args, event = entry
                     if time > end_time:
                         _heappush(heap, entry)
                         break
-                    event = entry[2]
-                    if event.cancelled:
-                        continue
-                    self._live_events -= 1
-                    event._sim = None  # a late cancel() must not decrement again
+                    if event is not None:
+                        if event.cancelled:
+                            continue
+                        if event.seq != seq:
+                            # Rearmed: its current slot is later-or-equal.
+                            _heappush(heap, (event.time, event.seq, fn, args, event))
+                            continue
+                        event.fired = True
                     if time != now:
                         self._now = now = time
                     self._events_processed += 1
-                    event.fn(*event.args)
+                    fn(*args)
         finally:
             self._running = False
 

@@ -190,11 +190,17 @@ class CbrSource(_SourceBase):
         self._next_event = self.sim.schedule(self._interval, self._tick)
 
     def _tick(self):
+        # Once per packet, so ``_emit_one``/``_schedule_next`` are inlined.  Not
+        # ``post``: the tick's ``(time, seq)`` is checkpointed, and it is cancelled.
         if not self._running:
             return
-        self._emit_one()
+        flow, vni = self.population.choose(self.rng)
+        self.sink(Packet(flow, vni=vni, size=self.size, kind=self.kind))
+        self.emitted += 1
+        if self.count_limit is not None and self.emitted >= self.count_limit:
+            self.stop()
         if self._running:
-            self._schedule_next()
+            self._next_event = self.sim.schedule(self._interval, self._tick)
 
     def stop(self):
         super().stop()

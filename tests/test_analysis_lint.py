@@ -151,6 +151,22 @@ class TestDet002UnorderedIteration:
         """
         assert codes(source) == ["DET002"]
 
+    def test_unsorted_set_feeding_post_fires(self):
+        source = """\
+        def arm(sim, delays):
+            for delay in set(delays):
+                sim.post(delay, print)
+        """
+        assert codes(source) == ["DET002"]
+
+    def test_sorted_set_feeding_post_is_clean(self):
+        source = """\
+        def arm(sim, delays):
+            for delay in sorted(set(delays)):
+                sim.post(delay, print)
+        """
+        assert codes(source) == []
+
     def test_sorted_wrapper_is_clean(self):
         source = """\
         def arm(sim, tasks):

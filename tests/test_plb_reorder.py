@@ -173,6 +173,85 @@ class TestTimeouts:
         assert h.outcomes() == [TxOutcome.BEST_EFFORT]
 
 
+class TestTimeoutTimer:
+    """The head-timeout event is rearmed in place on every drain; its firing
+    instant and tie-break must be what cancel-and-reschedule gave."""
+
+    def test_withheld_head_times_out_on_its_own_deadline(self):
+        h = Harness()
+        h.sim.run_until(7 * US)
+        h.admit()                       # withheld: never writes back
+        releases = []
+        h.engine.transmit_fn = lambda packet, outcome: releases.append(h.sim.now)
+        # Later PSNs keep writing back, each drain re-arming the timer.
+        for step in range(1, 40):
+            h.sim.run_until(7 * US + step * 2 * US)
+            h.engine.writeback(h.admit())
+            assert h.engine.stats.hol_events == 0
+        h.sim.run_until(7 * US + 100 * US - 1)
+        assert h.engine.stats.hol_events == 0
+        h.sim.run_until(7 * US + 100 * US)
+        # Exactly one HOL event, at enqueue + timeout and not a drain later.
+        assert h.engine.stats.hol_events == 1
+        assert releases == [107 * US] * 39
+        h.sim.run_until(1_000 * US)
+        assert h.engine.stats.hol_events == 1
+        assert h.sim.pending == 0
+
+    def test_fifo_drains_empty_then_refills(self):
+        h = Harness()
+        h.engine.writeback(h.admit())
+        assert h.sim.pending == 0       # emptied: the timer is cancelled
+        h.sim.run_until(30 * US)
+        h.admit()                       # refill: a fresh timer, own deadline
+        assert h.sim.pending == 1
+        h.sim.run_until(130 * US - 1)
+        assert h.engine.stats.timeout_releases == 0
+        h.sim.run_until(130 * US)
+        assert h.engine.stats.timeout_releases == 1
+        assert h.sim.pending == 0
+
+    def test_reset_with_a_rearmed_timer_pending(self):
+        h = Harness()
+        h.admit()
+        h.sim.run_until(10 * US)
+        h.engine.writeback(h.admit())   # head still missing: timer rearmed
+        assert h.sim.pending == 1
+        assert h.engine.reset() == 2       # the hole and its buffered follower
+        assert h.sim.pending == 0
+        h.sim.run_until(50 * US)
+        fresh = h.admit()               # new generation, new timer
+        fresh.meta.epoch = h.engine.epoch
+        h.sim.run_until(120 * US)       # the old deadline (100us) passes
+        assert h.engine.stats.timeout_releases == 0
+        h.engine.writeback(fresh)
+        assert h.outcomes() == [TxOutcome.IN_ORDER]
+        h.sim.run_until(1_000 * US)
+        assert h.engine.stats.timeout_releases == 0
+
+    def test_timer_armed_before_a_same_instant_writeback_fires_first(self):
+        h = Harness()
+        head = h.admit()                # timer queued here ...
+        h.sim.schedule(100 * US, h.engine.writeback, head)  # ... writeback after
+        h.sim.run_until(100 * US)
+        assert h.engine.stats.hol_events == 1
+        assert h.outcomes() == [TxOutcome.BEST_EFFORT]
+
+    def test_timer_rearmed_after_a_same_instant_writeback_fires_second(self):
+        h = Harness()
+        head = h.admit()
+        h.sim.schedule(100 * US, h.engine.writeback, head)
+        h.sim.run_until(50 * US)
+        follower = h.admit()
+        h.engine.writeback(follower)    # re-arms: the timer now queues last
+        h.sim.run_until(100 * US)
+        assert h.engine.stats.hol_events == 0
+        assert h.sent == [(head.uid, TxOutcome.IN_ORDER),
+                          (follower.uid, TxOutcome.IN_ORDER)]
+        h.sim.run_until(1_000 * US)
+        assert h.engine.stats.timeout_releases == 0
+
+
 class TestDropFlag:
     def test_drop_flag_releases_immediately(self):
         """§4.1 HOL fix 2: explicit drops free the head with no timeout."""

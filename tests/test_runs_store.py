@@ -300,6 +300,26 @@ class TestQueryLayer:
                         "sim_delivered_frac"):
                 assert row[key] == metrics[key]
 
+    def test_committed_trajectory_never_changes_simulated_behaviour(self):
+        """A gain-claiming PR may change host numbers only: between every
+        consecutive pair of committed BENCH files each workload's report
+        bytes and delivered fraction are the same."""
+        directory = REPO / "benchmarks" / "trajectory"
+        series = sorted(
+            directory.glob("BENCH_*.json"), key=lambda path: int(path.stem[6:])
+        )
+        assert [str(path) for path in series[:2]] == TRAJECTORY
+        for before, after in zip(series, series[1:]):
+            old, new = read_json(str(before)), read_json(str(after))
+            assert sorted(old["workloads"]) == sorted(new["workloads"])
+            for name, entry in new["workloads"].items():
+                was = old["workloads"][name]["untraced"]
+                now = entry["untraced"]
+                where = f"{before.name} -> {after.name}: {name}"
+                assert now["sha256"] == was["sha256"], where
+                assert (now["metrics"]["sim_delivered_frac"]
+                        == was["metrics"]["sim_delivered_frac"]), where
+
     def test_compare_rows_mixes_sweep_and_bench_operands(self, store):
         from repro.experiments.common import format_table
 

@@ -1,8 +1,13 @@
 """Unit tests for the discrete-event engine."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.analysis.sanitizer import SanitizerViolation, install, uninstall
+from repro.scenarios import PodSpec, ScenarioSpec, WorkloadSpec, build
 from repro.sim import MS, SECOND, US, Simulator, SimulationError, from_seconds, to_seconds
+from repro.sim import engine as engine_module
 from repro.sim.rng import RngRegistry
 
 
@@ -335,6 +340,279 @@ class TestPendingAccounting:
         assert sim.pending == 1  # the next firing is queued
         task.cancel()
         assert sim.pending == 0
+
+
+class TestMaxEvents:
+    def test_zero_fires_nothing(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(10, fired.append, 1)
+        sim.schedule(20, fired.append, 2)
+        sim.run(max_events=0)
+        assert fired == []
+        assert sim.pending == 2
+        assert sim.now == 0
+
+    def test_one_fires_exactly_one(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(10, fired.append, 1)
+        sim.schedule(20, fired.append, 2)
+        sim.run(max_events=1)
+        assert fired == [1]
+        assert sim.pending == 1
+
+
+class TestPost:
+    def test_post_orders_with_schedule_and_returns_no_handle(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(5, fired.append, "a")
+        assert sim.post(5, fired.append, "b") is None
+        sim.schedule(5, fired.append, "c")
+        sim.post(1, fired.append, "first")
+        assert sim.pending == 4
+        sim.run()
+        assert fired == ["first", "a", "b", "c"]
+        assert sim.events_processed == 4
+        assert sim.pending == 0
+
+    def test_negative_delay_rejected_like_schedule(self):
+        sim = Simulator()
+        with pytest.raises(SimulationError):
+            sim.post(-1, lambda: None)
+        assert sim.pending == 0
+
+    def test_negative_delay_reports_event_causality_when_sanitized(self):
+        install()
+        try:
+            sim = Simulator()
+            with pytest.raises(SanitizerViolation) as excinfo:
+                sim.post(-1, lambda: None)
+        finally:
+            uninstall()
+        assert excinfo.value.check == "event-causality"
+
+
+class TestRearm:
+    def test_moves_event_and_takes_a_fresh_tie_break(self):
+        sim = Simulator()
+        fired = []
+        timer = sim.schedule(10, fired.append, "timer")
+        sim.schedule(30, fired.append, "a")
+        sim.rearm(timer, 30)           # now ties with "a", but queued after it
+        sim.schedule(30, fired.append, "b")
+        assert (timer.time, sim.pending) == (30, 3)
+        sim.run()
+        assert fired == ["a", "timer", "b"]
+        assert sim.events_processed == 3
+
+    def test_rearm_of_fired_event_raises(self):
+        sim = Simulator()
+        event = sim.schedule(10, lambda: None)
+        sim.run()
+        with pytest.raises(SimulationError):
+            sim.rearm(event, 5)
+
+    def test_rearm_of_cancelled_event_raises(self):
+        sim = Simulator()
+        event = sim.schedule(10, lambda: None)
+        event.cancel()
+        with pytest.raises(SimulationError):
+            sim.rearm(event, 20)
+
+    def test_rearm_to_earlier_time_raises(self):
+        sim = Simulator()
+        event = sim.schedule(10, lambda: None)
+        with pytest.raises(SimulationError):
+            sim.rearm(event, 9)
+        with pytest.raises(SimulationError):
+            sim.rearm(event, -1)
+        assert (event.time, event.seq) == (10, 0)  # untouched by the refusals
+        sim.rearm(event, 10)                        # later-or-*equal* is fine
+
+    @pytest.mark.parametrize("sanitized", [False, True], ids=["plain", "sanitized"])
+    def test_old_slot_inside_run_until_new_slot_beyond_it(self, sanitized):
+        if sanitized:
+            install()
+        try:
+            sim = Simulator()
+        finally:
+            uninstall()         # the sanitizer is resolved at construction
+        fired = []
+        event = sim.schedule(10, fired.append, "x")
+        sim.rearm(event, 60)
+        sim.run_until(50)              # the stale entry at t=10 surfaces here
+        assert fired == []
+        assert (sim.pending, sim.events_processed, sim.now) == (1, 0, 50)
+        sim.run_until(100)
+        assert fired == ["x"]
+        assert sim.events_processed == 1
+
+    def test_cancel_after_rearm_is_skipped_once(self):
+        sim = Simulator()
+        fired = []
+        event = sim.schedule(10, fired.append, "x")
+        sim.schedule(20, fired.append, "y")
+        sim.rearm(event, 30)
+        assert sim.pending == 2
+        event.cancel()
+        assert sim.pending == 1
+        sim.run()
+        assert fired == ["y"]
+        assert (sim.pending, sim.events_processed) == (0, 1)
+
+
+class _Spelled:
+    """The reference: ``rearm`` is ``cancel()`` + ``schedule()`` and ``post``
+    is ``schedule()``, on the same engine."""
+
+    def __init__(self):
+        self.sim = Simulator()
+        self.log = []
+        self.handles = []
+
+    def _fire(self, label):
+        self.log.append((self.sim.now, label))
+
+    def schedule(self, delay, label):
+        self.handles.append(self.sim.schedule(delay, self._fire, label))
+
+    def post(self, delay, label):
+        self.sim.schedule(delay, self._fire, label)
+
+    def cancel(self, index):
+        self.handles[index].cancel()
+
+    def rearm(self, index, delay):
+        old = self.handles[index]
+        old.cancel()
+        self.handles[index] = self.sim.schedule(delay, old.fn, *old.args)
+
+
+class _Native(_Spelled):
+    def post(self, delay, label):
+        self.sim.post(delay, self._fire, label)
+
+    def rearm(self, index, delay):
+        self.sim.rearm(self.handles[index], delay)
+
+
+def _advance_run_until(sim, amount):
+    sim.run_until(sim.now + amount)
+
+
+def _advance_counted(sim, amount):
+    for _ in range(amount):
+        sim.run(max_events=1)
+
+
+def _advance_step(sim, amount):
+    for _ in range(amount):
+        sim.step()
+
+
+_DELAYS = st.sampled_from([0, 1, 2, 3, 5])  # few values: timestamps collide
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("schedule"), _DELAYS),
+        st.tuples(st.just("post"), _DELAYS),
+        st.tuples(st.just("cancel"), st.integers(0, 40)),
+        st.tuples(st.just("rearm"), st.integers(0, 40), _DELAYS),
+        st.tuples(st.just("advance"), st.integers(0, 4)),
+    ),
+    max_size=40,
+)
+
+
+class TestRearmAndPostAreTheParentsSemantics:
+    """``rearm``/``post`` against the cancel-and-reschedule spelling, through
+    every entry point that can meet a stale (rearmed) heap entry."""
+
+    @pytest.mark.parametrize("sanitized, advance", [
+        (False, _advance_run_until),
+        (True, _advance_run_until),
+        (False, _advance_counted),
+        (False, _advance_step),
+    ], ids=["run_until", "sanitized", "max_events", "step"])
+    @settings(max_examples=150, deadline=None)
+    @given(ops=_OPS)
+    def test_same_firing_sequence(self, sanitized, advance, ops):
+        if sanitized:
+            install()
+        try:
+            native, spelled = _Native(), _Spelled()
+        finally:
+            uninstall()         # the sanitizer is resolved at construction
+        label = 0
+        for op in ops:
+            kind = op[0]
+            for side in (native, spelled):
+                if kind in ("schedule", "post"):
+                    getattr(side, kind)(op[1], label)
+                elif kind == "advance":
+                    advance(side.sim, op[1])
+                elif side.handles:
+                    index = op[1] % len(side.handles)
+                    event = side.handles[index]
+                    if kind == "cancel":
+                        side.cancel(index)
+                    elif not (event.cancelled or event.fired):
+                        # Later-or-equal: the event's own instant plus a bit.
+                        side.rearm(index, event.time - side.sim.now + op[2])
+            label += 1
+            assert native.log == spelled.log
+            assert native.sim.now == spelled.sim.now
+            assert native.sim.events_processed == spelled.sim.events_processed
+            assert native.sim.pending == spelled.sim.pending
+        native.sim.run()
+        spelled.sim.run()
+        assert native.log == spelled.log
+        assert native.sim.pending == spelled.sim.pending == 0
+
+
+class TestHeapTrafficPerPacket:
+    """What the benchmark ledger cannot see: ``sim.events_per_pkt`` counts
+    fired events only, so pushes and ``Event`` allocations are pinned here."""
+
+    def _run(self):
+        handle = build(ScenarioSpec(
+            name="heap-traffic",
+            pods=(PodSpec(name="pod", data_cores=4, per_core_pps=200_000, mode="plb"),),
+            workload=WorkloadSpec(kind="cbr", flows=64, tenants=4, load=0.7),
+            duration_ns=5 * MS,
+            seed=42,
+        ))
+        handle.run()
+        return handle.report()
+
+    def test_in_order_packet_costs_five_pushes_and_one_event(self, monkeypatch):
+        plain = self._run()
+        counts = {"pushes": 0, "events": 0}
+        real_push = engine_module._heappush
+
+        def counting_push(heap, entry):
+            counts["pushes"] += 1
+            real_push(heap, entry)
+
+        class CountingEvent(engine_module.Event):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                counts["events"] += 1
+                super().__init__(*args)
+
+        monkeypatch.setattr(engine_module, "_heappush", counting_push)
+        monkeypatch.setattr(engine_module, "Event", CountingEvent)
+        assert self._run() == plain
+        packets = plain["pods"]["pod"]["counters"]["rx_packets"]
+        assert packets >= 2_000
+        assert plain["pods"]["pod"]["reorder"]["in_order"] >= packets - 16
+        # 5 fired events per packet (tick, RX DMA, CPU, TX DMA, deparser) plus
+        # the occasional re-push of the rearmed reorder timer; one Event (the
+        # checkpointable source tick).  6.0 / 6.0 before post() and rearm().
+        assert counts["pushes"] / packets <= 5.1
+        assert counts["events"] / packets <= 1.1
 
 
 class TestUnits:
