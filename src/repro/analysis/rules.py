@@ -311,13 +311,21 @@ class HandRolledHeapRule(LintRule):
 
 @register
 class CompletionOrderRule(LintRule):
-    """DET005: merge parallel results in submission order."""
+    """DET005: merge parallel results in submission order.
+
+    The one sanctioned site is :func:`repro.fleet.engine.pool_map`
+    (suppressed there with its reason): it slots outcomes by payload
+    position and returns them in the order given, and ``run_sweep``
+    re-keys them by shard index before the merge, so completion order
+    decides only when a shard is persisted -- never what any reader sees.
+    """
 
     code = "DET005"
     summary = (
         "no completion-order parallelism (imap_unordered/as_completed); "
         "fold worker results in submission order (Pool.map or "
-        "repro.fleet.pool_map)"
+        "repro.fleet.pool_map, the one sanctioned site: it re-slots "
+        "results by position before anything observes them)"
     )
     FORBIDDEN_NAMES = frozenset({"imap_unordered", "as_completed"})
 
@@ -326,7 +334,8 @@ class CompletionOrderRule(LintRule):
             f"'{name}' yields results in completion order, which varies "
             f"with host load; merged output stops being byte-identical "
             f"across worker counts -- use an order-preserving map "
-            f"(Pool.map / repro.fleet.pool_map)"
+            f"(Pool.map / repro.fleet.pool_map, which alone may consume "
+            f"completion order because it returns results by position)"
         )
 
     def visit_Call(self, node):

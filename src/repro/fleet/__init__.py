@@ -13,7 +13,8 @@ Layering:
 * :mod:`.shard` -- grid expansion and the injective per-shard seed
   derivation (no two shards of a sweep ever share a seed).
 * :mod:`.engine` -- the worker pool: order-preserving ``pool_map``,
-  ``run_sweep`` and the byte-identical ``workers=1`` fallback.
+  longest-first ``run_sweep`` and the byte-identical ``workers=1``
+  fallback.
 * :mod:`.sweeps` -- the named sweeps the CLI exposes.
 * :mod:`.report` -- merging and the :class:`SweepReport` artifact.
 """

@@ -10,10 +10,13 @@ strict: **the merged report is byte-identical whether the sweep ran on
   return only the plain-data run report -- no live simulator state ever
   crosses a process boundary, so a shard computes the same report
   in-process (``workers=1`` runs without a pool) or in a worker.
-* Results come back via ordered ``Pool.imap``, which yields them in
-  **submission order** regardless of completion order; the merge then
-  folds shard 0, 1, 2, ... identically under any worker count (the
-  determinism linter's DET005 bans the completion-order APIs).
+* Results are keyed by shard index and re-sorted before anything reads
+  them: ``pool_map`` returns them in the order it was given whatever
+  order they finished in, and the merge folds shard 0, 1, 2, ...
+  identically under any worker count and any dispatch order.
+  ``pool_map`` is the one place allowed to *see* completion order (the
+  determinism linter's DET005 bans the completion-order APIs everywhere
+  else); it uses it only to hand each finished result to ``on_result``.
 * The report carries no wall-clock, host, or pid fields -- wall time is
   printed by the CLI, never written into the artifact.
 
@@ -22,11 +25,16 @@ in the parent: merging (reservoir thinning draws from the parent's
 merge rng), report rendering, and anything that touches the ordering of
 shards.
 
-Durability rides on the same ordering: when ``run_sweep`` is given a
+Scheduling is for makespan: ``run_sweep`` dispatches its pending shards
+longest first, by :func:`~repro.scenarios.build.offered_packets` (a
+function of the serialized spec alone, ties broken by shard index), so
+the costliest shard never starts last with the other workers idle.
+
+Durability rides on completion order: when ``run_sweep`` is given a
 :class:`~repro.runs.store.Run`, each shard result is persisted the
-moment it comes off the (ordered) pool iterator, so a sweep killed at
-shard k resumes with shards ``0..k-1`` served from disk and the merged
-artifact still byte-identical to an uninterrupted run.
+moment it lands, whatever its position, so a killed sweep loses only
+the shards that were in flight; the rest are served from disk on resume
+and the merged artifact is still byte-identical to an uninterrupted run.
 """
 
 import multiprocessing
@@ -37,7 +45,7 @@ from functools import partial
 from repro.fleet.report import SweepReport, merge_run_reports
 from repro.runs.atomic import atomic_write_text
 from repro.runs.store import spec_fingerprint, write_checkpoint_file
-from repro.scenarios.build import build
+from repro.scenarios.build import build, offered_packets
 from repro.scenarios.spec import ScenarioSpec
 
 
@@ -100,13 +108,14 @@ def _worker_call(task):
 
     A raised exception travels back as a plain dict instead of killing
     the pool with a bare remote traceback; the parent re-raises it as a
-    :class:`ShardFailure` that names the shard and its axes.
+    :class:`ShardFailure` that names the shard and its axes.  The
+    payload's position rides along so the parent can place the outcome.
     """
-    fn, payload = task
+    fn, position, payload = task
     try:
-        return {"ok": True, "value": fn(payload)}
+        return position, {"ok": True, "value": fn(payload)}
     except Exception as error:  # noqa: BLE001 - reported, not swallowed
-        return {
+        return position, {
             "ok": False,
             "label": _payload_label(payload),
             "error": f"{type(error).__name__}: {error}",
@@ -147,17 +156,20 @@ def _export_import_path():
 
 
 def pool_map(fn, payloads, workers, on_result=None):
-    """Order-preserving parallel map.
+    """Parallel map: dispatched and returned in the order given.
 
     ``workers <= 1`` runs inline -- same code path, no pool -- so a
     parallel run can always be cross-checked against a serial one.
 
-    ``on_result(payload, result)`` fires in submission order as each
-    result lands (the durable run store persists shards through it).
-    A shard exception surfaces as :class:`ShardFailure` naming the
-    shard/axes; ``KeyboardInterrupt`` terminates the pool immediately
-    instead of hanging in the context-manager join while stragglers
-    finish.
+    On a pool, payloads start in the order given (put the longest first)
+    and ``on_result(payload, result)`` fires as each result lands,
+    whatever its position (the durable run store persists shards through
+    it); the returned list is in the order given regardless.  A payload
+    that raises does not stop the others: every result that lands is
+    still passed to ``on_result``, then the failure at the lowest
+    position surfaces as :class:`ShardFailure` naming the shard/axes.
+    ``KeyboardInterrupt`` terminates the pool immediately instead of
+    hanging in the context-manager join while stragglers finish.
     """
     payloads = list(payloads)
     if workers <= 1 or len(payloads) <= 1:
@@ -181,24 +193,25 @@ def pool_map(fn, payloads, workers, on_result=None):
     processes = min(workers, len(payloads))
     pool = context.Pool(processes=processes)
     try:
-        results = []
-        tasks = [(fn, payload) for payload in payloads]
-        # Ordered imap: submission-order results (determinism) delivered
-        # incrementally (durability) -- unlike map, which buffers all.
-        for payload, outcome in zip(payloads, pool.imap(_worker_call, tasks)):
-            result = _unwrap(outcome)
-            if on_result is not None:
-                on_result(payload, result)
-            results.append(result)
+        outcomes = [None] * len(payloads)
+        tasks = [
+            (fn, position, payload) for position, payload in enumerate(payloads)
+        ]
+        # The one sanctioned completion-order site: an ordered imap would
+        # hold every finished short shard unrecorded behind the longest.
+        for position, outcome in pool.imap_unordered(_worker_call, tasks):  # lint: disable=DET005(outcomes are slotted by position and returned in the order given; completion order only decides when on_result persists a shard)
+            outcomes[position] = outcome
+            if outcome["ok"] and on_result is not None:
+                on_result(payloads[position], outcome["value"])
         pool.close()
         pool.join()
-        return results
     except BaseException:
-        # Covers KeyboardInterrupt and ShardFailure alike: kill
+        # Covers KeyboardInterrupt and a failing on_result alike: kill
         # stragglers now rather than joining on them.
         pool.terminate()
         pool.join()
         raise
+    return [_unwrap(outcome) for outcome in outcomes]
 
 
 def run_sweep(name, shards, workers=1, seed=42, run=None):
@@ -208,7 +221,9 @@ def run_sweep(name, shards, workers=1, seed=42, run=None):
     shard is durably recorded and shards whose cached result matches the
     current spec fingerprint are served from disk without re-simulating.
     The merge always folds results in shard-index order, so cached and
-    fresh shards produce the same bytes as a cold run.
+    fresh shards produce the same bytes as a cold run -- which is what
+    lets a pool (``workers > 1``) start its pending shards longest
+    first; one worker runs them inline in shard order.
     """
     shards = list(shards)
     if not shards:
@@ -217,6 +232,7 @@ def run_sweep(name, shards, workers=1, seed=42, run=None):
     fingerprints = {shard.index: spec_fingerprint(shard.spec) for shard in shards}
     results_by_index = {}
     pending = []
+    costs = {}
     for shard in shards:
         fingerprint = fingerprints[shard.index]
         cached = run.load_shard(shard.index, fingerprint) if run is not None else None
@@ -225,12 +241,23 @@ def run_sweep(name, shards, workers=1, seed=42, run=None):
             continue
         payload = shard.to_dict()
         payload["spec_hash"] = fingerprint
+        taken_ns = 0
         if run is not None:
             payload["checkpoint_path"] = run.checkpoint_path(shard.index)
             snapshot = run.load_checkpoint(shard.index, fingerprint)
             if snapshot is not None:
                 payload["resume_checkpoint"] = snapshot
+                taken_ns = snapshot.get("taken_ns", 0)
+        costs[shard.index] = offered_packets(shard.spec, taken_ns)
         pending.append(payload)
+
+    if workers > 1:
+        # Longest first, so the costliest shard never starts last beside
+        # idle workers.  The estimate reads only the spec and the resume
+        # point: the dispatch order is the same on every host.
+        pending.sort(
+            key=lambda payload: (-costs[payload["index"]], payload["index"])
+        )
 
     on_result = None
     if run is not None:

@@ -4,8 +4,9 @@ Per-shard run reports (see :meth:`repro.scenarios.build.RunHandle.report`)
 are folded into one fleet view with the same machinery single runs use:
 :meth:`LatencyHistogram.merge` for latency (aggregate-exact, reservoir
 approximate) and :class:`CounterSet` for counters.  Merging is strictly
-shard-order: the engine hands reports over in submission order, so the
-merged artifact is byte-identical under any worker count.
+shard-order: the engine hands reports over in shard-index order however
+the pool dispatched them, so the merged artifact is byte-identical under
+any worker count.
 
 ``SweepReport`` follows the repo-wide tabular convention: ``to_dict()``
 for the JSON artifact and ``rows()`` (list of flat dicts) for tooling

@@ -20,6 +20,7 @@ from repro.core.gateway import AlbatrossServer, PodConfig
 from repro.scenarios.spec import EcmpSpec
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
+from repro.sim.units import SECOND
 
 
 def scaled_service(name="scaled", per_core_pps=100_000, lookups=4):
@@ -70,11 +71,45 @@ def _build_pod(pod_spec, server, rngs):
     return server.add_pod(PodConfig(**kwargs))
 
 
-def _pod_capacity_pps(pod_spec, pod):
-    """Nominal packet capacity of one pod: what ``WorkloadSpec.load`` scales."""
+def _pod_capacity_pps(pod_spec):
+    """Nominal packet capacity of one pod: what ``WorkloadSpec.load`` scales.
+
+    A function of the spec alone, so the sweep pool can price a shard
+    without building it.
+    """
     if pod_spec.per_core_pps is not None:
         return pod_spec.per_core_pps * pod_spec.data_cores
-    return pod.expected_capacity_mpps() * 1e6
+    from repro.cpu.service import ServiceChain, standard_services
+
+    # PodSpec carries no hit-rate or memory-clock knob, so the analytic
+    # chain at its defaults is the live pod's expected_capacity_mpps().
+    chain = ServiceChain(standard_services()[pod_spec.service])
+    return pod_spec.data_cores * chain.per_core_mpps() * 1e6
+
+
+def offered_rate_pps(spec):
+    """Packets per second the declared workload offers.
+
+    ``rate_pps`` verbatim; otherwise ``load`` is a fraction of the
+    nominal capacity of what the source feeds -- the whole AZ on
+    topology specs, the first pod on flat ones.
+    """
+    workload = spec.workload
+    if workload.rate_pps is not None:
+        return workload.rate_pps
+    targets = spec.all_pods if spec.servers else spec.pods[:1]
+    return int(sum(map(_pod_capacity_pps, targets)) * workload.load)
+
+
+def offered_packets(spec, from_ns=0):
+    """Packets the workload offers over ``[from_ns, duration_ns)``.
+
+    The sweep pool's cost estimate for a shard: host time is ~linear in
+    simulated packets (ROADMAP, "Where the numbers stand").
+    """
+    if spec.workload is None:
+        return 0
+    return offered_rate_pps(spec) * max(0, spec.duration_ns - from_ns) // SECOND
 
 
 @dataclass
@@ -147,7 +182,7 @@ class RunHandle:
 
     def capacity_pps(self):
         """Nominal packet capacity of the first pod."""
-        return _pod_capacity_pps(self.spec.all_pods[0], self.pod)
+        return _pod_capacity_pps(self.spec.all_pods[0])
 
     def run(self, duration_ns=None):
         """Advance the clock by ``duration_ns`` (default: the spec's)."""
@@ -337,19 +372,15 @@ def build(spec):
     if spec.workload is not None:
         if not pods:
             raise ValueError(f"scenario {spec.name!r} has a workload but no pods")
+        # Topology runs spread load over the whole AZ; flat ones drive
+        # the first pod (offered_rate_pps scales by the same targets).
         if topology is not None:
-            # Topology runs spread load over the whole AZ: the offered
-            # rate is a fraction of the summed per-pod capacity.
-            sink, targets = topology.uplink.forward, spec.all_pods
+            sink = topology.uplink.forward
         else:
-            sink, targets = sinks[spec.pods[0].name], spec.pods[:1]
-        rate = spec.workload.rate_pps
-        if rate is None:
-            capacity = sum(
-                _pod_capacity_pps(target, pods[target.name]) for target in targets
-            )
-            rate = int(capacity * spec.workload.load)
-        sources.append(_attach_workload(spec.workload, sim, rngs, sink, rate))
+            sink = sinks[spec.pods[0].name]
+        sources.append(
+            _attach_workload(spec.workload, sim, rngs, sink, offered_rate_pps(spec))
+        )
 
     telemetry = checkpointer = None
     if spec.timeseries_every_ns is not None:

@@ -291,6 +291,35 @@ class TestDet005CompletionOrder:
         """
         assert codes(source) == []
 
+    @pytest.mark.parametrize("path", [
+        "src/repro/fleet/engine.py",     # the sanctioned file gets no path pass
+        "src/repro/fleet/report.py",
+        "src/repro/runs/store.py",
+        "benchmarks/perf/driver.py",
+    ])
+    @pytest.mark.parametrize("call", [
+        "pool.imap_unordered(work, jobs)", "as_completed(jobs)",
+    ])
+    def test_fires_everywhere_no_path_is_exempt(self, path, call):
+        source = f"def run(pool, jobs):\n    return list({call})\n"
+        assert codes(source, path=path) == ["DET005"]
+
+    def test_pool_map_is_the_only_sanctioned_site(self):
+        """One reasoned suppression in the shipped tree, on pool_map's loop."""
+        from pathlib import Path
+
+        sites = [
+            (path.name, line.split("#")[0].strip())
+            for path in sorted(Path(SRC_DIR, "repro").rglob("*.py"))
+            if "analysis" not in path.parts  # the analyzers' docs quote the syntax
+            for line in path.read_text(encoding="utf-8").splitlines()
+            if "lint: disable=DET005(" in line
+        ]
+        assert sites == [(
+            "engine.py",
+            "for position, outcome in pool.imap_unordered(_worker_call, tasks):",
+        )]
+
 
 class TestSuppressions:
     def test_trailing_suppression_with_reason(self):

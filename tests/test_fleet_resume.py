@@ -5,10 +5,16 @@ shards served from disk and merges to **exactly** the bytes an
 uninterrupted run writes.  The "kill" here is literal file removal from
 the run directory -- the same state a SIGKILL mid-shard leaves behind
 (completed shards durable, the in-flight one absent or torn).
+
+The sweep is simulated once per module (:func:`baseline`); every
+"crashy" run is a copy of that run directory, re-anchored under its own
+id, with shard files then deleted or torn.
 """
 
 import json
 import os
+import shutil
+from types import SimpleNamespace
 
 import pytest
 
@@ -29,48 +35,73 @@ def shards():
     return build_sweep(SWEEP, quick=True, seed=42)
 
 
-def _full_run(store, shards, run_id):
-    run = store.create(SWEEP, 42, shards, run_id=run_id, quick=True)
-    report = run_sweep(SWEEP, shards, workers=1, seed=42, run=run)
-    return run, sweep_to_json(report)
+@pytest.fixture(scope="module")
+def baseline(tmp_path_factory):
+    """One uninterrupted CLI run: its run directory, artifact and bytes.
+
+    Shared and read-only -- tests that damage a run work on a
+    :func:`_copy_of` it.
+    """
+    root = tmp_path_factory.mktemp("baseline")
+    runs_dir, output = str(root / "RUNS"), root / "full.json"
+    assert main([
+        "sweep", SWEEP, "--quick", "--runs-dir", runs_dir,
+        "--run-id", "full", "--output", str(output),
+    ]) == 0
+    return SimpleNamespace(
+        runs_dir=runs_dir, run_id="full", output=output, text=output.read_text(),
+    )
+
+
+def _copy_of(baseline, runs_dir, run_id):
+    """A finished run under ``run_id`` in ``runs_dir``: the baseline's files."""
+    shutil.copytree(
+        os.path.join(baseline.runs_dir, baseline.run_id),
+        os.path.join(runs_dir, run_id),
+    )
+
+
+def _resume(store, shards, run_id, seed=42):
+    return store.resume(run_id, SWEEP, seed, shards, quick=True)
 
 
 class TestKillAndResume:
-    def test_resumed_merge_byte_identical(self, store, shards):
-        _run, baseline = _full_run(store, shards, "full")
-        crashy, _text = _full_run(store, shards, "crashy")
+    def test_resumed_merge_byte_identical(self, baseline, store, shards):
+        _copy_of(baseline, store.root, "crashy")
+        crashy = _resume(store, shards, "crashy")
         # "Kill": drop two completed shards, as if the process died
         # before writing them.
         os.unlink(crashy.shard_path(1))
         os.unlink(crashy.shard_path(3))
         assert crashy.completed_indices() == [0, 2]
 
-        resumed = store.resume("crashy", SWEEP, 42, shards, quick=True)
+        resumed = _resume(store, shards, "crashy")
         report = run_sweep(SWEEP, shards, workers=1, seed=42, run=resumed)
         assert report.cached_shards == 2
-        assert sweep_to_json(report) == baseline
+        assert sweep_to_json(report) == baseline.text
 
-    def test_torn_shard_file_reruns_that_shard(self, store, shards):
-        _run, baseline = _full_run(store, shards, "full")
-        crashy, _text = _full_run(store, shards, "torn")
+    def test_torn_shard_file_reruns_that_shard(self, baseline, store, shards):
+        _copy_of(baseline, store.root, "torn")
+        crashy = _resume(store, shards, "torn")
         with open(crashy.shard_path(2), "w", encoding="utf-8") as handle:
             handle.write('{"schema_version": 1, "result": {"trunc')
 
         report = run_sweep(SWEEP, shards, workers=1, seed=42, run=crashy)
         assert report.cached_shards == 3
-        assert sweep_to_json(report) == baseline
+        assert sweep_to_json(report) == baseline.text
 
-    def test_untouched_resume_is_all_cache(self, store, shards):
-        run, baseline = _full_run(store, shards, "done")
+    def test_untouched_resume_is_all_cache(self, baseline, store, shards):
+        _copy_of(baseline, store.root, "done")
+        run = _resume(store, shards, "done")
         report = run_sweep(SWEEP, shards, workers=1, seed=42, run=run)
         assert report.cached_shards == len(shards)
-        assert sweep_to_json(report) == baseline
+        assert sweep_to_json(report) == baseline.text
 
-    def test_stale_manifest_forces_rerun(self, store, shards):
+    def test_stale_manifest_forces_rerun(self, baseline, store):
         """Changing the sweep seed invalidates every cached shard."""
-        _run, _text = _full_run(store, shards, "r")
+        _copy_of(baseline, store.root, "r")
         reseeded = build_sweep(SWEEP, quick=True, seed=43)
-        resumed = store.resume("r", SWEEP, 43, reseeded, quick=True)
+        resumed = _resume(store, reseeded, "r", seed=43)
         assert resumed.completed_indices() == []
         report = run_sweep(SWEEP, reseeded, workers=1, seed=43, run=resumed)
         assert report.cached_shards == 0
@@ -78,6 +109,12 @@ class TestKillAndResume:
     def test_cache_is_ignored_without_a_run(self, shards):
         baseline = sweep_to_json(run_sweep(SWEEP, shards, workers=1, seed=42))
         assert json.loads(baseline)["sweep"] == SWEEP
+
+
+def _fails_at_zero(payload):
+    if payload["index"] == 0:
+        raise RuntimeError("boom")
+    return {"index": payload["index"]}
 
 
 class TestShardFailureNaming:
@@ -105,30 +142,39 @@ class TestShardFailureNaming:
         assert "shard 0 replica=0" in message
         assert "worker traceback" in message
 
+    def test_pool_failure_keeps_every_result_that_landed(self):
+        """What ``sweep`` prints on failure -- "completed shards are
+        saved" -- holds: the other shards run on and are recorded."""
+        payloads = [{"index": index, "axes": {}} for index in range(3)]
+        recorded = []
+        with pytest.raises(ShardFailure, match="shard 0 failed with RuntimeError: boom"):
+            pool_map(
+                _fails_at_zero, payloads, workers=2,
+                on_result=lambda payload, result: recorded.append(result["index"]),
+            )
+        assert sorted(recorded) == [1, 2]
+
 
 class TestSweepCliResume:
-    def test_end_to_end_resume_byte_identical(self, tmp_path, capsys):
+    def test_end_to_end_resume_byte_identical(self, baseline, tmp_path, capsys):
         runs_dir = str(tmp_path / "RUNS")
-        full = tmp_path / "full.json"
         resumed = tmp_path / "resumed.json"
-        base_args = ["sweep", SWEEP, "--quick", "--runs-dir", runs_dir]
-
-        assert main(base_args + ["--run-id", "full", "--output", str(full)]) == 0
-        assert main(base_args + ["--run-id", "crashy",
-                                 "--output", str(tmp_path / "scratch.json")]) == 0
+        _copy_of(baseline, runs_dir, "crashy")
         os.unlink(os.path.join(runs_dir, "crashy", "shard-0001.json"))
         os.unlink(os.path.join(runs_dir, "crashy", "shard-0003.json"))
-        capsys.readouterr()
 
-        code = main(base_args + ["--resume", "crashy", "--output", str(resumed)])
+        code = main([
+            "sweep", SWEEP, "--quick", "--runs-dir", runs_dir,
+            "--resume", "crashy", "--output", str(resumed),
+        ])
         assert code == 0
         out = capsys.readouterr().out
         assert "run crashy: 2 cached + 2 simulated shard(s)" in out
-        assert full.read_bytes() == resumed.read_bytes()
+        assert baseline.output.read_bytes() == resumed.read_bytes()
         # The run directory's merged artifact is the same bytes too.
         merged = os.path.join(runs_dir, "crashy", "SWEEP_repro.json")
         with open(merged, "rb") as handle:
-            assert handle.read() == full.read_bytes()
+            assert handle.read() == baseline.output.read_bytes()
 
     def test_resume_unknown_run_exits_2(self, tmp_path, capsys):
         code = main([
@@ -153,21 +199,16 @@ class TestSweepCliResume:
 
 class TestRunsCli:
     @pytest.fixture
-    def populated(self, tmp_path):
-        runs_dir = str(tmp_path / "RUNS")
-        output = tmp_path / "sweep.json"
-        assert main([
-            "sweep", SWEEP, "--quick", "--runs-dir", runs_dir,
-            "--run-id", "r1", "--output", str(output),
-        ]) == 0
-        return runs_dir, output
+    def populated(self, baseline):
+        """The shared finished run; these tests only read it."""
+        return baseline.runs_dir, baseline.output
 
     def test_list(self, populated, capsys):
         runs_dir, _output = populated
         capsys.readouterr()
         assert main(["runs", "--runs-dir", runs_dir, "list"]) == 0
         out = capsys.readouterr().out
-        assert "r1" in out
+        assert "full" in out
         assert "4/4" in out
 
     def test_list_empty_store(self, tmp_path, capsys):
@@ -177,9 +218,9 @@ class TestRunsCli:
     def test_show(self, populated, capsys):
         runs_dir, _output = populated
         capsys.readouterr()
-        assert main(["runs", "--runs-dir", runs_dir, "show", "r1"]) == 0
+        assert main(["runs", "--runs-dir", runs_dir, "show", "full"]) == 0
         out = capsys.readouterr().out
-        assert f"run r1: sweep '{SWEEP}'" in out
+        assert f"run full: sweep '{SWEEP}'" in out
         assert out.count("done") == 4
 
     def test_show_unknown_exits_2(self, populated, capsys):
@@ -191,7 +232,7 @@ class TestRunsCli:
         runs_dir, output = populated
         capsys.readouterr()
         code = main([
-            "runs", "--runs-dir", runs_dir, "compare", "r1", str(output),
+            "runs", "--runs-dir", runs_dir, "compare", "full", str(output),
         ])
         assert code == 0
         out = capsys.readouterr().out
