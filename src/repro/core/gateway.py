@@ -192,8 +192,9 @@ class GwPodRuntime:
         arrival, departure = packet.arrival_ns, packet.departure_ns
         if arrival is not None and departure is not None and packet.drop_reason is None:
             self.latency_histogram.record(departure - arrival)
-        key = _OUTCOME_KEYS.get(outcome)
-        if key is None:
+        try:
+            key = _OUTCOME_KEYS[outcome]
+        except KeyError:
             try:
                 key = outcome.value
             except AttributeError:

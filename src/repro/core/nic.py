@@ -83,7 +83,7 @@ class NicPipeline:
         )
         self.latency = config.latency_model
         self.reorder = ReorderEngine(sim, config.reorder, self._on_reorder_transmit)
-        self.plb = PlbDispatcher(self.cores, self.reorder, lambda: sim._now)
+        self.plb = PlbDispatcher(self.cores, self.reorder)
         self.rss = RssDispatcher(self.cores)
         self.rate_limiter = config.rate_limiter
         self.session_offload = config.session_offload

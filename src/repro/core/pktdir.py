@@ -25,6 +25,10 @@ class DeliveryPath(enum.Enum):
     PLB = "plb"
     RSS = "rss"
 
+    # Identity hash: ``classified[path]`` is per packet, and ``Enum.__hash__``
+    # is a Python-level call (DESIGN.md "Performance").
+    __hash__ = object.__hash__
+
 
 class PktDirRule:
     """One programmable classification rule.

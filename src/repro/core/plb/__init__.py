@@ -1,17 +1,11 @@
 """Packet-level load balancing: dispatch (ingress) and reorder (egress)."""
 
 from repro.core.plb.dispatch import PlbDispatcher
-from repro.core.plb.reorder import (
-    ReorderEngine,
-    ReorderInfo,
-    ReorderQueueConfig,
-    TxOutcome,
-)
+from repro.core.plb.reorder import ReorderEngine, ReorderQueueConfig, TxOutcome
 
 __all__ = [
     "PlbDispatcher",
     "ReorderEngine",
-    "ReorderInfo",
     "ReorderQueueConfig",
     "TxOutcome",
 ]

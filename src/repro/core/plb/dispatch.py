@@ -28,14 +28,15 @@ class PlbDispatcher:
     Parameters:
         cores: the pod's data cores, in RX-queue order.
         reorder: the pod's :class:`~repro.core.plb.reorder.ReorderEngine`.
-        now_fn: callable returning the current time in ns (the simulator
-            clock); timestamps feed the reorder timeout logic.
+            Its simulator's clock stamps every dispatched packet; the
+            timestamps feed the reorder timeout logic.
+        now_fn: ignored.  Still accepted so that callers of the older
+            ``(cores, reorder, now_fn)`` signature keep working.
     """
 
     __slots__ = (
         "cores",
         "reorder",
-        "now_fn",
         "_rr_index",
         "dispatched",
         "fifo_full_drops",
@@ -43,12 +44,11 @@ class PlbDispatcher:
         "_ordq_cache",
     )
 
-    def __init__(self, cores, reorder, now_fn):
+    def __init__(self, cores, reorder, now_fn=None):
         if not cores:
             raise ValueError("PLB needs at least one core")
         self.cores = list(cores)
         self.reorder = reorder
-        self.now_fn = now_fn
         self._rr_index = 0
         self.dispatched = 0
         self.fifo_full_drops = 0
@@ -90,10 +90,11 @@ class PlbDispatcher:
                 packet.drop_reason = "no_available_core"
                 return None
         reorder = self.reorder
-        now = self.now_fn()
+        now = reorder.sim._now
         flow = packet.flow
-        ordq = self._ordq_cache.get(flow)
-        if ordq is None:
+        try:
+            ordq = self._ordq_cache[flow]
+        except KeyError:
             ordq = self.ordq_index(flow)
         psn = reorder.admit(ordq, now)
         if psn is None:

@@ -3,7 +3,8 @@
 Data structures, mirroring the FPGA implementation:
 
 * **FIFO** -- one order-preserving queue per reorder queue; each element is
-  a reorder info (full PSN + arrival timestamp).  Bounded at ``depth``
+  a reorder info, the tuple ``(psn, enqueue_ns)``: full PSN + arrival
+  timestamp.  Bounded at ``depth``
   entries (4K in production: 100 µs of packets at 40 Mpps).
 * **BUF**  -- packet storage indexed by ``psn[11:0]``; holds packets that
   returned from the CPU but are not yet at the FIFO head.
@@ -47,18 +48,9 @@ class TxOutcome(enum.Enum):
     DROPPED_PAYLOAD_GONE = "payload_gone"  # header-only, payload released
     RELEASED_DROP_FLAG = "drop_flag"   # CPU set the drop flag; slot released
 
-
-class ReorderInfo:
-    """FIFO element: one in-flight packet's order bookkeeping."""
-
-    __slots__ = ("psn", "enqueue_ns")
-
-    def __init__(self, psn, enqueue_ns):
-        self.psn = psn
-        self.enqueue_ns = enqueue_ns
-
-    def __repr__(self):
-        return f"ReorderInfo(psn={self.psn}, t={self.enqueue_ns})"
+    # Identity hash: the gateway's outcome -> report-key lookup is per
+    # packet, and ``Enum.__hash__`` is a Python-level call.
+    __hash__ = object.__hash__
 
 
 class ReorderQueueConfig:
@@ -180,12 +172,13 @@ class ReorderEngine:
         """
         queue = self._queues[ordq]
         fifo = queue.fifo
-        if len(fifo) >= self.config.depth:
+        occupancy = len(fifo)
+        if occupancy >= self.config.depth:
             self.stats.fifo_full += 1
             return None
         psn = queue.tail_ptr
         queue.tail_ptr = psn + 1
-        fifo.append(ReorderInfo(psn, now_ns))
+        fifo.append((psn, now_ns))
         self.stats.admitted += 1
         if self._sanitizer is not None:
             self._sanitizer.ensure(
@@ -194,7 +187,7 @@ class ReorderEngine:
                 f"depth is {self.config.depth}",
                 ordq=ordq, occupancy=len(fifo), depth=self.config.depth,
             )
-        if len(fifo) == 1:
+        if not occupancy:
             self._arm_timeout(ordq, queue)
         return psn
 
@@ -338,11 +331,10 @@ class ReorderEngine:
         stats = self.stats
         transmit_fn = self.transmit_fn
         while fifo:
-            head = fifo[0]
-            head_psn = head.psn
+            head_psn, enqueue_ns = fifo[0]
             slot = head_psn & 0xFFF
             if not bitmap_valid[slot]:
-                if self.sim._now - head.enqueue_ns >= self.config.timeout_ns:
+                if self.sim._now - enqueue_ns >= self.config.timeout_ns:
                     # Case 1: head timed out; release it unfulfilled.
                     fifo.popleft()
                     queue.head_ptr = head_psn + 1
@@ -397,7 +389,7 @@ class ReorderEngine:
                 queue.timeout_event = None
             return
         sim = self.sim
-        delay = queue.fifo[0].enqueue_ns + self.config.timeout_ns - sim._now
+        delay = queue.fifo[0][1] + self.config.timeout_ns - sim._now
         if delay < 0:
             delay = 0
         if event is not None:

@@ -38,14 +38,21 @@ class RateLimitDecision(enum.Enum):
     DROP_PRE = "drop_pre"              # known heavy hitter, over pre_meter
     BYPASS = "bypass"                  # configured to skip all limiting
 
+    # Identity hash: ``decisions[decision]`` and ``allowed`` are per
+    # packet, and ``Enum.__hash__`` is a Python-level call.
+    __hash__ = object.__hash__
+
     @property
     def allowed(self):
-        return self in (
-            RateLimitDecision.ALLOW,
-            RateLimitDecision.ALLOW_MARKED,
-            RateLimitDecision.ALLOW_PRE,
-            RateLimitDecision.BYPASS,
-        )
+        return self in _ALLOWED
+
+
+_ALLOWED = frozenset((
+    RateLimitDecision.ALLOW,
+    RateLimitDecision.ALLOW_MARKED,
+    RateLimitDecision.ALLOW_PRE,
+    RateLimitDecision.BYPASS,
+))
 
 
 class TokenBucket:

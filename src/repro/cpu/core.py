@@ -94,8 +94,10 @@ class CpuCore:
         self._failed = False
         self._resume_event = None
         # Hot-path bindings: the RX ring never changes over the core's life.
+        self._rx_packets = self.rx_queue.packets
         self._rx_push = self.rx_queue.push
         self._rx_pop = self.rx_queue.pop
+        self._rx_pass = self.rx_queue.pass_through
 
     @property
     def busy(self):
@@ -117,8 +119,17 @@ class CpuCore:
         Returns True if accepted; False means silent driver loss, which is
         exactly the loss mode that creates reorder-FIFO head-of-line
         blocking (§4.1).
+
+        A core idles only once its ring is empty, so an idle, healthy core
+        serves the packet at once: the ring counts it as ``push`` + ``pop``
+        would, without the round trip.
         """
-        accepted = self._rx_push(packet)
+        idle = not (self._busy or self._failed)
+        if idle:
+            self._rx_pass()
+            accepted = True
+        else:
+            accepted = self._rx_push(packet)
         if self._sanitizer is not None:
             self._sanitizer.ensure(
                 len(self.rx_queue) <= self.rx_queue.capacity,
@@ -128,8 +139,8 @@ class CpuCore:
                 core=self.core_id, occupancy=len(self.rx_queue),
                 capacity=self.rx_queue.capacity,
             )
-        if accepted and not self._busy:
-            self._start_next()
+        if idle:
+            self._serve(packet)
         return accepted
 
     def inject_stall(self, duration_ns):
@@ -165,13 +176,14 @@ class CpuCore:
             self._start_next()
 
     def _start_next(self):
-        if self._failed:
-            self._busy = False
-            return
-        packet = self._rx_pop()
+        """Serve the ring's oldest packet, or go idle (failed, or nothing queued)."""
+        packet = None if self._failed else self._rx_pop()
         if packet is None:
             self._busy = False
-            return
+        else:
+            self._serve(packet)
+
+    def _serve(self, packet):
         self._busy = True
         packet.cpu_start_ns = self.sim._now
         service_ns = self.chain.service_time_ns(packet)
@@ -209,4 +221,7 @@ class CpuCore:
         else:
             stats.dropped += 1
         self.completion_fn(packet, verdict, self)
-        self._start_next()
+        if self._rx_packets:
+            self._start_next()
+        else:
+            self._busy = False

@@ -17,9 +17,11 @@ class PacketQueue:
             raise ValueError(f"capacity must be positive: {capacity}")
         self.capacity = capacity
         self.name = name
-        # In-flight packets: quiescent checkpoints require the queue to
-        # have drained, so the items themselves are never snapshot data.
-        self._items = deque()  # lint: disable=SNAP001(in-flight packets; checkpoints happen with the queue drained)
+        # In-flight packets, oldest first: quiescent checkpoints require the
+        # queue to have drained, so they are never snapshot data.  Readers
+        # may test it for emptiness without a call; only push/pop/drain and
+        # pass_through change the queue and its counters.
+        self.packets = deque()  # lint: disable=SNAP001(in-flight packets; checkpoints happen with the queue drained)
         self.enqueued = 0
         self.dropped = 0
         self.high_watermark = 0
@@ -38,19 +40,19 @@ class PacketQueue:
         self.high_watermark = snapshot["high_watermark"]
 
     def __len__(self):
-        return len(self._items)
+        return len(self.packets)
 
     @property
     def is_empty(self):
-        return not self._items
+        return not self.packets
 
     @property
     def is_full(self):
-        return len(self._items) >= self.capacity
+        return len(self.packets) >= self.capacity
 
     def push(self, packet):
         """Enqueue; returns False (and counts a drop) when full."""
-        items = self._items
+        items = self.packets
         if len(items) >= self.capacity:
             self.dropped += 1
             return False
@@ -62,14 +64,24 @@ class PacketQueue:
 
     def pop(self):
         """Dequeue the oldest packet, or None when empty."""
-        if not self._items:
+        if not self.packets:
             return None
-        return self._items.popleft()
+        return self.packets.popleft()
+
+    def pass_through(self):
+        """Count a packet its consumer took straight off the *empty* queue.
+
+        The counters end exactly where ``push()`` then ``pop()`` would
+        leave them (an empty queue always has room), without storing it.
+        """
+        self.enqueued += 1
+        if not self.high_watermark:
+            self.high_watermark = 1
 
     def drain(self):
         """Remove and return all queued packets."""
-        items = list(self._items)
-        self._items.clear()
+        items = list(self.packets)
+        self.packets.clear()
         return items
 
 

@@ -136,6 +136,10 @@ class WorkloadSpec(Spec):
                  f"unknown population {self.population!r}")
         _require((self.rate_pps is None) != (self.load is None),
                  "exactly one of rate_pps/load must be set")
+        for knob in ("rate_pps", "load"):
+            value = getattr(self, knob)
+            _require(value is None or value >= 0,
+                     f"workload {knob} must be >= 0, got {value}")
         _require(self.flows >= 1, f"workload flows must be >= 1, got {self.flows}")
         _require(self.tenants >= 1,
                  f"workload tenants must be >= 1, got {self.tenants}")
@@ -380,6 +384,8 @@ class ScenarioSpec(Spec):
 
     def __post_init__(self):
         _require(bool(self.name), "a scenario needs a name")
+        _require(self.duration_ns >= 0,
+                 f"duration_ns must be >= 0, got {self.duration_ns}")
         self.pods = tuple(self.pods)
         self.servers = tuple(self.servers)
         _require(

@@ -13,13 +13,17 @@ Three ways to queue a callback, one heap entry each:
 * ``post(delay, fn, *args)`` is the same push with no ``Event`` allocated,
   for callers that keep no handle.  Anything that is ever cancelled, or
   checkpointed by ``(time, seq)``, needs ``schedule``;
-* ``rearm(event, delay)`` moves a *pending* event to a later-or-equal
-  instant in place: it takes the next sequence number exactly as
-  ``cancel()`` + ``schedule()`` would and leaves the heap entry where it
-  is.  When that stale entry surfaces (``entry seq != event.seq``) the run
-  loop re-pushes it, uncounted, at ``(event.time, event.seq)``.  The old
-  slot sorts first, so the event still fires at the ``(time, seq)`` the
-  cancel-and-reschedule spelling gives it: every tie-break is unchanged.
+* ``rearm(event, delay)`` queues an existing handle again and takes the
+  next sequence number, exactly as ``schedule()`` would.  A *pending*
+  event moves to a later-or-equal instant in place (``cancel()`` +
+  ``schedule()`` without the second entry): the heap entry stays where it
+  is, and when that stale entry surfaces (``entry seq != event.seq``) the
+  run loop re-pushes it, uncounted, at ``(event.time, event.seq)``.  The
+  old slot sorts first, so the event still fires at the ``(time, seq)``
+  the cancel-and-reschedule spelling gives it.  A *fired* event -- a
+  periodic handler re-arming itself -- is pushed afresh, one entry as
+  ``schedule()`` pushes, with no new ``Event``.  Every tie-break is
+  unchanged.
 
 Determinism guarantees:
 
@@ -69,7 +73,8 @@ class Event:
     """Handle for a scheduled callback.
 
     Returned by :meth:`Simulator.schedule`; it can be cancelled
-    (:meth:`cancel`) or moved later (:meth:`Simulator.rearm`).  Cancelled
+    (:meth:`cancel`), moved later, or queued again once it has fired
+    (:meth:`Simulator.rearm`).  Cancelled
     events stay in the heap but are skipped when popped (lazy deletion),
     which is O(1) instead of O(n).
     """
@@ -188,20 +193,28 @@ class Simulator:
         self._sequence = seq + 1
 
     def rearm(self, event, delay):
-        """Move a pending ``event`` to ``delay`` ns from now, in place.
+        """Queue ``event`` again, ``delay`` ns from now, reusing the handle.
 
-        ``event.cancel()`` + ``schedule(delay, ...)`` without the second
-        heap entry and :class:`Event`.  The new instant must not precede
-        the current one: the entry is re-pushed when its old slot surfaces.
+        A *pending* event moves in place: ``event.cancel()`` +
+        ``schedule(delay, ...)`` without the second heap entry and
+        :class:`Event`.  The new instant must not precede the current one:
+        the entry is re-pushed when its old slot surfaces.  A *fired* event
+        has no heap entry left, so it is pushed afresh -- ``schedule(delay,
+        event.fn, *event.args)`` with the same handle.  Either way it takes
+        the next sequence number; a cancelled event cannot be rearmed.
         """
         time = self._now + int(delay)
-        if event.cancelled or event.fired or time < event.time:
+        if event.cancelled or time < (self._now if event.fired else event.time):
             raise SimulationError(
-                f"cannot rearm {event!r} to t={time}: not pending, or earlier"
+                f"cannot rearm {event!r} to t={time}: cancelled, or earlier"
             )
+        seq = self._sequence
         event.time = time
-        event.seq = self._sequence
-        self._sequence += 1
+        event.seq = seq
+        self._sequence = seq + 1
+        if event.fired:
+            event.fired = False
+            _heappush(self._heap, (time, seq, event.fn, event.args, event))
 
     def _reject_past(self, delay, fn):
         if self._sanitizer is not None:

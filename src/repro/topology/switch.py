@@ -30,7 +30,8 @@ class EcmpUplink:
     ``affinity_hits`` (pinned lookups) and ``to_server.<name>``.
     """
 
-    __slots__ = ("members", "hash_seed", "pin_flows", "counters", "_affinity")
+    __slots__ = ("members", "hash_seed", "pin_flows", "counters", "_affinity",
+                 "_member_keys")
 
     def __init__(self, members, hash_seed=101, pin_flows=True):
         members = tuple(members)
@@ -41,6 +42,7 @@ class EcmpUplink:
         self.pin_flows = pin_flows
         self.counters = CounterSet()
         self._affinity = {}       # FlowKey -> member index
+        self._member_keys = tuple(f"to_server.{name}" for name, _ in members)
 
     def server_for(self, flow):
         """The member index ``flow`` resolves to (pin first, then hash)."""
@@ -63,9 +65,9 @@ class EcmpUplink:
                 self.counters.incr("affinity_hits")
         else:
             index = crc32_flow_hash(flow, self.hash_seed) % len(self.members)
-        name, sink = self.members[index]
+        _, sink = self.members[index]
         self.counters.incr("forwarded")
-        self.counters.incr(f"to_server.{name}")
+        self.counters.incr(self._member_keys[index])
         sink(packet)
 
     @property
@@ -85,9 +87,14 @@ class FlowPodDispatch:
         hash_seed: pod-pick hash seed (distinct from the uplink's).
 
     Counters: ``dispatched`` and ``to_pod.<name>``.
+
+    The pod a flow hashes to is memoised per flow (bounded, like the PLB
+    order-queue memo): it is a pure function of the flow, the seed and the
+    pod count, all fixed for the dispatcher's life.
     """
 
-    __slots__ = ("server_name", "sinks", "hash_seed", "counters")
+    __slots__ = ("server_name", "sinks", "hash_seed", "counters", "_sink_keys",
+                 "_pod_of")
 
     def __init__(self, server_name, sinks, hash_seed=211):
         sinks = tuple(sinks)
@@ -97,10 +104,18 @@ class FlowPodDispatch:
         self.sinks = sinks
         self.hash_seed = hash_seed
         self.counters = CounterSet()
+        self._sink_keys = tuple(f"to_pod.{name}" for name, _ in sinks)
+        self._pod_of = {}         # FlowKey -> sink index (pure memo)
 
     def forward(self, packet):
-        index = crc32_flow_hash(packet.flow, self.hash_seed) % len(self.sinks)
-        name, sink = self.sinks[index]
+        flow = packet.flow
+        try:
+            index = self._pod_of[flow]
+        except KeyError:
+            index = crc32_flow_hash(flow, self.hash_seed) % len(self.sinks)
+            if len(self._pod_of) < 1_000_000:
+                self._pod_of[flow] = index
+        _, sink = self.sinks[index]
         self.counters.incr("dispatched")
-        self.counters.incr(f"to_pod.{name}")
+        self.counters.incr(self._sink_keys[index])
         sink(packet)

@@ -144,8 +144,7 @@ class _SourceBase:
 
     def _emit_one(self):
         flow, vni = self.population.choose(self.rng)
-        packet = Packet(flow, vni=vni, size=self.size, kind=self.kind)
-        self.sink(packet)
+        self.sink(Packet(flow, vni, self.size, self.kind))
         self.emitted += 1
         if self.count_limit is not None and self.emitted >= self.count_limit:
             self.stop()
@@ -191,16 +190,18 @@ class CbrSource(_SourceBase):
 
     def _tick(self):
         # Once per packet, so ``_emit_one``/``_schedule_next`` are inlined.  Not
-        # ``post``: the tick's ``(time, seq)`` is checkpointed, and it is cancelled.
+        # ``post``: the tick's ``(time, seq)`` is checkpointed, and it is
+        # cancelled.  The firing event is ``_next_event``; ``rearm`` queues it
+        # again at the ``(time, seq)`` a fresh ``schedule`` would take.
         if not self._running:
             return
         flow, vni = self.population.choose(self.rng)
-        self.sink(Packet(flow, vni=vni, size=self.size, kind=self.kind))
+        self.sink(Packet(flow, vni, self.size, self.kind))
         self.emitted += 1
         if self.count_limit is not None and self.emitted >= self.count_limit:
             self.stop()
         if self._running:
-            self._next_event = self.sim.schedule(self._interval, self._tick)
+            self.sim.rearm(self._next_event, self._interval)
 
     def stop(self):
         super().stop()

@@ -169,6 +169,9 @@ class TestPacketConservation:
         packet.kind = kind
         with pytest.raises(SanitizerViolation) as excinfo:
             nic.ingress(packet)
+            # Failed after dispatch: the packet meets the ring instead of
+            # going straight into service on an idle core.
+            nic.cores[0].fail()
             sim.run()
         assert excinfo.value.check == "packet-conservation"
         assert excinfo.value.detail == {"uid": packet.uid, "stage": stage}
@@ -298,7 +301,7 @@ class TestQueueAndSramChecks:
         sim = Simulator()
         core = make_core(sim, capacity=4)
         for _ in range(5):  # bypass push() accounting
-            core.rx_queue._items.append(make_packet())
+            core.rx_queue.packets.append(make_packet())
         with pytest.raises(SanitizerViolation) as excinfo:
             core.enqueue(make_packet())
         violation = excinfo.value

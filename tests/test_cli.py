@@ -113,6 +113,23 @@ class TestCommands:
         assert message in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--duration-ms", "-5", "duration_ns must be >= 0, got -5000000"),
+            ("--load", "-1", "workload load must be >= 0, got -1.0"),
+        ],
+    )
+    def test_simulate_negative_time_or_load_exits_2(self, capsys, flag, value, message):
+        """Regression: ``--duration-ms -5`` died with a ``SimulationError``
+        traceback from ``run_until``; ``--load -1`` silently offered 0
+        packets."""
+        code = main(["simulate", "--cores", "2", "--duration-ms", "5", flag, value])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+
     def test_experiment_by_name(self, capsys):
         code = main(["experiment", "fig15"])
         assert code == 0

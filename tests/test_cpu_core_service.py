@@ -1,7 +1,10 @@
 """CPU core, service chain, jitter, queue and mempool tests."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.analysis.sanitizer import install, uninstall
 from repro.cpu.cache import LruCacheModel
 from repro.cpu.core import CpuCore, Verdict
 from repro.cpu.queues import DpdkMempool, MempoolExhausted, PacketQueue
@@ -222,6 +225,90 @@ class TestCpuCore:
         sim.run()
         assert core.stats.busy_ns == 3000
         assert core.stats.utilization(6000) == pytest.approx(0.5)
+
+
+class _RingDrivenCore(CpuCore):
+    """The reference spelling of ``enqueue``: every packet goes through the
+    RX ring's ``push`` and leaves it by ``pop``, idle core or not."""
+
+    def enqueue(self, packet):
+        accepted = self.rx_queue.push(packet)
+        if accepted and not self._busy:
+            self._start_next()
+        return accepted
+
+
+_CORE_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("enqueue"), st.integers(1, 4)),
+        st.tuples(st.just("advance"), st.sampled_from([0, 300, 1000, 2500])),
+        st.tuples(st.just("fail"), st.sampled_from([None, 700, 3000])),
+        st.tuples(st.just("restore"), st.just(0)),
+        st.tuples(st.just("stall"), st.sampled_from([200, 1500])),
+    ),
+    max_size=30,
+)
+
+
+class _CoreSide:
+    """One core on its own simulator, logging ``(now, packet number)`` per
+    completion and the ``accepted`` flag of every delivery."""
+
+    def __init__(self, cls):
+        self.sim = Simulator()
+        self.log = []
+        self.sent = 0
+        self.core = cls(self.sim, 0, ChainStub(1000), self._done, rx_capacity=3)
+
+    def _done(self, packet, verdict, core):
+        self.log.append((self.sim.now, packet.size))
+
+    def apply(self, kind, value):
+        core = self.core
+        if kind == "enqueue":
+            for _ in range(value):
+                self.sent += 1      # the packet number rides in its size
+                self.log.append(core.enqueue(Packet(FlowKey(1, 2, 3, 4, 17), size=self.sent)))
+        elif kind == "advance":
+            self.sim.run_until(self.sim.now + value)
+        elif kind == "fail":
+            core.fail(value)
+        elif kind == "restore":
+            core.restore()
+        else:
+            core.inject_stall(value)
+
+    def state(self):
+        core, sim = self.core, self.sim
+        return (
+            core.rx_queue.checkpoint(), core.stats.checkpoint(), len(core.rx_queue),
+            core.busy, sim.now, sim.pending, sim.events_processed, self.log,
+        )
+
+
+class TestIdleCoreStartsWithoutTheRingRoundTrip:
+    """An idle core serves a packet at once; the ring's counters, the core's
+    stats and every completion must match the push/pop spelling."""
+
+    @pytest.mark.parametrize("sanitized", [False, True], ids=["plain", "sanitized"])
+    @settings(max_examples=150, deadline=None)
+    @given(ops=_CORE_OPS)
+    def test_same_ring_counters_stats_and_completions(self, sanitized, ops):
+        if sanitized:
+            install()
+        try:
+            native, spelled = _CoreSide(CpuCore), _CoreSide(_RingDrivenCore)
+        finally:
+            uninstall()     # the sanitizer is resolved at construction
+        for kind, value in ops:
+            for side in (native, spelled):
+                side.apply(kind, value)
+            assert native.state() == spelled.state()
+        for side in (native, spelled):
+            side.apply("restore", 0)
+            side.sim.run()
+        assert native.state() == spelled.state()
+        assert native.core.rx_queue.enqueued == native.core.stats.processed
 
 
 class TestPacketQueue:

@@ -25,7 +25,7 @@ def make_dispatcher(cores=4, queues=2, depth=4096):
         sim, ReorderQueueConfig(queues, depth), lambda packet, outcome: None
     )
     fake_cores = [FakeCore(index) for index in range(cores)]
-    dispatcher = PlbDispatcher(fake_cores, engine, lambda: sim.now)
+    dispatcher = PlbDispatcher(fake_cores, engine)
     return sim, engine, fake_cores, dispatcher
 
 
@@ -47,7 +47,7 @@ class TestSpray:
         sim = Simulator()
         engine = ReorderEngine(sim, ReorderQueueConfig(1), lambda p, o: None)
         with pytest.raises(ValueError):
-            PlbDispatcher([], engine, lambda: 0)
+            PlbDispatcher([], engine)
 
 
 class TestOrderQueueSelection:
@@ -101,11 +101,13 @@ class TestTagging:
         assert pkt_b.meta.psn == 0  # independent sequence space
 
     def test_timestamp_from_clock(self):
-        sim, engine, cores, _ = make_dispatcher()
-        dispatcher = PlbDispatcher(cores, engine, lambda: 12345)
+        sim, engine, _, dispatcher = make_dispatcher()
+        sim.run_until(12345)
         packet = Packet(FlowKey(1, 2, 3, 4, 17))
         dispatcher.dispatch(packet)
         assert packet.meta.timestamp_ns == 12345
+        # The reorder info queued for it: (psn, enqueue_ns).
+        assert list(engine._queues[packet.meta.ordq].fifo) == [(0, 12345)]
 
     def test_header_only_flag_propagates(self):
         _, _, _, dispatcher = make_dispatcher()

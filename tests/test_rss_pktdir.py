@@ -1,11 +1,19 @@
 """RSS dispatcher and pkt_dir classifier tests."""
 
+import ast
+import json
+from pathlib import Path
+
 import pytest
 
+from repro.core.gateway import _OUTCOME_KEYS
 from repro.core.pktdir import DeliveryPath, PktDir, PktDirRule
+from repro.core.plb.reorder import TxOutcome
+from repro.core.ratelimit import RateLimitDecision, TwoStageRateLimiter
 from repro.core.rss import INDIRECTION_ENTRIES, RssDispatcher
 from repro.packet.flows import FlowKey, flow_for_tenant
 from repro.packet.packet import Packet, PacketKind
+from repro.sim.rng import derived_stream
 
 
 class FakeCore:
@@ -106,3 +114,95 @@ class TestPktDir:
         pkt_dir.classify(packet(PacketKind.PROTOCOL))
         assert pkt_dir.classified[DeliveryPath.PLB] == 1
         assert pkt_dir.classified[DeliveryPath.PRIORITY] == 1
+
+
+_IDENTITY_HASHED = (DeliveryPath, TxOutcome, RateLimitDecision)
+_SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+
+
+def _set_builds_of_identity_hashed(tree):
+    """Set displays, set comprehensions and set()/frozenset() calls that
+    name one of the identity-hashed enums."""
+    names = {enum.__name__ for enum in _IDENTITY_HASHED}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Set, ast.SetComp)) or (
+            isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in ("set", "frozenset")
+        ):
+            if any(isinstance(leaf, ast.Name) and leaf.id in names for leaf in ast.walk(node)):
+                yield node
+
+
+def _membership_operand(node, parents):
+    """True when ``node`` is only the right-hand side of ``in``/``not in``."""
+    parent = parents[node]
+    return (
+        isinstance(parent, ast.Compare) and node in parent.comparators
+        and all(isinstance(op, (ast.In, ast.NotIn)) for op in parent.ops)
+    )
+
+
+class TestIdentityHashedEnums:
+    """``DeliveryPath``, ``TxOutcome`` and ``RateLimitDecision`` are per-packet
+    dict keys, so they hash by identity.  Enum hashes were never stable
+    across runs (``Enum.__hash__`` hashes the member name, and string
+    hashing is randomized), so nothing may depend on their order."""
+
+    def test_members_hash_by_identity(self):
+        for enum in _IDENTITY_HASHED:
+            assert enum.__hash__ is object.__hash__
+            for member in enum:
+                assert hash(member) == object.__hash__(member)
+
+    def test_pktdir_snapshot_bytes(self):
+        pkt_dir = PktDir()
+        for kind in (PacketKind.STATEFUL, PacketKind.DATA, PacketKind.DATA, PacketKind.PROTOCOL):
+            pkt_dir.classify(packet(kind))
+        assert json.dumps(pkt_dir.checkpoint()) == (
+            '{"classified": {"priority": 1, "plb": 2, "rss": 1}}'
+        )
+
+    def test_limiter_snapshot_bytes(self):
+        limiter = TwoStageRateLimiter(
+            derived_stream("test.sampler", seed=1),
+            stage1_rate_pps=400, stage2_rate_pps=100,
+        )
+        limiter.add_bypass(5)
+        decisions = [limiter.admit(vni, 0) for vni in (5, 1, 1, 1, 1, 1, 1)]
+        assert [decision.allowed for decision in decisions] == [True] * 6 + [False]
+        assert json.dumps(limiter.checkpoint()["decisions"]) == (
+            '{"allow": 4, "allow_marked": 1, "drop_meter": 1, '
+            '"allow_pre": 0, "drop_pre": 0, "bypass": 1}'
+        )
+
+    def test_outcome_report_keys(self):
+        assert _OUTCOME_KEYS == {
+            **{outcome: outcome.value for outcome in TxOutcome},
+            "rss": "rss", "fpga_fast_path": "fpga_fast_path",
+        }
+        assert list(_OUTCOME_KEYS.values()) == [
+            "in_order", "best_effort", "payload_gone", "drop_flag", "rss", "fpga_fast_path",
+        ]
+
+    def test_nothing_under_src_iterates_a_set_of_them(self):
+        found = []
+        for path in sorted(_SRC.rglob("*.py")):
+            tree = ast.parse(path.read_text())
+            parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+            for node in _set_builds_of_identity_hashed(tree):
+                found.append(path.name)
+                if _membership_operand(node, parents):
+                    continue
+                target = parents[node]
+                assert isinstance(target, ast.Assign) and len(target.targets) == 1, (
+                    f"{path}:{node.lineno}: a set of identity-hashed enums "
+                    f"that is not a named membership table"
+                )
+                name = target.targets[0].id
+                for use in ast.walk(tree):
+                    if isinstance(use, ast.Name) and use.id == name and isinstance(use.ctx, ast.Load):
+                        assert _membership_operand(use, parents), (
+                            f"{path}:{use.lineno}: {name} is used other than as "
+                            f"the right-hand side of 'in'"
+                        )
+        assert found == ["ratelimit.py"]  # RateLimitDecision's ``allowed`` table

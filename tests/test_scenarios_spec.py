@@ -89,6 +89,17 @@ class TestSpecValidation:
     def test_smallest_workload_accepted(self):
         WorkloadSpec(load=0.5, flows=1, tenants=1, zipf_exponent=0, size=1)
 
+    @pytest.mark.parametrize("knob, value", [("load", -0.5), ("rate_pps", -1)])
+    def test_negative_offered_rate_rejected(self, knob, value):
+        with pytest.raises(ValueError, match=f"workload {knob} must be >= 0"):
+            WorkloadSpec(**{knob: value})
+        WorkloadSpec(**{knob: 0})  # zero offers nothing, which is allowed
+
+    def test_negative_duration_rejected(self):
+        with pytest.raises(ValueError, match="duration_ns must be >= 0"):
+            ScenarioSpec(name="x", duration_ns=-1)
+        assert ScenarioSpec(name="x", duration_ns=0).duration_ns == 0
+
     def test_duplicate_pod_names_rejected(self):
         with pytest.raises(ValueError, match="duplicate pod name"):
             ScenarioSpec(name="x", pods=(PodSpec(name="a"), PodSpec(name="a")))

@@ -14,8 +14,11 @@ import collections
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.packet.flows import FlowKey
+from repro.packet.hashing import crc32_flow_hash
 from repro.packet.packet import Packet
 from repro.scenarios import build
 from repro.scenarios.registry import scenario_spec
@@ -81,6 +84,8 @@ class TestEcmpUplink:
             uplink.forward(Packet(_flow(index)))
         # A seeded hash over 256 flows lands work on every member.
         assert all(packets for packets in received.values())
+        for name, packets in received.items():
+            assert uplink.counters.get(f"to_server.{name}") == len(packets)
 
     def test_empty_member_list_rejected(self):
         with pytest.raises(ValueError, match="at least one server"):
@@ -105,6 +110,38 @@ class TestFlowPodDispatch:
     def test_no_pods_rejected(self):
         with pytest.raises(ValueError, match="no pods"):
             FlowPodDispatch("srv", [])
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        flows=st.lists(
+            st.builds(
+                FlowKey,
+                st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1),
+                st.integers(0, 2**16 - 1), st.integers(0, 2**16 - 1),
+                st.sampled_from([6, 17]),
+            ),
+            min_size=1, max_size=40,
+        ),
+        seed=st.integers(0, 2**32 - 1),
+        pods=st.integers(1, 7),
+    )
+    def test_memoised_pick_is_the_seeded_hash(self, flows, seed, pods):
+        received = [[] for _ in range(pods)]
+        dispatch = FlowPodDispatch(
+            "srv", [(f"p{index}", into.append) for index, into in enumerate(received)],
+            hash_seed=seed,
+        )
+        for _ in range(2):  # first sight computes, the second reads the memo
+            for flow in flows:
+                dispatch.forward(Packet(flow))
+        expected = [[] for _ in range(pods)]
+        for _ in range(2):
+            for flow in flows:
+                expected[crc32_flow_hash(flow, seed) % pods].append(flow)
+        assert [[packet.flow for packet in into] for into in received] == expected
+        for index in range(pods):
+            assert dispatch.counters.get(f"to_pod.p{index}") == len(expected[index])
+        assert dispatch.counters.get("dispatched") == 2 * len(flows)
 
 
 class TestDpuPreClassifier:
