@@ -4,8 +4,11 @@ Commands:
 
 * ``simulate`` -- run one GW pod with a synthetic workload and print a
   throughput/latency report (the quickstart, parameterized).
-* ``experiment`` -- run one named experiment (or ``all``) and print its
-  table; names match :func:`repro.experiments.runner.all_experiments`.
+* ``experiment`` -- run one named experiment (or ``all``), print its
+  table and the verdict of each of its paper claims
+  (:mod:`repro.experiments.claims`); exits 1 if a claim fails, 2 for an
+  unknown name.  Names are the keys of
+  :data:`repro.experiments.runner.EXPERIMENTS`.
 * ``faults`` -- run a named fault-injection scenario (or ``all``) from
   :mod:`repro.faults.scenarios` and print its recovery report.  With
   ``REPRO_SANITIZE=1`` in the environment the run is sanitized (summary on
@@ -295,22 +298,22 @@ def cmd_simulate(args):
 
 
 def cmd_experiment(args):
-    from repro.experiments.runner import all_experiments
+    from repro.experiments.claims import claims_for
+    from repro.experiments.runner import EXPERIMENTS, run_experiment
 
-    names = []
-    for name, fn in all_experiments(quick=args.quick):
-        names.append(name)
-        if args.name in (name, "all"):
-            result = fn()
-            if isinstance(result, tuple):
-                for part in result:
-                    part.print_table()
-            else:
-                result.print_table()
-    if args.name != "all" and args.name not in names:
-        print(f"unknown experiment {args.name!r}; choose from: {', '.join(names)}")
-        return 1
-    return 0
+    if args.name != "all" and args.name not in EXPERIMENTS:
+        print(f"unknown experiment {args.name!r}; choose from: "
+              f"{', '.join(EXPERIMENTS)}", file=sys.stderr)
+        return 2
+    failed = 0
+    for name in EXPERIMENTS if args.name == "all" else (args.name,):
+        result = run_experiment(name, quick=args.quick)
+        result.print_table()
+        for claim in claims_for(name):
+            holds, verdict = claim.check(result)
+            print(verdict)
+            failed += not holds
+    return 1 if failed else 0
 
 
 def _run_named_scenarios(args, names, runner):
@@ -403,7 +406,7 @@ def cmd_sanitize(args):
 def cmd_inventory(_args):
     from repro.controlplane import migration_descriptions
     from repro.cpu.service import standard_services
-    from repro.experiments.runner import all_experiments
+    from repro.experiments.runner import EXPERIMENTS
     from repro.faults.scenarios import scenario_descriptions as fault_descriptions
     from repro.fleet import sweep_descriptions
     from repro.scenarios import scenario_descriptions
@@ -421,7 +424,7 @@ def cmd_inventory(_args):
     for name, blurb in migration_descriptions().items():
         print(f"  {name}: {blurb}")
     print("experiments:")
-    for name, _fn in all_experiments():
+    for name in EXPERIMENTS:
         print(f"  {name}")
     print("gateway services:")
     for name, service in standard_services().items():

@@ -2,28 +2,9 @@
 
 Every driver is a plain function returning an
 :class:`~repro.experiments.common.ExperimentResult` with ``rows()`` (list
-of dicts) and ``print_table()``, so the benchmarks print the same
-rows/series the paper reports.
-
-Index (see DESIGN.md for the full mapping):
-
-=============  =====================================================
-``tab3``       Throughput per gateway service
-``tab4_tab5``  NIC pipeline latency and FPGA resources
-``tab6``       Albatross vs Sailfish comparison
-``fig4_fig5``  PLB vs RSS per-core performance and L3 hit rate
-``fig7_bgp``   BGP proxy peer-count and convergence
-``fig8``       Heavy-hitter load balancing comparison
-``fig9``       P99 latency vs gateway load
-``fig10``      Weekly multi-core utilization spread
-``fig11``      Production latency distribution / disorder rate
-``fig12``      HOL optimization with the active drop flag
-``fig13_14``   Tenant overload rate limiting (without / with)
-``fig15``      AZ construction cost and power comparison
-``fig16_17``   NUMA placement and NUMA balancing
-``ablations``  Meta placement, stateful NFs, memory frequency,
-               reorder-queue sizing, rate-limiter collisions
-=============  =====================================================
+of dicts) and ``print_table()``.  :mod:`repro.experiments.runner` names
+each experiment and its full and quick sizes; :mod:`repro.experiments.claims`
+holds the paper claims each result is checked against.
 """
 
 from repro.experiments.common import ExperimentResult, format_table

@@ -95,15 +95,3 @@ def run(with_limiter, duration_ns=2 * SECOND, seed=61):
     )
     result.limiter = limiter
     return result
-
-
-def loss_per_tenant(result, after_ms):
-    """Delivered rate per tenant averaged over buckets after ``after_ms``."""
-    rates = {}
-    rows = [row for row in result.rows() if row["t_ms"] >= after_ms]
-    if not rows:
-        return rates
-    for key in rows[0]:
-        if key.startswith("tenant"):
-            rates[key] = sum(row[key] for row in rows) / len(rows)
-    return rates

@@ -133,12 +133,23 @@ class TestCommands:
     def test_experiment_by_name(self, capsys):
         code = main(["experiment", "fig15"])
         assert code == 0
-        assert "AZ construction" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "AZ construction" in out
+        assert "[holds] fig15.cost: 50 (paper 50, measured/paper 1.000)" in out
+
+    def test_failing_claim_exits_1(self, capsys, monkeypatch):
+        from repro.core import resources
+
+        monkeypatch.setitem(resources.NIC_MODULE_LATENCY_US, "dma", (4.17, 2.98))
+        assert main(["experiment", "tab4"]) == 1
+        assert "[FAILS] tab4.rx-total: 4.9" in capsys.readouterr().out
 
     def test_unknown_experiment(self, capsys):
         code = main(["experiment", "nope"])
-        assert code == 1
-        assert "unknown experiment" in capsys.readouterr().out
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "unknown experiment" in captured.err
+        assert captured.out == ""
 
     def test_inventory(self, capsys):
         code = main(["inventory"])

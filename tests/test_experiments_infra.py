@@ -1,10 +1,17 @@
-"""Tests for the experiment infrastructure (results, runner, scaling)."""
+"""Tests for the experiment infrastructure (results, runner, scaling) and the
+paper claims, each checked at quick size."""
+
+from pathlib import Path
 
 import pytest
 
+from repro.experiments.claims import CLAIMS, claims_for
 from repro.experiments.common import ExperimentResult, format_table
-from repro.experiments.runner import all_experiments
+from repro.experiments.runner import EXPERIMENTS, run_experiment
 from repro.scenarios import scaled_service
+from repro.sim.units import MS
+
+REPO = Path(__file__).parent.parent
 
 
 class TestExperimentResult:
@@ -93,24 +100,80 @@ class TestScaledService:
 
 
 class TestRunner:
-    def test_experiment_names_unique(self):
-        names = [name for name, _ in all_experiments()]
-        assert len(names) == len(set(names))
-
     def test_covers_every_table_and_figure(self):
-        names = {name for name, _ in all_experiments()}
         for required in (
             "tab1", "tab3", "tab4", "tab5", "tab6",
             "fig4_fig5", "fig7_peers", "fig8", "fig9", "fig10", "fig11",
             "fig12", "fig13", "fig14", "fig15", "fig16", "fig17",
         ):
-            assert required in names, required
+            assert required in EXPERIMENTS, required
 
-    def test_cheap_experiments_run(self):
-        cheap = {"tab1", "tab4", "tab5", "tab6", "fig15", "fig7_peers",
-                 "appendix_split", "appendix_port", "ablation_memfreq",
-                 "ablation_stateful", "ablation_offload"}
-        for name, fn in all_experiments(quick=True):
-            if name in cheap:
-                result = fn()
-                assert result.rows(), name
+
+@pytest.fixture(scope="session")
+def quick_result():
+    """Each experiment's quick-size result, run at most once per test run."""
+    results = {}
+
+    def result(name):
+        if name not in results:
+            results[name] = run_experiment(name, quick=True)
+        return results[name]
+
+    return result
+
+
+class TestClaims:
+    @pytest.mark.parametrize("claim", CLAIMS, ids=[claim.id for claim in CLAIMS])
+    def test_holds_at_quick_size(self, claim, quick_result):
+        holds, verdict = claim.check(quick_result(claim.experiment))
+        assert holds, verdict
+
+    def test_every_experiment_has_a_claim(self):
+        assert [name for name in EXPERIMENTS if not claims_for(name)] == []
+
+    def test_every_claim_names_an_experiment(self):
+        assert [claim.id for claim in CLAIMS if claim.experiment not in EXPERIMENTS] == []
+
+    def test_claim_ids_unique(self):
+        ids = [claim.id for claim in CLAIMS]
+        assert len(ids) == len(set(ids))
+
+    def test_experiments_md_rows_are_the_claims(self):
+        """EXPERIMENTS.md has one row per claim, carrying its paper text."""
+        rows = {}
+        for line in (REPO / "EXPERIMENTS.md").read_text().splitlines():
+            if line.startswith("| `"):
+                cells = [cell.strip() for cell in line.strip("|").split(" | ")]
+                rows[cells[0].strip("`")] = cells[1]
+        assert rows == {claim.id: claim.statement for claim in CLAIMS}
+
+    def test_dma_latency_perturbation_fails_exactly_the_tab4_sums(self, monkeypatch):
+        """+0.5 us of DMA latency per direction breaks Tab. 4's totals and
+        the measured unloaded latency, and no claim of any other cheap
+        experiment; DMA then dominates even more, so that claim holds."""
+        from repro.core import resources
+
+        rx_us, tx_us = resources.NIC_MODULE_LATENCY_US["dma"]
+        monkeypatch.setitem(
+            resources.NIC_MODULE_LATENCY_US, "dma", (rx_us + 0.5, tx_us + 0.5)
+        )
+        cheap = ("tab1", "tab4", "tab5", "tab6", "fig7_peers", "fig7_protocol",
+                 "fig15", "ablation_stateful", "ablation_memfreq",
+                 "ablation_collisions", "ablation_offload", "appendix_split",
+                 "appendix_port")
+        failing = set()
+        for name in cheap:
+            result = run_experiment(name, quick=True)
+            failing |= {c.id for c in claims_for(name) if not c.check(result)[0]}
+        assert failing == {"tab4.rx-total", "tab4.tx-total", "tab4.unloaded-latency"}
+
+    @pytest.mark.parametrize("name, holding", [
+        ("fig13", {"fig13.full-rate-before-burst"}),
+        ("fig14", set()),
+    ])
+    def test_burst_claims_fail_on_a_run_that_ends_before_the_burst(self, name, holding):
+        """Regression: ``--quick`` ran Fig. 13/14 for 500 ms, but the burst
+        starts at 1 s, so the quick tables showed no overload at all."""
+        function = EXPERIMENTS[name][0]
+        result = function(duration_ns=500 * MS)
+        assert {c.id for c in claims_for(name) if c.check(result)[0]} == holding
