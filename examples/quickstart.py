@@ -5,7 +5,7 @@ full FPGA NIC pipeline (PLB spray -> CPU service -> reorder -> wire).
 Run:  python examples/quickstart.py
 """
 
-from repro import AlbatrossServer, PodConfig, RngRegistry, Simulator
+from repro import AlbatrossServer, PodSpec, RngRegistry, Simulator
 from repro.sim import MS, US
 from repro.workloads import CbrSource, uniform_population
 
@@ -19,10 +19,10 @@ def main():
     # with 8 data cores running the VPC-Internet service in PLB mode.
     server = AlbatrossServer(sim, rngs)
     pod = server.add_pod(
-        PodConfig(name="vpc-internet-gw", data_cores=8, service="VPC-Internet")
+        PodSpec(name="vpc-internet-gw", data_cores=8, service="VPC-Internet")
     )
     print(f"pod placed on NUMA node {pod.numa_node}, "
-          f"{pod.config.reorder_queues} reorder queues")
+          f"{pod.nic.reorder.queue_count} reorder queues")
     print(f"nominal capacity: {pod.expected_capacity_mpps():.2f} Mpps")
 
     # 1000 flows across 50 tenants at 60% of capacity.

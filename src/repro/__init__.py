@@ -9,7 +9,7 @@ subsystem the paper describes as a deterministic discrete-event simulation:
   ``pkt_dir`` classifier and protocol priority queues (:mod:`repro.core`);
 * the x86 substrate -- cores, service chains, an LRU L3-cache model and
   NUMA effects (:mod:`repro.cpu`);
-* forwarding tables -- LPM (trie and DIR-24-8), exact match, sessions
+* forwarding tables -- DIR-24-8 LPM, exact match, sessions
   (:mod:`repro.tables`);
 * containerization -- GW pods, SR-IOV VF allocation, fleet scheduling,
   elasticity (:mod:`repro.container`);
@@ -21,12 +21,12 @@ subsystem the paper describes as a deterministic discrete-event simulation:
 
 Quickstart::
 
-    from repro import AlbatrossServer, PodConfig, Simulator, RngRegistry
+    from repro import AlbatrossServer, PodSpec, Simulator, RngRegistry
     from repro.sim import SECOND
 
     sim = Simulator()
     server = AlbatrossServer(sim, RngRegistry(seed=1))
-    pod = server.add_pod(PodConfig(name="gw", data_cores=8))
+    pod = server.add_pod(PodSpec(name="gw", data_cores=8))
     # drive pod.ingress(...) with a workload, then:
     sim.run_until(1 * SECOND)
 """
@@ -35,15 +35,14 @@ from repro.core import (
     AlbatrossServer,
     GwPodRuntime,
     NicPipeline,
-    NicPipelineConfig,
     PlbMeta,
-    PodConfig,
     RateLimitDecision,
     ReorderQueueConfig,
     TokenBucket,
     TwoStageRateLimiter,
 )
 from repro.packet import FlowKey, Packet, PacketKind
+from repro.scenarios import PodSpec
 from repro.sim import RngRegistry, Simulator
 
 __version__ = "1.0.0"
@@ -52,9 +51,8 @@ __all__ = [
     "AlbatrossServer",
     "GwPodRuntime",
     "NicPipeline",
-    "NicPipelineConfig",
     "PlbMeta",
-    "PodConfig",
+    "PodSpec",
     "RateLimitDecision",
     "ReorderQueueConfig",
     "TokenBucket",

@@ -42,7 +42,7 @@ class PodControlPlane:
     def __init__(self, pod, asn=65001, bgp_id=None, router_ip=None, name=None):
         self.pod = pod
         self.sim = pod.sim
-        self.name = name or pod.config.name
+        self.name = name or pod.spec.name
         self.speaker = BgpSpeaker(
             self.sim,
             self.name,

@@ -14,7 +14,8 @@ events:
    the freeze costs ``freeze_ns`` plus ``per_kib_ns`` per KiB of
    canonical snapshot bytes (state-transfer bandwidth).
 3. **restore** -- the pod is torn down, rebuilt on the target NUMA node
-   from the same config, and every stateful component is reinstated from
+   from the same :class:`~repro.scenarios.spec.PodSpec` (placed on the
+   target node), and every stateful component is reinstated from
    the snapshot (RNG stream positions included, so the restored pod's
    future draws match what the original would have produced).
 4. **route-update / flush** -- after ``route_update_ns`` the buffered
@@ -31,6 +32,7 @@ total latency, packets buffered, snapshot size).
 """
 
 from collections import deque
+from dataclasses import replace
 
 from repro.controlplane.snapshot import ensure_plain, snapshot_bytes
 
@@ -210,12 +212,13 @@ class MigrationController:
         self.plan.enter(MigrationPhase.RESTORE, self.sim.now)
         self.plan.frozen_ns = self.sim.now
         old_pod = self.server.remove_pod(self.pod_name)
-        config = old_pod.config
+        # Re-placed copies: the run's own spec is never edited.
+        spec = old_pod.spec
         if migration.target_numa_node is not None:
-            config.numa_node = migration.target_numa_node
+            spec = replace(spec, numa_node=migration.target_numa_node)
         if migration.target_memory_node is not None:
-            config.memory_node = migration.target_memory_node
-        new_pod = self.server.add_pod(config)
+            spec = replace(spec, memory_node=migration.target_memory_node)
+        new_pod = self.server.add_pod(spec)
         new_pod.restore_state(self.snapshot)
         # Readers go through the shared pods dict and exit subscribers
         # through the list add_pod() hands every pod: nothing to carry over.

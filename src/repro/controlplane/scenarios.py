@@ -142,7 +142,7 @@ def run_migration_scenario(name, seed=42, quick=False):
         drops_total += drops
         report.add(f"{pod_name}_transmitted", pod.transmitted())
         report.add(f"{pod_name}_drops", drops)
-        if pod.config.mode == "plb":
+        if pod.spec.mode == "plb":
             best_effort_total += pod.reorder_stats.best_effort
             report.add(f"{pod_name}_best_effort", pod.reorder_stats.best_effort)
     report.add("drops_total", drops_total)

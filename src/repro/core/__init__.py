@@ -19,10 +19,10 @@ Subsystems (paper section in parentheses):
   top-level public API.
 """
 
-from repro.core.gateway import AlbatrossServer, GwPodRuntime, PodConfig
+from repro.core.gateway import AlbatrossServer, GwPodRuntime
 from repro.core.hitters import CpuHitterDetector, SpaceSavingSketch
 from repro.core.meta import MetaPlacement, PlbMeta
-from repro.core.nic import NicPipeline, NicPipelineConfig
+from repro.core.nic import NicPipeline
 from repro.core.offload import FpgaSessionOffload
 from repro.core.pcie import PcieLinkModel, PortCapacityModel
 from repro.core.pktdir import PktDir, PktDirRule
@@ -36,11 +36,9 @@ from repro.core.rss import RssDispatcher
 __all__ = [
     "AlbatrossServer",
     "GwPodRuntime",
-    "PodConfig",
     "MetaPlacement",
     "PlbMeta",
     "NicPipeline",
-    "NicPipelineConfig",
     "CpuHitterDetector",
     "SpaceSavingSketch",
     "FpgaSessionOffload",

@@ -7,27 +7,28 @@ several pods on a dual-NUMA machine, placing each pod's cores and memory
 on one node (the §7 lesson) unless an experiment asks for cross-NUMA
 placement.
 
-Quick example::
+A pod is described once, by a :class:`~repro.scenarios.PodSpec`;
+:meth:`AlbatrossServer.add_pod` is where that description becomes live
+objects.  Quick example::
 
     from repro.sim import Simulator, RngRegistry, SECOND
-    from repro.core import AlbatrossServer, PodConfig
+    from repro.core import AlbatrossServer
+    from repro.scenarios import PodSpec
 
     sim = Simulator()
     server = AlbatrossServer(sim, RngRegistry(seed=1))
-    pod = server.add_pod(PodConfig(name="vpc-gw", data_cores=8))
+    pod = server.add_pod(PodSpec(name="vpc-gw", data_cores=8))
     # feed pod.ingress(packet) from a workload, then sim.run_until(...)
 """
 
-from dataclasses import dataclass
-from typing import Optional
-
-from repro.core.meta import MetaPlacement
-from repro.core.nic import NicPipeline, NicPipelineConfig
+from repro.core.meta import MetaPlacement, placement_throughput_factor
+from repro.core.nic import NicPipeline
 from repro.core.plb.reorder import ReorderQueueConfig, TxOutcome
-from repro.cpu.cache import SharedL3Cache
+from repro.core.ratelimit import TwoStageRateLimiter
+from repro.cpu.cache import PAPER_L3_BYTES, SharedL3Cache
 from repro.cpu.core import CpuCore, Verdict
 from repro.cpu.numa import NumaTopology
-from repro.cpu.service import MemoryTimings, ServiceChain, standard_services
+from repro.cpu.service import ServiceChain, scaled_service, standard_services
 from repro.metrics.histogram import LatencyHistogram
 from repro.sim.rng import rng_state, set_rng_state
 from repro.sim.units import SECOND
@@ -46,106 +47,33 @@ def default_reorder_queue_count(data_cores):
     return max(1, min(8, data_cores // 10))
 
 
-@dataclass(eq=False)
-class PodConfig:
-    """Declarative description of one GW pod."""
-
-    name: str
-    data_cores: int
-    ctrl_cores: int = 2
-    service: str = "VPC-Internet"
-    mode: str = "plb"
-    reorder_queues: Optional[int] = None    # None: scale with data_cores
-    reorder_depth: int = 4096
-    rate_limiter: object = None
-    drop_flag_enabled: bool = True
-    header_only: bool = False
-    meta_placement: MetaPlacement = MetaPlacement.TAIL
-    rx_capacity: int = 1024
-    acl_drop_probability: float = 0.0
-    silent_drop_probability: float = 0.0
-    jitter: object = None
-    numa_node: Optional[int] = None
-    memory_node: Optional[int] = None
-    assumed_hit_rate: float = 0.35
-    table_scale: Optional[float] = None
-    memory_frequency_mhz: int = 4800
-    custom_service: object = None
-
-    def __post_init__(self):
-        if self.data_cores < 1:
-            raise ValueError("a pod needs at least one data core")
-        if self.reorder_queues is None:
-            self.reorder_queues = default_reorder_queue_count(self.data_cores)
-
-    @property
-    def total_cores(self):
-        return self.data_cores + self.ctrl_cores
-
-
 class GwPodRuntime:
     """A running GW pod: cores + NIC pipeline slice + metrics.
 
+    Built by :meth:`AlbatrossServer.add_pod`, which resolves ``chain``,
+    ``reorder``, ``speed_factor`` and ``rate_limiter`` from ``spec``.
     A data packet leaves the pod through exactly one of two exits,
     :meth:`_on_egress` (the wire) or :meth:`_on_drop`; both call the
     deployment's exit subscribers (see :class:`AlbatrossServer`).
     """
 
-    def __init__(self, sim, config, core_ids, rng, l3_cache=None,
-                 numa_factor=1.0, subscribers=()):
+    def __init__(self, sim, spec, core_ids, rng, chain, reorder, speed_factor,
+                 rate_limiter, subscribers):
         self.sim = sim
-        self.config = config
+        self.spec = spec
         self.rng = rng
+        # The chain's flow->address memo is not in the snapshot: it is a
+        # pure cache of a deterministic function that a rebuilt chain
+        # re-derives.
+        self.chain = chain
         self.subscribers = subscribers
         self.latency_histogram = LatencyHistogram()
         self.outcomes = {}
         self.crashed = False
         self._started_ns = sim.now
 
-        if config.custom_service is not None:
-            service = config.custom_service
-        else:
-            services = standard_services()
-            if config.service not in services:
-                raise ValueError(
-                    f"unknown service {config.service!r}; choose from {sorted(services)}"
-                )
-            service = services[config.service]
-        timings = MemoryTimings(memory_frequency_mhz=config.memory_frequency_mhz)
-        if l3_cache is not None:
-            scale = config.table_scale if config.table_scale is not None else 1.0
-            # ServiceChain's only mutable state is a bounded memoization
-            # of a deterministic per-flow address function; a rebuilt
-            # chain re-derives identical entries on demand.
-            self.chain = ServiceChain(  # lint: disable=SNAP003(only mutable state is a pure memo cache of a deterministic address function)
-                service,
-                cache=l3_cache,
-                timings=timings,
-                table_scale=scale,
-            )
-        else:
-            self.chain = ServiceChain(  # lint: disable=SNAP003(only mutable state is a pure memo cache of a deterministic address function)
-                service,
-                timings=timings,
-                assumed_hit_rate=config.assumed_hit_rate,
-            )
-
-        nic_config = NicPipelineConfig(
-            mode=config.mode,
-            reorder=ReorderQueueConfig(config.reorder_queues, config.reorder_depth),
-            rate_limiter=config.rate_limiter,
-            drop_flag_enabled=config.drop_flag_enabled,
-            header_only=config.header_only,
-            meta_placement=config.meta_placement,
-        )
-
-        # Service time inflates for cross-NUMA placement; the HEAD
-        # meta-placement penalty (33.6% copy cost) is applied after the
-        # NIC pipeline computes its throughput factor below.
-        speed_factor = numa_factor
-
         self.cores = []
-        for core_id in core_ids[: config.data_cores]:
+        for core_id in core_ids[: spec.data_cores]:
             # Cores are only checkpointed quiescent (idle, empty RX ring,
             # no pending stall), so their transient scheduling state has
             # nothing to capture; the durable per-core counters live in
@@ -153,25 +81,21 @@ class GwPodRuntime:
             core = CpuCore(  # lint: disable=SNAP003(cores checkpoint quiescent; durable counters live in core.stats, captured by the pod snapshot)
                 sim,
                 core_id,
-                self.chain,
+                chain,
                 None,  # the NIC's completion callback, once it exists below
                 verdict_fn=self._verdict,
-                jitter=config.jitter,
-                rx_capacity=config.rx_capacity,
+                rx_capacity=spec.rx_capacity,
                 speed_factor=speed_factor,
             )
             self.cores.append(core)
 
         self.nic = NicPipeline(
-            sim, self.cores, nic_config, self._on_egress,
+            sim, self.cores, reorder, self._on_egress, mode=spec.mode,
+            rate_limiter=rate_limiter, drop_flag_enabled=spec.drop_flag_enabled,
             protocol_fn=self._on_protocol, drop_fn=self._on_drop,
         )
         for core in self.cores:
             core.completion_fn = self.nic.on_cpu_completion
-        # Meta placement penalty applies to CPU processing, not the NIC.
-        if self.nic.cpu_throughput_factor != 1.0:
-            for core in self.cores:
-                core.speed_factor /= self.nic.cpu_throughput_factor
         # Test-facing observability: live Packet objects handed up by the
         # priority path.  Not plain data, and the path is idle whenever a
         # quiescent pod checkpoints; the delivered *count* is captured by
@@ -182,9 +106,9 @@ class GwPodRuntime:
 
     def _verdict(self, packet):
         roll = self.rng.random()
-        if roll < self.config.acl_drop_probability:
+        if roll < self.spec.acl_drop_probability:
             return Verdict.DROP_ACL
-        if roll < self.config.acl_drop_probability + self.config.silent_drop_probability:
+        if roll < self.spec.acl_drop_probability + self.spec.silent_drop_probability:
             return Verdict.DROP_SILENT
         return Verdict.FORWARD
 
@@ -205,12 +129,12 @@ class GwPodRuntime:
         except KeyError:
             outcomes[key] = 1
         for subscriber in self.subscribers:
-            subscriber(packet, self.config.name, outcome)
+            subscriber(packet, self.spec.name, outcome)
 
     def _on_drop(self, packet):
         """The pod's drop exit; ``packet.drop_reason`` already says why."""
         for subscriber in self.subscribers:
-            subscriber(packet, self.config.name, None)
+            subscriber(packet, self.spec.name, None)
 
     def _on_protocol(self, packet):
         self.protocol_delivered.append((self.sim.now, packet))
@@ -282,7 +206,7 @@ class GwPodRuntime:
         produced (the checkpoint-RNG regression tests pin this down).
         """
         return {
-            "name": self.config.name,
+            "name": self.spec.name,
             "crashed": self.crashed,
             "outcomes": dict(self.outcomes),
             "latency": self.latency_histogram.checkpoint(),
@@ -303,10 +227,10 @@ class GwPodRuntime:
                 f"checkpoint has {len(snapshot['cores'])} cores, "
                 f"pod has {len(self.cores)}"
             )
-        if snapshot["name"] != self.config.name:
+        if snapshot["name"] != self.spec.name:
             raise ValueError(
                 f"checkpoint is for pod {snapshot['name']!r}, cannot "
-                f"restore into {self.config.name!r}"
+                f"restore into {self.spec.name!r}"
             )
         self.crashed = snapshot["crashed"]
         self.outcomes = dict(snapshot["outcomes"])
@@ -339,7 +263,7 @@ class GwPodRuntime:
 
     def expected_capacity_mpps(self):
         """Nominal saturated capacity: data cores x per-core rate."""
-        return self.config.data_cores * self.chain.per_core_mpps()
+        return self.spec.data_cores * self.chain.per_core_mpps()
 
 
 class AlbatrossServer:
@@ -351,7 +275,10 @@ class AlbatrossServer:
         topology: NUMA topology (defaults to 2 x 48 cores).
         cache_mode: ``"analytic"`` (expected hit rate; fast) or
             ``"simulated"`` (shared LRU L3 per node; Fig. 4/5 mode).
-        l3_bytes: per-node L3 capacity for simulated mode.
+        l3_bytes: per-node L3 capacity for simulated mode.  Every pod's
+            table regions shrink by the same factor against the paper's
+            200 MB L3, so a scaled-down L3 keeps the paper's
+            working-set-to-cache ratio (Fig. 4/5).
         subscribers: the deployment's exit-subscriber list (servers of
             one AZ share one); defaults to a fresh empty list.
 
@@ -372,13 +299,15 @@ class AlbatrossServer:
         self.subscribers = subscribers if subscribers is not None else []
         self.topology = topology if topology is not None else NumaTopology()
         self.cache_mode = cache_mode
+        self.table_scale = 1.0
         self.pods = {}
         self._free_cores = {
             node.node_id: list(node.core_ids) for node in self.topology.nodes
         }
         self._l3 = {}
         if cache_mode == "simulated":
-            capacity = l3_bytes if l3_bytes is not None else 200 * (1 << 20)
+            capacity = l3_bytes if l3_bytes is not None else PAPER_L3_BYTES
+            self.table_scale = capacity / PAPER_L3_BYTES
             for node in self.topology.nodes:
                 self._l3[node.node_id] = SharedL3Cache(capacity)
         elif cache_mode != "analytic":
@@ -390,41 +319,85 @@ class AlbatrossServer:
     def free_cores(self, node_id):
         return len(self._free_cores[node_id])
 
-    def _pick_node(self, config):
-        if config.numa_node is not None:
-            if len(self._free_cores[config.numa_node]) < config.total_cores:
-                raise ValueError(
-                    f"NUMA node {config.numa_node} lacks {config.total_cores} cores"
-                )
-            return config.numa_node
+    def _pick_node(self, numa_node, cores):
+        if numa_node is not None:
+            if len(self._free_cores[numa_node]) < cores:
+                raise ValueError(f"NUMA node {numa_node} lacks {cores} cores")
+            return numa_node
         for node_id, free in self._free_cores.items():
-            if len(free) >= config.total_cores:
+            if len(free) >= cores:
                 return node_id
-        raise ValueError(f"no NUMA node has {config.total_cores} free cores")
+        raise ValueError(f"no NUMA node has {cores} free cores")
 
-    def add_pod(self, config):
-        """Create and start a GW pod; returns its :class:`GwPodRuntime`."""
-        if config.name in self.pods:
-            raise ValueError(f"duplicate pod name {config.name!r}")
-        node_id = self._pick_node(config)
-        core_ids = [self._free_cores[node_id].pop(0) for _ in range(config.total_cores)]
-        memory_node = config.memory_node if config.memory_node is not None else node_id
-        numa_factor = self.topology.speed_factor(
+    def add_pod(self, spec):
+        """Build and start the pod a :class:`~repro.scenarios.PodSpec`
+        describes; returns its :class:`GwPodRuntime`.
+
+        The one place a pod description becomes live objects: the service
+        (``per_core_pps`` selects :func:`~repro.cpu.service.scaled_service`,
+        otherwise the named paper service), the two-stage limiter the
+        ``limiter_stage*_pps`` fields declare (sampling from stream
+        ``limiter.<name>``), the reorder queues (scaled with the data
+        cores, :class:`ReorderQueueConfig`'s depth unless declared) and the cores' service-time
+        factor for NUMA and meta-header placement.
+        """
+        if spec.name in self.pods:
+            raise ValueError(f"duplicate pod name {spec.name!r}")
+        if spec.per_core_pps is not None:
+            service = scaled_service(spec.per_core_pps, spec.lookups)
+        else:
+            services = standard_services()
+            if spec.service not in services:
+                raise ValueError(
+                    f"unknown service {spec.service!r}; choose from {sorted(services)}"
+                )
+            service = services[spec.service]
+        rate_limiter = None
+        if spec.limiter_stage1_pps is not None:
+            rate_limiter = TwoStageRateLimiter(
+                self.rngs.stream(f"limiter.{spec.name}"),
+                stage1_rate_pps=spec.limiter_stage1_pps,
+                stage2_rate_pps=(
+                    spec.limiter_stage2_pps
+                    if spec.limiter_stage2_pps is not None
+                    else spec.limiter_stage1_pps // 4 or 1
+                ),
+            )
+        depth = {} if spec.reorder_depth is None else {"depth": spec.reorder_depth}
+        reorder = ReorderQueueConfig(
+            spec.reorder_queues if spec.reorder_queues is not None
+            else default_reorder_queue_count(spec.data_cores),
+            **depth,
+        )
+        placement = MetaPlacement(spec.meta_placement or MetaPlacement.TAIL.value)
+
+        total_cores = spec.data_cores + spec.ctrl_cores
+        node_id = self._pick_node(spec.numa_node, total_cores)
+        core_ids = [self._free_cores[node_id].pop(0) for _ in range(total_cores)]
+        memory_node = spec.memory_node if spec.memory_node is not None else node_id
+        # Service time inflates for cross-NUMA memory and for the HEAD meta
+        # placement's private-room copy (§7); the NIC itself is unaffected.
+        speed_factor = self.topology.speed_factor(
             node_id, memory_node, lookup_heavy=True
+        ) / placement_throughput_factor(placement)
+        chain = ServiceChain(
+            service, cache=self._l3.get(memory_node), table_scale=self.table_scale
         )
         pod = GwPodRuntime(
             self.sim,
-            config,
+            spec,
             core_ids,
-            self.rngs.stream(f"pod.{config.name}"),
-            l3_cache=self._l3.get(memory_node),
-            numa_factor=numa_factor,
+            self.rngs.stream(f"pod.{spec.name}"),
+            chain,
+            reorder,
+            speed_factor=speed_factor,
+            rate_limiter=rate_limiter,
             subscribers=self.subscribers,
         )
         pod.numa_node = node_id
         pod.memory_node = memory_node
         pod.allocated_core_ids = core_ids
-        self.pods[config.name] = pod
+        self.pods[spec.name] = pod
         return pod
 
     def remove_pod(self, name):

@@ -11,42 +11,16 @@ Per-module latencies come from Tab. 4 via
 :class:`~repro.core.resources.NicLatencyModel`.
 """
 
-from dataclasses import dataclass, field
-
 from repro.analysis.sanitizer import get_sanitizer
-from repro.core.meta import MetaPlacement, placement_throughput_factor
 from repro.core.offload import FAST_PATH_LATENCY_NS
 from repro.core.pktdir import DeliveryPath, PktDir
 from repro.core.plb.dispatch import PlbDispatcher
-from repro.core.plb.reorder import ReorderEngine, ReorderQueueConfig, TxOutcome
+from repro.core.plb.reorder import ReorderEngine, TxOutcome
 from repro.core.priority import PriorityQueueManager
 from repro.core.resources import NicLatencyModel
 from repro.core.rss import RssDispatcher
 from repro.cpu.core import Verdict
 from repro.metrics.counters import CounterSet
-
-
-@dataclass(eq=False)
-class NicPipelineConfig:
-    """Configuration for one pod's slice of the NIC pipeline."""
-
-    mode: str = "plb"
-    reorder: ReorderQueueConfig = field(default_factory=ReorderQueueConfig)
-    rate_limiter: object = None
-    drop_flag_enabled: bool = True
-    header_only: bool = False
-    meta_placement: MetaPlacement = MetaPlacement.TAIL
-    latency_model: NicLatencyModel = field(default_factory=NicLatencyModel)
-    # Optional FpgaSessionOffload (§7 roadmap): established sessions
-    # are forwarded entirely on the FPGA fast path.
-    session_offload: object = None
-    # Optional PcieLinkModel: accounts FPGA<->CPU bytes, honouring
-    # header-payload-split mode (appendix A).
-    pcie_link: object = None
-
-    def __post_init__(self):
-        if self.mode not in ("plb", "rss"):
-            raise ValueError(f"mode must be 'plb' or 'rss': {self.mode!r}")
 
 
 class NicPipeline:
@@ -55,53 +29,59 @@ class NicPipeline:
     Parameters:
         sim: the simulator.
         cores: the pod's data cores (``CpuCore``), RX-queue order.
-        config: a :class:`NicPipelineConfig`.
+        reorder: the :class:`~repro.core.plb.reorder.ReorderQueueConfig`
+            sizing the pod's reorder queues.
         egress_fn: called as ``egress_fn(packet, outcome)`` when a packet
             hits the wire (outcome is a
             :class:`~repro.core.plb.reorder.TxOutcome`, ``"rss"`` or
             ``"fpga_fast_path"``).
+        mode: ``"plb"`` or ``"rss"``, the default data path; a fallback
+            switches :attr:`mode` at run time.
+        rate_limiter: optional overload limiter (``admit(vni, now_ns)``).
+        drop_flag_enabled: whether CPU ACL drops release their reorder
+            slot through the active drop flag.
         protocol_fn: handler for protocol packets delivered via the
             priority path (defaults to a no-op).
         drop_fn: optional; called as ``drop_fn(packet)`` once
             :meth:`_drop` has named, counted and settled a terminal drop.
 
-    The pod's cores must have been constructed with this pipeline's
+    ``rate_limiter``, ``session_offload`` (an FPGA session fast path, §7
+    roadmap) and ``pcie_link`` (a PCIe byte accountant, appendix A) are
+    plain attributes a caller may assign after construction.  The pod's
+    cores must have been constructed with this pipeline's
     :meth:`on_cpu_completion` as their completion callback (the
     :mod:`~repro.core.gateway` runtime wires this up).
     """
 
-    def __init__(self, sim, cores, config, egress_fn, protocol_fn=None,
+    def __init__(self, sim, cores, reorder, egress_fn, mode="plb",
+                 rate_limiter=None, drop_flag_enabled=True, protocol_fn=None,
                  drop_fn=None):
         self.sim = sim
         self.cores = list(cores)
-        self.config = config
         self.egress_fn = egress_fn
         self.drop_fn = drop_fn
+        self.drop_flag_enabled = drop_flag_enabled
         self.counters = CounterSet()
-        self.pkt_dir = PktDir(
-            DeliveryPath.PLB if config.mode == "plb" else DeliveryPath.RSS
-        )
-        self.latency = config.latency_model
-        self.reorder = ReorderEngine(sim, config.reorder, self._on_reorder_transmit)
+        self.pkt_dir = PktDir()
+        self._set_mode(mode)
+        self.reorder = ReorderEngine(sim, reorder, self._on_reorder_transmit)
         self.plb = PlbDispatcher(self.cores, self.reorder)
         self.rss = RssDispatcher(self.cores)
-        self.rate_limiter = config.rate_limiter
-        self.session_offload = config.session_offload
-        self.pcie_link = config.pcie_link
+        self.rate_limiter = rate_limiter
+        self.session_offload = None
+        self.pcie_link = None
         self.priority = PriorityQueueManager(
             sim, protocol_fn if protocol_fn is not None else lambda packet: None
         )
-        # Meta placement only affects CPU-side throughput; model it as a
-        # service-time inflation factor applied by the gateway runtime.
-        self.cpu_throughput_factor = placement_throughput_factor(config.meta_placement)
         self._fpga_stalled = False
         self._heartbeat = 0
         self._sanitizer = get_sanitizer()
-        self._rx_latency_ns = self.latency.rx_ns()
-        self._tx_dma_ns = self.latency.module_ns("dma", "tx")
-        self._tx_post_reorder_ns = self.latency.module_ns(
+        latency = NicLatencyModel()
+        self._rx_latency_ns = latency.rx_ns()
+        self._tx_dma_ns = latency.module_ns("dma", "tx")
+        self._tx_post_reorder_ns = latency.module_ns(
             "plb", "tx"
-        ) + self.latency.module_ns("basic_pipeline", "tx")
+        ) + latency.module_ns("basic_pipeline", "tx")
         # Hot-path bindings: these objects never change over the pipeline's
         # lifetime (unlike egress_fn/rate_limiter/session_offload, which
         # experiments swap post-construction and must be read per call).
@@ -223,9 +203,7 @@ class NicPipeline:
             return
 
         if path is DeliveryPath.PLB:
-            core = self._plb_dispatch(
-                packet, header_only=header_only or self.config.header_only
-            )
+            core = self._plb_dispatch(packet, header_only=header_only)
             if core is None:
                 # The dispatcher already said why (FIFO full, no core).
                 self._drop(packet, packet.drop_reason)
@@ -257,7 +235,7 @@ class NicPipeline:
             # Terminal here: the later drop-flag release only reclaims
             # reorder resources, it must not settle the packet again.
             self._drop(packet, "cpu_acl")
-            if packet.meta is not None and self.config.drop_flag_enabled:
+            if packet.meta is not None and self.drop_flag_enabled:
                 # Active drop flag: notify the NIC so reorder resources are
                 # released without waiting for the 100 us timeout.
                 self._post(self._tx_dma_ns, self.reorder.notify_drop, packet)
@@ -318,7 +296,7 @@ class NicPipeline:
         is responsible for having emptied the core RX rings first.
         """
         return {
-            "mode": self.config.mode,
+            "mode": self.mode,
             "counters": self.counters.checkpoint(),
             "reorder": self.reorder.checkpoint(),
             "dispatch": self.plb.checkpoint(),
@@ -339,11 +317,7 @@ class NicPipeline:
 
     def restore(self, snapshot):
         """Reinstate a :meth:`checkpoint` into this (freshly built) pipeline."""
-        if snapshot["mode"] != self.config.mode:
-            self.config.mode = snapshot["mode"]
-            self.pkt_dir.set_default_data_path(
-                DeliveryPath.PLB if snapshot["mode"] == "plb" else DeliveryPath.RSS
-            )
+        self._set_mode(snapshot["mode"])
         self.counters.restore(snapshot["counters"])
         self.reorder.restore(snapshot["reorder"])
         self.plb.restore(snapshot["dispatch"])
@@ -361,15 +335,18 @@ class NicPipeline:
     # Control operations
     # ------------------------------------------------------------------
 
+    def _set_mode(self, mode):
+        """Make ``mode`` (``"plb"``/``"rss"``) the default data path."""
+        self.mode = mode
+        self.pkt_dir.set_default_data_path(DeliveryPath(mode))
+
     def fallback_to_rss(self):
         """§4.1 remediation 5: dynamically switch the pod from PLB to RSS."""
-        self.config.mode = "rss"
-        self.pkt_dir.set_default_data_path(DeliveryPath.RSS)
+        self._set_mode("rss")
         self.counters.incr("plb_fallbacks")
 
     def restore_plb(self):
-        self.config.mode = "plb"
-        self.pkt_dir.set_default_data_path(DeliveryPath.PLB)
+        self._set_mode("plb")
 
     # ------------------------------------------------------------------
     # FPGA fault hooks

@@ -62,7 +62,7 @@ class PlbWatchdog:
 
     @property
     def in_fallback(self):
-        return self.nic.config.mode == "rss" and self._fell_back_at is not None
+        return self.nic.mode == "rss" and self._fell_back_at is not None
 
     def _check(self):
         stats = self.nic.reorder.stats

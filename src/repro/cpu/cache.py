@@ -95,6 +95,9 @@ class LruCacheModel:
         self._lines.clear()
 
 
+PAPER_L3_BYTES = 200 * (1 << 20)  # the testbed's ~200 MB shared L3 (§4.2)
+
+
 class SharedL3Cache(LruCacheModel):
     """The socket-wide L3: one instance shared by all cores of a NUMA node.
 
@@ -102,5 +105,5 @@ class SharedL3Cache(LruCacheModel):
     read as what they model.
     """
 
-    def __init__(self, capacity_bytes=200 * (1 << 20)):
+    def __init__(self, capacity_bytes=PAPER_L3_BYTES):
         super().__init__(capacity_bytes)

@@ -111,6 +111,18 @@ def standard_services():
     }
 
 
+def scaled_service(per_core_pps, lookups=4):
+    """A synthetic service whose saturated per-core rate is ``per_core_pps``.
+
+    Uses the analytic 35% hit-rate lookup cost to solve for base_ns, so the
+    paper-level per-core ratios carry over exactly at laptop packet rates.
+    """
+    lookup_ns = MemoryTimings().expected_lookup_ns(0.35)
+    base_ns = max(1, int(1e9 / per_core_pps - lookups * lookup_ns))
+    specs = [LookupSpec(f"table{i}", 1_000_000, 256) for i in range(lookups)]
+    return GatewayService("scaled", base_ns, specs)
+
+
 class ServiceChain:
     """Executable form of a :class:`GatewayService`.
 

@@ -21,7 +21,7 @@ import enum
 from repro.packet import headers as hdr
 from repro.packet.parser import HeaderParseError, PacketParser
 from repro.tables.exact import VmNcMappingTable
-from repro.tables.lpm import LpmTrie
+from repro.tables.lpm import Dir24_8Lpm
 
 
 class ForwardAction(enum.Enum):
@@ -79,7 +79,7 @@ class VxlanGateway:
         self.local_mac = local_mac
         self.border_mac = border_mac
         self.vm_nc = VmNcMappingTable(buckets=1 << 12)
-        self.routes = LpmTrie()
+        self.routes = Dir24_8Lpm()
         self.known_tenants = set()
         self._parser = PacketParser(split_headers=True)
         self.counters = {action: 0 for action in ForwardAction}

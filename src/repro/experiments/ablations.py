@@ -10,7 +10,6 @@
   isolates the heavy hitter.
 """
 
-from repro.core.meta import MetaPlacement
 from repro.core.ratelimit import TwoStageRateLimiter
 from repro.cpu.service import MemoryTimings, ServiceChain, standard_services
 from repro.cpu.stateful import write_heavy_nf, write_light_nf
@@ -24,16 +23,11 @@ from repro.workloads.generators import CbrSource, uniform_population
 def run_meta_placement(per_core_pps=100_000, duration_ns=150 * MS):
     """Throughput with the PLB meta at the packet tail vs head."""
     rows = []
-    for placement in (MetaPlacement.TAIL, MetaPlacement.HEAD):
-        pod_spec = PodSpec(data_cores=2, per_core_pps=per_core_pps)
+    for placement in ("tail", "head"):
+        pod_spec = PodSpec(
+            data_cores=2, per_core_pps=per_core_pps, meta_placement=placement
+        )
         handle = build(ScenarioSpec(name="scaled-pod", seed=91, pods=(pod_spec,)))
-        handle.pod.nic.config.meta_placement = placement
-        # Re-apply the CPU factor the runtime derives from the placement.
-        from repro.core.meta import placement_throughput_factor
-
-        factor = placement_throughput_factor(placement)
-        for core in handle.pod.cores:
-            core.speed_factor = 1.0 / factor
         population = uniform_population(200, tenants=20)
         CbrSource(
             handle.sim,
@@ -45,7 +39,7 @@ def run_meta_placement(per_core_pps=100_000, duration_ns=150 * MS):
         handle.run(duration_ns)
         rows.append(
             {
-                "placement": placement.value,
+                "placement": placement,
                 "throughput_kpps": round(handle.pod.transmitted() * 1e6 / duration_ns, 1),
             }
         )
@@ -138,10 +132,10 @@ def run_reorder_queue_tradeoff(
             data_cores=4,
             per_core_pps=per_core_pps,
             reorder_queues=queues,
+            reorder_depth=depth,
             silent_drop_probability=silent_drop_probability,
         )
         handle = build(ScenarioSpec(name="scaled-pod", seed=97, pods=(pod_spec,)))
-        handle.pod.nic.reorder.config.depth = depth
         population = uniform_population(400, tenants=40)
         CbrSource(
             handle.sim,

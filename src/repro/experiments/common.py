@@ -4,7 +4,7 @@ Experiments run *scaled down*: the paper's 88-core, 120 Mpps server
 becomes a handful of cores at ~0.1-1 Mpps each, with every ratio that
 matters (load fraction, heavy-hitter multiple, cache-to-table ratio,
 timeout-to-service-time ratio) preserved.  The scaling discipline lives
-in :func:`repro.scenarios.scaled_service`: an experiment states a
+in :func:`repro.cpu.service.scaled_service`: an experiment states a
 one-pod :class:`~repro.scenarios.ScenarioSpec` with ``per_core_pps``
 set, calls :func:`repro.scenarios.build` and injects its own traffic
 through the returned handle.

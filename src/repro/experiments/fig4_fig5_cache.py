@@ -12,15 +12,16 @@ Zipf-distributed (hot tenants) as in production.  The hit rate is
 *emergent* from the LRU model, not assumed.
 """
 
-from repro.core.gateway import AlbatrossServer, PodConfig
+from repro.core.gateway import AlbatrossServer
+from repro.cpu.cache import PAPER_L3_BYTES
 from repro.experiments.common import ExperimentResult
+from repro.scenarios import PodSpec
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 from repro.sim.units import MS
 from repro.workloads.generators import CbrSource, zipf_population
 
-TABLE_SCALE = 1 / 400          # multi-GB tables -> ~7 MB regions
-L3_BYTES = 200 * (1 << 20) // 400  # 200 MB L3 -> 512 KB, same ratio
+L3_BYTES = PAPER_L3_BYTES // 400  # 200 MB L3 -> 512 KB; tables shrink alike
 FLOWS = 5000                   # scaled concurrent-flow population
 ZIPF_EXPONENT = 0.7            # calibrated: lands in the 30-45% regime
 
@@ -56,7 +57,7 @@ def run(core_counts=(1, 2, 4), per_run_ns=60 * MS, service="VPC-Internet"):
         rows,
         meta={
             "paper": "<1% gap; 30-45% hit rate",
-            "table_scale": TABLE_SCALE,
+            "table_scale": L3_BYTES / PAPER_L3_BYTES,
             "l3_bytes": L3_BYTES,
             "flows": FLOWS,
         },
@@ -68,13 +69,7 @@ def _run_point(mode, cores, duration_ns, service):
     rngs = RngRegistry(seed=83)
     server = AlbatrossServer(sim, rngs, cache_mode="simulated", l3_bytes=L3_BYTES)
     pod = server.add_pod(
-        PodConfig(
-            name="pod",
-            data_cores=cores,
-            service=service,
-            mode=mode,
-            table_scale=TABLE_SCALE,
-        )
+        PodSpec(name="pod", data_cores=cores, service=service, mode=mode)
     )
     population = zipf_population(FLOWS, exponent=ZIPF_EXPONENT, tenants=max(1, FLOWS // 4))
     # Saturate: offer 30% above the analytic capacity estimate.

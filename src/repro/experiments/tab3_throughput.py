@@ -17,8 +17,8 @@ Two modes:
 
 from repro.cpu.service import ServiceChain, standard_services
 from repro.experiments.common import ExperimentResult
+from repro.scenarios import PodSpec, ScenarioSpec, WorkloadSpec, build
 from repro.sim.units import MS
-from repro.workloads.generators import CbrSource, uniform_population
 
 PAPER_MPPS = {
     "VPC-VPC": 128.8,
@@ -60,24 +60,12 @@ def run(hit_rate=0.35, simulate=False, sim_cores=4, sim_duration_ns=40 * MS):
 
 def _simulate_service(service_name, cores, duration_ns):
     """Saturate a small pod running the real service; per-core Mpps."""
-    from repro.core.gateway import AlbatrossServer, PodConfig
-    from repro.sim.engine import Simulator
-    from repro.sim.rng import RngRegistry
-
-    sim = Simulator()
-    rngs = RngRegistry(seed=7)
-    server = AlbatrossServer(sim, rngs)
-    pod = server.add_pod(
-        PodConfig(name="pod", data_cores=cores, service=service_name)
-    )
-    capacity_pps = pod.expected_capacity_mpps() * 1e6
-    population = uniform_population(2000, tenants=20)
-    CbrSource(
-        sim,
-        rngs.stream("traffic"),
-        pod.ingress,
-        population,
-        rate_pps=int(capacity_pps * 1.2),  # 20% over capacity: saturation
-    )
-    sim.run_until(duration_ns)
-    return pod.throughput_mpps() / cores
+    handle = build(ScenarioSpec(
+        name="tab3",
+        pods=(PodSpec(name="pod", data_cores=cores, service=service_name),),
+        # 20% over capacity: saturation.
+        workload=WorkloadSpec(flows=2000, tenants=20, load=1.2),
+        duration_ns=duration_ns,
+        seed=7,
+    )).run()
+    return handle.pod.throughput_mpps() / cores

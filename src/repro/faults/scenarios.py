@@ -30,7 +30,6 @@ Scenarios:
 from repro.bgp.bfd import BfdLink
 from repro.container.elasticity import ElasticityManager
 from repro.container.scheduler import FleetScheduler, ServerSpec
-from repro.core.gateway import PodConfig
 from repro.core.ratelimit import TwoStageRateLimiter
 from repro.core.watchdog import FpgaWatchdog
 from repro.faults.injector import FaultInjector, FaultTargets, SteadyStateTracker
@@ -147,7 +146,7 @@ def pod_crash_reschedule(seed=42, quick=False):
     CbrSource(sim, rngs.stream("traffic"), route, population, rate_pps=rate_pps)
 
     def prepare(name):
-        server.add_pod(PodConfig(name=name, data_cores=4))
+        server.add_pod(PodSpec(name=name, data_cores=4))
 
     def advertise(name):
         router["target"] = server.pods[name]

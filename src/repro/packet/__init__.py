@@ -9,7 +9,7 @@ Two representations coexist:
   tests.  These encode/decode real Ethernet/VLAN/IPv4/UDP/VXLAN bytes.
 """
 
-from repro.packet.flows import FlowKey, flow_for_tenant, random_flow
+from repro.packet.flows import FlowKey, flow_for_tenant
 from repro.packet.hashing import crc32_flow_hash, toeplitz_hash, TOEPLITZ_DEFAULT_KEY
 from repro.packet.headers import (
     EthernetHeader,
@@ -24,7 +24,6 @@ from repro.packet.parser import HeaderParseError, PacketParser, ParsedPacket
 __all__ = [
     "FlowKey",
     "flow_for_tenant",
-    "random_flow",
     "crc32_flow_hash",
     "toeplitz_hash",
     "TOEPLITZ_DEFAULT_KEY",

@@ -48,17 +48,6 @@ def ip_from_str(text):
     return value
 
 
-def random_flow(rng, proto=PROTO_UDP):
-    """Mint a uniformly random flow key from ``rng`` (a ``random.Random``)."""
-    return FlowKey(
-        src_ip=rng.getrandbits(32),
-        dst_ip=rng.getrandbits(32),
-        src_port=rng.randrange(1024, 65536),
-        dst_port=rng.randrange(1, 65536),
-        proto=proto,
-    )
-
-
 def flow_for_tenant(tenant_id, flow_index, proto=PROTO_UDP):
     """Deterministic flow key for (tenant, index) pairs.
 

@@ -10,7 +10,7 @@
 * :mod:`repro.scenarios.registry` names the canonical specs.
 """
 
-from repro.scenarios.build import RunHandle, build, scaled_service
+from repro.scenarios.build import RunHandle, build
 from repro.scenarios.registry import (
     scenario_descriptions,
     scenario_names,
@@ -38,7 +38,6 @@ __all__ = [
     "WorkloadSpec",
     "apply_override",
     "build",
-    "scaled_service",
     "scenario_descriptions",
     "scenario_names",
     "scenario_spec",

@@ -16,59 +16,11 @@ shards, so its key order and value types must stay stable.
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.core.gateway import AlbatrossServer, PodConfig
+from repro.core.gateway import AlbatrossServer
 from repro.scenarios.spec import EcmpSpec
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 from repro.sim.units import SECOND
-
-
-def scaled_service(name="scaled", per_core_pps=100_000, lookups=4):
-    """A synthetic service whose saturated per-core rate is ``per_core_pps``.
-
-    Uses the analytic 35% hit-rate lookup cost to solve for base_ns, so the
-    paper-level per-core ratios carry over exactly at laptop packet rates.
-    """
-    from repro.cpu.service import GatewayService, LookupSpec, MemoryTimings
-
-    timings = MemoryTimings()
-    lookup_ns = timings.expected_lookup_ns(0.35)
-    total_ns = 1e9 / per_core_pps
-    base_ns = max(1, int(total_ns - lookups * lookup_ns))
-    specs = [LookupSpec(f"table{i}", 1_000_000, 256) for i in range(lookups)]
-    return GatewayService(name, base_ns, specs)
-
-
-#: PodSpec fields build() turns into live objects (the synthetic service,
-#: the limiter); every other field is a PodConfig kwarg of the same name.
-_BUILT_FIELDS = (
-    "per_core_pps", "lookups", "limiter_stage1_pps", "limiter_stage2_pps",
-)
-
-
-def _build_pod(pod_spec, server, rngs):
-    """Add one pod to ``server``, constructing its live service and limiter."""
-    kwargs = {
-        name: value for name, value in pod_spec.to_dict().items()
-        if name not in _BUILT_FIELDS
-    }
-    if pod_spec.per_core_pps is not None:
-        kwargs["custom_service"] = scaled_service(
-            per_core_pps=pod_spec.per_core_pps, lookups=pod_spec.lookups
-        )
-    if pod_spec.limiter_stage1_pps is not None:
-        from repro.core.ratelimit import TwoStageRateLimiter
-
-        kwargs["rate_limiter"] = TwoStageRateLimiter(
-            rngs.stream(f"limiter.{pod_spec.name}"),
-            stage1_rate_pps=pod_spec.limiter_stage1_pps,
-            stage2_rate_pps=(
-                pod_spec.limiter_stage2_pps
-                if pod_spec.limiter_stage2_pps is not None
-                else pod_spec.limiter_stage1_pps // 4 or 1
-            ),
-        )
-    return server.add_pod(PodConfig(**kwargs))
 
 
 def _pod_capacity_pps(pod_spec):
@@ -81,8 +33,8 @@ def _pod_capacity_pps(pod_spec):
         return pod_spec.per_core_pps * pod_spec.data_cores
     from repro.cpu.service import ServiceChain, standard_services
 
-    # PodSpec carries no hit-rate or memory-clock knob, so the analytic
-    # chain at its defaults is the live pod's expected_capacity_mpps().
+    # Live pods run the chain at its defaults too (35% hit rate, 4800 MHz
+    # memory), so this is the built pod's expected_capacity_mpps().
     chain = ServiceChain(standard_services()[pod_spec.service])
     return pod_spec.data_cores * chain.per_core_mpps() * 1e6
 
@@ -128,8 +80,7 @@ def _build_server(name, pod_specs, sim, rngs, subscribers):
     """One server and its pods; a flat spec is a single unnamed server."""
     server = AlbatrossServer(sim, rngs, subscribers=subscribers)
     return ServerRuntime(name, server, {
-        pod_spec.name: _build_pod(pod_spec, server, rngs)
-        for pod_spec in pod_specs
+        pod_spec.name: server.add_pod(pod_spec) for pod_spec in pod_specs
     })
 
 
@@ -247,7 +198,7 @@ class RunHandle:
                 "outcomes": dict(sorted(pod.outcomes.items())),
                 "latency": pod.latency_histogram.to_dict(),
             }
-            if pod.config.mode == "plb":
+            if pod.spec.mode == "plb":
                 stats = pod.reorder_stats
                 entry["reorder"] = {
                     "in_order": stats.in_order,

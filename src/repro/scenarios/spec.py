@@ -152,15 +152,25 @@ class WorkloadSpec(Spec):
 class PodSpec(Spec):
     """One GW pod, described with scalars only.
 
+    The runtime's only pod description:
+    :meth:`~repro.core.gateway.AlbatrossServer.add_pod` builds a live pod
+    from it directly.
+
     ``per_core_pps`` selects a synthetic service calibrated to that
-    per-core rate (:func:`repro.scenarios.scaled_service`); when ``None``
-    the named paper ``service`` is used instead.
+    per-core rate (:func:`repro.cpu.service.scaled_service`); when
+    ``None`` the named paper ``service`` is used instead.
 
     ``limiter_stage1_pps``/``limiter_stage2_pps`` declare the two-stage
     tenant rate limiter by its per-entry rates; the live
     ``TwoStageRateLimiter`` (with its seeded sampler stream) is
     constructed at build time, so limiter-bearing scenarios stay plain
     data and shard cleanly.
+
+    ``reorder_queues`` defaults to 1-8 queues scaled with the data cores
+    and ``reorder_depth`` to 4096 entries per queue; ``meta_placement``
+    (``"tail"`` unless set; ``"head"`` pays the §7 copy penalty) says
+    where the PLB meta header rides.  The last two are absent from the
+    wire while unset.
     """
 
     name: str = "pod"
@@ -179,6 +189,8 @@ class PodSpec(Spec):
     memory_node: Optional[int] = None
     limiter_stage1_pps: Optional[int] = None
     limiter_stage2_pps: Optional[int] = None
+    meta_placement: Optional[str] = _field(None, only_with="meta_placement")
+    reorder_depth: Optional[int] = _field(None, only_with="reorder_depth")
 
     def __post_init__(self):
         _require(self.data_cores >= 1, "a pod needs at least one data core")

@@ -8,9 +8,8 @@ Tofino SRAM capped out at 0.2M (Tab. 6).
 
 This package provides the table structures the service models look up:
 
-* :class:`~repro.tables.lpm.LpmTrie` -- binary-trie longest-prefix match.
-* :class:`~repro.tables.lpm.Dir24_8Lpm` -- flat DIR-24-8 lookup table, the
-  classic software-router structure (two memory touches max).
+* :class:`~repro.tables.lpm.Dir24_8Lpm` -- flat DIR-24-8 longest-prefix
+  match, the classic software-router structure (two memory touches max).
 * :class:`~repro.tables.exact.ExactMatchTable` -- VM-NC mapping style
   exact-match table.
 * :class:`~repro.tables.session.SessionTable` -- stateful NF session table
@@ -21,7 +20,7 @@ This package provides the table structures the service models look up:
 
 from repro.tables.exact import ExactMatchTable
 from repro.tables.footprint import TableFootprint, gateway_table_footprint
-from repro.tables.lpm import Dir24_8Lpm, LpmTrie, Route
+from repro.tables.lpm import Dir24_8Lpm, Route
 from repro.tables.session import Session, SessionTable, SessionTableFull
 
 __all__ = [
@@ -29,7 +28,6 @@ __all__ = [
     "TableFootprint",
     "gateway_table_footprint",
     "Dir24_8Lpm",
-    "LpmTrie",
     "Route",
     "Session",
     "SessionTable",

@@ -9,8 +9,6 @@ The implementation is a bucketized hash table with explicit occupancy
 accounting so the cache model can reason about entry addresses.
 """
 
-from repro.packet.hashing import crc32_vni_hash
-
 
 class ExactMatchTable:
     """Bucketized exact-match table with bounded bucket depth.
@@ -100,8 +98,3 @@ class VmNcMappingTable(ExactMatchTable):
 
     def lookup_vm(self, vni, vm_ip):
         return self.lookup((vni, vm_ip))
-
-
-def tenant_table_shard(vni, shards):
-    """Deterministic shard index for a tenant's table state."""
-    return crc32_vni_hash(vni) % shards

@@ -20,15 +20,16 @@ from repro.analysis.sanitizer import (
 )
 from repro.cli import main
 from repro.controlplane import snapshot_bytes
-from repro.core.gateway import AlbatrossServer, PodConfig
+from repro.core.gateway import AlbatrossServer
 from repro.core.meta import PlbMeta
-from repro.core.nic import NicPipeline, NicPipelineConfig
+from repro.core.nic import NicPipeline
 from repro.core.ratelimit import TokenBucket, TwoStageRateLimiter
 from repro.core.plb.reorder import ReorderEngine, ReorderQueueConfig
 from repro.cpu.core import CpuCore
 from repro.faults.scenarios import run_scenario
 from repro.packet.flows import FlowKey
 from repro.packet.packet import Packet, PacketKind
+from repro.scenarios import PodSpec
 from repro.sim.engine import SimulationError, Simulator
 from repro.sim.rng import RngRegistry, derived_stream
 from repro.sim.units import MS
@@ -62,7 +63,7 @@ def make_core(sim, capacity=4):
 
 def make_nic(sim):
     core = make_core(sim, capacity=64)
-    return NicPipeline(sim, [core], NicPipelineConfig(), egress_fn=_noop)
+    return NicPipeline(sim, [core], ReorderQueueConfig(), egress_fn=_noop)
 
 
 class TestEngineChecks:
@@ -181,7 +182,7 @@ class TestPacketConservation:
         sim = Simulator()
         rngs = RngRegistry(seed=11)
         server = AlbatrossServer(sim, rngs)
-        pod = server.add_pod(PodConfig(name="san-pod", data_cores=2))
+        pod = server.add_pod(PodSpec(name="san-pod", data_cores=2))
         population = uniform_population(16, tenants=2)
         CbrSource(sim, rngs.stream("traffic"), pod.ingress, population,
                   rate_pps=100_000)
@@ -251,7 +252,7 @@ class TestReorderChecks:
         sim = Simulator()
         rngs = RngRegistry(seed=7)
         server = AlbatrossServer(sim, rngs)
-        pod = server.add_pod(PodConfig(name="san-plb", data_cores=2))
+        pod = server.add_pod(PodSpec(name="san-plb", data_cores=2))
         population = uniform_population(16, tenants=2)
         CbrSource(sim, rngs.stream("traffic"), pod.ingress, population,
                   rate_pps=200_000)
@@ -274,7 +275,7 @@ class TestSnapshotsIgnoreTheSanitizer:
         rngs = RngRegistry(seed=7)
         server = AlbatrossServer(sim, rngs)
         pod = server.add_pod(
-            PodConfig(name="snap-plb", data_cores=2, reorder_queues=1)
+            PodSpec(name="snap-plb", data_cores=2, reorder_queues=1)
         )
         source = CbrSource(sim, rngs.stream("traffic"), pod.ingress,
                            uniform_population(16, tenants=2),

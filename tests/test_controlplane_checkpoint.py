@@ -19,7 +19,7 @@ import pytest
 
 from repro.bgp.bfd import BfdLink, BfdState
 from repro.controlplane import ensure_plain, snapshot_bytes
-from repro.core import AlbatrossServer, PodConfig
+from repro.core import AlbatrossServer
 from repro.core.plb.reorder import ReorderEngine, ReorderQueueConfig
 from repro.core.ratelimit import TwoStageRateLimiter
 from repro.core.rss import RssDispatcher
@@ -27,6 +27,7 @@ from repro.metrics.counters import CounterSet
 from repro.metrics.histogram import LatencyHistogram
 from repro.packet.flows import FlowKey
 from repro.packet.packet import Packet
+from repro.scenarios import PodSpec
 from repro.sim import RngRegistry, Simulator
 from repro.sim.rng import rng_state, set_rng_state
 from repro.sim.units import MS, SECOND
@@ -246,11 +247,11 @@ class TestRssDispatcher:
         assert fresh.dispatched == 1
 
 
-def _server_with_pod(seed=11, **config_kwargs):
+def _server_with_pod(seed=11, **spec_kwargs):
     sim = Simulator()
     rngs = RngRegistry(seed=seed)
     server = AlbatrossServer(sim, rngs)
-    pod = server.add_pod(PodConfig(name="gw", data_cores=2, **config_kwargs))
+    pod = server.add_pod(PodSpec(name="gw", data_cores=2, **spec_kwargs))
     return sim, rngs, server, pod
 
 
@@ -291,7 +292,7 @@ class TestPodCheckpoint:
         snapshot = pod.checkpoint()
         sim = Simulator()
         server = AlbatrossServer(sim, RngRegistry(seed=1))
-        other = server.add_pod(PodConfig(name="wide", data_cores=4))
+        other = server.add_pod(PodSpec(name="wide", data_cores=4))
         with pytest.raises(ValueError):
             other.restore_state(snapshot)
 
@@ -320,9 +321,8 @@ class TestRngOmissionRegression:
         sim = Simulator()
         rngs = RngRegistry(seed=3)
         server = AlbatrossServer(sim, rngs)
-        limiter = TwoStageRateLimiter(rngs.stream("limiter.gw"))
         pod = server.add_pod(
-            PodConfig(name="gw", data_cores=2, rate_limiter=limiter)
+            PodSpec(name="gw", data_cores=2, limiter_stage1_pps=1_000)
         )
         snapshot = pod.checkpoint()
         missing = []

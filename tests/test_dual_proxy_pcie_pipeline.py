@@ -6,8 +6,11 @@ from repro.bgp.fsm import establish_pair
 from repro.bgp.proxy import BgpProxy
 from repro.bgp.speaker import BgpSpeaker
 from repro.bgp.switch import UplinkSwitch
-from repro.core.gateway import AlbatrossServer, PodConfig
+from repro.core.gateway import AlbatrossServer
 from repro.core.pcie import PcieLinkModel
+from repro.core.pktdir import DeliveryPath, PktDirRule
+from repro.packet.packet import PacketKind
+from repro.scenarios import PodSpec
 from repro.sim import MS, RngRegistry, SECOND, Simulator
 from repro.workloads.generators import CbrSource, uniform_population
 
@@ -68,9 +71,13 @@ class TestPciePipelineAccounting:
         sim = Simulator()
         rngs = RngRegistry(seed=47)
         server = AlbatrossServer(sim, rngs)
-        pod = server.add_pod(
-            PodConfig(name="gw", data_cores=2, header_only=header_only)
-        )
+        pod = server.add_pod(PodSpec(name="gw", data_cores=2))
+        if header_only:
+            # Header-payload split is a pkt_dir rule (§3.2): the pod asks
+            # for its data traffic header-only.
+            pod.nic.pkt_dir.add_rule(PktDirRule(
+                DeliveryPath.PLB, kind=PacketKind.DATA, header_only=True
+            ))
         link = PcieLinkModel()
         pod.nic.pcie_link = link
         population = uniform_population(20, tenants=4)

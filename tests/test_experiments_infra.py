@@ -8,7 +8,6 @@ import pytest
 from repro.experiments.claims import CLAIMS, claims_for
 from repro.experiments.common import ExperimentResult, format_table
 from repro.experiments.runner import EXPERIMENTS, run_experiment
-from repro.scenarios import scaled_service
 from repro.sim.units import MS
 
 REPO = Path(__file__).parent.parent
@@ -67,7 +66,7 @@ class TestFormatTable:
 class TestScaledService:
     @pytest.mark.parametrize("target", [25_000, 100_000, 1_000_000])
     def test_per_core_rate_calibration(self, target):
-        from repro.cpu.service import ServiceChain
+        from repro.cpu.service import ServiceChain, scaled_service
 
         service = scaled_service(per_core_pps=target)
         chain = ServiceChain(service, assumed_hit_rate=0.35)

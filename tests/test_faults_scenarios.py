@@ -11,12 +11,13 @@ in-order release during recovery.
 import pytest
 
 from repro.cli import FAULT_SCENARIOS
-from repro.core.gateway import AlbatrossServer, PodConfig
+from repro.core.gateway import AlbatrossServer
 from repro.core.plb.reorder import TxOutcome
 from repro.core.watchdog import FpgaWatchdog
 from repro.faults.injector import FaultInjector, FaultTargets
 from repro.faults.plan import Fault, FaultKind, FaultPlan
 from repro.faults.scenarios import SCENARIOS, run_scenario
+from repro.scenarios import PodSpec
 from repro.sim import MS, Simulator
 from repro.sim.rng import RngRegistry
 from repro.workloads.generators import CbrSource, uniform_population
@@ -176,7 +177,7 @@ class TestRecoveryOrdering:
         sim = Simulator()
         rngs = RngRegistry(seed=7)
         server = AlbatrossServer(sim, rngs)
-        pod = server.add_pod(PodConfig(name="gw", data_cores=4))
+        pod = server.add_pod(PodSpec(name="gw", data_cores=4))
         watchdog = FpgaWatchdog(sim, pod.nic)
         injector = FaultInjector(sim, FaultTargets(nic=pod.nic))
         injector.load(FaultPlan([Fault(FaultKind.FPGA_STALL, 50 * MS, 60 * MS)]))

@@ -13,10 +13,10 @@ import pytest
 from repro.bgp.bfd import BfdState, bfd_pair
 from repro.container.elasticity import ElasticityManager
 from repro.container.sriov import VfAllocator
-from repro.core.gateway import AlbatrossServer, PodConfig
+from repro.core.gateway import AlbatrossServer
 from repro.packet.flows import FlowKey
 from repro.packet.packet import Packet, PacketKind
-from repro.scenarios import scaled_service
+from repro.scenarios import PodSpec
 from repro.sim import MS, RngRegistry, SECOND, Simulator
 from repro.workloads.generators import CbrSource, uniform_population
 
@@ -30,9 +30,8 @@ class TestPrioritySurvivesSaturation:
         server = AlbatrossServer(sim, rngs)
         # A 50 Kpps/core synthetic service: the same 2x overload over the
         # same windows (BFD: four 60 ms detection times), ~1/20 the packets.
-        pod = server.add_pod(PodConfig(
-            name="gw", data_cores=2, rx_capacity=128,
-            custom_service=scaled_service(per_core_pps=50_000),
+        pod = server.add_pod(PodSpec(
+            name="gw", data_cores=2, rx_capacity=128, per_core_pps=50_000,
         ))
         population = uniform_population(100, tenants=10)
         capacity = pod.expected_capacity_mpps() * 1e6
@@ -110,8 +109,8 @@ class TestMultiPodIsolation:
         sim = Simulator()
         rngs = RngRegistry(seed=19)
         server = AlbatrossServer(sim, rngs)
-        victim = server.add_pod(PodConfig(name="victim", data_cores=2, numa_node=0))
-        quiet = server.add_pod(PodConfig(name="quiet", data_cores=2, numa_node=1))
+        victim = server.add_pod(PodSpec(name="victim", data_cores=2, numa_node=0))
+        quiet = server.add_pod(PodSpec(name="quiet", data_cores=2, numa_node=1))
         population = uniform_population(50, tenants=5)
         capacity = victim.expected_capacity_mpps() * 1e6
         CbrSource(

@@ -4,18 +4,14 @@ import collections
 
 import pytest
 
-from repro.core.gateway import (
-    AlbatrossServer,
-    PodConfig,
-    default_reorder_queue_count,
-)
+from repro.core.gateway import AlbatrossServer, default_reorder_queue_count
 from repro.core.nic import NicPipeline
 from repro.core.pktdir import DeliveryPath
 from repro.core.ratelimit import TwoStageRateLimiter
 from repro.cpu.core import Verdict
 from repro.packet.flows import FlowKey, flow_for_tenant
 from repro.packet.packet import Packet, PacketKind
-from repro.scenarios import scaled_service
+from repro.scenarios import PodSpec
 from repro.sim import MS, RngRegistry, Simulator, US
 from repro.workloads.generators import CbrSource, uniform_population
 
@@ -26,7 +22,7 @@ def make_pod(**overrides):
     server = AlbatrossServer(sim, rngs)
     defaults = dict(name="pod", data_cores=4)
     defaults.update(overrides)
-    pod = server.add_pod(PodConfig(**defaults))
+    pod = server.add_pod(PodSpec(**defaults))
     return sim, rngs, server, pod
 
 
@@ -115,9 +111,7 @@ class TestEndToEnd:
         assert pod.nic.pkt_dir.default_data_path is DeliveryPath.PLB
 
     def test_rate_limiter_drops_before_cpu(self):
-        sim, rngs, _, pod = make_pod(
-            rate_limiter=None,
-        )
+        sim, rngs, _, pod = make_pod()
         limiter = TwoStageRateLimiter(
             rngs.stream("limiter"), stage1_rate_pps=10_000, stage2_rate_pps=2_000
         )
@@ -171,7 +165,7 @@ class TestExits:
         sim, rngs, _, pod = make_pod(
             data_cores=2, rx_capacity=8, acl_drop_probability=0.10,
             silent_drop_probability=0.05,
-            custom_service=scaled_service(per_core_pps=50_000),
+            per_core_pps=50_000,
         )
         pod.nic.rate_limiter = TwoStageRateLimiter(
             rngs.stream("limiter"), stage1_rate_pps=60_000, stage2_rate_pps=15_000
@@ -211,7 +205,7 @@ class TestExits:
         assert unnamed == pod.counters.get("tx_packets") > 0
 
 
-class TestPodConfigValidation:
+class TestPodSpecValidation:
     def test_reorder_queue_defaults(self):
         """1-8 queues proportional to cores (44-core pod -> 4)."""
         assert default_reorder_queue_count(44) == 4
@@ -223,56 +217,56 @@ class TestPodConfigValidation:
         sim = Simulator()
         server = AlbatrossServer(sim, RngRegistry(1))
         with pytest.raises(ValueError, match="unknown service"):
-            server.add_pod(PodConfig(name="x", data_cores=2, service="nope"))
+            server.add_pod(PodSpec(name="x", data_cores=2, service="nope"))
 
     def test_zero_cores_rejected(self):
         with pytest.raises(ValueError):
-            PodConfig(name="x", data_cores=0)
+            PodSpec(name="x", data_cores=0)
 
 
 class TestServerPlacement:
     def test_pods_fill_numa_nodes(self):
         sim = Simulator()
         server = AlbatrossServer(sim, RngRegistry(1))
-        a = server.add_pod(PodConfig(name="a", data_cores=44))
-        b = server.add_pod(PodConfig(name="b", data_cores=44))
+        a = server.add_pod(PodSpec(name="a", data_cores=44))
+        b = server.add_pod(PodSpec(name="b", data_cores=44))
         assert a.numa_node != b.numa_node
 
     def test_capacity_exhaustion(self):
         sim = Simulator()
         server = AlbatrossServer(sim, RngRegistry(1))
-        server.add_pod(PodConfig(name="a", data_cores=44))
-        server.add_pod(PodConfig(name="b", data_cores=44))
+        server.add_pod(PodSpec(name="a", data_cores=44))
+        server.add_pod(PodSpec(name="b", data_cores=44))
         with pytest.raises(ValueError):
-            server.add_pod(PodConfig(name="c", data_cores=44))
+            server.add_pod(PodSpec(name="c", data_cores=44))
 
     def test_remove_pod_frees_cores(self):
         sim = Simulator()
         server = AlbatrossServer(sim, RngRegistry(1))
-        server.add_pod(PodConfig(name="a", data_cores=44))
+        server.add_pod(PodSpec(name="a", data_cores=44))
         server.remove_pod("a")
         assert server.free_cores(0) == 48
-        server.add_pod(PodConfig(name="b", data_cores=44))
+        server.add_pod(PodSpec(name="b", data_cores=44))
 
     def test_duplicate_name_rejected(self):
         sim = Simulator()
         server = AlbatrossServer(sim, RngRegistry(1))
-        server.add_pod(PodConfig(name="a", data_cores=2))
+        server.add_pod(PodSpec(name="a", data_cores=2))
         with pytest.raises(ValueError):
-            server.add_pod(PodConfig(name="a", data_cores=2))
+            server.add_pod(PodSpec(name="a", data_cores=2))
 
     def test_explicit_numa_node(self):
         sim = Simulator()
         server = AlbatrossServer(sim, RngRegistry(1))
-        pod = server.add_pod(PodConfig(name="a", data_cores=4, numa_node=1))
+        pod = server.add_pod(PodSpec(name="a", data_cores=4, numa_node=1))
         assert pod.numa_node == 1
 
     def test_cross_numa_memory_slows_service(self):
         sim = Simulator()
         server = AlbatrossServer(sim, RngRegistry(1))
-        local = server.add_pod(PodConfig(name="a", data_cores=2, numa_node=0))
+        local = server.add_pod(PodSpec(name="a", data_cores=2, numa_node=0))
         remote = server.add_pod(
-            PodConfig(name="b", data_cores=2, numa_node=0, memory_node=1)
+            PodSpec(name="b", data_cores=2, numa_node=0, memory_node=1)
         )
         assert remote.cores[0].speed_factor > local.cores[0].speed_factor
 

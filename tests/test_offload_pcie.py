@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.gateway import AlbatrossServer, PodConfig
+from repro.core.gateway import AlbatrossServer
 from repro.core.offload import (
     FpgaSessionOffload,
     offload_throughput_mpps,
@@ -10,6 +10,7 @@ from repro.core.offload import (
 from repro.core.pcie import PcieLinkModel, PortCapacityModel, SPLIT_HEADER_BYTES
 from repro.cpu.stateful import write_heavy_nf
 from repro.packet.flows import FlowKey, flow_for_tenant
+from repro.scenarios import PodSpec
 from repro.sim import MS, RngRegistry, SECOND, Simulator
 from repro.workloads.generators import CbrSource, uniform_population
 
@@ -88,7 +89,7 @@ class TestSessionOffloadPipeline:
         sim = Simulator()
         rngs = RngRegistry(seed=29)
         server = AlbatrossServer(sim, rngs)
-        pod = server.add_pod(PodConfig(name="gw", data_cores=2))
+        pod = server.add_pod(PodSpec(name="gw", data_cores=2))
         pod.nic.session_offload = FpgaSessionOffload(sim, capacity=1024)
         population = uniform_population(20, tenants=4)
         CbrSource(sim, rngs.stream("t"), pod.ingress, population, rate_pps=200_000)

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.controlplane import snapshot_bytes
-from repro.core import AlbatrossServer, PodConfig
+from repro.core import AlbatrossServer
 from repro.core.plb.reorder import TxOutcome
 from repro.packet.flows import FlowKey
 from repro.packet.packet import Packet
@@ -136,7 +136,7 @@ def _pod_on_fresh_server(seed):
     rngs = RngRegistry(seed=seed)
     server = AlbatrossServer(sim, rngs)
     pod = server.add_pod(
-        PodConfig(name="gw", data_cores=2, acl_drop_probability=0.05)
+        PodSpec(name="gw", data_cores=2, acl_drop_probability=0.05)
     )
     return sim, server, pod
 
@@ -190,7 +190,7 @@ class TestIdleRoundTripInvisible:
             def round_trip():
                 snapshot = holder["pod"].checkpoint()
                 server.remove_pod("gw")
-                rebuilt = server.add_pod(PodConfig(
+                rebuilt = server.add_pod(PodSpec(
                     name="gw", data_cores=2, acl_drop_probability=0.05
                 ))
                 rebuilt.restore_state(snapshot)

@@ -172,7 +172,7 @@ class TestBuildEntryPoints:
         assert first["events"] > 0
 
     def test_per_core_pps_builds_the_scaled_service(self):
-        from repro.scenarios import scaled_service
+        from repro.cpu.service import scaled_service
 
         handle = build(ScenarioSpec(
             name="scaled-pod",
@@ -184,7 +184,7 @@ class TestBuildEntryPoints:
             200_000, rel=0.02
         )
         assert (
-            handle.pod.config.custom_service.base_ns
+            handle.pod.chain.service.base_ns
             == scaled_service(per_core_pps=50_000).base_ns
         )
 
@@ -223,3 +223,78 @@ class TestBuildEntryPoints:
         assert "reorder" in pod  # plb mode
         # The report must be plain data (the fleet wire format).
         json.dumps(report)
+
+
+class TestPodSpecIsTheOnlyDescription:
+    """``add_pod`` reads the :class:`PodSpec` itself: every derived value
+    is computed there once, and no run edits the spec it was built from."""
+
+    def test_head_meta_placement_is_derived_once(self):
+        from repro.core.meta import HEAD_PLACEMENT_THROUGHPUT_FACTOR
+        from repro.cpu.numa import NumaTopology
+
+        handle = build(ScenarioSpec(name="head", pods=(
+            PodSpec(meta_placement="head", numa_node=0, memory_node=1),
+        )))
+        expected = (
+            NumaTopology.CROSS_NUMA_SERVICE_PENALTY
+            / HEAD_PLACEMENT_THROUGHPUT_FACTOR
+        )
+        assert [core.speed_factor for core in handle.pod.cores] == (
+            [expected] * len(handle.pod.cores)
+        )
+
+    def test_reorder_depth_defaults_to_4096_unless_declared(self):
+        plain = build(ScenarioSpec(name="d", pods=(PodSpec(),)))
+        sized = build(ScenarioSpec(name="d", pods=(PodSpec(reorder_depth=1024),)))
+        assert plain.pod.nic.reorder.config.depth == 4096
+        assert sized.pod.nic.reorder.config.depth == 1024
+
+    def test_new_fields_stay_off_the_wire_while_unset(self):
+        assert "meta_placement" not in PodSpec().to_dict()
+        assert "reorder_depth" not in PodSpec().to_dict()
+        wire = PodSpec(meta_placement="head", reorder_depth=2048).to_dict()
+        assert list(wire)[-2:] == ["meta_placement", "reorder_depth"]
+        assert PodSpec.from_dict(wire).to_dict() == wire
+
+    @pytest.mark.parametrize("spec", [
+        migration_scenario_spec("rolling-upgrade", quick=True),
+        _spec(pods=(PodSpec(per_core_pps=100_000, meta_placement="head"),)),
+        _spec(pods=(PodSpec(per_core_pps=100_000, reorder_queues=8,
+                            reorder_depth=1024),)),
+    ], ids=["rolling-upgrade", "ablation-meta", "ablation-reorder"])
+    def test_running_never_edits_the_spec(self, spec):
+        from repro.runs import spec_fingerprint
+
+        before = spec_fingerprint(spec)
+        handle = build(spec).run()
+        assert spec_fingerprint(handle.spec) == before
+
+    def test_migration_places_a_copy(self):
+        handle = build(migration_scenario_spec("rolling-upgrade", quick=True)).run()
+        assert handle.pods["gw"].numa_node == 1
+        assert handle.pods["gw"].spec.numa_node == 1
+        assert handle.spec.pods[0].numa_node == 0
+
+    def test_plb_fallback_is_nic_state_not_spec(self):
+        from repro.core.watchdog import PlbWatchdog
+        from repro.runs import spec_fingerprint
+
+        spec = _spec(pods=(PodSpec(
+            name="pod", data_cores=2, per_core_pps=20_000,
+            silent_drop_probability=0.05, drop_flag_enabled=False,
+        ),), workload=WorkloadSpec(flows=32, tenants=4, load=0.5),
+            duration_ns=100 * MS)
+        before = spec_fingerprint(spec)
+        handle = build(spec)
+        watchdog = PlbWatchdog(
+            handle.sim, handle.pod.nic, hol_events_per_s_threshold=100.0,
+            strikes=3, period_ns=20 * MS,
+        )
+        report = handle.run().report()
+        assert watchdog.fallbacks == 1
+        assert handle.pod.nic.mode == "rss"
+        assert handle.pod.spec.mode == "plb"
+        assert spec_fingerprint(handle.spec) == before
+        # The report keys its reorder section on the declared mode.
+        assert "reorder" in report["pods"]["pod"]

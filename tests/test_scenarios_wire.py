@@ -136,6 +136,8 @@ def _pods(name):
         acl_drop_probability=st.floats(min_value=0, max_value=1),
         numa_node=st.none() | st.integers(min_value=0, max_value=1),
         limiter_stage1_pps=_optional_int,
+        meta_placement=st.none() | st.sampled_from(("head", "tail")),
+        reorder_depth=st.none() | st.integers(min_value=1, max_value=4096),
     )
 
 

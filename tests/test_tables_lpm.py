@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.packet.flows import ip_from_str
-from repro.tables.lpm import Dir24_8Lpm, LpmTrie, Route
+from repro.tables.lpm import Dir24_8Lpm, Route
+from tests.reference_lpm import LpmTrie
 
 
 def make_prefix(value, length):

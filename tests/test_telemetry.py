@@ -13,7 +13,7 @@ import json
 import pytest
 
 from repro.analysis.statecheck import probe_object
-from repro.core.gateway import AlbatrossServer, PodConfig
+from repro.core.gateway import AlbatrossServer
 from repro.controlplane import migration_scenario_names, migration_scenario_spec
 from repro.fleet import (
     build_sweep,
@@ -54,7 +54,7 @@ def _quiet_world(every_ns=1 * MS):
     sim = Simulator()
     rngs = RngRegistry(seed=7)
     server = AlbatrossServer(sim, rngs)
-    pod = server.add_pod(PodConfig(name="gw", data_cores=2))
+    pod = server.add_pod(PodSpec(name="gw", data_cores=2))
     recorder = TimeSeriesRecorder(sim, {"gw": pod}, every_ns)
     return sim, pod, recorder
 

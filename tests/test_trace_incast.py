@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.core.gateway import AlbatrossServer, PodConfig
+from repro.core.gateway import AlbatrossServer
 from repro.core.offload import FpgaSessionOffload
 from repro.metrics.trace import PacketTracer
+from repro.scenarios import PodSpec
 from repro.sim import MS, RngRegistry, Simulator, US
 from repro.workloads.generators import CbrSource, uniform_population
 from repro.workloads.incast import IncastEvent, periodic_incast
@@ -14,7 +15,7 @@ def make_pod(data_cores=2, mode="plb"):
     sim = Simulator()
     rngs = RngRegistry(seed=37)
     server = AlbatrossServer(sim, rngs)
-    pod = server.add_pod(PodConfig(name="gw", data_cores=data_cores, mode=mode))
+    pod = server.add_pod(PodSpec(name="gw", data_cores=data_cores, mode=mode))
     return sim, rngs, pod
 
 

@@ -6,9 +6,9 @@ from repro.bgp.bfd import BfdSession, BfdState
 from repro.bgp.fsm import BgpState
 from repro.bgp.pod import PodControlPlane
 from repro.bgp.switch import UplinkSwitch
-from repro.core.gateway import AlbatrossServer, PodConfig
+from repro.core.gateway import AlbatrossServer
 from repro.core.watchdog import PlbWatchdog
-from repro.scenarios import scaled_service
+from repro.scenarios import PodSpec
 from repro.sim import MS, RngRegistry, SECOND, Simulator
 from repro.workloads.generators import CbrSource, uniform_population
 
@@ -19,7 +19,7 @@ def make_pod(**overrides):
     server = AlbatrossServer(sim, rngs)
     defaults = dict(name="gw", data_cores=2)
     defaults.update(overrides)
-    pod = server.add_pod(PodConfig(**defaults))
+    pod = server.add_pod(PodSpec(**defaults))
     return sim, rngs, pod
 
 
@@ -44,7 +44,7 @@ class TestWatchdog:
     def test_healthy_pod_stays_in_plb(self):
         sim, pod, watchdog = self._flooded_pod(silent_drop_probability=0.0)
         sim.run_until(500 * MS)
-        assert pod.nic.config.mode == "plb"
+        assert pod.nic.mode == "plb"
         assert watchdog.fallbacks == 0
 
     def test_sustained_hol_triggers_fallback(self):
@@ -52,7 +52,7 @@ class TestWatchdog:
         sim, pod, watchdog = self._flooded_pod(silent_drop_probability=0.05)
         sim.run_until(500 * MS)
         assert watchdog.fallbacks == 1
-        assert pod.nic.config.mode == "rss"
+        assert pod.nic.mode == "rss"
         assert watchdog.in_fallback
 
     def test_fallback_stops_hol_growth(self):
@@ -71,7 +71,7 @@ class TestWatchdog:
         pod.nic.reorder.stats.hol_events += 1_000_000
         sim.run_until(100 * MS)
         assert watchdog.fallbacks == 0
-        assert pod.nic.config.mode == "plb"
+        assert pod.nic.mode == "plb"
 
     def test_auto_restore(self):
         sim, pod, watchdog = self._flooded_pod(
@@ -118,7 +118,7 @@ class TestPodControlPlane:
         # A slow synthetic service makes two hold times of 3x overload
         # affordable: ~50k packets instead of millions.
         sim, rngs, pod = make_pod(
-            rx_capacity=128, custom_service=scaled_service(per_core_pps=1_250)
+            rx_capacity=128, per_core_pps=1_250
         )
         switch = UplinkSwitch(sim, "switch")
         control = PodControlPlane(pod, asn=65001)
