@@ -20,7 +20,7 @@ snapshots.  This package makes those properties machine-checked:
   executes checkpoint -> restore -> checkpoint byte-equality probes
   derived from the same state models the SNAP rules use.  See
   :mod:`.statecheck`.
-* **Sanitizer** (``REPRO_SANITIZE=1`` or ``python -m repro sanitize``):
+* **Sanitizer** (``REPRO_SANITIZE=1 python -m repro <command>``):
   cheap, toggleable runtime invariant checks wired into the sim engine,
   NIC pipeline, reorder engine, rate limiter and CPU cores.  Violations
   raise :class:`SanitizerViolation` with the offending event trace.  See

@@ -251,12 +251,18 @@ def lint_source(source, path="<string>", rules=None, project_rules=None,
 
 
 def iter_python_files(paths):
-    """Yield every ``.py`` file under ``paths``, sorted for determinism."""
+    """Every ``.py`` file under ``paths``, sorted for determinism.
+
+    A path that does not exist raises ``FileNotFoundError``: walking it
+    would lint nothing and pass.
+    """
     files = []
     for path in paths:
         if os.path.isfile(path):
             files.append(path)
             continue
+        if not os.path.isdir(path):
+            raise FileNotFoundError(f"no such file or directory: {path!r}")
         for dirpath, dirnames, filenames in os.walk(path):
             dirnames[:] = sorted(d for d in dirnames if d != "__pycache__")
             files.extend(

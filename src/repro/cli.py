@@ -1,250 +1,73 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Commands:
+Every subcommand is one row of :data:`COMMANDS`: its help text, the
+function that runs it, its arguments and, for a named command, the
+registry its ``name`` positional resolves against.  :func:`build_parser`
+and :func:`main` are loops over that table; ``--help`` lists it.  A row
+``"a b"`` is subcommand ``b`` of row ``"a"``, a group with no function.
 
-* ``simulate`` -- run one GW pod with a synthetic workload and print a
-  throughput/latency report (the quickstart, parameterized).
-* ``experiment`` -- run one named experiment (or ``all``), print its
-  table and the verdict of each of its paper claims
-  (:mod:`repro.experiments.claims`); exits 1 if a claim fails, 2 for an
-  unknown name.  Names are the keys of
-  :data:`repro.experiments.runner.EXPERIMENTS`.
-* ``faults`` -- run a named fault-injection scenario (or ``all``) from
-  :mod:`repro.faults.scenarios` and print its recovery report.  With
-  ``REPRO_SANITIZE=1`` in the environment the run is sanitized (summary on
-  stderr; stdout stays byte-identical to an unsanitized run).
-* ``sweep`` -- shard a named parameter sweep (:mod:`repro.fleet`)
-  across worker processes and write the merged ``SWEEP_repro.json``;
-  the merged report is byte-identical for any ``--workers`` count.
-  Every run is durably recorded under ``RUNS/<run-id>/`` (one atomic
-  JSON file per completed shard); ``--resume <run-id>`` re-runs only
-  the missing/stale shards and merges to the same bytes as an
-  uninterrupted run.
-* ``runs`` -- query the durable run store: ``list`` runs and their
-  completion, ``show`` one run shard-by-shard, ``compare`` renders a
-  cross-run trajectory table over run ids and SWEEP/BENCH artifacts.
-* ``migrate`` -- run a named live-migration scenario (or ``all``) from
-  :mod:`repro.controlplane.scenarios` and print its drain/blackout
-  report.  Honours ``REPRO_SANITIZE=1`` the same way ``faults`` does.
-* ``lint`` -- run the static analyzers (:mod:`repro.analysis`) over
-  source trees: determinism rules plus the snapshot-completeness (SNAP)
-  rules.  ``--list-rules`` prints the authoritative inventory from the
-  registry; ``--select`` narrows the run to matching codes.  Exits 1 on
-  findings.
-* ``statecheck`` -- build a live scenario and execute
-  checkpoint -> restore -> checkpoint byte-equality probes against every
-  discovered checkpoint-capable component; exits 1 on a mismatch.
-* ``sanitize`` -- run fault scenario(s) with the runtime sanitizer's
-  invariant checks enabled; exits 1 on a violation.
-* ``inventory`` -- list the unified scenario registry: scenarios,
-  sweeps, fault scenarios, experiments and gateway services.
+``REPRO_SANITIZE=1`` in the environment runs any command under the
+runtime sanitizer: stdout stays byte-identical, a violation exits 1 with
+its event trace on stderr.
 """
 
 import argparse
 import sys
+from functools import partial
+from typing import Callable, NamedTuple, Optional
 
-# Kept in sync with repro.faults.scenarios.SCENARIOS (asserted by tests)
-# so building the parser does not import the simulation stack.
-FAULT_SCENARIOS = (
-    "bfd-flap",
-    "chaos",
-    "core-stall-plb-vs-rss",
-    "limiter-reset",
-    "pod-crash-reschedule",
+from repro.analysis import all_project_rules, all_rules, lint_paths, select_rules
+from repro.analysis.sanitizer import SanitizerViolation, get_sanitizer
+from repro.analysis.statecheck import run_statecheck
+from repro.controlplane import MIGRATION_SCENARIOS, run_migration_scenario
+from repro.cpu.service import standard_services
+from repro.experiments.claims import claims_for
+from repro.experiments.common import format_table
+from repro.experiments.runner import EXPERIMENTS, run_experiment
+from repro.faults import scenarios as faults
+from repro.fleet import (
+    SWEEP_FACTORIES, ShardFailure, build_sweep, default_workers, run_sweep,
+    sweep_to_json, with_timeseries,
+)
+from repro.runs import RunStore, RunStoreError, atomic_write_text, query
+from repro.scenarios import (
+    SCENARIO_FACTORIES, PodSpec, ScenarioSpec, WorkloadSpec, build, lookup,
+)
+from repro.sim.units import MS, US
+from repro.telemetry import flatten_windows
+
+
+class Command(NamedTuple):
+    """One row of :data:`COMMANDS`."""
+
+    help: str
+    run: Optional[Callable]     # None: a group, whose rows follow it
+    arguments: tuple = ()       # (flags, add_argument kwargs) pairs
+    registry: Optional[dict] = None   # resolves the ``name`` positional
+    what: str = ""              # the registry's noun, for help and errors
+    every: bool = True          # ``name`` may be ``all``
+
+
+def _arg(*flags, **kwargs):
+    return flags, kwargs
+
+
+SEED = _arg("--seed", type=int, default=42, help="deterministic run seed")
+QUICK = _arg(
+    "--quick", action="store_true", help="quick mode: scaled-down durations/axes"
+)
+TIMESERIES = _arg(
+    "--timeseries-every-ms", type=float, default=None, metavar="MS",
+    help="arm windowed telemetry with a window of MS sim-milliseconds",
+)
+RUNS_DIR = _arg(
+    "--runs-dir", default="RUNS", help="durable run store root (default: RUNS)"
 )
 
-# Kept in sync with repro.fleet.sweeps.SWEEP_FACTORIES (asserted by tests).
-SWEEPS = (
-    "tenant-scaling",
-    "seed-replication",
-    "migration-replication",
-    "az-scaling",
-)
 
-# Kept in sync with repro.controlplane.scenarios.MIGRATION_SCENARIOS
-# (asserted by tests).
-MIGRATIONS = (
-    "rebalance-hot-pod",
-    "rolling-upgrade",
-)
-
-
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="Albatross (SIGCOMM 2025) reproduction toolkit",
-    )
-    commands = parser.add_subparsers(dest="command", required=True)
-
-    # Shared flags live in parent parsers so every subcommand declares
-    # them once with one default and one help string (they drifted when
-    # each subcommand re-declared its own copies).
-    seed_parent = argparse.ArgumentParser(add_help=False)
-    seed_parent.add_argument(
-        "--seed", type=int, default=42, help="deterministic run seed"
-    )
-    quick_parent = argparse.ArgumentParser(add_help=False)
-    quick_parent.add_argument(
-        "--quick", action="store_true",
-        help="quick mode: scaled-down durations/axes",
-    )
-    timeseries_parent = argparse.ArgumentParser(add_help=False)
-    timeseries_parent.add_argument(
-        "--timeseries-every-ms", type=float, default=None, metavar="MS",
-        help="arm windowed telemetry with a window of MS sim-milliseconds",
-    )
-
-    simulate = commands.add_parser(
-        "simulate", help="run one GW pod",
-        parents=[seed_parent, timeseries_parent],
-    )
-    simulate.add_argument("--cores", type=int, default=8, help="data cores")
-    simulate.add_argument(
-        "--mode", choices=("plb", "rss"), default="plb", help="load-balancing mode"
-    )
-    simulate.add_argument(
-        "--service",
-        default="VPC-Internet",
-        help="gateway service (see 'inventory')",
-    )
-    simulate.add_argument(
-        "--load", type=float, default=0.6, help="offered load as a capacity fraction"
-    )
-    simulate.add_argument(
-        "--duration-ms", type=int, default=50, help="simulated duration"
-    )
-    simulate.add_argument("--flows", type=int, default=1000)
-    simulate.add_argument("--tenants", type=int, default=50)
-
-    experiment = commands.add_parser(
-        "experiment", help="run a paper experiment", parents=[quick_parent]
-    )
-    experiment.add_argument("name", help="experiment name or 'all'")
-
-    faults = commands.add_parser(
-        "faults", help="run a fault-injection scenario",
-        parents=[seed_parent, quick_parent],
-    )
-    faults.add_argument(
-        "scenario",
-        choices=FAULT_SCENARIOS + ("all",),
-        help="named scenario (or 'all')",
-    )
-
-    sweep = commands.add_parser(
-        "sweep", help="run a sharded parameter sweep across workers",
-        parents=[seed_parent, quick_parent, timeseries_parent],
-    )
-    sweep.add_argument("name", choices=SWEEPS, help="named sweep")
-    sweep.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes (0 = auto); the report is byte-identical "
-             "for any count",
-    )
-    sweep.add_argument(
-        "--output", default="SWEEP_repro.json",
-        help="merged report path (default: SWEEP_repro.json)",
-    )
-    sweep.add_argument(
-        "--runs-dir", default="RUNS",
-        help="durable run store root (default: RUNS)",
-    )
-    sweep.add_argument(
-        "--run-id", default=None,
-        help="run directory name (default: <sweep>-<timestamp>)",
-    )
-    sweep.add_argument(
-        "--resume", default=None, metavar="RUN_ID",
-        help="resume an interrupted run: shards whose cached result "
-             "matches the current spec hash are served from disk",
-    )
-
-    runs = commands.add_parser(
-        "runs", help="query the durable run store and past artifacts"
-    )
-    runs.add_argument(
-        "--runs-dir", default="RUNS",
-        help="durable run store root (default: RUNS)",
-    )
-    runs_commands = runs.add_subparsers(dest="runs_command", required=True)
-    runs_commands.add_parser("list", help="list runs and their completion")
-    runs_show = runs_commands.add_parser(
-        "show", help="per-shard status and metrics for one run"
-    )
-    runs_show.add_argument("run_id", help="run id under the runs dir")
-    runs_show.add_argument(
-        "--timeseries", action="store_true",
-        help="render per-window telemetry rows instead of shard summaries",
-    )
-    runs_compare = runs_commands.add_parser(
-        "compare", help="cross-run trajectory table over artifacts"
-    )
-    runs_compare.add_argument(
-        "artifacts", nargs="+", metavar="RUN_OR_PATH",
-        help="run ids and/or SWEEP_*.json / BENCH_*.json paths",
-    )
-    runs_compare.add_argument(
-        "--timeseries", action="store_true",
-        help="diff windowed-telemetry columns across the operands",
-    )
-
-    migrate = commands.add_parser(
-        "migrate", help="run a live pod-migration scenario",
-        parents=[seed_parent, quick_parent],
-    )
-    migrate.add_argument(
-        "scenario",
-        choices=MIGRATIONS + ("all",),
-        help="named migration scenario (or 'all')",
-    )
-
-    lint = commands.add_parser(
-        "lint",
-        help="run the static analyzers (determinism + snapshot rules)",
-    )
-    lint.add_argument(
-        "paths", nargs="*", default=["src"],
-        help="files or directories to lint (default: src)",
-    )
-    lint.add_argument(
-        "--list-rules", action="store_true", help="print the rule table"
-    )
-    lint.add_argument(
-        "--select", action="append", default=None, metavar="CODE",
-        help="run only rules matching CODE (exact code or prefix, e.g. "
-             "SNAP or DET001; repeatable)",
-    )
-
-    statecheck = commands.add_parser(
-        "statecheck",
-        help="run checkpoint->restore->checkpoint byte-equality probes",
-        parents=[seed_parent],
-    )
-    statecheck.add_argument(
-        "-v", "--verbose", action="store_true",
-        help="print one line per probed class",
-    )
-
-    sanitize = commands.add_parser(
-        "sanitize", help="run fault scenario(s) with runtime invariant checks",
-        parents=[seed_parent, quick_parent],
-    )
-    sanitize.add_argument(
-        "scenario",
-        choices=FAULT_SCENARIOS + ("all",),
-        help="named scenario (or 'all')",
-    )
-
-    commands.add_parser("inventory", help="list experiments and services")
-    return parser
-
-
-def cmd_simulate(args):
-    from repro.scenarios import PodSpec, ScenarioSpec, WorkloadSpec, build
-    from repro.sim.units import MS, US
-
+def _simulate(args):
     try:
-        spec = ScenarioSpec(
+        handle = build(ScenarioSpec(
             name="cli-simulate",
             pods=(
                 PodSpec(name="cli-pod", data_cores=args.cores, mode=args.mode,
@@ -260,11 +83,11 @@ def cmd_simulate(args):
                 None if args.timeseries_every_ms is None
                 else int(args.timeseries_every_ms * MS)
             ),
-        )
+        ))
     except ValueError as error:
         print(str(error), file=sys.stderr)
         return 2
-    handle = build(spec).run()
+    handle.run()
     pod = handle.pod
     rate = int(handle.capacity_pps() * args.load)
 
@@ -289,24 +112,14 @@ def cmd_simulate(args):
     }
     print(f"drops: {drops or 'none'}")
     if handle.telemetry is not None:
-        from repro.experiments.common import format_table
-        from repro.telemetry import flatten_windows
-
         print("timeseries:")
         print(format_table(flatten_windows(handle.telemetry.series()["windows"])))
     return 0
 
 
-def cmd_experiment(args):
-    from repro.experiments.claims import claims_for
-    from repro.experiments.runner import EXPERIMENTS, run_experiment
-
-    if args.name != "all" and args.name not in EXPERIMENTS:
-        print(f"unknown experiment {args.name!r}; choose from: "
-              f"{', '.join(EXPERIMENTS)}", file=sys.stderr)
-        return 2
+def _experiment(args):
     failed = 0
-    for name in EXPERIMENTS if args.name == "all" else (args.name,):
+    for name in args.names:
         result = run_experiment(name, quick=args.quick)
         result.print_table()
         for claim in claims_for(name):
@@ -316,149 +129,32 @@ def cmd_experiment(args):
     return 1 if failed else 0
 
 
-def _run_named_scenarios(args, names, runner):
-    """Run ``args.scenario`` (or every name) and print each report."""
-    selected = names if args.scenario == "all" else (args.scenario,)
-    for index, name in enumerate(selected):
+def _print_reports(runner, args):
+    """Run each selected scenario and print its report."""
+    for index, name in enumerate(args.names):
         if index:
             print()
         print(runner(name, seed=args.seed, quick=args.quick).render())
-
-
-def _print_sanitizer_summary():
-    from repro.analysis.sanitizer import get_sanitizer
-
     sanitizer = get_sanitizer()
     if sanitizer is not None:
         # Summary on stderr: stdout must stay byte-identical to an
         # unsanitized run (test_analysis_sanitizer compares the two).
         print(sanitizer.summary(), file=sys.stderr)
-
-
-def cmd_faults(args):
-    from repro.faults.scenarios import run_scenario
-
-    _run_named_scenarios(args, FAULT_SCENARIOS, run_scenario)
-    _print_sanitizer_summary()
     return 0
 
 
-def cmd_migrate(args):
-    from repro.controlplane import run_migration_scenario
-
-    _run_named_scenarios(args, MIGRATIONS, run_migration_scenario)
-    _print_sanitizer_summary()
-    return 0
-
-
-def cmd_lint(args):
-    from repro.analysis import all_project_rules, all_rules, lint_paths, select_rules
-
-    rules, project_rules = None, None
-    if args.select:
-        try:
-            rules, project_rules = select_rules(args.select)
-        except ValueError as error:
-            print(str(error), file=sys.stderr)
-            return 2
-    if args.list_rules:
-        selected = (
-            list(rules or ()) + list(project_rules or ())
-            if args.select
-            else list(all_rules()) + list(all_project_rules())
-        )
-        for rule in sorted(selected, key=lambda rule: rule.code):
-            print(f"{rule.code}: {rule.summary}")
-        return 0
-    report = lint_paths(args.paths, rules=rules, project_rules=project_rules)
-    print(report.render())
-    return 0 if report.clean else 1
-
-
-def cmd_statecheck(args):
-    from repro.analysis.statecheck import run_statecheck
-
-    result = run_statecheck(seed=args.seed)
-    for probe in result.probes:
-        if args.verbose or not probe.ok:
-            print(probe.render())
-    print(result.summary())
-    return 0 if result.ok else 1
-
-
-def cmd_sanitize(args):
-    from repro.analysis.sanitizer import SanitizerViolation, install, uninstall
-    from repro.faults.scenarios import run_scenario
-
-    sanitizer = install()
-    try:
-        _run_named_scenarios(args, FAULT_SCENARIOS, run_scenario)
-    except SanitizerViolation as violation:
-        print(f"sanitizer violation in scenario run:\n{violation}")
-        return 1
-    finally:
-        uninstall()
-    print()
-    print(sanitizer.summary())
-    return 0
-
-
-def cmd_inventory(_args):
-    from repro.controlplane import migration_descriptions
-    from repro.cpu.service import standard_services
-    from repro.experiments.runner import EXPERIMENTS
-    from repro.faults.scenarios import scenario_descriptions as fault_descriptions
-    from repro.fleet import sweep_descriptions
-    from repro.scenarios import scenario_descriptions
-
-    print("scenarios:")
-    for name, blurb in scenario_descriptions().items():
-        print(f"  {name}: {blurb}")
-    print("sweeps:")
-    for name, blurb in sweep_descriptions().items():
-        print(f"  {name}: {blurb}")
-    print("fault scenarios:")
-    for name, blurb in fault_descriptions().items():
-        print(f"  {name}: {blurb}")
-    print("migration scenarios:")
-    for name, blurb in migration_descriptions().items():
-        print(f"  {name}: {blurb}")
-    print("experiments:")
-    for name in EXPERIMENTS:
-        print(f"  {name}")
-    print("gateway services:")
-    for name, service in standard_services().items():
-        print(f"  {name}: base {service.base_ns} ns, "
-              f"{service.lookup_count} lookups")
-    return 0
-
-
-def cmd_sweep(args):
-    from repro.fleet import (
-        ShardFailure, build_sweep, default_workers, run_sweep,
-        sweep_to_json, with_timeseries,
-    )
-    from repro.runs import RunStore, RunStoreError, atomic_write_text
-    from repro.sim.units import MS
-
+def _sweep(args):
     shards = build_sweep(args.name, quick=args.quick, seed=args.seed)
     if args.timeseries_every_ms is not None:
         shards = with_timeseries(shards, int(args.timeseries_every_ms * MS))
     workers = args.workers if args.workers > 0 else default_workers()
     store = RunStore(args.runs_dir)
-    try:
-        if args.resume is not None:
-            run = store.resume(
-                args.resume, args.name, args.seed, shards, quick=args.quick
-            )
-        else:
-            run = store.create(
-                args.name, args.seed, shards,
-                run_id=args.run_id, quick=args.quick,
-            )
-    except RunStoreError as error:
-        print(str(error), file=sys.stderr)
-        return 2
+    if args.resume is not None:
+        run = store.resume(args.resume, args.name, args.seed, shards, quick=args.quick)
+    else:
+        run = store.create(
+            args.name, args.seed, shards, run_id=args.run_id, quick=args.quick
+        )
     try:
         report = run_sweep(
             args.name, shards, workers=workers, seed=args.seed, run=run
@@ -486,27 +182,226 @@ def cmd_sweep(args):
     return 0
 
 
-def cmd_runs(args):
-    from repro.runs.query import cmd_runs as run_query
+def _runs_list(args):
+    store = RunStore(args.runs_dir)
+    rows = query.list_rows(store)
+    print(format_table(rows) if rows else f"no runs under {store.root!r}")
+    return 0
 
-    return run_query(args, err=lambda message: print(message, file=sys.stderr))
+
+def _runs_show(args):
+    store = RunStore(args.runs_dir)
+    if args.timeseries:
+        run, rows = query.show_timeseries_rows(store, args.run_id)
+        if not rows:
+            print(f"run {run.run_id} has no windowed telemetry "
+                  "(arm spec.timeseries_every_ns, e.g. sweep --timeseries-every-ms)")
+            return 0
+        print(f"run {run.run_id}: windowed telemetry")
+    else:
+        run, rows = query.show_rows(store, args.run_id)
+        manifest = run.manifest
+        print(f"run {run.run_id}: sweep {manifest.get('sweep')!r}, "
+              f"seed {manifest.get('seed')}, "
+              f"{len(manifest.get('shards', ()))} shard(s)")
+    print(format_table(rows))
+    return 0
+
+
+def _runs_compare(args):
+    store = RunStore(args.runs_dir)
+    if args.timeseries:
+        rows = query.compare_timeseries_rows(args.artifacts, store)
+        if not rows:
+            print("no windowed telemetry in the given artifacts")
+            return 0
+    else:
+        rows = query.compare_rows(args.artifacts, store)
+    print(format_table(rows))
+    return 0
+
+
+def _lint(args):
+    if args.select:
+        try:
+            rules, project_rules = select_rules(args.select)
+        except ValueError as error:
+            print(str(error), file=sys.stderr)
+            return 2
+    else:
+        rules, project_rules = all_rules(), all_project_rules()
+    if args.list_rules:
+        for rule in sorted([*rules, *project_rules], key=lambda rule: rule.code):
+            print(f"{rule.code}: {rule.summary}")
+        return 0
+    try:
+        report = lint_paths(args.paths, rules=rules, project_rules=project_rules)
+    except FileNotFoundError as error:
+        print(str(error), file=sys.stderr)
+        return 2
+    print(report.render())
+    return 0 if report.clean else 1
+
+
+def _statecheck(args):
+    result = run_statecheck(seed=args.seed)
+    for probe in result.probes:
+        if args.verbose or not probe.ok:
+            print(probe.render())
+    print(result.summary())
+    return 0 if result.ok else 1
+
+
+def _inventory(_args):
+    for title, registry in (
+        ("scenarios", SCENARIO_FACTORIES),
+        ("sweeps", SWEEP_FACTORIES),
+        ("fault scenarios", faults.SCENARIOS),
+        ("migration scenarios", MIGRATION_SCENARIOS),
+    ):
+        print(f"{title}:")
+        for name, factory in registry.items():
+            print(f"  {name}: {factory.__doc__.strip().splitlines()[0]}")
+    print("experiments:")
+    for name in EXPERIMENTS:
+        print(f"  {name}")
+    print("gateway services:")
+    for name, service in standard_services().items():
+        print(f"  {name}: base {service.base_ns} ns, "
+              f"{service.lookup_count} lookups")
+    return 0
+
+
+#: Every subcommand, in ``--help`` order.
+COMMANDS = {
+    "simulate": Command("run one GW pod", _simulate, (
+        SEED, TIMESERIES,
+        _arg("--cores", type=int, default=8, help="data cores"),
+        _arg("--mode", choices=("plb", "rss"), default="plb",
+             help="load-balancing mode"),
+        _arg("--service", default="VPC-Internet",
+             help="gateway service (see 'inventory')"),
+        _arg("--load", type=float, default=0.6,
+             help="offered load as a capacity fraction"),
+        _arg("--duration-ms", type=int, default=50, help="simulated duration"),
+        _arg("--flows", type=int, default=1000),
+        _arg("--tenants", type=int, default=50),
+    )),
+    "experiment": Command(
+        "run a paper experiment and check its claims (exit 1 if one fails)",
+        _experiment, (QUICK,), EXPERIMENTS, "experiment",
+    ),
+    "faults": Command(
+        "run a fault-injection scenario",
+        partial(_print_reports, faults.run_scenario),
+        (SEED, QUICK), faults.SCENARIOS, "fault scenario",
+    ),
+    "sweep": Command(
+        "run a sharded parameter sweep across workers", _sweep, (
+            SEED, QUICK, TIMESERIES,
+            _arg("--workers", type=int, default=1,
+                 help="worker processes (0 = auto); the report is "
+                      "byte-identical for any count"),
+            _arg("--output", default="SWEEP_repro.json",
+                 help="merged report path (default: SWEEP_repro.json)"),
+            RUNS_DIR,
+            _arg("--run-id", default=None,
+                 help="run directory name (default: <sweep>-<timestamp>)"),
+            _arg("--resume", default=None, metavar="RUN_ID",
+                 help="resume an interrupted run: shards whose cached result "
+                      "matches the current spec hash are served from disk"),
+        ), SWEEP_FACTORIES, "sweep", every=False,
+    ),
+    "runs": Command(
+        "query the durable run store and past artifacts", None, (RUNS_DIR,)
+    ),
+    "runs list": Command("list runs and their completion", _runs_list),
+    "runs show": Command("per-shard status and metrics for one run", _runs_show, (
+        _arg("run_id", help="run id under the runs dir"),
+        _arg("--timeseries", action="store_true",
+             help="render per-window telemetry rows instead of shard summaries"),
+    )),
+    "runs compare": Command("cross-run trajectory table over artifacts", _runs_compare, (
+        _arg("artifacts", nargs="+", metavar="RUN_OR_PATH",
+             help="run ids and/or SWEEP_*.json / BENCH_*.json paths"),
+        _arg("--timeseries", action="store_true",
+             help="diff windowed-telemetry columns across the operands"),
+    )),
+    "migrate": Command(
+        "run a live pod-migration scenario",
+        partial(_print_reports, run_migration_scenario),
+        (SEED, QUICK), MIGRATION_SCENARIOS, "migration scenario",
+    ),
+    "lint": Command("run the static analyzers (determinism + snapshot rules)", _lint, (
+        _arg("paths", nargs="*", default=["src"],
+             help="files or directories to lint (default: src)"),
+        _arg("--list-rules", action="store_true", help="print the rule table"),
+        _arg("--select", action="append", default=None, metavar="CODE",
+             help="run only rules matching CODE (exact code or prefix, e.g. "
+                  "SNAP or DET001; repeatable)"),
+    )),
+    "statecheck": Command(
+        "run checkpoint->restore->checkpoint byte-equality probes", _statecheck, (
+            SEED,
+            _arg("-v", "--verbose", action="store_true",
+                 help="print one line per probed class"),
+        ),
+    ),
+    "inventory": Command(
+        "list scenarios, sweeps, fault and migration scenarios, experiments "
+        "and services", _inventory,
+    ),
+}
+
+
+def build_parser():
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description="Albatross (SIGCOMM 2025) reproduction toolkit",
+    )
+    groups = {"": parser.add_subparsers(dest="command", required=True)}
+    for name, command in COMMANDS.items():
+        group, _, leaf = name.rpartition(" ")
+        subparser = groups[group].add_parser(leaf, help=command.help)
+        for flags, kwargs in command.arguments:
+            subparser.add_argument(*flags, **kwargs)
+        if command.registry is not None:
+            every = " (or 'all')" if command.every else ""
+            subparser.add_argument("name", help=f"named {command.what}{every}")
+        if command.run is None:
+            groups[name] = subparser.add_subparsers(
+                dest=f"{name}_command", required=True
+            )
+        else:
+            subparser.set_defaults(command=name)
+    return parser
+
+
+def select(command, name):
+    """The registry names ``name`` selects: every one for ``all``."""
+    if command.every and name == "all":
+        return tuple(command.registry)
+    lookup(command.registry, name, command.what)
+    return (name,)
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    handlers = {
-        "simulate": cmd_simulate,
-        "experiment": cmd_experiment,
-        "faults": cmd_faults,
-        "sweep": cmd_sweep,
-        "runs": cmd_runs,
-        "migrate": cmd_migrate,
-        "lint": cmd_lint,
-        "statecheck": cmd_statecheck,
-        "sanitize": cmd_sanitize,
-        "inventory": cmd_inventory,
-    }
-    return handlers[args.command](args)
+    command = COMMANDS[args.command]
+    try:
+        if command.registry is not None:
+            args.names = select(command, args.name)
+    except ValueError as error:
+        print(str(error), file=sys.stderr)
+        return 2
+    try:
+        return command.run(args)
+    except RunStoreError as error:
+        print(str(error), file=sys.stderr)
+        return 2
+    except SanitizerViolation as violation:
+        print(str(violation), file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

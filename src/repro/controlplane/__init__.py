@@ -23,8 +23,6 @@ from repro.controlplane.migration import (
 )
 from repro.controlplane.scenarios import (
     MIGRATION_SCENARIOS,
-    migration_descriptions,
-    migration_scenario_names,
     migration_scenario_spec,
     run_migration_scenario,
 )
@@ -36,8 +34,6 @@ __all__ = [
     "MigrationPhase",
     "MigrationPlan",
     "ensure_plain",
-    "migration_descriptions",
-    "migration_scenario_names",
     "migration_scenario_spec",
     "run_migration_scenario",
     "snapshot_bytes",

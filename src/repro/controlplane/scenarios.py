@@ -18,7 +18,7 @@ the migration test battery pins down.
 
 from repro.core.nic import NicPipeline
 from repro.faults.scenarios import ScenarioReport
-from repro.scenarios import MigrationSpec, PodSpec, ScenarioSpec, WorkloadSpec, build
+from repro.scenarios import MigrationSpec, PodSpec, ScenarioSpec, WorkloadSpec, build, lookup
 from repro.sim.units import MS, US
 
 #: Drop counters summed into the headline ``drops_total`` metric.
@@ -86,34 +86,17 @@ def rebalance_hot_pod_spec(seed=42, quick=False):
     )
 
 
+#: name -> spec factory, in name order (``migrate all`` runs this order).
 MIGRATION_SCENARIOS = {
     "rebalance-hot-pod": rebalance_hot_pod_spec,
     "rolling-upgrade": rolling_upgrade_spec,
 }
 
 
-def migration_scenario_names():
-    return tuple(sorted(MIGRATION_SCENARIOS))
-
-
 def migration_scenario_spec(name, seed=42, quick=False):
     """The :class:`ScenarioSpec` behind one named migration scenario."""
-    try:
-        factory = MIGRATION_SCENARIOS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown migration scenario {name!r}; choose from "
-            f"{', '.join(sorted(MIGRATION_SCENARIOS))}"
-        ) from None
+    factory = lookup(MIGRATION_SCENARIOS, name, "migration scenario")
     return factory(seed=seed, quick=quick)
-
-
-def migration_descriptions():
-    """{name: first docstring line} for ``inventory``."""
-    return {
-        name: (MIGRATION_SCENARIOS[name].__doc__ or "").strip().splitlines()[0]
-        for name in sorted(MIGRATION_SCENARIOS)
-    }
 
 
 def run_migration_scenario(name, seed=42, quick=False):

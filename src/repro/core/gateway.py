@@ -92,15 +92,10 @@ class GwPodRuntime:
         self.nic = NicPipeline(
             sim, self.cores, reorder, self._on_egress, mode=spec.mode,
             rate_limiter=rate_limiter, drop_flag_enabled=spec.drop_flag_enabled,
-            protocol_fn=self._on_protocol, drop_fn=self._on_drop,
+            drop_fn=self._on_drop,
         )
         for core in self.cores:
             core.completion_fn = self.nic.on_cpu_completion
-        # Test-facing observability: live Packet objects handed up by the
-        # priority path.  Not plain data, and the path is idle whenever a
-        # quiescent pod checkpoints; the delivered *count* is captured by
-        # the NIC snapshot.
-        self.protocol_delivered = []  # lint: disable=SNAP001(observability log of live Packet objects; delivered count is captured by the NIC snapshot)
 
     # -- behaviour hooks -------------------------------------------------
 
@@ -135,9 +130,6 @@ class GwPodRuntime:
         """The pod's drop exit; ``packet.drop_reason`` already says why."""
         for subscriber in self.subscribers:
             subscriber(packet, self.spec.name, None)
-
-    def _on_protocol(self, packet):
-        self.protocol_delivered.append((self.sim.now, packet))
 
     # -- public API --------------------------------------------------------
 

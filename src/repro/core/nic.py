@@ -40,22 +40,20 @@ class NicPipeline:
         rate_limiter: optional overload limiter (``admit(vni, now_ns)``).
         drop_flag_enabled: whether CPU ACL drops release their reorder
             slot through the active drop flag.
-        protocol_fn: handler for protocol packets delivered via the
-            priority path (defaults to a no-op).
         drop_fn: optional; called as ``drop_fn(packet)`` once
             :meth:`_drop` has named, counted and settled a terminal drop.
 
     ``rate_limiter``, ``session_offload`` (an FPGA session fast path, §7
     roadmap) and ``pcie_link`` (a PCIe byte accountant, appendix A) are
-    plain attributes a caller may assign after construction.  The pod's
+    plain attributes a caller may assign after construction; so is
+    ``priority.deliver_fn``, the one hook for protocol packets.  The pod's
     cores must have been constructed with this pipeline's
     :meth:`on_cpu_completion` as their completion callback (the
     :mod:`~repro.core.gateway` runtime wires this up).
     """
 
     def __init__(self, sim, cores, reorder, egress_fn, mode="plb",
-                 rate_limiter=None, drop_flag_enabled=True, protocol_fn=None,
-                 drop_fn=None):
+                 rate_limiter=None, drop_flag_enabled=True, drop_fn=None):
         self.sim = sim
         self.cores = list(cores)
         self.egress_fn = egress_fn
@@ -70,9 +68,7 @@ class NicPipeline:
         self.rate_limiter = rate_limiter
         self.session_offload = None
         self.pcie_link = None
-        self.priority = PriorityQueueManager(
-            sim, protocol_fn if protocol_fn is not None else lambda packet: None
-        )
+        self.priority = PriorityQueueManager(sim)
         self._fpga_stalled = False
         self._heartbeat = 0
         self._sanitizer = get_sanitizer()

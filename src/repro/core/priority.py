@@ -16,17 +16,18 @@ class PriorityQueueManager:
 
     Parameters:
         sim: the simulator.
-        deliver_fn: called as ``deliver_fn(packet)`` when a protocol packet
-            has been processed by a ctrl core (e.g. handed to the pod's BGP
-            speaker / BFD endpoint).
         service_ns: ctrl-core processing time per protocol packet.
         capacity: priority RX ring size (generously provisioned; protocol
             traffic volume is tiny).
+
+    :attr:`deliver_fn` is called as ``deliver_fn(packet)`` when a protocol
+    packet has been processed by a ctrl core; a no-op until a consumer
+    (the pod's BGP speaker / BFD endpoint) assigns it.
     """
 
-    def __init__(self, sim, deliver_fn, service_ns=2 * US, capacity=4096):
+    def __init__(self, sim, service_ns=2 * US, capacity=4096):
         self.sim = sim
-        self.deliver_fn = deliver_fn
+        self.deliver_fn = lambda packet: None
         self.service_ns = service_ns
         self.queue = PacketQueue(capacity, name="priority-rx")
         self.delivered = 0

@@ -26,6 +26,7 @@ from repro.experiments import (
     tab4_tab5_nic,
     tab6_comparison,
 )
+from repro.scenarios.registry import lookup
 from repro.sim.units import MS
 
 
@@ -73,5 +74,5 @@ EXPERIMENTS = {
 
 def run_experiment(name, quick=False):
     """Run experiment ``name`` at its full (or quick) size."""
-    function, full, quick_kwargs = EXPERIMENTS[name]
+    function, full, quick_kwargs = lookup(EXPERIMENTS, name, "experiment")
     return function(**(quick_kwargs if quick else full))

@@ -35,7 +35,7 @@ from repro.core.watchdog import FpgaWatchdog
 from repro.faults.injector import FaultInjector, FaultTargets, SteadyStateTracker
 from repro.faults.plan import Fault, FaultKind, FaultPlan
 from repro.metrics.counters import CounterSet
-from repro.scenarios import PodSpec, ScenarioSpec, build
+from repro.scenarios import PodSpec, ScenarioSpec, build, lookup
 from repro.sim.units import MS, SECOND, US
 from repro.workloads.generators import CbrSource, uniform_population
 
@@ -489,29 +489,16 @@ def chaos(seed=42, quick=False):
     return report
 
 
+#: name -> scenario, in name order (``faults all`` runs this order).
 SCENARIOS = {
-    "pod-crash-reschedule": pod_crash_reschedule,
-    "core-stall-plb-vs-rss": core_stall_plb_vs_rss,
     "bfd-flap": bfd_flap,
-    "limiter-reset": limiter_reset,
     "chaos": chaos,
+    "core-stall-plb-vs-rss": core_stall_plb_vs_rss,
+    "limiter-reset": limiter_reset,
+    "pod-crash-reschedule": pod_crash_reschedule,
 }
-
-
-def scenario_descriptions():
-    """{name: first docstring line} for ``inventory``."""
-    return {
-        name: (SCENARIOS[name].__doc__ or "").strip().splitlines()[0]
-        for name in sorted(SCENARIOS)
-    }
 
 
 def run_scenario(name, seed=42, quick=False):
     """Run one named scenario; returns its :class:`ScenarioReport`."""
-    try:
-        scenario = SCENARIOS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown scenario {name!r}; choose from {', '.join(sorted(SCENARIOS))}"
-        ) from None
-    return scenario(seed=seed, quick=quick)
+    return lookup(SCENARIOS, name, "fault scenario")(seed=seed, quick=quick)

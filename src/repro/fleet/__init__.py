@@ -36,13 +36,7 @@ from repro.fleet.shard import (
     replicate,
     shard_seed,
 )
-from repro.fleet.sweeps import (
-    SWEEP_FACTORIES,
-    build_sweep,
-    sweep_descriptions,
-    sweep_names,
-    with_timeseries,
-)
+from repro.fleet.sweeps import SWEEP_FACTORIES, build_sweep, with_timeseries
 
 __all__ = [
     "MAX_SHARDS",
@@ -60,8 +54,6 @@ __all__ = [
     "run_shard",
     "run_sweep",
     "shard_seed",
-    "sweep_descriptions",
-    "sweep_names",
     "sweep_to_json",
     "with_timeseries",
     "write_sweep_report",

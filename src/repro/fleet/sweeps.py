@@ -25,7 +25,7 @@ specs from the unified scenario registry:
 """
 
 from repro.fleet.shard import ShardSpec, replicate, shard_seed
-from repro.scenarios.registry import scenario_spec
+from repro.scenarios.registry import lookup, scenario_spec
 
 #: Tenants per shard.  Quick totals 100k (the CI smoke floor); full
 #: mode reaches the paper's million-tenant scale on the last shard.
@@ -83,27 +83,18 @@ def az_scaling(quick=False, seed=42):
     return shards
 
 
-#: Ordered (name, factory) pairs; listing order is the inventory order.
-SWEEP_FACTORIES = (
-    ("tenant-scaling", tenant_scaling),
-    ("seed-replication", seed_replication),
-    ("migration-replication", migration_replication),
-    ("az-scaling", az_scaling),
-)
-
-
-def sweep_names():
-    return tuple(name for name, _ in SWEEP_FACTORIES)
+#: name -> factory; listing order is the inventory order.
+SWEEP_FACTORIES = {
+    "tenant-scaling": tenant_scaling,
+    "seed-replication": seed_replication,
+    "migration-replication": migration_replication,
+    "az-scaling": az_scaling,
+}
 
 
 def build_sweep(name, quick=False, seed=42):
     """Shards for the named sweep (``ValueError`` on a typo)."""
-    for key, factory in SWEEP_FACTORIES:
-        if key == name:
-            return factory(quick=quick, seed=seed)
-    raise ValueError(
-        f"unknown sweep {name!r}; choose from {', '.join(sweep_names())}"
-    )
+    return lookup(SWEEP_FACTORIES, name, "sweep")(quick=quick, seed=seed)
 
 
 def with_timeseries(shards, every_ns):
@@ -124,11 +115,3 @@ def with_timeseries(shards, every_ns):
         )
         for shard in shards
     ]
-
-
-def sweep_descriptions():
-    """{name: first docstring line} for ``inventory``."""
-    return {
-        name: (factory.__doc__ or "").strip().splitlines()[0]
-        for name, factory in SWEEP_FACTORIES
-    }

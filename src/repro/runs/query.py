@@ -2,21 +2,21 @@
 
 Reads what the toolkit has accumulated on disk -- ``RUNS/<run-id>/``
 directories, merged ``SWEEP_*.json`` artifacts and the benchmark
-ledger's ``BENCH_<pr>.json`` (``benchmarks/trajectory/``) -- and
-renders cross-run trajectory tables with the repo's
-:func:`~repro.experiments.common.format_table`.  Everything here is a
-pure function of the files it reads: listing or comparing runs never
-mutates the store.
+ledger's ``BENCH_<pr>.json`` (``benchmarks/trajectory/``) -- into the
+cross-run trajectory rows that the CLI's ``runs list|show|compare``
+render with :func:`~repro.experiments.common.format_table`.  Everything
+here is a pure function of the files it reads: listing or comparing
+runs never mutates the store.
 
-Imported lazily by the CLI (it pulls in :mod:`repro.fleet.report`,
-which itself imports :mod:`repro.runs` -- eager import here would be a
-cycle).
+:mod:`repro.runs` does not import this module (it pulls in
+:mod:`repro.fleet.report`, which itself imports :mod:`repro.runs` --
+an eager import there would be a cycle).
 """
 
 import os
 
 from repro.runs.atomic import read_json
-from repro.runs.store import MERGED_NAME, RunStore, RunStoreError
+from repro.runs.store import MERGED_NAME, RunStoreError
 
 
 def list_rows(store):
@@ -202,53 +202,3 @@ def compare_rows(operands, store):
         else:
             rows.extend(_bench_rows(label, payload))
     return rows
-
-
-def cmd_runs(args, out=print, err=None):
-    """Entry point behind ``python -m repro runs list|show|compare``."""
-    from repro.experiments.common import format_table
-
-    store = RunStore(args.runs_dir)
-    try:
-        if args.runs_command == "list":
-            rows = list_rows(store)
-            if not rows:
-                out(f"no runs under {store.root!r}")
-                return 0
-            out(format_table(rows))
-            return 0
-        if args.runs_command == "show":
-            if getattr(args, "timeseries", False):
-                run, rows = show_timeseries_rows(store, args.run_id)
-                if not rows:
-                    out(
-                        f"run {run.run_id} has no windowed telemetry "
-                        "(arm spec.timeseries_every_ns, e.g. sweep "
-                        "--timeseries-every-ms)"
-                    )
-                    return 0
-                out(f"run {run.run_id}: windowed telemetry")
-                out(format_table(rows))
-                return 0
-            run, rows = show_rows(store, args.run_id)
-            manifest = run.manifest
-            out(
-                f"run {run.run_id}: sweep {manifest.get('sweep')!r}, "
-                f"seed {manifest.get('seed')}, "
-                f"{len(manifest.get('shards', ()))} shard(s)"
-            )
-            out(format_table(rows))
-            return 0
-        if getattr(args, "timeseries", False):
-            rows = compare_timeseries_rows(args.artifacts, store)
-            if not rows:
-                out("no windowed telemetry in the given artifacts")
-                return 0
-            out(format_table(rows))
-            return 0
-        rows = compare_rows(args.artifacts, store)
-        out(format_table(rows))
-        return 0
-    except RunStoreError as error:
-        (err or out)(str(error))
-        return 2

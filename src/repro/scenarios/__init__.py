@@ -11,11 +11,7 @@
 """
 
 from repro.scenarios.build import RunHandle, build
-from repro.scenarios.registry import (
-    scenario_descriptions,
-    scenario_names,
-    scenario_spec,
-)
+from repro.scenarios.registry import SCENARIO_FACTORIES, lookup, scenario_spec
 from repro.scenarios.spec import (
     DpuTierSpec,
     EcmpSpec,
@@ -33,12 +29,12 @@ __all__ = [
     "MigrationSpec",
     "PodSpec",
     "RunHandle",
+    "SCENARIO_FACTORIES",
     "ScenarioSpec",
     "ServerSpec",
     "WorkloadSpec",
     "apply_override",
     "build",
-    "scenario_descriptions",
-    "scenario_names",
+    "lookup",
     "scenario_spec",
 ]

@@ -126,33 +126,30 @@ def az_steady(quick=False, servers=2, tenants=10_000):
     )
 
 
-#: Ordered (name, factory) pairs; listing order is the inventory order.
-SCENARIO_FACTORIES = (
-    ("steady-state-plb", steady_state_plb),
-    ("microburst-reorder", microburst_reorder),
-    ("ratelimit-churn", ratelimit_churn),
-    ("fleet-steady", fleet_steady),
-    ("az-steady", az_steady),
-)
+#: name -> factory; listing order is the inventory order.
+SCENARIO_FACTORIES = {
+    "steady-state-plb": steady_state_plb,
+    "microburst-reorder": microburst_reorder,
+    "ratelimit-churn": ratelimit_churn,
+    "fleet-steady": fleet_steady,
+    "az-steady": az_steady,
+}
 
 
-def scenario_names():
-    return tuple(name for name, _ in SCENARIO_FACTORIES)
+def lookup(registry, name, what):
+    """``registry[name]``, or a ``ValueError`` naming every choice.
+
+    The one unknown-name path of every named registry: scenarios,
+    sweeps, fault and migration scenarios, experiments.
+    """
+    try:
+        return registry[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown {what} {name!r}; choose from {', '.join(registry)}"
+        ) from None
 
 
 def scenario_spec(name, quick=False, **kwargs):
     """Build the named canonical spec (``kwargs`` go to its factory)."""
-    for key, factory in SCENARIO_FACTORIES:
-        if key == name:
-            return factory(quick=quick, **kwargs)
-    raise ValueError(
-        f"unknown scenario {name!r}; choose from {', '.join(scenario_names())}"
-    )
-
-
-def scenario_descriptions():
-    """{name: first docstring line} for ``inventory``."""
-    return {
-        name: (factory.__doc__ or "").strip().splitlines()[0]
-        for name, factory in SCENARIO_FACTORIES
-    }
+    return lookup(SCENARIO_FACTORIES, name, "scenario")(quick=quick, **kwargs)

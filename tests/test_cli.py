@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.analysis.sanitizer import Sanitizer, get_sanitizer, install, uninstall
+from repro.cli import COMMANDS, build_parser, main, select
 
 REPO = Path(__file__).parent.parent
 DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md")
@@ -26,6 +27,15 @@ def _documented_commands():
                 continue
             found.append((f"{doc}:{number}", shlex.split(command)))
     return found
+
+
+class _FailsClockCheck(Sanitizer):
+    """Fails the first clock check made once an event is traced."""
+
+    def ensure(self, condition, check, message, **detail):
+        if check == "simtime-monotonicity" and self.trace:
+            condition = False
+        super().ensure(condition, check, message, **detail)
 
 
 class TestParser:
@@ -57,15 +67,15 @@ class TestParser:
         args = build_parser().parse_args(["lint", "a.py", "b.py"])
         assert args.paths == ["a.py", "b.py"]
 
-    def test_sanitize_options(self):
+    def test_faults_options(self):
         args = build_parser().parse_args(
-            ["sanitize", "chaos", "--quick", "--seed", "7"]
+            ["faults", "chaos", "--quick", "--seed", "7"]
         )
-        assert (args.scenario, args.quick, args.seed) == ("chaos", True, 7)
+        assert (args.name, args.quick, args.seed) == ("chaos", True, 7)
 
-    def test_sanitize_rejects_unknown_scenario(self):
+    def test_sanitize_is_not_a_command(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["sanitize", "nope"])
+            build_parser().parse_args(["sanitize", "all"])
 
     def test_bench_is_not_a_command(self):
         with pytest.raises(SystemExit):
@@ -73,15 +83,19 @@ class TestParser:
 
     def test_every_documented_command_parses(self):
         """Regression: README advertised ``simulate steady-state-plb``, which
-        argparse rejects (``simulate`` takes no positional)."""
+        argparse rejects (``simulate`` takes no positional).  A named
+        positional must also resolve: ``faults chaoss`` parses."""
         commands = _documented_commands()
         assert len(commands) >= 30
         parser = build_parser()
         rejected = []
         for where, argv in commands:
             try:
-                parser.parse_args(argv)
-            except SystemExit:
+                args = parser.parse_args(argv)
+                command = COMMANDS[args.command]
+                if command.registry is not None:
+                    select(command, args.name)
+            except (SystemExit, ValueError):
                 rejected.append(f"{where}: {' '.join(argv)}")
         assert rejected == []
 
@@ -100,14 +114,19 @@ class TestCommands:
         assert "reorder:" not in capsys.readouterr().out
 
     @pytest.mark.parametrize(
-        "flag, message",
-        [("--tenants", "tenants must be >= 1"), ("--flows", "flows must be >= 1")],
+        "flag, value, message",
+        [
+            ("--tenants", "0", "tenants must be >= 1"),
+            ("--flows", "0", "flows must be >= 1"),
+            ("--service", "nope", "unknown service 'nope'"),
+        ],
     )
-    def test_simulate_degenerate_workload_exits_2(self, capsys, flag, message):
+    def test_simulate_degenerate_workload_exits_2(self, capsys, flag, value, message):
         """Regression: ``--tenants 0`` died with a ``ZeroDivisionError``
         traceback from inside ``uniform_population``, ``--flows 0`` with an
-        uncaught ``ValueError``."""
-        code = main(["simulate", "--cores", "2", "--duration-ms", "5", flag, "0"])
+        uncaught ``ValueError``, ``--service nope`` with one raised by
+        ``build()``."""
+        code = main(["simulate", "--cores", "2", "--duration-ms", "5", flag, value])
         assert code == 2
         captured = capsys.readouterr()
         assert message in captured.err
@@ -144,11 +163,27 @@ class TestCommands:
         assert main(["experiment", "tab4"]) == 1
         assert "[FAILS] tab4.rx-total: 4.9" in capsys.readouterr().out
 
-    def test_unknown_experiment(self, capsys):
-        code = main(["experiment", "nope"])
-        assert code == 2
+    @pytest.mark.parametrize("command, message", [
+        pytest.param(command, message, id=command) for command, message in (
+            ("experiment nope", "unknown experiment 'nope'; choose from tab1,"),
+            ("faults nope", "unknown fault scenario 'nope'; choose from bfd-flap,"),
+            ("migrate nope --quick",
+             "unknown migration scenario 'nope'; choose from rebalance-hot-pod,"),
+            ("sweep all", "unknown sweep 'all'; choose from tenant-scaling,"),
+        )
+    ])
+    def test_unknown_name_exits_2(self, capsys, command, message):
+        assert main(command.split()) == 2
         captured = capsys.readouterr()
-        assert "unknown experiment" in captured.err
+        assert message in captured.err
+        assert captured.out == ""
+
+    def test_lint_missing_path_exits_2(self, capsys, tmp_path):
+        """Regression: a mistyped path linted zero files and exited 0."""
+        missing = str(tmp_path / "no_such_dir")
+        assert main(["lint", missing]) == 2
+        captured = capsys.readouterr()
+        assert repr(missing) in captured.err
         assert captured.out == ""
 
     def test_inventory(self, capsys):
@@ -158,16 +193,38 @@ class TestCommands:
         assert "fig8" in out
         assert "VPC-Internet" in out
 
-    def test_sanitize_scenario_runs_clean(self, capsys):
-        from repro.analysis.sanitizer import get_sanitizer
-
-        code = main(["sanitize", "limiter-reset", "--quick"])
+    def test_sanitized_faults_run_clean(self, capsys):
+        install()
+        try:
+            code = main(["faults", "limiter-reset", "--quick"])
+        finally:
+            uninstall()
         assert code == 0
-        out = capsys.readouterr().out
-        assert "scenario: limiter-reset" in out
-        assert "0 violations" in out
-        # cmd_sanitize must uninstall on the way out.
+        captured = capsys.readouterr()
+        assert "scenario: limiter-reset" in captured.out
+        assert "sanitizer:" not in captured.out
+        assert re.fullmatch(
+            r"sanitizer: [1-9]\d* checks, 0 violations, [1-9]\d* events traced\n",
+            captured.err,
+        )
         assert get_sanitizer() is None
+
+    @pytest.mark.parametrize("argv", [
+        ["faults", "limiter-reset", "--quick"],
+        ["simulate", "--cores", "2", "--duration-ms", "5"],
+    ], ids=" ".join)
+    def test_sanitizer_violation_exits_1_with_trace(self, capsys, argv):
+        """Regression: only the deleted ``sanitize`` command caught a
+        violation; ``simulate`` died with a traceback."""
+        install(_FailsClockCheck())
+        try:
+            code = main(argv)
+        finally:
+            uninstall()
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "[simtime-monotonicity]" in err
+        assert "recent events (oldest first):" in err
 
     def test_faults_without_sanitizer_prints_no_summary(self, capsys):
         code = main(["faults", "limiter-reset", "--quick"])

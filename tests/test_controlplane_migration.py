@@ -4,26 +4,23 @@ The headline contract of live migration: **zero packet loss and zero
 per-flow reordering**, with the executed timeline (drain, blackout,
 total latency) reported as plain data.  These tests run the named
 scenarios end to end and pin the invariants, the state-machine timeline,
-the spec wire format and the CLI/registry sync contracts.
+the spec wire format and the registry contracts.
 """
 
 import pytest
 
-from repro.cli import MIGRATIONS, SWEEPS
 from repro.controlplane import (
+    MIGRATION_SCENARIOS,
     MigrationPhase,
-    migration_descriptions,
-    migration_scenario_names,
     migration_scenario_spec,
     run_migration_scenario,
 )
 from repro.core.plb.reorder import TxOutcome
-from repro.fleet.sweeps import sweep_names
 from repro.scenarios import MigrationSpec, PodSpec, ScenarioSpec, WorkloadSpec, build
 from repro.sim.units import MS
 
 
-@pytest.fixture(scope="module", params=sorted(migration_scenario_names()))
+@pytest.fixture(scope="module", params=sorted(MIGRATION_SCENARIOS))
 def scenario_report(request):
     return run_migration_scenario(request.param, seed=42, quick=True)
 
@@ -148,17 +145,9 @@ class TestPerFlowOrderAcrossMigration:
 
 
 class TestRegistryCliSync:
-    def test_cli_migrations_match_registry(self):
-        assert MIGRATIONS == migration_scenario_names()
-
-    def test_cli_sweeps_match_registry(self):
-        assert SWEEPS == sweep_names()
-        assert "migration-replication" in SWEEPS
-
     def test_descriptions_cover_every_scenario(self):
-        descriptions = migration_descriptions()
-        assert tuple(sorted(descriptions)) == migration_scenario_names()
-        assert all(text for text in descriptions.values())
+        assert list(MIGRATION_SCENARIOS) == sorted(MIGRATION_SCENARIOS)
+        assert all(factory.__doc__.strip() for factory in MIGRATION_SCENARIOS.values())
 
     def test_unknown_scenario_raises(self):
         with pytest.raises(ValueError, match="unknown migration scenario"):
@@ -215,6 +204,6 @@ class TestSpecWireFormat:
             )
 
     def test_named_scenario_specs_round_trip(self):
-        for name in migration_scenario_names():
+        for name in MIGRATION_SCENARIOS:
             spec = migration_scenario_spec(name, seed=5, quick=True)
             assert ScenarioSpec.from_dict(spec.to_dict()).to_dict() == spec.to_dict()

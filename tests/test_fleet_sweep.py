@@ -19,9 +19,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cli import SWEEPS, build_parser, main
+from repro.cli import build_parser, main
 from repro.fleet import (
     MAX_SHARDS,
+    SWEEP_FACTORIES,
     ShardSpec,
     build_sweep,
     default_workers,
@@ -32,11 +33,17 @@ from repro.fleet import (
     run_shard,
     run_sweep,
     shard_seed,
-    sweep_names,
     sweep_to_json,
 )
 from repro.runs import RunStore
-from repro.scenarios import PodSpec, ScenarioSpec, WorkloadSpec, build, scenario_names, scenario_spec
+from repro.scenarios import (
+    SCENARIO_FACTORIES,
+    PodSpec,
+    ScenarioSpec,
+    WorkloadSpec,
+    build,
+    scenario_spec,
+)
 from repro.scenarios.build import offered_packets
 from repro.sim.units import MS, SECOND
 
@@ -185,7 +192,7 @@ class TestWorkerInvariance:
         assert sum(s.axes["tenants"] for s in shards) >= 100_000
 
     def test_sweep_seeds_unique_across_builtin_sweeps(self):
-        for name in sweep_names():
+        for name in SWEEP_FACTORIES:
             shards = build_sweep(name, quick=True)
             seeds = [s.spec.seed for s in shards]
             assert len(set(seeds)) == len(seeds), name
@@ -267,12 +274,12 @@ def _source_packets(spec):
 class TestShardCostEstimate:
     """``offered_packets``: the spec-only cost the pool ranks shards by."""
 
-    @pytest.mark.parametrize("name", scenario_names())
+    @pytest.mark.parametrize("name", SCENARIO_FACTORIES)
     def test_equals_what_build_hands_the_source_on_registry_scenarios(self, name):
         spec = scenario_spec(name, quick=True)
         assert offered_packets(spec) == _source_packets(spec) > 0
 
-    @pytest.mark.parametrize("name", sweep_names())
+    @pytest.mark.parametrize("name", SWEEP_FACTORIES)
     def test_equals_what_build_hands_the_source_on_builtin_shards(self, name):
         for shard in build_sweep(name, quick=True):
             assert offered_packets(shard.spec) == _source_packets(shard.spec)
@@ -474,12 +481,11 @@ class TestSweepCli:
         assert args.run_id is None
         assert args.resume is None
 
-    def test_names_synced_with_fleet_registry(self):
-        assert SWEEPS == sweep_names()
-
-    def test_unknown_sweep_rejected_by_parser(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["sweep", "nope"])
+    def test_unknown_sweep_exits_2(self, capsys):
+        assert main(["sweep", "nope"]) == 2
+        captured = capsys.readouterr()
+        assert "unknown sweep 'nope'; choose from tenant-scaling," in captured.err
+        assert captured.out == ""
 
     def test_quick_tenant_scaling_matches_committed_golden(self, tmp_path):
         """The disabled-telemetry artifact, byte for byte: every change

@@ -11,7 +11,7 @@ import json
 import pytest
 
 from repro.analysis.sanitizer import install, uninstall
-from repro.controlplane import migration_scenario_names, run_migration_scenario
+from repro.controlplane import MIGRATION_SCENARIOS, run_migration_scenario
 from repro.fleet import build_sweep, run_sweep, sweep_to_json
 from repro.scenarios import build
 from repro.controlplane import migration_scenario_spec
@@ -29,11 +29,11 @@ def _report_bytes(name, seed):
 
 
 class TestSameSeedSameBytes:
-    @pytest.mark.parametrize("name", sorted(migration_scenario_names()))
+    @pytest.mark.parametrize("name", sorted(MIGRATION_SCENARIOS))
     def test_run_twice_byte_identical(self, name):
         assert _report_bytes(name, seed=42) == _report_bytes(name, seed=42)
 
-    @pytest.mark.parametrize("name", sorted(migration_scenario_names()))
+    @pytest.mark.parametrize("name", sorted(MIGRATION_SCENARIOS))
     def test_different_seeds_differ(self, name):
         assert _report_bytes(name, seed=42) != _report_bytes(name, seed=43)
 
@@ -48,7 +48,7 @@ class TestSameSeedSameBytes:
 
 
 class TestSanitizedEqualsPlain:
-    @pytest.mark.parametrize("name", sorted(migration_scenario_names()))
+    @pytest.mark.parametrize("name", sorted(MIGRATION_SCENARIOS))
     def test_sanitizer_does_not_change_the_report(self, name):
         plain = _report_bytes(name, seed=42)
         sanitizer = install()

@@ -65,7 +65,7 @@ class TestPrioritySurvivesSaturation:
         )
         assert drops > 1000
         # ...yet every BFD probe was delivered through the priority path.
-        assert len(pod.protocol_delivered) == len(bfd_sent)
+        assert pod.nic.priority.delivered == len(bfd_sent)
         assert pod.nic.priority.dropped == 0
 
     def test_bfd_survives_when_routed_through_priority_path(self):

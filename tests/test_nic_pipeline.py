@@ -87,7 +87,7 @@ class TestEndToEnd:
         pod.ingress(packet)
         sim.run_until(1 * MS)
         assert pod.counters.get("rx_priority") == 1
-        assert len(pod.protocol_delivered) == 1
+        assert pod.nic.priority.delivered == 1
         assert pod.transmitted() == 0  # not data traffic
 
     def test_stateful_packets_pinned_via_rss(self):

@@ -17,8 +17,8 @@ from repro.scenarios import (
     PodSpec,
     ScenarioSpec,
     WorkloadSpec,
+    SCENARIO_FACTORIES,
     build,
-    scenario_names,
     scenario_spec,
 )
 from repro.sim.units import MS
@@ -50,7 +50,7 @@ class TestSpecRoundTrip:
         assert ScenarioSpec.from_dict(json.loads(wire)).to_dict() == spec.to_dict()
 
     def test_registry_specs_round_trip(self):
-        for name in scenario_names():
+        for name in SCENARIO_FACTORIES:
             spec = scenario_spec(name, quick=True)
             restored = ScenarioSpec.from_dict(
                 json.loads(json.dumps(spec.to_dict()))

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from repro.controlplane.scenarios import rolling_upgrade_spec
 from repro.runs import spec_fingerprint
 from repro.scenarios import (
+    SCENARIO_FACTORIES,
     DpuTierSpec,
     EcmpSpec,
     MigrationSpec,
@@ -22,7 +23,6 @@ from repro.scenarios import (
     ScenarioSpec,
     ServerSpec,
     WorkloadSpec,
-    scenario_names,
     scenario_spec,
 )
 
@@ -78,7 +78,7 @@ TOPOLOGY_KEYS = FLAT_KEYS + ["servers", "ecmp", "dpu_tier"]
 
 class TestPinnedFingerprints:
     def test_every_registry_scenario_is_pinned(self):
-        assert set(REGISTRY_FINGERPRINTS) == set(scenario_names())
+        assert set(REGISTRY_FINGERPRINTS) == set(SCENARIO_FACTORIES)
 
     @pytest.mark.parametrize("name", sorted(REGISTRY_FINGERPRINTS))
     def test_registry_fingerprints(self, name):

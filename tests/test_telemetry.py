@@ -14,7 +14,7 @@ import pytest
 
 from repro.analysis.statecheck import probe_object
 from repro.core.gateway import AlbatrossServer
-from repro.controlplane import migration_scenario_names, migration_scenario_spec
+from repro.controlplane import MIGRATION_SCENARIOS, migration_scenario_spec
 from repro.fleet import (
     build_sweep,
     replicate,
@@ -210,7 +210,7 @@ class TestSpec:
 class TestMigration:
     """A pod rebuilt mid-run keeps feeding the recorder."""
 
-    @pytest.mark.parametrize("name", migration_scenario_names())
+    @pytest.mark.parametrize("name", MIGRATION_SCENARIOS)
     def test_armed_migration_conserves_per_window(self, name):
         spec = migration_scenario_spec(name, seed=7, quick=True).with_overrides(
             overrides={"timeseries_every_ns": 2 * MS}
