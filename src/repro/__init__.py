@@ -9,8 +9,6 @@ subsystem the paper describes as a deterministic discrete-event simulation:
   ``pkt_dir`` classifier and protocol priority queues (:mod:`repro.core`);
 * the x86 substrate -- cores, service chains, an LRU L3-cache model and
   NUMA effects (:mod:`repro.cpu`);
-* forwarding tables -- DIR-24-8 LPM, exact match, sessions
-  (:mod:`repro.tables`);
 * containerization -- GW pods, SR-IOV VF allocation, fleet scheduling,
   elasticity (:mod:`repro.container`);
 * the BGP/BFD control plane and the BGP proxy (:mod:`repro.bgp`);

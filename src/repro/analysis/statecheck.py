@@ -290,21 +290,6 @@ def _bfd_world(seed):
     return [link, link.a, link.b]
 
 
-def _session_world(seed):
-    """A populated cuckoo session table, for direct probing."""
-    from repro.packet.flows import FlowKey
-    from repro.tables.session import Session, SessionTable
-
-    table = SessionTable(buckets=64, bucket_depth=4, seed=seed)
-    for index in range(48):
-        flow = FlowKey(0x0A000001 + index, 0x0B000001, 1000 + index, 443, 6)
-        session = Session(flow, translated_port=20000 + index, created_ns=index)
-        session.packets = index * 3
-        session.bytes = index * 512
-        table.insert(session)
-    return [table]
-
-
 def run_statecheck(seed=42):
     """Execute every probe; returns a :class:`StatecheckResult`."""
     from repro.scenarios import build
@@ -331,7 +316,6 @@ def run_statecheck(seed=42):
             continue
         roots.append(handle)
     roots.extend(_bfd_world(seed))
-    roots.extend(_session_world(seed))
 
     by_class = {}
     for obj in discover(roots):

@@ -12,6 +12,7 @@ its event trace on stderr.
 """
 
 import argparse
+import os
 import sys
 from functools import partial
 from typing import Callable, NamedTuple, Optional
@@ -395,7 +396,14 @@ def main(argv=None):
         print(str(error), file=sys.stderr)
         return 2
     try:
-        return command.run(args)
+        status = command.run(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # The reader left (``| head``): send what is still buffered, and
+        # the interpreter's flush at exit, to /dev/null instead.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except RunStoreError as error:
         print(str(error), file=sys.stderr)
         return 2

@@ -1,25 +1,16 @@
-"""Packet model: flows, headers, hashing, parsing.
+"""Packet model: flows, hashing and the simulation-path packet.
 
-Two representations coexist:
-
-* :class:`~repro.packet.packet.Packet` -- the lightweight object used on the
-  simulation hot path (5-tuple + VNI + size + timestamps).
-* byte-level header codecs in :mod:`repro.packet.headers`, exercised by the
-  basic pipeline's parser/deparser (:mod:`repro.packet.parser`), examples and
-  tests.  These encode/decode real Ethernet/VLAN/IPv4/UDP/VXLAN bytes.
+* :class:`~repro.packet.packet.Packet` -- the lightweight object the
+  simulation hot path carries (5-tuple + VNI + size + timestamps).
+* :class:`~repro.packet.flows.FlowKey` and :func:`flow_for_tenant` -- flow
+  identity and deterministic flow minting for workload generators.
+* the Toeplitz RSS hash and the CRC32 5-tuple hash the NIC pipeline uses
+  (:mod:`repro.packet.hashing`).
 """
 
 from repro.packet.flows import FlowKey, flow_for_tenant
 from repro.packet.hashing import crc32_flow_hash, toeplitz_hash, TOEPLITZ_DEFAULT_KEY
-from repro.packet.headers import (
-    EthernetHeader,
-    Ipv4Header,
-    UdpHeader,
-    VlanTag,
-    VxlanHeader,
-)
 from repro.packet.packet import Packet, PacketKind
-from repro.packet.parser import HeaderParseError, PacketParser, ParsedPacket
 
 __all__ = [
     "FlowKey",
@@ -27,14 +18,6 @@ __all__ = [
     "crc32_flow_hash",
     "toeplitz_hash",
     "TOEPLITZ_DEFAULT_KEY",
-    "EthernetHeader",
-    "Ipv4Header",
-    "UdpHeader",
-    "VlanTag",
-    "VxlanHeader",
     "Packet",
     "PacketKind",
-    "HeaderParseError",
-    "PacketParser",
-    "ParsedPacket",
 ]

@@ -19,10 +19,6 @@ class FlowKey(NamedTuple):
     dst_port: int
     proto: int
 
-    def reversed(self):
-        """The key of the opposite direction of the same conversation."""
-        return FlowKey(self.dst_ip, self.src_ip, self.dst_port, self.src_port, self.proto)
-
     def __str__(self):
         return (
             f"{_ip_str(self.src_ip)}:{self.src_port}->"

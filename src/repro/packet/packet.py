@@ -1,8 +1,8 @@
 """The simulation-path packet object.
 
 Deliberately small: the dispatch/reorder/ratelimit models touch millions of
-these per run.  Byte-accurate headers live in :mod:`repro.packet.headers`
-and are only materialized where realism matters (basic-pipeline parsing).
+these per run, so a packet carries only what a forwarding decision reads,
+never header bytes.
 """
 
 import enum

@@ -163,7 +163,7 @@ class TestFullStatecheck:
         probed = {p.cls_name for p in full_run.probes if p.mode != "skipped"}
         for cls_name in (
             "GwPodRuntime", "NicPipeline", "ReorderEngine", "RngRegistry",
-            "SessionTable", "Simulator", "TokenBucket", "BfdLink",
+            "Simulator", "TokenBucket", "BfdLink",
         ):
             assert cls_name in probed, f"{cls_name} not probed"
 

@@ -1,5 +1,7 @@
 """BGP message codec tests, including property-based round trips."""
 
+import struct
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -145,3 +147,61 @@ class TestDecodeErrors:
         raw[msg.HEADER_LEN + 2] = 40  # corrupt the prefix length byte
         with pytest.raises(msg.BgpDecodeError):
             msg.decode_message(bytes(raw))
+
+    # (message type, body, the error the decoder must name)
+    TRUNCATED = [
+        (msg.TYPE_OPEN, b"\x04\x00\x01", "truncated OPEN"),
+        (msg.TYPE_OPEN, struct.pack(">BHHIB", 4, 1, 90, 3, 5), "truncated OPEN options"),
+        (msg.TYPE_UPDATE, b"\x00\x00", "truncated UPDATE"),
+        (msg.TYPE_UPDATE, b"\x00\x05\x00\x00", "truncated withdrawn routes"),
+        (msg.TYPE_UPDATE, b"\x00\x00\x00\x09", "truncated path attributes"),
+        # A /24 withdrawal carrying one prefix octet instead of three.
+        (msg.TYPE_UPDATE, b"\x00\x02\x18\x0a\x00\x00", "truncated NLRI"),
+        (msg.TYPE_UPDATE, b"\x00\x00\x00\x02\x40\x01", "truncated attribute header"),
+        # NEXT_HOP declares four value bytes and carries one.
+        (msg.TYPE_UPDATE, b"\x00\x00\x00\x04\x40\x03\x04\x0a",
+         "truncated attribute value"),
+        (msg.TYPE_UPDATE, b"\x00\x00\x00\x00\x08\x0a", "announced NLRI without NEXT_HOP"),
+        (msg.TYPE_NOTIFICATION, b"\x06", "truncated NOTIFICATION"),
+    ]
+
+    @pytest.mark.parametrize(
+        "msg_type,body,error", TRUNCATED, ids=[case[2] for case in TRUNCATED]
+    )
+    def test_malformed_body_rejected(self, msg_type, body, error):
+        raw = msg.MARKER + (msg.HEADER_LEN + len(body)).to_bytes(2, "big")
+        raw += bytes([msg_type]) + body
+        with pytest.raises(msg.BgpDecodeError, match=error):
+            msg.decode_message(raw)
+
+    def test_open_options_are_skipped(self):
+        # Declared options that are present decode; they carry nothing the
+        # gateway negotiates.
+        body = struct.pack(">BHHIB", 4, 65001, 90, 7, 2) + b"\x02\x00"
+        raw = msg.MARKER + (msg.HEADER_LEN + len(body)).to_bytes(2, "big")
+        raw += bytes([msg.TYPE_OPEN]) + body
+        assert msg.decode_message(raw) == msg.BgpOpen(65001, 90, 7)
+
+
+class TestMessageText:
+    @pytest.mark.parametrize(
+        "message,text",
+        [
+            (msg.BgpOpen(65001, 90, 0x0A000001),
+             "BgpOpen(asn=65001, hold=90, id=0x0a000001)"),
+            (msg.BgpUpdate(announced=[(0x0A000000, 8)], withdrawn=[(1, 32), (2, 32)],
+                           next_hop=5),
+             "BgpUpdate(+1 -2 nh=5)"),
+            (msg.BgpKeepalive(), "BgpKeepalive()"),
+            (msg.BgpNotification(6, 2), "BgpNotification(code=6, subcode=2)"),
+        ],
+        ids=["open", "update", "keepalive", "notification"],
+    )
+    def test_repr(self, message, text):
+        assert repr(message) == text
+
+    def test_equality_ignores_announcement_order(self):
+        first = msg.BgpUpdate(announced=[(1 << 24, 8), (2 << 24, 8)], next_hop=1)
+        second = msg.BgpUpdate(announced=[(2 << 24, 8), (1 << 24, 8)], next_hop=1)
+        assert first == second
+        assert first != msg.BgpKeepalive()

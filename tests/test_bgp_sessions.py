@@ -2,10 +2,18 @@
 
 import pytest
 
-from repro.bgp.bfd import BfdPacket, BfdSession, BfdState, bfd_pair
+from repro.bgp.bfd import (
+    BFD_PACKET_LEN,
+    BfdLink,
+    BfdPacket,
+    BfdSession,
+    BfdState,
+    bfd_pair,
+)
 from repro.bgp.fsm import BgpState, establish_pair
+from repro.bgp.messages import BgpUpdate
 from repro.bgp.proxy import BgpProxy
-from repro.bgp.speaker import BgpSpeaker
+from repro.bgp.speaker import BgpSpeaker, RouteEntry
 from repro.bgp.switch import (
     SAFE_PEER_THRESHOLD,
     UplinkSwitch,
@@ -76,6 +84,72 @@ class TestFsm:
         session_b.receive(b"garbage-not-bgp-at-all")
         assert session_b.state is BgpState.IDLE
 
+    def test_send_update_before_established_raises(self):
+        sim = Simulator()
+        a, b = speakers(sim)
+        session_a = establish_pair(sim, a, b)[0]
+        update = BgpUpdate(announced=[(0x0A640000, 24)], next_hop=1)
+        with pytest.raises(RuntimeError, match="not established"):
+            session_a.send_update(update)
+
+    def test_update_before_established_is_an_fsm_error(self):
+        sim = Simulator()
+        a, b = speakers(sim)
+        session_a, session_b, link = establish_pair(sim, a, b)
+        sim.run_until(1 * SECOND)
+        session_b.stop("test")
+        sent = session_b.messages_sent
+        update = BgpUpdate(announced=[(0x0A640000, 24)], next_hop=1)
+        session_b.receive(update.pack())
+        assert session_b.state is BgpState.IDLE
+        # It answered with a NOTIFICATION and learned nothing.
+        assert session_b.messages_sent == sent + 1
+        assert not b.knows_route(0x0A640000, 24)
+
+    def test_start_is_idempotent(self):
+        sim = Simulator()
+        a, b = speakers(sim)
+        session_a, session_b, _ = establish_pair(sim, a, b)
+        session_a.start()
+        sim.run_until(1 * SECOND)
+        assert session_a.state is BgpState.ESTABLISHED
+        assert a.session_up_count == 1
+
+    def test_zero_hold_time_disables_the_hold_timer(self):
+        sim = Simulator()
+        a, b = speakers(sim)
+        session_a, session_b, link = establish_pair(sim, a, b, hold_time_s=0)
+        sim.run_until(1 * SECOND)
+        assert session_a.state is BgpState.ESTABLISHED
+        link.fail()
+        sim.run_until(10 * 60 * SECOND)
+        assert session_a.state is BgpState.ESTABLISHED
+        assert a.session_down_count == 0
+
+    def test_lossy_link_counts_lost_messages(self):
+        sim = Simulator()
+        a, b = speakers(sim)
+        _, _, link = establish_pair(sim, a, b, loss_fn=lambda: True)
+        sim.run_until(1 * SECOND)
+        assert link.delivered == 0
+        assert link.lost >= 1
+
+    def test_failed_link_counts_lost_then_recovers(self):
+        sim = Simulator()
+        a, b = speakers(sim)
+        session_a, _, link = establish_pair(sim, a, b, hold_time_s=9)
+        sim.run_until(1 * SECOND)
+        link.fail()
+        sim.run_until(4 * SECOND)
+        lost = link.lost
+        assert lost >= 1
+        link.recover()
+        delivered = link.delivered
+        sim.run_until(7 * SECOND)
+        assert link.delivered > delivered
+        assert link.lost == lost
+        assert session_a.state is BgpState.ESTABLISHED
+
 
 class TestSpeakerRoutes:
     def _established(self):
@@ -129,6 +203,53 @@ class TestSpeakerRoutes:
         best = hub.best_route(0x0A640000, 24)
         assert best is not None
         assert len(hub.rib[(0x0A640000, 24)]) == 2
+
+    @pytest.mark.parametrize(
+        "paths,expected",
+        [
+            ({"long": ([1, 2, 3], 100), "short": ([9], 100)}, "short"),
+            ({"long": ([1, 2, 3], 200), "short": ([9], 100)}, "long"),
+            # A route without LOCAL_PREF ranks as the default 100.
+            ({"unset": ([1], None), "low": ([1], 90)}, "unset"),
+        ],
+        ids=["shorter-path", "local-pref-first", "default-pref"],
+    )
+    def test_best_route_selection(self, paths, expected):
+        speaker = BgpSpeaker(Simulator(), "hub", 65000, 1)
+        key = (0x0A640000, 24)
+        speaker.rib[key] = {
+            peer: RouteEntry(*key, 1, as_path, peer, local_pref)
+            for peer, (as_path, local_pref) in paths.items()
+        }
+        assert speaker.best_route(*key).peer_name == expected
+
+    def test_unknown_prefix_has_no_best_route(self):
+        sim, a, b = self._established()
+        assert b.best_route(0x0B000000, 8) is None
+        assert not b.knows_route(0x0B000000, 8)
+
+    def test_withdrawing_an_unknown_route_sends_nothing(self):
+        sim, a, b = self._established()
+        sent = a.sessions["s1"].messages_sent
+        a.withdraw(0x0A640000, 24)
+        assert a.sessions["s1"].messages_sent == sent
+
+    def test_route_change_log_records_announce_and_withdraw(self):
+        sim, a, b = self._established()
+        a.advertise(0x0A640000, 24)
+        sim.run_until(2 * SECOND)
+        a.withdraw(0x0A640000, 24)
+        sim.run_until(3 * SECOND)
+        kinds = [(kind, key, peer) for _, kind, key, peer in b.route_change_log]
+        assert kinds == [
+            ("announce", (0x0A640000, 24), "s0"),
+            ("withdraw", (0x0A640000, 24), "s0"),
+        ]
+
+    def test_route_entry_text_and_key(self):
+        entry = RouteEntry(0x0A640000, 24, 0x0A000001, [65001], "s0")
+        assert entry.key() == (0x0A640000, 24)
+        assert repr(entry) == "RouteEntry(0x0a640000/24 via 0x0a000001 from s0)"
 
 
 class TestBfd:
@@ -188,6 +309,99 @@ class TestBfd:
         session = BfdSession(sim, "x", lambda data: None, interval_ns=50 * MS)
         assert session.detect_time_ns == 150 * MS
         session.stop()
+
+    def test_packet_is_24_bytes(self):
+        assert len(BfdPacket(BfdState.DOWN, 3, 1, 0).pack()) == BFD_PACKET_LEN
+
+    @pytest.mark.parametrize(
+        "mutate,error",
+        [
+            (lambda raw: raw[:10], "truncated BFD packet"),
+            (lambda raw: bytes([(2 << 5) | 3]) + raw[1:], "bad BFD version"),
+            (lambda raw: bytes([(1 << 5) | 2]) + raw[1:], "bad BFD state 2"),
+        ],
+        ids=["truncated", "version", "state"],
+    )
+    def test_malformed_packet_rejected(self, mutate, error):
+        raw = BfdPacket(BfdState.UP, 3, 7, 9).pack()
+        with pytest.raises(ValueError, match=error):
+            BfdPacket.unpack(mutate(raw))
+
+    def test_stop_halts_probes_and_detection(self):
+        sim = Simulator()
+        downs = []
+        a, b = bfd_pair(sim, on_down=downs.append)
+        sim.run_until(1 * SECOND)
+        a.stop()
+        sent = a.probes_sent
+        sim.run_until(2 * SECOND)
+        assert a.probes_sent == sent
+        # b stops hearing a and goes down; a's own timer was cancelled.
+        assert b.state is BfdState.DOWN
+        assert a.state is BfdState.UP
+        assert downs == [b]
+
+    def test_restoring_a_down_snapshot_cancels_detection(self):
+        sim = Simulator()
+        a, b = bfd_pair(sim)
+        down_snapshot = a.checkpoint()
+        # Between probes, so none of b's is still on the wire when it stops.
+        sim.run_until(1 * SECOND + 10 * MS)
+        assert a.state is BfdState.UP
+        b.stop()
+        a.restore(down_snapshot)
+        sim.run_until(2 * SECOND)
+        assert a.state is BfdState.DOWN
+        assert a.down_events == 0
+
+
+class TestBfdLink:
+    def test_flap_detected_then_recovered(self):
+        sim = Simulator()
+        link = BfdLink(sim)
+        sim.run_until(1 * SECOND)
+        assert link.sessions_up
+        link.set_down()
+        sim.run_until(1 * SECOND + 200 * MS)
+        assert not link.sessions_up
+        assert link.probes_lost > 0
+        link.set_up()
+        sim.run_until(2 * SECOND)
+        assert link.sessions_up
+        assert (link.a.down_events, link.b.down_events) == (1, 1)
+
+    def test_repeated_set_down_is_one_flap(self):
+        sim = Simulator()
+        link = BfdLink(sim)
+        link.set_down()
+        link.set_down()
+        assert link.flaps == 1
+        link.set_up()
+        link.set_down()
+        assert link.flaps == 2
+        link.stop()
+
+    def test_checkpoint_restore_round_trip(self):
+        sim = Simulator()
+        link = BfdLink(sim)
+        sim.run_until(1 * SECOND)
+        link.set_down()
+        sim.run_until(1 * SECOND + 200 * MS)
+        snapshot = link.checkpoint()
+        other = BfdLink(Simulator())
+        other.restore(snapshot)
+        assert other.checkpoint() == snapshot
+        assert not other.up
+
+    def test_stop_silences_both_endpoints(self):
+        sim = Simulator()
+        link = BfdLink(sim)
+        sim.run_until(1 * SECOND)
+        link.stop()
+        counts = (link.a.probes_sent, link.b.probes_sent)
+        sim.run_until(5 * SECOND)
+        assert (link.a.probes_sent, link.b.probes_sent) == counts
+        assert sim.pending == 0
 
 
 class TestSwitchModel:

@@ -1,7 +1,10 @@
 """CLI tests."""
 
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,8 +13,10 @@ from repro.analysis.sanitizer import Sanitizer, get_sanitizer, install, uninstal
 from repro.cli import COMMANDS, build_parser, main, select
 
 REPO = Path(__file__).parent.parent
+SRC = REPO / "src"
 DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md")
 DOC_COMMAND = re.compile(r"^\s*(?:[A-Z_]+=\S+\s+)*python3? -m repro\s+(.*)$")
+DOC_EXAMPLE = re.compile(r"python3? (examples/\S+\.py)")
 
 
 def _documented_commands():
@@ -27,6 +32,18 @@ def _documented_commands():
                 continue
             found.append((f"{doc}:{number}", shlex.split(command)))
     return found
+
+
+def _inventory_names():
+    """The ``repro.<name>`` rows of DESIGN.md's System inventory table."""
+    design = (REPO / "DESIGN.md").read_text()
+    section = design.split("## System inventory", 1)[1].split("\n## ", 1)[0]
+    return re.findall(r"^\| `repro\.([\w.]+)`", section, re.MULTILINE)
+
+
+def _module_exists(dotted):
+    path = SRC / "repro" / Path(*dotted.split("."))
+    return path.with_suffix(".py").is_file() or (path / "__init__.py").is_file()
 
 
 class _FailsClockCheck(Sanitizer):
@@ -98,6 +115,24 @@ class TestParser:
             except (SystemExit, ValueError):
                 rejected.append(f"{where}: {' '.join(argv)}")
         assert rejected == []
+
+    def test_design_inventory_matches_the_tree(self):
+        """DESIGN.md's System inventory is the one module inventory: every
+        name it lists exists, every package has a row, and every example
+        the docs tell you to run exists."""
+        names = _inventory_names()
+        problems = [f"no module repro.{name}" for name in names
+                    if not _module_exists(name)]
+        problems += [
+            f"package repro.{init.parent.name} has no inventory row"
+            for init in sorted((SRC / "repro").glob("*/__init__.py"))
+            if init.parent.name not in names
+        ]
+        for doc in DOCS:
+            for example in DOC_EXAMPLE.findall((REPO / doc).read_text()):
+                if not (REPO / example).is_file():
+                    problems.append(f"{doc} runs missing {example}")
+        assert problems == []
 
 
 class TestCommands:
@@ -192,6 +227,25 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "fig8" in out
         assert "VPC-Internet" in out
+
+    def test_closed_pipe_exits_without_traceback(self):
+        """Regression: ``python -m repro experiment fig15 | head -2`` ended
+        in a ``BrokenPipeError`` traceback on stderr."""
+        env = {**os.environ, "PYTHONUNBUFFERED": "1",
+               "PYTHONPATH": os.pathsep.join(filter(None, (
+                   str(SRC), os.environ.get("PYTHONPATH"))))}
+        env.pop("REPRO_SANITIZE", None)
+        # tab1 prints at once; tab3 then computes for a few hundred ms, so
+        # its first line is written to the pipe after it has closed.
+        child = subprocess.Popen(
+            [sys.executable, "-m", "repro", "experiment", "all", "--quick"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert child.stdout.readline()
+        child.stdout.close()
+        err = child.stderr.read().decode()
+        assert child.wait(timeout=120) == 1
+        assert err == ""
 
     def test_sanitized_faults_run_clean(self, capsys):
         install()

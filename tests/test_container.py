@@ -85,6 +85,57 @@ class TestVfAllocator:
         assert allocator.switch_failure_impact("gw", "sw0") == 1
         assert allocator.switch_failure_impact("gw", "sw3") == 1
 
+    def test_fewer_switches_than_ports_share_uplinks(self):
+        """Fig. B.2(a): two switches for four links -- one failure costs two."""
+        allocator = VfAllocator()
+        allocator.allocate("gw", 0, 4)
+        allocator.wire_switches(["sw0", "sw1"])
+        assert allocator.switch_failure_impact("gw", "sw0") == 2
+        assert allocator.switch_failure_impact("gw", "sw1") == 2
+        assert allocator.switch_failure_impact("gw", "sw9") == 0
+
+    def test_second_node_uses_its_own_cards(self):
+        allocator = VfAllocator()
+        vfs = allocator.allocate("gw", numa_node=1, data_cores=8)
+        assert {vf.port.card.card_index for vf in vfs} == {2, 3}
+        assert all(vf.port.card.numa_node == 1 for vf in vfs)
+
+    def test_node_without_enough_ports_rejected(self):
+        allocator = VfAllocator(cards_per_node=1)
+        with pytest.raises(ValueError, match="has 2 ports; need 4"):
+            allocator.allocate("gw", 0, 4)
+        assert "gw" not in allocator.allocations
+
+    def test_release_unknown_pod_frees_nothing(self):
+        allocator = VfAllocator()
+        assert allocator.release("ghost") == 0
+        assert not allocator.pod_connected("ghost")
+
+    def test_release_detaches_vfs_from_ports(self):
+        allocator = VfAllocator()
+        allocator.allocate("a", 0, 4)
+        allocator.release("a")
+        assert all(not port.vfs for port in allocator.ports_on_node(0))
+        allocator.allocate("a", 0, 4)  # the name is free again
+
+    def test_vf_on_failed_port_starts_down(self):
+        allocator = VfAllocator()
+        allocator.cards[0].ports[0].fail()
+        allocator.allocate("gw", 0, 4)
+        assert len(allocator.usable_vfs("gw")) == 3
+        allocator.cards[0].ports[0].recover()
+        assert len(allocator.usable_vfs("gw")) == 4
+
+    def test_text(self):
+        allocator = VfAllocator()
+        port = allocator.cards[1].ports[1]
+        assert repr(port) == "<NicPort nic1p1 100G up>"
+        port.fail()
+        assert repr(port) == "<NicPort nic1p1 100G down>"
+        assert repr(allocator.cards[3]) == "<NicCard 3 numa=1>"
+        vf = allocator.allocate("gw", 0, 6)[0]
+        assert repr(vf) == f"<VF pod=gw port=nic0p0 vlan={vf.vlan_id} q=6>"
+
 
 class TestFleetScheduler:
     def _fleet(self, servers=8):
@@ -148,6 +199,47 @@ class TestFleetScheduler:
         fleet.place_pod("a", 4)
         with pytest.raises(PlacementError):
             fleet.place_pod("b", 4)
+
+    def test_empty_fleet_rejected(self):
+        with pytest.raises(ValueError):
+            FleetScheduler([])
+
+    def test_place_all_is_largest_first(self):
+        pods = [("a", 12, 64), ("b", 12, 64), ("c", 36, 64), ("d", 36, 64)]
+        # In the given order the two small pods share node 0 and strand
+        # the second 36-core pod.
+        in_order = self._fleet(1)
+        with pytest.raises(PlacementError):
+            for name, cores, memory_gb in pods:
+                in_order.place_pod(name, cores, memory_gb)
+        placements = self._fleet(1).place_all(pods)
+        assert placements == {
+            "c": ("s0", 0), "d": ("s0", 1), "a": ("s0", 0), "b": ("s0", 1),
+        }
+
+    def test_unknown_server_rejected(self):
+        with pytest.raises(ValueError, match="unknown server"):
+            self._fleet(1).pods_on("nope")
+
+    def test_reschedule_avoids_excluded_server(self):
+        fleet = self._fleet(2)
+        server, _ = fleet.place_pod("a", 20)
+        other = "s1" if server == "s0" else "s0"
+        assert fleet.reschedule_pod("a", exclude_servers={server})[0] == other
+        assert fleet.pods_on(server) == []
+        assert fleet.pods_on(other) == ["a"]
+
+    def test_reschedule_unknown_pod_rejected(self):
+        with pytest.raises(ValueError, match="unknown pod"):
+            self._fleet(1).reschedule_pod("ghost")
+
+    def test_reschedule_without_room_leaves_pod_evicted(self):
+        fleet = self._fleet(1)
+        fleet.place_pod("a", 20)
+        with pytest.raises(PlacementError):
+            fleet.reschedule_pod("a", exclude_servers={"s0"})
+        assert "a" not in fleet.placements
+        assert fleet.utilization() == 0.0
 
 
 class TestElasticity:

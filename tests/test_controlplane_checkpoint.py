@@ -19,6 +19,7 @@ import pytest
 
 from repro.bgp.bfd import BfdLink, BfdState
 from repro.controlplane import ensure_plain, snapshot_bytes
+from repro.controlplane.snapshot import SimCheckpointer
 from repro.core import AlbatrossServer
 from repro.core.plb.reorder import ReorderEngine, ReorderQueueConfig
 from repro.core.ratelimit import TwoStageRateLimiter
@@ -31,13 +32,44 @@ from repro.scenarios import PodSpec
 from repro.sim import RngRegistry, Simulator
 from repro.sim.rng import rng_state, set_rng_state
 from repro.sim.units import MS, SECOND
-from repro.tables.session import Session, SessionTable
 
 
 def json_round_trip(snapshot):
     """A snapshot must survive the wire: serialize, parse, compare."""
     encoded = snapshot_bytes(snapshot)
     return json.loads(encoded)
+
+
+class TestPlainData:
+    @pytest.mark.parametrize(
+        "snapshot,path",
+        [
+            ({1: "x"}, "snapshot has a non-string key 1"),
+            ({"pod": {"state": BfdState.UP}}, "snapshot.pod.state holds a non-plain BfdState"),
+            ({"queue": [1, {2, 3}]}, r"snapshot.queue\[1\] holds a non-plain set"),
+            ({"flow": FlowKey(1, 2, 3, 4, 17), "seen": b"raw"},
+             "snapshot.seen holds a non-plain bytes"),
+        ],
+        ids=["int-key", "enum", "set", "bytes"],
+    )
+    def test_leaked_objects_are_named_by_path(self, snapshot, path):
+        with pytest.raises(TypeError, match=path):
+            ensure_plain(snapshot)
+
+    def test_plain_data_passes_through(self):
+        snapshot = {"a": [1, 2.5, "x", None, True], "b": {"c": (1, 2)}}
+        assert ensure_plain(snapshot) is snapshot
+
+    def test_canonical_bytes_ignore_key_order(self):
+        first = {"b": 1, "a": {"y": [1, 2], "x": None}}
+        second = {"a": {"x": None, "y": [1, 2]}, "b": 1}
+        assert snapshot_bytes(first) == snapshot_bytes(second)
+        assert snapshot_bytes(first) == b'{"a":{"x":null,"y":[1,2]},"b":1}'
+
+    @pytest.mark.parametrize("every_ns", [0, -1])
+    def test_checkpoint_cadence_must_be_positive(self, every_ns):
+        with pytest.raises(ValueError, match="cadence must be positive"):
+            SimCheckpointer(Simulator(), RngRegistry(), {}, [], every_ns)
 
 
 class TestRngState:
@@ -113,45 +145,6 @@ class TestLatencyHistogram:
 
 def _flow(index):
     return FlowKey(0x0A000000 + index, 0x0B000000 + index, 1000 + index, 80, 17)
-
-
-class TestSessionTable:
-    def _filled(self):
-        table = SessionTable(buckets=64, bucket_depth=2, max_kicks=32)
-        for index in range(100):
-            table.insert(Session(_flow(index), 20_000 + index, created_ns=index))
-        return table
-
-    def test_round_trip_preserves_layout(self):
-        table = self._filled()
-        snapshot = json_round_trip(table.checkpoint())
-        ensure_plain(snapshot)
-        fresh = SessionTable(buckets=64, bucket_depth=2, max_kicks=32)
-        fresh.restore(snapshot)
-        assert len(fresh) == len(table)
-        for index in range(100):
-            original = table.lookup(_flow(index))
-            restored = fresh.lookup(_flow(index))
-            assert restored is not None
-            assert restored.translated_port == original.translated_port
-        assert fresh.checkpoint() == table.checkpoint()
-
-    def test_kick_rng_resumes(self):
-        """Future cuckoo evictions take the same random walk."""
-        table = SessionTable(buckets=32, bucket_depth=4, max_kicks=32)
-        for index in range(100):
-            table.insert(Session(_flow(index), 20_000 + index, created_ns=index))
-        fresh = SessionTable(buckets=32, bucket_depth=4, max_kicks=32)
-        fresh.restore(json_round_trip(table.checkpoint()))
-        for index in range(100, 120):
-            session = Session(_flow(index), 30_000 + index, created_ns=index)
-            mirror = Session(_flow(index), 30_000 + index, created_ns=index)
-            table.insert(session)
-            fresh.insert(mirror)
-        assert fresh.checkpoint() == table.checkpoint()
-
-    def test_checkpoint_carries_rng(self):
-        assert "rng" in self._filled().checkpoint()
 
 
 class TestTwoStageRateLimiter:
@@ -333,8 +326,3 @@ class TestRngOmissionRegression:
         if "rng" not in snapshot["nic"]["limiter"]["sampler"]:
             missing.append("TwoStageRateLimiter sampler (hitter detection)")
         assert not missing, f"checkpoint omits RNG state for: {missing}"
-
-    def test_session_table_checkpoint_names_rng(self):
-        assert "rng" in SessionTable(buckets=16).checkpoint(), (
-            "SessionTable checkpoint omits the cuckoo kick rng"
-        )

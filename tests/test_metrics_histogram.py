@@ -248,3 +248,68 @@ class TestSortedCache:
         assert histogram.fraction_below(0) == 0.0
         assert histogram.fraction_below(1) == pytest.approx(0.1)
         assert histogram.fraction_below(9001) == 1.0
+
+
+class TestQueries:
+    @pytest.mark.parametrize("fraction", [0, -0.5, 1.01, 2])
+    def test_percentile_fraction_out_of_range(self, fraction):
+        histogram = LatencyHistogram()
+        histogram.record(5)
+        with pytest.raises(ValueError, match="out of range"):
+            histogram.percentile(fraction)
+
+    @pytest.mark.parametrize(
+        "fraction,value", [(0.001, 1), (0.01, 1), (0.25, 25), (0.999, 100)]
+    )
+    def test_percentile_is_nearest_rank(self, fraction, value):
+        histogram = LatencyHistogram()
+        for sample in range(100, 0, -1):
+            histogram.record(sample)
+        assert histogram.percentile(fraction) == value
+
+    def test_empty_histogram(self):
+        histogram = LatencyHistogram()
+        assert histogram.percentile(0.99) == 0
+        assert histogram.fraction_below(10) == 0.0
+        assert histogram.mean_ns == 0.0
+        assert (histogram.min_ns, histogram.max_ns, histogram.count) == (None, None, 0)
+        assert histogram.bucket_counts() == {}
+
+    def test_reset_keeps_configuration(self):
+        histogram = LatencyHistogram(bucket_factor=10.0, max_samples=8)
+        for value in (0, 5, 50, 500):
+            histogram.record(value)
+        histogram.reset()
+        assert histogram.count == 0 and histogram.bucket_counts() == {}
+        histogram.record(50)
+        assert histogram.bucket_counts() == {100: 1}
+        assert histogram.percentile(1.0) == 50
+
+    def test_from_dict_of_an_empty_wire_record(self):
+        # Older wire records may carry a bucket list shorter than the two
+        # preallocated slots; the rebuilt histogram must still record zero.
+        data = LatencyHistogram().to_dict()
+        data["bucket_counts"] = []
+        rebuilt = LatencyHistogram.from_dict(data)
+        rebuilt.record(0)
+        assert rebuilt.bucket_counts() == {0: 1}
+
+    def test_checkpoint_restore_continues_the_reservoir(self):
+        original = LatencyHistogram(max_samples=16, seed=3)
+        for value in range(100):
+            original.record(value)
+        snapshot = original.checkpoint()
+        copy = LatencyHistogram(max_samples=4, seed=99)
+        copy.restore(snapshot)
+        for value in range(100, 300):
+            original.record(value)
+            copy.record(value)
+        assert copy.to_dict() == original.to_dict()
+
+    def test_restore_pads_short_bucket_lists(self):
+        snapshot = LatencyHistogram().checkpoint()
+        snapshot["bucket_counts"] = [0]
+        histogram = LatencyHistogram()
+        histogram.restore(snapshot)
+        histogram.record(1)
+        assert histogram.bucket_counts() == {2: 1}

@@ -83,6 +83,64 @@ class TestSessionOffloadTable:
         assert offload.remove(flow)
         assert not offload.lookup(flow)
 
+    def test_reinstall_is_a_no_op(self):
+        sim, offload = self._offload(capacity=1)
+        flow = FlowKey(1, 2, 3, 4, 17)
+        assert offload.install(flow)
+        assert offload.install(flow)  # present: no eviction, no rejection
+        assert (offload.installs, offload.install_rejections) == (1, 0)
+        assert not offload.note_cpu_packet(flow)
+
+    def test_hit_rate_without_traffic_is_zero(self):
+        sim, offload = self._offload()
+        assert offload.hit_rate == 0.0
+
+    def _used_table(self):
+        sim, offload = self._offload(capacity=4, idle_timeout_ns=2 * MS)
+        for index in range(3):
+            offload.install(FlowKey(index, 2, 3, 4, 17))
+        sim.run_until(1 * MS)
+        offload.lookup(FlowKey(1, 2, 3, 4, 17))
+        offload.lookup(FlowKey(9, 2, 3, 4, 17))
+        offload.note_cpu_packet(FlowKey(7, 2, 3, 4, 17))
+        return sim, offload
+
+    def test_checkpoint_is_plain_json(self):
+        import json
+
+        _, offload = self._used_table()
+        snapshot = offload.checkpoint()
+        assert json.loads(json.dumps(snapshot)) == snapshot
+        assert [entry[0] for entry in snapshot["sessions"]] == [
+            [index, 2, 3, 4, 17] for index in range(3)
+        ]
+        assert snapshot["cpu_seen"] == [[[7, 2, 3, 4, 17], 1]]
+
+    def test_restore_round_trip(self):
+        _, offload = self._used_table()
+        snapshot = offload.checkpoint()
+        sim, other = self._offload(capacity=4, idle_timeout_ns=2 * MS)
+        other.install(FlowKey(99, 2, 3, 4, 17))  # replaced, not merged
+        other.restore(snapshot)
+        assert other.checkpoint() == snapshot
+        assert len(other) == 3
+        assert other.hit_rate == offload.hit_rate
+
+    def test_restored_table_evicts_the_same_session(self):
+        sim, offload = self._used_table()
+        sim_copy, copy = self._offload(capacity=4, idle_timeout_ns=2 * MS)
+        sim_copy.run_until(sim.now)
+        copy.restore(offload.checkpoint())
+        for table, clock in ((offload, sim), (copy, sim_copy)):
+            table.install(FlowKey(5, 2, 3, 4, 17))  # fills the fourth slot
+            clock.run_until(4 * MS)
+            assert table.install(FlowKey(6, 2, 3, 4, 17))
+        assert offload.checkpoint() == copy.checkpoint()
+        # Flow 0 was installed first and never hit: it was the stalest.
+        assert FlowKey(0, 2, 3, 4, 17) not in {
+            FlowKey(*entry[0]) for entry in copy.checkpoint()["sessions"]
+        }
+
 
 class TestSessionOffloadPipeline:
     def test_established_flows_bypass_cpu(self):

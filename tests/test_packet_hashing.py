@@ -72,11 +72,6 @@ class TestCrcHashes:
 
 
 class TestFlowKey:
-    def test_reversed(self):
-        flow = FlowKey(1, 2, 3, 4, 6)
-        assert flow.reversed() == FlowKey(2, 1, 4, 3, 6)
-        assert flow.reversed().reversed() == flow
-
     def test_str_dotted_quad(self):
         flow = FlowKey(ip_from_str("10.1.2.3"), ip_from_str("4.5.6.7"), 80, 443, 6)
         assert "10.1.2.3:80" in str(flow)

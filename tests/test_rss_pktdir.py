@@ -115,6 +115,56 @@ class TestPktDir:
         assert pkt_dir.classified[DeliveryPath.PLB] == 1
         assert pkt_dir.classified[DeliveryPath.PRIORITY] == 1
 
+    RULES = [
+        dict(kind=PacketKind.STATEFUL),
+        dict(vni=7),
+        dict(dst_port=179),
+        dict(kind=PacketKind.PROTOCOL, dst_port=179),
+        dict(kind=PacketKind.DATA, vni=7, dst_port=4789),
+    ]
+
+    @pytest.mark.parametrize("fields", RULES, ids=lambda fields: "-".join(fields))
+    def test_inlined_rule_walk_agrees_with_matches(self, fields):
+        # classify() inlines PktDirRule.matches on the ingress path; the two
+        # must accept exactly the same packets.
+        rule = PktDirRule(DeliveryPath.RSS, header_only=True, **fields)
+        for kind in PacketKind:
+            for vni in (7, 8):
+                for dst_port in (179, 4789):
+                    candidate = packet(kind, vni, dst_port)
+                    pkt_dir = PktDir()
+                    pkt_dir.add_rule(rule)
+                    _, header_only = pkt_dir.classify(candidate)
+                    assert header_only == rule.matches(candidate)
+
+    def test_rule_text(self):
+        rule = PktDirRule(DeliveryPath.RSS, vni=7, priority=5)
+        assert repr(rule) == (
+            "PktDirRule(path=rss, kind=None, vni=7, dst_port=None, prio=5)"
+        )
+
+    def test_rules_listing_is_a_sorted_copy(self):
+        pkt_dir = PktDir()
+        late = pkt_dir.add_rule(PktDirRule(DeliveryPath.RSS, vni=1, priority=90))
+        early = pkt_dir.add_rule(PktDirRule(DeliveryPath.RSS, vni=2, priority=10))
+        listing = pkt_dir.rules
+        assert listing == [early, late]
+        listing.clear()
+        assert pkt_dir.rules == [early, late]
+
+    def test_checkpoint_restore_carries_tallies_only(self):
+        pkt_dir = PktDir()
+        pkt_dir.add_rule(PktDirRule(DeliveryPath.RSS, vni=7))
+        for kind in PacketKind:
+            pkt_dir.classify(packet(kind))
+        pkt_dir.classify(packet(vni=7))
+        snapshot = pkt_dir.checkpoint()
+        assert snapshot == {"classified": {"priority": 1, "plb": 1, "rss": 2}}
+        restored = PktDir()
+        restored.restore(snapshot)
+        assert restored.classified == pkt_dir.classified
+        assert restored.rules == []
+
 
 _IDENTITY_HASHED = (DeliveryPath, TxOutcome, RateLimitDecision)
 _SRC = Path(__file__).resolve().parent.parent / "src" / "repro"

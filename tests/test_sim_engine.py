@@ -1,6 +1,7 @@
 """Unit tests for the discrete-event engine."""
 
 import cProfile
+import json
 import pstats
 
 import pytest
@@ -11,7 +12,7 @@ from repro.analysis.sanitizer import SanitizerViolation, install, uninstall
 from repro.scenarios import PodSpec, ScenarioSpec, WorkloadSpec, build, scenario_spec
 from repro.sim import MS, SECOND, US, Simulator, SimulationError, from_seconds, to_seconds
 from repro.sim import engine as engine_module
-from repro.sim.rng import RngRegistry
+from repro.sim.rng import RngRegistry, derived_stream
 
 
 class TestScheduling:
@@ -742,3 +743,71 @@ class TestRngRegistry:
         first = rngs.stream("x").random()
         rngs.reset()
         assert rngs.stream("x").random() == first
+
+    def test_derived_stream_matches_the_registry(self):
+        assert (
+            derived_stream("x", seed=5).random() == RngRegistry(seed=5).stream("x").random()
+        )
+
+    def test_checkpoint_lists_streams_by_name_as_json(self):
+        rngs = RngRegistry(seed=3)
+        rngs.stream("zeta").random()
+        rngs.stream("alpha")
+        snapshot = rngs.checkpoint()
+        assert [name for name, _ in snapshot["streams"]] == ["alpha", "zeta"]
+        assert json.loads(json.dumps(snapshot)) == snapshot
+
+    def test_restore_repositions_live_streams_in_place(self):
+        rngs = RngRegistry(seed=3)
+        bound = rngs.stream("traffic")  # a component's construction-time binding
+        snapshot = rngs.checkpoint()
+        expected = [bound.random() for _ in range(3)]
+        rngs.restore(json.loads(json.dumps(snapshot)))
+        assert rngs.stream("traffic") is bound
+        assert [bound.random() for _ in range(3)] == expected
+
+
+class TestClockErrors:
+    def test_restore_clock_moves_forward(self):
+        sim = Simulator()
+        sim.restore_clock({"now": 5 * MS, "events_processed": 7})
+        assert sim.checkpoint() == {"now": 5 * MS, "events_processed": 7}
+
+    def test_restore_clock_backwards_rejected(self):
+        sim = Simulator()
+        sim.run_until(10 * MS)
+        with pytest.raises(SimulationError, match="backwards"):
+            sim.restore_clock({"now": 5 * MS, "events_processed": 0})
+
+    def test_restore_clock_mid_run_rejected(self):
+        sim = Simulator()
+        errors = []
+
+        def restore():
+            try:
+                sim.restore_clock({"now": 9 * MS, "events_processed": 0})
+            except SimulationError as error:
+                errors.append(str(error))
+
+        sim.schedule(1 * MS, restore)
+        sim.run()
+        assert errors == ["cannot restore the clock mid-run"]
+        assert sim.now == 1 * MS
+
+    @pytest.mark.parametrize("entry", ["run", "run_until"])
+    def test_reentrant_run_rejected(self, entry):
+        sim = Simulator()
+        errors = []
+
+        def nested():
+            try:
+                if entry == "run":
+                    sim.run()
+                else:
+                    sim.run_until(sim.now + 1)
+            except SimulationError as error:
+                errors.append(str(error))
+
+        sim.schedule(1, nested)
+        sim.run()
+        assert errors == ["simulator is already running"]

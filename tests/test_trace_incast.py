@@ -4,7 +4,9 @@ import pytest
 
 from repro.core.gateway import AlbatrossServer
 from repro.core.offload import FpgaSessionOffload
-from repro.metrics.trace import PacketTracer
+from repro.metrics.trace import PacketTrace, PacketTracer
+from repro.packet.flows import FlowKey
+from repro.packet.packet import Packet
 from repro.scenarios import PodSpec
 from repro.sim import MS, RngRegistry, Simulator, US
 from repro.workloads.generators import CbrSource, uniform_population
@@ -98,6 +100,59 @@ class TestPacketTracer:
         assert len(tracer.traces) == 50
 
 
+def stamped(arrival=None, cpu_start=None, cpu_done=None, departure=None, drop=None):
+    packet = Packet(FlowKey(1, 2, 3, 4, 17))
+    packet.arrival_ns = arrival
+    packet.cpu_start_ns = cpu_start
+    packet.cpu_done_ns = cpu_done
+    packet.departure_ns = departure
+    packet.drop_reason = drop
+    return packet
+
+
+class TestPacketTrace:
+    @pytest.mark.parametrize(
+        "stamps,stages",
+        [
+            ((10, 20, 30, 40), ["ingress", "cpu_start", "cpu_done", "egress"]),
+            ((10, None, None, 40), ["ingress", "egress"]),
+            ((10, 20, None, None), ["ingress", "cpu_start"]),
+            ((10, None, None, None), ["ingress"]),
+        ],
+        ids=["full", "fast-path", "dropped-on-core", "dropped-at-ingress"],
+    )
+    def test_stages_follow_the_stamps(self, stamps, stages):
+        trace = PacketTrace(stamped(*stamps))
+        assert trace.stages == stages
+        assert repr(trace) == f"<PacketTrace uid={trace.uid} {stages}>"
+
+    def test_spans_and_missing_stages(self):
+        trace = PacketTrace(stamped(10, 25, 60, None, drop="tx_ring_full"))
+        assert trace.span_ns("ingress", "cpu_done") == 50
+        assert trace.span_ns("cpu_done", "egress") is None
+        assert trace.stage_time("egress") is None
+        assert trace.drop_reason == "tx_ring_full"
+
+    def test_breakdown_ignores_unfinished_packets(self):
+        tracer = PacketTracer()
+        tracer(stamped(0, 10, 30, 100), "egress", None)
+        tracer(stamped(0, 20, 50, 200), "egress", None)
+        tracer(stamped(0, 5, None, None, drop="x"), "drop", None)
+        assert len(tracer.traces) == 3
+        assert len(tracer.completed_traces()) == 2
+        assert tracer.breakdown() == {
+            "nic_rx_and_queue": 15.0,
+            "cpu_service": 25.0,
+            "nic_tx_and_reorder": 110.0,
+            "total": 150.0,
+        }
+
+    def test_no_traces_no_means(self):
+        tracer = PacketTracer()
+        assert tracer.mean_span_ns("ingress", "egress") is None
+        assert set(tracer.breakdown().values()) == {None}
+
+
 class TestIncast:
     def test_event_emits_during_window_only(self):
         sim = Simulator()
@@ -142,6 +197,42 @@ class TestIncast:
         assert len(events) == 4
         sim.run_until(50 * MS)
         assert all(event.emitted > 0 for event in events)
+
+    def test_senders_are_distinct_tcp_flows_on_the_tenant_vni(self):
+        sim = Simulator()
+        packets = []
+        IncastEvent(
+            sim, RngRegistry(seed=41).stream("incast"), packets.append,
+            senders=12, per_sender_pps=100_000, duration_ns=1 * MS, vni=77,
+            dst_port=8443, size=128,
+        )
+        sim.run_until(2 * MS)
+        flows = {packet.flow for packet in packets}
+        assert len(flows) == 12
+        assert {(flow.dst_port, flow.proto) for flow in flows} == {(8443, 6)}
+        assert {(packet.vni, packet.size) for packet in packets} == {(77, 128)}
+
+    def test_periodic_events_get_their_own_tenant(self):
+        sim = Simulator()
+        packets = []
+        events = periodic_incast(
+            sim, RngRegistry(seed=41).stream("incast"), packets.append,
+            period_ns=2 * MS, horizon_ns=7 * MS,
+            senders=2, per_sender_pps=10_000, duration_ns=1 * MS,
+        )
+        sim.run_until(10 * MS)
+        assert [event.senders for event in events] == [2, 2, 2]
+        assert sorted({packet.vni for packet in packets}) == [4242, 4243, 4244]
+
+    @pytest.mark.parametrize("horizon_ms", [0, 5, 10])
+    def test_no_event_before_the_first_period(self, horizon_ms):
+        sim = Simulator()
+        events = periodic_incast(
+            sim, RngRegistry(seed=41).stream("incast"), lambda packet: None,
+            period_ns=10 * MS, horizon_ns=horizon_ms * MS,
+        )
+        assert events == []
+        assert sim.pending == 0
 
     def test_incast_spreads_under_plb(self):
         """The §3.1 motivation: PLB absorbs incast that RSS concentrates."""

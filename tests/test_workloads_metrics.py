@@ -315,6 +315,65 @@ class TestSources:
         sim.run_until(1 * SECOND)
         assert len(received) < 200
 
+    def _poisson(self, sim, received, rate_pps=10_000, **kwargs):
+        return PoissonSource(
+            sim, RngRegistry(1).stream("s"), lambda packet: received.append(sim.now),
+            uniform_population(10), rate_pps=rate_pps, **kwargs,
+        )
+
+    def test_poisson_pause_and_resume(self):
+        sim = Simulator()
+        received = []
+        source = self._poisson(sim, received)
+        sim.schedule_at(100 * MS, source.set_rate, 0)
+        sim.schedule_at(300 * MS, source.set_rate, 20_000)
+        sim.run_until(400 * MS)
+        assert not any(100 * MS < time <= 300 * MS for time in received)
+        before = sum(1 for time in received if time <= 100 * MS)
+        assert before == pytest.approx(1_000, rel=0.15)
+        assert len(received) - before == pytest.approx(2_000, rel=0.15)
+        assert source.emitted == len(received)
+
+    def test_poisson_zero_rate_never_emits(self):
+        sim = Simulator()
+        received = []
+        source = self._poisson(sim, received, rate_pps=0)
+        sim.run_until(1 * SECOND)
+        assert received == [] and source.emitted == 0
+
+    def test_poisson_stop_and_count_limit(self):
+        sim = Simulator()
+        limited, stopped = [], []
+        self._poisson(sim, limited, count_limit=25)
+        source = self._poisson(sim, stopped)
+        sim.schedule_at(50 * MS, source.stop)
+        sim.run_until(1 * SECOND)
+        assert len(limited) == 25
+        assert len(stopped) == pytest.approx(500, rel=0.25)
+        assert sim.pending == 0
+
+    def test_cbr_restore_rejects_another_source_kind(self):
+        sim = Simulator()
+        source = CbrSource(
+            sim, RngRegistry(1).stream("s"), lambda packet: None, uniform_population(4),
+            rate_pps=1_000,
+        )
+        snapshot = dict(source.checkpoint(), kind="poisson")
+        with pytest.raises(ValueError, match="'poisson' source"):
+            source.restore(snapshot)
+
+    def test_cbr_stopped_source_has_no_pending_tick(self):
+        sim = Simulator()
+        source = CbrSource(
+            sim, RngRegistry(1).stream("s"), lambda packet: None, uniform_population(4),
+            rate_pps=1_000,
+        )
+        sim.run_until(10 * MS)
+        source.stop()
+        snapshot = source.checkpoint()
+        assert snapshot["next_tick"] is None and not snapshot["running"]
+        assert source.restore(snapshot) == []
+
 
 class TestMicroburst:
     def test_bursts_raise_rate(self):
@@ -517,3 +576,45 @@ class TestCountersAndStats:
         assert len(sampler.samples) == 2
         assert sampler.samples[0] == [0.5, 0.0]
         assert sampler.stddev_series[0] == pytest.approx(0.25)
+
+    def test_sampler_caps_utilization_and_summarizes(self):
+        sim = Simulator()
+
+        class Stats:
+            busy_ns = 0
+
+        class FakeCore:
+            stats = Stats()
+
+        sampler = UtilizationSampler(sim, [FakeCore()], period_ns=10 * MS)
+        assert (sampler.mean_stddev(), sampler.max_stddev()) == (0.0, 0.0)
+        # Busy time accounted in a burst can exceed the period: capped at 1.
+        sim.schedule_at(5 * MS, lambda: setattr(Stats, "busy_ns", 25 * MS))
+        sim.run_until(30 * MS)
+        sampler.stop()
+        assert sampler.samples == [[1.0], [0.0], [0.0]]
+        assert sampler.max_stddev() == 0.0  # one core: no spread
+
+    @pytest.mark.parametrize(
+        "values,expected",
+        [([], 0.0), ([4], 4.0), ([1, 2, 3, 4], 2.5), (iter([2, 4]), 3.0)],
+        ids=["empty", "one", "four", "iterator"],
+    )
+    def test_mean(self, values, expected):
+        assert mean(values) == expected
+
+    def test_counters_read_missing_names_as_zero(self):
+        counters = CounterSet()
+        counters.incr("rx", 2)
+        assert counters["rx"] == 2 and counters["tx"] == 0
+        assert repr(counters) == "CounterSet({'rx': 2})"
+
+    def test_counter_checkpoint_replaces_counts(self):
+        counters = CounterSet()
+        counters.incr("a", 3)
+        snapshot = counters.checkpoint()
+        counters.incr("b")
+        counters.restore(snapshot)
+        assert counters.snapshot() == {"a": 3}
+        snapshot["counts"]["a"] = 99  # the restored set is a copy
+        assert counters.get("a") == 3
