@@ -12,6 +12,7 @@ The load-bearing invariants:
 
 import collections
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +27,8 @@ from repro.sim.engine import Simulator
 from repro.sim.units import MS
 from repro.topology import DpuPreClassifier, EcmpUplink, FlowPodDispatch, HotFlowPromoter
 from repro.topology.dpu import DPU_FAST_PATH
+
+AZ_GOLDEN = Path(__file__).parent / "golden" / "SWEEP_az_scaling_quick_ts5.json"
 
 
 def _flow(index):
@@ -321,10 +324,19 @@ class TestAzSweep:
             workers=workers, seed=42,
         )
 
-    def test_worker_count_invariance(self):
-        one = json.dumps(self._merged(1).to_dict(), sort_keys=True)
-        two = json.dumps(self._merged(2).to_dict(), sort_keys=True)
-        assert one == two
+    def test_two_workers_match_committed_golden(self, tmp_path):
+        """The multi-section merge (uplink, servers, tiers, timeseries) byte
+        for byte on the pool.  The golden was written on one worker, so
+        this is also the worker-count invariance check."""
+        from repro.cli import main
+
+        output = tmp_path / "az.json"
+        assert main([
+            "sweep", "az-scaling", "--quick", "--timeseries-every-ms", "5",
+            "--workers", "2", "--runs-dir", str(tmp_path / "RUNS"),
+            "--output", str(output),
+        ]) == 0
+        assert output.read_bytes() == AZ_GOLDEN.read_bytes()
 
     def test_merged_sections(self):
         merged = self._merged(2).merged
