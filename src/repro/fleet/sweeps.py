@@ -15,8 +15,9 @@ specs from the unified scenario registry:
 * ``migration-replication`` -- the ``rolling-upgrade`` live-migration
   scenario replicated under derived seeds: every shard executes a full
   drain/freeze/restore/route-update cycle, so the sweep doubles as the
-  migration determinism canary (and its report carries the per-shard
-  ``migration`` section through the merge).
+  migration determinism canary.  The ``migration`` section is not
+  merged: the merged report carries the seven core keys, and each
+  plan survives only in the run store's ``shard-*.json``.
 * ``az-scaling`` -- the AZ topology story: a fixed tenant population
   (1M in full mode) ECMP-sprayed over 2..8 gateway servers with the
   DPU tier armed, so the merged report's ``servers``/``tiers``/

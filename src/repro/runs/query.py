@@ -65,29 +65,23 @@ def show_rows(store, run_id):
 def show_timeseries_rows(store, run_id):
     """Windowed rows for one run's completed shards.
 
-    Each completed shard's report contributes its ``"timeseries"``
-    windows (tagged with the shard index), flattened to one row per
-    (shard, window, pod) -- the same shape ``compare --timeseries``
-    renders for merged artifacts.  Runs without windowed telemetry
-    yield no rows.
+    Their windows fold through the merge's own timeseries row (tagged
+    with the shard index) and flatten to one row per (shard, window,
+    pod), as ``compare --timeseries`` renders merged artifacts.  Runs
+    without windowed telemetry yield no rows.
     """
+    from repro.scenarios.sections import ROW
     from repro.telemetry import flatten_windows
 
     run = store.open(run_id)
-    rows = []
+    shards = []
     for entry in run.manifest.get("shards", ()):
         result = run.load_shard(entry["index"], entry["spec_hash"])
-        if result is None:
-            continue
-        section = result["report"].get("timeseries")
-        if section is None:
-            continue
-        tagged = [
-            dict(window, shard=entry["index"])
-            for window in section["windows"]
-        ]
-        rows.extend(flatten_windows(tagged))
-    return run, rows
+        if result is not None:
+            shards.append((entry["index"], result["report"]))
+    merged = ROW["timeseries"].merge(shards, seed=1)
+    windows = merged["timeseries"]["windows"] if merged else []
+    return run, flatten_windows(windows)
 
 
 def compare_timeseries_rows(operands, store):

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.gateway import AlbatrossServer
+from repro.scenarios.sections import SECTIONS
 from repro.scenarios.spec import EcmpSpec
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
@@ -189,97 +190,13 @@ class RunHandle:
         return self
 
     def report(self):
-        """The deterministic per-run report (the fleet's merge unit)."""
-        pods = {}
-        for name, pod in self.pods.items():
-            entry = {
-                "transmitted": pod.transmitted(),
-                "counters": dict(sorted(pod.counters.snapshot().items())),
-                "outcomes": dict(sorted(pod.outcomes.items())),
-                "latency": pod.latency_histogram.to_dict(),
-            }
-            if pod.spec.mode == "plb":
-                stats = pod.reorder_stats
-                entry["reorder"] = {
-                    "in_order": stats.in_order,
-                    "best_effort": stats.best_effort,
-                    "hol_events": stats.hol_events,
-                }
-            pods[name] = entry
-        report = {
-            "scenario": self.spec.name,
-            "seed": self.spec.seed,
-            "duration_ns": self.spec.duration_ns,
-            "sim_ns": self.sim.now,
-            "events": self.sim.events_processed,
-            "pods": pods,
-        }
-        # Only when armed: reports of telemetry-less scenarios must stay
-        # byte-identical to pre-telemetry output.
-        if self.telemetry is not None:
-            report["timeseries"] = self.telemetry.series()
-        if self.migration is not None:
-            report["migration"] = self.migration.plan.to_dict()
-        # Topology sections likewise appear only on topology runs.
-        if self.topology is not None:
-            report["uplink"] = self._uplink_section()
-            report["servers"] = self._servers_section()
-            report["tiers"] = self._tiers_section()
+        """The deterministic per-run report (the fleet's merge unit): the
+        keys of every armed :data:`~repro.scenarios.sections.SECTIONS` row."""
+        report = {}
+        for row in SECTIONS:
+            if row.armed(self.spec):
+                report.update(row.produce(self))
         return report
-
-    def _uplink_section(self):
-        uplink = self.topology.uplink
-        return {
-            "members": [name for name, _sink in uplink.members],
-            "pinned_flows": uplink.pinned_flows,
-            "counters": dict(sorted(uplink.counters.snapshot().items())),
-        }
-
-    def _servers_section(self):
-        servers = {}
-        for name, runtime in self.topology.servers.items():
-            entry = {
-                "pods": list(runtime.pods),
-                "dispatch": dict(
-                    sorted(runtime.dispatch.counters.snapshot().items())
-                ),
-            }
-            if runtime.dpu is not None:
-                entry["dpu"] = {
-                    "occupancy": runtime.dpu.occupancy,
-                    "counters": dict(
-                        sorted(runtime.dpu.counters.snapshot().items())
-                    ),
-                }
-            servers[name] = entry
-        return servers
-
-    def _tiers_section(self):
-        """AZ-wide per-tier rollup: the DPU tier vs the host pipeline."""
-        host_packets = sum(pod.transmitted() for pod in self.pods.values())
-        tiers = {"host": {"packets": host_packets}}
-        runtimes = [
-            runtime for runtime in self.topology.servers.values()
-            if runtime.dpu is not None
-        ]
-        if runtimes:
-            from repro.metrics.histogram import LatencyHistogram
-
-            fast = LatencyHistogram(seed=self.spec.seed)
-            counters = {}
-            occupancy = 0
-            for runtime in runtimes:
-                fast.merge(runtime.dpu.latency_histogram)
-                occupancy += runtime.dpu.occupancy
-                for key, value in runtime.dpu.counters.snapshot().items():
-                    counters[key] = counters.get(key, 0) + value
-            tiers["dpu"] = {
-                "packets": counters.get("fast_forwards", 0),
-                "occupancy": occupancy,
-                "counters": dict(sorted(counters.items())),
-                "latency": fast.to_dict(),
-            }
-        return tiers
 
 
 def build(spec):

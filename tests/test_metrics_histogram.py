@@ -156,11 +156,11 @@ class TestMerge:
         merged.merge(source)
         assert source.to_dict() == before
 
-    def test_fleet_merge_all_does_not_mutate_inputs(self):
-        # _merge_all must fold into a FRESH histogram: its first input may
-        # alias a caller-held pod histogram (regression: it used to merge
-        # the rest into histograms[0] in place).
-        from repro.fleet.report import _merge_all
+    def test_report_merge_histograms_does_not_mutate_inputs(self):
+        # The report folds merge into a FRESH histogram: an input may be a
+        # caller-held pod histogram's dict (regression: the shard-row fold
+        # used to merge the rest into its first input in place).
+        from repro.scenarios.sections import merge_histograms
 
         first = LatencyHistogram()
         second = LatencyHistogram()
@@ -168,8 +168,7 @@ class TestMerge:
         second.record(20)
         before_first = first.to_dict()
         before_second = second.to_dict()
-        merged = _merge_all([first, second])
-        assert merged is not first and merged is not second
+        merged = merge_histograms([before_first, before_second], seed=1)
         assert merged.count == 2
         assert first.to_dict() == before_first
         assert second.to_dict() == before_second

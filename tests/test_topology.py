@@ -338,6 +338,21 @@ class TestAzSweep:
         ]) == 0
         assert output.read_bytes() == AZ_GOLDEN.read_bytes()
 
+    def test_render_splits_deliveries_by_tier(self):
+        """The fleet headline counts host deliveries only; topology sweeps
+        add the DPU fast path's share on a ``tiers`` line."""
+        from repro.fleet.report import SweepReport
+
+        def render(path):
+            artifact = json.loads(path.read_text())
+            return SweepReport(
+                artifact["sweep"], artifact["seed"], [], artifact["merged"]
+            ).render().splitlines()
+
+        assert "  tiers: host 18212, dpu fast path 5778 (24.1 %)" in render(AZ_GOLDEN)
+        tenant = render(AZ_GOLDEN.with_name("SWEEP_tenant_scaling_quick.json"))
+        assert not any(line.startswith("  tiers:") for line in tenant)
+
     def test_merged_sections(self):
         merged = self._merged(2).merged
         assert merged["uplink"]["members"] == ["srv0", "srv1", "srv2"]
