@@ -52,9 +52,11 @@ class GwPodRuntime:
 
     Built by :meth:`AlbatrossServer.add_pod`, which resolves ``chain``,
     ``reorder``, ``speed_factor`` and ``rate_limiter`` from ``spec``.
-    A data packet leaves the pod through exactly one of two exits,
-    :meth:`_on_egress` (the wire) or :meth:`_on_drop`; both call the
-    deployment's exit subscribers (see :class:`AlbatrossServer`).
+    A data packet enters through :attr:`ingress`, the NIC's
+    :meth:`~repro.core.nic.NicPipeline.ingress` itself, and leaves through
+    exactly one of two exits, :meth:`_on_egress` (the wire) or
+    :meth:`_on_drop`; both call the deployment's exit subscribers (see
+    :class:`AlbatrossServer`).
     """
 
     def __init__(self, sim, spec, core_ids, rng, chain, reorder, speed_factor,
@@ -69,7 +71,6 @@ class GwPodRuntime:
         self.subscribers = subscribers
         self.latency_histogram = LatencyHistogram()
         self.outcomes = {}
-        self.crashed = False
         self._started_ns = sim.now
 
         self.cores = []
@@ -96,6 +97,9 @@ class GwPodRuntime:
         )
         for core in self.cores:
             core.completion_fn = self.nic.on_cpu_completion
+        # Feed a packet into the pod's NIC slice: no pod-level frame, the
+        # crash blackhole is the NIC's first check.
+        self.ingress = self.nic.ingress
 
     # -- behaviour hooks -------------------------------------------------
 
@@ -133,16 +137,10 @@ class GwPodRuntime:
 
     # -- public API --------------------------------------------------------
 
-    def ingress(self, packet):
-        """Feed a packet into the pod's NIC slice."""
-        if self.crashed:
-            # The container is gone; anything still routed here blackholes
-            # until BGP converges away from the dead pod.
-            packet.drop_reason = "pod_crashed"
-            self.nic.counters.incr(NicPipeline.DROP_COUNTERS["pod_crashed"])
-            self._on_drop(packet)
-            return
-        self.nic.ingress(packet)
+    @property
+    def crashed(self):
+        """True while the container is down (its ingress blackholes)."""
+        return self.nic.pod_crashed
 
     def crash(self):
         """Fault injection: the container dies mid-flight.
@@ -152,13 +150,13 @@ class GwPodRuntime:
         container scheduler's job: reschedule a replacement pod and let
         BGP/BFD converge -- see ``repro.faults``.
         """
-        self.crashed = True
+        self.nic.pod_crashed = True
         for core in self.cores:
             core.fail()
 
     def restore(self):
         """Bring the (restarted) pod back into service."""
-        self.crashed = False
+        self.nic.pod_crashed = False
         for core in self.cores:
             core.restore()
 
@@ -199,7 +197,7 @@ class GwPodRuntime:
         """
         return {
             "name": self.spec.name,
-            "crashed": self.crashed,
+            "crashed": self.nic.pod_crashed,
             "outcomes": dict(self.outcomes),
             "latency": self.latency_histogram.checkpoint(),
             "rng": rng_state(self.rng),
@@ -224,7 +222,7 @@ class GwPodRuntime:
                 f"checkpoint is for pod {snapshot['name']!r}, cannot "
                 f"restore into {self.spec.name!r}"
             )
-        self.crashed = snapshot["crashed"]
+        self.nic.pod_crashed = snapshot["crashed"]
         self.outcomes = dict(snapshot["outcomes"])
         self.latency_histogram.restore(snapshot["latency"])
         set_rng_state(self.rng, snapshot["rng"])

@@ -17,10 +17,22 @@ from repro.core.pktdir import DeliveryPath, PktDir
 from repro.core.plb.dispatch import PlbDispatcher
 from repro.core.plb.reorder import ReorderEngine, TxOutcome
 from repro.core.priority import PriorityQueueManager
+from repro.core.ratelimit import RateLimitDecision
 from repro.core.resources import NicLatencyModel
 from repro.core.rss import RssDispatcher
 from repro.cpu.core import Verdict
 from repro.metrics.counters import CounterSet
+from repro.packet.packet import PacketKind
+
+_DATA = PacketKind.DATA
+_PLB = DeliveryPath.PLB
+
+#: Limiter decision -> the drop reason it names, ``None`` for a pass: one
+#: lookup per packet instead of ``allowed``, ``Enum.value`` and an f-string.
+_LIMITER_DROPS = {
+    decision: None if decision.allowed else f"rate_limit_{decision.value}"
+    for decision in RateLimitDecision
+}
 
 
 class NicPipeline:
@@ -62,7 +74,18 @@ class NicPipeline:
         self.counters = CounterSet()
         self.pkt_dir = PktDir()
         self._set_mode(mode)
-        self.reorder = ReorderEngine(sim, reorder, self._on_reorder_transmit)
+        latency = NicLatencyModel()
+        self._rx_latency_ns = latency.rx_ns()
+        self._tx_dma_ns = latency.module_ns("dma", "tx")
+        self._tx_post_reorder_ns = latency.module_ns(
+            "plb", "tx"
+        ) + latency.module_ns("basic_pipeline", "tx")
+        # In-order and best-effort releases post the deparser hop
+        # themselves; only drop-flag and payload-gone outcomes come back.
+        self.reorder = ReorderEngine(
+            sim, reorder, self._on_reorder_transmit,
+            deparser=(self._tx_post_reorder_ns, self._transmit),
+        )
         self.plb = PlbDispatcher(self.cores, self.reorder)
         self.rss = RssDispatcher(self.cores)
         self.rate_limiter = rate_limiter
@@ -70,20 +93,22 @@ class NicPipeline:
         self.pcie_link = None
         self.priority = PriorityQueueManager(sim)
         self._fpga_stalled = False
+        # The pod's container state, owned and captured by the pod
+        # (GwPodRuntime.crash/checkpoint): a crashed pod blackholes here.
+        self.pod_crashed = False
         self._heartbeat = 0
         self._sanitizer = get_sanitizer()
-        latency = NicLatencyModel()
-        self._rx_latency_ns = latency.rx_ns()
-        self._tx_dma_ns = latency.module_ns("dma", "tx")
-        self._tx_post_reorder_ns = latency.module_ns(
-            "plb", "tx"
-        ) + latency.module_ns("basic_pipeline", "tx")
         # Hot-path bindings: these objects never change over the pipeline's
         # lifetime (unlike egress_fn/rate_limiter/session_offload, which
         # experiments swap post-construction and must be read per call).
+        # ``_counts`` is the counter set's own dict (restore refills it in
+        # place): the per-packet counters are bumped on it directly.
         self._post = sim.post
         self._incr = self.counters.incr
+        self._counts = self.counters.counts
         self._classify = self.pkt_dir.classify
+        # PktDir edits its rule list in place: empty means nothing to walk.
+        self._pktdir_rules = self.pkt_dir._rules
         self._plb_dispatch = self.plb.dispatch
         self._rss_dispatch = self.rss.dispatch
 
@@ -110,7 +135,7 @@ class NicPipeline:
 
     #: ``Packet.drop_reason`` -> the counter that accounts for the drop,
     #: for every reason a data packet can die of inside a pod
-    #: (``pod_crashed`` is the pod's own, see ``GwPodRuntime.ingress``).
+    #: (``pod_crashed`` is counted before ``rx_packets``, see :meth:`ingress`).
     DROP_COUNTERS = {
         "fpga_stall": "fpga_stall_drops",
         "rate_limit_drop_meter": "rate_limited_drops",
@@ -163,42 +188,63 @@ class NicPipeline:
     # ------------------------------------------------------------------
 
     def ingress(self, packet):
-        """A packet arrives from the wire at the current sim time."""
-        incr = self._incr
+        """A packet arrives from the wire at the current sim time.
+
+        This is the pod's ingress (``GwPodRuntime.ingress``), so a crashed
+        pod's blackhole is checked first: such a packet is counted in
+        ``pod_crashed_drops`` *instead of* ``rx_packets``, unstamped.
+        """
+        if self.pod_crashed:
+            # The container is gone; anything still routed here blackholes
+            # until BGP converges away from the dead pod.
+            self._drop(packet, "pod_crashed")
+            return
+        counts = self._counts
         packet.arrival_ns = self.sim._now
-        incr("rx_packets")
+        try:
+            counts["rx_packets"] += 1
+        except KeyError:
+            counts["rx_packets"] = 1
         if self._fpga_stalled:
             # A stalled pipeline makes no forward progress; the wire keeps
             # delivering and the packets are simply lost.
             self._drop(packet, "fpga_stall")
             return
-        path, header_only = self._classify(packet)
+        if self._pktdir_rules or packet.kind is not _DATA:
+            path, header_only = self._classify(packet)
+            if path is DeliveryPath.PRIORITY:
+                # Priority path skips the rate limiter and PLB entirely.
+                self._post(self._rx_latency_ns, self.priority.enqueue, packet)
+                self._incr("rx_priority")
+                if self._sanitizer is not None:
+                    self._check_conserved(packet, "priority_handoff")
+                return
+        else:
+            # No rule to walk: a data packet takes the default data path,
+            # exactly as PktDir.classify would classify and count it.
+            pkt_dir = self.pkt_dir
+            path = pkt_dir.default_data_path
+            pkt_dir.classified[path] += 1
+            header_only = False
 
-        if path is DeliveryPath.PRIORITY:
-            # Priority path skips the rate limiter and PLB entirely.
-            self._post(self._rx_latency_ns, self.priority.enqueue, packet)
-            incr("rx_priority")
-            if self._sanitizer is not None:
-                self._check_conserved(packet, "priority_handoff")
-            return
-
-        if self.rate_limiter is not None:
-            decision = self.rate_limiter.admit(packet.vni, self.sim._now)
-            if not decision.allowed:
-                self._drop(packet, f"rate_limit_{decision.value}")
+        limiter = self.rate_limiter
+        if limiter is not None:
+            reason = _LIMITER_DROPS[limiter.admit(packet.vni, self.sim._now)]
+            if reason is not None:
+                self._drop(packet, reason)
                 return
 
         if self.session_offload is not None and self.session_offload.lookup(
             packet.flow
         ):
             # FPGA fast path: established session, CPU never sees it.
-            incr("offload_fast_path")
+            self._incr("offload_fast_path")
             self._post(
                 FAST_PATH_LATENCY_NS, self._transmit, packet, "fpga_fast_path"
             )
             return
 
-        if path is DeliveryPath.PLB:
+        if path is _PLB:
             core = self._plb_dispatch(packet, header_only=header_only)
             if core is None:
                 # The dispatcher already said why (FIFO full, no core).
@@ -206,7 +252,10 @@ class NicPipeline:
                 return
         else:
             core = self._rss_dispatch(packet)
-        incr("dispatched")
+        try:
+            counts["dispatched"] += 1
+        except KeyError:
+            counts["dispatched"] = 1
         self._post(self._rx_latency_ns, self._deliver_to_core, packet, core)
 
     def _deliver_to_core(self, packet, core):
@@ -253,17 +302,21 @@ class NicPipeline:
             )
 
     def _on_reorder_transmit(self, packet, outcome):
+        """The reorder engine's exit for packets that never reach the wire
+        (its releases post :meth:`_transmit`, the deparser hop, directly)."""
         if outcome is TxOutcome.RELEASED_DROP_FLAG:
             # Dropped at the CPU ACL verdict; this only reclaims the slot.
             self._incr("reorder_drop_flag")
-        elif outcome is TxOutcome.DROPPED_PAYLOAD_GONE:
-            # The reorder engine already said why (payload released).
-            self._drop(packet, packet.drop_reason)
         else:
-            self._post(self._tx_post_reorder_ns, self._transmit, packet, outcome)
+            # Payload gone: the reorder engine already said why.
+            self._drop(packet, packet.drop_reason)
 
     def _transmit(self, packet, outcome):
-        self._incr("tx_packets")
+        counts = self._counts
+        try:
+            counts["tx_packets"] += 1
+        except KeyError:
+            counts["tx_packets"] = 1
         if self._sanitizer is not None:
             self._sanitizer.ensure(
                 packet.departure_ns is None, "packet-conservation",

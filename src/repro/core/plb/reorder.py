@@ -138,16 +138,25 @@ class ReorderEngine:
         sim: the simulator (drives timeout events).
         config: a :class:`ReorderQueueConfig`.
         transmit_fn: called as ``transmit_fn(packet, outcome)`` whenever a
-            packet leaves the engine (in order or best effort).
+            packet leaves the engine (in order or best effort), or its
+            slot is released without transmission (drop flag, payload
+            gone).
         payload_retention_ns: how long the NIC retains split payloads; a
             late header-only packet whose payload aged out is dropped.
+        deparser: optional ``(delay_ns, fn)``, the owner's next hop.  With
+            it, in-order and best-effort releases are posted as
+            ``sim.post(delay_ns, fn, packet, outcome)`` instead of handed
+            to ``transmit_fn``, which then sees only the two outcomes that
+            never reach the wire.
     """
 
-    def __init__(self, sim, config, transmit_fn, payload_retention_ns=1_000 * US):
+    def __init__(self, sim, config, transmit_fn, payload_retention_ns=1_000 * US,
+                 deparser=None):
         self.sim = sim
         self.config = config
         self.transmit_fn = transmit_fn
         self.payload_retention_ns = payload_retention_ns
+        self._deparser_ns, self._deparser_fn = deparser or (0, None)
         self.stats = ReorderStats()
         self.epoch = 0
         self._queues = [_ReorderQueue() for _ in range(config.queue_count)]
@@ -213,19 +222,57 @@ class ReorderEngine:
             self.stats.stale_epoch_writebacks += 1
             self._transmit_best_effort(packet, packet.header_only)
             return
-        queue = self._queues[meta.ordq]
+        ordq = meta.ordq
+        queue = self._queues[ordq]
+        fifo = queue.fifo
+        psn = meta.psn
+        slot = psn & 0xFFF
+        if fifo and fifo[0][0] == psn and not (meta.drop or queue.bitmap_valid[slot]):
+            # The FIFO head itself, live, into an empty slot: the legal
+            # check, the BUF/BITMAP store and the drain's reload of the
+            # slot would release it in order (case 4), so it leaves now.
+            if self._sanitizer is not None:
+                self._check_release_order(ordq, queue, psn)
+            fifo.popleft()
+            queue.head_ptr = psn + 1
+            self.stats.in_order += 1
+            deparser_fn = self._deparser_fn
+            if deparser_fn is None:
+                self.transmit_fn(packet, TxOutcome.IN_ORDER)
+            else:
+                self.sim.post(self._deparser_ns, deparser_fn, packet, TxOutcome.IN_ORDER)
+            # What follows is the drain's, unless the new head is still at
+            # the CPU and not yet due (case 2): then only the timer moves,
+            # as _arm_timeout would move it.
+            sim = self.sim
+            event = queue.timeout_event
+            if fifo:
+                head_psn, enqueue_ns = fifo[0]
+                timeout_ns = self.config.timeout_ns
+                if (queue.bitmap_valid[head_psn & 0xFFF]
+                        or sim._now - enqueue_ns >= timeout_ns):
+                    self._drain(ordq, queue)
+                elif event is not None:
+                    sim.rearm(event, enqueue_ns + timeout_ns - sim._now)
+                else:
+                    queue.timeout_event = sim.schedule(
+                        enqueue_ns + timeout_ns - sim._now, self._on_timeout, ordq
+                    )
+            elif event is not None:
+                event.cancel()
+                queue.timeout_event = None
+            return
 
         # Legal check: is psn12 within the FIFO's [head, tail) window, mod
         # 4096?  Only the low 12 bits are compared, exactly as in the
         # hardware; a very stale packet can alias into the window (caught
         # later by the reorder check's PSN comparison, case 3).
-        slot = meta.psn & 0xFFF
-        outstanding = len(queue.fifo)
+        outstanding = len(fifo)
         if outstanding == 0 or (slot - (queue.head_ptr & 0xFFF)) & 0xFFF >= outstanding:
             # Timed-out packet whose slot has already been released:
             # best-effort, or dropped if its payload is gone.
             self._transmit_best_effort(packet, packet.header_only)
-            self._drain(meta.ordq, queue)
+            self._drain(ordq, queue)
             return
 
         if queue.bitmap_valid[slot]:
@@ -236,11 +283,11 @@ class ReorderEngine:
             self._transmit_best_effort(resident, header_only)
         queue.buf[slot] = (packet, meta.header_only or packet.header_only)
         queue.bitmap_valid[slot] = True
-        queue.bitmap_psn[slot] = meta.psn
+        queue.bitmap_psn[slot] = psn
         # A set drop flag (the CPU deliberately dropped this packet) is
         # honoured by the drain: the slot is reclaimed the moment the
         # packet reaches the head -- immediately, if it is the head.
-        self._drain(meta.ordq, queue)
+        self._drain(ordq, queue)
 
     def reset(self):
         """FPGA watchdog pipeline reset: drop all in-flight reorder state.
@@ -329,7 +376,6 @@ class ReorderEngine:
         bitmap_valid = queue.bitmap_valid
         bitmap_psn = queue.bitmap_psn
         stats = self.stats
-        transmit_fn = self.transmit_fn
         while fifo:
             head_psn, enqueue_ns = fifo[0]
             slot = head_psn & 0xFFF
@@ -352,17 +398,7 @@ class ReorderEngine:
                 continue  # head still waits for its real packet
             # Case 4: in-order transmission (or drop-flag release).
             if self._sanitizer is not None:
-                # Flows hash onto one order queue and the head pointer
-                # only ever steps by one (a watchdog reset rewinds it with
-                # the PSN generator), so a release that carries exactly
-                # the head pointer implies per-flow order on the wire.
-                self._sanitizer.ensure(
-                    head_psn == queue.head_ptr, "reorder-release-order",
-                    f"order queue {ordq} released PSN {head_psn} in order "
-                    f"with its head pointer at {queue.head_ptr}",
-                    ordq=ordq, psn=head_psn, head_ptr=queue.head_ptr,
-                    epoch=self.epoch,
-                )
+                self._check_release_order(ordq, queue, head_psn)
             fifo.popleft()
             queue.head_ptr = head_psn + 1
             buf[slot] = None
@@ -370,11 +406,34 @@ class ReorderEngine:
             meta = packet.meta
             if meta is not None and meta.drop:
                 stats.drop_flag_releases += 1
-                transmit_fn(packet, TxOutcome.RELEASED_DROP_FLAG)
+                self.transmit_fn(packet, TxOutcome.RELEASED_DROP_FLAG)
             else:
                 stats.in_order += 1
-                transmit_fn(packet, TxOutcome.IN_ORDER)
+                self._release(packet, TxOutcome.IN_ORDER)
         self._arm_timeout(ordq, queue)
+
+    def _check_release_order(self, ordq, queue, psn):
+        """Sanitizer: an in-order release carries exactly the head pointer.
+
+        Flows hash onto one order queue and the head pointer only ever
+        steps by one (a watchdog reset rewinds it with the PSN generator),
+        so a release that carries exactly the head pointer implies
+        per-flow order on the wire.
+        """
+        self._sanitizer.ensure(
+            psn == queue.head_ptr, "reorder-release-order",
+            f"order queue {ordq} released PSN {psn} in order "
+            f"with its head pointer at {queue.head_ptr}",
+            ordq=ordq, psn=psn, head_ptr=queue.head_ptr, epoch=self.epoch,
+        )
+
+    def _release(self, packet, outcome):
+        """A packet leaves for the wire: the deparser hop, or ``transmit_fn``."""
+        deparser_fn = self._deparser_fn
+        if deparser_fn is None:
+            self.transmit_fn(packet, outcome)
+        else:
+            self.sim.post(self._deparser_ns, deparser_fn, packet, outcome)
 
     def _arm_timeout(self, ordq, queue):
         """Point the queue's timeout event at the current head's deadline.
@@ -415,4 +474,4 @@ class ReorderEngine:
                 self.transmit_fn(packet, TxOutcome.DROPPED_PAYLOAD_GONE)
                 return
         self.stats.best_effort += 1
-        self.transmit_fn(packet, TxOutcome.BEST_EFFORT)
+        self._release(packet, TxOutcome.BEST_EFFORT)

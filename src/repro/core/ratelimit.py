@@ -321,8 +321,52 @@ class TwoStageRateLimiter:
     # -- data path -------------------------------------------------------
 
     def admit(self, vni, now_ns):
-        """Run one packet of tenant ``vni`` through the limiter."""
-        decision = self._admit(vni, now_ns)
+        """Run one packet of tenant ``vni`` through the limiter.
+
+        One frame per packet: pre_check, the color table and the meter
+        table run inline, and each bucket's refill-and-take is
+        :meth:`TokenBucket.allow` spelled out, its float expressions in
+        :meth:`TokenBucket._refill`'s order.
+        """
+        if vni in self._bypass:
+            decision = RateLimitDecision.BYPASS
+        else:
+            # pre_check: a known heavy hitter meets its pre_meter only;
+            # anyone else meets the color table, then the meter table.
+            bucket = self._pre_meter.get(vni)
+            if bucket is not None:
+                passed, failed = RateLimitDecision.ALLOW_PRE, RateLimitDecision.DROP_PRE
+            else:
+                color_index = vni % self.color_entries
+                bucket = self._color.get(color_index)
+                if bucket is None:
+                    bucket = self._color[color_index] = TokenBucket(self.stage1_rate_pps)
+                passed, failed = RateLimitDecision.ALLOW, None
+            while True:
+                last_ns = bucket._last_ns
+                if now_ns > last_ns:
+                    gained = (now_ns - last_ns) * bucket.rate_pps / SECOND
+                    tokens = bucket._tokens + gained
+                    burst = float(bucket.burst)
+                    # min(burst, tokens), without the builtin call.
+                    bucket._tokens = tokens if tokens < burst else burst
+                    bucket._last_ns = now_ns
+                if bucket._tokens >= 1.0:
+                    bucket._tokens -= 1.0
+                    decision = passed
+                    break
+                if failed is not None:
+                    decision = failed
+                    break
+                # Over the coarse limit: marked excess meets the meter table.
+                meter_index = crc32_vni_hash(vni, seed=0x3E7E) % self.meter_entries
+                bucket = self._meter.get(meter_index)
+                if bucket is None:
+                    bucket = self._meter[meter_index] = TokenBucket(self.stage2_rate_pps)
+                passed, failed = RateLimitDecision.ALLOW_MARKED, RateLimitDecision.DROP_METER
+            if (decision is RateLimitDecision.DROP_METER and self.auto_promote
+                    and self._sampler.observe(vni, now_ns)):
+                self.promote_heavy_hitter(vni)
         self.decisions[decision] += 1
         if self._sanitizer is not None:
             self._check_sram_budget()
@@ -350,38 +394,6 @@ class TwoStageRateLimiter:
             f"provisioned for {self.pre_entries}",
             live=pre_live, entries=self.pre_entries,
         )
-
-    def _admit(self, vni, now_ns):
-        # pre_check stage: bypass and known heavy hitters.
-        if vni in self._bypass:
-            return RateLimitDecision.BYPASS
-        pre_bucket = self._pre_meter.get(vni)
-        if pre_bucket is not None:
-            if pre_bucket.allow(now_ns):
-                return RateLimitDecision.ALLOW_PRE
-            return RateLimitDecision.DROP_PRE
-
-        # Stage 1: coarse-grained color table.
-        color_index = vni % self.color_entries
-        color_bucket = self._color.get(color_index)
-        if color_bucket is None:
-            color_bucket = TokenBucket(self.stage1_rate_pps)
-            self._color[color_index] = color_bucket
-        if color_bucket.allow(now_ns):
-            return RateLimitDecision.ALLOW
-
-        # Stage 2: marked excess through the fine-grained meter table.
-        meter_index = crc32_vni_hash(vni, seed=0x3E7E) % self.meter_entries
-        meter_bucket = self._meter.get(meter_index)
-        if meter_bucket is None:
-            meter_bucket = TokenBucket(self.stage2_rate_pps)
-            self._meter[meter_index] = meter_bucket
-        if meter_bucket.allow(now_ns):
-            return RateLimitDecision.ALLOW_MARKED
-
-        if self.auto_promote and self._sampler.observe(vni, now_ns):
-            self.promote_heavy_hitter(vni)
-        return RateLimitDecision.DROP_METER
 
     # -- accounting ------------------------------------------------------
 

@@ -55,7 +55,9 @@ class CpuCore:
         sim: the :class:`~repro.sim.Simulator`.
         core_id: globally unique id (used by the mempool model).
         chain: a :class:`~repro.cpu.service.ServiceChain` (or anything with
-            ``service_time_ns(packet)``).
+            ``service_time_ns(packet)``).  A chain whose
+            ``fixed_service_ns`` is set (an analytic-mode ``ServiceChain``)
+            is not called per packet: the core reads the constant.
         completion_fn: called as ``completion_fn(packet, verdict, core)``
             when processing finishes.
         verdict_fn: optional; called per packet to decide the verdict
@@ -93,11 +95,12 @@ class CpuCore:
         self._pending_stall_ns = 0
         self._failed = False
         self._resume_event = None
-        # Hot-path bindings: the RX ring never changes over the core's life.
+        # Hot-path bindings: the RX ring and the chain never change over
+        # the core's life.
         self._rx_packets = self.rx_queue.packets
         self._rx_push = self.rx_queue.push
         self._rx_pop = self.rx_queue.pop
-        self._rx_pass = self.rx_queue.pass_through
+        self._fixed_service_ns = getattr(chain, "fixed_service_ns", None)
 
     @property
     def busy(self):
@@ -121,27 +124,35 @@ class CpuCore:
         blocking (§4.1).
 
         A core idles only once its ring is empty, so an idle, healthy core
-        serves the packet at once: the ring counts it as ``push`` + ``pop``
-        would, without the round trip.
+        serves the packet at once: the ring's counters end where ``push`` +
+        ``pop`` would leave them (an empty ring always has room), without
+        the round trip.
         """
-        idle = not (self._busy or self._failed)
-        if idle:
-            self._rx_pass()
-            accepted = True
-        else:
+        if self._busy or self._failed:
             accepted = self._rx_push(packet)
+            if self._sanitizer is not None:
+                self._check_ring_bound()
+            return accepted
+        rx_queue = self.rx_queue
+        rx_queue.enqueued += 1
+        if not rx_queue.high_watermark:
+            rx_queue.high_watermark = 1
         if self._sanitizer is not None:
-            self._sanitizer.ensure(
-                len(self.rx_queue) <= self.rx_queue.capacity,
-                "finite-queue-bound",
-                f"core {self.core_id} RX queue holds {len(self.rx_queue)} "
-                f"packets, ring size is {self.rx_queue.capacity}",
-                core=self.core_id, occupancy=len(self.rx_queue),
-                capacity=self.rx_queue.capacity,
-            )
-        if idle:
-            self._serve(packet)
-        return accepted
+            self._check_ring_bound()
+        self._serve(packet)
+        return True
+
+    def _check_ring_bound(self):
+        """Sanitizer: the RX ring never holds more than its size."""
+        rx_queue = self.rx_queue
+        self._sanitizer.ensure(
+            len(rx_queue) <= rx_queue.capacity,
+            "finite-queue-bound",
+            f"core {self.core_id} RX queue holds {len(rx_queue)} "
+            f"packets, ring size is {rx_queue.capacity}",
+            core=self.core_id, occupancy=len(rx_queue),
+            capacity=rx_queue.capacity,
+        )
 
     def inject_stall(self, duration_ns):
         """Stall the core before its next packet (NUMA balancing, IRQs)."""
@@ -186,7 +197,9 @@ class CpuCore:
     def _serve(self, packet):
         self._busy = True
         packet.cpu_start_ns = self.sim._now
-        service_ns = self.chain.service_time_ns(packet)
+        service_ns = self._fixed_service_ns
+        if service_ns is None:
+            service_ns = self.chain.service_time_ns(packet)
         jitter = self.jitter
         if jitter is not None:
             service_ns += jitter.draw_ns()

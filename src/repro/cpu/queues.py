@@ -19,8 +19,9 @@ class PacketQueue:
         self.name = name
         # In-flight packets, oldest first: quiescent checkpoints require the
         # queue to have drained, so they are never snapshot data.  Readers
-        # may test it for emptiness without a call; only push/pop/drain and
-        # pass_through change the queue and its counters.
+        # may test it for emptiness without a call; only push/pop/drain
+        # change the queue (an idle CpuCore also counts a packet it serves
+        # straight past the empty ring).
         self.packets = deque()  # lint: disable=SNAP001(in-flight packets; checkpoints happen with the queue drained)
         self.enqueued = 0
         self.dropped = 0
@@ -67,16 +68,6 @@ class PacketQueue:
         if not self.packets:
             return None
         return self.packets.popleft()
-
-    def pass_through(self):
-        """Count a packet its consumer took straight off the *empty* queue.
-
-        The counters end exactly where ``push()`` then ``pop()`` would
-        leave them (an empty queue always has room), without storing it.
-        """
-        self.enqueued += 1
-        if not self.high_watermark:
-            self.high_watermark = 1
 
     def drain(self):
         """Remove and return all queued packets."""

@@ -162,8 +162,9 @@ class ServiceChain:
         self.region_end = base
         # Analytic mode yields a constant (every knob is construction-time
         # only); computed with the same float expression the per-packet
-        # path used, so the value matches exactly.
-        self._analytic_ns = int(
+        # path used, so the value matches exactly.  ``None`` in simulated
+        # mode, where the time depends on the packet's flow.
+        self.fixed_service_ns = None if cache is not None else int(
             float(service.base_ns)
             + service.lookup_count
             * self.timings.expected_lookup_ns(self.assumed_hit_rate)
@@ -191,9 +192,10 @@ class ServiceChain:
 
     def service_time_ns(self, packet):
         """Per-packet service time in integer nanoseconds."""
+        fixed = self.fixed_service_ns
+        if fixed is not None:
+            return fixed
         cache = self.cache
-        if cache is None:
-            return self._analytic_ns
         timings = self.timings
         total = float(self.service.base_ns)
         for address, entry_bytes in self.lookup_addresses(packet.flow):

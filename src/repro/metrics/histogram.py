@@ -15,10 +15,18 @@ Hot-path and correctness notes:
   bucket edges are identical on every platform.  For the default
   ``bucket_factor=2.0``, bucketing is a single ``int.bit_length`` call.
 * Bucket counts live in a preallocated list indexed by bucket number
-  (grown on demand), not a dict -- one indexed increment per record.
+  (grown on demand), not a dict.
+* **Fold on read.**  Below the reservoir cap every sample is retained
+  anyway, so ``record`` only checks the sign and appends.  ``count``,
+  ``sum``, ``min``, ``max`` and the bucket counts cover the samples
+  before ``_folded``; the first reader (every public accessor, and
+  ``merge``/``to_dict``/``checkpoint``) folds the tail in record order,
+  by index.  At the cap the tail is folded once and ``record`` goes
+  eager again: aggregates per record plus Vitter's algorithm R, with the
+  same draws as ever.
 * ``percentile``/``fraction_below`` reuse a sorted view of the reservoir
-  cached per ``count`` (every ``record`` bumps ``count``, so a stale
-  cache is impossible), instead of re-sorting per query.
+  cached per ``count`` (every record bumps the folded ``count``, so a
+  stale cache is impossible), instead of re-sorting per query.
 """
 
 from bisect import bisect_left, bisect_right
@@ -45,6 +53,7 @@ class LatencyHistogram:
         "_bound_fraction",
         "_power_of_two",
         "_samples",
+        "_folded",
         "_count",
         "_sum",
         "_min",
@@ -68,6 +77,7 @@ class LatencyHistogram:
         self._bounds = [1]
         self._bucket_counts = [0, 0]
         self._samples = []
+        self._folded = 0    # samples[:_folded] are in the aggregates
         self._count = 0
         self._sum = 0
         self._min = None
@@ -79,34 +89,53 @@ class LatencyHistogram:
     def record(self, latency_ns):
         if latency_ns < 0:
             raise ValueError(f"negative latency: {latency_ns}")
-        self._count += 1
-        self._sum += latency_ns
-        if self._min is None or latency_ns < self._min:
-            self._min = latency_ns
-        if self._max is None or latency_ns > self._max:
-            self._max = latency_ns
-        if latency_ns == 0:
-            bucket = 0
-        elif self._power_of_two:
-            # bucket b >= 1 holds [2**(b-1), 2**b); exactly bit_length.
-            bucket = latency_ns.bit_length()
-        else:
-            bounds = self._bounds
-            while bounds[-1] <= latency_ns:
-                self._extend_bounds()
-            bucket = bisect_right(bounds, latency_ns)
-        counts = self._bucket_counts
-        if bucket >= len(counts):
-            counts.extend([0] * (bucket + 1 - len(counts)))
-        counts[bucket] += 1
         samples = self._samples
         if len(samples) < self.max_samples:
-            samples.append(latency_ns)
-        else:
-            # Vitter's algorithm R.
-            index = self._rng.randrange(self._count)
-            if index < self.max_samples:
-                samples[index] = latency_ns
+            samples.append(latency_ns)  # aggregated by the next reader
+            return
+        self._fold()
+        self._aggregate((latency_ns,), 0, 1)
+        # Vitter's algorithm R.
+        index = self._rng.randrange(self._count)
+        if index < self.max_samples:
+            samples[index] = latency_ns
+
+    def _fold(self):
+        """Aggregate the samples recorded since the last read."""
+        end = len(self._samples)
+        if self._folded != end:
+            self._aggregate(self._samples, self._folded, end)
+            self._folded = end
+
+    def _aggregate(self, values, start, end):
+        """Count ``values[start:end]`` into ``count``/``sum``/``min``/``max``
+        and the buckets, in order and by index (no slice copy)."""
+        total, low, high = self._sum, self._min, self._max
+        counts = self._bucket_counts
+        bounds = self._bounds
+        power_of_two = self._power_of_two
+        for index in range(start, end):
+            value = values[index]
+            total += value
+            if low is None or value < low:
+                low = value
+            if high is None or value > high:
+                high = value
+            # Inline of _bucket_of.
+            if value == 0:
+                bucket = 0
+            elif power_of_two:
+                # bucket b >= 1 holds [2**(b-1), 2**b); exactly bit_length.
+                bucket = value.bit_length()
+            else:
+                while bounds[-1] <= value:
+                    self._extend_bounds()
+                bucket = bisect_right(bounds, value)
+            if bucket >= len(counts):
+                counts.extend([0] * (bucket + 1 - len(counts)))
+            counts[bucket] += 1
+        self._count += end - start
+        self._sum, self._min, self._max = total, low, high
 
     def reset(self):
         """Drop all recorded data, keeping the bucket configuration.
@@ -118,6 +147,7 @@ class LatencyHistogram:
         """
         self._bucket_counts = [0, 0]
         self._samples = []
+        self._folded = 0
         self._count = 0
         self._sum = 0
         self._min = None
@@ -145,27 +175,32 @@ class LatencyHistogram:
 
     @property
     def count(self):
+        self._fold()
         return self._count
 
     @property
     def mean_ns(self):
+        self._fold()
         return self._sum / self._count if self._count else 0.0
 
     @property
     def min_ns(self):
+        self._fold()
         return self._min
 
     @property
     def max_ns(self):
+        self._fold()
         return self._max
 
     def _sorted_samples(self):
         """Sorted view of the reservoir, cached until the next record.
 
-        ``_count`` increments on every record (and merge), so comparing the
-        cached count is a complete invalidation check -- the record path
-        pays nothing for the cache.
+        The folded ``_count`` grows with every record (and merge), so
+        comparing the cached count is a complete invalidation check -- the
+        record path pays nothing for the cache.
         """
+        self._fold()
         if self._sorted_cache_count != self._count:
             self._sorted_cache = sorted(self._samples)
             self._sorted_cache_count = self._count
@@ -200,6 +235,7 @@ class LatencyHistogram:
         identical across platforms (``int(factor**bucket)`` was not, for
         large powers).
         """
+        self._fold()
         result = {}
         for bucket, count in enumerate(self._bucket_counts):
             if not count:
@@ -218,6 +254,7 @@ class LatencyHistogram:
         itself.  The reservoir rng state is *not* carried: the merging
         side owns reservoir thinning, exactly as in :meth:`merge`.
         """
+        self._fold()
         return {
             "bucket_factor": self.bucket_factor,
             "max_samples": self.max_samples,
@@ -256,6 +293,7 @@ class LatencyHistogram:
         if len(self._bucket_counts) < 2:
             self._bucket_counts.extend([0] * (2 - len(self._bucket_counts)))
         self._samples = list(snapshot["samples"])
+        self._folded = len(self._samples)
         set_rng_state(self._rng, snapshot["rng"])
         self._sorted_cache = []
         self._sorted_cache_count = -1
@@ -278,6 +316,7 @@ class LatencyHistogram:
                 [0] * (2 - len(histogram._bucket_counts))
             )
         histogram._samples = list(data["samples"])
+        histogram._folded = len(histogram._samples)
         return histogram
 
     def merge(self, other):
@@ -297,6 +336,8 @@ class LatencyHistogram:
                 f"bucket_factor mismatch: {self.bucket_factor} vs "
                 f"{other.bucket_factor}"
             )
+        self._fold()
+        other._fold()
         if other._count == 0:
             return self
         count_before = self._count
@@ -329,4 +370,6 @@ class LatencyHistogram:
                 index = self._rng.randrange(stream)
                 if index < self.max_samples:
                     samples[index] = sample
+        # The appended samples are in the aggregates already, merged above.
+        self._folded = len(samples)
         return self

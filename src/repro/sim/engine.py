@@ -201,10 +201,16 @@ class Simulator:
         the entry is re-pushed when its old slot surfaces.  A *fired* event
         has no heap entry left, so it is pushed afresh -- ``schedule(delay,
         event.fn, *event.args)`` with the same handle.  Either way it takes
-        the next sequence number; a cancelled event cannot be rearmed.
+        the next sequence number; a cancelled event cannot be rearmed.  A
+        fired event sent into the past is refused as ``post`` refuses it
+        (an ``event-causality`` violation under a sanitizer); moving a
+        pending event earlier than its own instant is a plain
+        ``SimulationError``.
         """
         time = self._now + int(delay)
         if event.cancelled or time < (self._now if event.fired else event.time):
+            if event.fired and not event.cancelled:
+                self._reject_past(delay, event.fn)
             raise SimulationError(
                 f"cannot rearm {event!r} to t={time}: cancelled, or earlier"
             )

@@ -213,6 +213,55 @@ class TestMerge:
             assert first.fraction_below(10**6) == combined.fraction_below(10**6)
 
 
+class TestFoldOnRead:
+    """``record`` appends below the cap; readers fold.  When a read happens
+    must not change any state a snapshot or report can show."""
+
+    READERS = (
+        lambda h: h.count, lambda h: h.mean_ns, lambda h: h.min_ns,
+        lambda h: h.max_ns, lambda h: h.percentile(0.5), lambda h: h.bucket_counts(),
+        lambda h: h.to_dict(), lambda h: h.checkpoint(),
+        lambda h: h.merge(LatencyHistogram(max_samples=h.max_samples)),
+    )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        values=st.lists(st.integers(min_value=0, max_value=10**7), max_size=120),
+        reads=st.lists(st.tuples(st.integers(0, 120), st.integers(0, 8)), max_size=12),
+        factor=st.sampled_from([2.0, 10.0]),
+    )
+    def test_reads_anywhere_leave_the_same_snapshot(self, values, reads, factor):
+        """Across the reservoir cap (40 samples), folding at arbitrary reads
+        ends where folding only at the end does: aggregates, buckets, the
+        reservoir and the reservoir rng position."""
+        lazy = LatencyHistogram(bucket_factor=factor, max_samples=40)
+        read_often = LatencyHistogram(bucket_factor=factor, max_samples=40)
+        read_at = {}
+        for index, reader in reads:
+            read_at.setdefault(index, []).append(self.READERS[reader])
+        for index, value in enumerate(values):
+            for reader in read_at.get(index, ()):
+                reader(read_often)
+            lazy.record(value)
+            read_often.record(value)
+        assert read_often.checkpoint() == lazy.checkpoint()
+        assert lazy.count == len(values)
+        if values:
+            assert (lazy.min_ns, lazy.max_ns) == (min(values), max(values))
+            assert lazy.mean_ns == sum(values) / len(values)
+
+    def test_restore_and_from_dict_do_not_fold_their_samples_again(self):
+        histogram = LatencyHistogram()
+        for value in (5, 7, 9):
+            histogram.record(value)
+        restored = LatencyHistogram()
+        restored.restore(histogram.checkpoint())
+        wired = LatencyHistogram.from_dict(histogram.to_dict())
+        for copy in (restored, wired):
+            copy.record(11)
+            assert (copy.count, copy.mean_ns, copy.max_ns) == (4, 8.0, 11)
+
+
 class TestSortedCache:
     def test_record_invalidates_cache(self):
         histogram = LatencyHistogram()
