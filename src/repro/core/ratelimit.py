@@ -38,8 +38,9 @@ class RateLimitDecision(enum.Enum):
     DROP_PRE = "drop_pre"              # known heavy hitter, over pre_meter
     BYPASS = "bypass"                  # configured to skip all limiting
 
-    # Identity hash: ``decisions[decision]`` and ``allowed`` are per
-    # packet, and ``Enum.__hash__`` is a Python-level call.
+    # Identity hash: ``decisions[decision]`` and the NIC's decision ->
+    # drop-reason lookup are per packet, and ``Enum.__hash__`` is a
+    # Python-level call.
     __hash__ = object.__hash__
 
     @property

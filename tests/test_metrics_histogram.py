@@ -221,7 +221,7 @@ class TestFoldOnRead:
         lambda h: h.count, lambda h: h.mean_ns, lambda h: h.min_ns,
         lambda h: h.max_ns, lambda h: h.percentile(0.5), lambda h: h.bucket_counts(),
         lambda h: h.to_dict(), lambda h: h.checkpoint(),
-        lambda h: h.merge(LatencyHistogram(max_samples=h.max_samples)),
+        lambda h: h.merge(LatencyHistogram(h.bucket_factor, h.max_samples)),
     )
 
     @settings(max_examples=40, deadline=None)
