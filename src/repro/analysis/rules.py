@@ -38,14 +38,14 @@ class EntropyRule(LintRule):
 
     code = "DET001"
     summary = (
-        "no direct random/time/os.urandom/datetime.now/uuid1/uuid4 use; "
+        "no direct random/time/os.urandom/datetime.now/uuid1/uuid4/hash() use; "
         "derive entropy and clocks from repro.sim.rng streams and the "
         "simulator clock"
     )
     EXEMPT_SUFFIXES = ("repro/sim/rng.py",)
     FORBIDDEN_MODULES = frozenset({"random", "time"})
     #: Bare callables that are ambient entropy wherever they appear.
-    ENTROPY_CALLABLES = frozenset({"urandom", "uuid1", "uuid4"})
+    ENTROPY_CALLABLES = frozenset({"hash", "urandom", "uuid1", "uuid4"})
 
     def visit_Import(self, node):
         for alias in node.names:
@@ -113,6 +113,12 @@ class EntropyRule(LintRule):
                     f"simulation time comes from the Simulator clock "
                     f"(integer nanoseconds)",
                 )
+        elif isinstance(func, ast.Name) and func.id == "hash":
+            self.report(
+                node,
+                "bare hash() of a str/bytes is salted per process "
+                "(PYTHONHASHSEED): use zlib.crc32 or repro.packet.hashing",
+            )
         elif isinstance(func, ast.Name) and func.id in self.ENTROPY_CALLABLES:
             self.report(
                 node,

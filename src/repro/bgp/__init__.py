@@ -8,7 +8,7 @@ the proxy peers with the switch.
 
 Modules:
 
-* :mod:`repro.bgp.messages` -- byte-level BGP message codecs.
+* :mod:`repro.bgp.messages` -- immutable BGP message objects.
 * :mod:`repro.bgp.fsm` -- session finite-state machine with hold/keepalive
   timers on the simulation clock.
 * :mod:`repro.bgp.speaker` -- a BGP speaker: peers, RIB, advertisement.
@@ -22,13 +22,7 @@ Modules:
 
 from repro.bgp.bfd import BfdSession, BfdState
 from repro.bgp.fsm import BgpSession, BgpState
-from repro.bgp.messages import (
-    BgpKeepalive,
-    BgpNotification,
-    BgpOpen,
-    BgpUpdate,
-    decode_message,
-)
+from repro.bgp.messages import BgpKeepalive, BgpNotification, BgpOpen, BgpUpdate
 from repro.bgp.proxy import BgpProxy
 from repro.bgp.speaker import BgpSpeaker, RouteEntry
 from repro.bgp.switch import UplinkSwitch
@@ -42,7 +36,6 @@ __all__ = [
     "BgpNotification",
     "BgpOpen",
     "BgpUpdate",
-    "decode_message",
     "BgpProxy",
     "BgpSpeaker",
     "RouteEntry",

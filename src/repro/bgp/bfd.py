@@ -8,12 +8,9 @@ drops BFD probes and tears down perfectly healthy links.
 """
 
 import enum
-import struct
+from dataclasses import dataclass
 
 from repro.sim.units import MS
-
-BFD_PACKET_LEN = 24
-_BFD_VERSION = 1
 
 
 class BfdState(enum.Enum):
@@ -22,46 +19,14 @@ class BfdState(enum.Enum):
     UP = 3
 
 
+@dataclass(frozen=True)
 class BfdPacket:
-    """Control packet: version/state byte, multiplier, discriminators."""
+    """Control packet: sender state, multiplier and both discriminators."""
 
-    __slots__ = ("state", "multiplier", "my_discriminator", "your_discriminator")
-
-    def __init__(self, state, multiplier, my_discriminator, your_discriminator):
-        self.state = state
-        self.multiplier = multiplier
-        self.my_discriminator = my_discriminator
-        self.your_discriminator = your_discriminator
-
-    def pack(self):
-        vers_state = (_BFD_VERSION << 5) | self.state.value
-        # Mandatory section is 24 bytes; the trailing 12 are the tx/rx/echo
-        # interval fields, which this model does not negotiate.
-        return struct.pack(
-            ">BBBBII12x",
-            vers_state,
-            0,
-            self.multiplier,
-            BFD_PACKET_LEN,
-            self.my_discriminator,
-            self.your_discriminator,
-        )
-
-    @classmethod
-    def unpack(cls, data):
-        if len(data) < BFD_PACKET_LEN:
-            raise ValueError(f"truncated BFD packet ({len(data)} bytes)")
-        vers_state, _, multiplier, length, mine, yours = struct.unpack_from(
-            ">BBBBII", data, 0
-        )
-        if vers_state >> 5 != _BFD_VERSION:
-            raise ValueError("bad BFD version")
-        state_value = vers_state & 0x1F
-        try:
-            state = BfdState(state_value)
-        except ValueError as exc:
-            raise ValueError(f"bad BFD state {state_value}") from exc
-        return cls(state, multiplier, mine, yours)
+    state: BfdState
+    multiplier: int
+    my_discriminator: int
+    your_discriminator: int
 
 
 class BfdSession:
@@ -70,14 +35,14 @@ class BfdSession:
     Parameters:
         sim: the simulator.
         name: session identity (diagnostics only).
-        send_fn: delivers packed probe bytes toward the peer (the lossy /
+        send_fn: delivers a :class:`BfdPacket` toward the peer (the lossy /
             prioritized path under test).
         interval_ns: probe transmit interval.
         multiplier: missed probes before declaring DOWN (3 per the paper).
         on_down / on_up: state-change callbacks (wire BGP teardown here).
+        discriminator: this end's id, carried in every probe; the pair
+            that builds the session picks it.
     """
-
-    _next_discriminator = 1
 
     def __init__(
         self,
@@ -88,6 +53,7 @@ class BfdSession:
         multiplier=3,
         on_down=None,
         on_up=None,
+        discriminator=1,
     ):
         self.sim = sim
         self.name = name
@@ -97,8 +63,7 @@ class BfdSession:
         self.on_down = on_down
         self.on_up = on_up
         self.state = BfdState.DOWN
-        self.discriminator = BfdSession._next_discriminator
-        BfdSession._next_discriminator += 1
+        self.discriminator = discriminator
         self.peer_discriminator = 0
         self.probes_sent = 0
         self.probes_received = 0
@@ -112,14 +77,12 @@ class BfdSession:
 
     def _transmit(self):
         self.probes_sent += 1
-        packet = BfdPacket(
+        self.send_fn(BfdPacket(
             self.state, self.multiplier, self.discriminator, self.peer_discriminator
-        )
-        self.send_fn(packet.pack())
+        ))
 
-    def receive(self, data):
+    def receive(self, packet):
         """A probe arrived from the peer."""
-        packet = BfdPacket.unpack(data)
         self.probes_received += 1
         self.peer_discriminator = packet.my_discriminator
         if self.state is not BfdState.UP:
@@ -190,20 +153,20 @@ def bfd_pair(sim, name_a="a", name_b="b", interval_ns=50 * MS, latency_ns=100_00
     """Two BFD endpoints wired through (optionally lossy) channels."""
     holder = {}
 
-    def send_a(data):
+    def send_a(packet):
         if loss_fn_ab is not None and loss_fn_ab():
             return
-        sim.schedule(latency_ns, holder["b"].receive, data)
+        sim.schedule(latency_ns, holder["b"].receive, packet)
 
-    def send_b(data):
+    def send_b(packet):
         if loss_fn_ba is not None and loss_fn_ba():
             return
-        sim.schedule(latency_ns, holder["a"].receive, data)
+        sim.schedule(latency_ns, holder["a"].receive, packet)
 
     holder["a"] = BfdSession(sim, name_a, send_a, interval_ns, on_down=on_down,
-                             on_up=on_up)
+                             on_up=on_up, discriminator=1)
     holder["b"] = BfdSession(sim, name_b, send_b, interval_ns, on_down=on_down,
-                             on_up=on_up)
+                             on_up=on_up, discriminator=2)
     return holder["a"], holder["b"]
 
 

@@ -3,8 +3,8 @@
 States follow RFC 4271 (TCP connect collapsed into CONNECT):
 IDLE -> CONNECT -> OPEN_SENT -> OPEN_CONFIRM -> ESTABLISHED.
 
-Wire realism: every message is packed to bytes on send and decoded on
-receive, so the codecs are on the hot path of every control-plane test.
+Sessions exchange immutable :mod:`repro.bgp.messages` objects; a
+``send_fn`` delivers the message object itself to the peer.
 """
 
 import enum
@@ -28,7 +28,7 @@ class BgpSession:
         sim: the simulator.
         speaker: the owning :class:`~repro.bgp.speaker.BgpSpeaker`.
         peer_name: identity of the remote speaker.
-        send_fn: callable delivering raw bytes to the peer's session.
+        send_fn: callable delivering a message to the peer's session.
         hold_time_s: negotiated hold time (keepalives at a third of it).
         connect_delay_ns: TCP setup time before OPEN is sent.
 
@@ -86,14 +86,8 @@ class BgpSession:
 
     # -- receive path ------------------------------------------------------
 
-    def receive(self, data):
-        """Handle raw bytes arriving from the peer."""
-        try:
-            message = messages.decode_message(data)
-        except messages.BgpDecodeError:
-            self._send(messages.BgpNotification(1))  # Message Header Error
-            self._go_idle("decode_error")
-            return
+    def receive(self, message):
+        """Handle a message arriving from the peer."""
         self.messages_received += 1
         self._restart_hold_timer()
         if isinstance(message, messages.BgpOpen):
@@ -140,7 +134,7 @@ class BgpSession:
 
     def _send(self, message):
         self.messages_sent += 1
-        self.send_fn(message.pack())
+        self.send_fn(message)
 
     def send_update(self, update):
         if self.state is not BgpState.ESTABLISHED:
@@ -208,7 +202,7 @@ class Link:
     def sender_for(self, session):
         """The ``send_fn`` to hand to ``session`` at construction time."""
 
-        def send(data):
+        def send(message):
             if self.down:
                 self.lost += 1
                 return
@@ -217,7 +211,7 @@ class Link:
                 return
             receiver = self.b if session is self.a else self.a
             self.delivered += 1
-            self.sim.schedule(self.latency_ns, receiver.receive, data)
+            self.sim.schedule(self.latency_ns, receiver.receive, message)
 
         return send
 

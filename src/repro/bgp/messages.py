@@ -1,290 +1,48 @@
-"""BGP-4 message codecs (RFC 4271, trimmed to what gateways use).
+"""BGP-4 messages (RFC 4271, trimmed to what gateways use).
 
-Real wire formats: 16-byte all-ones marker, 2-byte length, 1-byte type.
-UPDATE carries withdrawn routes, a minimal path-attribute set (ORIGIN,
-AS_PATH, NEXT_HOP, LOCAL_PREF for iBGP) and NLRI prefixes.  The codecs
-round-trip byte-exactly and reject malformed input, which the property
-tests exercise.
+Sessions hand these immutable objects to each other: no result reads a
+BGP byte, so there is no wire codec.  Prefixes are ``(prefix, length)``
+tuples; an UPDATE carries withdrawn routes, announced routes and the
+attributes gateways use (AS_PATH, NEXT_HOP, and LOCAL_PREF for iBGP).
+Since no field can be reassigned, one UPDATE can go to every peer.
 """
 
-import struct
-
-MARKER = b"\xff" * 16
-HEADER_LEN = 19
-
-TYPE_OPEN = 1
-TYPE_UPDATE = 2
-TYPE_NOTIFICATION = 3
-TYPE_KEEPALIVE = 4
-
-ATTR_ORIGIN = 1
-ATTR_AS_PATH = 2
-ATTR_NEXT_HOP = 3
-ATTR_LOCAL_PREF = 5
-
-ORIGIN_IGP = 0
-
-_FLAG_TRANSITIVE = 0x40
+from dataclasses import dataclass
+from typing import Optional
 
 
-class BgpDecodeError(Exception):
-    """Malformed BGP message."""
-
-
-def _header(msg_type, body):
-    return MARKER + struct.pack(">HB", HEADER_LEN + len(body), msg_type) + body
-
-
-def _encode_prefix(prefix, length):
-    """NLRI encoding: length byte + minimal prefix octets."""
-    octets = (length + 7) // 8
-    return bytes([length]) + prefix.to_bytes(4, "big")[:octets]
-
-
-def _decode_prefixes(data):
-    prefixes = []
-    offset = 0
-    while offset < len(data):
-        length = data[offset]
-        if length > 32:
-            raise BgpDecodeError(f"prefix length {length} > 32")
-        octets = (length + 7) // 8
-        offset += 1
-        if offset + octets > len(data):
-            raise BgpDecodeError("truncated NLRI")
-        raw = data[offset : offset + octets] + b"\x00" * (4 - octets)
-        prefixes.append((int.from_bytes(raw, "big"), length))
-        offset += octets
-    return prefixes
-
-
+@dataclass(frozen=True)
 class BgpOpen:
-    """OPEN: version, ASN, hold time, BGP identifier."""
+    """OPEN: ASN, hold time, BGP identifier."""
 
-    msg_type = TYPE_OPEN
-
-    def __init__(self, asn, hold_time, bgp_id, version=4):
-        self.asn = asn
-        self.hold_time = hold_time
-        self.bgp_id = bgp_id
-        self.version = version
-
-    def pack(self):
-        body = struct.pack(
-            ">BHHIB", self.version, self.asn, self.hold_time, self.bgp_id, 0
-        )
-        return _header(TYPE_OPEN, body)
-
-    @classmethod
-    def unpack_body(cls, body):
-        if len(body) < 10:
-            raise BgpDecodeError("truncated OPEN")
-        version, asn, hold_time, bgp_id, opt_len = struct.unpack_from(">BHHIB", body, 0)
-        if version != 4:
-            raise BgpDecodeError(f"unsupported BGP version {version}")
-        if len(body) < 10 + opt_len:
-            raise BgpDecodeError("truncated OPEN options")
-        return cls(asn, hold_time, bgp_id, version)
-
-    def __eq__(self, other):
-        return isinstance(other, BgpOpen) and (
-            self.asn,
-            self.hold_time,
-            self.bgp_id,
-        ) == (other.asn, other.hold_time, other.bgp_id)
-
-    def __repr__(self):
-        return f"BgpOpen(asn={self.asn}, hold={self.hold_time}, id=0x{self.bgp_id:08x})"
+    asn: int
+    hold_time: int
+    bgp_id: int
 
 
+@dataclass(frozen=True)
 class BgpUpdate:
-    """UPDATE: withdrawn prefixes + path attributes + announced NLRI."""
+    """UPDATE: withdrawn prefixes + path attributes + announced prefixes."""
 
-    msg_type = TYPE_UPDATE
+    announced: tuple = ()
+    withdrawn: tuple = ()
+    next_hop: Optional[int] = None
+    as_path: tuple = ()
+    local_pref: Optional[int] = None
 
-    def __init__(
-        self,
-        announced=(),
-        withdrawn=(),
-        next_hop=None,
-        as_path=(),
-        local_pref=None,
-        origin=ORIGIN_IGP,
-    ):
-        self.announced = list(announced)   # [(prefix, length)]
-        self.withdrawn = list(withdrawn)
-        self.next_hop = next_hop
-        self.as_path = list(as_path)
-        self.local_pref = local_pref
-        self.origin = origin
-        if self.announced and next_hop is None:
+    def __post_init__(self):
+        if self.announced and self.next_hop is None:
             raise ValueError("announcements require a next hop")
 
-    def _pack_attributes(self):
-        attrs = b""
-        if self.announced:
-            attrs += struct.pack(
-                ">BBBB", _FLAG_TRANSITIVE, ATTR_ORIGIN, 1, self.origin
-            )
-            # AS_PATH: one AS_SEQUENCE segment (type 2).
-            segment = (
-                struct.pack(">BB", 2, len(self.as_path))
-                + b"".join(struct.pack(">H", asn) for asn in self.as_path)
-                if self.as_path
-                else b""
-            )
-            attrs += struct.pack(">BBB", _FLAG_TRANSITIVE, ATTR_AS_PATH, len(segment))
-            attrs += segment
-            attrs += struct.pack(">BBB", _FLAG_TRANSITIVE, ATTR_NEXT_HOP, 4)
-            attrs += self.next_hop.to_bytes(4, "big")
-            if self.local_pref is not None:
-                attrs += struct.pack(">BBB", _FLAG_TRANSITIVE, ATTR_LOCAL_PREF, 4)
-                attrs += struct.pack(">I", self.local_pref)
-        return attrs
 
-    def pack(self):
-        withdrawn = b"".join(_encode_prefix(p, l) for p, l in self.withdrawn)
-        attrs = self._pack_attributes()
-        nlri = b"".join(_encode_prefix(p, l) for p, l in self.announced)
-        body = (
-            struct.pack(">H", len(withdrawn))
-            + withdrawn
-            + struct.pack(">H", len(attrs))
-            + attrs
-            + nlri
-        )
-        return _header(TYPE_UPDATE, body)
-
-    @classmethod
-    def unpack_body(cls, body):
-        if len(body) < 4:
-            raise BgpDecodeError("truncated UPDATE")
-        (withdrawn_len,) = struct.unpack_from(">H", body, 0)
-        offset = 2
-        if offset + withdrawn_len + 2 > len(body):
-            raise BgpDecodeError("truncated withdrawn routes")
-        withdrawn = _decode_prefixes(body[offset : offset + withdrawn_len])
-        offset += withdrawn_len
-        (attrs_len,) = struct.unpack_from(">H", body, offset)
-        offset += 2
-        if offset + attrs_len > len(body):
-            raise BgpDecodeError("truncated path attributes")
-        attrs = body[offset : offset + attrs_len]
-        offset += attrs_len
-        announced = _decode_prefixes(body[offset:])
-
-        next_hop = None
-        as_path = []
-        local_pref = None
-        origin = ORIGIN_IGP
-        attr_offset = 0
-        while attr_offset < len(attrs):
-            if attr_offset + 3 > len(attrs):
-                raise BgpDecodeError("truncated attribute header")
-            _, attr_type, attr_len = struct.unpack_from(">BBB", attrs, attr_offset)
-            attr_offset += 3
-            value = attrs[attr_offset : attr_offset + attr_len]
-            if len(value) != attr_len:
-                raise BgpDecodeError("truncated attribute value")
-            attr_offset += attr_len
-            if attr_type == ATTR_ORIGIN:
-                origin = value[0]
-            elif attr_type == ATTR_NEXT_HOP:
-                next_hop = int.from_bytes(value, "big")
-            elif attr_type == ATTR_LOCAL_PREF:
-                (local_pref,) = struct.unpack(">I", value)
-            elif attr_type == ATTR_AS_PATH and value:
-                count = value[1]
-                as_path = [
-                    struct.unpack_from(">H", value, 2 + 2 * i)[0] for i in range(count)
-                ]
-        if announced and next_hop is None:
-            raise BgpDecodeError("announced NLRI without NEXT_HOP")
-        return cls(announced, withdrawn, next_hop, as_path, local_pref, origin)
-
-    def __eq__(self, other):
-        return isinstance(other, BgpUpdate) and (
-            sorted(self.announced),
-            sorted(self.withdrawn),
-            self.next_hop,
-            self.as_path,
-            self.local_pref,
-        ) == (
-            sorted(other.announced),
-            sorted(other.withdrawn),
-            other.next_hop,
-            other.as_path,
-            other.local_pref,
-        )
-
-    def __repr__(self):
-        return (
-            f"BgpUpdate(+{len(self.announced)} -{len(self.withdrawn)} "
-            f"nh={self.next_hop})"
-        )
-
-
+@dataclass(frozen=True)
 class BgpKeepalive:
-    """KEEPALIVE: header only."""
-
-    msg_type = TYPE_KEEPALIVE
-
-    def pack(self):
-        return _header(TYPE_KEEPALIVE, b"")
-
-    def __eq__(self, other):
-        return isinstance(other, BgpKeepalive)
-
-    def __repr__(self):
-        return "BgpKeepalive()"
+    """KEEPALIVE: no fields."""
 
 
+@dataclass(frozen=True)
 class BgpNotification:
     """NOTIFICATION: error code/subcode; closes the session."""
 
-    msg_type = TYPE_NOTIFICATION
-
-    def __init__(self, code, subcode=0):
-        self.code = code
-        self.subcode = subcode
-
-    def pack(self):
-        return _header(TYPE_NOTIFICATION, struct.pack(">BB", self.code, self.subcode))
-
-    @classmethod
-    def unpack_body(cls, body):
-        if len(body) < 2:
-            raise BgpDecodeError("truncated NOTIFICATION")
-        return cls(body[0], body[1])
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, BgpNotification)
-            and (self.code, self.subcode) == (other.code, other.subcode)
-        )
-
-    def __repr__(self):
-        return f"BgpNotification(code={self.code}, subcode={self.subcode})"
-
-
-def decode_message(data):
-    """Decode one wire message; returns the typed object."""
-    if len(data) < HEADER_LEN:
-        raise BgpDecodeError(f"short message ({len(data)} bytes)")
-    if data[:16] != MARKER:
-        raise BgpDecodeError("bad marker")
-    length, msg_type = struct.unpack_from(">HB", data, 16)
-    if length != len(data):
-        raise BgpDecodeError(f"length field {length} != actual {len(data)}")
-    body = data[HEADER_LEN:]
-    if msg_type == TYPE_OPEN:
-        return BgpOpen.unpack_body(body)
-    if msg_type == TYPE_UPDATE:
-        return BgpUpdate.unpack_body(body)
-    if msg_type == TYPE_KEEPALIVE:
-        if body:
-            raise BgpDecodeError("KEEPALIVE with a body")
-        return BgpKeepalive()
-    if msg_type == TYPE_NOTIFICATION:
-        return BgpNotification.unpack_body(body)
-    raise BgpDecodeError(f"unknown message type {msg_type}")
+    code: int
+    subcode: int = 0

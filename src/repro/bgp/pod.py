@@ -7,12 +7,14 @@ saturated data plane cannot flap them (§4.3).
 
 :class:`PodControlPlane` binds a :class:`~repro.bgp.speaker.BgpSpeaker`
 and a :class:`~repro.bgp.bfd.BfdSession` to a
-:class:`~repro.core.gateway.GwPodRuntime`: protocol bytes are wrapped in
-``PacketKind.PROTOCOL`` packets, injected at the pod's NIC ingress,
-delivered through the priority queue to the ctrl-core handler, and only
-then decoded -- so control traffic genuinely competes (or rather,
-doesn't) with the data plane.
+:class:`~repro.core.gateway.GwPodRuntime`: every outbound BGP message and
+BFD probe rides a ``PacketKind.PROTOCOL`` packet, injected at the pod's
+NIC ingress and delivered through the priority queue to the ctrl-core
+handler, and only then goes on the wire -- so control traffic genuinely
+competes (or rather, doesn't) with the data plane.
 """
+
+import zlib
 
 from repro.bgp.bfd import BfdSession
 from repro.bgp.fsm import BgpSession
@@ -23,6 +25,11 @@ from repro.sim.units import MS
 
 BGP_PORT = 179
 BFD_PORT = 3784
+# Every PROTOCOL packet is 66 B whatever message it carries: 64 B of
+# headers plus the 2 B its (kind, payload) pair has always been priced at,
+# never the size of the message itself.  Keeping 66 keeps rx_priority and
+# every byte count and pinned report unchanged.
+PROTOCOL_PACKET_BYTES = 66
 
 
 class PodControlPlane:
@@ -43,38 +50,41 @@ class PodControlPlane:
         self.pod = pod
         self.sim = pod.sim
         self.name = name or pod.spec.name
+        if bgp_id is None:
+            # zlib.crc32 is stable across processes (unlike hash()).
+            bgp_id = 0x0A000000 + zlib.crc32(self.name.encode()) % 65536
         self.speaker = BgpSpeaker(
             self.sim,
             self.name,
             asn,
-            bgp_id if bgp_id is not None else 0x0A000000 + abs(hash(self.name)) % 65536,
+            bgp_id,
             router_ip=router_ip if router_ip is not None else 0x0A000001,
         )
         self.bfd = None
-        self._handlers = {}  # dst_port -> callable(payload bytes)
+        self._handlers = {}  # dst_port -> callable(message)
         pod.nic.priority.deliver_fn = self._on_priority_packet
-        self._payloads = {}  # packet uid -> protocol bytes
+        self._messages = {}  # packet uid -> (dst_port, message)
 
     # -- plumbing ----------------------------------------------------------
 
-    def _inject(self, dst_port, payload):
-        """Wrap protocol bytes in a PROTOCOL packet through the pod NIC."""
+    def _inject(self, dst_port, message):
+        """Carry a protocol message in a PROTOCOL packet through the pod NIC."""
         packet = Packet(
             FlowKey(self.speaker.router_ip, 0x0A00FF01, dst_port, dst_port, 6),
-            size=64 + len(payload),
+            size=PROTOCOL_PACKET_BYTES,
             kind=PacketKind.PROTOCOL,
         )
-        self._payloads[packet.uid] = (dst_port, payload)
+        self._messages[packet.uid] = (dst_port, message)
         self.pod.ingress(packet)
 
     def _on_priority_packet(self, packet):
-        entry = self._payloads.pop(packet.uid, None)
+        entry = self._messages.pop(packet.uid, None)
         if entry is None:
-            return  # externally injected protocol packet; nothing to decode
-        dst_port, payload = entry
+            return  # externally injected protocol packet; nothing to deliver
+        dst_port, message = entry
         handler = self._handlers.get(dst_port)
         if handler is not None:
-            handler(payload)
+            handler(message)
 
     # -- BGP -----------------------------------------------------------------
 
@@ -87,18 +97,17 @@ class PodControlPlane:
         """
         sessions = {}
 
-        def pod_send(data):
+        def pod_send(message):
             # Ride the priority path; on ctrl-core delivery, go to wire.
-            self._inject(BGP_PORT, ("bgp", data))
+            self._inject(BGP_PORT, message)
 
-        def wire_to_switch(payload):
-            kind, data = payload
-            self.sim.schedule(link_latency_ns, sessions["switch"].receive, data)
+        def wire_to_switch(message):
+            self.sim.schedule(link_latency_ns, sessions["switch"].receive, message)
 
         self._handlers[BGP_PORT] = wire_to_switch
 
-        def switch_send(data):
-            self.sim.schedule(link_latency_ns, sessions["pod"].receive, data)
+        def switch_send(message):
+            self.sim.schedule(link_latency_ns, sessions["pod"].receive, message)
 
         pod_session = BgpSession(
             self.sim, self.speaker, switch.name, pod_send, hold_time_s=hold_time_s
@@ -125,20 +134,20 @@ class PodControlPlane:
                   link_latency_ns=1 * MS):
         """Start a BFD session whose probes ride the priority path.
 
-        ``remote_receive_fn(data)`` delivers probe bytes to the far end.
+        ``remote_receive_fn(packet)`` delivers a probe to the far end.
         Returns the local :class:`~repro.bgp.bfd.BfdSession`.
         """
 
-        def send(data):
-            self._inject(BFD_PORT, ("bfd", data))
+        def send(packet):
+            self._inject(BFD_PORT, packet)
 
-        def wire(payload):
-            _, data = payload
-            self.sim.schedule(link_latency_ns, remote_receive_fn, data)
+        def wire(packet):
+            self.sim.schedule(link_latency_ns, remote_receive_fn, packet)
 
         self._handlers[BFD_PORT] = wire
         self.bfd = BfdSession(
             self.sim, f"{self.name}-bfd", send, interval_ns=interval_ns,
-            on_down=on_down,
+            on_down=on_down, discriminator=1,
         )
         return self.bfd
+

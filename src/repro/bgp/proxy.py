@@ -41,11 +41,11 @@ class BgpProxy(BgpSpeaker):
             return  # routes from the switch are not reflected back
         for prefix, length in update.announced:
             export = messages.BgpUpdate(
-                announced=[(prefix, length)],
+                announced=((prefix, length),),
                 # eBGP export rewrites next-hop to the proxy and prepends
                 # the proxy's ASN.
                 next_hop=self.router_ip,
-                as_path=[self.asn] + update.as_path,
+                as_path=(self.asn,) + update.as_path,
             )
             for switch_session in self._switch_sessions():
                 switch_session.send_update(export)
@@ -54,7 +54,7 @@ class BgpProxy(BgpSpeaker):
             still_reachable = (prefix, length) in self.rib
             if still_reachable:
                 continue  # another pod still advertises it
-            export = messages.BgpUpdate(withdrawn=[(prefix, length)])
+            export = messages.BgpUpdate(withdrawn=((prefix, length),))
             for switch_session in self._switch_sessions():
                 switch_session.send_update(export)
 
@@ -69,6 +69,6 @@ class BgpProxy(BgpSpeaker):
         if not self._pod_session(session):
             return
         for prefix, length in dead_keys:
-            export = messages.BgpUpdate(withdrawn=[(prefix, length)])
+            export = messages.BgpUpdate(withdrawn=((prefix, length),))
             for switch_session in self._switch_sessions():
                 switch_session.send_update(export)

@@ -78,7 +78,7 @@ class BgpSpeaker:
         """Originate a route and send it to all established peers."""
         hop = next_hop if next_hop is not None else self.router_ip
         self.local_routes[(prefix, length)] = hop
-        update = self._origination_update([(prefix, length)], hop)
+        update = self._origination_update(((prefix, length),), hop)
         for session in self.established_sessions():
             session.send_update(update)
 
@@ -87,7 +87,7 @@ class BgpSpeaker:
         if (prefix, length) not in self.local_routes:
             return
         del self.local_routes[(prefix, length)]
-        update = messages.BgpUpdate(withdrawn=[(prefix, length)])
+        update = messages.BgpUpdate(withdrawn=((prefix, length),))
         for session in self.established_sessions():
             session.send_update(update)
 
@@ -95,7 +95,7 @@ class BgpSpeaker:
         return messages.BgpUpdate(
             announced=prefixes,
             next_hop=next_hop,
-            as_path=[self.asn],
+            as_path=(self.asn,),
             local_pref=100,
         )
 
@@ -105,7 +105,7 @@ class BgpSpeaker:
         """Full-table advertisement to a freshly established peer."""
         self.session_up_count += 1
         for (prefix, length), next_hop in self.local_routes.items():
-            session.send_update(self._origination_update([(prefix, length)], next_hop))
+            session.send_update(self._origination_update(((prefix, length),), next_hop))
 
     def on_session_down(self, session, reason):
         """Flush everything learned from the dead peer."""

@@ -6,20 +6,14 @@ timestamp; the CPU carries it through processing, may set the **drop flag**
 (to let the NIC release reorder resources for ACL/rate-limit drops), and
 returns it with the packet for reordering.
 
-The header has a real wire format (16 bytes) so the codec can be exercised
-byte-for-byte, and the module also carries the placement cost model behind
-the §7 lesson: stashing the meta in the packet *head* room forces a data
-copy in the DPDK driver that costs ~33.6% of throughput, while the *tail*
-placement is free because gateways never touch packet tails.
+The header rides on the packet as a plain object.  The module also carries
+the placement cost model behind the §7 lesson: stashing the meta in the
+packet *head* room forces a data copy in the DPDK driver that costs ~33.6%
+of throughput, while the *tail* placement is free because gateways never
+touch packet tails.
 """
 
 import enum
-import struct
-
-META_WIRE_BYTES = 16
-_META_MAGIC = 0xA1B2
-_FLAG_DROP = 0x01
-_FLAG_HEADER_ONLY = 0x02
 
 # Measured throughput penalty of head placement (private-room copy), §7.
 HEAD_PLACEMENT_THROUGHPUT_FACTOR = 1.0 - 0.336
@@ -36,8 +30,8 @@ class PlbMeta:
     """Meta header contents.
 
     Attributes:
-        psn: full-width packet sequence number (wire carries 32 bits; the
-            reorder legal check only inspects the low 12).
+        psn: full-width packet sequence number (the reorder legal check
+            only inspects the low 12 bits).
         ordq: order-preserving queue index within the pod.
         timestamp_ns: ingress timestamp for timeout determination.
         drop: drop flag set by the GW pod on explicit drops.
@@ -46,8 +40,6 @@ class PlbMeta:
             reset bumps the engine's epoch; packets tagged with an older
             epoch are handled best-effort on writeback so their stale PSNs
             can never alias into (and block or misorder) the new window.
-            Not part of the 16-byte wire format: the FPGA keeps the
-            generation in the BUF slot, not on the wire.
     """
 
     __slots__ = ("psn", "ordq", "timestamp_ns", "drop", "header_only", "epoch")
@@ -65,47 +57,6 @@ class PlbMeta:
         """The low 12 bits used by the legal check."""
         return self.psn & 0xFFF
 
-    def pack(self):
-        """Encode to the 16-byte wire format."""
-        flags = (_FLAG_DROP if self.drop else 0) | (
-            _FLAG_HEADER_ONLY if self.header_only else 0
-        )
-        # magic(2) ordq(1) flags(1) psn(4) timestamp(8)
-        return struct.pack(
-            ">HBBIQ",
-            _META_MAGIC,
-            self.ordq & 0xFF,
-            flags,
-            self.psn & 0xFFFFFFFF,
-            self.timestamp_ns & 0xFFFFFFFFFFFFFFFF,
-        )
-
-    @classmethod
-    def unpack(cls, data):
-        if len(data) < META_WIRE_BYTES:
-            raise ValueError(f"truncated meta header ({len(data)} bytes)")
-        magic, ordq, flags, psn, timestamp = struct.unpack_from(">HBBIQ", data, 0)
-        if magic != _META_MAGIC:
-            raise ValueError(f"bad meta magic 0x{magic:04x}")
-        return cls(
-            psn,
-            ordq,
-            timestamp,
-            drop=bool(flags & _FLAG_DROP),
-            header_only=bool(flags & _FLAG_HEADER_ONLY),
-        )
-
-    def __eq__(self, other):
-        return isinstance(other, PlbMeta) and all(
-            getattr(self, slot) == getattr(other, slot) for slot in self.__slots__
-        )
-
-    def __repr__(self):
-        return (
-            f"PlbMeta(psn={self.psn}, ordq={self.ordq}, "
-            f"ts={self.timestamp_ns}, drop={self.drop})"
-        )
-
 
 def placement_throughput_factor(placement):
     """Relative forwarding throughput for a meta placement strategy.
@@ -118,15 +69,3 @@ def placement_throughput_factor(placement):
     if placement is MetaPlacement.HEAD:
         return HEAD_PLACEMENT_THROUGHPUT_FACTOR
     raise ValueError(f"unknown placement {placement!r}")
-
-
-def attach_meta_tail(frame, meta):
-    """Append the packed meta after the payload (the production scheme)."""
-    return frame + meta.pack()
-
-
-def detach_meta_tail(frame):
-    """Split a tail-tagged frame into (original_frame, meta)."""
-    if len(frame) < META_WIRE_BYTES:
-        raise ValueError("frame shorter than a meta header")
-    return frame[:-META_WIRE_BYTES], PlbMeta.unpack(frame[-META_WIRE_BYTES:])

@@ -107,6 +107,16 @@ class TestDet001Entropy:
     def test_from_uuid_import_uuid1_fires(self):
         assert codes("from uuid import uuid1\n") == ["DET001"]
 
+    def test_bare_hash_call_fires(self):
+        source = """\
+        def pick(name, buckets):
+            return hash(name) % buckets
+        """
+        findings = lint_source(textwrap.dedent(source), path="repro/example.py")
+        assert [finding.code for finding in findings] == ["DET001"]
+        assert "salted per process" in findings[0].message
+        assert "zlib.crc32" in findings[0].message
+
     def test_uuid5_is_clean(self):
         # uuid3/uuid5 are name-based (deterministic); only uuid1/uuid4
         # draw ambient entropy.

@@ -2,14 +2,7 @@
 
 import pytest
 
-from repro.bgp.bfd import (
-    BFD_PACKET_LEN,
-    BfdLink,
-    BfdPacket,
-    BfdSession,
-    BfdState,
-    bfd_pair,
-)
+from repro.bgp.bfd import BfdLink, BfdSession, BfdState, bfd_pair
 from repro.bgp.fsm import BgpState, establish_pair
 from repro.bgp.messages import BgpUpdate
 from repro.bgp.proxy import BgpProxy
@@ -76,19 +69,11 @@ class TestFsm:
         sim.run_until(2 * SECOND)
         assert session_b.state is BgpState.IDLE
 
-    def test_decode_error_tears_down(self):
-        sim = Simulator()
-        a, b = speakers(sim)
-        session_a, session_b, _ = establish_pair(sim, a, b)
-        sim.run_until(1 * SECOND)
-        session_b.receive(b"garbage-not-bgp-at-all")
-        assert session_b.state is BgpState.IDLE
-
     def test_send_update_before_established_raises(self):
         sim = Simulator()
         a, b = speakers(sim)
         session_a = establish_pair(sim, a, b)[0]
-        update = BgpUpdate(announced=[(0x0A640000, 24)], next_hop=1)
+        update = BgpUpdate(announced=((0x0A640000, 24),), next_hop=1)
         with pytest.raises(RuntimeError, match="not established"):
             session_a.send_update(update)
 
@@ -99,12 +84,16 @@ class TestFsm:
         sim.run_until(1 * SECOND)
         session_b.stop("test")
         sent = session_b.messages_sent
-        update = BgpUpdate(announced=[(0x0A640000, 24)], next_hop=1)
-        session_b.receive(update.pack())
+        update = BgpUpdate(announced=((0x0A640000, 24),), next_hop=1)
+        session_b.receive(update)
         assert session_b.state is BgpState.IDLE
         # It answered with a NOTIFICATION and learned nothing.
         assert session_b.messages_sent == sent + 1
         assert not b.knows_route(0x0A640000, 24)
+
+    def test_announcement_without_next_hop_raises(self):
+        with pytest.raises(ValueError, match="next hop"):
+            BgpUpdate(announced=((0, 0),))
 
     def test_start_is_idempotent(self):
         sim = Simulator()
@@ -260,12 +249,6 @@ class TestBfd:
         assert a.state is BfdState.UP
         assert b.state is BfdState.UP
 
-    def test_packet_round_trip(self):
-        packet = BfdPacket(BfdState.UP, 3, 7, 9)
-        decoded = BfdPacket.unpack(packet.pack())
-        assert decoded.state is BfdState.UP
-        assert (decoded.my_discriminator, decoded.your_discriminator) == (7, 9)
-
     def test_three_missed_probes_detects_failure(self):
         """RFC 5880 / §4.3: 3 lost probes tear the link down."""
         sim = Simulator()
@@ -309,23 +292,6 @@ class TestBfd:
         session = BfdSession(sim, "x", lambda data: None, interval_ns=50 * MS)
         assert session.detect_time_ns == 150 * MS
         session.stop()
-
-    def test_packet_is_24_bytes(self):
-        assert len(BfdPacket(BfdState.DOWN, 3, 1, 0).pack()) == BFD_PACKET_LEN
-
-    @pytest.mark.parametrize(
-        "mutate,error",
-        [
-            (lambda raw: raw[:10], "truncated BFD packet"),
-            (lambda raw: bytes([(2 << 5) | 3]) + raw[1:], "bad BFD version"),
-            (lambda raw: bytes([(1 << 5) | 2]) + raw[1:], "bad BFD state 2"),
-        ],
-        ids=["truncated", "version", "state"],
-    )
-    def test_malformed_packet_rejected(self, mutate, error):
-        raw = BfdPacket(BfdState.UP, 3, 7, 9).pack()
-        with pytest.raises(ValueError, match=error):
-            BfdPacket.unpack(mutate(raw))
 
     def test_stop_halts_probes_and_detection(self):
         sim = Simulator()
@@ -380,6 +346,12 @@ class TestBfdLink:
         link.set_down()
         assert link.flaps == 2
         link.stop()
+
+    def test_pair_discriminators_come_from_the_pair(self):
+        first = BfdLink(Simulator())
+        second = BfdLink(Simulator())
+        assert (first.a.discriminator, first.b.discriminator) == (1, 2)
+        assert first.checkpoint() == second.checkpoint()
 
     def test_checkpoint_restore_round_trip(self):
         sim = Simulator()
@@ -489,6 +461,19 @@ class TestProxy:
         sim.run_until(3 * SECOND)
         assert not switch.knows_route(0x0A640000, 32)
         assert switch.knows_route(0x0A640001, 32)
+
+    def test_reexport_leaves_the_pod_update_unchanged(self):
+        sim, switch, proxy, pods = self._setup()
+        fields = dict(announced=((0x0A640000, 32),), next_hop=0x0A000200,
+                      as_path=(65100,), local_pref=100)
+        update = BgpUpdate(**fields)
+        with pytest.raises(AttributeError):
+            update.as_path = ()
+        pods[0].sessions["proxy"].send_update(update)
+        sim.run_until(2 * SECOND)
+        assert switch.best_route(0x0A640000, 32).as_path == [proxy.asn, 65100]
+        assert proxy.best_route(0x0A640000, 32).as_path == [65100]
+        assert update == BgpUpdate(**fields)
 
     def test_switch_routes_not_reflected_to_pods(self):
         sim, switch, proxy, pods = self._setup()

@@ -1,14 +1,11 @@
-"""PLB meta header codec and FPGA resource/latency model tests."""
+"""PLB meta header and FPGA resource/latency model tests."""
 
 import pytest
 
 from repro.core.meta import (
     HEAD_PLACEMENT_THROUGHPUT_FACTOR,
-    META_WIRE_BYTES,
     MetaPlacement,
     PlbMeta,
-    attach_meta_tail,
-    detach_meta_tail,
     placement_throughput_factor,
 )
 from repro.core.resources import (
@@ -20,45 +17,10 @@ from repro.core.resources import (
 from repro.sim.units import US
 
 
-class TestMetaCodec:
-    def test_round_trip(self):
-        meta = PlbMeta(psn=123456, ordq=3, timestamp_ns=987654321, drop=True)
-        assert PlbMeta.unpack(meta.pack()) == meta
-
-    def test_wire_size(self):
-        assert len(PlbMeta(1, 2, 3).pack()) == META_WIRE_BYTES
-
+class TestPlbMeta:
     def test_psn12(self):
         assert PlbMeta(0x1FFF, 0, 0).psn12 == 0xFFF
         assert PlbMeta(4096, 0, 0).psn12 == 0
-
-    def test_flags(self):
-        meta = PlbMeta(1, 0, 0, drop=False, header_only=True)
-        decoded = PlbMeta.unpack(meta.pack())
-        assert decoded.header_only and not decoded.drop
-
-    def test_bad_magic_rejected(self):
-        raw = bytearray(PlbMeta(1, 0, 0).pack())
-        raw[0] = 0
-        with pytest.raises(ValueError):
-            PlbMeta.unpack(bytes(raw))
-
-    def test_truncated_rejected(self):
-        with pytest.raises(ValueError):
-            PlbMeta.unpack(b"\x00" * 8)
-
-    def test_tail_attach_detach(self):
-        """§7: the meta rides at the packet tail, untouched by services."""
-        frame = b"packet-bytes-here"
-        meta = PlbMeta(psn=42, ordq=1, timestamp_ns=777)
-        tagged = attach_meta_tail(frame, meta)
-        recovered_frame, recovered_meta = detach_meta_tail(tagged)
-        assert recovered_frame == frame
-        assert recovered_meta == meta
-
-    def test_detach_short_frame_rejected(self):
-        with pytest.raises(ValueError):
-            detach_meta_tail(b"tiny")
 
 
 class TestPlacementModel:

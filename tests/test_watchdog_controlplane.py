@@ -1,7 +1,12 @@
 """PLB watchdog fallback and pod control-plane integration tests."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.bgp.bfd import BfdSession, BfdState
 from repro.bgp.fsm import BgpState
 from repro.bgp.pod import PodControlPlane
@@ -89,6 +94,28 @@ class TestWatchdog:
 
 
 class TestPodControlPlane:
+    def test_default_bgp_id_is_the_same_in_every_process(self):
+        probe = (
+            "from repro.bgp.pod import PodControlPlane\n"
+            "from repro.core.gateway import AlbatrossServer\n"
+            "from repro.scenarios import PodSpec\n"
+            "from repro.sim import RngRegistry, Simulator\n"
+            "server = AlbatrossServer(Simulator(), RngRegistry(seed=59))\n"
+            "pod = server.add_pod(PodSpec(name='pod0', data_cores=2))\n"
+            "print(PodControlPlane(pod).speaker.bgp_id)\n"
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        ids = [
+            subprocess.run(
+                [sys.executable, "-c", probe], capture_output=True, text=True,
+                env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+                timeout=60,
+            ).stdout
+            for seed in ("1", "2")
+        ]
+        assert ids[0].strip().isdigit()
+        assert ids[0] == ids[1]
+
     def test_bgp_session_establishes_through_priority_path(self):
         sim, rngs, pod = make_pod()
         switch = UplinkSwitch(sim, "switch")
@@ -113,8 +140,8 @@ class TestPodControlPlane:
         assert not switch.knows_route(0x0A640001, 32)
 
     def test_bgp_survives_data_plane_saturation(self):
-        """The whole point of the priority path, end to end with real
-        BGP bytes through the pod."""
+        """The whole point of the priority path, end to end with every
+        BGP message riding a protocol packet through the pod."""
         # A slow synthetic service makes two hold times of 3x overload
         # affordable: ~50k packets instead of millions.
         sim, rngs, pod = make_pod(
