@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bgp.bfd import BfdLink, BfdSession, BfdState, bfd_pair
+from repro.bgp.bfd import BfdLink, BfdPacket, BfdSession, BfdState, bfd_pair
 from repro.bgp.fsm import BgpState, establish_pair
 from repro.bgp.messages import BgpUpdate
 from repro.bgp.proxy import BgpProxy
@@ -248,6 +248,18 @@ class TestBfd:
         sim.run_until(1 * SECOND)
         assert a.state is BfdState.UP
         assert b.state is BfdState.UP
+
+    def test_packet_round_trip(self):
+        sim = Simulator()
+        sent = []
+        a, b = bfd_pair(sim)
+        b_send = b.send_fn
+        b.send_fn = lambda packet: (sent.append(packet), b_send(packet))
+        sim.run_until(1 * SECOND)
+        assert sent[0] == BfdPacket(BfdState.DOWN, 3, 2, 0)
+        # Once a's probe arrived, b echoes a's discriminator and reports UP.
+        assert sent[-1] == BfdPacket(BfdState.UP, 3, 2, 1)
+        assert a.peer_discriminator == 2 and b.peer_discriminator == 1
 
     def test_three_missed_probes_detects_failure(self):
         """RFC 5880 / §4.3: 3 lost probes tear the link down."""

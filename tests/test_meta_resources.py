@@ -22,6 +22,16 @@ class TestPlbMeta:
         assert PlbMeta(0x1FFF, 0, 0).psn12 == 0xFFF
         assert PlbMeta(4096, 0, 0).psn12 == 0
 
+    def test_flags_default_off_and_no_attribute_dict(self):
+        meta = PlbMeta(psn=42, ordq=1, timestamp_ns=777)
+        assert (meta.drop, meta.header_only, meta.epoch) == (False, False, 0)
+        meta.drop = True  # the GW pod flags an explicit drop in place
+        assert meta.drop
+        # One meta is built per sprayed packet: slots only, no per-object dict.
+        assert not hasattr(meta, "__dict__")
+        with pytest.raises(AttributeError):
+            meta.payload = b""
+
 
 class TestPlacementModel:
     def test_tail_is_free(self):

@@ -7,12 +7,13 @@ import sys
 import pytest
 
 import repro
-from repro.bgp.bfd import BfdSession, BfdState
+from repro.bgp.bfd import BfdPacket, BfdSession, BfdState
 from repro.bgp.fsm import BgpState
-from repro.bgp.pod import PodControlPlane
+from repro.bgp.pod import BFD_PORT, PROTOCOL_PACKET_BYTES, PodControlPlane
 from repro.bgp.switch import UplinkSwitch
 from repro.core.gateway import AlbatrossServer
 from repro.core.watchdog import PlbWatchdog
+from repro.packet.packet import PacketKind
 from repro.scenarios import PodSpec
 from repro.sim import MS, RngRegistry, SECOND, Simulator
 from repro.workloads.generators import CbrSource, uniform_population
@@ -167,6 +168,25 @@ class TestPodControlPlane:
         )
         assert drops > 1000
         assert session.state is BgpState.ESTABLISHED
+
+    def test_each_message_rides_one_66_byte_protocol_packet(self):
+        sim, rngs, pod = make_pod()
+        control = PodControlPlane(pod)
+        delivered = []
+        control._handlers[BFD_PORT] = delivered.append
+        injected = []
+        ingress = pod.ingress
+        pod.ingress = lambda packet: (injected.append(packet), ingress(packet))
+        probe = BfdPacket(BfdState.DOWN, 3, 1, 0)
+        control._inject(BFD_PORT, probe)
+        sim.run_until(1 * MS)
+        assert delivered == [probe] and delivered[0] is probe
+        assert [(p.kind, p.size) for p in injected] == [
+            (PacketKind.PROTOCOL, PROTOCOL_PACKET_BYTES)
+        ]
+        assert PROTOCOL_PACKET_BYTES == 66
+        assert pod.counters.get("rx_priority") == 1
+        assert not control._messages
 
     def test_bfd_probes_ride_priority_path(self):
         sim, rngs, pod = make_pod()
