@@ -145,10 +145,18 @@ def _print_reports(runner, args):
 
 
 def _sweep(args):
+    if args.workers < 0:
+        print(f"--workers must be >= 0 (0 = auto), got {args.workers}",
+              file=sys.stderr)
+        return 2
     shards = build_sweep(args.name, quick=args.quick, seed=args.seed)
     if args.timeseries_every_ms is not None:
-        shards = with_timeseries(shards, int(args.timeseries_every_ms * MS))
-    workers = args.workers if args.workers > 0 else default_workers()
+        try:
+            shards = with_timeseries(shards, int(args.timeseries_every_ms * MS))
+        except ValueError as error:
+            print(str(error), file=sys.stderr)
+            return 2
+    workers = args.workers or default_workers()
     store = RunStore(args.runs_dir)
     if args.resume is not None:
         run = store.resume(args.resume, args.name, args.seed, shards, quick=args.quick)

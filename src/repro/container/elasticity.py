@@ -35,10 +35,6 @@ class MigrationPlan:
         self.phase = phase
         self.history.append((phase, now_ns))
 
-    @property
-    def elapsed_ns(self):
-        return self.history[-1][1] - self.history[0][1]
-
 
 class ElasticityManager:
     """Prepares pods and runs migrations on the simulator clock.

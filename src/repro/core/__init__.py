@@ -4,8 +4,8 @@ Subsystems (paper section in parentheses):
 
 * :mod:`repro.core.meta` -- the PLB meta header tagged onto every sprayed
   packet (§4.1, §7 "meta header" lesson).
-* :mod:`repro.core.pktdir` -- the programmable ``pkt_dir`` classifier
-  splitting traffic into priority / PLB / RSS paths (§3.2).
+* :mod:`repro.core.pktdir` -- the ``pkt_dir`` classifier splitting
+  traffic into priority / PLB / RSS paths (§3.2).
 * :mod:`repro.core.plb` -- packet-level load balancing: dispatch (spray +
   PSN tagging) and reorder (FIFO/BUF/BITMAP engine) (§4.1).
 * :mod:`repro.core.rss` -- the flow-level RSS baseline and fallback.
@@ -25,7 +25,7 @@ from repro.core.meta import MetaPlacement, PlbMeta
 from repro.core.nic import NicPipeline
 from repro.core.offload import FpgaSessionOffload
 from repro.core.pcie import PcieLinkModel, PortCapacityModel
-from repro.core.pktdir import PktDir, PktDirRule
+from repro.core.pktdir import PktDir
 from repro.core.plb.dispatch import PlbDispatcher
 from repro.core.plb.reorder import ReorderEngine, ReorderQueueConfig
 from repro.core.priority import PriorityQueueManager
@@ -45,7 +45,6 @@ __all__ = [
     "PcieLinkModel",
     "PortCapacityModel",
     "PktDir",
-    "PktDirRule",
     "PlbDispatcher",
     "ReorderEngine",
     "ReorderQueueConfig",

@@ -399,6 +399,3 @@ class AlbatrossServer:
     def pod_ready_delay_ns(self):
         """Container elasticity: a new pod is serving in ~10 seconds."""
         return self.POD_READY_SECONDS * SECOND
-
-    def total_throughput_mpps(self):
-        return sum(pod.throughput_mpps() for pod in self.pods.values())

@@ -35,21 +35,19 @@ class PlbMeta:
         ordq: order-preserving queue index within the pod.
         timestamp_ns: ingress timestamp for timeout determination.
         drop: drop flag set by the GW pod on explicit drops.
-        header_only: set when the payload stayed in the NIC buffer.
         epoch: reorder-engine generation at admission.  A watchdog pipeline
             reset bumps the engine's epoch; packets tagged with an older
             epoch are handled best-effort on writeback so their stale PSNs
             can never alias into (and block or misorder) the new window.
     """
 
-    __slots__ = ("psn", "ordq", "timestamp_ns", "drop", "header_only", "epoch")
+    __slots__ = ("psn", "ordq", "timestamp_ns", "drop", "epoch")
 
-    def __init__(self, psn, ordq, timestamp_ns, drop=False, header_only=False, epoch=0):
+    def __init__(self, psn, ordq, timestamp_ns, drop=False, epoch=0):
         self.psn = psn
         self.ordq = ordq
         self.timestamp_ns = timestamp_ns
         self.drop = drop
-        self.header_only = header_only
         self.epoch = epoch
 
     @property

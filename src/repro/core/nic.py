@@ -15,7 +15,7 @@ from repro.analysis.sanitizer import get_sanitizer
 from repro.core.offload import FAST_PATH_LATENCY_NS
 from repro.core.pktdir import DeliveryPath, PktDir
 from repro.core.plb.dispatch import PlbDispatcher
-from repro.core.plb.reorder import ReorderEngine, TxOutcome
+from repro.core.plb.reorder import ReorderEngine
 from repro.core.priority import PriorityQueueManager
 from repro.core.ratelimit import RateLimitDecision
 from repro.core.resources import NicLatencyModel
@@ -55,12 +55,11 @@ class NicPipeline:
         drop_fn: optional; called as ``drop_fn(packet)`` once
             :meth:`_drop` has named, counted and settled a terminal drop.
 
-    ``rate_limiter``, ``session_offload`` (an FPGA session fast path, §7
-    roadmap) and ``pcie_link`` (a PCIe byte accountant, appendix A) are
-    plain attributes a caller may assign after construction; so is
-    ``priority.deliver_fn``, the one hook for protocol packets.  The pod's
-    cores must have been constructed with this pipeline's
-    :meth:`on_cpu_completion` as their completion callback (the
+    ``rate_limiter`` and ``session_offload`` (an FPGA session fast path,
+    §7 roadmap) are plain attributes a caller may assign after
+    construction; so is ``priority.deliver_fn``, the one hook for protocol
+    packets.  The pod's cores must have been constructed with this
+    pipeline's :meth:`on_cpu_completion` as their completion callback (the
     :mod:`~repro.core.gateway` runtime wires this up).
     """
 
@@ -81,7 +80,7 @@ class NicPipeline:
             "plb", "tx"
         ) + latency.module_ns("basic_pipeline", "tx")
         # In-order and best-effort releases post the deparser hop
-        # themselves; only drop-flag and payload-gone outcomes come back.
+        # themselves; only drop-flag releases come back.
         self.reorder = ReorderEngine(
             sim, reorder, self._on_reorder_transmit,
             deparser=(self._tx_post_reorder_ns, self._transmit),
@@ -90,7 +89,6 @@ class NicPipeline:
         self.rss = RssDispatcher(self.cores)
         self.rate_limiter = rate_limiter
         self.session_offload = None
-        self.pcie_link = None
         self.priority = PriorityQueueManager(sim)
         self._fpga_stalled = False
         # The pod's container state, owned and captured by the pod
@@ -106,9 +104,6 @@ class NicPipeline:
         self._post = sim.post
         self._incr = self.counters.incr
         self._counts = self.counters.counts
-        self._classify = self.pkt_dir.classify
-        # PktDir edits its rule list in place: empty means nothing to walk.
-        self._pktdir_rules = self.pkt_dir._rules
         self._plb_dispatch = self.plb.dispatch
         self._rss_dispatch = self.rss.dispatch
 
@@ -130,7 +125,6 @@ class NicPipeline:
         "rx_queue_drops",
         "cpu_silent_drops",
         "cpu_acl_drops",
-        "reorder_payload_gone",
     )
 
     #: ``Packet.drop_reason`` -> the counter that accounts for the drop,
@@ -145,7 +139,6 @@ class NicPipeline:
         "rx_queue_overflow": "rx_queue_drops",
         "cpu_silent": "cpu_silent_drops",
         "cpu_acl": "cpu_acl_drops",
-        "payload_released": "reorder_payload_gone",
         "pod_crashed": "pod_crashed_drops",
     }
 
@@ -210,22 +203,20 @@ class NicPipeline:
             # delivering and the packets are simply lost.
             self._drop(packet, "fpga_stall")
             return
-        if self._pktdir_rules or packet.kind is not _DATA:
-            path, header_only = self._classify(packet)
-            if path is DeliveryPath.PRIORITY:
-                # Priority path skips the rate limiter and PLB entirely.
-                self._post(self._rx_latency_ns, self.priority.enqueue, packet)
-                self._incr("rx_priority")
-                if self._sanitizer is not None:
-                    self._check_conserved(packet, "priority_handoff")
-                return
-        else:
-            # No rule to walk: a data packet takes the default data path,
-            # exactly as PktDir.classify would classify and count it.
-            pkt_dir = self.pkt_dir
-            path = pkt_dir.default_data_path
-            pkt_dir.classified[path] += 1
-            header_only = False
+        pkt_dir = self.pkt_dir
+        if packet.kind is not _DATA:
+            # Protocol traffic: the priority path skips the rate limiter
+            # and PLB entirely.
+            pkt_dir.classify(packet)
+            self._post(self._rx_latency_ns, self.priority.enqueue, packet)
+            self._incr("rx_priority")
+            if self._sanitizer is not None:
+                self._check_conserved(packet, "priority_handoff")
+            return
+        # A data packet takes the default data path, exactly as
+        # PktDir.classify would classify and count it (inline: per packet).
+        path = pkt_dir.default_data_path
+        pkt_dir.classified[path] += 1
 
         limiter = self.rate_limiter
         if limiter is not None:
@@ -245,7 +236,7 @@ class NicPipeline:
             return
 
         if path is _PLB:
-            core = self._plb_dispatch(packet, header_only=header_only)
+            core = self._plb_dispatch(packet)
             if core is None:
                 # The dispatcher already said why (FIFO full, no core).
                 self._drop(packet, packet.drop_reason)
@@ -259,9 +250,6 @@ class NicPipeline:
         self._post(self._rx_latency_ns, self._deliver_to_core, packet, core)
 
     def _deliver_to_core(self, packet, core):
-        if self.pcie_link is not None:
-            # RX crossing of the FPGA->CPU DMA.
-            self.pcie_link.record(packet.size, split=packet.header_only)
         if not core.enqueue(packet):
             # Silent driver loss: the NIC is never told.  For PLB packets
             # this leaves a hole in the reorder FIFO -> HOL until timeout.
@@ -290,9 +278,6 @@ class NicPipeline:
         if self.session_offload is not None:
             # Slow path forwarded a packet: maybe install the session.
             self.session_offload.note_cpu_packet(packet.flow)
-        if self.pcie_link is not None:
-            # TX crossing of the CPU->FPGA DMA.
-            self.pcie_link.record(packet.size, split=packet.header_only)
         if packet.meta is not None:
             self._post(self._tx_dma_ns, self.reorder.writeback, packet)
         else:
@@ -302,14 +287,11 @@ class NicPipeline:
             )
 
     def _on_reorder_transmit(self, packet, outcome):
-        """The reorder engine's exit for packets that never reach the wire
-        (its releases post :meth:`_transmit`, the deparser hop, directly)."""
-        if outcome is TxOutcome.RELEASED_DROP_FLAG:
-            # Dropped at the CPU ACL verdict; this only reclaims the slot.
-            self._incr("reorder_drop_flag")
-        else:
-            # Payload gone: the reorder engine already said why.
-            self._drop(packet, packet.drop_reason)
+        """The reorder engine's exit for drop-flag releases, the one
+        outcome that never reaches the wire (its releases post
+        :meth:`_transmit`, the deparser hop, directly).  The packet was
+        dropped at the CPU ACL verdict; this only reclaims the slot."""
+        self._incr("reorder_drop_flag")
 
     def _transmit(self, packet, outcome):
         counts = self._counts

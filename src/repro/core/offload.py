@@ -130,10 +130,6 @@ class FpgaSessionOffload:
         self.installs += 1
         return True
 
-    def remove(self, flow):
-        """Explicit teardown (CPU saw FIN/RST or a config change)."""
-        return self._sessions.pop(flow, None) is not None
-
     def _evict_one_idle(self):
         """Evict the stalest session if it is past the idle timeout."""
         now = self.sim.now
@@ -185,19 +181,6 @@ class FpgaSessionOffload:
         self.installs = snapshot["installs"]
         self.install_rejections = snapshot["install_rejections"]
         self.evictions = snapshot["evictions"]
-
-    def expire_idle(self):
-        """Bulk aging sweep; returns evicted count (ops/telemetry hook)."""
-        now = self.sim.now
-        expired = [
-            flow
-            for flow, session in self._sessions.items()
-            if now - session.last_hit_ns > self.idle_timeout_ns
-        ]
-        for flow in expired:
-            del self._sessions[flow]
-        self.evictions += len(expired)
-        return len(expired)
 
 
 def offload_throughput_mpps(

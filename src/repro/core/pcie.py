@@ -5,13 +5,13 @@ Two throughput ceilings the paper reasons about:
 * **PCIe between FPGA and CPU** -- header-payload-split mode forwards
   only headers (+ the PLB meta) over PCIe, leaving payloads in the NIC
   buffer.  For jumbo frames (up to 8,500 B of Ethernet payload) this is
-  the difference between PCIe being the bottleneck and not.
+  the difference between PCIe being the bottleneck and not.  The split
+  is analytic only: the appendix A table reads these per-packet byte
+  counts, and the simulated NIC always moves whole packets.
 * **NIC port line rate** -- §2.1's "NIC port overloading": a congested
   port drops indiscriminately, control-plane protocols included, unless
   (as in Albatross) protocol packets ride a priority queue.
 """
-
-from repro.sim.units import SECOND
 
 # PCIe Gen4 x16: 31.5 GB/s raw; ~85% attainable after TLP overheads.
 PCIE_GEN4_X16_GBPS = 252.0
@@ -27,8 +27,6 @@ class PcieLinkModel:
 
     def __init__(self, gbps=PCIE_GEN4_X16_GBPS):
         self.gbps = gbps
-        self.bytes_transferred = 0
-        self.packets = 0
 
     @property
     def bytes_per_second(self):
@@ -42,34 +40,14 @@ class PcieLinkModel:
             payload_bytes = wire_bytes
         return payload_bytes + PLB_META_BYTES + DESCRIPTOR_OVERHEAD_BYTES
 
-    def record(self, wire_bytes, split=False):
-        """Account one packet (RX or TX direction)."""
-        moved = self.bytes_for_packet(wire_bytes, split)
-        self.bytes_transferred += moved
-        self.packets += 1
-        return moved
-
     def max_pps(self, wire_bytes, split=False, directions=2):
         """Packet rate at which this link saturates.
 
-        ``directions=2`` charges both the RX and TX crossing, as the NIC
-        pipeline does for forwarded traffic.
+        ``directions=2`` charges both the RX and TX crossing of a
+        forwarded packet.
         """
         per_packet = self.bytes_for_packet(wire_bytes, split) * directions
         return self.bytes_per_second / per_packet
-
-    def utilization(self, window_ns):
-        """Link utilization over a window given recorded traffic."""
-        if window_ns <= 0:
-            return 0.0
-        capacity = self.bytes_per_second * window_ns / SECOND
-        return self.bytes_transferred / capacity
-
-    def split_speedup(self, wire_bytes):
-        """How much header-payload split raises the PCIe-bound pps."""
-        return self.max_pps(wire_bytes, split=True) / self.max_pps(
-            wire_bytes, split=False
-        )
 
 
 class PortCapacityModel:

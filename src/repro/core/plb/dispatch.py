@@ -67,7 +67,7 @@ class PlbDispatcher:
                 self._ordq_cache[flow] = ordq
         return ordq
 
-    def dispatch(self, packet, header_only=False):
+    def dispatch(self, packet):
         """Tag and spray one packet.
 
         Returns the selected core, or None if the packet was dropped
@@ -104,8 +104,7 @@ class PlbDispatcher:
             packet.drop_reason = "reorder_fifo_full"
             return None
         self._rr_index = next_index
-        packet.meta = PlbMeta(psn, ordq, now, False, header_only, reorder.epoch)
-        packet.header_only = header_only
+        packet.meta = PlbMeta(psn, ordq, now, False, reorder.epoch)
         self.dispatched += 1
         return core
 
@@ -123,8 +122,8 @@ class PlbDispatcher:
             index += 1
             if index == count:
                 index = 0
-            # Equivalent to the `available` property, without the
-            # descriptor call; fake cores without the flag are available.
+            # A failed core sets ``_failed``; fake cores without the flag
+            # are available.
             if not getattr(core, "_failed", False):
                 return core, index
         return None, self._rr_index
@@ -150,7 +149,3 @@ class PlbDispatcher:
         self.dispatched = snapshot["dispatched"]
         self.fifo_full_drops = snapshot["fifo_full_drops"]
         self.dead_core_drops = snapshot["dead_core_drops"]
-
-    def spray_counts(self):
-        """Packets-per-core counter snapshot (diagnostics for Fig. 8)."""
-        return {core.core_id: core.stats.processed for core in self.cores}

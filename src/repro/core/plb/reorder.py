@@ -16,8 +16,7 @@ Egress processing:
 * **legal check** -- a packet returning from a TX data queue is valid iff
   its ``psn[11:0]`` falls inside the FIFO's [head, tail) window.  Valid
   packets are written to BUF/BITMAP; invalid ones (essentially timed-out
-  packets) are transmitted best-effort immediately (or dropped, if they
-  were header-only and the NIC already released the payload).
+  packets) are transmitted best-effort immediately.
 * **reorder check** -- monitors the FIFO head.  Case 1: head older than
   the timeout (100 µs) is released.  Case 2: valid bit 0 -> keep waiting.
   Case 3: valid bit set but PSN mismatch -> a timed-out packet slipped
@@ -45,7 +44,6 @@ class TxOutcome(enum.Enum):
 
     IN_ORDER = "in_order"              # case 4: transmitted in order
     BEST_EFFORT = "best_effort"        # late packet transmitted out of order
-    DROPPED_PAYLOAD_GONE = "payload_gone"  # header-only, payload released
     RELEASED_DROP_FLAG = "drop_flag"   # CPU set the drop flag; slot released
 
     # Identity hash: the gateway's outcome -> report-key lookup is per
@@ -77,7 +75,6 @@ class ReorderStats:
         "timeout_releases",
         "drop_flag_releases",
         "stale_writebacks",
-        "payload_gone_drops",
         "fifo_full",
         "hol_events",
         "resets",
@@ -123,7 +120,7 @@ class _ReorderQueue:
 
     def __init__(self):
         self.fifo = deque()
-        self.buf = [None] * 4096          # slot -> (packet, header_only)
+        self.buf = [None] * 4096          # slot -> packet
         self.bitmap_valid = [False] * 4096
         self.bitmap_psn = [0] * 4096
         self.head_ptr = 0                  # PSN of the current FIFO head
@@ -139,23 +136,18 @@ class ReorderEngine:
         config: a :class:`ReorderQueueConfig`.
         transmit_fn: called as ``transmit_fn(packet, outcome)`` whenever a
             packet leaves the engine (in order or best effort), or its
-            slot is released without transmission (drop flag, payload
-            gone).
-        payload_retention_ns: how long the NIC retains split payloads; a
-            late header-only packet whose payload aged out is dropped.
+            slot is released without transmission (drop flag).
         deparser: optional ``(delay_ns, fn)``, the owner's next hop.  With
             it, in-order and best-effort releases are posted as
             ``sim.post(delay_ns, fn, packet, outcome)`` instead of handed
-            to ``transmit_fn``, which then sees only the two outcomes that
-            never reach the wire.
+            to ``transmit_fn``, which then sees only drop-flag releases,
+            the one outcome that never reaches the wire.
     """
 
-    def __init__(self, sim, config, transmit_fn, payload_retention_ns=1_000 * US,
-                 deparser=None):
+    def __init__(self, sim, config, transmit_fn, deparser=None):
         self.sim = sim
         self.config = config
         self.transmit_fn = transmit_fn
-        self.payload_retention_ns = payload_retention_ns
         self._deparser_ns, self._deparser_fn = deparser or (0, None)
         self.stats = ReorderStats()
         self.epoch = 0
@@ -220,7 +212,7 @@ class ReorderEngine:
             # best-effort so a stale sequence number can never block or
             # misorder the post-recovery window.
             self.stats.stale_epoch_writebacks += 1
-            self._transmit_best_effort(packet, packet.header_only)
+            self._transmit_best_effort(packet)
             return
         ordq = meta.ordq
         queue = self._queues[ordq]
@@ -269,19 +261,17 @@ class ReorderEngine:
         # later by the reorder check's PSN comparison, case 3).
         outstanding = len(fifo)
         if outstanding == 0 or (slot - (queue.head_ptr & 0xFFF)) & 0xFFF >= outstanding:
-            # Timed-out packet whose slot has already been released:
-            # best-effort, or dropped if its payload is gone.
-            self._transmit_best_effort(packet, packet.header_only)
+            # Timed-out packet whose slot has already been released.
+            self._transmit_best_effort(packet)
             self._drain(ordq, queue)
             return
 
         if queue.bitmap_valid[slot]:
             # Extremely late duplicate writeback into an occupied slot:
             # forward the resident best-effort and take the slot over.
-            resident, header_only = queue.buf[slot]
             self.stats.stale_writebacks += 1
-            self._transmit_best_effort(resident, header_only)
-        queue.buf[slot] = (packet, meta.header_only or packet.header_only)
+            self._transmit_best_effort(queue.buf[slot])
+        queue.buf[slot] = packet
         queue.bitmap_valid[slot] = True
         queue.bitmap_psn[slot] = psn
         # A set drop flag (the CPU deliberately dropped this packet) is
@@ -388,13 +378,13 @@ class ReorderEngine:
                     stats.hol_events += 1
                     continue
                 break  # Case 2: keep waiting for the CPU.
-            packet, header_only = buf[slot]
+            packet = buf[slot]
             if bitmap_psn[slot] != head_psn:
                 # Case 3: a stale (timed-out) packet passed the legal check.
                 stats.stale_writebacks += 1
                 buf[slot] = None
                 bitmap_valid[slot] = False
-                self._transmit_best_effort(packet, header_only)
+                self._transmit_best_effort(packet)
                 continue  # head still waits for its real packet
             # Case 4: in-order transmission (or drop-flag release).
             if self._sanitizer is not None:
@@ -461,17 +451,10 @@ class ReorderEngine:
         queue.timeout_event = None
         self._drain(ordq, queue)
 
-    def _transmit_best_effort(self, packet, header_only):
+    def _transmit_best_effort(self, packet):
         if packet.meta is not None and packet.meta.drop:
             # Late drop notification: nothing to send, nothing to release.
             self.stats.drop_flag_releases += 1
             return
-        if header_only:
-            age = self.sim.now - packet.meta.timestamp_ns
-            if age > self.payload_retention_ns:
-                self.stats.payload_gone_drops += 1
-                packet.drop_reason = "payload_released"
-                self.transmit_fn(packet, TxOutcome.DROPPED_PAYLOAD_GONE)
-                return
         self.stats.best_effort += 1
         self._release(packet, TxOutcome.BEST_EFFORT)

@@ -103,11 +103,6 @@ class FpgaResourceModel:
         per_queue = depth * (reorder_info_bits + bitmap_entry_bits + buf_entry_bits)
         return queue_count * per_queue
 
-    @staticmethod
-    def ratelimiter_sram_bytes(limiter):
-        """Delegates to the limiter's own accounting (2 MB target)."""
-        return limiter.sram_bytes()
-
     def plb_bram_pct(self, **kwargs):
         bits = self.plb_bram_bits(**kwargs)
         return 100.0 * bits / (self.total_bram_mbit * 1_000_000)

@@ -2,13 +2,13 @@
 
 Models the x86 side of Albatross: GW-pod data cores polling RX queues,
 per-packet service times driven by table lookups through an LRU L3-cache
-model, NUMA placement effects, and DPDK-style queue/mempool limits.
+model, NUMA placement effects, and DPDK-style bounded descriptor rings.
 """
 
 from repro.cpu.cache import CacheStats, LruCacheModel, SharedL3Cache
 from repro.cpu.core import CoreStats, CpuCore, Verdict
 from repro.cpu.numa import NumaBalancer, NumaNode, NumaTopology
-from repro.cpu.queues import DpdkMempool, PacketQueue
+from repro.cpu.queues import PacketQueue
 from repro.cpu.service import (
     GatewayService,
     MemoryTimings,
@@ -27,7 +27,6 @@ __all__ = [
     "NumaBalancer",
     "NumaNode",
     "NumaTopology",
-    "DpdkMempool",
     "PacketQueue",
     "GatewayService",
     "MemoryTimings",

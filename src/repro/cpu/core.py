@@ -53,7 +53,7 @@ class CpuCore:
 
     Parameters:
         sim: the :class:`~repro.sim.Simulator`.
-        core_id: globally unique id (used by the mempool model).
+        core_id: globally unique id.
         chain: a :class:`~repro.cpu.service.ServiceChain` (or anything with
             ``service_time_ns(packet)``).  A chain whose
             ``fixed_service_ns`` is set (an analytic-mode ``ServiceChain``)
@@ -105,11 +105,6 @@ class CpuCore:
     @property
     def busy(self):
         return self._busy
-
-    @property
-    def available(self):
-        """False while the core is failed/offline (fault injection)."""
-        return not self._failed
 
     @property
     def rx_dropped(self):

@@ -66,17 +66,6 @@ class NumaTopology:
             return self.CROSS_NUMA_SERVICE_PENALTY
         return self.CROSS_NUMA_COMPUTE_PENALTY
 
-    def find_node_with_cores(self, needed):
-        """First node with at least ``needed`` unreserved cores, or None.
-
-        Reservation bookkeeping lives in the container scheduler; this
-        helper only checks raw capacity.
-        """
-        for node in self.nodes:
-            if node.core_count >= needed:
-                return node
-        return None
-
 
 class NumaBalancer:
     """Kernel automatic NUMA balancing, reduced to its observable effect.

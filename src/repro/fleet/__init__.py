@@ -10,8 +10,8 @@ the exact-aggregation machinery single runs already use
 
 Layering:
 
-* :mod:`.shard` -- grid expansion and the injective per-shard seed
-  derivation (no two shards of a sweep ever share a seed).
+* :mod:`.shard` -- the shard record, seed replication and the injective
+  per-shard seed derivation (no two shards of a sweep ever share a seed).
 * :mod:`.engine` -- the worker pool: order-preserving ``pool_map``,
   longest-first ``run_sweep`` and the byte-identical ``workers=1``
   fallback.
@@ -32,7 +32,6 @@ from repro.fleet.report import SCHEMA_VERSION, SweepReport, merge_run_reports
 from repro.fleet.shard import (
     MAX_SHARDS,
     ShardSpec,
-    expand_grid,
     replicate,
     shard_seed,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "SweepReport",
     "build_sweep",
     "default_workers",
-    "expand_grid",
     "merge_run_reports",
     "pool_map",
     "replicate",

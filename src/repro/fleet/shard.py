@@ -1,23 +1,21 @@
-"""Shard construction: grid expansion and seed derivation.
+"""Shard construction and seed derivation.
 
 A **shard** is one independent simulation run inside a sweep: a
 :class:`~repro.scenarios.spec.ScenarioSpec` plus its position in the
-grid.  Shards never share state -- each worker builds a fresh simulator
+sweep.  Shards never share state -- each worker builds a fresh simulator
 from its spec -- so the only cross-shard discipline needed is *seeding*:
 
 * Every shard's seed is derived from the sweep seed with
   :func:`shard_seed`, which is **injective in the shard index** (the
   proof is one line: for a fixed base, two indices below ``2**INDEX_BITS``
   that map to the same value would have to differ by a multiple of
-  ``2**64``).  No two shards of a sweep can ever collide, for any grid
-  shape -- a property the hypothesis suite pins down.
+  ``2**64``).  No two shards of a sweep can ever collide, for any sweep
+  size -- a property the hypothesis suite pins down.
 * Inside a shard, streams come from ``RngRegistry(shard_seed)``, i.e.
   from :func:`repro.sim.rng.derived_stream` -- the same (seed, name)
   discipline every other entry point uses, so a shard replayed alone
   under ``simulate`` sees bit-identical entropy.
 """
-
-from repro.scenarios.spec import ScenarioSpec, apply_override
 
 #: Knuth's 64-bit golden-ratio multiplier (2**64 / phi, odd), the same
 #: mixing family ``repro.sim.rng.derived_stream`` uses at 32 bits.
@@ -57,40 +55,6 @@ class ShardSpec:
 
     def __repr__(self):
         return f"<ShardSpec {self.index}: {self.axes}>"
-
-
-def expand_grid(base_spec, axes, seed):
-    """Cartesian-expand ``axes`` over ``base_spec`` into shards.
-
-    ``axes`` is an ordered ``{dotted_field: [values...]}`` mapping (e.g.
-    ``{"workload.tenants": [1000, 10000]}``); the last axis varies
-    fastest.  Each shard gets the override values applied to the
-    serialized spec plus its own :func:`shard_seed`.  An empty ``axes``
-    yields a single shard.  Seeds are never an axis -- they are always
-    derived from the sweep seed, so use :func:`replicate` for
-    seed-replication sweeps.
-    """
-    names = list(axes)
-    shards = []
-
-    def emit(assignment):
-        index = len(shards)
-        data = base_spec.to_dict()
-        for field, value in assignment:
-            apply_override(data, field, value)
-        data["seed"] = shard_seed(seed, index)
-        shards.append(ShardSpec(index, dict(assignment), ScenarioSpec.from_dict(data)))
-
-    def recurse(depth, assignment):
-        if depth == len(names):
-            emit(assignment)
-            return
-        name = names[depth]
-        for value in axes[name]:
-            recurse(depth + 1, assignment + [(name, value)])
-
-    recurse(0, [])
-    return shards
 
 
 def replicate(base_spec, count, seed):

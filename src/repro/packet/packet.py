@@ -15,14 +15,10 @@ class PacketKind(enum.Enum):
     * ``DATA`` -- ordinary tenant traffic, eligible for PLB or RSS.
     * ``PROTOCOL`` -- BGP/BFD and other control packets; routed through the
       dedicated priority queues so data-plane saturation cannot drop them.
-    * ``STATEFUL`` -- low-volume packets that must not be sprayed (Zoonet
-      probes, health checks, vSwitch cache-learning packets); pinned to one
-      core via RSS regardless of the pod's load-balancing mode.
     """
 
     DATA = "data"
     PROTOCOL = "protocol"
-    STATEFUL = "stateful"
 
 
 _packet_ids = itertools.count()
@@ -41,7 +37,6 @@ class Packet:
             processing it; None if none did (dropped first, offloaded).
         departure_ns: egress timestamp (set when transmitted), or None.
         meta: the PLB meta header attached by ``plb_dispatch``, or None.
-        header_only: True when delivered in header-payload-split mode.
         drop_reason: populated if the packet was dropped anywhere.
         uid: unique id (monotonic), used for order verification in tests.
     """
@@ -56,7 +51,6 @@ class Packet:
         "cpu_done_ns",
         "departure_ns",
         "meta",
-        "header_only",
         "drop_reason",
         "uid",
     )
@@ -71,7 +65,6 @@ class Packet:
         self.cpu_done_ns = None
         self.departure_ns = None
         self.meta = None
-        self.header_only = False
         self.drop_reason = None
         self.uid = next(_packet_ids)
 

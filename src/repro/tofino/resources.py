@@ -35,10 +35,6 @@ class PipelineSpec:
         return self.stages * self.sram_blocks_per_stage
 
     @property
-    def total_sram_bits(self):
-        return self.total_sram_blocks * self.sram_block_kib * 1024 * 8
-
-    @property
     def total_tcam_blocks(self):
         return self.stages * self.tcam_blocks_per_stage
 

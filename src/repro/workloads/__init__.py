@@ -14,7 +14,6 @@ from repro.workloads.generators import (
     uniform_population,
     zipf_population,
 )
-from repro.workloads.incast import IncastEvent, periodic_incast
 from repro.workloads.microburst import MicroburstSource
 from repro.workloads.tenants import TenantProfile, TenantSet
 from repro.workloads.traces import diurnal_rate_fn, weekly_load_profile
@@ -25,8 +24,6 @@ __all__ = [
     "PoissonSource",
     "uniform_population",
     "zipf_population",
-    "IncastEvent",
-    "periodic_incast",
     "MicroburstSource",
     "TenantProfile",
     "TenantSet",

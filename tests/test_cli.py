@@ -184,6 +184,28 @@ class TestCommands:
         assert message in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--timeseries-every-ms", "0", "timeseries_every_ns must be > 0 when set"),
+            ("--timeseries-every-ms", "-2", "timeseries_every_ns must be > 0 when set"),
+            ("--workers", "-3", "--workers must be >= 0 (0 = auto), got -3"),
+        ],
+    )
+    def test_sweep_bad_window_or_workers_exits_2(self, capsys, tmp_path, flag, value,
+                                                 message):
+        """Regression: a zero or negative telemetry window died with a
+        ``ValueError`` traceback; ``--workers -3`` ran silently as auto.
+        Neither may leave a run directory or an artifact behind."""
+        runs, output = tmp_path / "RUNS", tmp_path / "sweep.json"
+        code = main(["sweep", "tenant-scaling", "--quick", flag, value,
+                     "--runs-dir", str(runs), "--output", str(output)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+        assert not runs.exists() and not output.exists()
+
     def test_experiment_by_name(self, capsys):
         code = main(["experiment", "fig15"])
         assert code == 0

@@ -1,4 +1,4 @@
-"""CPU core, service chain, jitter, queue and mempool tests."""
+"""CPU core, service chain, jitter and queue tests."""
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from repro.analysis.sanitizer import install, uninstall
 from repro.cpu.cache import LruCacheModel
 from repro.cpu.core import CpuCore, Verdict
-from repro.cpu.queues import DpdkMempool, MempoolExhausted, PacketQueue
+from repro.cpu.queues import PacketQueue
 from repro.cpu.service import (
     GatewayService,
     JitterModel,
@@ -344,41 +344,3 @@ class TestPacketQueue:
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
             PacketQueue(0)
-
-
-class TestMempool:
-    def test_cache_hit_is_free(self):
-        pool = DpdkMempool(size=1024, per_core_cache=64)
-        assert pool.alloc(0) > 0  # first alloc refills
-        assert pool.alloc(0) == 0  # subsequent from cache
-
-    def test_refill_penalty_charged(self):
-        pool = DpdkMempool(size=1024, per_core_cache=64, refill_penalty_ns=700)
-        assert pool.alloc(0) == 700
-        assert pool.refills == 1
-
-    def test_small_cache_refills_often(self):
-        """The DPDK_RTE_MEMPOOL_CACHE lesson: small cache -> many refills."""
-        small = DpdkMempool(size=4096, per_core_cache=4)
-        large = DpdkMempool(size=4096, per_core_cache=512)
-        for _ in range(256):
-            small.alloc(0)
-            large.alloc(0)
-        assert small.refills > 10 * large.refills
-
-    def test_exhaustion_raises(self):
-        pool = DpdkMempool(size=4, per_core_cache=2)
-        for _ in range(4):
-            pool.alloc(0)
-        with pytest.raises(MempoolExhausted):
-            pool.alloc(0)
-        assert pool.allocation_failures == 1
-
-    def test_free_returns_to_cache_then_ring(self):
-        pool = DpdkMempool(size=64, per_core_cache=8)
-        for _ in range(8):
-            pool.alloc(0)
-        before = pool.available
-        for _ in range(16):
-            pool.free(0)
-        assert pool.available > before

@@ -10,6 +10,7 @@ workers and ``on_result`` write.
 """
 
 import json
+import math
 import os
 import shutil
 import time
@@ -26,7 +27,6 @@ from repro.fleet import (
     ShardSpec,
     build_sweep,
     default_workers,
-    expand_grid,
     merge_run_reports,
     pool_map,
     replicate,
@@ -91,36 +91,8 @@ class TestShardSeed:
            seed=st.integers(min_value=0, max_value=(1 << 32) - 1))
     @settings(max_examples=50, deadline=None)
     def test_grid_shards_get_distinct_seeds(self, sizes, seed):
-        fields = ("workload.flows", "workload.tenants", "workload.size")
-        grid = {
-            field: list(range(1, count + 1))
-            for field, count in zip(fields, sizes)
-        }
-        shards = expand_grid(_tiny_spec(), grid, seed)
-        seeds = [shard.spec.seed for shard in shards]
+        seeds = [shard_seed(seed, index) for index in range(math.prod(sizes))]
         assert len(set(seeds)) == len(seeds)
-
-
-class TestGridExpansion:
-    def test_cartesian_last_axis_fastest(self):
-        shards = expand_grid(
-            _tiny_spec(),
-            {"workload.flows": [8, 16], "workload.tenants": [1, 2, 4]},
-            seed=9,
-        )
-        assert [s.axes for s in shards][:4] == [
-            {"workload.flows": 8, "workload.tenants": 1},
-            {"workload.flows": 8, "workload.tenants": 2},
-            {"workload.flows": 8, "workload.tenants": 4},
-            {"workload.flows": 16, "workload.tenants": 1},
-        ]
-        assert len(shards) == 6
-        assert shards[3].spec.workload.flows == 16
-
-    def test_empty_axes_single_shard(self):
-        shards = expand_grid(_tiny_spec(), {}, seed=9)
-        assert len(shards) == 1
-        assert shards[0].spec.seed == shard_seed(9, 0)
 
     def test_replicate_varies_only_the_seed(self):
         shards = replicate(_tiny_spec(), count=3, seed=4)

@@ -24,7 +24,7 @@ class TestPlbMeta:
 
     def test_flags_default_off_and_no_attribute_dict(self):
         meta = PlbMeta(psn=42, ordq=1, timestamp_ns=777)
-        assert (meta.drop, meta.header_only, meta.epoch) == (False, False, 0)
+        assert (meta.drop, meta.epoch) == (False, 0)
         meta.drop = True  # the GW pod flags an explicit drop in place
         assert meta.drop
         # One meta is built per sprayed packet: slots only, no per-object dict.

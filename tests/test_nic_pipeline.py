@@ -6,8 +6,8 @@ import pytest
 
 from repro.core.gateway import AlbatrossServer, default_reorder_queue_count
 from repro.core.nic import NicPipeline
-from repro.core.pktdir import DeliveryPath
-from repro.core.ratelimit import TwoStageRateLimiter
+from repro.core.pktdir import DeliveryPath, PktDir
+from repro.core.ratelimit import RateLimitDecision, TwoStageRateLimiter
 from repro.cpu.core import Verdict
 from repro.packet.flows import FlowKey, flow_for_tenant
 from repro.packet.packet import Packet, PacketKind
@@ -89,15 +89,6 @@ class TestEndToEnd:
         assert pod.counters.get("rx_priority") == 1
         assert pod.nic.priority.delivered == 1
         assert pod.transmitted() == 0  # not data traffic
-
-    def test_stateful_packets_pinned_via_rss(self):
-        sim, _, _, pod = make_pod()
-        flow = FlowKey(5, 6, 7, 8, 17)
-        for _ in range(10):
-            pod.ingress(Packet(flow, kind=PacketKind.STATEFUL))
-        sim.run_until(1 * MS)
-        processed = [core.stats.processed for core in pod.cores]
-        assert sorted(processed) == [0, 0, 0, 10]
 
     def test_plb_fallback_to_rss(self):
         sim, rngs, _, pod = make_pod()
@@ -197,12 +188,65 @@ class TestExits:
             for p in emitted if p.departure_ns is None
         )
         assert set(dropped) == set(NicPipeline.DROP_COUNTERS.values()) - {
-            "reorder_fifo_drops", "reorder_payload_gone",
+            "reorder_fifo_drops",
         }
         assert dropped == {name: pod.counters.get(name) for name in dropped}
         # Everything else departed, and nothing that departed has a reason.
         unnamed = sum(p.drop_reason is None for p in emitted)
         assert unnamed == pod.counters.get("tx_packets") > 0
+
+
+class _RecordingLimiter:
+    """Admits everything and remembers which tenants it was asked about."""
+
+    def __init__(self):
+        self.asked = []
+
+    def admit(self, vni, now_ns):
+        self.asked.append(vni)
+        return RateLimitDecision.ALLOW
+
+
+class TestIngressByKindAndMode:
+    """pkt_dir's default split at NIC ingress: the pipeline's inline data
+    branch and its priority branch count what ``PktDir.classify`` says."""
+
+    @pytest.mark.parametrize("kind, fallback, path", [
+        (PacketKind.PROTOCOL, False, DeliveryPath.PRIORITY),
+        (PacketKind.PROTOCOL, True, DeliveryPath.PRIORITY),
+        (PacketKind.DATA, False, DeliveryPath.PLB),
+        (PacketKind.DATA, True, DeliveryPath.RSS),
+    ])
+    def test_ingress_path(self, kind, fallback, path):
+        sim, _, _, pod = make_pod()
+        nic = pod.nic
+        if fallback:
+            nic.fallback_to_rss()
+        limiter = nic.rate_limiter = _RecordingLimiter()
+        packets = [
+            Packet(flow_for_tenant(7, index), vni=7, kind=kind) for index in range(5)
+        ]
+        for packet in packets:
+            pod.ingress(packet)
+        sim.run_until(1 * MS)
+
+        oracle = PktDir()
+        oracle.set_default_data_path(nic.pkt_dir.default_data_path)
+        assert {oracle.classify(packet) for packet in packets} == {path}
+        assert nic.pkt_dir.classified == oracle.classified
+        if path is DeliveryPath.PRIORITY:
+            assert pod.counters.get("rx_priority") == len(packets)
+            assert nic.priority.delivered == len(packets)
+            assert limiter.asked == []
+            assert pod.counters.get("dispatched") == 0
+        else:
+            assert pod.counters.get("rx_priority") == 0
+            assert limiter.asked == [7] * len(packets)
+            assert pod.counters.get("dispatched") == len(packets)
+            assert pod.transmitted() == len(packets)
+            admitted = len(packets) if path is DeliveryPath.PLB else 0
+            assert pod.reorder_stats.admitted == admitted
+            assert pod.outcomes.get("rss", 0) == len(packets) - admitted
 
 
 class TestPodSpecValidation:

@@ -58,7 +58,7 @@ class TestSessionOffloadTable:
         sim.run_until(5 * MS)  # stale session ages past the timeout
         assert offload.install(FlowKey(2, 2, 3, 4, 17))
         assert offload.evictions == 1
-        assert not offload.remove(stale)
+        assert len(offload) == 1  # the stale session made room
 
     def test_lookup_expires_idle_sessions(self):
         sim, offload = self._offload(idle_timeout_ns=1 * MS)
@@ -67,21 +67,6 @@ class TestSessionOffloadTable:
         sim.run_until(5 * MS)
         assert not offload.lookup(flow)
         assert offload.evictions == 1
-
-    def test_bulk_expiry(self):
-        sim, offload = self._offload(idle_timeout_ns=1 * MS)
-        for index in range(4):
-            offload.install(FlowKey(index, 2, 3, 4, 17))
-        sim.run_until(5 * MS)
-        assert offload.expire_idle() == 4
-        assert len(offload) == 0
-
-    def test_explicit_remove(self):
-        sim, offload = self._offload()
-        flow = FlowKey(1, 2, 3, 4, 17)
-        offload.install(flow)
-        assert offload.remove(flow)
-        assert not offload.lookup(flow)
 
     def test_reinstall_is_a_no_op(self):
         sim, offload = self._offload(capacity=1)
@@ -194,15 +179,12 @@ class TestPcieModel:
     def test_max_pps_jumbo_speedup(self):
         """Appendix A: split mode matters most for jumbo frames."""
         link = PcieLinkModel()
-        assert link.split_speedup(8500) > 20
-        assert link.split_speedup(256) < 3
 
-    def test_recording_and_utilization(self):
-        link = PcieLinkModel(gbps=8)  # 1 GB/s
-        link.record(1000, split=False)
-        assert link.bytes_transferred == 1000 + 16 + 32
-        # 1048 bytes over 1 us at 1 GB/s ~ 1048/1000.
-        assert link.utilization(1_000) == pytest.approx(1.048)
+        def speedup(frame):
+            return link.max_pps(frame, split=True) / link.max_pps(frame, split=False)
+
+        assert speedup(8500) > 20
+        assert speedup(256) < 3
 
     def test_max_pps_directions(self):
         link = PcieLinkModel()

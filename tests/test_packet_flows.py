@@ -13,7 +13,6 @@ class TestPacket:
         assert (packet.vni, packet.size, packet.kind) == (0, 256, PacketKind.DATA)
         assert packet.arrival_ns is None and packet.departure_ns is None
         assert packet.meta is None and packet.drop_reason is None
-        assert packet.header_only is False
 
     def test_uids_are_unique_and_increasing(self):
         flow = FlowKey(1, 2, 3, 4, PROTO_UDP)

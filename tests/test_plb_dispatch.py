@@ -109,14 +109,6 @@ class TestTagging:
         # The reorder info queued for it: (psn, enqueue_ns).
         assert list(engine._queues[packet.meta.ordq].fifo) == [(0, 12345)]
 
-    def test_header_only_flag_propagates(self):
-        _, _, _, dispatcher = make_dispatcher()
-        packet = Packet(FlowKey(1, 2, 3, 4, 17))
-        dispatcher.dispatch(packet, header_only=True)
-        assert packet.header_only
-        assert packet.meta.header_only
-
-
 class TestFifoFullDrop:
     def test_drop_when_queue_full(self):
         _, _, _, dispatcher = make_dispatcher(queues=1, depth=2)

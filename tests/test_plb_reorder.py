@@ -153,26 +153,6 @@ class TestTimeouts:
         h.sim.run_until(170 * US)
         assert h.engine.stats.timeout_releases == 1
 
-    def test_header_only_late_packet_dropped_when_payload_gone(self):
-        h = Harness()
-        packet = h.admit()
-        packet.header_only = True
-        packet.meta.header_only = True
-        h.sim.run_until(2_000 * US)  # beyond payload retention (1ms)
-        h.engine.writeback(packet)
-        assert h.outcomes() == [TxOutcome.DROPPED_PAYLOAD_GONE]
-        assert packet.drop_reason == "payload_released"
-
-    def test_header_only_late_packet_sent_if_payload_retained(self):
-        h = Harness()
-        packet = h.admit()
-        packet.header_only = True
-        packet.meta.header_only = True
-        h.sim.run_until(300 * US)  # late but payload still buffered
-        h.engine.writeback(packet)
-        assert h.outcomes() == [TxOutcome.BEST_EFFORT]
-
-
 class TestTimeoutTimer:
     """The head-timeout event is rearmed in place on every drain; its firing
     instant and tie-break must be what cancel-and-reschedule gave."""

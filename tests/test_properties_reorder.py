@@ -94,7 +94,7 @@ class TestReorderInvariants:
         scenario = Scenario(plan)
         stats = scenario.engine.stats
         transmitted = stats.in_order + stats.best_effort
-        accounted = transmitted + stats.drop_flag_releases + stats.payload_gone_drops
+        accounted = transmitted + stats.drop_flag_releases
         silent = sum(
             1
             for packet in scenario.packets

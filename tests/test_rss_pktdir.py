@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.gateway import _OUTCOME_KEYS
-from repro.core.pktdir import DeliveryPath, PktDir, PktDirRule
+from repro.core.pktdir import DeliveryPath, PktDir
 from repro.core.plb.reorder import TxOutcome
 from repro.core.ratelimit import RateLimitDecision, TwoStageRateLimiter
 from repro.core.rss import INDIRECTION_ENTRIES, RssDispatcher
@@ -63,48 +63,18 @@ def packet(kind=PacketKind.DATA, vni=1, dst_port=4789):
 class TestPktDir:
     def test_defaults(self):
         pkt_dir = PktDir()
-        assert pkt_dir.classify(packet(PacketKind.DATA))[0] is DeliveryPath.PLB
-        assert pkt_dir.classify(packet(PacketKind.PROTOCOL))[0] is DeliveryPath.PRIORITY
-        assert pkt_dir.classify(packet(PacketKind.STATEFUL))[0] is DeliveryPath.RSS
+        assert pkt_dir.classify(packet(PacketKind.DATA)) is DeliveryPath.PLB
+        assert pkt_dir.classify(packet(PacketKind.PROTOCOL)) is DeliveryPath.PRIORITY
 
     def test_rss_default_mode(self):
         pkt_dir = PktDir(default_data_path=DeliveryPath.RSS)
-        assert pkt_dir.classify(packet())[0] is DeliveryPath.RSS
-
-    def test_rule_match_by_vni(self):
-        pkt_dir = PktDir()
-        pkt_dir.add_rule(PktDirRule(DeliveryPath.RSS, vni=7))
-        assert pkt_dir.classify(packet(vni=7))[0] is DeliveryPath.RSS
-        assert pkt_dir.classify(packet(vni=8))[0] is DeliveryPath.PLB
-
-    def test_rule_match_by_port(self):
-        pkt_dir = PktDir()
-        pkt_dir.add_rule(PktDirRule(DeliveryPath.PRIORITY, dst_port=179))
-        assert pkt_dir.classify(packet(dst_port=179))[0] is DeliveryPath.PRIORITY
-
-    def test_rule_priority_order(self):
-        pkt_dir = PktDir()
-        pkt_dir.add_rule(PktDirRule(DeliveryPath.RSS, vni=7, priority=50))
-        pkt_dir.add_rule(PktDirRule(DeliveryPath.PRIORITY, vni=7, priority=10))
-        assert pkt_dir.classify(packet(vni=7))[0] is DeliveryPath.PRIORITY
-
-    def test_header_only_from_rule(self):
-        pkt_dir = PktDir()
-        pkt_dir.add_rule(PktDirRule(DeliveryPath.PLB, vni=7, header_only=True))
-        path, header_only = pkt_dir.classify(packet(vni=7))
-        assert header_only
-
-    def test_remove_rule(self):
-        pkt_dir = PktDir()
-        rule = pkt_dir.add_rule(PktDirRule(DeliveryPath.RSS, vni=7))
-        pkt_dir.remove_rule(rule)
-        assert pkt_dir.classify(packet(vni=7))[0] is DeliveryPath.PLB
+        assert pkt_dir.classify(packet()) is DeliveryPath.RSS
 
     def test_fallback_switch(self):
         """§4.1 remediation 5: PLB -> RSS at runtime."""
         pkt_dir = PktDir()
         pkt_dir.set_default_data_path(DeliveryPath.RSS)
-        assert pkt_dir.classify(packet())[0] is DeliveryPath.RSS
+        assert pkt_dir.classify(packet()) is DeliveryPath.RSS
         with pytest.raises(ValueError):
             pkt_dir.set_default_data_path(DeliveryPath.PRIORITY)
 
@@ -115,55 +85,19 @@ class TestPktDir:
         assert pkt_dir.classified[DeliveryPath.PLB] == 1
         assert pkt_dir.classified[DeliveryPath.PRIORITY] == 1
 
-    RULES = [
-        dict(kind=PacketKind.STATEFUL),
-        dict(vni=7),
-        dict(dst_port=179),
-        dict(kind=PacketKind.PROTOCOL, dst_port=179),
-        dict(kind=PacketKind.DATA, vni=7, dst_port=4789),
-    ]
-
-    @pytest.mark.parametrize("fields", RULES, ids=lambda fields: "-".join(fields))
-    def test_inlined_rule_walk_agrees_with_matches(self, fields):
-        # classify() inlines PktDirRule.matches on the ingress path; the two
-        # must accept exactly the same packets.
-        rule = PktDirRule(DeliveryPath.RSS, header_only=True, **fields)
-        for kind in PacketKind:
-            for vni in (7, 8):
-                for dst_port in (179, 4789):
-                    candidate = packet(kind, vni, dst_port)
-                    pkt_dir = PktDir()
-                    pkt_dir.add_rule(rule)
-                    _, header_only = pkt_dir.classify(candidate)
-                    assert header_only == rule.matches(candidate)
-
-    def test_rule_text(self):
-        rule = PktDirRule(DeliveryPath.RSS, vni=7, priority=5)
-        assert repr(rule) == (
-            "PktDirRule(path=rss, kind=None, vni=7, dst_port=None, prio=5)"
-        )
-
-    def test_rules_listing_is_a_sorted_copy(self):
-        pkt_dir = PktDir()
-        late = pkt_dir.add_rule(PktDirRule(DeliveryPath.RSS, vni=1, priority=90))
-        early = pkt_dir.add_rule(PktDirRule(DeliveryPath.RSS, vni=2, priority=10))
-        listing = pkt_dir.rules
-        assert listing == [early, late]
-        listing.clear()
-        assert pkt_dir.rules == [early, late]
-
     def test_checkpoint_restore_carries_tallies_only(self):
         pkt_dir = PktDir()
-        pkt_dir.add_rule(PktDirRule(DeliveryPath.RSS, vni=7))
         for kind in PacketKind:
             pkt_dir.classify(packet(kind))
-        pkt_dir.classify(packet(vni=7))
+        pkt_dir.set_default_data_path(DeliveryPath.RSS)
+        pkt_dir.classify(packet())
+        pkt_dir.classify(packet())
         snapshot = pkt_dir.checkpoint()
         assert snapshot == {"classified": {"priority": 1, "plb": 1, "rss": 2}}
         restored = PktDir()
         restored.restore(snapshot)
         assert restored.classified == pkt_dir.classified
-        assert restored.rules == []
+        assert restored.default_data_path is DeliveryPath.PLB
 
 
 _IDENTITY_HASHED = (DeliveryPath, TxOutcome, RateLimitDecision)
@@ -206,8 +140,10 @@ class TestIdentityHashedEnums:
 
     def test_pktdir_snapshot_bytes(self):
         pkt_dir = PktDir()
-        for kind in (PacketKind.STATEFUL, PacketKind.DATA, PacketKind.DATA, PacketKind.PROTOCOL):
+        for kind in (PacketKind.DATA, PacketKind.DATA, PacketKind.PROTOCOL):
             pkt_dir.classify(packet(kind))
+        pkt_dir.set_default_data_path(DeliveryPath.RSS)
+        pkt_dir.classify(packet())
         assert json.dumps(pkt_dir.checkpoint()) == (
             '{"classified": {"priority": 1, "plb": 2, "rss": 1}}'
         )
@@ -231,7 +167,7 @@ class TestIdentityHashedEnums:
             "rss": "rss", "fpga_fast_path": "fpga_fast_path",
         }
         assert list(_OUTCOME_KEYS.values()) == [
-            "in_order", "best_effort", "payload_gone", "drop_flag", "rss", "fpga_fast_path",
+            "in_order", "best_effort", "drop_flag", "rss", "fpga_fast_path",
         ]
 
     def test_nothing_under_src_iterates_a_set_of_them(self):

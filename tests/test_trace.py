@@ -1,4 +1,4 @@
-"""Tests for the packet tracer and incast workload."""
+"""Tests for the packet tracer."""
 
 import pytest
 
@@ -10,7 +10,6 @@ from repro.packet.packet import Packet
 from repro.scenarios import PodSpec
 from repro.sim import MS, RngRegistry, Simulator, US
 from repro.workloads.generators import CbrSource, uniform_population
-from repro.workloads.incast import IncastEvent, periodic_incast
 
 
 def make_pod(data_cores=2, mode="plb"):
@@ -151,108 +150,3 @@ class TestPacketTrace:
         tracer = PacketTracer()
         assert tracer.mean_span_ns("ingress", "egress") is None
         assert set(tracer.breakdown().values()) == {None}
-
-
-class TestIncast:
-    def test_event_emits_during_window_only(self):
-        sim = Simulator()
-        rngs = RngRegistry(seed=41)
-        received = []
-        event = IncastEvent(
-            sim,
-            rngs.stream("incast"),
-            lambda packet: received.append(sim.now),
-            senders=16,
-            per_sender_pps=10_000,
-            start_ns=2 * MS,
-            duration_ns=3 * MS,
-        )
-        sim.run_until(10 * MS)
-        assert event.emitted == pytest.approx(16 * 10_000 * 0.003, rel=0.05)
-        assert min(received) >= 2 * MS
-        assert max(received) <= 5 * MS + 100
-
-    def test_flows_share_destination(self):
-        sim = Simulator()
-        rngs = RngRegistry(seed=41)
-        packets = []
-        IncastEvent(
-            sim, rngs.stream("incast"), packets.append,
-            senders=8, per_sender_pps=50_000, start_ns=0, duration_ns=1 * MS,
-        )
-        sim.run_until(2 * MS)
-        destinations = {packet.flow.dst_ip for packet in packets}
-        sources = {packet.flow.src_ip for packet in packets}
-        assert len(destinations) == 1
-        assert len(sources) > 1
-
-    def test_periodic_scheduler(self):
-        sim = Simulator()
-        rngs = RngRegistry(seed=41)
-        events = periodic_incast(
-            sim, rngs.stream("incast"), lambda packet: None,
-            period_ns=10 * MS, horizon_ns=45 * MS,
-            senders=4, per_sender_pps=1000, duration_ns=1 * MS,
-        )
-        assert len(events) == 4
-        sim.run_until(50 * MS)
-        assert all(event.emitted > 0 for event in events)
-
-    def test_senders_are_distinct_tcp_flows_on_the_tenant_vni(self):
-        sim = Simulator()
-        packets = []
-        IncastEvent(
-            sim, RngRegistry(seed=41).stream("incast"), packets.append,
-            senders=12, per_sender_pps=100_000, duration_ns=1 * MS, vni=77,
-            dst_port=8443, size=128,
-        )
-        sim.run_until(2 * MS)
-        flows = {packet.flow for packet in packets}
-        assert len(flows) == 12
-        assert {(flow.dst_port, flow.proto) for flow in flows} == {(8443, 6)}
-        assert {(packet.vni, packet.size) for packet in packets} == {(77, 128)}
-
-    def test_periodic_events_get_their_own_tenant(self):
-        sim = Simulator()
-        packets = []
-        events = periodic_incast(
-            sim, RngRegistry(seed=41).stream("incast"), packets.append,
-            period_ns=2 * MS, horizon_ns=7 * MS,
-            senders=2, per_sender_pps=10_000, duration_ns=1 * MS,
-        )
-        sim.run_until(10 * MS)
-        assert [event.senders for event in events] == [2, 2, 2]
-        assert sorted({packet.vni for packet in packets}) == [4242, 4243, 4244]
-
-    @pytest.mark.parametrize("horizon_ms", [0, 5, 10])
-    def test_no_event_before_the_first_period(self, horizon_ms):
-        sim = Simulator()
-        events = periodic_incast(
-            sim, RngRegistry(seed=41).stream("incast"), lambda packet: None,
-            period_ns=10 * MS, horizon_ns=horizon_ms * MS,
-        )
-        assert events == []
-        assert sim.pending == 0
-
-    def test_incast_spreads_under_plb(self):
-        """The §3.1 motivation: PLB absorbs incast that RSS concentrates."""
-        results = {}
-        for mode in ("rss", "plb"):
-            sim, rngs, pod = make_pod(data_cores=4, mode=mode)
-            # 3 synchronized senders onto 4 cores: under RSS at least one
-            # core sits idle while others absorb whole flows (pigeonhole);
-            # under PLB every burst packet is sprayed.
-            IncastEvent(
-                sim,
-                rngs.stream("incast"),
-                pod.ingress,
-                senders=3,
-                per_sender_pps=300_000,
-                start_ns=0,
-                duration_ns=20 * MS,
-            )
-            sim.run_until(25 * MS)
-            utils = pod.core_utilizations(20 * MS)
-            results[mode] = max(utils) - min(utils)
-        assert results["plb"] < 0.05
-        assert results["rss"] > 0.25
