@@ -266,8 +266,8 @@ def exercise(workdir):
         uninstall()
 
 
-def profile_reached():
-    """``(file, first line)`` of every function the exercise called."""
+def profile_reached(run=exercise):
+    """``(file, first line)`` of every function ``run(workdir)`` called."""
     codes = {}
 
     def hook(frame, event, arg):
@@ -280,14 +280,17 @@ def profile_reached():
     with tempfile.TemporaryDirectory() as workdir, \
             contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):
+        previous = sys.getprofile()
         sys.setprofile(hook)
         try:
-            exercise(Path(workdir))
+            run(Path(workdir))
         finally:
-            sys.setprofile(None)
+            sys.setprofile(previous)
+    # Importing a module runs its body as a code object that starts on
+    # line 1, where a ``def`` may start too: only functions count.
     return {
         (os.path.realpath(code.co_filename), code.co_firstlineno)
-        for code in codes.values()
+        for code in codes.values() if code.co_name != "<module>"
     }
 
 
@@ -306,10 +309,11 @@ def _definitions(node, prefix, path):
             yield from _definitions(child, prefix, path)
 
 
-def definitions():
-    """``(dotted name, (file, first line), body lines)`` of every ``def``."""
-    for path in sorted(SRC.rglob("*.py")):
-        parts = path.relative_to(SRC.parent).with_suffix("").parts
+def definitions(src=SRC):
+    """``(dotted name, (file, first line), body lines)`` of every ``def``
+    under the package directory ``src``."""
+    for path in sorted(src.rglob("*.py")):
+        parts = path.relative_to(src.parent).with_suffix("").parts
         module = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
         tree = ast.parse(path.read_text())
         yield from _definitions(tree, module, os.path.realpath(path))
@@ -319,21 +323,17 @@ def _covers(entry, name):
     return name == entry or name.startswith(entry + ".")
 
 
-def main():
-    reached = profile_reached()
-    functions = list(definitions())
+def find_problems(functions, reached, allowed):
+    """The check itself: ``functions`` as :func:`definitions` yields them,
+    ``reached`` the ``(file, first line)`` keys that ran.  Returns the
+    unreached ``(name, body lines)`` and one line per problem."""
     unreached = [(name, body) for name, key, body in functions if key not in reached]
     reached_names = [name for name, key, _ in functions if key in reached]
-    total_lines = sum(body for _, _, body in functions)
-    print(f"reachability: {len(functions) - len(unreached)} of {len(functions)} "
-          f"functions called; {len(unreached)} not called "
-          f"({sum(body for _, body in unreached)} of {total_lines} "
-          f"function-body lines)")
     problems = []
     for name, _ in unreached:
-        if not any(_covers(entry, name) for entry in ALLOWED):
+        if not any(_covers(entry, name) for entry in allowed):
             problems.append(f"not called and not allow-listed: {name}")
-    for entry, reason in ALLOWED.items():
+    for entry, reason in allowed.items():
         if not reason.strip():
             problems.append(f"allow-list entry without a reason: {entry}")
         covered = [name for name, _, _ in functions if _covers(entry, name)]
@@ -342,12 +342,23 @@ def main():
         for name in reached_names:
             if _covers(entry, name):
                 problems.append(f"allow-listed but called (stale entry {entry}): {name}")
+    return unreached, problems
+
+
+def main():
+    reached = profile_reached()
+    functions = list(definitions())
+    unreached, problems = find_problems(functions, reached, ALLOWED)
+    total_lines = sum(body for _, _, body in functions)
+    print(f"reachability: {len(functions) - len(unreached)} of {len(functions)} "
+          f"functions called; {len(unreached)} not called "
+          f"({sum(body for _, body in unreached)} of {total_lines} "
+          f"function-body lines)")
     for problem in problems:
         print(problem)
     print(f"reachability: {len(ALLOWED)} allow-list entries, "
           f"{len(problems)} problem(s)")
     return 1 if problems else 0
-
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -94,6 +94,14 @@ class TestShardSeed:
         seeds = [shard_seed(seed, index) for index in range(math.prod(sizes))]
         assert len(set(seeds)) == len(seeds)
 
+    def test_replicas_run_the_shard_seeds_in_index_order(self):
+        shards = replicate(_tiny_spec(), count=4, seed=11)
+        assert [shard.index for shard in shards] == [0, 1, 2, 3]
+        assert [shard.spec.seed for shard in shards] == [
+            shard_seed(11, index) for index in range(4)
+        ]
+        assert replicate(_tiny_spec(), count=0, seed=11) == []
+
     def test_replicate_varies_only_the_seed(self):
         shards = replicate(_tiny_spec(), count=3, seed=4)
         assert [s.axes for s in shards] == [

@@ -249,6 +249,36 @@ class TestIngressByKindAndMode:
             assert pod.outcomes.get("rss", 0) == len(packets) - admitted
 
 
+    @pytest.mark.parametrize("fallback", [False, True], ids=["plb", "rss"])
+    def test_interleaved_kinds_split_per_packet(self, fallback):
+        """Protocol and data packets of one tenant, interleaved, each
+        take their own path: the split is per packet, not per flow."""
+        sim, _, _, pod = make_pod()
+        nic = pod.nic
+        if fallback:
+            nic.fallback_to_rss()
+        limiter = nic.rate_limiter = _RecordingLimiter()
+        kinds = [PacketKind.DATA, PacketKind.PROTOCOL, PacketKind.DATA,
+                 PacketKind.DATA, PacketKind.PROTOCOL, PacketKind.DATA]
+        packets = [
+            Packet(flow_for_tenant(3, 0), vni=3, kind=kind) for kind in kinds
+        ]
+        for packet in packets:
+            pod.ingress(packet)
+        sim.run_until(1 * MS)
+
+        oracle = PktDir()
+        oracle.set_default_data_path(nic.pkt_dir.default_data_path)
+        for packet in packets:
+            oracle.classify(packet)
+        assert nic.pkt_dir.classified == oracle.classified
+        data = kinds.count(PacketKind.DATA)
+        assert pod.counters.get("rx_priority") == len(kinds) - data
+        assert nic.priority.delivered == len(kinds) - data
+        assert limiter.asked == [3] * data
+        assert pod.transmitted() == data
+
+
 class TestPodSpecValidation:
     def test_reorder_queue_defaults(self):
         """1-8 queues proportional to cores (44-core pod -> 4)."""

@@ -7,7 +7,14 @@ from repro.core.offload import (
     FpgaSessionOffload,
     offload_throughput_mpps,
 )
-from repro.core.pcie import PcieLinkModel, PortCapacityModel, SPLIT_HEADER_BYTES
+from repro.core.pcie import (
+    DESCRIPTOR_OVERHEAD_BYTES,
+    PCIE_GEN4_X16_GBPS,
+    PLB_META_BYTES,
+    SPLIT_HEADER_BYTES,
+    PcieLinkModel,
+    PortCapacityModel,
+)
 from repro.cpu.stateful import write_heavy_nf
 from repro.packet.flows import FlowKey, flow_for_tenant
 from repro.scenarios import PodSpec
@@ -67,6 +74,27 @@ class TestSessionOffloadTable:
         sim.run_until(5 * MS)
         assert not offload.lookup(flow)
         assert offload.evictions == 1
+
+    def test_full_table_of_live_sessions_rejects(self):
+        """No session is past the idle timeout, so nothing is evicted."""
+        sim, offload = self._offload(capacity=2, idle_timeout_ns=10 * MS)
+        offload.install(FlowKey(1, 2, 3, 4, 17))
+        offload.install(FlowKey(2, 2, 3, 4, 17))
+        sim.run_until(5 * MS)
+        assert not offload.install(FlowKey(3, 2, 3, 4, 17))
+        assert (offload.evictions, offload.install_rejections, len(offload)) == (0, 1, 2)
+
+    def test_eviction_takes_the_idle_session_not_the_live_one(self):
+        sim, offload = self._offload(capacity=2, idle_timeout_ns=2 * MS)
+        stale, fresh = FlowKey(1, 2, 3, 4, 17), FlowKey(2, 2, 3, 4, 17)
+        offload.install(stale)
+        sim.run_until(1 * MS)
+        offload.install(fresh)
+        sim.run_until(3 * MS)  # ``stale`` idles 3 ms, ``fresh`` 2 ms
+        assert offload.install(FlowKey(3, 2, 3, 4, 17))
+        assert offload.evictions == 1
+        assert offload.lookup(fresh)
+        assert not offload.lookup(stale)
 
     def test_reinstall_is_a_no_op(self):
         sim, offload = self._offload(capacity=1)
@@ -185,6 +213,31 @@ class TestPcieModel:
 
         assert speedup(8500) > 20
         assert speedup(256) < 3
+
+    @pytest.mark.parametrize("frame, split_payload", [
+        (64, 64),
+        (SPLIT_HEADER_BYTES, SPLIT_HEADER_BYTES),
+        (SPLIT_HEADER_BYTES + 1, SPLIT_HEADER_BYTES),
+        (1500, SPLIT_HEADER_BYTES),
+        (8500, SPLIT_HEADER_BYTES),
+    ])
+    def test_split_moves_at_most_the_header_slice(self, frame, split_payload):
+        """Appendix A: split mode crosses PCIe with ``min(frame, 128)``
+        bytes; both modes add the PLB meta and the DMA descriptor."""
+        link = PcieLinkModel()
+        overhead = PLB_META_BYTES + DESCRIPTOR_OVERHEAD_BYTES
+        assert link.bytes_for_packet(frame, split=False) == frame + overhead
+        assert link.bytes_for_packet(frame, split=True) == split_payload + overhead
+
+    def test_max_pps_scales_with_link_rate(self):
+        """A Gen4 x16 link forwards 1500 B frames both ways at ~10 Mpps."""
+        link = PcieLinkModel()
+        assert link.max_pps(1500) == pytest.approx(
+            PCIE_GEN4_X16_GBPS * 1e9 / 8 / (2 * (1500 + 48))
+        )
+        assert PcieLinkModel(gbps=PCIE_GEN4_X16_GBPS / 2).max_pps(1500) == pytest.approx(
+            link.max_pps(1500) / 2
+        )
 
     def test_max_pps_directions(self):
         link = PcieLinkModel()

@@ -85,6 +85,27 @@ class TestPktDir:
         assert pkt_dir.classified[DeliveryPath.PLB] == 1
         assert pkt_dir.classified[DeliveryPath.PRIORITY] == 1
 
+    @pytest.mark.parametrize("kind, default, path", [
+        (PacketKind.PROTOCOL, DeliveryPath.PLB, DeliveryPath.PRIORITY),
+        (PacketKind.PROTOCOL, DeliveryPath.RSS, DeliveryPath.PRIORITY),
+        (PacketKind.DATA, DeliveryPath.PLB, DeliveryPath.PLB),
+        (PacketKind.DATA, DeliveryPath.RSS, DeliveryPath.RSS),
+    ])
+    def test_split_by_kind_and_default_path(self, kind, default, path):
+        """Protocol traffic ignores the pod's mode; data follows it."""
+        pkt_dir = PktDir(default_data_path=default)
+        assert [pkt_dir.classify(packet(kind, vni=vni)) for vni in (1, 2, 3)] == [path] * 3
+        assert pkt_dir.classified == {
+            other: 3 if other is path else 0 for other in DeliveryPath
+        }
+
+    def test_restore_round_trips_the_snapshot(self):
+        pkt_dir = PktDir()
+        pkt_dir.restore({"classified": {"priority": 4, "plb": 9, "rss": 2}})
+        assert pkt_dir.checkpoint() == {"classified": {"priority": 4, "plb": 9, "rss": 2}}
+        pkt_dir.classify(packet())
+        assert pkt_dir.classified[DeliveryPath.PLB] == 10
+
     def test_checkpoint_restore_carries_tallies_only(self):
         pkt_dir = PktDir()
         for kind in PacketKind:
