@@ -278,7 +278,7 @@ class HandRolledHeapRule(LintRule):
 
     code = "DET004"
     summary = (
-        "event callbacks must go through Simulator.schedule/schedule_at/post/"
+        "event callbacks must go through Simulator.schedule/schedule_at/post/push/"
         "rearm/every; no hand-rolled heapq/PriorityQueue/sched event loops"
     )
     EXEMPT_SUFFIXES = ("repro/sim/engine.py",)

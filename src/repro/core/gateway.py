@@ -38,6 +38,12 @@ from repro.sim.units import SECOND
 _OUTCOME_KEYS = {outcome: outcome.value for outcome in TxOutcome}
 _OUTCOME_KEYS.update({"rss": "rss", "fpga_fast_path": "fpga_fast_path"})
 
+# The verdicts ``_verdict`` returns per packet, bound once (a member loaded
+# through its Enum class goes through ``EnumType.__getattr__``'s slot).
+_FORWARD = Verdict.FORWARD
+_DROP_ACL = Verdict.DROP_ACL
+_DROP_SILENT = Verdict.DROP_SILENT
+
 
 def default_reorder_queue_count(data_cores):
     """1-8 reorder queues, proportional to the pod's data cores (§4.1).
@@ -72,6 +78,9 @@ class GwPodRuntime:
         self.latency_histogram = LatencyHistogram()
         self.outcomes = {}
         self._started_ns = sim.now
+        # ``_verdict``'s two thresholds, the sums it compares against.
+        self._acl_below = spec.acl_drop_probability
+        self._drop_below = spec.acl_drop_probability + spec.silent_drop_probability
 
         self.cores = []
         for core_id in core_ids[: spec.data_cores]:
@@ -105,11 +114,11 @@ class GwPodRuntime:
 
     def _verdict(self, packet):
         roll = self.rng.random()
-        if roll < self.spec.acl_drop_probability:
-            return Verdict.DROP_ACL
-        if roll < self.spec.acl_drop_probability + self.spec.silent_drop_probability:
-            return Verdict.DROP_SILENT
-        return Verdict.FORWARD
+        if roll < self._acl_below:
+            return _DROP_ACL
+        if roll < self._drop_below:
+            return _DROP_SILENT
+        return _FORWARD
 
     def _on_egress(self, packet, outcome):
         arrival, departure = packet.arrival_ns, packet.departure_ns

@@ -24,8 +24,12 @@ from repro.cpu.core import Verdict
 from repro.metrics.counters import CounterSet
 from repro.packet.packet import PacketKind
 
+# Enum members the per-packet path compares against, bound once: loading a
+# member through its class goes through ``EnumType.__getattr__``'s slot.
 _DATA = PacketKind.DATA
 _PLB = DeliveryPath.PLB
+_FORWARD = Verdict.FORWARD
+_DROP_SILENT = Verdict.DROP_SILENT
 
 #: Limiter decision -> the drop reason it names, ``None`` for a pass: one
 #: lookup per packet instead of ``allowed``, ``Enum.value`` and an f-string.
@@ -60,7 +64,9 @@ class NicPipeline:
     construction; so is ``priority.deliver_fn``, the one hook for protocol
     packets.  The pod's cores must have been constructed with this
     pipeline's :meth:`on_cpu_completion` as their completion callback (the
-    :mod:`~repro.core.gateway` runtime wires this up).
+    :mod:`~repro.core.gateway` runtime wires this up).  The RX DMA hop
+    delivers straight to ``core.enqueue``, so the pipeline wires each
+    core's ``overflow_fn`` to :meth:`on_rx_overflow` itself.
     """
 
     def __init__(self, sim, cores, reorder, egress_fn, mode="plb",
@@ -100,8 +106,15 @@ class NicPipeline:
         # lifetime (unlike egress_fn/rate_limiter/session_offload, which
         # experiments swap post-construction and must be read per call).
         # ``_counts`` is the counter set's own dict (restore refills it in
-        # place): the per-packet counters are bumped on it directly.
+        # place): the per-packet counters are bumped on it directly.  The
+        # RX and TX DMA hops queue with ``sim.push`` (their delays are
+        # constant ints), the rare hops with ``sim.post``.
         self._post = sim.post
+        self._push = sim.push
+        self._next_seq = sim.next_seq
+        self._writeback = self.reorder.writeback
+        for core in self.cores:
+            core.overflow_fn = self.on_rx_overflow
         self._incr = self.counters.incr
         self._counts = self.counters.counts
         self._plb_dispatch = self.plb.dispatch
@@ -193,7 +206,8 @@ class NicPipeline:
             self._drop(packet, "pod_crashed")
             return
         counts = self._counts
-        packet.arrival_ns = self.sim._now
+        now = self.sim._now
+        packet.arrival_ns = now
         try:
             counts["rx_packets"] += 1
         except KeyError:
@@ -220,7 +234,7 @@ class NicPipeline:
 
         limiter = self.rate_limiter
         if limiter is not None:
-            reason = _LIMITER_DROPS[limiter.admit(packet.vni, self.sim._now)]
+            reason = _LIMITER_DROPS[limiter.admit(packet.vni, now)]
             if reason is not None:
                 self._drop(packet, reason)
                 return
@@ -247,13 +261,14 @@ class NicPipeline:
             counts["dispatched"] += 1
         except KeyError:
             counts["dispatched"] = 1
-        self._post(self._rx_latency_ns, self._deliver_to_core, packet, core)
+        self._push((now + self._rx_latency_ns, self._next_seq(), core.enqueue,
+                    (packet,), None))
 
-    def _deliver_to_core(self, packet, core):
-        if not core.enqueue(packet):
-            # Silent driver loss: the NIC is never told.  For PLB packets
-            # this leaves a hole in the reorder FIFO -> HOL until timeout.
-            self._drop(packet, "rx_queue_overflow")
+    def on_rx_overflow(self, packet):
+        """Wired as every data core's RX-overflow callback: silent driver
+        loss, the NIC is never told.  For PLB packets this leaves a hole
+        in the reorder FIFO -> HOL until timeout."""
+        self._drop(packet, "rx_queue_overflow")
 
     # ------------------------------------------------------------------
     # Egress
@@ -261,8 +276,8 @@ class NicPipeline:
 
     def on_cpu_completion(self, packet, verdict, core):
         """Wired as every data core's completion callback."""
-        if verdict is not Verdict.FORWARD:
-            if verdict is Verdict.DROP_SILENT:
+        if verdict is not _FORWARD:
+            if verdict is _DROP_SILENT:
                 self._drop(packet, "cpu_silent")
                 return
             # Terminal here: the later drop-flag release only reclaims
@@ -279,7 +294,8 @@ class NicPipeline:
             # Slow path forwarded a packet: maybe install the session.
             self.session_offload.note_cpu_packet(packet.flow)
         if packet.meta is not None:
-            self._post(self._tx_dma_ns, self.reorder.writeback, packet)
+            self._push((self.sim._now + self._tx_dma_ns, self._next_seq(),
+                        self._writeback, (packet,), None))
         else:
             # RSS path: no reordering, straight to the deparser.
             self._post(

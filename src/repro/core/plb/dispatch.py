@@ -72,7 +72,10 @@ class PlbDispatcher:
 
         Returns the selected core, or None if the packet was dropped
         (order queue full, or every core offline).  On success the packet
-        carries a populated ``meta`` and its reorder info is queued.
+        carries a populated ``meta`` and its reorder info is queued: the
+        order queue's next PSN is reserved, ``(psn, now)`` joins its FIFO,
+        and an empty FIFO's head timer is armed.  This is the reorder
+        engine's only admission point.
 
         Failed cores are skipped: the FPGA observes a dead doorbell and
         sprays around it, so PLB absorbs a lost core with the survivors
@@ -96,13 +99,31 @@ class PlbDispatcher:
             ordq = self._ordq_cache[flow]
         except KeyError:
             ordq = self.ordq_index(flow)
-        psn = reorder.admit(ordq, now)
-        if psn is None:
+        queue = reorder._queues[ordq]
+        fifo = queue.fifo
+        occupancy = len(fifo)
+        depth = reorder.config.depth
+        if occupancy >= depth:
             # Rotation is not advanced on a drop: the slot stays with this
             # core for the next successful dispatch.
+            reorder.stats.fifo_full += 1
             self.fifo_full_drops += 1
             packet.drop_reason = "reorder_fifo_full"
             return None
+        psn = queue.tail_ptr
+        queue.tail_ptr = psn + 1
+        fifo.append((psn, now))
+        reorder.stats.admitted += 1
+        sanitizer = reorder._sanitizer
+        if sanitizer is not None:
+            sanitizer.ensure(
+                len(fifo) <= depth, "finite-queue-bound",
+                f"reorder FIFO {ordq} holds {len(fifo)} entries, "
+                f"depth is {depth}",
+                ordq=ordq, occupancy=len(fifo), depth=depth,
+            )
+        if not occupancy:
+            reorder._arm_timeout(ordq, queue)
         self._rr_index = next_index
         packet.meta = PlbMeta(psn, ordq, now, False, reorder.epoch)
         self.dispatched += 1

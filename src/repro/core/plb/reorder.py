@@ -51,6 +51,13 @@ class TxOutcome(enum.Enum):
     __hash__ = object.__hash__
 
 
+# Bound once: the release paths load these per packet, and a member loaded
+# through its Enum class goes through ``EnumType.__getattr__``'s slot.
+_IN_ORDER = TxOutcome.IN_ORDER
+_BEST_EFFORT = TxOutcome.BEST_EFFORT
+_RELEASED_DROP_FLAG = TxOutcome.RELEASED_DROP_FLAG
+
+
 class ReorderQueueConfig:
     """Sizing knobs for the reorder queues."""
 
@@ -138,17 +145,25 @@ class ReorderEngine:
             packet leaves the engine (in order or best effort), or its
             slot is released without transmission (drop flag).
         deparser: optional ``(delay_ns, fn)``, the owner's next hop.  With
-            it, in-order and best-effort releases are posted as
-            ``sim.post(delay_ns, fn, packet, outcome)`` instead of handed
-            to ``transmit_fn``, which then sees only drop-flag releases,
-            the one outcome that never reaches the wire.
+            it, in-order and best-effort releases are queued as
+            ``sim.post(delay_ns, fn, packet, outcome)`` would queue them
+            (with ``sim.push``: the delay is a constant ``int`` >= 0)
+            instead of handed to ``transmit_fn``, which then sees only
+            drop-flag releases, the one outcome that never reaches the wire.
+
+    Packets are admitted by :meth:`PlbDispatcher.dispatch
+    <repro.core.plb.dispatch.PlbDispatcher.dispatch>`, which reserves the
+    PSN and queues the reorder info itself.
     """
 
     def __init__(self, sim, config, transmit_fn, deparser=None):
         self.sim = sim
         self.config = config
         self.transmit_fn = transmit_fn
-        self._deparser_ns, self._deparser_fn = deparser or (0, None)
+        deparser_ns, self._deparser_fn = deparser or (0, None)
+        if deparser_ns < 0:
+            raise ValueError(f"deparser delay must be >= 0, got {deparser_ns}")
+        self._deparser_ns = int(deparser_ns)
         self.stats = ReorderStats()
         self.epoch = 0
         self._queues = [_ReorderQueue() for _ in range(config.queue_count)]
@@ -161,36 +176,6 @@ class ReorderEngine:
     def occupancy(self, ordq):
         """In-flight packets tracked by queue ``ordq``."""
         return len(self._queues[ordq].fifo)
-
-    # ------------------------------------------------------------------
-    # Ingress side (called by PlbDispatcher)
-    # ------------------------------------------------------------------
-
-    def admit(self, ordq, now_ns):
-        """Reserve the next PSN in queue ``ordq`` and enqueue reorder info.
-
-        Returns the assigned PSN, or None if the FIFO is full.
-        """
-        queue = self._queues[ordq]
-        fifo = queue.fifo
-        occupancy = len(fifo)
-        if occupancy >= self.config.depth:
-            self.stats.fifo_full += 1
-            return None
-        psn = queue.tail_ptr
-        queue.tail_ptr = psn + 1
-        fifo.append((psn, now_ns))
-        self.stats.admitted += 1
-        if self._sanitizer is not None:
-            self._sanitizer.ensure(
-                len(fifo) <= self.config.depth, "finite-queue-bound",
-                f"reorder FIFO {ordq} holds {len(fifo)} entries, "
-                f"depth is {self.config.depth}",
-                ordq=ordq, occupancy=len(fifo), depth=self.config.depth,
-            )
-        if not occupancy:
-            self._arm_timeout(ordq, queue)
-        return psn
 
     # ------------------------------------------------------------------
     # Egress side (called by the NIC TX path)
@@ -228,15 +213,16 @@ class ReorderEngine:
             fifo.popleft()
             queue.head_ptr = psn + 1
             self.stats.in_order += 1
+            sim = self.sim
             deparser_fn = self._deparser_fn
             if deparser_fn is None:
-                self.transmit_fn(packet, TxOutcome.IN_ORDER)
+                self.transmit_fn(packet, _IN_ORDER)
             else:
-                self.sim.post(self._deparser_ns, deparser_fn, packet, TxOutcome.IN_ORDER)
+                sim.push((sim._now + self._deparser_ns, sim.next_seq(), deparser_fn,
+                          (packet, _IN_ORDER), None))
             # What follows is the drain's, unless the new head is still at
             # the CPU and not yet due (case 2): then only the timer moves,
             # as _arm_timeout would move it.
-            sim = self.sim
             event = queue.timeout_event
             if fifo:
                 head_psn, enqueue_ns = fifo[0]
@@ -396,10 +382,10 @@ class ReorderEngine:
             meta = packet.meta
             if meta is not None and meta.drop:
                 stats.drop_flag_releases += 1
-                self.transmit_fn(packet, TxOutcome.RELEASED_DROP_FLAG)
+                self.transmit_fn(packet, _RELEASED_DROP_FLAG)
             else:
                 stats.in_order += 1
-                self._release(packet, TxOutcome.IN_ORDER)
+                self._release(packet, _IN_ORDER)
         self._arm_timeout(ordq, queue)
 
     def _check_release_order(self, ordq, queue, psn):
@@ -423,7 +409,9 @@ class ReorderEngine:
         if deparser_fn is None:
             self.transmit_fn(packet, outcome)
         else:
-            self.sim.post(self._deparser_ns, deparser_fn, packet, outcome)
+            sim = self.sim
+            sim.push((sim._now + self._deparser_ns, sim.next_seq(), deparser_fn,
+                      (packet, outcome), None))
 
     def _arm_timeout(self, ordq, queue):
         """Point the queue's timeout event at the current head's deadline.
@@ -457,4 +445,4 @@ class ReorderEngine:
             self.stats.drop_flag_releases += 1
             return
         self.stats.best_effort += 1
-        self._release(packet, TxOutcome.BEST_EFFORT)
+        self._release(packet, _BEST_EFFORT)

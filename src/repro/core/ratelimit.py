@@ -55,6 +55,15 @@ _ALLOWED = frozenset((
     RateLimitDecision.BYPASS,
 ))
 
+# ``admit``'s decisions, bound once: a member loaded through its Enum
+# class goes through ``EnumType.__getattr__``'s slot, per packet.
+_ALLOW = RateLimitDecision.ALLOW
+_ALLOW_MARKED = RateLimitDecision.ALLOW_MARKED
+_DROP_METER = RateLimitDecision.DROP_METER
+_ALLOW_PRE = RateLimitDecision.ALLOW_PRE
+_DROP_PRE = RateLimitDecision.DROP_PRE
+_BYPASS = RateLimitDecision.BYPASS
+
 
 class TokenBucket:
     """Packet-rate token bucket with lazy refill.
@@ -330,19 +339,19 @@ class TwoStageRateLimiter:
         :meth:`TokenBucket._refill`'s order.
         """
         if vni in self._bypass:
-            decision = RateLimitDecision.BYPASS
+            decision = _BYPASS
         else:
             # pre_check: a known heavy hitter meets its pre_meter only;
             # anyone else meets the color table, then the meter table.
             bucket = self._pre_meter.get(vni)
             if bucket is not None:
-                passed, failed = RateLimitDecision.ALLOW_PRE, RateLimitDecision.DROP_PRE
+                passed, failed = _ALLOW_PRE, _DROP_PRE
             else:
                 color_index = vni % self.color_entries
                 bucket = self._color.get(color_index)
                 if bucket is None:
                     bucket = self._color[color_index] = TokenBucket(self.stage1_rate_pps)
-                passed, failed = RateLimitDecision.ALLOW, None
+                passed, failed = _ALLOW, None
             while True:
                 last_ns = bucket._last_ns
                 if now_ns > last_ns:
@@ -364,8 +373,8 @@ class TwoStageRateLimiter:
                 bucket = self._meter.get(meter_index)
                 if bucket is None:
                     bucket = self._meter[meter_index] = TokenBucket(self.stage2_rate_pps)
-                passed, failed = RateLimitDecision.ALLOW_MARKED, RateLimitDecision.DROP_METER
-            if (decision is RateLimitDecision.DROP_METER and self.auto_promote
+                passed, failed = _ALLOW_MARKED, _DROP_METER
+            if (decision is _DROP_METER and self.auto_promote
                     and self._sampler.observe(vni, now_ns)):
                 self.promote_heavy_hitter(vni)
         self.decisions[decision] += 1

@@ -21,6 +21,11 @@ class Verdict(enum.Enum):
     DROP_SILENT = "drop_silent"    # driver-level loss: NIC never learns
 
 
+# Bound once: a member loaded through its Enum class pays
+# ``EnumType.__getattr__``'s slot on every packet.
+_FORWARD = Verdict.FORWARD
+
+
 class CoreStats:
     """Counters and busy-time accounting for one core."""
 
@@ -66,6 +71,10 @@ class CpuCore:
         jitter: optional :class:`~repro.cpu.service.JitterModel`.
         rx_capacity: RX descriptor ring size.
         speed_factor: scales service time (cross-NUMA penalty uses >1).
+
+    ``overflow_fn``, ``None`` until the NIC pipeline wires its drop there,
+    is called as ``overflow_fn(packet)`` when :meth:`enqueue` finds the RX
+    ring full.
     """
 
     def __init__(
@@ -85,6 +94,7 @@ class CpuCore:
         self.core_id = core_id
         self.chain = chain
         self.completion_fn = completion_fn
+        self.overflow_fn = None
         self.verdict_fn = verdict_fn
         self.jitter = jitter
         self.speed_factor = speed_factor
@@ -116,7 +126,7 @@ class CpuCore:
 
         Returns True if accepted; False means silent driver loss, which is
         exactly the loss mode that creates reorder-FIFO head-of-line
-        blocking (§4.1).
+        blocking (§4.1), and is handed to ``overflow_fn`` when one is set.
 
         A core idles only once its ring is empty, so an idle, healthy core
         serves the packet at once: the ring's counters end where ``push`` +
@@ -127,6 +137,8 @@ class CpuCore:
             accepted = self._rx_push(packet)
             if self._sanitizer is not None:
                 self._check_ring_bound()
+            if not accepted and self.overflow_fn is not None:
+                self.overflow_fn(packet)
             return accepted
         rx_queue = self.rx_queue
         rx_queue.enqueued += 1
@@ -216,15 +228,19 @@ class CpuCore:
                 core=self.core_id, service_ns=service_ns,
             )
         self.stats.busy_ns += service_ns
-        self.sim.post(service_ns, self._finish, packet)
+        sim = self.sim
+        if service_ns < 0:
+            # ``post`` refuses it: SimulationError, or ``event-causality``.
+            sim.post(service_ns, self._finish, packet)
+        sim.push((sim._now + service_ns, sim.next_seq(), self._finish, (packet,), None))
 
     def _finish(self, packet):
         packet.cpu_done_ns = self.sim._now
         stats = self.stats
         stats.processed += 1
         verdict_fn = self.verdict_fn
-        verdict = verdict_fn(packet) if verdict_fn is not None else Verdict.FORWARD
-        if verdict is Verdict.FORWARD:
+        verdict = verdict_fn(packet) if verdict_fn is not None else _FORWARD
+        if verdict is _FORWARD:
             stats.forwarded += 1
         else:
             stats.dropped += 1

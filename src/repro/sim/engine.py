@@ -6,7 +6,8 @@ interact by scheduling callbacks; there is no process/coroutine machinery to
 keep the hot path cheap (the reorder and dispatch models schedule millions of
 events per simulated second).
 
-Three ways to queue a callback, one heap entry each:
+Four ways to queue a callback, one heap entry each, all numbered by one
+sequence source (``next_seq``):
 
 * ``schedule(delay, fn, *args)`` returns a cancellable :class:`Event` whose
   ``(time, seq)`` a checkpoint may record;
@@ -23,7 +24,13 @@ Three ways to queue a callback, one heap entry each:
   the cancel-and-reschedule spelling gives it.  A *fired* event -- a
   periodic handler re-arming itself -- is pushed afresh, one entry as
   ``schedule()`` pushes, with no new ``Event``.  Every tie-break is
-  unchanged.
+  unchanged;
+* ``sim.push((sim._now + delay, sim.next_seq(), fn, args, None))`` is
+  ``post(delay, fn, *args)`` without the Python frame: ``push`` and
+  ``next_seq`` are C callables bound at construction.  It skips ``post``'s
+  negative-delay check, so it is allowed only where ``delay`` is an
+  ``int`` >= 0 fixed when the caller was built, or where the site rejects
+  a negative delay exactly as ``post`` does (by calling ``post`` for it).
 
 Determinism guarantees:
 
@@ -50,7 +57,9 @@ event order, ``now``, ``events_processed`` and ``pending`` are identical on
 the fast and checked paths (asserted by the engine test suite).
 """
 
+import functools
 import heapq
+import itertools
 
 from repro.analysis.sanitizer import get_sanitizer
 
@@ -121,7 +130,8 @@ class Simulator:
     __slots__ = (
         "_now",
         "_heap",
-        "_sequence",
+        "next_seq",
+        "push",
         "_events_processed",
         "_running",
         "_stopped",
@@ -131,13 +141,16 @@ class Simulator:
 
     def __init__(self):
         self._now = 0
-        self._heap = []
         # The heap and its bookkeeping are deliberately outside the
         # snapshot (see checkpoint()): pending events hold closures, and
         # every owner re-creates its own events on restore, sorted by
         # their checkpointed (time, seq) so fresh sequence numbers
-        # preserve the original firing order.
-        self._sequence = 0  # lint: disable=SNAP001(tie-break counter; restore re-arms events in checkpointed time-seq order, so fresh numbers preserve firing order)
+        # preserve the original firing order.  ``_heap`` is never
+        # rebound: ``push`` holds it, bound once to the module's
+        # ``_heappush``, and ``next_seq`` is the one tie-break source.
+        self._heap = []
+        self.next_seq = itertools.count().__next__
+        self.push = functools.partial(_heappush, self._heap)
         self._events_processed = 0
         self._running = False
         self._stopped = False  # lint: disable=SNAP001(run-loop transient; checkpoints are only taken between runs)
@@ -177,10 +190,9 @@ class Simulator:
         if delay < 0:
             self._reject_past(delay, fn)
         time = self._now + int(delay)
-        seq = self._sequence
+        seq = self.next_seq()
         event = Event(time, fn, args, seq)  # lint: disable=SNAP003(heap entries hold closures and are never serialized; owners re-arm their pending events on restore)
-        _heappush(self._heap, (time, seq, fn, args, event))
-        self._sequence = seq + 1
+        self.push((time, seq, fn, args, event))
         return event
 
     def post(self, delay, fn, *args):
@@ -188,9 +200,7 @@ class Simulator:
         rejection, no :class:`Event` allocated, nothing to cancel."""
         if delay < 0:
             self._reject_past(delay, fn)
-        seq = self._sequence
-        _heappush(self._heap, (self._now + int(delay), seq, fn, args, None))
-        self._sequence = seq + 1
+        self.push((self._now + int(delay), self.next_seq(), fn, args, None))
 
     def rearm(self, event, delay):
         """Queue ``event`` again, ``delay`` ns from now, reusing the handle.
@@ -208,19 +218,22 @@ class Simulator:
         ``SimulationError``.
         """
         time = self._now + int(delay)
-        if event.cancelled or time < (self._now if event.fired else event.time):
+        if event.fired and not event.cancelled and time >= self._now:
+            # The common case first: a handler re-queues its own event.
+            seq = self.next_seq()
+            event.time = time
+            event.seq = seq
+            event.fired = False
+            self.push((time, seq, event.fn, event.args, event))
+            return
+        if event.cancelled or event.fired or time < event.time:
             if event.fired and not event.cancelled:
                 self._reject_past(delay, event.fn)
             raise SimulationError(
                 f"cannot rearm {event!r} to t={time}: cancelled, or earlier"
             )
-        seq = self._sequence
         event.time = time
-        event.seq = seq
-        self._sequence = seq + 1
-        if event.fired:
-            event.fired = False
-            _heappush(self._heap, (time, seq, event.fn, event.args, event))
+        event.seq = self.next_seq()
 
     def _reject_past(self, delay, fn):
         if self._sanitizer is not None:

@@ -33,9 +33,10 @@ class DpuPreClassifier:
         table_capacity: max installed flows; installs beyond it are
             refused (``table_full`` counter).
         fast_latency_ns: fixed DPU forwarding latency.
-        promoter: optional observer with ``observe(flow)``; every
-            packet (both paths) feeds it so installed flows keep
-            registering as hot while they stay hot.
+        promoter: optional
+            :class:`~repro.topology.promotion.HotFlowPromoter`; every
+            packet (both paths) feeds its ``sketch`` so installed flows
+            keep registering as hot while they stay hot.
         seed: histogram reservoir seed (determinism discipline).
         name: the hosting server's name.
         subscribers: the deployment's exit subscribers, each called as
@@ -69,21 +70,29 @@ class DpuPreClassifier:
 
     def ingress(self, packet):
         """Classify one packet: DPU fast path or host slow path."""
+        flow = packet.flow
         if self.promoter is not None:
             # Both paths feed the sketch: an installed flow must keep
             # looking hot or the demotion aging would evict it the
             # moment it stopped paying the slow-path toll.
-            self.promoter.observe(packet.flow)
-        if packet.flow in self._table:
-            now = self.sim.now
+            self.promoter.sketch.observe(flow)
+        counts = self.counters.counts
+        if flow in self._table:
+            now = self.sim._now
             packet.arrival_ns = now
             packet.departure_ns = now + self.fast_latency_ns
-            self.counters.incr("fast_forwards")
+            try:
+                counts["fast_forwards"] += 1
+            except KeyError:
+                counts["fast_forwards"] = 1
             self.latency_histogram.record(self.fast_latency_ns)
             for subscriber in self.subscribers:
                 subscriber(packet, self.name, DPU_FAST_PATH)
             return
-        self.counters.incr("slow_forwards")
+        try:
+            counts["slow_forwards"] += 1
+        except KeyError:
+            counts["slow_forwards"] = 1
         self.slow_sink(packet)
 
     # -- table management (the promoter's API) -----------------------------

@@ -42,10 +42,6 @@ class HotFlowPromoter:
         self._quiet_epochs = {}   # installed FlowKey -> quiet epoch count
         self._task = sim.every(epoch_ns, self._epoch)
 
-    def observe(self, flow):
-        """Called per slow-path packet (one sketch update)."""
-        self.sketch.observe(flow)
-
     def _epoch(self):
         threshold_count = self.threshold_pps * self.epoch_ns / SECOND
         # top() ranks by count descending with deterministic ties, so

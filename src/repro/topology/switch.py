@@ -53,21 +53,37 @@ class EcmpUplink:
         return crc32_flow_hash(flow, self.hash_seed) % len(self.members)
 
     def forward(self, packet):
-        """Deliver ``packet`` to its flow's server, synchronously."""
+        """Deliver ``packet`` to its flow's server, synchronously.
+
+        Counters are bumped on ``counters.counts`` in place, in the order
+        ``incr`` would first create them.
+        """
         flow = packet.flow
+        counts = self.counters.counts
         if self.pin_flows:
             index = self._affinity.get(flow)
             if index is None:
                 index = crc32_flow_hash(flow, self.hash_seed) % len(self.members)
                 self._affinity[flow] = index
-                self.counters.incr("affinity_pins")
+                pinned = "affinity_pins"
             else:
-                self.counters.incr("affinity_hits")
+                pinned = "affinity_hits"
+            try:
+                counts[pinned] += 1
+            except KeyError:
+                counts[pinned] = 1
         else:
             index = crc32_flow_hash(flow, self.hash_seed) % len(self.members)
         _, sink = self.members[index]
-        self.counters.incr("forwarded")
-        self.counters.incr(self._member_keys[index])
+        member_key = self._member_keys[index]
+        try:
+            counts["forwarded"] += 1
+        except KeyError:
+            counts["forwarded"] = 1
+        try:
+            counts[member_key] += 1
+        except KeyError:
+            counts[member_key] = 1
         sink(packet)
 
     @property
@@ -116,6 +132,14 @@ class FlowPodDispatch:
             if len(self._pod_of) < 1_000_000:
                 self._pod_of[flow] = index
         _, sink = self.sinks[index]
-        self.counters.incr("dispatched")
-        self.counters.incr(self._sink_keys[index])
+        counts = self.counters.counts
+        sink_key = self._sink_keys[index]
+        try:
+            counts["dispatched"] += 1
+        except KeyError:
+            counts["dispatched"] = 1
+        try:
+            counts[sink_key] += 1
+        except KeyError:
+            counts[sink_key] = 1
         sink(packet)

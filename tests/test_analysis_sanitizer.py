@@ -21,7 +21,6 @@ from repro.analysis.sanitizer import (
 from repro.cli import main
 from repro.controlplane import snapshot_bytes
 from repro.core.gateway import AlbatrossServer
-from repro.core.meta import PlbMeta
 from repro.core.nic import NicPipeline
 from repro.core.ratelimit import TokenBucket, TwoStageRateLimiter
 from repro.core.plb.reorder import ReorderEngine, ReorderQueueConfig
@@ -34,6 +33,7 @@ from repro.sim.engine import SimulationError, Simulator
 from repro.sim.rng import RngRegistry, derived_stream
 from repro.sim.units import MS
 from repro.workloads.generators import CbrSource, uniform_population
+from tests.reorder_admission import Admitter
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -103,8 +103,7 @@ class TestEngineChecks:
         assert sim.step()
         assert sim.now == 100
         # Smuggle an event behind the clock, bypassing schedule_at's guard.
-        heapq.heappush(sim._heap, (50, sim._sequence, _noop, (), None))
-        sim._sequence += 1
+        heapq.heappush(sim._heap, (50, sim.next_seq(), _noop, (), None))
         with pytest.raises(SanitizerViolation) as excinfo:
             sim.step()
         assert excinfo.value.check == "simtime-monotonicity"
@@ -203,13 +202,7 @@ class ReorderHarness:
         self.engine = ReorderEngine(
             self.sim, ReorderQueueConfig(queue_count=queues), _noop
         )
-
-    def admit(self, ordq):
-        packet = make_packet()
-        psn = self.engine.admit(ordq, self.sim.now)
-        packet.meta = PlbMeta(psn=psn, ordq=ordq, timestamp_ns=self.sim.now,
-                              epoch=self.engine.epoch)
-        return packet
+        self.admit = Admitter(self.engine).admit
 
     def release(self, ordq, count):
         """Admit and write back ``count`` packets: ``count`` in-order releases."""

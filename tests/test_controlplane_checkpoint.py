@@ -32,6 +32,7 @@ from repro.scenarios import PodSpec
 from repro.sim import RngRegistry, Simulator
 from repro.sim.rng import rng_state, set_rng_state
 from repro.sim.units import MS, SECOND
+from tests.reorder_admission import Admitter
 
 
 def json_round_trip(snapshot):
@@ -186,7 +187,7 @@ class TestReorderEngine:
     def test_round_trip_psn_continuity(self):
         sim = Simulator()
         engine = self._engine(sim)
-        psn = engine.admit(0, 0)
+        psn = Admitter(engine).admit(0).meta.psn
         # Settle the slot via the reorder timeout so the queue drains.
         sim.run_until(SECOND)
         snapshot = json_round_trip(engine.checkpoint())
@@ -194,12 +195,13 @@ class TestReorderEngine:
         fresh = self._engine(Simulator())
         fresh.restore(snapshot)
         assert fresh.epoch == engine.epoch
-        assert fresh.admit(0, 0) == engine.admit(0, 0) != psn
+        assert (Admitter(fresh).admit(0).meta.psn
+                == Admitter(engine).admit(0).meta.psn != psn)
 
     def test_checkpoint_requires_drained_queues(self):
         sim = Simulator()
         engine = self._engine(sim)
-        engine.admit(0, 0)
+        Admitter(engine).admit(0)
         with pytest.raises(ValueError):
             engine.checkpoint()
 

@@ -1,7 +1,8 @@
 """Unit tests for the FIFO/BUF/BITMAP reorder engine (§4.1).
 
-These drive the engine directly (no CPU model): packets are admitted,
-then written back in controlled orders to exercise all four reorder-check
+These drive the engine directly (no CPU model): packets are admitted
+through the PLB dispatcher, the engine's one admission point, then
+written back in controlled orders to exercise all four reorder-check
 cases, the legal check, the 12-bit PSN window, timeouts and the active
 drop flag.
 """
@@ -20,6 +21,7 @@ from repro.core.plb.reorder import (
 from repro.packet.flows import FlowKey
 from repro.packet.packet import Packet
 from repro.sim import Simulator, US
+from tests.reorder_admission import Admitter
 
 
 class Harness:
@@ -30,16 +32,17 @@ class Harness:
         self.sent = []
         config = ReorderQueueConfig(queues, depth, timeout_ns)
         self.engine = ReorderEngine(self.sim, config, self._capture)
+        self.admitter = Admitter(self.engine)
+        self.dispatch = self.admitter.admit
 
     def _capture(self, packet, outcome):
         self.sent.append((packet.uid, outcome))
 
     def admit(self, ordq=0):
         """Admit one packet; returns it with meta attached."""
-        packet = Packet(FlowKey(1, 2, 3, 4, 17))
-        psn = self.engine.admit(ordq, self.sim.now)
-        assert psn is not None
-        packet.meta = PlbMeta(psn=psn, ordq=ordq, timestamp_ns=self.sim.now)
+        packet = self.dispatch(ordq)
+        assert packet is not None
+        assert (packet.meta.ordq, packet.meta.timestamp_ns) == (ordq, self.sim.now)
         return packet
 
     def outcomes(self):
@@ -103,15 +106,16 @@ class TestFifoCapacity:
         h = Harness(depth=4)
         for _ in range(4):
             h.admit()
-        assert h.engine.admit(0, h.sim.now) is None
+        assert h.dispatch() is None
         assert h.engine.stats.fifo_full == 1
+        assert h.admitter.dispatcher.fifo_full_drops == 1
 
     def test_capacity_recovers_after_drain(self):
         h = Harness(depth=4)
         packets = [h.admit() for _ in range(4)]
         for packet in packets:
             h.engine.writeback(packet)
-        assert h.engine.admit(0, h.sim.now) is not None
+        assert h.dispatch() is not None
 
     def test_depth_cap_enforced(self):
         with pytest.raises(ValueError):

@@ -21,12 +21,10 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.meta import PlbMeta
 from repro.core.plb.reorder import ReorderEngine, ReorderQueueConfig, TxOutcome
 from repro.faults.plan import FaultKind, FaultPlan
-from repro.packet.flows import FlowKey
-from repro.packet.packet import Packet
 from repro.sim import MS, Simulator, US
+from tests.reorder_admission import Admitter
 
 
 class FaultScenario:
@@ -45,6 +43,7 @@ class FaultScenario:
         self.sent = []
         config = ReorderQueueConfig(queues, depth=4096, timeout_ns=100 * US)
         self.engine = ReorderEngine(self.sim, config, self._capture)
+        self.admitter = Admitter(self.engine)
         self.packets = []
         self.admitted_index = {}
         self.ordq_used = {}
@@ -60,13 +59,9 @@ class FaultScenario:
         self.sim.run_until(self.quiesce_at)
 
     def _admit(self, index, ordq, delay_us, fate):
-        packet = Packet(FlowKey(1, 2, 3, 4, 17))
-        psn = self.engine.admit(ordq, self.sim.now)
-        if psn is None:
+        packet = self.admitter.admit(ordq)
+        if packet is None:
             return
-        packet.meta = PlbMeta(
-            psn=psn, ordq=ordq, timestamp_ns=self.sim.now, epoch=self.engine.epoch
-        )
         self.admitted_index[packet.uid] = index
         self.ordq_used[packet.uid] = ordq
         self.epoch_at_admit[packet.uid] = self.engine.epoch
@@ -147,12 +142,8 @@ class TestResetInvariants:
         fresh = []
 
         def admit_fresh(ordq):
-            packet = Packet(FlowKey(9, 9, 9, 9, 17))
-            psn = engine.admit(ordq, sim.now)
-            assert psn is not None  # the reset left no FIFO debris
-            packet.meta = PlbMeta(
-                psn=psn, ordq=ordq, timestamp_ns=sim.now, epoch=engine.epoch
-            )
+            packet = scenario.admitter.admit(ordq)
+            assert packet is not None  # the reset left no FIFO debris
             fresh.append(packet.uid)
             sim.schedule(10 * US, engine.writeback, packet)
 

@@ -14,11 +14,9 @@ the hardware must uphold:
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.meta import PlbMeta
 from repro.core.plb.reorder import ReorderEngine, ReorderQueueConfig, TxOutcome
-from repro.packet.flows import FlowKey
-from repro.packet.packet import Packet
 from repro.sim import Simulator, US
+from tests.reorder_admission import Admitter
 
 
 class Scenario:
@@ -32,6 +30,7 @@ class Scenario:
         self.sent = []
         config = ReorderQueueConfig(queues, depth=4096, timeout_ns=100 * US)
         self.engine = ReorderEngine(self.sim, config, self._capture)
+        self.admitter = Admitter(self.engine)
         self.packets = []
         # Packet uses __slots__; side metadata lives here, keyed by uid.
         self.admitted_index = {}
@@ -44,11 +43,9 @@ class Scenario:
         self.sim.run_until(len(plan) * self.GAP + 500 * US)
 
     def _admit(self, index, ordq, delay_us, fate):
-        packet = Packet(FlowKey(1, 2, 3, 4, 17))
-        psn = self.engine.admit(ordq, self.sim.now)
-        if psn is None:
+        packet = self.admitter.admit(ordq)
+        if packet is None:
             return
-        packet.meta = PlbMeta(psn=psn, ordq=ordq, timestamp_ns=self.sim.now)
         self.admitted_index[packet.uid] = index
         self.ordq_used[packet.uid] = ordq
         self.packets.append(packet)
