@@ -10,16 +10,14 @@ snapshots.  This package makes those properties machine-checked:
   DET rules (:mod:`.rules`) catch the ways determinism silently breaks --
   stray entropy/clock sources, unsorted iteration feeding scheduling
   decisions, float equality on simtime, hand-rolled event heaps.  The
-  SNAP rules (:mod:`.snaprules`) cross-check each class's mutable state
-  (:mod:`.statemodel`) against its ``checkpoint()``/``restore()`` pair so
-  checkpoint drift is caught before it breaks byte-identity.  The rule
-  inventory is generated from the registry: run
+  rule inventory is generated from the registry: run
   ``python -m repro lint --list-rules`` for the authoritative list.
-* **State-check prober** (``python -m repro statecheck``): runs a small
-  scenario, discovers every live checkpoint-capable component, and
-  executes checkpoint -> restore -> checkpoint byte-equality probes
-  derived from the same state models the SNAP rules use.  See
-  :mod:`.statecheck`.
+* **State check** (``python -m repro statecheck``): builds small live
+  worlds and checks what each stateful class declares
+  (``STATE``/``DERIVED``, see :mod:`repro.controlplane.snapshot`): a
+  completeness rule flags any undeclared attribute a run changes, and
+  checkpoint -> restore into a freshly built twin -> checkpoint probes
+  prove every snapshot round-trips byte for byte.  See :mod:`.statecheck`.
 * **Sanitizer** (``REPRO_SANITIZE=1 python -m repro <command>``):
   cheap, toggleable runtime invariant checks wired into the sim engine,
   NIC pipeline, reorder engine, rate limiter and CPU cores.  Violations
@@ -28,7 +26,6 @@ snapshots.  This package makes those properties machine-checked:
 """
 
 from repro.analysis.registry import (
-    all_project_rules,
     all_rules,
     get_rule,
     select_rules,
@@ -46,17 +43,13 @@ from repro.analysis.sanitizer import (
     install,
     uninstall,
 )
-from repro.analysis.statemodel import ClassStateModel, extract_models
 
 __all__ = [
-    "ClassStateModel",
     "Finding",
     "LintReport",
     "Sanitizer",
     "SanitizerViolation",
-    "all_project_rules",
     "all_rules",
-    "extract_models",
     "get_rule",
     "get_sanitizer",
     "install",

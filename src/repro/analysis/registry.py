@@ -2,9 +2,7 @@
 
 Rules are :class:`ast.NodeVisitor` subclasses registered by decorating them
 with :func:`register`; the CLI and tests enumerate them via
-:func:`all_rules` so adding a rule is a one-file change.  Rules that need
-the whole tree at once (cross-file state models) subclass
-:class:`ProjectLintRule` and register with :func:`register_project`.
+:func:`all_rules` so adding a rule is a one-file change.
 
 The live inventory -- every code with its one-line summary -- is printed
 by ``python -m repro lint --list-rules``; keep docs pointing there instead
@@ -16,7 +14,6 @@ import ast
 from repro.analysis.reporter import Finding
 
 _RULES = {}
-_PROJECT_RULES = {}
 
 #: Codes the reporter itself emits (not registry rules, never selectable).
 REPORTER_CODES = frozenset({"LNT000", "LNT001", "LNT002", "LNT003"})
@@ -26,79 +23,53 @@ def register(cls):
     """Class decorator: add a per-file rule to the registry."""
     if not getattr(cls, "code", None):
         raise ValueError(f"rule {cls.__name__} has no code")
-    if cls.code in _RULES or cls.code in _PROJECT_RULES:
+    if cls.code in _RULES:
         raise ValueError(f"duplicate rule code {cls.code}")
     _RULES[cls.code] = cls
-    return cls
-
-
-def register_project(cls):
-    """Class decorator: add a whole-tree rule to the registry."""
-    if not getattr(cls, "code", None):
-        raise ValueError(f"rule {cls.__name__} has no code")
-    if cls.code in _RULES or cls.code in _PROJECT_RULES:
-        raise ValueError(f"duplicate rule code {cls.code}")
-    _PROJECT_RULES[cls.code] = cls
     return cls
 
 
 def _load_rules():
     # Import for the registration side effect.
     import repro.analysis.rules  # noqa: F401
-    import repro.analysis.snaprules  # noqa: F401
 
 
 def all_rules():
-    """Every registered per-file rule class, sorted by code."""
+    """Every registered rule class, sorted by code."""
     _load_rules()
     return [_RULES[code] for code in sorted(_RULES)]
-
-
-def all_project_rules():
-    """Every registered whole-tree rule class, sorted by code."""
-    _load_rules()
-    return [_PROJECT_RULES[code] for code in sorted(_PROJECT_RULES)]
 
 
 def known_codes():
     """Every code a suppression may legitimately name."""
     _load_rules()
-    return frozenset(_RULES) | frozenset(_PROJECT_RULES) | REPORTER_CODES
+    return frozenset(_RULES) | REPORTER_CODES
 
 
 def get_rule(code):
-    """Look one rule (per-file or project) up by its code."""
+    """Look one rule up by its code."""
     _load_rules()
-    if code in _RULES:
-        return _RULES[code]
-    return _PROJECT_RULES[code]
+    return _RULES[code]
 
 
 def select_rules(selectors):
     """Resolve ``--select`` items (codes or prefixes) to rule classes.
 
     ``selectors`` is an iterable of strings; each matches rule codes
-    exactly or as a prefix (``SNAP`` selects SNAP001..SNAP004).  Returns
-    ``(file_rules, project_rules)``; raises ValueError on a selector
-    that matches nothing.
+    exactly or as a prefix (``DET`` selects every DET rule).  Raises
+    ValueError on a selector that matches nothing.
     """
     _load_rules()
-    file_rules, project_rules = [], []
+    rules = []
     for selector in selectors:
-        matched = False
-        for code in sorted(_RULES):
-            if code == selector or code.startswith(selector):
-                file_rules.append(_RULES[code])
-                matched = True
-        for code in sorted(_PROJECT_RULES):
-            if code == selector or code.startswith(selector):
-                project_rules.append(_PROJECT_RULES[code])
-                matched = True
+        matched = [_RULES[code] for code in sorted(_RULES)
+                   if code == selector or code.startswith(selector)]
         if not matched:
             raise ValueError(
                 f"--select {selector!r} matches no rule; see --list-rules"
             )
-    return file_rules, project_rules
+        rules.extend(matched)
+    return rules
 
 
 class LintRule(ast.NodeVisitor):
@@ -140,24 +111,3 @@ class LintRule(ast.NodeVisitor):
         self.visit(tree)
         return self.findings
 
-
-class ProjectLintRule:
-    """Base class for a rule that sees every file's state models at once.
-
-    Subclasses implement :meth:`run_project`, which receives
-    ``{path: [ClassStateModel, ...]}`` for every non-exempt linted file
-    and returns a list of :class:`Finding` (each carrying the path it
-    belongs to, so per-file suppressions apply as usual).
-    """
-
-    code = None
-    summary = None
-    EXEMPT_SUFFIXES = ()
-
-    @classmethod
-    def exempt(cls, path):
-        normalized = str(path).replace("\\", "/")
-        return any(normalized.endswith(suffix) for suffix in cls.EXEMPT_SUFFIXES)
-
-    def run_project(self, models_by_path):
-        raise NotImplementedError

@@ -145,30 +145,21 @@ class LintReport:
         return "\n".join(lines)
 
 
-def _lint_files(files, rules=None, project_rules=None, check_stale=True):
-    """The lint engine: per-file rules, then project rules, then audits.
+def _lint_files(files, rules=None, check_stale=True):
+    """The lint engine: every rule over every file, then the audits.
 
     ``files`` is ``[(path, source), ...]``.  Returns the final finding
     list (suppressions applied, LNT00x audits appended).
     """
     import ast
 
-    from repro.analysis.registry import all_project_rules, all_rules, known_codes
-    from repro.analysis.statemodel import extract_models
+    from repro.analysis.registry import all_rules, known_codes
 
-    if rules is None and project_rules is None:
-        rule_classes = all_rules()
-        project_classes = all_project_rules()
-    else:
-        rule_classes = list(rules or ())
-        project_classes = list(project_rules or ())
-
+    rule_classes = all_rules() if rules is None else list(rules)
     known = set(known_codes())
     known.update(rule.code for rule in rule_classes)
-    known.update(rule.code for rule in project_classes)
 
     per_file = {}        # path -> (suppressions, raw findings)
-    models_by_path = {}
     order = []
     for path, source in files:
         order.append(path)
@@ -187,19 +178,7 @@ def _lint_files(files, rules=None, project_rules=None, check_stale=True):
             if rule_class.exempt(path):
                 continue
             raw.extend(rule_class(path).run(tree))
-        if project_classes:
-            models_by_path[path] = extract_models(tree, path)
         per_file[path] = (suppressions, raw)
-
-    for project_class in project_classes:
-        scoped = {
-            path: models
-            for path, models in models_by_path.items()
-            if not project_class.exempt(path)
-        }
-        for finding in project_class().run_project(scoped):
-            if finding.path in per_file:
-                per_file[finding.path][1].append(finding)
 
     findings = []
     for path in order:
@@ -208,11 +187,7 @@ def _lint_files(files, rules=None, project_rules=None, check_stale=True):
         findings.extend(
             finding for finding in raw if not suppressions.covers(finding)
         )
-        active = {
-            rule.code
-            for rule in list(rule_classes) + list(project_classes)
-            if not rule.exempt(path)
-        }
+        active = {rule.code for rule in rule_classes if not rule.exempt(path)}
         for entry in suppressions.entries:
             if entry.code not in known:
                 findings.append(
@@ -234,20 +209,14 @@ def _lint_files(files, rules=None, project_rules=None, check_stale=True):
     return findings
 
 
-def lint_source(source, path="<string>", rules=None, project_rules=None,
-                check_stale=True):
+def lint_source(source, path="<string>", rules=None, check_stale=True):
     """Lint one source string; returns the list of live findings.
 
     Parse failures surface as a single LNT001 finding rather than an
     exception, so one broken file cannot hide the rest of the tree.
-    Project rules run scoped to this one file, so same-file SNAP003
-    findings surface here too.  Passing ``rules`` (without
-    ``project_rules``) runs exactly those per-file rules.
+    Passing ``rules`` runs exactly those rules.
     """
-    return _lint_files(
-        [(path, source)], rules=rules, project_rules=project_rules,
-        check_stale=check_stale,
-    )
+    return _lint_files([(path, source)], rules=rules, check_stale=check_stale)
 
 
 def iter_python_files(paths):
@@ -273,13 +242,11 @@ def iter_python_files(paths):
     return sorted(files)
 
 
-def lint_paths(paths, rules=None, project_rules=None, check_stale=True):
+def lint_paths(paths, rules=None, check_stale=True):
     """Lint every Python file under ``paths``; returns a :class:`LintReport`."""
     files = []
     for file_path in iter_python_files(paths):
         with open(file_path, encoding="utf-8") as handle:
             files.append((file_path, handle.read()))
-    findings = _lint_files(
-        files, rules=rules, project_rules=project_rules, check_stale=check_stale
-    )
+    findings = _lint_files(files, rules=rules, check_stale=check_stale)
     return LintReport(findings, files_checked=len(files))

@@ -4,11 +4,11 @@ Each rule targets one way the "same seed => byte-identical output"
 guarantee silently breaks: ambient entropy and clocks, hash-order
 iteration feeding scheduling, float simtime equality, hand-rolled event
 heaps, and completion-order parallelism.  The authoritative inventory --
-every registered code with its one-line summary, including the SNAP
-snapshot-completeness rules in :mod:`repro.analysis.snaprules` -- is
-generated from the registry by ``python -m repro lint --list-rules``;
-this docstring deliberately does not enumerate codes that would go
-stale.
+every registered code with its one-line summary -- is generated from the
+registry by ``python -m repro lint --list-rules``; this docstring
+deliberately does not enumerate codes that would go stale.  Snapshot
+completeness is not a lint rule: ``python -m repro statecheck`` checks
+it on live objects (:mod:`repro.analysis.statecheck`).
 """
 
 import ast

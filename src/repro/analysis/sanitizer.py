@@ -69,6 +69,9 @@ class Sanitizer:
         trace_depth: how many executed events the trace ring retains.
     """
 
+    DERIVED = dict.fromkeys(("trace", "checks", "violations", "events_traced"),
+                            "check tallies: snapshot bytes must not depend on the sanitizer")
+
     def __init__(self, trace_depth=64):
         self.trace = deque(maxlen=trace_depth)
         self.checks = 0

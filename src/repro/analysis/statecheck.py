@@ -1,67 +1,55 @@
-"""Runtime checkpoint round-trip prober (``python -m repro statecheck``).
+"""Declared-state checks on live worlds (``python -m repro statecheck``).
 
-The SNAP rules (:mod:`.snaprules`) prove each class's *declared* snapshot
-surface covers its mutable attributes; this module proves the snapshots
-actually work on live objects.  It builds real scenarios (PLB and RSS,
-CBR and microburst workloads, rate limiter attached, checkpoint cadence
-armed), walks the resulting object graph, and executes a
-checkpoint -> restore -> checkpoint probe against every discovered
-checkpoint-capable component:
+Stateful classes declare ``STATE`` and ``DERIVED``; every other attribute
+is constructor wiring (:mod:`repro.controlplane.snapshot`).  Small worlds
+-- two scenarios (PLB + microburst, RSS + CBR; limiter, telemetry and
+checkpoints armed), a flapped BFD link, a churned FPGA session table --
+are built, run and held to three checks:
 
-* ``s1 = obj.checkpoint()`` must be plain data and JSON round-trippable;
-* restoring the round-tripped ``s1`` and checkpointing again must
-  reproduce ``s1`` byte for byte (:func:`snapshot_bytes` canonical form);
-* ``from_checkpoint`` classmethods are probed by cloning: the clone's
-  checkpoint must equal the original's.
+* **Completeness rule.**  The object graph is walked after the build and
+  after the run.  An attribute outside ``STATE``/``DERIVED`` that was
+  rebound, or whose container or rng contents changed, is a finding; so
+  is any change in an object reached through wiring whose class declares
+  nothing.  ``DERIVED`` attributes are not walked, nor undeclared objects
+  inside ``STATE`` (their owner's snapshot form covers them).
+* **Component probes.**  Each object that declares ``STATE`` or defines
+  ``checkpoint()`` checkpoints to plain data that, restored into the same
+  object of a freshly built twin world, checks out byte for byte: a key
+  the restore side ignores shows up as a difference.
+* **World probes.**  A mid-run scenario snapshot restored into a fresh
+  deployment replays to a byte-identical report.  This covers what
+  :data:`IN_PLACE_EXCLUSIONS` skips: the owners of pending heap events.
 
-Components that own pending heap events (traffic sources, the
-checkpointer itself) cannot be probed in place -- their restore
-re-creates events with fresh heap sequence numbers -- so they are
-covered by the **world probe** instead: a mid-run scenario snapshot is
-restored into a freshly built deployment, the remainder of the run
-replays there, and the final report must be byte-identical to the
-uninterrupted run.  Every deliberate skip carries a reason and shows up
-in ``statecheck -v`` output, mirroring the linter's audited-suppression
-policy.
+``statecheck -v`` prints every skip and every ``DERIVED`` reason.
 """
 
+import enum
 import inspect
 import json
 from collections import deque
 
 from repro.controlplane.snapshot import ensure_plain, snapshot_bytes
+from repro.sim.rng import Stream
 
-#: Classes deliberately not probed in place, and why.  Keep reasons in
-#: sync with the module docstring; they render in ``statecheck -v``.
-IN_PLACE_EXCLUSIONS = {
-    "CbrSource": (
-        "owns pending heap events; restore re-creates them with fresh "
-        "sequence numbers -- covered by the world probe"
-    ),
-    "MicroburstSource": (
-        "owns pending heap events; restore re-creates them with fresh "
-        "sequence numbers -- covered by the world probe"
-    ),
-    "SimCheckpointer": (
-        "owns its own re-arm event; restore re-creates it with a fresh "
-        "sequence number -- covered by the world probe"
-    ),
-}
+#: Classes deliberately not probed against a twin, and why.  Their
+#: restore returns re-arm entries for pending events instead of
+#: scheduling them; they render in ``statecheck -v``.
+IN_PLACE_EXCLUSIONS = dict.fromkeys(
+    ("CbrSource", "MicroburstSource", "SimCheckpointer"),
+    "owns pending heap events; restore returns re-arm entries -- covered by the world probe",
+)
 
-#: Restore-side method names, in lookup order (same convention as
-#: :mod:`repro.analysis.statemodel`).
-_RESTORE_NAMES = ("restore", "restore_state", "restore_clock")
-_SNAPSHOT_PARAMS = ("snapshot", "state")
+_ATOMIC = (str, bytes, int, float, bool, complex, type(None), enum.Enum, type)
 
 
 class ProbeResult:
-    """Outcome of probing one class (possibly several live instances)."""
+    """Outcome of one check on one class (possibly several live instances)."""
 
     __slots__ = ("cls_name", "mode", "instances", "ok", "detail")
 
     def __init__(self, cls_name, mode, instances, ok, detail=""):
         self.cls_name = cls_name
-        self.mode = mode          # "restore" | "clone" | "world" | "skipped"
+        self.mode = mode          # "restore" | "world" | "skipped" | "state"
         self.instances = instances
         self.ok = ok
         self.detail = detail
@@ -75,10 +63,11 @@ class ProbeResult:
 
 
 class StatecheckResult:
-    """All probe outcomes for one statecheck run."""
+    """All outcomes of one statecheck run, plus the DERIVED reasons seen."""
 
-    def __init__(self, probes):
+    def __init__(self, probes, derived=()):
         self.probes = sorted(probes, key=lambda p: (p.cls_name, p.mode))
+        self.derived = sorted(derived)   # (class name, attribute, reason)
 
     @property
     def ok(self):
@@ -87,129 +76,160 @@ class StatecheckResult:
     def summary(self):
         failed = sum(1 for probe in self.probes if not probe.ok)
         skipped = sum(1 for probe in self.probes if probe.mode == "skipped")
-        probed = len(self.probes) - skipped
-        text = f"{probed} class(es) probed, {skipped} skipped, {failed} failed"
-        return text
+        probed = sum(1 for probe in self.probes if probe.mode in ("restore", "world"))
+        return f"{probed} class(es) probed, {skipped} skipped, {failed} failed"
+
+    def render_derived(self):
+        return [f"     derived {cls}.{attr}: {reason}" for cls, attr, reason in self.derived]
 
 
-def _restore_method(obj):
-    """The snapshot-restoring bound method of ``obj``, or None.
-
-    Same convention as the static extractor: the first real parameter
-    must be named ``snapshot``/``state`` (which excludes overloads like
-    ``SnatTable.restore(flow, ...)`` and no-arg crash recovery).
-    """
-    for name in _RESTORE_NAMES:
-        fn = getattr(type(obj), name, None)
-        if fn is None or not callable(fn):
-            continue
-        try:
-            params = list(inspect.signature(fn).parameters)
-        except (TypeError, ValueError):
-            continue
-        if len(params) >= 2 and params[1] in _SNAPSHOT_PARAMS:
-            return getattr(obj, name)
-    return None
+def _declared(cls):
+    """``(STATE attributes, DERIVED reasons, snapshot-aware)`` over the MRO."""
+    state, derived = set(), {}
+    for klass in reversed(cls.__mro__):
+        state.update(e if isinstance(e, str) else e[1] for e in vars(klass).get("STATE", ()))
+        derived.update(vars(klass).get("DERIVED", {}))
+    return state, derived, bool(state) or callable(getattr(cls, "checkpoint", None))
 
 
-def _checkpoint_capable(obj):
-    cls = type(obj)
-    return callable(getattr(cls, "checkpoint", None)) and not isinstance(obj, type)
+def _attributes(obj):
+    """``{name: value}`` of ``obj``'s instance attributes (dict and slots)."""
+    attrs = dict(getattr(obj, "__dict__", {}))
+    for klass in type(obj).__mro__:
+        slots = vars(klass).get("__slots__", ())
+        for slot in (slots,) if isinstance(slots, str) else slots:
+            if slot not in attrs and slot not in ("__dict__", "__weakref__"):
+                try:
+                    attrs[slot] = getattr(obj, slot)
+                except AttributeError:
+                    continue
+    return attrs
 
 
-def _iter_children(obj):
-    if isinstance(obj, dict):
-        yield from obj.values()
-        return
-    if isinstance(obj, (list, tuple, set, frozenset, deque)):
-        yield from obj
-        return
-    attrs = getattr(obj, "__dict__", None)
-    if attrs:
-        yield from attrs.values()
-    for cls in type(obj).__mro__:
-        for slot in getattr(cls, "__slots__", ()):
-            try:
-                yield getattr(obj, slot)
-            except AttributeError:
-                continue
+def _ref(value):
+    return value if isinstance(value, _ATOMIC) else id(value)
 
 
-def _atomic(obj):
-    return (
-        obj is None
-        or isinstance(obj, (str, bytes, bytearray, int, float, bool, complex))
-        or isinstance(obj, type)
-        or inspect.isroutine(obj)
-        or inspect.ismodule(obj)
-    )
+def _token(value):
+    """What must not change in an undeclared attribute: its binding, and
+    for a container or rng its contents too."""
+    if isinstance(value, _ATOMIC):
+        return value
+    if isinstance(value, Stream):
+        return ("rng", id(value), value.getstate())
+    if isinstance(value, dict):
+        return ("dict", id(value), tuple((_ref(k), _ref(v)) for k, v in value.items()))
+    if isinstance(value, (list, tuple, deque)):
+        return ("seq", id(value), tuple(map(_ref, value)))
+    if isinstance(value, (set, frozenset)):
+        return ("set", id(value), frozenset(map(_ref, value)))
+    return ("obj", id(value))
 
 
-def discover(roots, max_objects=100_000):
-    """BFS the object graph under ``roots``; return checkpoint-capable objects.
+def walk(roots):
+    """Every object the declarations govern under ``roots``, in BFS order.
 
-    Traverses ``__dict__``, ``__slots__`` and plain containers; the
-    result is deterministic (discovery order) and deduplicated by
-    identity.
+    Returns ``[(path, obj, {attribute: token})]``: objects reached through
+    wiring (all of them), plus declared objects inside ``STATE``.  Tokens
+    cover every attribute outside ``STATE``/``DERIVED``; ``DERIVED``
+    attributes are not walked.  Deterministic, deduplicated by identity.
     """
     seen = set()
     found = []
-    queue = deque(roots)
-    while queue and len(seen) < max_objects:
-        obj = queue.popleft()
-        if _atomic(obj) or id(obj) in seen:
+    queue = deque(((("item", index),), root, False) for index, root in enumerate(roots))
+    while queue:
+        path, obj, in_state = queue.popleft()
+        if (isinstance(obj, (*_ATOMIC, Stream)) or inspect.isroutine(obj)
+                or inspect.ismodule(obj) or id(obj) in seen):
+            continue
+        if isinstance(obj, (dict, list, tuple, deque, set, frozenset)):
+            items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+            queue.extend((path + (("item", key),), item, in_state) for key, item in items)
+            continue
+        state, derived, aware = _declared(type(obj))
+        if in_state and not (aware or derived):
             continue
         seen.add(id(obj))
-        if _checkpoint_capable(obj):
-            found.append(obj)
-        queue.extend(_iter_children(obj))
+        tokens = {}
+        for name, value in _attributes(obj).items():
+            if name in derived:
+                continue
+            if name not in state:
+                tokens[name] = _token(value)
+            queue.append((path + (("attr", name),), value, name in state))
+        found.append((path, obj, tokens))
     return found
 
 
-def _json_round_trip(snapshot):
-    return json.loads(json.dumps(snapshot))
+def check_completeness(roots, exercise):
+    """Run ``exercise()`` between two walks of ``roots``; return findings.
 
-
-def probe_object(obj):
-    """One checkpoint -> restore -> checkpoint probe.  Returns (mode, error).
-
-    ``error`` is None on success.  ``mode`` is ``"restore"`` when the
-    object restores in place, ``"clone"`` when it only offers
-    ``from_checkpoint``, and None when the object has no usable restore
-    side (the caller decides whether that is an error).
+    Each finding is a failed :class:`ProbeResult` (mode ``"state"``)
+    naming the class, the attribute and what changed.
     """
-    cls = type(obj)
+    before = walk(roots)
+    exercise()
+    after = {id(obj): tokens for _path, obj, tokens in walk(roots)}
+    findings = []
+    for _path, obj, tokens in before:
+        now = after.get(id(obj))
+        if now is None:
+            continue
+        cls = type(obj)
+        _state, derived, aware = _declared(cls)
+        for name in sorted(set(tokens) | set(now)):
+            if tokens.get(name) == now.get(name):
+                continue
+            if not (aware or derived):
+                why = (f"{cls.__name__}.{name} changed, and {cls.__name__} declares "
+                       f"no state: the whole component is missing from the snapshot")
+            elif isinstance(getattr(obj, name, None), Stream):
+                why = (f"{cls.__name__}.{name} is an rng stream that advanced outside "
+                       f"STATE/DERIVED: a restored instance draws a different sequence")
+            else:
+                why = (f"{cls.__name__}.{name} changed outside STATE/DERIVED: a "
+                       f"restored instance silently drops it")
+            findings.append(ProbeResult(cls.__name__, "state", 1, False, why))
+    return findings
+
+
+def discover(roots):
+    """``(path, obj)`` of every snapshot-aware object under ``roots``."""
+    return [(path, obj) for path, obj, _tokens in walk(roots) if _declared(type(obj))[2]]
+
+
+def resolve(roots, path):
+    """The object at ``path`` (as :func:`walk` records it), or None."""
+    node = roots
+    for kind, key in path:
+        try:
+            node = getattr(node, key) if kind == "attr" else node[key]
+        except (AttributeError, KeyError, IndexError, TypeError):
+            return None
+    return node
+
+
+def probe_object(obj, twin):
+    """checkpoint -> restore into ``twin`` -> checkpoint; returns an error
+    message, or None when the twin checks out byte-identically."""
+    cls_name = type(obj).__name__
+    if twin is None or type(twin) is not type(obj):
+        return "no twin of this object in the freshly built world"
     first = obj.checkpoint()
     try:
-        ensure_plain(first, cls.__name__)
-    except (TypeError, ValueError) as error:
-        return None, f"checkpoint is not plain data: {error}"
-    before = snapshot_bytes(first)
-    round_tripped = _json_round_trip(first)
-
-    restore = _restore_method(obj)
-    if restore is not None:
-        restore(round_tripped)
-        after = snapshot_bytes(obj.checkpoint())
-        if after != before:
-            return "restore", (
-                "checkpoint -> restore -> checkpoint is not byte-identical"
-            )
-        return "restore", None
-
-    from_checkpoint = getattr(cls, "from_checkpoint", None)
-    if callable(from_checkpoint):
-        clone = from_checkpoint(round_tripped)
-        after = snapshot_bytes(clone.checkpoint())
-        if after != before:
-            return "clone", (
-                "from_checkpoint clone's checkpoint is not byte-identical"
-            )
-        return "clone", None
-    return None, "defines checkpoint() but no restore side to probe"
+        ensure_plain(first, cls_name)
+    except TypeError as error:
+        return f"checkpoint is not plain data: {error}"
+    try:
+        twin.restore(json.loads(json.dumps(first)))
+    except (KeyError, TypeError, ValueError) as error:
+        return f"restore into a fresh twin raised {type(error).__name__}: {error}"
+    if snapshot_bytes(twin.checkpoint()) != snapshot_bytes(first):
+        return "checkpoint -> restore into a fresh twin -> checkpoint is not byte-identical"
+    return None
 
 
-def _scenario_spec(name, mode, workload_kind, seed):
+def _scenario_spec(name, mode, workload_kind, seed, silent_drop_probability=0.0):
     from repro.scenarios import PodSpec, ScenarioSpec, WorkloadSpec
     from repro.sim.units import MS
 
@@ -219,6 +239,9 @@ def _scenario_spec(name, mode, workload_kind, seed):
             PodSpec(
                 name="gw", data_cores=2, mode=mode, per_core_pps=200_000,
                 acl_drop_probability=0.02, limiter_stage1_pps=150_000,
+                # Silent drops leave FIFO heads to time out: the reorder
+                # engine's HOL and best-effort paths run too.
+                silent_drop_probability=silent_drop_probability,
             ),
         ),
         # Light load: the checkpointer only fires at quiescent instants,
@@ -232,7 +255,7 @@ def _scenario_spec(name, mode, workload_kind, seed):
         checkpoint_every_ns=2 * MS,
         # Windowed telemetry armed so the world probe covers the
         # TimeSeriesRecorder (series identity across a restore) and the
-        # component walk discovers it for the in-place probe.
+        # component walk discovers it.
         timeseries_every_ns=2 * MS,
     )
 
@@ -262,7 +285,7 @@ def _world_probe(spec):
     expected = json.dumps(baseline.report(), sort_keys=True)
 
     resumed = build(spec)
-    resumed.restore_checkpoint(_json_round_trip(snapshot))
+    resumed.restore_checkpoint(json.loads(json.dumps(snapshot)))
     resumed.run(spec.duration_ns - resumed.sim.now)
     actual = json.dumps(resumed.report(), sort_keys=True)
     ok = actual == expected
@@ -274,68 +297,95 @@ def _world_probe(spec):
     )
 
 
-def _bfd_world(seed):
+def _spec_world(spec):
+    """A scenario run to its end, then drained (sources stopped)."""
+    from repro.scenarios import build
+
+    def run(handle):
+        handle.run()
+        if not _drain(handle, settle_ns=spec.checkpoint_every_ns):
+            raise RuntimeError(f"{spec.name}: pods failed to quiesce for component probes")
+
+    return spec.name, lambda: build(spec), run
+
+
+def _bfd_world():
     """A BFD link pair with some traffic history, for direct probing."""
     from repro.bgp.bfd import BfdLink
     from repro.sim.engine import Simulator
     from repro.sim.units import MS
 
-    sim = Simulator()
-    link = BfdLink(sim)
-    sim.run_until(400 * MS)
-    link.set_down()
-    sim.run_until(700 * MS)
-    link.set_up()
-    sim.run_until(900 * MS)
-    return [link, link.a, link.b]
+    def run(link):
+        link.sim.run_until(400 * MS)
+        link.set_down()
+        link.sim.run_until(700 * MS)
+        link.set_up()
+        link.sim.run_until(900 * MS)
+
+    return "bfd-link", lambda: BfdLink(Simulator()), run
+
+
+def _offload_world():
+    """An FPGA session table through installs, hits, aging and eviction."""
+    from repro.core.offload import FpgaSessionOffload
+    from repro.packet.flows import flow_for_tenant
+    from repro.sim.engine import Simulator
+    from repro.sim.units import US
+
+    def run(offload):
+        # Fill the table, let flow 0 age past the timeout while 1-3 stay
+        # hot, then install 4 (evicting 0) and bring 0 and 5 back.
+        order = [0, 0, 1, 1, 2, 2, 3, 3] + [1, 2, 3] * 3 + [4, 4, 0, 0, 5, 5, 1]
+        for step, tenant in enumerate(order):
+            offload.sim.run_until(step * 50 * US)
+            flow = flow_for_tenant(tenant, 0)
+            if not offload.lookup(flow):
+                offload.note_cpu_packet(flow)
+
+    return "fpga-offload", lambda: FpgaSessionOffload(
+        Simulator(), capacity=4, idle_timeout_ns=300 * US), run
 
 
 def run_statecheck(seed=42):
-    """Execute every probe; returns a :class:`StatecheckResult`."""
-    from repro.scenarios import build
-
-    probes = []
+    """Execute every check; returns a :class:`StatecheckResult`."""
     specs = [
         _scenario_spec("statecheck-plb-microburst", "plb", "microburst", seed),
         _scenario_spec("statecheck-rss-cbr", "rss", "cbr", seed + 1),
+        _scenario_spec("statecheck-plb-lossy", "plb", "cbr", seed + 2,
+                       silent_drop_probability=0.02),
     ]
-
-    # World probes: the end-to-end checkpoint/resume invariant.
-    for spec in specs:
-        probes.append(_world_probe(spec))
-
-    # Component probes: walk live object graphs and probe each class.
-    roots = []
-    for spec in specs:
-        handle = build(spec).run()
-        if not _drain(handle, settle_ns=spec.checkpoint_every_ns):
-            probes.append(ProbeResult(
-                "RunHandle", "restore", 1, False,
-                f"{spec.name}: pods failed to quiesce for component probes",
-            ))
-            continue
-        roots.append(handle)
-    roots.extend(_bfd_world(seed))
-
+    probes = [_world_probe(spec) for spec in specs]
+    derived = set()
     by_class = {}
-    for obj in discover(roots):
-        by_class.setdefault(type(obj).__name__, []).append(obj)
-
-    for cls_name in sorted(by_class):
-        instances = by_class[cls_name]
-        if cls_name in IN_PLACE_EXCLUSIONS:
-            probes.append(ProbeResult(
-                cls_name, "skipped", len(instances), True,
-                IN_PLACE_EXCLUSIONS[cls_name],
-            ))
+    findings = {}   # (class name, detail) -> worlds it shows up in
+    for name, build, run in [*map(_spec_world, specs), _bfd_world(), _offload_world()]:
+        root = build()
+        try:
+            for finding in check_completeness([root], lambda: run(root)):
+                key = (finding.cls_name, finding.detail)
+                findings[key] = findings.get(key, 0) + 1
+        except RuntimeError as error:
+            probes.append(ProbeResult("RunHandle", "restore", 1, False, str(error)))
             continue
-        mode, error = "restore", None
-        for obj in instances:
-            mode, error = probe_object(obj)
-            if error is not None:
-                break
-        probes.append(ProbeResult(
-            cls_name, mode or "restore", len(instances),
-            error is None, error or "",
-        ))
-    return StatecheckResult(probes)
+        twin = [build()]
+        for path, obj in discover([root]):
+            entry = by_class.setdefault(type(obj).__name__, [0, None])
+            entry[0] += 1
+            if entry[1] is None and type(obj).__name__ not in IN_PLACE_EXCLUSIONS:
+                error = probe_object(obj, resolve(twin, path))
+                if error is not None:
+                    entry[1] = f"{name}: {error}"
+        for _path, obj, _tokens in walk([root]):
+            derived.update((type(obj).__name__, attr, reason)
+                           for attr, reason in _declared(type(obj))[1].items())
+
+    probes.extend(ProbeResult(cls_name, "state", worlds, False, detail)
+                  for (cls_name, detail), worlds in findings.items())
+    for cls_name, (instances, error) in sorted(by_class.items()):
+        if cls_name in IN_PLACE_EXCLUSIONS:
+            probes.append(ProbeResult(cls_name, "skipped", instances, True,
+                                      IN_PLACE_EXCLUSIONS[cls_name]))
+        else:
+            probes.append(ProbeResult(cls_name, "restore", instances,
+                                      error is None, error or ""))
+    return StatecheckResult(probes, derived)

@@ -10,6 +10,7 @@ drops BFD probes and tears down perfectly healthy links.
 import enum
 from dataclasses import dataclass
 
+from repro.controlplane.snapshot import Stateful
 from repro.sim.units import MS
 
 
@@ -29,7 +30,7 @@ class BfdPacket:
     your_discriminator: int
 
 
-class BfdSession:
+class BfdSession(Stateful):
     """One end of a BFD session.
 
     Parameters:
@@ -43,6 +44,15 @@ class BfdSession:
         discriminator: this end's id, carried in every probe; the pair
             that builds the session picks it.
     """
+
+    STATE = (
+        "state", "discriminator", "peer_discriminator", "probes_sent",
+        "probes_received", "down_events",
+    )
+    DERIVED = {
+        "_detect_event": "re-armed from now by restore() whenever the session is not DOWN",
+        "_tx_task": "periodic task wrapping heap events; it keeps running across a restore",
+    }
 
     def __init__(
         self,
@@ -116,17 +126,6 @@ class BfdSession:
             self._detect_event.cancel()
             self._detect_event = None
 
-    def checkpoint(self):
-        """Plain-data snapshot of the session state machine."""
-        return {
-            "state": self.state.value,
-            "discriminator": self.discriminator,
-            "peer_discriminator": self.peer_discriminator,
-            "probes_sent": self.probes_sent,
-            "probes_received": self.probes_received,
-            "down_events": self.down_events,
-        }
-
     def restore(self, snapshot):
         """Reinstate a :meth:`checkpoint` into this (live) session.
 
@@ -135,12 +134,7 @@ class BfdSession:
         heard from its peer, and missing the next ``multiplier`` probes
         still tears the session down.
         """
-        self.state = BfdState(snapshot["state"])
-        self.discriminator = snapshot["discriminator"]
-        self.peer_discriminator = snapshot["peer_discriminator"]
-        self.probes_sent = snapshot["probes_sent"]
-        self.probes_received = snapshot["probes_received"]
-        self.down_events = snapshot["down_events"]
+        super().restore(snapshot)
         if self.state is not BfdState.DOWN:
             self._restart_detect_timer()
         elif self._detect_event is not None:
@@ -170,7 +164,7 @@ def bfd_pair(sim, name_a="a", name_b="b", interval_ns=50 * MS, latency_ns=100_00
     return holder["a"], holder["b"]
 
 
-class BfdLink:
+class BfdLink(Stateful):
     """A symmetric BFD-monitored link that can be flapped (fault injection).
 
     While the link is down every probe in both directions is lost; both
@@ -183,6 +177,8 @@ class BfdLink:
         a / b: the two :class:`BfdSession` endpoints.
         probes_lost: probes dropped while the link was down.
     """
+
+    STATE = ("up", "probes_lost", "flaps", "a", "b")
 
     def __init__(self, sim, interval_ns=50 * MS, latency_ns=100_000,
                  on_down=None, on_up=None):
@@ -218,23 +214,6 @@ class BfdLink:
     @property
     def sessions_up(self):
         return self.a.state is BfdState.UP and self.b.state is BfdState.UP
-
-    def checkpoint(self):
-        """Plain-data snapshot of the link and both endpoints."""
-        return {
-            "up": self.up,
-            "probes_lost": self.probes_lost,
-            "flaps": self.flaps,
-            "a": self.a.checkpoint(),
-            "b": self.b.checkpoint(),
-        }
-
-    def restore(self, snapshot):
-        self.up = snapshot["up"]
-        self.probes_lost = snapshot["probes_lost"]
-        self.flaps = snapshot["flaps"]
-        self.a.restore(snapshot["a"])
-        self.b.restore(snapshot["b"])
 
     def stop(self):
         self.a.stop()

@@ -17,10 +17,10 @@ import sys
 from functools import partial
 from typing import Callable, NamedTuple, Optional
 
-from repro.analysis import all_project_rules, all_rules, lint_paths, select_rules
+from repro.analysis import all_rules, lint_paths, select_rules
 from repro.analysis.sanitizer import SanitizerViolation, get_sanitizer
 from repro.analysis.statecheck import run_statecheck
-from repro.controlplane import MIGRATION_SCENARIOS, run_migration_scenario
+from repro.controlplane.scenarios import MIGRATION_SCENARIOS, run_migration_scenario
 from repro.cpu.service import standard_services
 from repro.experiments.claims import claims_for
 from repro.experiments.common import format_table
@@ -233,18 +233,18 @@ def _runs_compare(args):
 def _lint(args):
     if args.select:
         try:
-            rules, project_rules = select_rules(args.select)
+            rules = select_rules(args.select)
         except ValueError as error:
             print(str(error), file=sys.stderr)
             return 2
     else:
-        rules, project_rules = all_rules(), all_project_rules()
+        rules = all_rules()
     if args.list_rules:
-        for rule in sorted([*rules, *project_rules], key=lambda rule: rule.code):
+        for rule in sorted(rules, key=lambda rule: rule.code):
             print(f"{rule.code}: {rule.summary}")
         return 0
     try:
-        report = lint_paths(args.paths, rules=rules, project_rules=project_rules)
+        report = lint_paths(args.paths, rules=rules)
     except FileNotFoundError as error:
         print(str(error), file=sys.stderr)
         return 2
@@ -257,6 +257,8 @@ def _statecheck(args):
     for probe in result.probes:
         if args.verbose or not probe.ok:
             print(probe.render())
+    if args.verbose:
+        print("\n".join(result.render_derived()))
     print(result.summary())
     return 0 if result.ok else 1
 
@@ -341,19 +343,20 @@ COMMANDS = {
         partial(_print_reports, run_migration_scenario),
         (SEED, QUICK), MIGRATION_SCENARIOS, "migration scenario",
     ),
-    "lint": Command("run the static analyzers (determinism + snapshot rules)", _lint, (
+    "lint": Command("run the static determinism analyzers", _lint, (
         _arg("paths", nargs="*", default=["src"],
              help="files or directories to lint (default: src)"),
         _arg("--list-rules", action="store_true", help="print the rule table"),
         _arg("--select", action="append", default=None, metavar="CODE",
              help="run only rules matching CODE (exact code or prefix, e.g. "
-                  "SNAP or DET001; repeatable)"),
+                  "DET or DET001; repeatable)"),
     )),
     "statecheck": Command(
-        "run checkpoint->restore->checkpoint byte-equality probes", _statecheck, (
+        "check declared snapshot state on live worlds: completeness rule "
+        "and checkpoint->restore->checkpoint probes", _statecheck, (
             SEED,
             _arg("-v", "--verbose", action="store_true",
-                 help="print one line per probed class"),
+                 help="print one line per probed class and DERIVED reason"),
         ),
     ),
     "inventory": Command(

@@ -219,7 +219,7 @@ class MigrationController:
         if migration.target_memory_node is not None:
             spec = replace(spec, memory_node=migration.target_memory_node)
         new_pod = self.server.add_pod(spec)
-        new_pod.restore_state(self.snapshot)
+        new_pod.restore(self.snapshot)
         # Readers go through the shared pods dict and exit subscribers
         # through the list add_pod() hands every pod: nothing to carry over.
         self.pods[self.pod_name] = new_pod

@@ -1,17 +1,202 @@
-"""Snapshot plumbing: plain-data validation + canonical byte encoding.
+"""Snapshots: declared state, one codec, plain data and its byte encoding.
 
-Every ``checkpoint()`` in the tree must produce *plain data* -- dicts,
-lists, strings, ints, floats, bools and None, nothing else -- so a
-snapshot serializes losslessly to JSON, ships across process (or
-machine) boundaries and restores on the far side without pickling
-arbitrary objects.  :func:`ensure_plain` enforces that contract at
-freeze time; :func:`snapshot_bytes` defines the canonical wire encoding
-whose length prices the state-transfer phase of a migration.
+A stateful class declares its state once and inherits :class:`Stateful`:
+
+* ``STATE`` -- what a snapshot carries, in the order its keys are
+  written: an attribute name, or ``(key, attribute)`` where the key
+  differs (``("tokens", "_tokens")``).  A property works too.
+* ``DERIVED`` -- ``{attribute: reason}`` for what is rebuilt or
+  transient: memo caches, in-flight packets, pending events.
+* every other attribute is constructor wiring, never changed by a run.
+  ``python -m repro statecheck`` holds live worlds to all three.
+
+:func:`snapshot` walks ``STATE`` in order.  A member with its own
+``checkpoint()`` snapshots itself; every other value goes through one
+table keyed by type: scalars as themselves, an ``Enum`` as its
+``.value``, a :class:`Table` as ``[key, value]`` pairs sorted by key, a
+``dict``/``list``/``deque``/``set`` copied out (``Enum`` keys as
+``.value``, sets sorted), an rng stream as ``rng_state``; anything else
+raises ``TypeError`` naming the attribute.  :func:`restore` is the
+inverse into a live object of the same shape.  Containers and streams
+are refilled **in place** (the hot path aliases them: the NIC bumps
+``counters.counts`` directly), and a member one side has and the other
+lacks raises ``ValueError`` naming the attribute.
+
+Snapshots are *plain data* -- dicts, lists, strings, numbers, bools and
+None -- so they serialize losslessly to JSON and restore across process
+or machine boundaries; :func:`ensure_plain` enforces that at freeze
+time.  :func:`snapshot_bytes` is the canonical encoding whose length
+prices a migration's state transfer.
 """
 
+import enum
 import json
+from collections import deque
+from functools import partial
 
 _SCALARS = (str, int, float, bool, type(None))
+_SCALAR_TYPES = frozenset(_SCALARS)
+
+#: class -> ((key, attribute, path), ...) from its STATE.
+_FIELDS = {}
+
+
+def _fields(cls):
+    _FIELDS[cls] = fields = tuple(
+        (entry, entry, f"{cls.__name__}.{entry}") if isinstance(entry, str)
+        else (entry[0], entry[1], f"{cls.__name__}.{entry[1]}")
+        for entry in cls.STATE
+    )
+    return fields
+
+
+class Table(dict):
+    """A dict whose snapshot is ``[key, value]`` pairs sorted by key.
+
+    For tables keyed by integers (JSON object keys are strings) that
+    fill in arrival order: sorting makes the snapshot independent of
+    that order.  ``item`` is the class of the values when they are
+    stateful -- restore rebuilds each with ``item.__new__`` and sets its
+    ``STATE`` straight from the row, so that must be every attribute the
+    item has, each a plain scalar -- and ``None`` for plain values.
+    """
+
+    __slots__ = ("item",)
+
+    def __init__(self, item=None):
+        super().__init__()
+        self.item = item
+
+
+class Stateful:
+    """Base of a class whose snapshot is its declared ``STATE``.
+
+    ``checkpoint()`` and ``restore(snapshot)`` are :func:`snapshot` and
+    :func:`restore`.  A subclass that validates its input, or re-arms
+    something after a restore, overrides ``restore`` and calls
+    ``super().restore(snapshot)``.
+    """
+
+    __slots__ = ()
+    STATE = ()
+    DERIVED = {}
+
+    def checkpoint(self):
+        return snapshot(self)
+
+    def restore(self, snapshot):
+        restore(self, snapshot)
+
+
+def _key(key, path):
+    if isinstance(key, str):
+        return key
+    if isinstance(key, enum.Enum):
+        return key.value
+    raise TypeError(f"{path} has a {type(key).__name__} key {key!r}; JSON objects need str keys")
+
+
+def _encode(value, path):
+    if value.__class__ in _SCALAR_TYPES:
+        return value
+    checkpoint = getattr(value, "checkpoint", None)
+    if checkpoint is not None:
+        return checkpoint()
+    if isinstance(value, enum.Enum):
+        return value.value
+    if isinstance(value, Table):
+        encode = partial(_encode, path=path) if value.item is None else value.item.checkpoint
+        return [[key, encode(value[key])] for key in sorted(value)]
+    if isinstance(value, dict):
+        return {_key(key, path): _encode(item, path) for key, item in value.items()}
+    if isinstance(value, (list, tuple, deque)):
+        items = list(value)
+        if _SCALAR_TYPES.issuperset(map(type, items)):
+            return items
+        return [_encode(item, path) for item in items]
+    if isinstance(value, (set, frozenset)):
+        return sorted(value)
+    # Imported here: repro.sim's engine imports this module.
+    from repro.sim.rng import Stream, rng_state
+
+    if isinstance(value, Stream):
+        return rng_state(value)
+    raise TypeError(f"{path} holds a {type(value).__name__} the snapshot codec cannot store")
+
+
+def snapshot(obj):
+    """``obj``'s ``STATE`` as plain data, keys in declaration order."""
+    state = {}
+    for key, attr, path in _FIELDS.get(obj.__class__) or _fields(obj.__class__):
+        value = getattr(obj, attr)
+        state[key] = value if value.__class__ in _SCALAR_TYPES else _encode(value, path)
+    return state
+
+
+def _refill(live, value, path):
+    """Put a snapshot's container ``value`` back into ``live``, in place."""
+    if isinstance(live, Table):
+        item = live.item
+        fields = () if item is None else _FIELDS.get(item) or _fields(item)
+        live.clear()
+        for key, state in value:
+            if item is not None:
+                member = item.__new__(item)
+                for name, attr, _path in fields:
+                    setattr(member, attr, state[name])
+                state = member
+            live[key] = state
+    elif isinstance(live, dict):
+        keys = {_key(key, path): key for key in live}
+        if hasattr(next(iter(live.values()), None), "checkpoint"):
+            if sorted(value) != sorted(keys):
+                raise ValueError(f"{path}: the snapshot has members {sorted(value)}, "
+                                 f"this object {sorted(keys)}")
+            for key, state in value.items():
+                live[keys[key]].restore(state)
+        else:
+            live.clear()
+            live.update((keys.get(key, key), item) for key, item in value.items())
+    elif hasattr(next(iter(live), None), "checkpoint"):
+        if len(value) != len(live):
+            raise ValueError(f"{path}: the snapshot has {len(value)} members, "
+                             f"this object {len(live)}")
+        for item, state in zip(live, value):
+            item.restore(state)
+    elif isinstance(live, set):
+        live.clear()
+        live.update(value)
+    else:
+        live.clear()
+        live.extend(value)
+
+
+def restore(obj, state):
+    """Reinstate :func:`snapshot`'s ``state`` into the live ``obj``."""
+    for key, attr, path in _FIELDS.get(obj.__class__) or _fields(obj.__class__):
+        value = state[key]
+        live = getattr(obj, attr, None)
+        if live.__class__ in _SCALAR_TYPES:
+            if live is None and isinstance(value, dict):
+                raise ValueError(f"{path}: the snapshot carries one, "
+                                 f"this {obj.__class__.__name__} has none")
+            setattr(obj, attr, value)
+        elif hasattr(live, "checkpoint"):
+            if value is None:
+                raise ValueError(
+                    f"{path}: this {obj.__class__.__name__} has one, the snapshot carries none"
+                )
+            live.restore(value)
+        elif isinstance(live, enum.Enum):
+            setattr(obj, attr, type(live)(value))
+        elif isinstance(live, (dict, list, deque, set)):
+            _refill(live, value, path)
+        else:
+            from repro.sim.rng import Stream, set_rng_state
+
+            if not isinstance(live, Stream):
+                raise TypeError(f"{path} holds a {type(live).__name__} the codec cannot restore")
+            set_rng_state(live, value)
 
 
 def ensure_plain(value, path="snapshot"):
@@ -82,7 +267,19 @@ class SimCheckpointer:
 
     ``sink``, when set, receives every captured snapshot (the fleet
     engine points it at an atomic writer under ``RUNS/<run-id>/``).
+
+    Its snapshot is the whole world plus a re-arm entry, so it keeps a
+    hand-written pair.  ``captured``/``skipped`` are telemetry about this
+    run of the checkpointer: folded into the snapshot, they would make its
+    bytes depend on how often earlier snapshots were taken or retried.
     """
+
+    STATE = (("next_fire", "_event"),)
+    DERIVED = {
+        "latest": "the last capture itself; restore adopts the snapshot it is given",
+        "captured": "capture-process telemetry; a resumed run tallies its own captures",
+        "skipped": "capture-process telemetry; a resumed run tallies its own retries",
+    }
 
     def __init__(self, sim, rngs, pods, sources, every_ns, sink=None,
                  recorder=None):
@@ -100,12 +297,8 @@ class SimCheckpointer:
         self.retry_ns = max(1, self.every_ns // 64)
         self.sink = sink
         self.latest = None
-        # Capture-process telemetry about *this* run of the checkpointer,
-        # not simulation state: a resumed run tallies its own captures,
-        # and folding these into the snapshot would make its bytes depend
-        # on how often earlier snapshots were taken or retried.
-        self.captured = 0  # lint: disable=SNAP001(capture-process telemetry; a resumed run tallies its own captures)
-        self.skipped = 0  # lint: disable=SNAP001(capture-process telemetry; a resumed run tallies its own retries)
+        self.captured = 0
+        self.skipped = 0
         self._event = sim.schedule(self.every_ns, self._fire)
 
     def _fire(self):

@@ -21,6 +21,7 @@ objects.  Quick example::
     # feed pod.ingress(packet) from a workload, then sim.run_until(...)
 """
 
+from repro.controlplane.snapshot import Stateful
 from repro.core.meta import MetaPlacement, placement_throughput_factor
 from repro.core.nic import NicPipeline
 from repro.core.plb.reorder import ReorderQueueConfig, TxOutcome
@@ -30,7 +31,6 @@ from repro.cpu.core import CpuCore, Verdict
 from repro.cpu.numa import NumaTopology
 from repro.cpu.service import ServiceChain, scaled_service, standard_services
 from repro.metrics.histogram import LatencyHistogram
-from repro.sim.rng import rng_state, set_rng_state
 from repro.sim.units import SECOND
 
 # Egress outcome -> report key.  ``Enum.value`` is a Python-level descriptor
@@ -53,7 +53,7 @@ def default_reorder_queue_count(data_cores):
     return max(1, min(8, data_cores // 10))
 
 
-class GwPodRuntime:
+class GwPodRuntime(Stateful):
     """A running GW pod: cores + NIC pipeline slice + metrics.
 
     Built by :meth:`AlbatrossServer.add_pod`, which resolves ``chain``,
@@ -63,16 +63,23 @@ class GwPodRuntime:
     exactly one of two exits, :meth:`_on_egress` (the wire) or
     :meth:`_on_drop`; both call the deployment's exit subscribers (see
     :class:`AlbatrossServer`).
+
+    Its snapshot covers every stateful component and rng stream in the
+    pod.  It restores into a freshly built pod of the same shape (core
+    count, reorder queue count); NUMA placement is free to differ.
     """
+
+    STATE = (
+        "name", "crashed", "outcomes", ("latency", "latency_histogram"), "rng",
+        ("cores", "core_stats"), "nic",
+    )
 
     def __init__(self, sim, spec, core_ids, rng, chain, reorder, speed_factor,
                  rate_limiter, subscribers):
         self.sim = sim
         self.spec = spec
+        self.name = spec.name
         self.rng = rng
-        # The chain's flow->address memo is not in the snapshot: it is a
-        # pure cache of a deterministic function that a rebuilt chain
-        # re-derives.
         self.chain = chain
         self.subscribers = subscribers
         self.latency_histogram = LatencyHistogram()
@@ -84,11 +91,7 @@ class GwPodRuntime:
 
         self.cores = []
         for core_id in core_ids[: spec.data_cores]:
-            # Cores are only checkpointed quiescent (idle, empty RX ring,
-            # no pending stall), so their transient scheduling state has
-            # nothing to capture; the durable per-core counters live in
-            # core.stats, which checkpoint() snapshots below.
-            core = CpuCore(  # lint: disable=SNAP003(cores checkpoint quiescent; durable counters live in core.stats, captured by the pod snapshot)
+            core = CpuCore(
                 sim,
                 core_id,
                 chain,
@@ -151,6 +154,15 @@ class GwPodRuntime:
         """True while the container is down (its ingress blackholes)."""
         return self.nic.pod_crashed
 
+    @crashed.setter
+    def crashed(self, crashed):
+        self.nic.pod_crashed = crashed
+
+    @property
+    def core_stats(self):
+        """Each data core's :class:`~repro.cpu.core.CoreStats`, in core order."""
+        return [core.stats for core in self.cores]
+
     def crash(self):
         """Fault injection: the container dies mid-flight.
 
@@ -163,11 +175,11 @@ class GwPodRuntime:
         for core in self.cores:
             core.fail()
 
-    def restore(self):
+    def recover(self):
         """Bring the (restarted) pod back into service."""
         self.nic.pod_crashed = False
         for core in self.cores:
-            core.restore()
+            core.recover()
 
     # -- checkpoint / restore (live migration, repro.controlplane) ---------
 
@@ -194,33 +206,8 @@ class GwPodRuntime:
                 return False
         return self.nic.priority.idle
 
-    def checkpoint(self):
-        """Plain-scalar snapshot of every stateful component in the pod.
-
-        The result is JSON-serializable (dicts/lists/str/int/float/bool/
-        None all the way down) and, paired with :meth:`restore_state` on a
-        freshly built pod of the same shape, byte-identically resumes the
-        frozen pod -- including every RNG stream position, so the restored
-        pod's future random draws match what the original would have
-        produced (the checkpoint-RNG regression tests pin this down).
-        """
-        return {
-            "name": self.spec.name,
-            "crashed": self.nic.pod_crashed,
-            "outcomes": dict(self.outcomes),
-            "latency": self.latency_histogram.checkpoint(),
-            "rng": rng_state(self.rng),
-            "cores": [core.stats.checkpoint() for core in self.cores],
-            "nic": self.nic.checkpoint(),
-        }
-
-    def restore_state(self, snapshot):
-        """Reinstate a :meth:`checkpoint` into this (freshly built) pod.
-
-        The pod must have the same shape as the checkpointed one (core
-        count, reorder queue count); NUMA placement is free to differ --
-        that is the whole point of migrating.
-        """
+    def restore(self, snapshot):
+        """Reinstate a :meth:`checkpoint` into this (freshly built) pod."""
         if len(snapshot["cores"]) != len(self.cores):
             raise ValueError(
                 f"checkpoint has {len(snapshot['cores'])} cores, "
@@ -231,13 +218,10 @@ class GwPodRuntime:
                 f"checkpoint is for pod {snapshot['name']!r}, cannot "
                 f"restore into {self.spec.name!r}"
             )
-        self.nic.pod_crashed = snapshot["crashed"]
-        self.outcomes = dict(snapshot["outcomes"])
-        self.latency_histogram.restore(snapshot["latency"])
-        set_rng_state(self.rng, snapshot["rng"])
-        for core, state in zip(self.cores, snapshot["cores"]):
-            core.stats.restore(state)
-        self.nic.restore(snapshot["nic"])
+        super().restore(snapshot)
+
+    # The older name, which benchmarks/perf/probes.py times.
+    restore_state = restore
 
     @property
     def counters(self):

@@ -12,6 +12,7 @@ Per-module latencies come from Tab. 4 via
 """
 
 from repro.analysis.sanitizer import get_sanitizer
+from repro.controlplane.snapshot import Stateful
 from repro.core.offload import FAST_PATH_LATENCY_NS
 from repro.core.pktdir import DeliveryPath, PktDir
 from repro.core.plb.dispatch import PlbDispatcher
@@ -39,7 +40,7 @@ _LIMITER_DROPS = {
 }
 
 
-class NicPipeline:
+class NicPipeline(Stateful):
     """One GW pod's NIC data path.
 
     Parameters:
@@ -67,7 +68,21 @@ class NicPipeline:
     :mod:`~repro.core.gateway` runtime wires this up).  The RX DMA hop
     delivers straight to ``core.enqueue``, so the pipeline wires each
     core's ``overflow_fn`` to :meth:`on_rx_overflow` itself.
+
+    A snapshot requires a quiescent pod: the reorder engine refuses to
+    checkpoint non-drained queues, and the control plane is responsible
+    for having emptied the core RX rings first.
     """
+
+    STATE = (
+        "mode", "counters", "reorder", ("dispatch", "plb"), "rss",
+        ("limiter", "rate_limiter"), ("offload", "session_offload"), "pkt_dir",
+        "priority", ("fpga_stalled", "_fpga_stalled"), ("heartbeat", "_heartbeat"),
+    )
+    DERIVED = {
+        "pod_crashed": "the pod's container state, captured by GwPodRuntime.crashed",
+        "_counts": "the hot path's binding of counters.counts, captured under counters",
+    }
 
     def __init__(self, sim, cores, reorder, egress_fn, mode="plb",
                  rate_limiter=None, drop_flag_enabled=True, drop_fn=None):
@@ -78,7 +93,7 @@ class NicPipeline:
         self.drop_flag_enabled = drop_flag_enabled
         self.counters = CounterSet()
         self.pkt_dir = PktDir()
-        self._set_mode(mode)
+        self.mode = mode
         latency = NicLatencyModel()
         self._rx_latency_ns = latency.rx_ns()
         self._tx_dma_ns = latency.module_ns("dma", "tx")
@@ -332,68 +347,25 @@ class NicPipeline:
         self.egress_fn(packet, outcome)
 
     # ------------------------------------------------------------------
-    # Checkpoint / restore (live migration, repro.controlplane)
-    # ------------------------------------------------------------------
-
-    def checkpoint(self):
-        """Plain-data snapshot of the pipeline's frozen state.
-
-        Preconditions: the pod must be quiescent -- the reorder engine
-        refuses to checkpoint non-drained queues, and the control plane
-        is responsible for having emptied the core RX rings first.
-        """
-        return {
-            "mode": self.mode,
-            "counters": self.counters.checkpoint(),
-            "reorder": self.reorder.checkpoint(),
-            "dispatch": self.plb.checkpoint(),
-            "rss": self.rss.checkpoint(),
-            "limiter": (
-                None if self.rate_limiter is None else self.rate_limiter.checkpoint()
-            ),
-            "offload": (
-                None
-                if self.session_offload is None
-                else self.session_offload.checkpoint()
-            ),
-            "pkt_dir": self.pkt_dir.checkpoint(),
-            "priority": self.priority.checkpoint(),
-            "fpga_stalled": self._fpga_stalled,
-            "heartbeat": self._heartbeat,
-        }
-
-    def restore(self, snapshot):
-        """Reinstate a :meth:`checkpoint` into this (freshly built) pipeline."""
-        self._set_mode(snapshot["mode"])
-        self.counters.restore(snapshot["counters"])
-        self.reorder.restore(snapshot["reorder"])
-        self.plb.restore(snapshot["dispatch"])
-        self.rss.restore(snapshot["rss"])
-        if self.rate_limiter is not None and snapshot["limiter"] is not None:
-            self.rate_limiter.restore(snapshot["limiter"])
-        if self.session_offload is not None and snapshot["offload"] is not None:
-            self.session_offload.restore(snapshot["offload"])
-        self.pkt_dir.restore(snapshot["pkt_dir"])
-        self.priority.restore(snapshot["priority"])
-        self._fpga_stalled = snapshot["fpga_stalled"]
-        self._heartbeat = snapshot["heartbeat"]
-
-    # ------------------------------------------------------------------
     # Control operations
     # ------------------------------------------------------------------
 
-    def _set_mode(self, mode):
-        """Make ``mode`` (``"plb"``/``"rss"``) the default data path."""
-        self.mode = mode
+    @property
+    def mode(self):
+        """``"plb"`` or ``"rss"``: the default data path ``pkt_dir`` holds."""
+        return self.pkt_dir.default_data_path.value
+
+    @mode.setter
+    def mode(self, mode):
         self.pkt_dir.set_default_data_path(DeliveryPath(mode))
 
     def fallback_to_rss(self):
         """§4.1 remediation 5: dynamically switch the pod from PLB to RSS."""
-        self._set_mode("rss")
+        self.mode = "rss"
         self.counters.incr("plb_fallbacks")
 
     def restore_plb(self):
-        self._set_mode("plb")
+        self.mode = "plb"
 
     # ------------------------------------------------------------------
     # FPGA fault hooks

@@ -51,7 +51,15 @@ class FpgaSessionOffload:
         install_after_packets: the CPU installs the session once it has
             seen this many packets of the flow (connection setup must
             complete on the slow path first).
+
+    It keeps a hand-written snapshot: rows in table insertion order,
+    because idle-eviction ties break on iteration order.
     """
+
+    STATE = (
+        ("sessions", "_sessions"), ("cpu_seen", "_cpu_seen"), "fast_path_hits",
+        "slow_path_misses", "installs", "install_rejections", "evictions",
+    )
 
     def __init__(
         self,
@@ -144,13 +152,7 @@ class FpgaSessionOffload:
         return True
 
     def checkpoint(self):
-        """Plain-data snapshot of the on-NIC session table.
-
-        Sessions are emitted in table insertion order so the restored
-        dict iterates identically -- idle-eviction ties break on
-        iteration order, and a migrated table must evict the same entry
-        the original would have.
-        """
+        """Plain-data snapshot of the on-NIC session table."""
         return {
             "sessions": [
                 [list(flow), session.installed_ns, session.last_hit_ns, session.hits]

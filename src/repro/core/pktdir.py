@@ -14,6 +14,7 @@ all this model carries: protocol to priority, data to the pod's mode.
 
 import enum
 
+from repro.controlplane.snapshot import Stateful
 from repro.packet.packet import PacketKind
 
 
@@ -29,7 +30,7 @@ class DeliveryPath(enum.Enum):
     __hash__ = object.__hash__
 
 
-class PktDir:
+class PktDir(Stateful):
     """The default split and its per-path tallies.
 
     Protocol packets take the priority path; data packets take the pod's
@@ -37,28 +38,14 @@ class PktDir:
     switch).
     """
 
+    STATE = ("classified",)
+    DERIVED = {
+        "default_data_path": "the pipeline's captured mode: NicPipeline.mode reads and sets it",
+    }
+
     def __init__(self, default_data_path=DeliveryPath.PLB):
-        # Re-derived from the pipeline's captured mode on restore (see
-        # NicPipeline.restore), not snapshot data in its own right.
-        self.default_data_path = default_data_path  # lint: disable=SNAP001(re-derived from the captured pipeline mode on restore)
+        self.default_data_path = default_data_path
         self.classified = {path: 0 for path in DeliveryPath}
-
-    def checkpoint(self):
-        """Plain-data snapshot: the per-path classification tallies.
-
-        The default data path is deliberately absent: it is re-derived
-        from the pipeline's captured mode on restore.
-        """
-        return {
-            "classified": {
-                path.value: self.classified[path] for path in DeliveryPath
-            },
-        }
-
-    def restore(self, snapshot):
-        self.classified = {
-            path: snapshot["classified"][path.value] for path in DeliveryPath
-        }
 
     def set_default_data_path(self, path):
         """Switch the pod's data-plane mode (PLB <-> RSS fallback)."""

@@ -16,13 +16,14 @@ full FIFO means a heavy hitter has exceeded what this queue can tolerate
 (trade-off C1 in the paper).
 """
 
+from repro.controlplane.snapshot import Stateful
 from repro.core.meta import PlbMeta
 from repro.packet.hashing import crc32_flow_hash
 
 ORDQ_HASH_SEED = 0x0DD0
 
 
-class PlbDispatcher:
+class PlbDispatcher(Stateful):
     """Sprays packets over cores and feeds the reorder engine's FIFOs.
 
     Parameters:
@@ -43,6 +44,8 @@ class PlbDispatcher:
         "dead_core_drops",
         "_ordq_cache",
     )
+    STATE = (("rr_index", "_rr_index"), "dispatched", "fifo_full_drops", "dead_core_drops")
+    DERIVED = {"_ordq_cache": "pure memo of the CRC ordq hash; a rebuilt cache re-derives it"}
 
     def __init__(self, cores, reorder, now_fn=None):
         if not cores:
@@ -56,7 +59,7 @@ class PlbDispatcher:
         # Flow -> order queue memo (same bounded-cache pattern as the RSS
         # Toeplitz cache): the CRC+mix is pure in the 5-tuple, and flow
         # populations are tiny next to the cap.
-        self._ordq_cache = {}  # lint: disable=SNAP001(pure memo of the CRC ordq hash; a rebuilt cache re-derives identical entries)
+        self._ordq_cache = {}
 
     def ordq_index(self, flow):
         """``get_ordq_idx``: 5-tuple hash onto the pod's order queues."""
@@ -148,25 +151,3 @@ class PlbDispatcher:
             if not getattr(core, "_failed", False):
                 return core, index
         return None, self._rr_index
-
-    def checkpoint(self):
-        """Plain-data snapshot: the rotation pointer and drop counters.
-
-        The flow->ordq memo is **not** carried: it is a pure function of
-        the 5-tuple and the queue count, so a restored dispatcher
-        recomputes identical values on demand.
-        """
-        return {
-            "rr_index": self._rr_index,
-            "dispatched": self.dispatched,
-            "fifo_full_drops": self.fifo_full_drops,
-            "dead_core_drops": self.dead_core_drops,
-        }
-
-    def restore(self, snapshot):
-        """Reinstate a :meth:`checkpoint`; the spray rotation continues
-        from the frozen pointer (modulo the new core count)."""
-        self._rr_index = snapshot["rr_index"] % len(self.cores)
-        self.dispatched = snapshot["dispatched"]
-        self.fifo_full_drops = snapshot["fifo_full_drops"]
-        self.dead_core_drops = snapshot["dead_core_drops"]

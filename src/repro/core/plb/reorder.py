@@ -36,6 +36,7 @@ import enum
 from collections import deque
 
 from repro.analysis.sanitizer import get_sanitizer
+from repro.controlplane.snapshot import Stateful
 from repro.sim.units import US
 
 
@@ -72,7 +73,7 @@ class ReorderQueueConfig:
         self.timeout_ns = timeout_ns
 
 
-class ReorderStats:
+class ReorderStats(Stateful):
     """Counters across all queues of one engine."""
 
     __slots__ = (
@@ -88,6 +89,7 @@ class ReorderStats:
         "reset_inflight_drops",
         "stale_epoch_writebacks",
     )
+    STATE = __slots__
 
     def __init__(self):
         for slot in self.__slots__:
@@ -103,17 +105,9 @@ class ReorderStats:
             return 0.0
         return self.best_effort / self.transmitted
 
-    def checkpoint(self):
-        """Plain-data snapshot (slot order is the declaration order)."""
-        return {slot: getattr(self, slot) for slot in self.__slots__}
 
-    def restore(self, snapshot):
-        for slot in self.__slots__:
-            setattr(self, slot, snapshot[slot])
-
-
-class _ReorderQueue:
-    """One FIFO + BUF + BITMAP triple."""
+class _ReorderQueue(Stateful):
+    """One FIFO + BUF + BITMAP triple; its snapshot is the PSN window."""
 
     __slots__ = (
         "fifo",
@@ -123,6 +117,11 @@ class _ReorderQueue:
         "head_ptr",
         "tail_ptr",
         "timeout_event",
+    )
+    STATE = ("head_ptr", "tail_ptr")
+    DERIVED = dict.fromkeys(
+        ("fifo", "buf", "bitmap_valid", "bitmap_psn", "timeout_event"),
+        "in-flight reorder state; the engine checkpoints drained",
     )
 
     def __init__(self):
@@ -135,7 +134,7 @@ class _ReorderQueue:
         self.timeout_event = None
 
 
-class ReorderEngine:
+class ReorderEngine(Stateful):
     """All reorder queues of one GW pod.
 
     Parameters:
@@ -154,7 +153,13 @@ class ReorderEngine:
     Packets are admitted by :meth:`PlbDispatcher.dispatch
     <repro.core.plb.dispatch.PlbDispatcher.dispatch>`, which reserves the
     PSN and queues the reorder info itself.
+
+    Its snapshot is the drained, pointer-only form: epoch, each queue's
+    PSN window and the stats.  In-flight packets cannot serialize, so
+    :meth:`checkpoint` refuses an engine that holds any.
     """
+
+    STATE = ("epoch", ("queues", "_queues"), "stats")
 
     def __init__(self, sim, config, transmit_fn, deparser=None):
         self.sim = sim
@@ -300,14 +305,7 @@ class ReorderEngine:
                     f"cannot checkpoint reorder engine: queue {ordq} has "
                     f"in-flight packets (drain the pod first)"
                 )
-        return {
-            "epoch": self.epoch,
-            "queues": [
-                {"head_ptr": queue.head_ptr, "tail_ptr": queue.tail_ptr}
-                for queue in self._queues
-            ],
-            "stats": self.stats.checkpoint(),
-        }
+        return super().checkpoint()
 
     def restore(self, snapshot):
         """Reinstate a :meth:`checkpoint` in place.
@@ -323,16 +321,13 @@ class ReorderEngine:
                 f"{len(snapshot['queues'])}, engine has "
                 f"{self.config.queue_count}"
             )
-        for queue, state in zip(self._queues, snapshot["queues"]):
+        for queue in self._queues:
             if queue.fifo or any(queue.bitmap_valid):
                 raise ValueError("cannot restore into a non-empty reorder engine")
             if queue.timeout_event is not None:
                 queue.timeout_event.cancel()
                 queue.timeout_event = None
-            queue.head_ptr = state["head_ptr"]
-            queue.tail_ptr = state["tail_ptr"]
-        self.epoch = snapshot["epoch"]
-        self.stats.restore(snapshot["stats"])
+        super().restore(snapshot)
 
     def notify_drop(self, packet):
         """Active drop-flag path: the CPU dropped ``packet`` explicitly."""

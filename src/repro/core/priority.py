@@ -7,11 +7,12 @@ overload can disconnect every container on the gateway -- the priority
 path makes that impossible as long as the ctrl cores are alive.
 """
 
+from repro.controlplane.snapshot import Stateful
 from repro.cpu.queues import PacketQueue
 from repro.sim.units import US
 
 
-class PriorityQueueManager:
+class PriorityQueueManager(Stateful):
     """Dedicated priority path: queue + ctrl-core service loop.
 
     Parameters:
@@ -22,8 +23,14 @@ class PriorityQueueManager:
 
     :attr:`deliver_fn` is called as ``deliver_fn(packet)`` when a protocol
     packet has been processed by a ctrl core; a no-op until a consumer
-    (the pod's BGP speaker / BFD endpoint) assigns it.
+    (the pod's BGP speaker / BFD endpoint) assigns it.  Its snapshot
+    requires the priority path to be idle.
     """
+
+    STATE = ("delivered", "queue")
+    DERIVED = {
+        "_busy": "transient service flag; priority path is idle at quiescent checkpoints",
+    }
 
     def __init__(self, sim, service_ns=2 * US, capacity=4096):
         self.sim = sim
@@ -31,9 +38,7 @@ class PriorityQueueManager:
         self.service_ns = service_ns
         self.queue = PacketQueue(capacity, name="priority-rx")
         self.delivered = 0
-        # Transient service-loop flag; the priority path is idle (not
-        # busy, queue empty) whenever a quiescent pod is checkpointed.
-        self._busy = False  # lint: disable=SNAP001(transient service flag; priority path is idle at quiescent checkpoints)
+        self._busy = False
 
     @property
     def dropped(self):
@@ -64,14 +69,3 @@ class PriorityQueueManager:
         self.delivered += 1
         self.deliver_fn(packet)
         self._start_next()
-
-    def checkpoint(self):
-        """Plain-data snapshot; requires the priority path to be idle."""
-        return {
-            "delivered": self.delivered,
-            "queue": self.queue.checkpoint(),
-        }
-
-    def restore(self, snapshot):
-        self.delivered = snapshot["delivered"]
-        self.queue.restore(snapshot["queue"])

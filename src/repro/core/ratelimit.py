@@ -23,8 +23,8 @@ pre_check to bypass rate limiting entirely.
 import enum
 
 from repro.analysis.sanitizer import get_sanitizer
+from repro.controlplane.snapshot import Stateful, Table
 from repro.packet.hashing import crc32_vni_hash
-from repro.sim.rng import rng_state, set_rng_state
 from repro.sim.units import SECOND
 
 
@@ -65,7 +65,7 @@ _DROP_PRE = RateLimitDecision.DROP_PRE
 _BYPASS = RateLimitDecision.BYPASS
 
 
-class TokenBucket:
+class TokenBucket(Stateful):
     """Packet-rate token bucket with lazy refill.
 
     ``rate_pps`` tokens accrue per second up to ``burst`` tokens.  Time is
@@ -74,6 +74,13 @@ class TokenBucket:
     """
 
     __slots__ = ("rate_pps", "burst", "_tokens", "_last_ns")
+    STATE = ("rate_pps", "burst", ("tokens", "_tokens"), ("last_ns", "_last_ns"))
+
+    def checkpoint(self):
+        # STATE spelled out: a limiter carries thousands of buckets, and
+        # this literal costs a quarter of the generic walk.
+        return {"rate_pps": self.rate_pps, "burst": self.burst,
+                "tokens": self._tokens, "last_ns": self._last_ns}
 
     def __init__(self, rate_pps, burst=None):
         if rate_pps <= 0:
@@ -108,39 +115,25 @@ class TokenBucket:
             self.burst = burst
             self._tokens = min(self._tokens, float(burst))
 
-    def checkpoint(self):
-        """Plain-data snapshot of the bucket's fill state."""
-        return {
-            "rate_pps": self.rate_pps,
-            "burst": self.burst,
-            "tokens": self._tokens,
-            "last_ns": self._last_ns,
-        }
 
-    @classmethod
-    def from_checkpoint(cls, snapshot):
-        """Rebuild a bucket exactly as :meth:`checkpoint` captured it."""
-        bucket = cls(snapshot["rate_pps"], burst=snapshot["burst"])
-        bucket._tokens = snapshot["tokens"]
-        bucket._last_ns = snapshot["last_ns"]
-        return bucket
-
-
-class _HitterSampler:
+class _HitterSampler(Stateful):
     """Sampled heavy-hitter detection over meter-table drops.
 
     Each meter-table *drop* is sampled with probability ``1/sample_rate``;
     a VNI whose sample count crosses ``threshold`` within ``window_ns`` is
     promoted to the pre_check table.  Heavy hitters dominate drops, so the
-    promotion takes effect "in one second" as the paper states.
+    promotion takes effect "in one second" as the paper states.  The
+    window counts snapshot as ``[vni, count]`` pairs, keeping VNIs integer.
     """
+
+    STATE = (("counts", "_counts"), ("window_start", "_window_start"), "rng")
 
     def __init__(self, rng, sample_rate=100, threshold=8, window_ns=SECOND):
         self.rng = rng
         self.sample_rate = sample_rate
         self.threshold = threshold
         self.window_ns = window_ns
-        self._counts = {}
+        self._counts = Table()
         self._window_start = 0
 
     def observe(self, vni, now_ns):
@@ -154,21 +147,8 @@ class _HitterSampler:
         self._counts[vni] = count
         return count >= self.threshold
 
-    def checkpoint(self):
-        """Snapshot: window counts (as pairs, keeping VNIs integer) + rng."""
-        return {
-            "counts": [[vni, self._counts[vni]] for vni in sorted(self._counts)],
-            "window_start": self._window_start,
-            "rng": rng_state(self.rng),
-        }
 
-    def restore(self, snapshot):
-        self._counts = {vni: count for vni, count in snapshot["counts"]}
-        self._window_start = snapshot["window_start"]
-        set_rng_state(self.rng, snapshot["rng"])
-
-
-class TwoStageRateLimiter:
+class TwoStageRateLimiter(Stateful):
     """The full §4.3 pipeline: pre_check -> color_table -> meter_table.
 
     Parameters:
@@ -180,7 +160,20 @@ class TwoStageRateLimiter:
         pre_rate_pps: rate granted to promoted heavy hitters (defaults to
             stage1 + stage2, i.e. the same effective ceiling).
         auto_promote: enable sampling-based promotion into pre_check.
+
+    Its snapshot is the limiter SRAM: every lazily materialized token
+    bucket, the bypass set, the sampler window and rng, and the decision
+    counters.  Bucket tables are ``Table`` objects: ``[index, bucket]``
+    pairs sorted by index, independent of arrival order.  Table sizes and the
+    promotion policy stay as constructed.
     """
+
+    STATE = (
+        "stage1_rate_pps", "stage2_rate_pps", "pre_rate_pps",
+        ("color", "_color"), ("meter", "_meter"), ("pre_meter", "_pre_meter"),
+        ("bypass", "_bypass"), "decisions", "promotions", "sram_resets",
+        ("sampler", "_sampler"),
+    )
 
     COLOR_ENTRY_BYTES = 32
     METER_ENTRY_BYTES = 32
@@ -207,9 +200,9 @@ class TwoStageRateLimiter:
             pre_rate_pps if pre_rate_pps is not None else stage1_rate_pps + stage2_rate_pps
         )
         self.auto_promote = auto_promote
-        self._color = {}   # index -> TokenBucket (lazily materialized)
-        self._meter = {}
-        self._pre_meter = {}   # vni -> TokenBucket
+        self._color = Table(TokenBucket)   # index -> bucket (lazily materialized)
+        self._meter = Table(TokenBucket)
+        self._pre_meter = Table(TokenBucket)   # vni -> bucket
         self._bypass = set()
         self._sampler = _HitterSampler(rng, sample_rate=sample_rate)
         self.decisions = {decision: 0 for decision in RateLimitDecision}
@@ -263,70 +256,6 @@ class TwoStageRateLimiter:
         self._pre_meter.clear()
         self.sram_resets += 1
         return wiped
-
-    # -- checkpoint / restore (live migration) ---------------------------
-
-    def checkpoint(self):
-        """Plain-data snapshot of the limiter SRAM: every lazily
-        materialized token bucket, the bypass set, the sampler window and
-        rng, and the decision counters.
-
-        Bucket tables serialize as ``[index, bucket]`` pairs sorted by
-        index, so the snapshot's byte layout is independent of packet
-        arrival order (dict insertion order is arrival order here).
-        """
-        return {
-            "stage1_rate_pps": self.stage1_rate_pps,
-            "stage2_rate_pps": self.stage2_rate_pps,
-            "pre_rate_pps": self.pre_rate_pps,
-            "color": [
-                [index, self._color[index].checkpoint()]
-                for index in sorted(self._color)
-            ],
-            "meter": [
-                [index, self._meter[index].checkpoint()]
-                for index in sorted(self._meter)
-            ],
-            "pre_meter": [
-                [vni, self._pre_meter[vni].checkpoint()]
-                for vni in sorted(self._pre_meter)
-            ],
-            "bypass": sorted(self._bypass),
-            "decisions": {
-                decision.value: self.decisions[decision]
-                for decision in RateLimitDecision
-            },
-            "promotions": self.promotions,
-            "sram_resets": self.sram_resets,
-            "sampler": self._sampler.checkpoint(),
-        }
-
-    def restore(self, snapshot):
-        """Reinstate a :meth:`checkpoint` in place (table sizes and
-        promotion policy stay as constructed)."""
-        self.stage1_rate_pps = snapshot["stage1_rate_pps"]
-        self.stage2_rate_pps = snapshot["stage2_rate_pps"]
-        self.pre_rate_pps = snapshot["pre_rate_pps"]
-        self._color = {
-            index: TokenBucket.from_checkpoint(state)
-            for index, state in snapshot["color"]
-        }
-        self._meter = {
-            index: TokenBucket.from_checkpoint(state)
-            for index, state in snapshot["meter"]
-        }
-        self._pre_meter = {
-            vni: TokenBucket.from_checkpoint(state)
-            for vni, state in snapshot["pre_meter"]
-        }
-        self._bypass = set(snapshot["bypass"])
-        self.decisions = {
-            decision: snapshot["decisions"][decision.value]
-            for decision in RateLimitDecision
-        }
-        self.promotions = snapshot["promotions"]
-        self.sram_resets = snapshot["sram_resets"]
-        self._sampler.restore(snapshot["sampler"])
 
     # -- data path -------------------------------------------------------
 

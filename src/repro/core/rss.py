@@ -7,13 +7,17 @@ single core (§2.1) and why Fig. 8's RSS line collapses once the hitter
 exceeds one core's capacity.
 """
 
+from repro.controlplane.snapshot import Stateful
 from repro.packet.hashing import TOEPLITZ_DEFAULT_KEY, toeplitz_flow_hash
 
 INDIRECTION_ENTRIES = 128
 
 
-class RssDispatcher:
+class RssDispatcher(Stateful):
     """Receive-side scaling across a pod's data cores."""
+
+    STATE = ("dispatched", ("indirection", "_indirection"))
+    DERIVED = {"_hash_cache": "pure memo of the Toeplitz flow hash; a rebuilt cache re-derives it"}
 
     def __init__(self, cores, key=TOEPLITZ_DEFAULT_KEY):
         if not cores:
@@ -25,7 +29,11 @@ class RssDispatcher:
             index % len(self.cores) for index in range(INDIRECTION_ENTRIES)
         ]
         self.dispatched = 0
-        self._hash_cache = {}  # lint: disable=SNAP001(pure memo of the Toeplitz flow hash; a rebuilt cache re-derives identical entries)
+        self._hash_cache = {}
+
+    def restore(self, snapshot):
+        self.set_indirection(snapshot["indirection"])  # validated against these cores
+        super().restore(snapshot)
 
     @property
     def indirection_table(self):
@@ -55,19 +63,3 @@ class RssDispatcher:
         """Pick the core for ``packet``; pure selection, no queueing."""
         self.dispatched += 1
         return self.core_for_flow(packet.flow)
-
-    def checkpoint(self):
-        """Plain-data snapshot: the indirection program + dispatch count.
-
-        The Toeplitz hash memo is **not** carried: it is a pure function
-        of the 5-tuple and the key, so a restored dispatcher recomputes
-        identical values on demand.
-        """
-        return {
-            "dispatched": self.dispatched,
-            "indirection": list(self._indirection),
-        }
-
-    def restore(self, snapshot):
-        self.set_indirection(snapshot["indirection"])
-        self.dispatched = snapshot["dispatched"]

@@ -11,6 +11,7 @@ flag turns into an immediate reorder-resource release).
 import enum
 
 from repro.analysis.sanitizer import get_sanitizer
+from repro.controlplane.snapshot import Stateful
 
 
 class Verdict(enum.Enum):
@@ -26,10 +27,11 @@ class Verdict(enum.Enum):
 _FORWARD = Verdict.FORWARD
 
 
-class CoreStats:
+class CoreStats(Stateful):
     """Counters and busy-time accounting for one core."""
 
     __slots__ = ("processed", "forwarded", "dropped", "busy_ns", "stall_ns")
+    STATE = __slots__
 
     def __init__(self):
         self.processed = 0
@@ -37,14 +39,6 @@ class CoreStats:
         self.dropped = 0
         self.busy_ns = 0
         self.stall_ns = 0
-
-    def checkpoint(self):
-        """Plain-data snapshot (slot order is the declaration order)."""
-        return {slot: getattr(self, slot) for slot in self.__slots__}
-
-    def restore(self, snapshot):
-        for slot in self.__slots__:
-            setattr(self, slot, snapshot[slot])
 
     def utilization(self, window_ns):
         """Busy fraction over a window (may exceed 1.0 if overloaded)."""
@@ -75,7 +69,16 @@ class CpuCore:
     ``overflow_fn``, ``None`` until the NIC pipeline wires its drop there,
     is called as ``overflow_fn(packet)`` when :meth:`enqueue` finds the RX
     ring full.
+
+    A core has no snapshot of its own: cores checkpoint quiescent, and
+    the pod captures each core's ``stats`` under its ``cores`` key.
     """
+
+    DERIVED = dict.fromkeys(
+        ("_busy", "_pending_stall_ns", "_failed", "_resume_event"),
+        "scheduling state, at rest in a quiescent core; durable counters "
+        "live in core.stats, captured by the pod snapshot",
+    )
 
     def __init__(
         self,
@@ -174,7 +177,7 @@ class CpuCore:
         backs up, which is exactly the behaviour that produces RSS
         head-of-line blocking while PLB sprays around the dead core.
         With ``duration_ns`` the core auto-recovers; otherwise it stays
-        down until :meth:`restore`.
+        down until :meth:`recover`.
         """
         self._failed = True
         if self._resume_event is not None:
@@ -182,9 +185,9 @@ class CpuCore:
             self._resume_event = None
         if duration_ns is not None:
             self.stats.stall_ns += int(duration_ns)
-            self._resume_event = self.sim.schedule(int(duration_ns), self.restore)
+            self._resume_event = self.sim.schedule(int(duration_ns), self.recover)
 
-    def restore(self):
+    def recover(self):
         """Bring a failed core back; drains whatever queued while down."""
         self._failed = False
         if self._resume_event is not None:

@@ -7,37 +7,28 @@ simulation that failure mode: it drops when full.
 
 from collections import deque
 
+from repro.controlplane.snapshot import Stateful
 
-class PacketQueue:
+
+class PacketQueue(Stateful):
     """Bounded FIFO with drop accounting (an RX or TX descriptor ring)."""
+
+    STATE = ("enqueued", "dropped", "high_watermark")
+    DERIVED = {"packets": "in-flight packets; checkpoints happen with the queue drained"}
 
     def __init__(self, capacity=1024, name="queue"):
         if capacity <= 0:
             raise ValueError(f"capacity must be positive: {capacity}")
         self.capacity = capacity
         self.name = name
-        # In-flight packets, oldest first: quiescent checkpoints require the
-        # queue to have drained, so they are never snapshot data.  Readers
-        # may test it for emptiness without a call; only push/pop/drain
-        # change the queue (an idle CpuCore also counts a packet it serves
-        # straight past the empty ring).
-        self.packets = deque()  # lint: disable=SNAP001(in-flight packets; checkpoints happen with the queue drained)
+        # In-flight packets, oldest first.  Readers may test it for
+        # emptiness without a call; only push/pop/drain change the queue
+        # (an idle CpuCore also counts a packet it serves straight past
+        # the empty ring).
+        self.packets = deque()
         self.enqueued = 0
         self.dropped = 0
         self.high_watermark = 0
-
-    def checkpoint(self):
-        """Plain-data counter snapshot (queued packets must have drained)."""
-        return {
-            "enqueued": self.enqueued,
-            "dropped": self.dropped,
-            "high_watermark": self.high_watermark,
-        }
-
-    def restore(self, snapshot):
-        self.enqueued = snapshot["enqueued"]
-        self.dropped = snapshot["dropped"]
-        self.high_watermark = snapshot["high_watermark"]
 
     def __len__(self):
         return len(self.packets)

@@ -137,6 +137,8 @@ class ServiceChain:
     keep the paper's working-set-to-cache ratio.
     """
 
+    DERIVED = {"_addr_cache": "pure memo of each flow's addresses; a rebuilt chain re-derives it"}
+
     def __init__(
         self,
         service,

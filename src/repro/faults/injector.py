@@ -255,7 +255,7 @@ class FaultInjector:
             self.sim.schedule(fault.duration_ns, self._restart_pod, record)
 
     def _restart_pod(self, record):
-        self.targets.pod.restore()
+        self.targets.pod.recover()
         if self.targets.link is not None:
             self.targets.link.set_up()
         self.note_recovered(FaultKind.POD_CRASH)

@@ -1,7 +1,9 @@
 """Named counters with snapshot/delta support."""
 
+from repro.controlplane.snapshot import Stateful
 
-class CounterSet:
+
+class CounterSet(Stateful):
     """A dict of integer counters with convenience arithmetic.
 
     ``incr`` is a plain try/except indexed add: the miss path runs once
@@ -12,6 +14,7 @@ class CounterSet:
     """
 
     __slots__ = ("counts",)
+    STATE = ("counts",)
 
     def __init__(self):
         self.counts = {}
@@ -35,17 +38,6 @@ class CounterSet:
             name: value - previous_snapshot.get(name, 0)
             for name, value in self.counts.items()
         }
-
-    def checkpoint(self):
-        """Plain-data snapshot (insertion order preserved: it is the
-        render order of ``snapshot()`` consumers that sort, not ours)."""
-        return {"counts": dict(self.counts)}
-
-    def restore(self, snapshot):
-        """Reinstate a checkpoint, replacing all current counts in place."""
-        counts = self.counts
-        counts.clear()
-        counts.update(snapshot["counts"])
 
     def __getitem__(self, name):
         return self.get(name)

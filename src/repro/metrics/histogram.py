@@ -33,16 +33,20 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 import math
 
-from repro.sim.rng import derived_stream, rng_state, set_rng_state
+from repro.controlplane.snapshot import Stateful
+from repro.sim.rng import derived_stream, rng_state
 
 
-class LatencyHistogram:
+class LatencyHistogram(Stateful):
     """Records nanosecond latencies.
 
     Parameters:
         bucket_factor: ratio between adjacent log-bucket boundaries.
         max_samples: cap on retained raw samples; beyond it, reservoir
             sampling keeps a uniform subset.
+
+    Its checkpoint is hand-written, the :meth:`to_dict` wire form plus
+    the reservoir rng; restore walks ``STATE`` and re-derives the rest.
     """
 
     __slots__ = (
@@ -62,6 +66,19 @@ class LatencyHistogram:
         "_sorted_cache",
         "_sorted_cache_count",
     )
+    STATE = (
+        "bucket_factor", "max_samples", ("count", "_count"), ("sum", "_sum"),
+        ("min", "_min"), ("max", "_max"), ("bucket_counts", "_bucket_counts"),
+        ("samples", "_samples"), ("rng", "_rng"),
+    )
+    DERIVED = {
+        "_bounds": "bucket edges, extended on demand from bucket_factor",
+        "_bound_fraction": "exact form of bucket_factor",
+        "_power_of_two": "bucket_factor == 2.0",
+        "_folded": "every sample is folded by checkpoint() and by restore()",
+        "_sorted_cache": "sorted view of the samples, rebuilt on the first percentile query",
+        "_sorted_cache_count": "sorted view of the samples, rebuilt on the first percentile query",
+    }
 
     def __init__(self, bucket_factor=2.0, max_samples=200_000, seed=1):
         if bucket_factor <= 1.0:
@@ -280,21 +297,13 @@ class LatencyHistogram:
 
     def restore(self, snapshot):
         """Reinstate a :meth:`checkpoint` in place, rng position included."""
-        self.bucket_factor = snapshot["bucket_factor"]
-        self.max_samples = snapshot["max_samples"]
+        super().restore(snapshot)
         self._bound_fraction = Fraction(self.bucket_factor)
         self._power_of_two = self.bucket_factor == 2.0
         self._bounds = [1]
-        self._count = snapshot["count"]
-        self._sum = snapshot["sum"]
-        self._min = snapshot["min"]
-        self._max = snapshot["max"]
-        self._bucket_counts = list(snapshot["bucket_counts"])
         if len(self._bucket_counts) < 2:
             self._bucket_counts.extend([0] * (2 - len(self._bucket_counts)))
-        self._samples = list(snapshot["samples"])
         self._folded = len(self._samples)
-        set_rng_state(self._rng, snapshot["rng"])
         self._sorted_cache = []
         self._sorted_cache_count = -1
 

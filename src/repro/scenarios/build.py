@@ -169,10 +169,10 @@ class RunHandle:
                 f"checkpoint schema {version!r} is not "
                 f"{CHECKPOINT_SCHEMA_VERSION}"
             )
-        self.sim.restore_clock(snapshot["sim"])
+        self.sim.restore(snapshot["sim"])
         self.rngs.restore(snapshot["rngs"])
         for name, pod in self.pods.items():
-            pod.restore_state(snapshot["pods"][name])
+            pod.restore(snapshot["pods"][name])
         rearms = list(self.checkpointer.restore(snapshot))
         if self.telemetry is not None:
             telemetry_snapshot = snapshot.get("telemetry")

@@ -62,6 +62,7 @@ import heapq
 import itertools
 
 from repro.analysis.sanitizer import get_sanitizer
+from repro.controlplane.snapshot import Stateful
 
 _heappush = heapq.heappush
 _heappop = heapq.heappop
@@ -111,7 +112,7 @@ class Event:
         return f"<Event t={self.time} fn={name} {state}>"
 
 
-class Simulator:
+class Simulator(Stateful):
     """Discrete-event loop with an integer-nanosecond clock.
 
     Usage::
@@ -125,6 +126,11 @@ class Simulator:
 
     ``step`` is bound per instance at construction: the sanitized variant
     when a sanitizer is installed, the unchecked variant otherwise.
+
+    Its snapshot is the clock and the processed-event count, never the
+    heap: at a quiescent checkpoint every pending event belongs to a
+    component that re-creates it from its own snapshot, in recorded
+    ``(time, seq)`` order (see ``SimCheckpointer``).
     """
 
     __slots__ = (
@@ -138,22 +144,25 @@ class Simulator:
         "_sanitizer",
         "step",
     )
+    STATE = (("now", "_now"), ("events_processed", "_events_processed"))
+    DERIVED = {
+        "_heap": "entries hold closures, never serialized; owners re-arm their events on restore",
+        "next_seq": "tie-break source; restored events are re-armed in (time, seq) order",
+        "_running": "run-loop transient; checkpoints are only taken between runs",
+        "_stopped": "run-loop transient; checkpoints are only taken between runs",
+    }
 
     def __init__(self):
         self._now = 0
-        # The heap and its bookkeeping are deliberately outside the
-        # snapshot (see checkpoint()): pending events hold closures, and
-        # every owner re-creates its own events on restore, sorted by
-        # their checkpointed (time, seq) so fresh sequence numbers
-        # preserve the original firing order.  ``_heap`` is never
-        # rebound: ``push`` holds it, bound once to the module's
-        # ``_heappush``, and ``next_seq`` is the one tie-break source.
+        # ``_heap`` is never rebound: ``push`` holds it, bound once to the
+        # module's ``_heappush``, and ``next_seq`` is the one tie-break
+        # source.
         self._heap = []
         self.next_seq = itertools.count().__next__
         self.push = functools.partial(_heappush, self._heap)
         self._events_processed = 0
         self._running = False
-        self._stopped = False  # lint: disable=SNAP001(run-loop transient; checkpoints are only taken between runs)
+        self._stopped = False
         self._sanitizer = get_sanitizer()
         # Resolved once: plain runs never test the sanitizer per event.
         self.step = self._step_checked if self._sanitizer is not None else self._step_fast
@@ -191,7 +200,7 @@ class Simulator:
             self._reject_past(delay, fn)
         time = self._now + int(delay)
         seq = self.next_seq()
-        event = Event(time, fn, args, seq)  # lint: disable=SNAP003(heap entries hold closures and are never serialized; owners re-arm their pending events on restore)
+        event = Event(time, fn, args, seq)
         self.push((time, seq, fn, args, event))
         return event
 
@@ -369,19 +378,7 @@ class Simulator:
         finally:
             self._running = False
 
-    def checkpoint(self):
-        """Clock state as plain data (see ``controlplane/snapshot.py``).
-
-        Only the clock and the processed-event count are captured -- the
-        heap itself holds closures and is deliberately *not* serialized.
-        Checkpoints are taken at quiescent instants where every pending
-        event belongs to a component that knows how to re-create it from
-        its own ``checkpoint()`` (sources reschedule their next tick, the
-        checkpointer its next fire); see ``SimCheckpointer``.
-        """
-        return {"now": self._now, "events_processed": self._events_processed}
-
-    def restore_clock(self, snapshot):
+    def restore(self, snapshot):
         """Jump the clock forward to a checkpoint's instant.
 
         Must be called between runs (never from inside a handler) and
@@ -396,8 +393,7 @@ class Simulator:
             raise SimulationError(
                 f"cannot restore clock backwards to t={now} (now={self._now})"
             )
-        self._now = now
-        self._events_processed = int(snapshot["events_processed"])
+        super().restore(snapshot)
 
     def every(self, interval, fn, *args, start_delay=None, jitter_fn=None):
         """Schedule ``fn(*args)`` periodically.
@@ -407,7 +403,7 @@ class Simulator:
         nanoseconds (possibly negative; the total delay is clamped to a
         minimum of 1 ns so the clock always advances between firings).
         """
-        return PeriodicTask(self, interval, fn, args, start_delay, jitter_fn)  # lint: disable=SNAP003(periodic tasks wrap heap events; owners re-arm them from their own checkpoints on restore)
+        return PeriodicTask(self, interval, fn, args, start_delay, jitter_fn)
 
 
 class PeriodicTask:

@@ -9,6 +9,11 @@ seed via ``random.Random`` seeded with ``hash-stable`` (seed, name) pairs.
 import random
 import zlib
 
+from repro.controlplane.snapshot import Stateful, Table
+
+#: The type of every stream: snapshot code tests values against it.
+Stream = random.Random
+
 
 def derived_stream(name, seed=0):
     """A standalone ``random.Random`` derived from ``(seed, name)``.
@@ -28,9 +33,9 @@ def rng_state(rng):
 
     ``random.Random.getstate()`` returns ``(version, tuple of ints,
     gauss_next)``; the tuple becomes a list so the state survives a JSON
-    round trip.  Every ``checkpoint()`` in the library carries its stream
-    positions through this helper -- a restored component replays the
-    exact random sequence the original would have drawn.
+    round trip.  The snapshot codec carries every stream position through
+    this helper -- a restored component replays the exact random sequence
+    the original would have drawn.
     """
     version, internal, gauss_next = rng.getstate()
     return [version, list(internal), gauss_next]
@@ -42,7 +47,7 @@ def set_rng_state(rng, state):
     rng.setstate((version, tuple(internal), gauss_next))
 
 
-class RngRegistry:
+class RngRegistry(Stateful):
     """Factory for independent, deterministically seeded RNG streams.
 
     >>> rngs = RngRegistry(seed=7)
@@ -50,11 +55,18 @@ class RngRegistry:
     >>> b = rngs.stream("jitter")
     >>> a is rngs.stream("traffic")
     True
+
+    Streams snapshot as ``[name, position]`` pairs sorted by name, so
+    the bytes do not depend on materialization order.  Its restore is
+    hand-written: it repositions live streams and derives the ones it
+    lacks, which a table refill cannot.
     """
+
+    STATE = ("seed", ("streams", "_streams"))
 
     def __init__(self, seed=0):
         self.seed = seed
-        self._streams = {}
+        self._streams = Table()
 
     def stream(self, name):
         """Return the ``random.Random`` for ``name``, creating it on first use."""
@@ -67,20 +79,6 @@ class RngRegistry:
     def reset(self):
         """Drop all streams; subsequent calls re-derive from the seed."""
         self._streams.clear()
-
-    def checkpoint(self):
-        """Snapshot of every materialized stream's position (plain data).
-
-        Streams are listed sorted by name so the snapshot's byte layout
-        does not depend on materialization order.
-        """
-        return {
-            "seed": self.seed,
-            "streams": [
-                [name, rng_state(self._streams[name])]
-                for name in sorted(self._streams)
-            ],
-        }
 
     def restore(self, snapshot):
         """Reposition every stream from a checkpoint, **in place**.

@@ -31,12 +31,13 @@ Window semantics:
 Checkpoint/restore follows the repo's pending-event protocol: the
 recorder's authoritative next-fire state is the plain ``{"time", "seq"}``
 ref it keeps in ``_pending`` (updated whenever the flush event is
-scheduled), its ``checkpoint()`` is byte-stable under the in-place
-statecheck probe, and ``restore()`` returns a re-arm entry that
+scheduled), its ``checkpoint()`` is byte-stable under statecheck's
+probe, and ``restore()`` returns a re-arm entry that
 ``RunHandle.restore_checkpoint`` executes in global ``(time, seq)``
 order -- so a mid-shard resume reproduces the identical series.
 """
 
+from repro.controlplane.snapshot import Stateful
 from repro.metrics.counters import CounterSet
 from repro.metrics.histogram import LatencyHistogram
 from repro.topology.dpu import DPU_FAST_PATH
@@ -44,7 +45,7 @@ from repro.topology.dpu import DPU_FAST_PATH
 TIMESERIES_SCHEMA_VERSION = 1
 
 
-class TimeSeriesRecorder:
+class TimeSeriesRecorder(Stateful):
     """Samples every pod of a deployment at fixed sim-time windows.
 
     Parameters:
@@ -55,7 +56,17 @@ class TimeSeriesRecorder:
         every_ns: window width in sim nanoseconds.
         seed: seed for the per-window reservoir rngs (only observable
             past the reservoir cap; carried for determinism regardless).
+
+    Its restore validates the pod set and returns a re-arm entry for the
+    next flush instead of scheduling it; ``_pending`` is the
+    authoritative next fire.
     """
+
+    STATE = (
+        "every_ns", ("origin_ns", "_origin"), ("window", "_window"), "windows",
+        ("prev", "_prev"), ("hists", "_hists"), ("next_fire", "_pending"),
+    )
+    DERIVED = {"_event": "the pending flush; restore re-arms it from _pending"}
 
     def __init__(self, sim, pods, every_ns, seed=1):
         if every_ns <= 0:
@@ -153,22 +164,6 @@ class TimeSeriesRecorder:
             "windows": windows,
         }
 
-    # -- checkpoint / restore ----------------------------------------------
-
-    def checkpoint(self):
-        """Plain-data snapshot, ``_pending`` as the authoritative next fire."""
-        return {
-            "every_ns": self.every_ns,
-            "origin_ns": self._origin,
-            "window": self._window,
-            "windows": list(self.windows),
-            "prev": {name: dict(counts) for name, counts in self._prev.items()},
-            "hists": {
-                name: hist.checkpoint() for name, hist in self._hists.items()
-            },
-            "next_fire": self._pending,
-        }
-
     def restore(self, snapshot):
         """Adopt a checkpoint; return the re-arm entry for the next flush.
 
@@ -183,19 +178,8 @@ class TimeSeriesRecorder:
         if self._event is not None:
             self._event.cancel()
             self._event = None
-        self.every_ns = int(snapshot["every_ns"])
-        self._origin = int(snapshot["origin_ns"])
-        self._window = int(snapshot["window"])
-        self.windows = list(snapshot["windows"])
-        self._prev = {
-            name: dict(counts) for name, counts in snapshot["prev"].items()
-        }
-        for name, state in snapshot["hists"].items():
-            self._hists[name].restore(state)
-        next_fire = snapshot["next_fire"]
-        self._pending = None if next_fire is None else dict(next_fire)
-        if next_fire is None:
-            return []
+        super().restore(snapshot)
+        next_fire = dict(self._pending)
 
         def rearm(time=next_fire["time"]):
             self._event = self.sim.schedule_at(time, self._fire)

@@ -31,6 +31,8 @@ class FlowPopulation:
     ``array('d')`` of cumulative weight; a VNI is looked up per draw.
     """
 
+    DERIVED = {"_drawn": "memo of flows[index] per drawn index; a rebuilt population re-derives it"}
+
     def __init__(self, flows, weights=None, vnis=None):
         count = len(flows)
         if not count:
@@ -163,6 +165,14 @@ class CbrSource(_SourceBase):
     #: Tag written into checkpoints and validated on restore, so a
     #: snapshot cannot be restored into a source of the wrong type.
     SNAPSHOT_KIND = "cbr"
+
+    # A hand-written pair: restore returns re-arm entries for the pending
+    # tick instead of scheduling it.
+    STATE = ("rate_pps", "emitted", ("running", "_running"), ("next_tick", "_next_event"))
+    DERIVED = {
+        "_interval": "re-derived from rate_pps",
+        "rng": "a registry stream: the RngRegistry snapshot carries its position",
+    }
 
     def __init__(self, sim, rng, sink, population, rate_pps, **kwargs):
         super().__init__(sim, rng, sink, population, **kwargs)

@@ -18,6 +18,11 @@ class MicroburstSource(CbrSource):
 
     SNAPSHOT_KIND = "microburst"
 
+    STATE = CbrSource.STATE + (
+        "bursts_started", ("in_burst", "_in_burst"), ("burst_event", "_burst_event"),
+        ("fires", "_burst_event_kind"),
+    )
+
     def __init__(
         self,
         sim,

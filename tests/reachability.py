@@ -99,9 +99,6 @@ ALLOWED = {
     "repro.analysis.reporter.Finding.render": _FAILURE,
     "repro.analysis.rules._is_datetime_name": _NO_INPUT,
     "repro.analysis.rules.UnorderedIterationRule.visit_AsyncFor": _NO_INPUT,
-    "repro.analysis.statemodel._MethodScan.visit_AnnAssign": _NO_INPUT,
-    "repro.analysis.registry.ProjectLintRule.run_project":
-        "abstract hook: every project rule overrides it",
     "repro.runs.store.RunStore.resume": "sweep --resume after an interrupted run; tier-1 kills one",
     "repro.runs.store.RunStore.default_run_id": "sweep without --run-id; the check names its runs",
     "repro.core.nic.NicPipeline.fpga_stalled": _FPGA_RESET,
@@ -113,7 +110,7 @@ ALLOWED = {
     "repro.faults.scenarios.chaos.on_reset": _FPGA_RESET,
     "repro.faults.scenarios.chaos.on_down": _FAULT,
     "repro.faults.injector.FaultInjector._restart_pod": _FAULT,
-    "repro.core.gateway.GwPodRuntime.restore": _FAULT,
+    "repro.core.gateway.GwPodRuntime.recover": _FAULT,
     "repro.bgp.fsm.BgpSession._hold_expired": _FAULT,
     "repro.bgp.fsm.Link.fail": _FAULT,
     "repro.bgp.fsm.Link.recover": _FAULT,
@@ -122,12 +119,6 @@ ALLOWED = {
         "non-power-of-two histogram factors: no report uses one",
     "repro.metrics.histogram.LatencyHistogram._bucket_of":
         "non-power-of-two histogram factors: no report uses one",
-    "repro.core.offload.FpgaSessionOffload._evict_one_idle":
-        "a full session table: no experiment fills one",
-    "repro.core.offload.FpgaSessionOffload.checkpoint":
-        "migration of a pod with session offload: no scenario arms both",
-    "repro.core.offload.FpgaSessionOffload.restore":
-        "migration of a pod with session offload: no scenario arms both",
     "repro.scenarios.registry.microburst_reorder": _SCENARIO,
     "repro.scenarios.registry.ratelimit_churn": _SCENARIO,
     "repro.perf": "host metadata for benchmarks/perf/child.py",
@@ -243,7 +234,7 @@ def exercise(workdir):
     _cli("inventory")
     _cli("statecheck", "-v")
     _cli("lint", str(SRC))
-    _cli("lint", "--select", "SNAP", str(SRC))
+    _cli("lint", "--select", "DET", str(SRC))
     for name in SWEEP_FACTORIES:
         extra = ("--timeseries-every-ms", "5") if name == "az-scaling" else ()
         _cli("sweep", name, "--quick", "--workers", "1", *extra,

@@ -7,7 +7,6 @@ import pytest
 
 import repro
 from repro.analysis import (
-    all_project_rules,
     all_rules,
     get_rule,
     lint_paths,
@@ -394,11 +393,10 @@ class TestSuppressions:
         # A DET004 baseline in a file linted with only the entropy rule
         # selected must not be called stale: the rule that could match
         # it never ran.
-        rules, project_rules = select_rules(["DET001"])
         findings = lint_source(
             "# lint: disable=DET004(exempted heap use)\nx = 1\n",
             path="repro/example.py",
-            rules=rules, project_rules=project_rules,
+            rules=select_rules(["DET001"]),
         )
         assert findings == []
 
@@ -435,27 +433,23 @@ class TestReporting:
         codes_seen = [rule.code for rule in rules]
         # The registry, not a hand-maintained list, is the inventory:
         # assert the families are present and every rule is documented.
-        for code in ("DET001", "DET002", "DET003", "DET004", "DET005",
-                     "SNAP001", "SNAP002", "SNAP004"):
+        for code in ("DET001", "DET002", "DET003", "DET004", "DET005"):
             assert code in codes_seen
         assert len(codes_seen) == len(set(codes_seen))
         assert all(rule.summary for rule in rules)
         assert get_rule("DET001").code == "DET001"
 
-    def test_project_rule_registry(self):
-        project = all_project_rules()
-        assert "SNAP003" in [rule.code for rule in project]
-        assert get_rule("SNAP003").code == "SNAP003"
+    def test_snapshot_completeness_is_not_a_lint_rule(self):
+        # statecheck's runtime rule replaced the SNAP family.
+        with pytest.raises(ValueError):
+            select_rules(["SNAP"])
+        with pytest.raises(KeyError):
+            get_rule("SNAP003")
 
     def test_select_rules_by_prefix_and_code(self):
-        snap_rules, snap_project = select_rules(["SNAP"])
-        assert {rule.code for rule in snap_rules} == {
-            "SNAP001", "SNAP002", "SNAP004"
-        }
-        assert [rule.code for rule in snap_project] == ["SNAP003"]
-        only_det1, no_project = select_rules(["DET001"])
-        assert [rule.code for rule in only_det1] == ["DET001"]
-        assert no_project == []
+        det_rules = select_rules(["DET"])
+        assert [rule.code for rule in det_rules] == [rule.code for rule in all_rules()]
+        assert [rule.code for rule in select_rules(["DET001"])] == ["DET001"]
 
     def test_select_rules_unknown_selector_raises(self):
         with pytest.raises(ValueError):
@@ -481,20 +475,23 @@ class TestShippedTree:
     def test_cli_list_rules(self, capsys):
         assert main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
-        for code in ("DET001", "DET002", "DET003", "DET004", "DET005",
-                     "SNAP001", "SNAP002", "SNAP003", "SNAP004"):
+        for code in ("DET001", "DET002", "DET003", "DET004", "DET005"):
             assert code in out
 
     def test_cli_list_rules_respects_select(self, capsys):
-        assert main(["lint", "--list-rules", "--select", "SNAP"]) == 0
+        assert main(["lint", "--list-rules", "--select", "DET001"]) == 0
         out = capsys.readouterr().out
-        assert "SNAP001" in out and "SNAP003" in out
-        assert "DET001" not in out
+        assert "DET001" in out
+        assert "DET002" not in out
+
+    def test_cli_select_of_a_retired_family_exits_2(self, tmp_path, capsys):
+        assert main(["lint", "--select", "SNAP", str(tmp_path)]) == 2
+        assert "matches no rule" in capsys.readouterr().err
 
     def test_cli_select_runs_only_matching_rules(self, tmp_path, capsys):
         bad = tmp_path / "bad.py"
         bad.write_text("import random\n")
-        assert main(["lint", "--select", "SNAP", str(bad)]) == 0
+        assert main(["lint", "--select", "DET004", str(bad)]) == 0
         assert main(["lint", "--select", "DET", str(bad)]) == 1
         out = capsys.readouterr().out
         assert "DET001" in out

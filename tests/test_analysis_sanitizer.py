@@ -402,6 +402,9 @@ class TestScenarioIntegration:
         ["experiment", "fig15"],
         ["inventory"],
         ["lint", "--list-rules"],
+        # The completeness rule walks the installed sanitizer too: its
+        # tallies are DERIVED, so a sanitized statecheck still passes.
+        ["statecheck"],
         ["runs", "compare", "benchmarks/trajectory/BENCH_25.json",
          "benchmarks/trajectory/BENCH_26.json"],
     ], ids=" ".join)
@@ -413,7 +416,7 @@ class TestScenarioIntegration:
         sanitizer = install()       # the autouse fixture uninstalls it
         assert main(argv) == 0
         assert capsys.readouterr().out == plain
-        if argv[0] in ("faults", "simulate", "migrate"):
+        if argv[0] in ("faults", "simulate", "migrate", "statecheck"):
             assert sanitizer.checks > 0     # the second run really was checked
 
     @settings(

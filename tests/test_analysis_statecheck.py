@@ -1,28 +1,33 @@
-"""Runtime statecheck tests: checkpoint round-trip probes on live objects."""
+"""Runtime statecheck tests: twin probes, the object walk and the full run."""
+
+import importlib
+import inspect
+import pkgutil
 
 import pytest
 
+import repro
 from repro.analysis.statecheck import (
     IN_PLACE_EXCLUSIONS,
     ProbeResult,
     StatecheckResult,
     discover,
     probe_object,
+    resolve,
     run_statecheck,
+    walk,
 )
+from repro.cli import main
+from repro.controlplane.snapshot import Stateful
 
 
-class GoodCounter:
-    """Well-behaved checkpoint/restore pair."""
+class GoodCounter(Stateful):
+    """Declared state, generic pair."""
+
+    STATE = ("count",)
 
     def __init__(self):
         self.count = 0
-
-    def checkpoint(self):
-        return {"count": self.count}
-
-    def restore(self, snapshot):
-        self.count = snapshot["count"]
 
 
 class ForgetfulCounter:
@@ -40,20 +45,6 @@ class ForgetfulCounter:
         self.errors = 0  # drift: restored instances forget their errors
 
 
-class CloneOnly:
-    """Only offers the from_checkpoint side of the protocol."""
-
-    def __init__(self, rate):
-        self.rate = rate
-
-    def checkpoint(self):
-        return {"rate": self.rate}
-
-    @classmethod
-    def from_checkpoint(cls, snapshot):
-        return cls(snapshot["rate"])
-
-
 class LeakyCheckpoint:
     """Snapshot carries a live object -- not plain data."""
 
@@ -67,62 +58,76 @@ class LeakyCheckpoint:
         self.handle = snapshot["handle"]
 
 
-class NoRestore:
-    def checkpoint(self):
-        return {}
+class Holder:
+    """Undeclared wiring around a declared member."""
+
+    def __init__(self, child, cache=None):
+        self.child = child
+        self.cache = cache
+
+
+class Cached(Stateful):
+    STATE = ("count",)
+    DERIVED = {"memo": "pure cache"}
+
+    def __init__(self):
+        self.count = 0
+        self.memo = {"inner": GoodCounter()}
 
 
 class TestProbeObject:
-    def test_round_trip_in_place(self):
+    def test_round_trip_into_a_twin(self):
         obj = GoodCounter()
         obj.count = 7
-        mode, error = probe_object(obj)
-        assert (mode, error) == ("restore", None)
+        assert probe_object(obj, GoodCounter()) is None
 
     def test_restore_drift_is_detected(self):
         obj = ForgetfulCounter()
         obj.count = 3
         obj.errors = 2
-        mode, error = probe_object(obj)
-        assert mode == "restore"
+        error = probe_object(obj, ForgetfulCounter())
         assert error is not None and "byte-identical" in error
 
-    def test_clone_path_used_when_no_in_place_restore(self):
-        mode, error = probe_object(CloneOnly(rate=9))
-        assert (mode, error) == ("clone", None)
-
     def test_non_plain_snapshot_is_an_error(self):
-        mode, error = probe_object(LeakyCheckpoint())
-        assert mode is None
-        assert "plain data" in error
+        assert "plain data" in probe_object(LeakyCheckpoint(), LeakyCheckpoint())
 
-    def test_checkpoint_without_restore_side_is_an_error(self):
-        mode, error = probe_object(NoRestore())
-        assert mode is None
-        assert "no restore side" in error
+    def test_missing_twin_is_an_error(self):
+        assert "no twin" in probe_object(GoodCounter(), None)
+
+    def test_restore_that_raises_is_reported(self):
+        class Strict(GoodCounter):
+            def restore(self, snapshot):
+                raise ValueError("shape mismatch")
+
+        error = probe_object(Strict(), Strict())
+        assert "ValueError" in error and "shape mismatch" in error
 
 
-class TestDiscover:
+class TestWalk:
     def test_walks_containers_and_attributes(self):
         inner = GoodCounter()
-        outer = CloneOnly(rate=1)
-        outer.children = {"a": [inner]}
-        found = discover([outer])
-        assert inner in found and outer in found
+        outer = Holder({"a": [inner]})
+        found = [obj for _path, obj in discover([outer])]
+        assert found == [inner]
+        assert [obj for _path, obj, _tokens in walk([outer])] == [outer, inner]
 
     def test_deduplicates_shared_objects(self):
         shared = GoodCounter()
-        roots = [{"x": shared}, [shared], shared]
-        found = discover(roots)
+        found = [obj for _path, obj in discover([{"x": shared}, [shared], shared])]
         assert found.count(shared) == 1
 
-    def test_respects_object_budget(self):
-        chain = GoodCounter()
-        for _ in range(20):
-            parent = GoodCounter()
-            parent.child = chain
-            chain = parent
-        assert len(discover([chain], max_objects=5)) <= 5
+    def test_derived_attributes_are_not_walked(self):
+        cached = Cached()
+        found = [obj for _path, obj in discover([cached])]
+        assert found == [cached]
+
+    def test_paths_resolve_in_a_twin_world(self):
+        roots = [Holder([GoodCounter(), GoodCounter()])]
+        twin = [Holder([GoodCounter(), GoodCounter()])]
+        for path, obj in discover(roots):
+            assert resolve(roots, path) is obj
+            assert type(resolve(twin, path)) is type(obj)
+        assert resolve(twin, (("item", 0), ("attr", "child"), ("item", 5))) is None
 
 
 class TestResultRendering:
@@ -142,10 +147,38 @@ class TestResultRendering:
         assert result.ok
         assert result.summary() == "1 class(es) probed, 1 skipped, 0 failed"
 
+    def test_completeness_findings_fail_without_counting_as_probed(self):
+        result = StatecheckResult([
+            ProbeResult("A", "restore", 1, True),
+            ProbeResult("A", "state", 1, False, "A.x changed outside STATE/DERIVED"),
+        ])
+        assert not result.ok
+        assert result.summary() == "1 class(es) probed, 0 skipped, 1 failed"
+
+    def test_derived_reasons_render_one_line_each(self):
+        result = StatecheckResult([], [("B", "y", "why b"), ("A", "x", "why a")])
+        assert result.render_derived() == [
+            "     derived A.x: why a", "     derived B.y: why b",
+        ]
+
 
 @pytest.fixture(scope="module")
 def full_run():
     return run_statecheck(seed=42)
+
+
+def _snapshot_aware_classes():
+    """Every class under ``repro`` that declares STATE or defines checkpoint()."""
+    names = [module.name for module in pkgutil.walk_packages(repro.__path__, "repro.")]
+    found = set()
+    for module_name in names:
+        module = importlib.import_module(module_name)
+        for cls in vars(module).values():
+            if (inspect.isclass(cls) and cls.__module__ == module_name
+                    and cls is not Stateful
+                    and ("STATE" in vars(cls) or "checkpoint" in vars(cls))):
+                found.add(cls.__name__)
+    return found
 
 
 class TestFullStatecheck:
@@ -156,16 +189,24 @@ class TestFullStatecheck:
     def test_world_probes_cover_both_dispatch_modes(self, full_run):
         worlds = [p for p in full_run.probes if p.mode == "world"]
         details = " ".join(p.detail for p in worlds)
-        assert len(worlds) == 2
-        assert "plb" in details and "rss" in details
+        assert len(worlds) == 3
+        assert "plb" in details and "rss" in details and "lossy" in details
 
     def test_core_components_are_probed(self, full_run):
-        probed = {p.cls_name for p in full_run.probes if p.mode != "skipped"}
+        probed = {p.cls_name for p in full_run.probes if p.mode == "restore"}
         for cls_name in (
             "GwPodRuntime", "NicPipeline", "ReorderEngine", "RngRegistry",
-            "Simulator", "TokenBucket", "BfdLink",
+            "Simulator", "TokenBucket", "BfdLink", "FpgaSessionOffload",
         ):
             assert cls_name in probed, f"{cls_name} not probed"
+        assert int(full_run.summary().split()[0]) >= 23
+
+    def test_every_snapshot_aware_class_is_probed(self, full_run):
+        # A runtime rule only sees what its worlds build: a class that
+        # declares state but no world reaches is unchecked.
+        covered = {p.cls_name for p in full_run.probes if p.mode in ("restore", "skipped")}
+        missing = _snapshot_aware_classes() - covered
+        assert not missing, f"no statecheck world reaches {sorted(missing)}"
 
     def test_every_exclusion_surfaces_as_reasoned_skip(self, full_run):
         skipped = {
@@ -173,6 +214,19 @@ class TestFullStatecheck:
             for p in full_run.probes
             if p.mode == "skipped"
         }
+        assert set(skipped) == set(IN_PLACE_EXCLUSIONS)
         for cls_name, reason in skipped.items():
-            assert cls_name in IN_PLACE_EXCLUSIONS
-            assert reason  # a skip without a reason is a silent gap
+            assert reason == IN_PLACE_EXCLUSIONS[cls_name]
+
+    def test_derived_reasons_are_reported(self, full_run):
+        derived = {(cls, attr): reason for cls, attr, reason in full_run.derived}
+        assert "closures" in derived[("Simulator", "_heap")]
+        assert "drained" in derived[("PacketQueue", "packets")]
+        assert all(derived.values())
+
+    def test_cli_verbose_prints_probes_and_derived_reasons(self, capsys):
+        assert main(["statecheck", "-v"]) == 0
+        out = capsys.readouterr().out
+        assert "ok   FpgaSessionOffload [restore x1]" in out
+        assert "derived SimCheckpointer.captured: capture-process telemetry" in out
+        assert out.rstrip().endswith("0 failed")

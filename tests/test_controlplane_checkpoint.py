@@ -12,17 +12,20 @@ tests pin down the contract component by component:
   its ``rng`` entry).
 """
 
+import enum
 import json
 import random
+from collections import deque
 
 import pytest
 
 from repro.bgp.bfd import BfdLink, BfdState
 from repro.controlplane import ensure_plain, snapshot_bytes
-from repro.controlplane.snapshot import SimCheckpointer
+from repro.controlplane.snapshot import SimCheckpointer, Stateful, Table
 from repro.core import AlbatrossServer
+from repro.core.offload import FpgaSessionOffload
 from repro.core.plb.reorder import ReorderEngine, ReorderQueueConfig
-from repro.core.ratelimit import TwoStageRateLimiter
+from repro.core.ratelimit import TokenBucket, TwoStageRateLimiter
 from repro.core.rss import RssDispatcher
 from repro.metrics.counters import CounterSet
 from repro.metrics.histogram import LatencyHistogram
@@ -30,7 +33,7 @@ from repro.packet.flows import FlowKey
 from repro.packet.packet import Packet
 from repro.scenarios import PodSpec
 from repro.sim import RngRegistry, Simulator
-from repro.sim.rng import rng_state, set_rng_state
+from repro.sim.rng import derived_stream, rng_state, set_rng_state
 from repro.sim.units import MS, SECOND
 from tests.reorder_admission import Admitter
 
@@ -279,7 +282,7 @@ class TestPodCheckpoint:
         sim.run_until(MS)
         snapshot = json_round_trip(pod.checkpoint())
         _, _, _, fresh = _server_with_pod(seed=999)
-        fresh.restore_state(snapshot)
+        fresh.restore(snapshot)
         assert snapshot_bytes(fresh.checkpoint()) == snapshot_bytes(snapshot)
 
     def test_restore_rejects_shape_mismatch(self):
@@ -289,7 +292,7 @@ class TestPodCheckpoint:
         server = AlbatrossServer(sim, RngRegistry(seed=1))
         other = server.add_pod(PodSpec(name="wide", data_cores=4))
         with pytest.raises(ValueError):
-            other.restore_state(snapshot)
+            other.restore(snapshot)
 
     def test_verdict_rng_resumes(self):
         """The pod's ACL-roll rng continues from the frozen position."""
@@ -300,7 +303,7 @@ class TestPodCheckpoint:
         snapshot = json_round_trip(pod.checkpoint())
         expected = [pod.rng.random() for _ in range(10)]
         _, _, _, fresh = _server_with_pod(seed=555, acl_drop_probability=0.3)
-        fresh.restore_state(snapshot)
+        fresh.restore(snapshot)
         assert [fresh.rng.random() for _ in range(10)] == expected
 
 
@@ -328,3 +331,146 @@ class TestRngOmissionRegression:
         if "rng" not in snapshot["nic"]["limiter"]["sampler"]:
             missing.append("TwoStageRateLimiter sampler (hitter detection)")
         assert not missing, f"checkpoint omits RNG state for: {missing}"
+
+
+class TestShapeMismatch:
+    """A snapshot restores only into a pod of the same shape: a member one
+    side has and the other lacks raises instead of being dropped."""
+
+    def _limited(self, **spec_kwargs):
+        sim, _, _, pod = _server_with_pod(limiter_stage1_pps=1_000, **spec_kwargs)
+        for index in range(64):
+            pod.ingress(Packet(_flow(index)))
+        sim.run_until(MS)
+        return pod
+
+    def test_limiter_snapshot_into_a_limiterless_pod_raises(self):
+        snapshot = json_round_trip(self._limited().checkpoint())
+        _, _, _, bare = _server_with_pod()
+        with pytest.raises(ValueError, match="rate_limiter"):
+            bare.restore(snapshot)
+
+    def test_limiterless_snapshot_into_a_limiter_armed_pod_raises(self):
+        _, _, _, bare = _server_with_pod()
+        snapshot = json_round_trip(bare.checkpoint())
+        armed = self._limited()
+        with pytest.raises(ValueError, match="rate_limiter"):
+            armed.restore(snapshot)
+
+    def test_offload_snapshot_into_a_pod_without_one_raises(self):
+        sim, _, _, pod = _server_with_pod()
+        pod.nic.session_offload = FpgaSessionOffload(sim)
+        snapshot = json_round_trip(pod.checkpoint())
+        _, _, _, bare = _server_with_pod()
+        with pytest.raises(ValueError, match="session_offload"):
+            bare.restore(snapshot)
+        bare.nic.session_offload = FpgaSessionOffload(bare.sim)
+        bare.restore(snapshot)
+        assert snapshot_bytes(bare.checkpoint()) == snapshot_bytes(snapshot)
+
+    def test_offloadless_snapshot_into_a_pod_with_one_raises(self):
+        _, _, _, bare = _server_with_pod()
+        snapshot = json_round_trip(bare.checkpoint())
+        sim, _, _, pod = _server_with_pod()
+        pod.nic.session_offload = FpgaSessionOffload(sim)
+        with pytest.raises(ValueError, match="session_offload"):
+            pod.restore(snapshot)
+
+    def test_core_count_mismatch_keeps_its_message(self):
+        snapshot = self._limited().checkpoint()
+        sim = Simulator()
+        wide = AlbatrossServer(sim, RngRegistry(seed=1)).add_pod(
+            PodSpec(name="gw", data_cores=3, limiter_stage1_pps=1_000)
+        )
+        with pytest.raises(ValueError, match="checkpoint has 2 cores, pod has 3"):
+            wide.restore(snapshot)
+
+
+class _Mode(enum.Enum):
+    ON = "on"
+    OFF = "off"
+
+
+class _Gadget(Stateful):
+    STATE = ("mode", ("ticks", "_ticks"), "rng", "table", "buckets", "tags",
+             "by_mode", "history", "child")
+    DERIVED = {"memo": "cache"}
+
+    def __init__(self):
+        self.mode = _Mode.OFF
+        self._ticks = 0
+        self.rng = derived_stream("gadget")
+        self.table = Table()
+        self.buckets = Table(TokenBucket)
+        self.tags = set()
+        self.by_mode = {mode: 0 for mode in _Mode}
+        self.history = deque()
+        self.child = CounterSet()
+        self.memo = {}
+
+    def drive(self):
+        self.mode = _Mode.ON
+        self._ticks = 3
+        self.rng.random()
+        self.table.update({9: 1, 2: 5})
+        self.buckets[7] = TokenBucket(100)
+        self.buckets[7].allow(5 * MS)
+        self.tags.update({"b", "a"})
+        self.by_mode[_Mode.ON] += 2
+        self.history.extend([1, 2])
+        self.child.incr("seen")
+        self.memo["x"] = 1
+        return self
+
+
+class TestSnapshotCodec:
+    def test_state_walk_keys_values_and_order(self):
+        snapshot = _Gadget().drive().checkpoint()
+        assert list(snapshot) == ["mode", "ticks", "rng", "table", "buckets", "tags",
+                                  "by_mode", "history", "child"]
+        assert snapshot["mode"] == "on"
+        assert snapshot["table"] == [[2, 5], [9, 1]]
+        assert snapshot["buckets"][0][0] == 7
+        assert list(snapshot["buckets"][0][1]) == ["rate_pps", "burst", "tokens", "last_ns"]
+        assert snapshot["tags"] == ["a", "b"]
+        assert snapshot["by_mode"] == {"on": 2, "off": 0}
+        assert snapshot["history"] == [1, 2]
+        assert snapshot["child"] == {"counts": {"seen": 1}}
+        ensure_plain(snapshot)
+
+    def test_restore_refills_containers_in_place(self):
+        original = _Gadget().drive()
+        snapshot = json_round_trip(original.checkpoint())
+        fresh = _Gadget()
+        containers = [fresh.table, fresh.buckets, fresh.tags, fresh.by_mode,
+                      fresh.history, fresh.child.counts, fresh.rng]
+        fresh.restore(snapshot)
+        assert all(a is b for a, b in zip(
+            [fresh.table, fresh.buckets, fresh.tags, fresh.by_mode,
+             fresh.history, fresh.child.counts, fresh.rng], containers))
+        assert fresh.mode is _Mode.ON
+        assert snapshot_bytes(fresh.checkpoint()) == snapshot_bytes(snapshot)
+        assert fresh.rng.random() == original.rng.random()
+        assert fresh.memo == {}
+
+    def test_a_value_the_codec_cannot_store_is_named(self):
+        gadget = _Gadget()
+        gadget.history = object()
+        with pytest.raises(TypeError, match="_Gadget.history holds a object"):
+            gadget.checkpoint()
+
+    def test_a_non_string_dict_key_is_named(self):
+        gadget = _Gadget()
+        gadget.by_mode[3] = 1
+        with pytest.raises(TypeError, match="_Gadget.by_mode has a int key 3"):
+            gadget.checkpoint()
+
+    def test_members_of_another_count_are_refused(self):
+        class Pair(Stateful):
+            STATE = ("parts",)
+
+            def __init__(self, count):
+                self.parts = [CounterSet() for _ in range(count)]
+
+        with pytest.raises(ValueError, match="Pair.parts: the snapshot has 3 members"):
+            Pair(2).restore(Pair(3).checkpoint())

@@ -9,9 +9,9 @@ the spec wire format and the registry contracts.
 
 import pytest
 
-from repro.controlplane import (
+from repro.controlplane import MigrationPhase
+from repro.controlplane.scenarios import (
     MIGRATION_SCENARIOS,
-    MigrationPhase,
     migration_scenario_spec,
     run_migration_scenario,
 )

@@ -243,7 +243,7 @@ _CORE_OPS = st.lists(
         st.tuples(st.just("enqueue"), st.integers(1, 4)),
         st.tuples(st.just("advance"), st.sampled_from([0, 300, 1000, 2500])),
         st.tuples(st.just("fail"), st.sampled_from([None, 700, 3000])),
-        st.tuples(st.just("restore"), st.just(0)),
+        st.tuples(st.just("recover"), st.just(0)),
         st.tuples(st.just("stall"), st.sampled_from([200, 1500])),
     ),
     max_size=30,
@@ -273,8 +273,8 @@ class _CoreSide:
             self.sim.run_until(self.sim.now + value)
         elif kind == "fail":
             core.fail(value)
-        elif kind == "restore":
-            core.restore()
+        elif kind == "recover":
+            core.recover()
         else:
             core.inject_stall(value)
 
@@ -305,7 +305,7 @@ class TestIdleCoreStartsWithoutTheRingRoundTrip:
                 side.apply(kind, value)
             assert native.state() == spelled.state()
         for side in (native, spelled):
-            side.apply("restore", 0)
+            side.apply("recover", 0)
             side.sim.run()
         assert native.state() == spelled.state()
         assert native.core.rx_queue.enqueued == native.core.stats.processed

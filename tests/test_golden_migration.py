@@ -11,10 +11,10 @@ import json
 import pytest
 
 from repro.analysis.sanitizer import install, uninstall
-from repro.controlplane import MIGRATION_SCENARIOS, run_migration_scenario
+from repro.controlplane.scenarios import MIGRATION_SCENARIOS, run_migration_scenario
 from repro.fleet import build_sweep, run_sweep, sweep_to_json
 from repro.scenarios import build
-from repro.controlplane import migration_scenario_spec
+from repro.controlplane.scenarios import migration_scenario_spec
 
 
 @pytest.fixture(autouse=True)

@@ -193,7 +193,7 @@ class TestIdleRoundTripInvisible:
                 rebuilt = server.add_pod(PodSpec(
                     name="gw", data_cores=2, acl_drop_probability=0.05
                 ))
-                rebuilt.restore_state(snapshot)
+                rebuilt.restore(snapshot)
                 holder["pod"] = rebuilt
 
             if migrate:

@@ -11,7 +11,7 @@ import json
 
 import pytest
 
-from repro.controlplane import migration_scenario_spec
+from repro.controlplane.scenarios import migration_scenario_spec
 from repro.metrics.trace import PacketTracer
 from repro.scenarios import (
     PodSpec,

@@ -951,14 +951,14 @@ class TestRngRegistry:
 class TestClockErrors:
     def test_restore_clock_moves_forward(self):
         sim = Simulator()
-        sim.restore_clock({"now": 5 * MS, "events_processed": 7})
+        sim.restore({"now": 5 * MS, "events_processed": 7})
         assert sim.checkpoint() == {"now": 5 * MS, "events_processed": 7}
 
     def test_restore_clock_backwards_rejected(self):
         sim = Simulator()
         sim.run_until(10 * MS)
         with pytest.raises(SimulationError, match="backwards"):
-            sim.restore_clock({"now": 5 * MS, "events_processed": 0})
+            sim.restore({"now": 5 * MS, "events_processed": 0})
 
     def test_restore_clock_mid_run_rejected(self):
         sim = Simulator()
@@ -966,7 +966,7 @@ class TestClockErrors:
 
         def restore():
             try:
-                sim.restore_clock({"now": 9 * MS, "events_processed": 0})
+                sim.restore({"now": 9 * MS, "events_processed": 0})
             except SimulationError as error:
                 errors.append(str(error))
 

@@ -14,7 +14,7 @@ import pytest
 
 from repro.analysis.statecheck import probe_object
 from repro.core.gateway import AlbatrossServer
-from repro.controlplane import MIGRATION_SCENARIOS, migration_scenario_spec
+from repro.controlplane.scenarios import MIGRATION_SCENARIOS, migration_scenario_spec
 from repro.fleet import (
     build_sweep,
     replicate,
@@ -143,11 +143,12 @@ class TestRecorder:
             TimeSeriesRecorder(sim, {}, 0)
 
     def test_checkpoint_probe_round_trips(self):
-        # The statecheck in-place probe: checkpoint -> restore(json round
-        # trip) -> checkpoint must be byte-identical with no exclusion.
-        handle = build(_spec(duration_ns=5 * MS, every_ns=2 * MS)).run()
-        mode, error = probe_object(handle.telemetry)
-        assert (mode, error) == ("restore", None)
+        # The statecheck probe: checkpoint -> restore(json round trip)
+        # into a freshly built twin -> checkpoint must be byte-identical
+        # with no exclusion.
+        spec = _spec(duration_ns=5 * MS, every_ns=2 * MS)
+        handle = build(spec).run()
+        assert probe_object(handle.telemetry, build(spec).telemetry) is None
 
     def test_restore_rejects_pod_mismatch(self):
         _, _, recorder = _quiet_world()
