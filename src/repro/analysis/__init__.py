@@ -17,7 +17,9 @@ snapshots.  This package makes those properties machine-checked:
   (``STATE``/``DERIVED``, see :mod:`repro.controlplane.snapshot`): a
   completeness rule flags any undeclared attribute a run changes, and
   checkpoint -> restore into a freshly built twin -> checkpoint probes
-  prove every snapshot round-trips byte for byte.  See :mod:`.statecheck`.
+  prove every snapshot round-trips byte for byte; a hand-written pair
+  must write and read every key its ``STATE`` declares.  See
+  :mod:`.statecheck`.
 * **Sanitizer** (``REPRO_SANITIZE=1 python -m repro <command>``):
   cheap, toggleable runtime invariant checks wired into the sim engine,
   NIC pipeline, reorder engine, rate limiter and CPU cores.  Violations

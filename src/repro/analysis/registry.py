@@ -95,15 +95,9 @@ class LintRule(ast.NodeVisitor):
         normalized = str(path).replace("\\", "/")
         return any(normalized.endswith(suffix) for suffix in cls.EXEMPT_SUFFIXES)
 
-    def report(self, node, message, line=None, col=None):
+    def report(self, node, message):
         self.findings.append(
-            Finding(
-                self.path,
-                line if line is not None else node.lineno,
-                col if col is not None else node.col_offset,
-                self.code,
-                message,
-            )
+            Finding(self.path, node.lineno, node.col_offset, self.code, message)
         )
 
     def run(self, tree):

@@ -146,7 +146,7 @@ class LintReport:
 
 
 def _lint_files(files, rules=None, check_stale=True):
-    """The lint engine: every rule over every file, then the audits.
+    """The lint engine: per file, every rule, its suppressions, then the audits.
 
     ``files`` is ``[(path, source), ...]``.  Returns the final finding
     list (suppressions applied, LNT00x audits appended).
@@ -159,31 +159,18 @@ def _lint_files(files, rules=None, check_stale=True):
     known = set(known_codes())
     known.update(rule.code for rule in rule_classes)
 
-    per_file = {}        # path -> (suppressions, raw findings)
-    order = []
+    findings = []
     for path, source in files:
-        order.append(path)
         suppressions = Suppressions.parse(source, path)
-        raw = []
+        findings.extend(suppressions.malformed)
         try:
             tree = ast.parse(source, filename=path)
         except SyntaxError as error:
-            raw.append(
-                Finding(path, error.lineno or 1, (error.offset or 1) - 1,
-                        "LNT001", f"file does not parse: {error.msg}")
-            )
-            per_file[path] = (suppressions, raw)
-            continue
-        for rule_class in rule_classes:
-            if rule_class.exempt(path):
-                continue
-            raw.extend(rule_class(path).run(tree))
-        per_file[path] = (suppressions, raw)
-
-    findings = []
-    for path in order:
-        suppressions, raw = per_file[path]
-        findings.extend(suppressions.malformed)
+            raw = [Finding(path, error.lineno or 1, (error.offset or 1) - 1,
+                           "LNT001", f"file does not parse: {error.msg}")]
+        else:
+            raw = [finding for rule_class in rule_classes if not rule_class.exempt(path)
+                   for finding in rule_class(path).run(tree)]
         findings.extend(
             finding for finding in raw if not suppressions.covers(finding)
         )

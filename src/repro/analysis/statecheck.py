@@ -2,9 +2,9 @@
 
 Stateful classes declare ``STATE`` and ``DERIVED``; every other attribute
 is constructor wiring (:mod:`repro.controlplane.snapshot`).  Small worlds
--- two scenarios (PLB + microburst, RSS + CBR; limiter, telemetry and
-checkpoints armed), a flapped BFD link, a churned FPGA session table --
-are built, run and held to three checks:
+-- three scenarios (PLB + microburst, RSS + CBR, lossy PLB; limiter,
+telemetry and checkpoints armed), a flapped BFD link, a churned FPGA
+session table -- are built, run and held to four checks:
 
 * **Completeness rule.**  The object graph is walked after the build and
   after the run.  An attribute outside ``STATE``/``DERIVED`` that was
@@ -16,6 +16,10 @@ are built, run and held to three checks:
   ``checkpoint()`` checkpoints to plain data that, restored into the same
   object of a freshly built twin world, checks out byte for byte: a key
   the restore side ignores shows up as a difference.
+* **Key checks.**  A class that declares ``STATE`` but keeps a
+  hand-written ``checkpoint()`` or ``restore()`` must write every
+  ``STATE`` key, and its restore must fail with ``KeyError`` when any
+  one of them is missing: its declaration cannot drift from its code.
 * **World probes.**  A mid-run scenario snapshot restored into a fresh
   deployment replays to a byte-identical report.  This covers what
   :data:`IN_PLACE_EXCLUSIONS` skips: the owners of pending heap events.
@@ -28,7 +32,7 @@ import inspect
 import json
 from collections import deque
 
-from repro.controlplane.snapshot import ensure_plain, snapshot_bytes
+from repro.controlplane.snapshot import Stateful, ensure_plain, snapshot_bytes
 from repro.sim.rng import Stream
 
 #: Classes deliberately not probed against a twin, and why.  Their
@@ -38,6 +42,9 @@ IN_PLACE_EXCLUSIONS = dict.fromkeys(
     ("CbrSource", "MicroburstSource", "SimCheckpointer"),
     "owns pending heap events; restore returns re-arm entries -- covered by the world probe",
 )
+
+#: What a checkpoint or restore that fails raises; reported, not propagated.
+_PROBE_ERRORS = (AttributeError, KeyError, TypeError, ValueError)
 
 _ATOMIC = (str, bytes, int, float, bool, complex, type(None), enum.Enum, type)
 
@@ -49,7 +56,7 @@ class ProbeResult:
 
     def __init__(self, cls_name, mode, instances, ok, detail=""):
         self.cls_name = cls_name
-        self.mode = mode          # "restore" | "world" | "skipped" | "state"
+        self.mode = mode          # "restore" | "world" | "skipped" | "state" | "keys"
         self.instances = instances
         self.ok = ok
         self.detail = detail
@@ -126,18 +133,19 @@ def _token(value):
     return ("obj", id(value))
 
 
-def walk(roots):
+def walk(roots, max_objects=100_000):
     """Every object the declarations govern under ``roots``, in BFS order.
 
     Returns ``[(path, obj, {attribute: token})]``: objects reached through
     wiring (all of them), plus declared objects inside ``STATE``.  Tokens
     cover every attribute outside ``STATE``/``DERIVED``; ``DERIVED``
-    attributes are not walked.  Deterministic, deduplicated by identity.
+    attributes are not walked.  Deterministic, deduplicated by identity;
+    the walk stops after ``max_objects`` objects.
     """
     seen = set()
     found = []
     queue = deque(((("item", index),), root, False) for index, root in enumerate(roots))
-    while queue:
+    while queue and len(seen) < max_objects:
         path, obj, in_state = queue.popleft()
         if (isinstance(obj, (*_ATOMIC, Stream)) or inspect.isroutine(obj)
                 or inspect.ismodule(obj) or id(obj) in seen):
@@ -193,9 +201,10 @@ def check_completeness(roots, exercise):
     return findings
 
 
-def discover(roots):
+def discover(roots, max_objects=100_000):
     """``(path, obj)`` of every snapshot-aware object under ``roots``."""
-    return [(path, obj) for path, obj, _tokens in walk(roots) if _declared(type(obj))[2]]
+    return [(path, obj) for path, obj, _tokens in walk(roots, max_objects)
+            if _declared(type(obj))[2]]
 
 
 def resolve(roots, path):
@@ -213,19 +222,50 @@ def probe_object(obj, twin):
     """checkpoint -> restore into ``twin`` -> checkpoint; returns an error
     message, or None when the twin checks out byte-identically."""
     cls_name = type(obj).__name__
-    if twin is None or type(twin) is not type(obj):
+    if type(twin) is not type(obj):
         return "no twin of this object in the freshly built world"
-    first = obj.checkpoint()
+    if not callable(getattr(twin, "restore", None)):
+        return "defines checkpoint() but no restore side to probe"
     try:
-        ensure_plain(first, cls_name)
-    except TypeError as error:
-        return f"checkpoint is not plain data: {error}"
+        first = ensure_plain(obj.checkpoint(), cls_name)
+    except _PROBE_ERRORS as error:
+        return f"checkpoint is not plain data: {type(error).__name__}: {error}"
     try:
         twin.restore(json.loads(json.dumps(first)))
-    except (KeyError, TypeError, ValueError) as error:
+    except _PROBE_ERRORS as error:
         return f"restore into a fresh twin raised {type(error).__name__}: {error}"
     if snapshot_bytes(twin.checkpoint()) != snapshot_bytes(first):
         return "checkpoint -> restore into a fresh twin -> checkpoint is not byte-identical"
+    return None
+
+
+def _hand_written(cls):
+    """Whether ``cls`` declares ``STATE`` but writes or reads it by hand."""
+    return bool(getattr(cls, "STATE", ())) and (
+        getattr(cls, "checkpoint", None) is not Stateful.checkpoint
+        or getattr(cls, "restore", None) is not Stateful.restore)
+
+
+def probe_keys(obj, twin):
+    """Hold a hand-written pair to its ``STATE``: checkpoint() writes every
+    key, and restore into ``twin`` raises ``KeyError`` without any one of
+    them.  Returns an error message, or None."""
+    if type(twin) is not type(obj):
+        return "no twin of this object in the freshly built world"
+    try:
+        written = json.loads(json.dumps(ensure_plain(obj.checkpoint())))
+    except _PROBE_ERRORS as error:
+        return f"checkpoint raised {type(error).__name__}: {error}"
+    for key in (entry if isinstance(entry, str) else entry[0] for entry in type(obj).STATE):
+        if key not in written:
+            return f"checkpoint() does not write STATE key {key!r}"
+        try:
+            twin.restore({name: value for name, value in written.items() if name != key})
+        except KeyError:
+            continue
+        except _PROBE_ERRORS as error:
+            return f"restore without STATE key {key!r} raised {type(error).__name__}: {error}"
+        return f"restore() succeeds without STATE key {key!r}: it never reads it"
     return None
 
 
@@ -357,6 +397,7 @@ def run_statecheck(seed=42):
     probes = [_world_probe(spec) for spec in specs]
     derived = set()
     by_class = {}
+    keyed = {}      # class name -> [instances, error] of the STATE-key check
     findings = {}   # (class name, detail) -> worlds it shows up in
     for name, build, run in [*map(_spec_world, specs), _bfd_world(), _offload_world()]:
         root = build()
@@ -368,13 +409,23 @@ def run_statecheck(seed=42):
             probes.append(ProbeResult("RunHandle", "restore", 1, False, str(error)))
             continue
         twin = [build()]
-        for path, obj in discover([root]):
+        aware = discover([root])
+        for path, obj in aware:
             entry = by_class.setdefault(type(obj).__name__, [0, None])
             entry[0] += 1
             if entry[1] is None and type(obj).__name__ not in IN_PLACE_EXCLUSIONS:
                 error = probe_object(obj, resolve(twin, path))
                 if error is not None:
                     entry[1] = f"{name}: {error}"
+        # After the probes: a restore missing a key stops part way.
+        for path, obj in aware:
+            if _hand_written(type(obj)):
+                entry = keyed.setdefault(type(obj).__name__, [0, None])
+                entry[0] += 1
+                if entry[1] is None:
+                    error = probe_keys(obj, resolve(twin, path))
+                    if error is not None:
+                        entry[1] = f"{name}: {error}"
         for _path, obj, _tokens in walk([root]):
             derived.update((type(obj).__name__, attr, reason)
                            for attr, reason in _declared(type(obj))[1].items())
@@ -388,4 +439,6 @@ def run_statecheck(seed=42):
         else:
             probes.append(ProbeResult(cls_name, "restore", instances,
                                       error is None, error or ""))
+    probes.extend(ProbeResult(cls_name, "keys", instances, error is None, error or "")
+                  for cls_name, (instances, error) in keyed.items())
     return StatecheckResult(probes, derived)

@@ -352,8 +352,8 @@ COMMANDS = {
                   "DET or DET001; repeatable)"),
     )),
     "statecheck": Command(
-        "check declared snapshot state on live worlds: completeness rule "
-        "and checkpoint->restore->checkpoint probes", _statecheck, (
+        "check declared snapshot state on live worlds: completeness rule, "
+        "checkpoint->restore->checkpoint probes and STATE key checks", _statecheck, (
             SEED,
             _arg("-v", "--verbose", action="store_true",
                  help="print one line per probed class and DERIVED reason"),

@@ -15,8 +15,10 @@ A stateful class declares its state once and inherits :class:`Stateful`:
 table keyed by type: scalars as themselves, an ``Enum`` as its
 ``.value``, a :class:`Table` as ``[key, value]`` pairs sorted by key, a
 ``dict``/``list``/``deque``/``set`` copied out (``Enum`` keys as
-``.value``, sets sorted), an rng stream as ``rng_state``; anything else
-raises ``TypeError`` naming the attribute.  :func:`restore` is the
+``.value``, sets sorted), an rng stream as ``rng_state``, a pending
+event as its ``{"time", "seq"}`` (``None`` once cancelled; its owner's
+restore re-arms it); anything else raises ``TypeError`` naming the
+attribute.  :func:`restore` is the
 inverse into a live object of the same shape.  Containers and streams
 are refilled **in place** (the hot path aliases them: the NIC bumps
 ``counters.counts`` directly), and a member one side has and the other
@@ -117,10 +119,13 @@ def _encode(value, path):
     if isinstance(value, (set, frozenset)):
         return sorted(value)
     # Imported here: repro.sim's engine imports this module.
+    from repro.sim.engine import Event
     from repro.sim.rng import Stream, rng_state
 
     if isinstance(value, Stream):
         return rng_state(value)
+    if isinstance(value, Event):
+        return None if value.cancelled else {"time": value.time, "seq": value.seq}
     raise TypeError(f"{path} holds a {type(value).__name__} the snapshot codec cannot store")
 
 
@@ -269,9 +274,7 @@ class SimCheckpointer:
     engine points it at an atomic writer under ``RUNS/<run-id>/``).
 
     Its snapshot is the whole world plus a re-arm entry, so it keeps a
-    hand-written pair.  ``captured``/``skipped`` are telemetry about this
-    run of the checkpointer: folded into the snapshot, they would make its
-    bytes depend on how often earlier snapshots were taken or retried.
+    hand-written pair.
     """
 
     STATE = (("next_fire", "_event"),)
@@ -309,6 +312,17 @@ class SimCheckpointer:
         # Re-arm *before* capturing so the snapshot records the next
         # fire's (time, seq) and a restore can re-create it exactly.
         self._event = self.sim.schedule(self.every_ns, self._fire)
+        snapshot = ensure_plain(self.checkpoint(), "sim-checkpoint")
+        self.latest = snapshot
+        self.captured += 1
+        if self.sink is not None:
+            self.sink(snapshot)
+
+    def checkpoint(self):
+        """The whole world now, plus the re-arm entry of the next fire.
+
+        Every pod must be quiescent; :meth:`_fire` only calls it then.
+        """
         snapshot = {
             "schema_version": CHECKPOINT_SCHEMA_VERSION,
             "taken_ns": self.sim.now,
@@ -322,11 +336,7 @@ class SimCheckpointer:
         }
         if self.recorder is not None:
             snapshot["telemetry"] = self.recorder.checkpoint()
-        ensure_plain(snapshot, "sim-checkpoint")
-        self.latest = snapshot
-        self.captured += 1
-        if self.sink is not None:
-            self.sink(snapshot)
+        return snapshot
 
     def restore(self, snapshot):
         """Adopt a snapshot; return the rearm entry for the next fire."""

@@ -159,11 +159,8 @@ class FpgaSessionOffload:
                 for flow, session in self._sessions.items()
             ],
             "cpu_seen": [[list(flow), seen] for flow, seen in self._cpu_seen.items()],
-            "fast_path_hits": self.fast_path_hits,
-            "slow_path_misses": self.slow_path_misses,
-            "installs": self.installs,
-            "install_rejections": self.install_rejections,
-            "evictions": self.evictions,
+            # The counters: STATE after the two tables.
+            **{name: getattr(self, name) for name in self.STATE[2:]},
         }
 
     def restore(self, snapshot):
@@ -178,11 +175,8 @@ class FpgaSessionOffload:
         self._cpu_seen = {
             FlowKey(*fields): seen for fields, seen in snapshot["cpu_seen"]
         }
-        self.fast_path_hits = snapshot["fast_path_hits"]
-        self.slow_path_misses = snapshot["slow_path_misses"]
-        self.installs = snapshot["installs"]
-        self.install_rejections = snapshot["install_rejections"]
-        self.evictions = snapshot["evictions"]
+        for name in self.STATE[2:]:
+            setattr(self, name, snapshot[name])
 
 
 def offload_throughput_mpps(

@@ -151,3 +151,9 @@ class PlbDispatcher(Stateful):
             if not getattr(core, "_failed", False):
                 return core, index
         return None, self._rr_index
+
+    def restore(self, snapshot):
+        """Reinstate a checkpoint; the spray rotation continues from the
+        frozen pointer (modulo the new core count)."""
+        super().restore(snapshot)
+        self._rr_index %= len(self.cores)

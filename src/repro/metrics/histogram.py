@@ -315,17 +315,8 @@ class LatencyHistogram(Stateful):
             max_samples=data["max_samples"],
             seed=seed,
         )
-        histogram._count = data["count"]
-        histogram._sum = data["sum"]
-        histogram._min = data["min"]
-        histogram._max = data["max"]
-        histogram._bucket_counts = list(data["bucket_counts"])
-        if len(histogram._bucket_counts) < 2:
-            histogram._bucket_counts.extend(
-                [0] * (2 - len(histogram._bucket_counts))
-            )
-        histogram._samples = list(data["samples"])
-        histogram._folded = len(histogram._samples)
+        # The wire form carries no rng: the histogram keeps its own stream.
+        histogram.restore({**data, "rng": rng_state(histogram._rng)})
         return histogram
 
     def merge(self, other):

@@ -16,6 +16,7 @@ import itertools
 from array import array
 from collections.abc import Sequence
 
+from repro.controlplane.snapshot import Stateful
 from repro.packet.flows import flow_for_tenant
 from repro.packet.packet import Packet, PacketKind
 from repro.sim.units import SECOND
@@ -155,7 +156,7 @@ class _SourceBase:
         self._running = False
 
 
-class CbrSource(_SourceBase):
+class CbrSource(_SourceBase, Stateful):
     """Constant bit-rate (constant packet-rate) source.
 
     ``rate_pps`` can be changed at runtime with :meth:`set_rate`; a rate
@@ -166,9 +167,10 @@ class CbrSource(_SourceBase):
     #: snapshot cannot be restored into a source of the wrong type.
     SNAPSHOT_KIND = "cbr"
 
-    # A hand-written pair: restore returns re-arm entries for the pending
-    # tick instead of scheduling it.
-    STATE = ("rate_pps", "emitted", ("running", "_running"), ("next_tick", "_next_event"))
+    STATE = (
+        ("kind", "SNAPSHOT_KIND"), "rate_pps", "emitted", ("running", "_running"),
+        ("next_tick", "_next_event"),
+    )
     DERIVED = {
         "_interval": "re-derived from rate_pps",
         "rng": "a registry stream: the RngRegistry snapshot carries its position",
@@ -219,22 +221,6 @@ class CbrSource(_SourceBase):
             self._next_event.cancel()
             self._next_event = None
 
-    def checkpoint(self):
-        """Plain-data source state, including the pending tick event.
-
-        ``next_tick`` records the pending tick's absolute time *and*
-        heap sequence so a restore can re-create same-timestamp events
-        in their original firing order (see
-        ``RunHandle.restore_checkpoint``).
-        """
-        return {
-            "kind": self.SNAPSHOT_KIND,
-            "rate_pps": self.rate_pps,
-            "emitted": self.emitted,
-            "running": self._running,
-            "next_tick": _event_ref(self._next_event),
-        }
-
     def restore(self, snapshot):
         """Restore state; return rearm entries for pending events.
 
@@ -247,13 +233,9 @@ class CbrSource(_SourceBase):
                 f"snapshot is for a {snapshot['kind']!r} source, cannot "
                 f"restore into {self.SNAPSHOT_KIND!r}"
             )
-        if self._next_event is not None:
-            self._next_event.cancel()
-            self._next_event = None
-        self.rate_pps = snapshot["rate_pps"]
-        self._interval = (
-            max(1, int(SECOND / self.rate_pps)) if self.rate_pps > 0 else None
-        )
+        self.stop()  # cancels the pending events; the snapshot re-arms them
+        self.rate_pps = rate_pps = snapshot["rate_pps"]
+        self._interval = max(1, int(SECOND / rate_pps)) if rate_pps > 0 else None
         self.emitted = snapshot["emitted"]
         self._running = snapshot["running"]
         rearms = []
@@ -264,13 +246,6 @@ class CbrSource(_SourceBase):
 
             rearms.append((pending["time"], pending["seq"], rearm))
         return rearms
-
-
-def _event_ref(event):
-    """``{"time", "seq"}`` for a live event, ``None`` otherwise."""
-    if event is None or event.cancelled:
-        return None
-    return {"time": event.time, "seq": event.seq}
 
 
 class PoissonSource(_SourceBase):

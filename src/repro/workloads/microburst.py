@@ -5,7 +5,7 @@ a single RSS-pinned core up ~50% while barely moving a PLB-sprayed pod.
 :class:`MicroburstSource` layers random bursts on top of a base rate.
 """
 
-from repro.workloads.generators import CbrSource, _event_ref
+from repro.workloads.generators import CbrSource
 from repro.sim.units import MS
 
 
@@ -20,8 +20,8 @@ class MicroburstSource(CbrSource):
 
     STATE = CbrSource.STATE + (
         "bursts_started", ("in_burst", "_in_burst"), ("burst_event", "_burst_event"),
-        ("fires", "_burst_event_kind"),
     )
+    DERIVED = {"_burst_event_kind": "rides inside burst_event as its fires field"}
 
     def __init__(
         self,
@@ -87,20 +87,13 @@ class MicroburstSource(CbrSource):
             self._burst_event_kind = None
 
     def checkpoint(self):
+        # The burst event's entry also names what it fires.
         snapshot = super().checkpoint()
-        burst_event = _event_ref(self._burst_event)
-        if burst_event is not None:
-            burst_event["fires"] = self._burst_event_kind
-        snapshot["bursts_started"] = self.bursts_started
-        snapshot["in_burst"] = self._in_burst
-        snapshot["burst_event"] = burst_event
+        if snapshot["burst_event"] is not None:
+            snapshot["burst_event"]["fires"] = self._burst_event_kind
         return snapshot
 
     def restore(self, snapshot):
-        if self._burst_event is not None:
-            self._burst_event.cancel()
-            self._burst_event = None
-            self._burst_event_kind = None
         rearms = super().restore(snapshot)
         self.bursts_started = snapshot["bursts_started"]
         self._in_burst = snapshot["in_burst"]

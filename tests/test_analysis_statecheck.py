@@ -12,6 +12,7 @@ from repro.analysis.statecheck import (
     ProbeResult,
     StatecheckResult,
     discover,
+    probe_keys,
     probe_object,
     resolve,
     run_statecheck,
@@ -58,6 +59,57 @@ class LeakyCheckpoint:
         self.handle = snapshot["handle"]
 
 
+class NoRestore:
+    """Checkpoints, but offers nothing to restore into."""
+
+    def checkpoint(self):
+        return {}
+
+
+class Unstorable(Stateful):
+    """Declares a live object the codec cannot store."""
+
+    STATE = ("handle",)
+
+    def __init__(self):
+        self.handle = object()
+
+
+class HandWritten:
+    """Declared state with a hand-written pair that honours it."""
+
+    STATE = ("count", ("errors", "_errors"))
+
+    def __init__(self):
+        self.count = 0
+        self._errors = 0
+
+    def checkpoint(self):
+        return {"count": self.count, "errors": self._errors}
+
+    def restore(self, snapshot):
+        self.count = snapshot["count"]
+        self._errors = snapshot["errors"]
+
+
+class UnwrittenKey(HandWritten):
+    """``errors`` is declared, but neither side of the pair carries it."""
+
+    def checkpoint(self):
+        return {"count": self.count}
+
+    def restore(self, snapshot):
+        self.count = snapshot["count"]
+
+
+class UnreadKey(HandWritten):
+    """Writes ``errors``, restores it only when present."""
+
+    def restore(self, snapshot):
+        self.count = snapshot["count"]
+        self._errors = snapshot.get("errors", 0)
+
+
 class Holder:
     """Undeclared wiring around a declared member."""
 
@@ -102,6 +154,34 @@ class TestProbeObject:
         error = probe_object(Strict(), Strict())
         assert "ValueError" in error and "shape mismatch" in error
 
+    def test_checkpoint_without_restore_side_is_an_error(self):
+        assert "no restore side" in probe_object(NoRestore(), NoRestore())
+
+    def test_unstorable_state_value_is_reported(self):
+        error = probe_object(Unstorable(), Unstorable())
+        assert "TypeError" in error and "Unstorable.handle" in error
+
+
+class TestProbeKeys:
+    def test_pair_that_honours_its_state_passes(self):
+        obj = HandWritten()
+        obj.count, obj._errors = 4, 2
+        assert probe_keys(obj, HandWritten()) is None
+
+    def test_key_neither_side_carries_is_flagged(self):
+        # Both sides forget ``errors``, so the byte probe passes.
+        obj = UnwrittenKey()
+        obj._errors = 2
+        assert probe_object(obj, UnwrittenKey()) is None
+        assert "does not write STATE key 'errors'" in probe_keys(obj, UnwrittenKey())
+
+    def test_key_restore_never_requires_is_flagged(self):
+        assert "without STATE key 'errors'" in probe_keys(UnreadKey(), UnreadKey())
+
+    def test_checkpoint_that_raises_is_reported(self):
+        error = probe_keys(Unstorable(), Unstorable())
+        assert "checkpoint raised TypeError" in error
+
 
 class TestWalk:
     def test_walks_containers_and_attributes(self):
@@ -115,6 +195,15 @@ class TestWalk:
         shared = GoodCounter()
         found = [obj for _path, obj in discover([{"x": shared}, [shared], shared])]
         assert found.count(shared) == 1
+
+    def test_respects_object_budget(self):
+        chain = GoodCounter()
+        for _ in range(20):
+            parent = GoodCounter()
+            parent.child = chain
+            chain = parent
+        assert len(discover([chain])) == 21
+        assert len(discover([chain], max_objects=5)) == 5
 
     def test_derived_attributes_are_not_walked(self):
         cached = Cached()
@@ -208,6 +297,14 @@ class TestFullStatecheck:
         missing = _snapshot_aware_classes() - covered
         assert not missing, f"no statecheck world reaches {sorted(missing)}"
 
+    def test_hand_written_pairs_are_held_to_their_state(self, full_run):
+        keyed = {p.cls_name for p in full_run.probes if p.mode == "keys"}
+        for cls_name in (
+            "CbrSource", "MicroburstSource", "SimCheckpointer", "FpgaSessionOffload",
+            "TokenBucket", "LatencyHistogram", "ReorderEngine", "TimeSeriesRecorder",
+        ):
+            assert cls_name in keyed, f"{cls_name} not key-checked"
+
     def test_every_exclusion_surfaces_as_reasoned_skip(self, full_run):
         skipped = {
             p.cls_name: p.detail
@@ -228,5 +325,6 @@ class TestFullStatecheck:
         assert main(["statecheck", "-v"]) == 0
         out = capsys.readouterr().out
         assert "ok   FpgaSessionOffload [restore x1]" in out
+        assert "ok   SimCheckpointer [keys x3]" in out
         assert "derived SimCheckpointer.captured: capture-process telemetry" in out
         assert out.rstrip().endswith("0 failed")

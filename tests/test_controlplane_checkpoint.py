@@ -24,6 +24,7 @@ from repro.controlplane import ensure_plain, snapshot_bytes
 from repro.controlplane.snapshot import SimCheckpointer, Stateful, Table
 from repro.core import AlbatrossServer
 from repro.core.offload import FpgaSessionOffload
+from repro.core.plb.dispatch import PlbDispatcher
 from repro.core.plb.reorder import ReorderEngine, ReorderQueueConfig
 from repro.core.ratelimit import TokenBucket, TwoStageRateLimiter
 from repro.core.rss import RssDispatcher
@@ -243,6 +244,27 @@ class TestRssDispatcher:
         fresh.restore(snapshot)
         assert fresh.indirection_table == table
         assert fresh.dispatched == 1
+
+
+class TestPlbDispatcher:
+    def _dispatcher(self, core_count):
+        class FakeCore:
+            pass
+
+        engine = ReorderEngine(Simulator(), ReorderQueueConfig(queue_count=2, depth=64),
+                               lambda p, o: None)
+        return PlbDispatcher([FakeCore() for _ in range(core_count)], engine)
+
+    def test_rotation_continues_modulo_the_new_core_count(self):
+        wide = self._dispatcher(4)
+        for tenant in range(3):
+            wide.dispatch(Packet(_flow(tenant)))
+        snapshot = json_round_trip(wide.checkpoint())
+        assert snapshot["rr_index"] == 3
+        narrow = self._dispatcher(2)
+        narrow.restore(snapshot)
+        assert narrow.dispatched == 3
+        assert narrow.dispatch(Packet(_flow(9))) is narrow.cores[1]
 
 
 def _server_with_pod(seed=11, **spec_kwargs):
