@@ -21,9 +21,8 @@ strict: **the merged report is byte-identical whether the sweep ran on
   printed by the CLI, never written into the artifact.
 
 What may run in a worker: pure simulation from a spec.  What must stay
-in the parent: merging (reservoir thinning draws from the parent's
-merge rng), report rendering, and anything that touches the ordering of
-shards.
+in the parent: merging, report rendering, and anything that touches
+the ordering of shards.
 
 Scheduling is for makespan: ``run_sweep`` dispatches its pending shards
 longest first, by :func:`~repro.scenarios.build.offered_packets` (a
@@ -268,9 +267,7 @@ def run_sweep(name, shards, workers=1, seed=42, run=None):
         results_by_index[result["index"]] = result
 
     results = [results_by_index[shard.index] for shard in shards]
-    merged = merge_run_reports(
-        [result["report"] for result in results], seed=seed
-    )
+    merged = merge_run_reports([result["report"] for result in results])
     report = SweepReport(name=name, seed=seed, shard_results=results, merged=merged)
     report.cached_shards = len(shards) - len(pending)
     return report

@@ -3,10 +3,10 @@
 Per-shard run reports (see :meth:`repro.scenarios.build.RunHandle.report`)
 are folded into one fleet view by the rows of
 :data:`repro.scenarios.sections.SECTIONS`: counters sum, latency merges
-through :meth:`LatencyHistogram.merge` (aggregate-exact, reservoir
-approximate).  Merging is strictly shard-order: the engine hands reports
-over in shard-index order however the pool dispatched them, so the
-merged artifact is byte-identical under any worker count.
+through :meth:`LatencyHistogram.merge` (exact: bucket counts add).
+Merging is strictly shard-order: the engine hands reports over in
+shard-index order however the pool dispatched them, so the merged
+artifact is byte-identical under any worker count.
 
 ``SweepReport`` follows the repo-wide tabular convention: ``to_dict()``
 for the JSON artifact and ``rows()`` (list of flat dicts) for tooling
@@ -20,14 +20,15 @@ from repro.sim.units import US
 SCHEMA_VERSION = 1
 
 
-def merge_run_reports(run_reports, seed=42):
+def merge_run_reports(run_reports, seed=None):
     """Fold per-shard run reports into the fleet-level aggregate: each
     :data:`~repro.scenarios.sections.SECTIONS` row folds the shards that
-    carry its keys, and ``seed`` seeds every histogram the folds merge."""
+    carry its keys.  ``seed`` is accepted and ignored: the benchmark
+    driver still passes one (ROADMAP 3(c))."""
     shards = list(enumerate(run_reports))
     merged = {}
     for row in SECTIONS:
-        merged.update(row.merge(shards, seed))
+        merged.update(row.merge(shards))
     return merged
 
 
@@ -41,7 +42,7 @@ def _shard_row(result):
     row["packets"] = sum(pod["transmitted"] for pod in pods)
     row["events"] = report["events"]
     # No pods (a control-plane-only run) or no latencies: a zeroed row.
-    latency = merge_histograms([pod["latency"] for pod in pods], seed=1)
+    latency = merge_histograms([pod["latency"] for pod in pods])
     if latency.count:
         row["mean_us"] = round(latency.mean_ns / US, 2)
         row["p99_us"] = round(latency.percentile(0.99) / US, 2)
@@ -66,10 +67,9 @@ class SweepReport:
     def to_dict(self):
         """The JSON artifact: shard summaries + the fleet aggregate.
 
-        Deliberately excludes worker count, wall time, host facts and
-        raw reservoir samples: everything in the artifact is a function
-        of (spec, seed) alone, so ``--workers 1`` and ``--workers N``
-        write identical bytes.
+        Deliberately excludes worker count, wall time and host facts:
+        everything in the artifact is a function of (spec, seed) alone,
+        so ``--workers 1`` and ``--workers N`` write identical bytes.
         """
         shards = []
         for result, row in zip(self.shard_results, self.rows()):

@@ -79,7 +79,7 @@ def show_timeseries_rows(store, run_id):
         result = run.load_shard(entry["index"], entry["spec_hash"])
         if result is not None:
             shards.append((entry["index"], result["report"]))
-    merged = ROW["timeseries"].merge(shards, seed=1)
+    merged = ROW["timeseries"].merge(shards)
     windows = merged["timeseries"]["windows"] if merged else []
     return run, flatten_windows(windows)
 

@@ -254,9 +254,7 @@ def build(spec):
     if spec.timeseries_every_ns is not None:
         from repro.telemetry import TimeSeriesRecorder
 
-        telemetry = TimeSeriesRecorder(
-            sim, pods, spec.timeseries_every_ns, seed=spec.seed
-        )
+        telemetry = TimeSeriesRecorder(sim, pods, spec.timeseries_every_ns)
         subscribers.append(telemetry.on_exit)
     if spec.checkpoint_every_ns is not None:
         from repro.controlplane.snapshot import SimCheckpointer
@@ -297,7 +295,7 @@ def _build_topology(spec, sim, runtimes, sinks, subscribers):
                 sim, runtime.dispatch.forward,
                 table_capacity=tier.table_capacity,
                 fast_latency_ns=tier.fast_latency_ns,
-                seed=spec.seed, name=runtime.name, subscribers=subscribers,
+                name=runtime.name, subscribers=subscribers,
             )
             runtime.promoter = HotFlowPromoter(
                 sim, runtime.dpu,

@@ -5,12 +5,12 @@
 :data:`SECTIONS`, one row per report key in report key order: which
 spec field arms it, how a run produces it and how shards fold it.
 Every fold is built from one closed set of primitives, each
-``fold(shards, seed)`` over ``[(shard index, value), ...]``:
+``fold(shards)`` over ``[(shard index, value), ...]``:
 :func:`total` (ints), :func:`counts` (counter dicts, sorted keys),
-:func:`histogram` / :func:`summary` (merged ``LatencyHistogram`` dicts,
-dumped or summarised), :func:`union` (sorted names), :func:`tagged`
-(rows tagged with their shard, concatenated), :func:`first` and
-:data:`NOT_MERGED`; :func:`fields` and :func:`by_name` nest them.
+:func:`histogram` / :func:`summary` (merged ``LatencyHistogram``
+snapshots, dumped or summarised), :func:`union` (sorted names),
+:func:`tagged` (rows tagged with their shard, concatenated), :func:`first`
+and :data:`NOT_MERGED`; :func:`fields` and :func:`by_name` nest them.
 Folds run in shard order or sorted-name order, so a merge is
 byte-identical for any worker count.  An unarmed row adds no key to a
 report and a key no shard carries stays out of the merge, so runs that
@@ -35,12 +35,14 @@ def summarize_histogram(histogram):
     return summary
 
 
-def merge_histograms(dicts, seed):
-    """Fold ``LatencyHistogram`` dicts into a fresh histogram (no input is
-    mutated) whose reservoir is seeded with ``seed``."""
-    merged = LatencyHistogram(seed=seed)
-    for data in dicts:
-        merged.merge(LatencyHistogram.from_dict(data))
+def merge_histograms(snapshots):
+    """Fold ``LatencyHistogram`` snapshots into a fresh histogram (no
+    input is mutated)."""
+    merged = LatencyHistogram()
+    for snapshot in snapshots:
+        shard = LatencyHistogram()
+        shard.restore(snapshot)
+        merged.merge(shard)
     return merged
 
 
@@ -55,11 +57,11 @@ def _at(shards, key):
     return [(index, value[key]) for index, value in shards if key in value]
 
 
-def total(shards, seed):
+def total(shards):
     return sum(_values(shards))
 
 
-def counts(shards, seed):
+def counts(shards):
     summed = {}
     for counters in _values(shards):
         for name, value in counters.items():
@@ -67,23 +69,23 @@ def counts(shards, seed):
     return dict(sorted(summed.items()))
 
 
-def histogram(shards, seed):
-    return merge_histograms(_values(shards), seed).to_dict()
+def histogram(shards):
+    return merge_histograms(_values(shards)).checkpoint()
 
 
-def summary(shards, seed):
-    return summarize_histogram(merge_histograms(_values(shards), seed))
+def summary(shards):
+    return summarize_histogram(merge_histograms(_values(shards)))
 
 
-def union(shards, seed):
+def union(shards):
     return sorted(set().union(*_values(shards)))
 
 
-def tagged(shards, seed):
+def tagged(shards):
     return [{"shard": index, **row} for index, rows in shards for row in rows]
 
 
-def first(shards, seed):
+def first(shards):
     return shards[0][1]
 
 
@@ -92,21 +94,21 @@ NOT_MERGED = None
 
 def fields(**folds):
     """Fold a dict key by key in ``folds`` order; absent keys stay out."""
-    def fold(shards, seed):
+    def fold(shards):
         merged = {}
         for key, inner in folds.items():
             present = _at(shards, key)
             if present:
-                merged[key] = inner(present, seed)
+                merged[key] = inner(present)
         return merged
     return fold
 
 
 def by_name(inner):
     """Fold a ``{name: entry}`` dict entry by entry, names sorted."""
-    def fold(shards, seed):
+    def fold(shards):
         names = sorted(set().union(*_values(shards)))
-        return {name: inner(_at(shards, name), seed) for name in names}
+        return {name: inner(_at(shards, name)) for name in names}
     return fold
 
 
@@ -118,7 +120,7 @@ class Section(NamedTuple):
     keys: tuple         # the report keys the row owns, in report order
     armed: Callable     # spec -> does a run of it carry ``keys``?
     produce: Callable   # handle -> {key: value}
-    merge: Callable     # ([(shard index, report)], seed) -> {merged key: value}
+    merge: Callable     # [(shard index, report)] -> {merged key: value}
 
 
 def _section(key, armed, produce, fold):
@@ -136,7 +138,7 @@ def _pod(pod):
         "transmitted": pod.transmitted(),
         "counters": _sorted(pod.counters),
         "outcomes": dict(sorted(pod.outcomes.items())),
-        "latency": pod.latency_histogram.to_dict(),
+        "latency": pod.latency_histogram.checkpoint(),
     }
     if pod.spec.mode == "plb":
         stats = pod.reorder_stats
@@ -155,19 +157,19 @@ def _core(handle):
     }
 
 
-def _fold_core(shards, seed):
+def _fold_core(shards):
     """The always-present fleet headline, in its own key order."""
     reports = _values(shards)
     pods = [(index, pod) for index, report in shards
             for pod in report["pods"].values()]
     return {
         "shards": len(reports),
-        "packets": total(_at(pods, "transmitted"), seed),
+        "packets": total(_at(pods, "transmitted")),
         "events": sum(report["events"] for report in reports),
         "sim_ns_total": sum(report["sim_ns"] for report in reports),
-        "latency": summary(_at(pods, "latency"), seed),
-        "counters": counts(_at(pods, "counters"), seed),
-        "outcomes": counts(_at(pods, "outcomes"), seed),
+        "latency": summary(_at(pods, "latency")),
+        "counters": counts(_at(pods, "counters")),
+        "outcomes": counts(_at(pods, "outcomes")),
     }
 
 
@@ -189,15 +191,15 @@ def _servers(handle):
     return servers
 
 
-def _fold_server(shards, seed):
+def _fold_server(shards):
     """One server's counters: ``pods`` and the DPU ``occupancy`` drop out,
     and ``dpu.counters`` flattens to ``dpu`` (absent while the DPU has
     counted nothing)."""
-    merged = {"dispatch": counts(_at(shards, "dispatch"), seed)}
+    merged = {"dispatch": counts(_at(shards, "dispatch"))}
     dpus = [(index, dpu["counters"]) for index, dpu in _at(shards, "dpu")
             if dpu["counters"]]
     if dpus:
-        merged["dpu"] = counts(dpus, seed)
+        merged["dpu"] = counts(dpus)
     return merged
 
 
@@ -207,7 +209,7 @@ def _dpu_tier(latency):
 
 def _tiers(handle):
     """AZ-wide per-tier rollup: the host pipeline vs the DPU tier, whose
-    servers fold under the run's seed with their latency dumped."""
+    servers fold with their latency dumped."""
     host = sum(pod.transmitted() for pod in handle.pods.values())
     tiers = {"host": {"packets": host}}
     dpus = [runtime.dpu for runtime in handle.topology.servers.values()
@@ -217,8 +219,8 @@ def _tiers(handle):
             "packets": dpu.counters.get("fast_forwards"),
             "occupancy": dpu.occupancy,
             "counters": dpu.counters.snapshot(),
-            "latency": dpu.latency_histogram.to_dict(),
-        }) for index, dpu in enumerate(dpus)], handle.spec.seed)
+            "latency": dpu.latency_histogram.checkpoint(),
+        }) for index, dpu in enumerate(dpus)])
     return tiers
 
 

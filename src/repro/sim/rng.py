@@ -18,10 +18,9 @@ Stream = random.Random
 def derived_stream(name, seed=0):
     """A standalone ``random.Random`` derived from ``(seed, name)``.
 
-    Same derivation as :meth:`RngRegistry.stream`, for components that are
-    constructed outside an experiment's registry (session-table cuckoo
-    kicks, histogram reservoirs) but must still draw every bit of entropy
-    from a named, process-stable seed.
+    Same derivation as :meth:`RngRegistry.stream` (which calls it), for a
+    component constructed outside an experiment's registry that must
+    still draw every bit of entropy from a named, process-stable seed.
     """
     # zlib.crc32 is stable across processes (unlike hash()).
     derived = (seed * 0x9E3779B1 + zlib.crc32(name.encode())) & 0xFFFFFFFF

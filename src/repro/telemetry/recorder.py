@@ -54,8 +54,6 @@ class TimeSeriesRecorder(Stateful):
             counters at flush time; latencies arrive through :meth:`on_exit`,
             which ``build()`` subscribes to the deployment's packet exits).
         every_ns: window width in sim nanoseconds.
-        seed: seed for the per-window reservoir rngs (only observable
-            past the reservoir cap; carried for determinism regardless).
 
     Its restore validates the pod set and returns a re-arm entry for the
     next flush instead of scheduling it; ``_pending`` is the
@@ -68,7 +66,7 @@ class TimeSeriesRecorder(Stateful):
     )
     DERIVED = {"_event": "the pending flush; restore re-arms it from _pending"}
 
-    def __init__(self, sim, pods, every_ns, seed=1):
+    def __init__(self, sim, pods, every_ns):
         if every_ns <= 0:
             raise ValueError(
                 f"timeseries window must be positive (got {every_ns})"
@@ -83,7 +81,7 @@ class TimeSeriesRecorder(Stateful):
         self._hists = {}
         for name in sorted(pods):
             self._prev[name] = self._sample(pods[name]).snapshot()
-            self._hists[name] = LatencyHistogram(seed=seed)
+            self._hists[name] = LatencyHistogram()
         self._event = sim.schedule(self.every_ns, self._fire)
         self._pending = {"time": self._event.time, "seq": self._event.seq}
 

@@ -37,7 +37,6 @@ class DpuPreClassifier:
             :class:`~repro.topology.promotion.HotFlowPromoter`; every
             packet (both paths) feeds its ``sketch`` so installed flows
             keep registering as hot while they stay hot.
-        seed: histogram reservoir seed (determinism discipline).
         name: the hosting server's name.
         subscribers: the deployment's exit subscribers, each called as
             ``fn(packet, name, DPU_FAST_PATH)`` on a fast-forward.
@@ -51,7 +50,7 @@ class DpuPreClassifier:
                  "name", "subscribers")
 
     def __init__(self, sim, slow_sink, table_capacity=256,
-                 fast_latency_ns=2_000, promoter=None, seed=1, name=None,
+                 fast_latency_ns=2_000, promoter=None, name=None,
                  subscribers=()):
         if table_capacity <= 0:
             raise ValueError("table_capacity must be positive")
@@ -61,7 +60,7 @@ class DpuPreClassifier:
         self.fast_latency_ns = fast_latency_ns
         self.promoter = promoter
         self.counters = CounterSet()
-        self.latency_histogram = LatencyHistogram(seed=seed)
+        self.latency_histogram = LatencyHistogram()
         self._table = {}          # FlowKey -> install simtime (ns)
         self.name = name
         self.subscribers = subscribers

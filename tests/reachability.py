@@ -32,12 +32,12 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "repro"
 
 _CLAIM_BGP = ("§4.3 BGP/BFD over the priority path under a saturated data plane: "
-              "waits on its ROADMAP 4(a) claim")
-_PRIORITY = "the priority path: only PodControlPlane's protocol packets take it (ROADMAP 4(a))"
-_CLAIM_FALLBACK = "§4.1 PLB->RSS fallback: waits on its ROADMAP 4(a) claim"
-_CLAIM_HITTERS = "§4.3 CPU heavy-hitter detection: waits on its ROADMAP 4(a) claim"
-_CLAIM_SRAM = "§4.3 limiter SRAM budget: waits on its ROADMAP 4(a) claim"
-_CLAIM_SRIOV = ("SR-IOV VF bookkeeping: ROADMAP 4(a) routes Fig. 15 placement through "
+              "waits on its ROADMAP 6(a) claim")
+_PRIORITY = "the priority path: only PodControlPlane's protocol packets take it (ROADMAP 6(a))"
+_CLAIM_FALLBACK = "§4.1 PLB->RSS fallback: waits on its ROADMAP 6(a) claim"
+_CLAIM_HITTERS = "§4.3 CPU heavy-hitter detection: waits on its ROADMAP 6(a) claim"
+_CLAIM_SRAM = "§4.3 limiter SRAM budget: waits on its ROADMAP 6(a) claim"
+_CLAIM_SRIOV = ("SR-IOV VF bookkeeping: ROADMAP 6(a) routes Fig. 15 placement through "
                 "VfAllocator or deletes it")
 _FPGA_RESET = ("FPGA stall and watchdog reset: the chaos plan can draw it, "
                "its quick seed does not; tier-1 fault tests force it")
@@ -49,14 +49,14 @@ _POOL = ("pool path (--workers > 1, or 0 = auto): CI's two sanitized sweeps run 
 _ORACLE = "test oracle: tier-1 tests check the simulator against it"
 _REPR = "debugging text for an interactive session; no command prints it"
 _SCENARIO = "registry scenario: `inventory` lists it, tier-1 golden and wire tests build it"
-_TESTS = "library call only tier-1 tests make; next candidate for ROADMAP 4(b) removal"
+_TESTS = "library call only tier-1 tests make; next candidate for ROADMAP 6(b) removal"
 _STOP = "teardown of a periodic task; runs end by the clock instead"
 
 #: Dotted module, class or function path -> why it is kept although no
 #: command below calls it.  An entry covers everything under its path,
 #: so a class or module entry means none of it is called.
 ALLOWED = {
-    # Mechanisms waiting on ROADMAP 4(a) claims.
+    # Mechanisms waiting on ROADMAP 6(a) claims.
     "repro.bgp.pod": _CLAIM_BGP,
     "repro.core.pktdir.PktDir.classify": _PRIORITY,
     "repro.core.priority.PriorityQueueManager.enqueue": _PRIORITY,
@@ -115,10 +115,6 @@ ALLOWED = {
     "repro.bgp.fsm.Link.fail": _FAULT,
     "repro.bgp.fsm.Link.recover": _FAULT,
     "repro.bgp.switch.UplinkSwitch.restart": _FAULT,
-    "repro.metrics.histogram.LatencyHistogram._extend_bounds":
-        "non-power-of-two histogram factors: no report uses one",
-    "repro.metrics.histogram.LatencyHistogram._bucket_of":
-        "non-power-of-two histogram factors: no report uses one",
     "repro.scenarios.registry.microburst_reorder": _SCENARIO,
     "repro.scenarios.registry.ratelimit_churn": _SCENARIO,
     "repro.perf": "host metadata for benchmarks/perf/child.py",
@@ -188,7 +184,6 @@ ALLOWED = {
     "repro.faults.scenarios.ScenarioReport.to_dict": _TESTS,
     "repro.faults.scenarios.ScenarioReport.rows": _TESTS,
     "repro.metrics.counters.CounterSet.__getitem__": _TESTS,
-    "repro.metrics.histogram.LatencyHistogram.bucket_counts": _TESTS,
     "repro.metrics.summary.UtilizationSampler.mean_stddev": _TESTS,
     "repro.metrics.summary.UtilizationSampler.max_stddev": _TESTS,
     "repro.packet.flows.ip_from_str": _TESTS,

@@ -301,7 +301,7 @@ class TestFullStatecheck:
         keyed = {p.cls_name for p in full_run.probes if p.mode == "keys"}
         for cls_name in (
             "CbrSource", "MicroburstSource", "SimCheckpointer", "FpgaSessionOffload",
-            "TokenBucket", "LatencyHistogram", "ReorderEngine", "TimeSeriesRecorder",
+            "TokenBucket", "ReorderEngine", "TimeSeriesRecorder",
         ):
             assert cls_name in keyed, f"{cls_name} not key-checked"
 

@@ -36,6 +36,7 @@ from repro.fleet import (
     sweep_to_json,
 )
 from repro.runs import RunStore
+from repro.runs.store import canonical_bytes
 from repro.scenarios import (
     SCENARIO_FACTORIES,
     PodSpec,
@@ -123,7 +124,7 @@ class TestMerge:
             build(_tiny_spec(seed=shard_seed(1, i))).run().report()
             for i in range(3)
         ]
-        merged = merge_run_reports(reports, seed=1)
+        merged = merge_run_reports(reports)
         assert merged["shards"] == 3
         assert merged["events"] == sum(r["events"] for r in reports)
         assert merged["packets"] == sum(
@@ -132,6 +133,32 @@ class TestMerge:
         assert merged["latency"]["count"] == sum(
             p["latency"]["count"] for r in reports for p in r["pods"].values()
         )
+
+    def test_regrouped_shards_merge_to_the_same_bytes(self):
+        """Histogram merge is exact, so the fleet headline depends only on
+        which pods ran, not on which shard carried them or in what order."""
+        reports = [
+            build(_tiny_spec(seed=shard_seed(2, i)).with_overrides(
+                overrides={"workload.load": 1.2})).run().report()
+            for i in range(3)
+        ]
+        assert len(reports[0]["pods"]["pod"]["latency"]["buckets"]) > 1
+        regrouped = [
+            dict(reports[0], pods={f"{index}": report["pods"]["pod"]
+                                   for index, report in enumerate(reports[:2])}),
+            reports[2],
+        ]
+
+        def headline(run_reports):
+            merged = merge_run_reports(run_reports)
+            return canonical_bytes({key: merged[key] for key in
+                                    ("packets", "latency", "counters", "outcomes")})
+
+        expected = headline(reports)
+        for order in (reports[::-1], reports[1:] + reports[:1], regrouped):
+            assert headline(order) == expected
+        assert (canonical_bytes(merge_run_reports(reports[::-1]))
+                == canonical_bytes(merge_run_reports(reports)))
 
     def test_shard_row_with_zero_pods_is_zeroed_not_indexerror(self):
         # Regression: a control-plane-only report (no pods) used to hit

@@ -1,319 +1,117 @@
-"""Histogram bugfix tests: exact bucket boundaries, merge aggregation,
-and the cached percentile view.
+"""The log-linear latency sketch: bucket edges, read error, exact merge
+and the snapshot round trip.
 
-Companions to the basic coverage in ``test_workloads_metrics.py``; these
-pin the fixed behaviours: boundary values must never misbucket (the old
-``math.log`` path put 1000 in the wrong factor-10 bucket), ``merge`` must
-aggregate counters directly instead of replaying the lossy reservoir,
-and the sorted-sample cache must invalidate on every mutation.
+Companions to the basic coverage in ``test_workloads_metrics.py``.  The
+properties compare the sketch against the exact answer over the raw
+samples, which each test keeps as its own list.
 """
+
+import json
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.metrics.histogram import LatencyHistogram
+from repro.controlplane.snapshot import snapshot_bytes
+from repro.metrics.histogram import (
+    MANTISSA_BITS,
+    LatencyHistogram,
+    bucket_edge,
+    bucket_top,
+)
+from repro.scenarios.sections import merge_histograms
+
+#: The sketch's relative error bound.
+ERROR = 2 ** -MANTISSA_BITS
+
+latencies = st.lists(st.integers(min_value=0, max_value=10**12), max_size=80)
 
 
-def _bucket_bounds(histogram, bucket):
-    """(inclusive lower, exclusive upper) integer edges of ``bucket``."""
-    assert bucket >= 1
-    while bucket >= len(histogram._bounds):
-        histogram._extend_bounds()
-    return histogram._bounds[bucket - 1], histogram._bounds[bucket]
+def _filled(values):
+    histogram = LatencyHistogram()
+    for value in values:
+        histogram.record(value)
+    return histogram
 
 
-class TestBucketBoundaries:
-    def test_zero_gets_its_own_bucket(self):
-        assert LatencyHistogram()._bucket_of(0) == 0
+def _exact_percentile(values, fraction):
+    """Nearest rank over the sorted samples."""
+    ordered = sorted(values)
+    return ordered[max(1, math.ceil(fraction * len(ordered))) - 1]
 
-    def test_power_of_two_boundaries(self):
-        histogram = LatencyHistogram()
-        # Bucket b >= 1 holds [2**(b-1), 2**b).
-        assert histogram._bucket_of(1) == 1
-        assert histogram._bucket_of(2) == 2
-        assert histogram._bucket_of(1023) == 10
-        assert histogram._bucket_of(1024) == 11
-        assert histogram._bucket_of(2**40) == 41
 
-    def test_factor_ten_boundaries_exact(self):
-        histogram = LatencyHistogram(bucket_factor=10.0)
-        # log10(1000) evaluates to 2.9999... in floats; the integer
-        # boundary table must still put 1000 above the 10**3 edge.
-        assert histogram._bucket_of(999) == 3
-        assert histogram._bucket_of(1000) == 4
-        assert histogram._bucket_of(10**15 - 1) == 15
-        assert histogram._bucket_of(10**15) == 16
+class TestBuckets:
+    def test_values_below_256_are_their_own_bucket(self):
+        for value in range(256):
+            assert bucket_edge(value) == bucket_top(value) == value
 
-    def test_bucket_upper_edges_are_exact_powers(self):
-        histogram = LatencyHistogram(bucket_factor=10.0)
-        histogram.record(1000)
-        histogram.record(5)
-        assert histogram.bucket_counts() == {10: 1, 10_000: 1}
+    def test_edges_keep_the_top_eight_bits(self):
+        assert bucket_edge(256) == 256 and bucket_top(256) == 257
+        assert bucket_edge(1000) == 1000    # 0b1111101000: exact in 8 bits
+        assert bucket_edge(1001) == 1000 and bucket_top(1000) == 1003
+        assert bucket_edge(30_000) == 29_952
+        assert bucket_edge(100_000) == 99_840
+        assert bucket_edge(2**40 + 12345) == 2**40
 
-    def test_near_one_factor_stays_non_degenerate(self):
-        # ceil(1.01**k) is 2 for a long run of k; the boundary table must
-        # still grow strictly so adjacent buckets never collapse.
-        histogram = LatencyHistogram(bucket_factor=1.01)
-        for value in (1, 2, 3, 10, 100):
-            histogram.record(value)
-        histogram._extend_bounds()
-        bounds = histogram._bounds
-        assert all(a < b for a, b in zip(bounds, bounds[1:]))
-        assert {histogram._bucket_of(v) for v in (1, 2, 3)} == {1, 2, 3}
+    @settings(max_examples=300, deadline=None)
+    @given(value=st.integers(min_value=0, max_value=10**18))
+    def test_property_value_lies_in_a_narrow_bucket(self, value):
+        edge = bucket_edge(value)
+        top = bucket_top(edge)
+        assert edge <= value <= top
+        assert top - edge < max(1, edge * ERROR)
+        # Buckets tile the integers: the next value starts the next bucket.
+        assert bucket_edge(top + 1) == top + 1
+        assert bucket_edge(top) == edge
 
-    def test_factor_at_or_below_one_rejected(self):
-        with pytest.raises(ValueError):
-            LatencyHistogram(bucket_factor=1.0)
+    def test_negative_rejected(self):
+        with pytest.raises(ValueError, match="negative"):
+            LatencyHistogram().record(-300)
+
+
+class TestReads:
+    @settings(max_examples=200, deadline=None)
+    @given(values=latencies.filter(bool),
+           fraction=st.floats(min_value=1e-6, max_value=1.0))
+    def test_property_percentile_within_error(self, values, fraction):
+        exact = _exact_percentile(values, fraction)
+        got = _filled(values).percentile(fraction)
+        assert exact <= got <= exact * (1 + ERROR)
 
     @settings(max_examples=200, deadline=None)
-    @given(
-        value=st.integers(min_value=1, max_value=10**18),
-        factor=st.sampled_from([2.0, 10.0, 1.5, 4.0]),
-    )
-    def test_property_value_lies_within_its_bucket(self, value, factor):
-        histogram = LatencyHistogram(bucket_factor=factor)
-        bucket = histogram._bucket_of(value)
-        assert bucket >= 1
-        lower, upper = _bucket_bounds(histogram, bucket)
-        assert lower <= value < upper
+    @given(values=latencies.filter(bool), threshold=st.integers(0, 10**12))
+    def test_property_fraction_below_exact_at_bucket_edges(self, values, threshold):
+        histogram = _filled(values)
+        edge = bucket_edge(threshold)
+        exact = sum(value < edge for value in values) / len(values)
+        assert histogram.fraction_below(edge) == exact
+        # Elsewhere the read is at the edge below, within the error.
+        assert histogram.fraction_below(threshold) == exact
+        assert threshold - edge <= threshold * ERROR
 
+    def test_single_valued_percentile_is_exact(self):
+        histogram = _filled([13_070] * 50)
+        assert histogram.percentile(0.5) == histogram.percentile(0.99) == 13_070
 
-class TestMerge:
-    def test_merge_thinned_source_keeps_exact_aggregates(self):
-        merged = LatencyHistogram(max_samples=50, seed=1)
-        source = LatencyHistogram(max_samples=50, seed=2)
-        for value in range(1000):
-            source.record(value)
-        merged.record(5000)
-        merged.merge(source)
-        # Replaying source's 50 retained samples would report count 51;
-        # direct aggregation keeps the full stream's totals.
-        assert merged.count == 1001
-        assert merged.min_ns == 0
-        assert merged.max_ns == 5000
-        assert merged.mean_ns == pytest.approx((sum(range(1000)) + 5000) / 1001)
-        assert sum(merged.bucket_counts().values()) == 1001
-        assert len(merged._samples) <= merged.max_samples
+    def test_exact_fields(self):
+        values = [10**9 + 7, 3, 123_456_789, 255, 256]
+        histogram = _filled(values)
+        assert (histogram.count, histogram.sum_ns) == (len(values), sum(values))
+        assert (histogram.min_ns, histogram.max_ns) == (3, 10**9 + 7)
+        assert histogram.mean_ns == sum(values) / len(values)
+        assert histogram.percentile(1.0) == 10**9 + 7
 
-    def test_merge_reservoir_is_unbiased(self):
-        # Regression for the reservoir-merge bias: folded samples used to
-        # draw randrange against the *final post-merge* count, so every
-        # folded sample was accepted with the same (too low) probability
-        # instead of algorithm R's max_samples/stream at its own stream
-        # position.  Merging 100 "ones" into a full reservoir of 100
-        # "zeros" must leave each of the 200 stream elements equally
-        # likely retained -- about half zeros.  Under the bug the
-        # acceptance probability was a flat 0.5 and the expected zero
-        # fraction was e**-0.5 ~ 0.61, well outside the band below.
-        zero_fraction = 0.0
-        trials = 200
-        for seed in range(trials):
-            merged = LatencyHistogram(max_samples=100, seed=seed)
-            for _ in range(100):
-                merged.record(0)
-            source = LatencyHistogram(max_samples=100, seed=seed + trials)
-            for _ in range(100):
-                source.record(1)
-            merged.merge(source)
-            zero_fraction += merged.fraction_below(1)
-        zero_fraction /= trials
-        assert 0.46 < zero_fraction < 0.54
-
-    def test_merge_reservoir_stream_resumes_after_merge(self):
-        # The running stream count must leave later record() calls with
-        # the correct acceptance probability too: aggregates stay exact.
-        merged = LatencyHistogram(max_samples=10, seed=3)
-        for value in range(10):
-            merged.record(value)
-        source = LatencyHistogram(max_samples=10, seed=4)
-        for value in range(25):
-            source.record(value)
-        merged.merge(source)
-        merged.record(99)
-        assert merged.count == 36
-        assert len(merged._samples) == 10
-
-    def test_merge_into_empty(self):
-        merged = LatencyHistogram()
-        source = LatencyHistogram()
-        source.record(42)
-        merged.merge(source)
-        assert (merged.count, merged.min_ns, merged.max_ns) == (1, 42, 42)
-
-    def test_merge_empty_source_is_noop(self):
-        merged = LatencyHistogram()
-        merged.record(7)
-        assert merged.merge(LatencyHistogram()) is merged
-        assert merged.count == 1
-
-    def test_merge_does_not_mutate_source(self):
-        merged = LatencyHistogram()
-        source = LatencyHistogram()
-        for value in (3, 7, 11):
-            source.record(value)
-        before = source.to_dict()
-        merged.merge(source)
-        assert source.to_dict() == before
-
-    def test_report_merge_histograms_does_not_mutate_inputs(self):
-        # The report folds merge into a FRESH histogram: an input may be a
-        # caller-held pod histogram's dict (regression: the shard-row fold
-        # used to merge the rest into its first input in place).
-        from repro.scenarios.sections import merge_histograms
-
-        first = LatencyHistogram()
-        second = LatencyHistogram()
-        first.record(10)
-        second.record(20)
-        before_first = first.to_dict()
-        before_second = second.to_dict()
-        merged = merge_histograms([before_first, before_second], seed=1)
-        assert merged.count == 2
-        assert first.to_dict() == before_first
-        assert second.to_dict() == before_second
-
-    def test_merge_self_rejected(self):
-        histogram = LatencyHistogram()
-        with pytest.raises(ValueError, match="itself"):
-            histogram.merge(histogram)
-
-    def test_merge_factor_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="bucket_factor"):
-            LatencyHistogram().merge(LatencyHistogram(bucket_factor=10.0))
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        left=st.lists(st.integers(min_value=0, max_value=10**9), max_size=60),
-        right=st.lists(st.integers(min_value=0, max_value=10**9), max_size=60),
-    )
-    def test_property_merge_equals_concatenated_recording(self, left, right):
-        first = LatencyHistogram()
-        second = LatencyHistogram()
-        for value in left:
-            first.record(value)
-        for value in right:
-            second.record(value)
-        first.merge(second)
-
-        combined = LatencyHistogram()
-        for value in left + right:
-            combined.record(value)
-
-        assert first.count == combined.count
-        assert first.mean_ns == pytest.approx(combined.mean_ns)
-        assert first.min_ns == combined.min_ns
-        assert first.max_ns == combined.max_ns
-        assert first.bucket_counts() == combined.bucket_counts()
-        # Below the reservoir cap nothing thins, so percentiles are exact
-        # too (samples arrive in a different order, but sorted views match).
-        if combined.count:
-            for fraction in (0.25, 0.5, 0.99, 1.0):
-                assert first.percentile(fraction) == combined.percentile(fraction)
-            assert first.fraction_below(10**6) == combined.fraction_below(10**6)
-
-
-class TestFoldOnRead:
-    """``record`` appends below the cap; readers fold.  When a read happens
-    must not change any state a snapshot or report can show."""
-
-    READERS = (
-        lambda h: h.count, lambda h: h.mean_ns, lambda h: h.min_ns,
-        lambda h: h.max_ns, lambda h: h.percentile(0.5), lambda h: h.bucket_counts(),
-        lambda h: h.to_dict(), lambda h: h.checkpoint(),
-        lambda h: h.merge(LatencyHistogram(h.bucket_factor, h.max_samples)),
-    )
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        values=st.lists(st.integers(min_value=0, max_value=10**7), max_size=120),
-        reads=st.lists(st.tuples(st.integers(0, 120), st.integers(0, 8)), max_size=12),
-        factor=st.sampled_from([2.0, 10.0]),
-    )
-    def test_reads_anywhere_leave_the_same_snapshot(self, values, reads, factor):
-        """Across the reservoir cap (40 samples), folding at arbitrary reads
-        ends where folding only at the end does: aggregates, buckets, the
-        reservoir and the reservoir rng position."""
-        lazy = LatencyHistogram(bucket_factor=factor, max_samples=40)
-        read_often = LatencyHistogram(bucket_factor=factor, max_samples=40)
-        read_at = {}
-        for index, reader in reads:
-            read_at.setdefault(index, []).append(self.READERS[reader])
-        for index, value in enumerate(values):
-            for reader in read_at.get(index, ()):
-                reader(read_often)
-            lazy.record(value)
-            read_often.record(value)
-        assert read_often.checkpoint() == lazy.checkpoint()
-        assert lazy.count == len(values)
-        if values:
-            assert (lazy.min_ns, lazy.max_ns) == (min(values), max(values))
-            assert lazy.mean_ns == sum(values) / len(values)
-
-    def test_restore_and_from_dict_do_not_fold_their_samples_again(self):
-        histogram = LatencyHistogram()
-        for value in (5, 7, 9):
-            histogram.record(value)
-        restored = LatencyHistogram()
-        restored.restore(histogram.checkpoint())
-        wired = LatencyHistogram.from_dict(histogram.to_dict())
-        for copy in (restored, wired):
-            copy.record(11)
-            assert (copy.count, copy.mean_ns, copy.max_ns) == (4, 8.0, 11)
-
-
-class TestSortedCache:
-    def test_record_invalidates_cache(self):
-        histogram = LatencyHistogram()
-        for value in range(100):
-            histogram.record(value)
-        assert histogram.percentile(1.0) == 99
-        histogram.record(10_000)
-        assert histogram.percentile(1.0) == 10_000
-        assert histogram.fraction_below(10_000) == pytest.approx(100 / 101)
-
-    def test_merge_invalidates_cache(self):
-        histogram = LatencyHistogram()
-        histogram.record(1)
-        assert histogram.percentile(1.0) == 1
-        other = LatencyHistogram()
-        other.record(500)
-        histogram.merge(other)
-        assert histogram.percentile(1.0) == 500
-
-    def test_repeated_queries_reuse_cache(self):
-        histogram = LatencyHistogram()
-        for value in (30, 10, 20):
-            histogram.record(value)
-        first_view = histogram._sorted_samples()
-        assert first_view == [10, 20, 30]
-        assert histogram._sorted_samples() is first_view
-
-    def test_fraction_below_exact_under_cap(self):
-        histogram = LatencyHistogram()
-        for value in range(10):
-            histogram.record(value * 1000)
-        assert histogram.fraction_below(0) == 0.0
-        assert histogram.fraction_below(1) == pytest.approx(0.1)
-        assert histogram.fraction_below(9001) == 1.0
-
-
-class TestQueries:
     @pytest.mark.parametrize("fraction", [0, -0.5, 1.01, 2])
     def test_percentile_fraction_out_of_range(self, fraction):
-        histogram = LatencyHistogram()
-        histogram.record(5)
         with pytest.raises(ValueError, match="out of range"):
-            histogram.percentile(fraction)
+            _filled([5]).percentile(fraction)
 
     @pytest.mark.parametrize(
         "fraction,value", [(0.001, 1), (0.01, 1), (0.25, 25), (0.999, 100)]
     )
     def test_percentile_is_nearest_rank(self, fraction, value):
-        histogram = LatencyHistogram()
-        for sample in range(100, 0, -1):
-            histogram.record(sample)
-        assert histogram.percentile(fraction) == value
+        assert _filled(range(100, 0, -1)).percentile(fraction) == value
 
     def test_empty_histogram(self):
         histogram = LatencyHistogram()
@@ -321,43 +119,84 @@ class TestQueries:
         assert histogram.fraction_below(10) == 0.0
         assert histogram.mean_ns == 0.0
         assert (histogram.min_ns, histogram.max_ns, histogram.count) == (None, None, 0)
-        assert histogram.bucket_counts() == {}
 
-    def test_reset_keeps_configuration(self):
-        histogram = LatencyHistogram(bucket_factor=10.0, max_samples=8)
-        for value in (0, 5, 50, 500):
-            histogram.record(value)
+    def test_reset_drops_everything(self):
+        histogram = _filled([0, 5, 50, 500])
         histogram.reset()
-        assert histogram.count == 0 and histogram.bucket_counts() == {}
-        histogram.record(50)
-        assert histogram.bucket_counts() == {100: 1}
-        assert histogram.percentile(1.0) == 50
+        assert histogram.checkpoint() == LatencyHistogram().checkpoint()
+        histogram.record(500)
+        assert (histogram.min_ns, histogram.max_ns, histogram.percentile(1.0)) == (500,) * 3
 
-    def test_from_dict_of_an_empty_wire_record(self):
-        # Older wire records may carry a bucket list shorter than the two
-        # preallocated slots; the rebuilt histogram must still record zero.
-        data = LatencyHistogram().to_dict()
-        data["bucket_counts"] = []
-        rebuilt = LatencyHistogram.from_dict(data)
-        rebuilt.record(0)
-        assert rebuilt.bucket_counts() == {0: 1}
 
-    def test_checkpoint_restore_continues_the_reservoir(self):
-        original = LatencyHistogram(max_samples=16, seed=3)
-        for value in range(100):
-            original.record(value)
-        snapshot = original.checkpoint()
-        copy = LatencyHistogram(max_samples=4, seed=99)
-        copy.restore(snapshot)
-        for value in range(100, 300):
+class TestMerge:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        parts=st.lists(latencies, max_size=6),
+        data=st.data(),
+    )
+    def test_property_any_grouping_and_order_gives_the_same_bytes(self, parts, data):
+        """Merge is element-wise addition: shards merged in any order and
+        any grouping give the bytes of recording every value into one."""
+        whole = _filled([value for part in parts for value in part])
+        order = data.draw(st.permutations(range(len(parts))))
+        groups = data.draw(st.lists(st.integers(0, 2), min_size=len(parts),
+                                    max_size=len(parts)))
+        grouped = [LatencyHistogram() for _ in range(3)]
+        for index in order:
+            grouped[groups[index]].merge(_filled(parts[index]))
+        merged = LatencyHistogram()
+        for histogram in reversed(grouped):
+            merged.merge(histogram)
+        assert snapshot_bytes(merged.checkpoint()) == snapshot_bytes(whole.checkpoint())
+
+    def test_merge_into_empty(self):
+        merged = LatencyHistogram().merge(_filled([42]))
+        assert (merged.count, merged.min_ns, merged.max_ns) == (1, 42, 42)
+
+    def test_merge_empty_source_is_noop(self):
+        merged = _filled([7])
+        assert merged.merge(LatencyHistogram()) is merged
+        assert merged.count == 1
+
+    def test_merge_does_not_mutate_source(self):
+        source = _filled([3, 7, 11, 70_000])
+        before = source.checkpoint()
+        _filled([70_001]).merge(source)
+        assert source.checkpoint() == before
+
+    def test_report_merge_histograms_does_not_mutate_inputs(self):
+        # The report folds merge into a FRESH histogram: an input may be a
+        # caller-held pod histogram's snapshot.
+        first, second = _filled([10]), _filled([20_000])
+        snapshots = [first.checkpoint(), second.checkpoint()]
+        before = json.dumps(snapshots)
+        assert merge_histograms(snapshots).count == 2
+        assert json.dumps(snapshots) == before
+        assert [first.checkpoint(), second.checkpoint()] == snapshots
+
+    def test_merge_self_rejected(self):
+        histogram = LatencyHistogram()
+        with pytest.raises(ValueError, match="itself"):
+            histogram.merge(histogram)
+
+
+class TestSnapshot:
+    @settings(max_examples=100, deadline=None)
+    @given(values=latencies, later=latencies)
+    def test_property_restore_of_checkpoint_round_trips(self, values, later):
+        original = _filled(values)
+        copy = _filled([1, 2, 3])
+        copy.restore(json.loads(json.dumps(original.checkpoint())))
+        assert copy.checkpoint() == original.checkpoint()
+        for value in later:
             original.record(value)
             copy.record(value)
-        assert copy.to_dict() == original.to_dict()
+        assert snapshot_bytes(copy.checkpoint()) == snapshot_bytes(original.checkpoint())
 
-    def test_restore_pads_short_bucket_lists(self):
-        snapshot = LatencyHistogram().checkpoint()
-        snapshot["bucket_counts"] = [0]
-        histogram = LatencyHistogram()
-        histogram.restore(snapshot)
-        histogram.record(1)
-        assert histogram.bucket_counts() == {2: 1}
+    def test_snapshot_is_the_four_scalars_and_the_buckets(self):
+        snapshot = _filled([300, 5, 301, 5]).checkpoint()
+        assert snapshot == {"count": 4, "sum": 611, "min": 5, "max": 301,
+                            "buckets": [[5, 2], [300, 2]]}
+
+    def test_seed_is_accepted_and_ignored(self):
+        assert LatencyHistogram(seed=7).checkpoint() == LatencyHistogram().checkpoint()

@@ -40,6 +40,14 @@ TRAJECTORY = [
 ]
 GOLDEN_SWEEP = str(REPO / "tests" / "golden" / "SWEEP_tenant_scaling_quick.json")
 
+#: BENCH file number -> why reports from that file on mean to differ from
+#: the file before it.  Every other consecutive pair keeps its bytes.
+REPORT_BYTE_BOUNDARIES = {
+    41: "the log-linear latency sketch replaced the reservoir histogram: "
+        "percentile values and each pod's latency dict changed; counters, "
+        "packet and event counts and sim_delivered_frac did not",
+}
+
 
 @pytest.fixture
 def shards():
@@ -303,7 +311,8 @@ class TestQueryLayer:
     def test_committed_trajectory_never_changes_simulated_behaviour(self):
         """A gain-claiming PR may change host numbers only: between every
         consecutive pair of committed BENCH files each workload's report
-        bytes and delivered fraction are the same."""
+        bytes and delivered fraction are the same.  Across a declared
+        report-byte boundary only the delivered fraction is held."""
         directory = REPO / "benchmarks" / "trajectory"
         series = sorted(
             directory.glob("BENCH_*.json"), key=lambda path: int(path.stem[6:])
@@ -311,12 +320,15 @@ class TestQueryLayer:
         assert [str(path) for path in series[:2]] == TRAJECTORY
         for before, after in zip(series, series[1:]):
             old, new = read_json(str(before)), read_json(str(after))
+            crossed = any(int(before.stem[6:]) < number <= int(after.stem[6:])
+                          for number in REPORT_BYTE_BOUNDARIES)
             assert sorted(old["workloads"]) == sorted(new["workloads"])
             for name, entry in new["workloads"].items():
                 was = old["workloads"][name]["untraced"]
                 now = entry["untraced"]
                 where = f"{before.name} -> {after.name}: {name}"
-                assert now["sha256"] == was["sha256"], where
+                if not crossed:
+                    assert now["sha256"] == was["sha256"], where
                 assert (now["metrics"]["sim_delivered_frac"]
                         == was["metrics"]["sim_delivered_frac"]), where
 

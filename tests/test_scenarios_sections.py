@@ -47,7 +47,7 @@ def test_merge_runs_every_row_fold(reports):
     for row in SECTIONS:
         carried = any(key in report for _index, report in shards for key in row.keys)
         assert carried, row.keys
-        folded = row.merge(shards, 42)
+        folded = row.merge(shards)
         if row.keys == ("migration",):
             assert folded == {}
         else:

@@ -103,6 +103,13 @@ def test_every_case_pins_at_least_one_snapshot():
     assert all(golden[case] for case in ALL_CASES)
 
 
+@pytest.mark.parametrize("seed", (42, 7))
+def test_rolling_upgrade_freeze_is_under_10_kb(seed):
+    """The pod's latency observer is a few dozen buckets, not samples."""
+    (snapshot,) = _snapshots(f"migrate-rolling-upgrade-seed{seed}")
+    assert len(snapshot_bytes(snapshot)) < 10_000
+
+
 def test_the_capture_cases_reach_what_they_pin():
     limited = _snapshots("burst-limited")[-1]
     limiter = limited["pods"]["pod"]["nic"]["limiter"]
