@@ -131,6 +131,21 @@ class TestLatencyHistogram:
         assert fresh.checkpoint() == histogram.checkpoint()
         assert fresh.percentile(0.99) == histogram.percentile(0.99)
 
+    def test_restored_copy_records_like_the_original(self):
+        histogram = self._filled()
+        fresh = LatencyHistogram()
+        fresh.restore(json_round_trip(histogram.checkpoint()))
+        for value in range(1000, 200_000, 1000):
+            histogram.record(value)
+            fresh.record(value)
+        assert snapshot_bytes(fresh.checkpoint()) == snapshot_bytes(histogram.checkpoint())
+
+    def test_checkpoint_carries_no_samples(self):
+        snapshot = self._filled().checkpoint()
+        assert set(snapshot) == {"count", "sum", "min", "max", "buckets"}
+        assert snapshot["count"] == 5000
+        assert len(snapshot["buckets"]) < snapshot["count"] / 4
+
 
 def _flow(index):
     return FlowKey(0x0A000000 + index, 0x0B000000 + index, 1000 + index, 80, 17)

@@ -69,8 +69,22 @@ class TestBuckets:
         with pytest.raises(ValueError, match="negative"):
             LatencyHistogram().record(-300)
 
+    def test_zero_gets_its_own_bucket(self):
+        histogram = _filled([0, 0, 1])
+        assert histogram.checkpoint()["buckets"] == [[0, 2], [1, 1]]
+        assert histogram.fraction_below(1) == pytest.approx(2 / 3)
 
-class TestReads:
+    def test_power_of_two_boundaries(self):
+        # Every power of two from 2**8 up starts a bucket, and the value
+        # just below it ends the previous one.
+        for exponent in range(8, 61):
+            power = 2 ** exponent
+            assert bucket_edge(power) == power
+            assert bucket_top(bucket_edge(power - 1)) == power - 1
+            assert bucket_top(power) - power + 1 == 2 ** (exponent - MANTISSA_BITS)
+
+
+class TestQueries:
     @settings(max_examples=200, deadline=None)
     @given(values=latencies.filter(bool),
            fraction=st.floats(min_value=1e-6, max_value=1.0))
@@ -127,6 +141,38 @@ class TestReads:
         histogram.record(500)
         assert (histogram.min_ns, histogram.max_ns, histogram.percentile(1.0)) == (500,) * 3
 
+    @settings(max_examples=100, deadline=None)
+    @given(values=latencies.filter(bool),
+           fractions=st.lists(st.floats(min_value=1e-6, max_value=1.0),
+                              min_size=2, max_size=6))
+    def test_property_percentile_is_monotone(self, values, fractions):
+        histogram = _filled(values)
+        reads = [histogram.percentile(fraction) for fraction in sorted(fractions)]
+        assert reads == sorted(reads)
+        assert histogram.min_ns <= reads[0] and reads[-1] <= histogram.max_ns
+
+    def test_fig11_thresholds_read_at_their_bucket_edges(self):
+        # 30 us and 100 us are not bucket edges: the reads count values
+        # below the edges 29 952 and 99 840, under 0.8 % lower.
+        histogram = _filled([29_951, 29_952, 30_000, 99_839, 99_840, 100_000])
+        assert histogram.fraction_below(30_000) == pytest.approx(1 / 6)
+        assert histogram.fraction_below(100_000) == pytest.approx(4 / 6)
+        assert histogram.fraction_below(30_208) == pytest.approx(3 / 6)
+
+    def test_record_is_seen_by_later_reads(self):
+        histogram = _filled(range(100))
+        assert histogram.percentile(1.0) == 99
+        histogram.record(10_000)
+        assert histogram.percentile(1.0) == 10_000
+        assert histogram.fraction_below(10_000) == pytest.approx(100 / 101)
+
+    def test_merge_is_seen_by_later_reads(self):
+        histogram = _filled([1])
+        assert histogram.percentile(1.0) == 1
+        histogram.merge(_filled([500]))
+        assert histogram.percentile(1.0) == 500
+        assert histogram.fraction_below(2) == 0.5
+
 
 class TestMerge:
     @settings(max_examples=100, deadline=None)
@@ -148,6 +194,23 @@ class TestMerge:
         for histogram in reversed(grouped):
             merged.merge(histogram)
         assert snapshot_bytes(merged.checkpoint()) == snapshot_bytes(whole.checkpoint())
+
+    @settings(max_examples=100, deadline=None)
+    @given(left=latencies, right=latencies)
+    def test_property_merge_equals_concatenated_recording(self, left, right):
+        merged = _filled(left).merge(_filled(right))
+        combined = _filled(left + right)
+        assert merged.checkpoint() == combined.checkpoint()
+        if combined.count:
+            for fraction in (0.25, 0.5, 0.99, 1.0):
+                assert merged.percentile(fraction) == combined.percentile(fraction)
+            assert merged.fraction_below(10**6) == combined.fraction_below(10**6)
+
+    def test_merge_keeps_exact_aggregates(self):
+        merged = _filled([5000]).merge(_filled(range(1000)))
+        assert (merged.count, merged.min_ns, merged.max_ns) == (1001, 0, 5000)
+        assert merged.mean_ns == pytest.approx((sum(range(1000)) + 5000) / 1001)
+        assert sum(count for _edge, count in merged.checkpoint()["buckets"]) == 1001
 
     def test_merge_into_empty(self):
         merged = LatencyHistogram().merge(_filled([42]))
@@ -200,3 +263,43 @@ class TestSnapshot:
 
     def test_seed_is_accepted_and_ignored(self):
         assert LatencyHistogram(seed=7).checkpoint() == LatencyHistogram().checkpoint()
+
+    def test_snapshot_size_is_bounded_by_the_value_range(self):
+        # Recording more values from the same range adds no buckets: the
+        # snapshot grows with the range's bucket count, not with samples.
+        # Every bucket in [2**16, 2**20) is wider than 97, so the first
+        # fill already touches all 4 * 2**7 of them.
+        histogram = _filled(range(2**16, 2**20, 97))
+        buckets = len(histogram.checkpoint()["buckets"])
+        for value in range(2**16 + 1, 2**20, 89):
+            histogram.record(value)
+        assert len(histogram.checkpoint()["buckets"]) == buckets == 4 * 2 ** MANTISSA_BITS
+
+
+class TestReadsDoNotMutate:
+    """``record`` is eager; reading never changes what a snapshot shows."""
+
+    READERS = (
+        lambda h: h.count, lambda h: h.mean_ns, lambda h: h.min_ns,
+        lambda h: h.max_ns, lambda h: h.percentile(0.5),
+        lambda h: h.fraction_below(1000), lambda h: h.checkpoint(),
+        lambda h: h.merge(LatencyHistogram()),
+    )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        values=st.lists(st.integers(min_value=0, max_value=10**7), max_size=120),
+        reads=st.lists(st.tuples(st.integers(0, 120), st.integers(0, 7)), max_size=12),
+    )
+    def test_reads_anywhere_leave_the_same_snapshot(self, values, reads):
+        quiet = LatencyHistogram()
+        read_often = LatencyHistogram()
+        read_at = {}
+        for index, reader in reads:
+            read_at.setdefault(index, []).append(self.READERS[reader])
+        for index, value in enumerate(values):
+            for reader in read_at.get(index, ()):
+                reader(read_often)
+            quiet.record(value)
+            read_often.record(value)
+        assert snapshot_bytes(read_often.checkpoint()) == snapshot_bytes(quiet.checkpoint())

@@ -523,6 +523,14 @@ class TestHistogram:
         edges = [edge for edge, _count in histogram.checkpoint()["buckets"]]
         assert edges == sorted(edges) == [1, 10, 100, 1000, 9984]
 
+    def test_large_stream_percentiles_stay_close(self):
+        histogram = LatencyHistogram()
+        for value in range(100_000):
+            histogram.record(value)
+        # True P50 is 49 999; the sketch reads its bucket's top.
+        assert histogram.percentile(0.5) == pytest.approx(50_000, rel=2 ** -7)
+        assert histogram.percentile(1.0) == 99_999
+
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             LatencyHistogram().record(-1)
