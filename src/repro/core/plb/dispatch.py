@@ -18,6 +18,7 @@ full FIFO means a heavy hitter has exceeded what this queue can tolerate
 
 from repro.controlplane.snapshot import Stateful
 from repro.core.meta import PlbMeta
+from repro.packet.flows import FlowMemo
 from repro.packet.hashing import crc32_flow_hash
 
 ORDQ_HASH_SEED = 0x0DD0
@@ -56,19 +57,12 @@ class PlbDispatcher(Stateful):
         self.dispatched = 0
         self.fifo_full_drops = 0
         self.dead_core_drops = 0
-        # Flow -> order queue memo (same bounded-cache pattern as the RSS
-        # Toeplitz cache): the CRC+mix is pure in the 5-tuple, and flow
-        # populations are tiny next to the cap.
-        self._ordq_cache = {}
+        # Flow -> order queue: the CRC+mix is pure in the 5-tuple.
+        self._ordq_cache = FlowMemo(self.ordq_index)
 
     def ordq_index(self, flow):
         """``get_ordq_idx``: 5-tuple hash onto the pod's order queues."""
-        ordq = self._ordq_cache.get(flow)
-        if ordq is None:
-            ordq = crc32_flow_hash(flow, seed=ORDQ_HASH_SEED) % self.reorder.queue_count
-            if len(self._ordq_cache) < 1_000_000:
-                self._ordq_cache[flow] = ordq
-        return ordq
+        return crc32_flow_hash(flow, seed=ORDQ_HASH_SEED) % self.reorder.queue_count
 
     def dispatch(self, packet):
         """Tag and spray one packet.
@@ -97,11 +91,7 @@ class PlbDispatcher(Stateful):
                 return None
         reorder = self.reorder
         now = reorder.sim._now
-        flow = packet.flow
-        try:
-            ordq = self._ordq_cache[flow]
-        except KeyError:
-            ordq = self.ordq_index(flow)
+        ordq = self._ordq_cache[packet.flow]
         queue = reorder._queues[ordq]
         fifo = queue.fifo
         occupancy = len(fifo)

@@ -8,6 +8,7 @@ exceeds one core's capacity.
 """
 
 from repro.controlplane.snapshot import Stateful
+from repro.packet.flows import FlowMemo
 from repro.packet.hashing import TOEPLITZ_DEFAULT_KEY, toeplitz_flow_hash
 
 INDIRECTION_ENTRIES = 128
@@ -29,7 +30,7 @@ class RssDispatcher(Stateful):
             index % len(self.cores) for index in range(INDIRECTION_ENTRIES)
         ]
         self.dispatched = 0
-        self._hash_cache = {}
+        self._hash_cache = FlowMemo(lambda flow: toeplitz_flow_hash(flow, key))
 
     def restore(self, snapshot):
         self.set_indirection(snapshot["indirection"])  # validated against these cores
@@ -52,11 +53,7 @@ class RssDispatcher(Stateful):
 
     def core_for_flow(self, flow):
         """The core a flow is pinned to (pure function of the 5-tuple)."""
-        hashed = self._hash_cache.get(flow)
-        if hashed is None:
-            hashed = toeplitz_flow_hash(flow, self.key)
-            if len(self._hash_cache) < 1_000_000:
-                self._hash_cache[flow] = hashed
+        hashed = self._hash_cache[flow]
         return self.cores[self._indirection[hashed % INDIRECTION_ENTRIES]]
 
     def dispatch(self, packet):

@@ -19,6 +19,7 @@ code and more lookup tables" (§6) -- 8 chained lookups vs 4-5.
 from typing import List, NamedTuple
 
 from repro.cpu.cache import CACHE_LINE_BYTES
+from repro.packet.flows import FlowMemo
 from repro.packet.hashing import crc32_flow_hash
 
 
@@ -171,26 +172,20 @@ class ServiceChain:
             + service.lookup_count
             * self.timings.expected_lookup_ns(self.assumed_hit_rate)
         )
-        # Flow -> address-chain memo: the CRC mix is pure in the flow
-        # (same bounded pattern as the RSS Toeplitz cache).
-        self._addr_cache = {}
+        # Flow -> address-chain memo: the CRC mix is pure in the flow.
+        self._addr_cache = FlowMemo(self.lookup_addresses)
 
     def lookup_addresses(self, flow):
         """(address, entry_bytes) pairs touched by this flow's chain."""
-        addresses = self._addr_cache.get(flow)
-        if addresses is None:
-            addresses = tuple(
-                (
-                    base
-                    + (crc32_flow_hash(flow, seed=index * 0x1000 + 1) % entries)
-                    * entry_bytes,
-                    entry_bytes,
-                )
-                for index, (base, entries, entry_bytes) in enumerate(self._regions)
+        return tuple(
+            (
+                base
+                + (crc32_flow_hash(flow, seed=index * 0x1000 + 1) % entries)
+                * entry_bytes,
+                entry_bytes,
             )
-            if len(self._addr_cache) < 1_000_000:
-                self._addr_cache[flow] = addresses
-        return addresses
+            for index, (base, entries, entry_bytes) in enumerate(self._regions)
+        )
 
     def service_time_ns(self, packet):
         """Per-packet service time in integer nanoseconds."""
@@ -200,7 +195,7 @@ class ServiceChain:
         cache = self.cache
         timings = self.timings
         total = float(self.service.base_ns)
-        for address, entry_bytes in self.lookup_addresses(packet.flow):
+        for address, entry_bytes in self._addr_cache[packet.flow]:
             total += timings.lookup_ns(cache.access(address, entry_bytes))
         return int(total)
 

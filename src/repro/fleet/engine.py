@@ -20,6 +20,9 @@ strict: **the merged report is byte-identical whether the sweep ran on
 * The report carries no wall-clock, host, or pid fields -- wall time is
   printed by the CLI, never written into the artifact.
 
+One shard at a time per process: a built deployment is a reference
+cycle, so a process collects its previous shard before the next one.
+
 What may run in a worker: pure simulation from a spec.  What must stay
 in the parent: merging, report rendering, and anything that touches
 the ordering of shards.
@@ -36,6 +39,7 @@ the shards that were in flight; the rest are served from disk on resume
 and the merged artifact is still byte-identical to an uninterrupted run.
 """
 
+import gc
 import multiprocessing
 import os
 import traceback
@@ -102,6 +106,11 @@ def run_shard(payload):
     return {"index": payload["index"], "axes": payload["axes"], "report": report}
 
 
+#: Shards this pool worker has run.  The parent never calls
+#: ``_worker_call``, so a freshly forked worker starts at 0.
+_worker_tasks = 0
+
+
 def _worker_call(task):
     """Run ``fn(payload)`` in a worker, capturing failures as data.
 
@@ -110,7 +119,11 @@ def _worker_call(task):
     :class:`ShardFailure` that names the shard and its axes.  The
     payload's position rides along so the parent can place the outcome.
     """
+    global _worker_tasks
     fn, position, payload = task
+    if _worker_tasks:
+        gc.collect()  # free this worker's previous shard first
+    _worker_tasks += 1
     try:
         return position, {"ok": True, "value": fn(payload)}
     except Exception as error:  # noqa: BLE001 - reported, not swallowed
@@ -160,6 +173,11 @@ def pool_map(fn, payloads, workers, on_result=None):
     ``workers <= 1`` runs inline -- same code path, no pool -- so a
     parallel run can always be cross-checked against a serial one.
 
+    Inline or in a pool worker, ``gc.collect()`` runs before a process's
+    second and later payloads, never after its last.  A worker freezes
+    what it inherits when it starts, so its collections walk only what
+    it built.
+
     On a pool, payloads start in the order given (put the longest first)
     and ``on_result(payload, result)`` fires as each result lands,
     whatever its position (the durable run store persists shards through
@@ -173,7 +191,9 @@ def pool_map(fn, payloads, workers, on_result=None):
     payloads = list(payloads)
     if workers <= 1 or len(payloads) <= 1:
         results = []
-        for payload in payloads:
+        for position, payload in enumerate(payloads):
+            if position:
+                gc.collect()  # free the previous shard first
             try:
                 result = fn(payload)
             except KeyboardInterrupt:
@@ -190,7 +210,7 @@ def pool_map(fn, payloads, workers, on_result=None):
     _export_import_path()
     context = _pool_context()
     processes = min(workers, len(payloads))
-    pool = context.Pool(processes=processes)
+    pool = context.Pool(processes=processes, initializer=gc.freeze)
     try:
         outcomes = [None] * len(payloads)
         tasks = [

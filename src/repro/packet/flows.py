@@ -9,6 +9,26 @@ from typing import NamedTuple
 PROTO_TCP = 6
 PROTO_UDP = 17
 
+#: Entries a :class:`FlowMemo` keeps: every recurring registry population
+#: fits, a million-tenant tail of one-shot flows does not.
+FLOW_MEMO_CAPACITY = 4096
+
+
+class FlowMemo(dict):
+    """``memo[key] == derive(key)`` for a pure ``derive``; a hit is a plain
+    dict subscript, and a miss is kept while ``len < FLOW_MEMO_CAPACITY``."""
+
+    __slots__ = ("derive",)
+
+    def __init__(self, derive):
+        self.derive = derive
+
+    def __missing__(self, key):
+        value = self.derive(key)
+        if len(self) < FLOW_MEMO_CAPACITY:
+            self[key] = value
+        return value
+
 
 class FlowKey(NamedTuple):
     """Transport 5-tuple.  IPs are 32-bit ints, ports 16-bit, proto 8-bit."""

@@ -10,14 +10,14 @@ path.
 
 The fast path is synchronous and terminal: a fast-forwarded packet gets
 its arrival/departure stamps here and never reaches a pod, exactly like
-hardware offload bypassing the host.  Its latency lands in the tier's
-own histogram so reports can compare the two tiers side by side.  It is
-the deployment's third packet exit, next to a pod's egress and drop
-points (see :class:`~repro.core.gateway.AlbatrossServer`).
+hardware offload bypassing the host; its latency is the constant
+``fast_latency_ns``.  It is the deployment's third packet exit, next to
+a pod's egress and drop points (see
+:class:`~repro.core.gateway.AlbatrossServer`).
 """
 
 from repro.metrics.counters import CounterSet
-from repro.metrics.histogram import LatencyHistogram
+from repro.metrics.histogram import LatencyHistogram, bucket_edge
 
 #: The ``outcome`` exit subscribers see for a DPU fast-forward.
 DPU_FAST_PATH = "dpu_fast_path"
@@ -46,7 +46,7 @@ class DpuPreClassifier:
     """
 
     __slots__ = ("sim", "slow_sink", "table_capacity", "fast_latency_ns",
-                 "promoter", "counters", "latency_histogram", "_table",
+                 "promoter", "counters", "_table",
                  "name", "subscribers")
 
     def __init__(self, sim, slow_sink, table_capacity=256,
@@ -60,7 +60,6 @@ class DpuPreClassifier:
         self.fast_latency_ns = fast_latency_ns
         self.promoter = promoter
         self.counters = CounterSet()
-        self.latency_histogram = LatencyHistogram()
         self._table = {}          # FlowKey -> install simtime (ns)
         self.name = name
         self.subscribers = subscribers
@@ -84,7 +83,6 @@ class DpuPreClassifier:
                 counts["fast_forwards"] += 1
             except KeyError:
                 counts["fast_forwards"] = 1
-            self.latency_histogram.record(self.fast_latency_ns)
             for subscriber in self.subscribers:
                 subscriber(packet, self.name, DPU_FAST_PATH)
             return
@@ -93,6 +91,19 @@ class DpuPreClassifier:
         except KeyError:
             counts["slow_forwards"] = 1
         self.slow_sink(packet)
+
+    @property
+    def latency_histogram(self):
+        """``fast_forwards`` records of ``fast_latency_ns``, built on read."""
+        histogram = LatencyHistogram()
+        forwards = self.counters.get("fast_forwards")
+        if forwards:
+            latency = self.fast_latency_ns
+            histogram.count = forwards
+            histogram.sum_ns = forwards * latency
+            histogram.min_ns = histogram.max_ns = latency
+            histogram.buckets[bucket_edge(latency)] = forwards
+        return histogram
 
     # -- table management (the promoter's API) -----------------------------
 

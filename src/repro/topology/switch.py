@@ -8,6 +8,7 @@ workload sources' per-flow emission order.
 """
 
 from repro.metrics.counters import CounterSet
+from repro.packet.flows import FlowMemo
 from repro.packet.hashing import crc32_flow_hash
 
 
@@ -104,9 +105,9 @@ class FlowPodDispatch:
 
     Counters: ``dispatched`` and ``to_pod.<name>``.
 
-    The pod a flow hashes to is memoised per flow (bounded, like the PLB
-    order-queue memo): it is a pure function of the flow, the seed and the
-    pod count, all fixed for the dispatcher's life.
+    The pod a flow hashes to is memoised in a bounded
+    :class:`~repro.packet.flows.FlowMemo`: it is a pure function of the
+    flow, the seed and the pod count, all fixed for the dispatcher's life.
     """
 
     __slots__ = ("server_name", "sinks", "hash_seed", "counters", "_sink_keys",
@@ -121,16 +122,11 @@ class FlowPodDispatch:
         self.hash_seed = hash_seed
         self.counters = CounterSet()
         self._sink_keys = tuple(f"to_pod.{name}" for name, _ in sinks)
-        self._pod_of = {}         # FlowKey -> sink index (pure memo)
+        self._pod_of = FlowMemo(  # FlowKey -> sink index
+            lambda flow: crc32_flow_hash(flow, hash_seed) % len(sinks))
 
     def forward(self, packet):
-        flow = packet.flow
-        try:
-            index = self._pod_of[flow]
-        except KeyError:
-            index = crc32_flow_hash(flow, self.hash_seed) % len(self.sinks)
-            if len(self._pod_of) < 1_000_000:
-                self._pod_of[flow] = index
+        index = self._pod_of[packet.flow]
         _, sink = self.sinks[index]
         counts = self.counters.counts
         sink_key = self._sink_keys[index]

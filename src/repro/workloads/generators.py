@@ -17,7 +17,7 @@ from array import array
 from collections.abc import Sequence
 
 from repro.controlplane.snapshot import Stateful
-from repro.packet.flows import flow_for_tenant
+from repro.packet.flows import FlowMemo, flow_for_tenant
 from repro.packet.packet import Packet, PacketKind
 from repro.sim.units import SECOND
 
@@ -27,9 +27,10 @@ class FlowPopulation:
 
     ``flows`` and ``vnis`` are sequences -- lists, or views that compute
     item ``i`` on demand -- held by reference.  What the population itself
-    keeps is one ``FlowKey`` per flow *drawn so far* (built on first draw,
-    at most ``len(flows)`` of them) and, only with ``weights``, one
-    ``array('d')`` of cumulative weight; a VNI is looked up per draw.
+    keeps is a :class:`~repro.packet.flows.FlowMemo` of the flows drawn so
+    far (built on first draw, at most its capacity of them) and, only with
+    ``weights``, one ``array('d')`` of cumulative weight; a VNI is looked
+    up per draw.
     """
 
     DERIVED = {"_drawn": "memo of flows[index] per drawn index; a rebuilt population re-derives it"}
@@ -55,7 +56,7 @@ class FlowPopulation:
             raise ValueError("vnis/flows length mismatch")
         self._vni_at = self.vnis.__getitem__  # bound once, called per draw
         self._last = count - 1
-        self._drawn = {}
+        self._drawn = FlowMemo(flows.__getitem__)
 
     def __len__(self):
         return len(self.flows)
@@ -67,10 +68,7 @@ class FlowPopulation:
         index = int(point) if table is None else bisect.bisect_right(table, point)
         if index > self._last:
             index = self._last
-        flow = self._drawn.get(index)
-        if flow is None:
-            flow = self._drawn[index] = self.flows[index]
-        return flow, self._vni_at(index)
+        return self._drawn[index], self._vni_at(index)
 
 
 class _TenantFlows(Sequence):

@@ -9,11 +9,13 @@ scheduler tests reads a clock: order is observed through files the
 workers and ``on_result`` write.
 """
 
+import gc
 import json
 import math
 import os
 import shutil
 import time
+import weakref
 from pathlib import Path
 
 import pytest
@@ -21,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cli import build_parser, main
+from repro.fleet import engine
 from repro.fleet import (
     MAX_SHARDS,
     SWEEP_FACTORIES,
@@ -272,6 +275,10 @@ def _echo(payload):
     return ("done", payload)
 
 
+def _frozen_objects(payload):
+    return gc.get_freeze_count()
+
+
 def _source_packets(spec):
     """Rate x duration from the sources build() actually attached."""
     handle = build(spec)
@@ -475,6 +482,57 @@ class TestPoolArtifactsByteIdentical:
         assert report.cached_shards == len(shards) // 2
         assert sweep_to_json(report) == text
         assert killed.completed_indices() == [shard.index for shard in shards]
+
+
+class TestOneShardAtATime:
+    """A process frees its previous shard before it builds the next one,
+    and never collects after its last."""
+
+    @pytest.fixture
+    def no_automatic_gc(self):
+        # Only an explicit collection may free a shard's cyclic graph.
+        gc.disable()
+        yield
+        gc.enable()
+
+    def test_inline_sweep_frees_shard_0_before_building_shard_1(
+        self, monkeypatch, no_automatic_gc
+    ):
+        # ``Simulator`` has no weakref slot: watch the deployment around it.
+        refs, alive_at_build = [], []
+
+        def tracking_build(spec):
+            alive_at_build.append(sum(ref() is not None for ref in refs))
+            handle = build(spec)
+            refs.extend(weakref.ref(part) for part in (
+                handle, handle.server, *handle.pods.values(), *handle.sources))
+            return handle
+
+        monkeypatch.setattr(engine, "build", tracking_build)
+        shards = [ShardSpec(index, {}, _tiny_spec(seed=index + 1)) for index in range(2)]
+        run_sweep("tiny", shards, workers=1)
+        assert alive_at_build == [0, 0]
+
+    def test_inline_map_collects_between_payloads_only(self, monkeypatch):
+        collections = []
+        monkeypatch.setattr(engine.gc, "collect", lambda: collections.append(1))
+        assert pool_map(_echo, [1, 2, 3], workers=1) == [("done", 1), ("done", 2), ("done", 3)]
+        assert len(collections) == 2
+
+    def test_pool_workers_freeze_what_they_inherit(self):
+        assert gc.get_freeze_count() == 0
+        assert all(pool_map(_frozen_objects, [0, 1], workers=2))
+
+    def test_a_pool_worker_collects_before_its_later_tasks_only(self, monkeypatch):
+        collections = []
+        monkeypatch.setattr(engine, "_worker_tasks", 0)
+        monkeypatch.setattr(engine.gc, "collect", lambda: collections.append(1))
+        seen = []
+        for position in range(3):
+            assert engine._worker_call((_echo, position, position)) == (
+                position, {"ok": True, "value": ("done", position)})
+            seen.append(len(collections))
+        assert seen == [0, 1, 2]
 
 
 class TestSweepCli:

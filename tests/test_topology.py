@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.metrics.histogram import LatencyHistogram
 from repro.packet.flows import FlowKey
 from repro.packet.hashing import crc32_flow_hash
 from repro.packet.packet import Packet
@@ -162,6 +163,18 @@ class TestDpuPreClassifier:
         assert packet.latency_ns == 2_000
         assert dpu.counters.get("fast_forwards") == 1
         assert dpu.latency_histogram.count == 1
+
+    @pytest.mark.parametrize("fast_latency_ns", [0, 2_000, 12_345])
+    def test_latency_histogram_is_derived_from_fast_forwards(self, fast_latency_ns):
+        dpu = DpuPreClassifier(Simulator(), _collector([]), fast_latency_ns=fast_latency_ns)
+        assert dpu.latency_histogram.checkpoint() == LatencyHistogram().checkpoint()
+        flow = _flow(1)
+        dpu.promote(flow)
+        recorded = LatencyHistogram()
+        for _ in range(3):
+            dpu.ingress(Packet(flow))
+            recorded.record(fast_latency_ns)
+        assert dpu.latency_histogram.checkpoint() == recorded.checkpoint()
 
     def test_table_capacity_and_demotion(self):
         sim = Simulator()
