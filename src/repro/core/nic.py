@@ -198,7 +198,12 @@ class NicPipeline(Stateful):
         the counter that accounts for it and tell the pod -- a drop site
         cannot do half of it."""
         packet.drop_reason = reason
-        self._incr(self.DROP_COUNTERS[reason])
+        counts = self._counts
+        counter = self.DROP_COUNTERS[reason]
+        try:
+            counts[counter] += 1
+        except KeyError:
+            counts[counter] = 1
         if self._sanitizer is not None:
             self._check_conserved(packet, reason)
         if self.drop_fn is not None:

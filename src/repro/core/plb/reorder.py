@@ -236,7 +236,13 @@ class ReorderEngine(Stateful):
                         or sim._now - enqueue_ns >= timeout_ns):
                     self._drain(ordq, queue)
                 elif event is not None:
-                    sim.rearm(event, enqueue_ns + timeout_ns - sim._now)
+                    # ``Simulator.rearm``'s pending path, in this frame: a
+                    # held timer is pending here (a fired one is re-armed or
+                    # dropped before its handler returns), and the new head
+                    # is no older than the one it was armed for, so its
+                    # deadline only moves later.
+                    event.time = enqueue_ns + timeout_ns
+                    event.seq = sim.next_seq()
                 else:
                     queue.timeout_event = sim.schedule(
                         enqueue_ns + timeout_ns - sim._now, self._on_timeout, ordq
@@ -412,7 +418,11 @@ class ReorderEngine(Stateful):
         """Point the queue's timeout event at the current head's deadline.
 
         Head deadlines only move later (FIFO ``enqueue_ns`` is monotone, a past
-        deadline clamps to now), so an armed event is rearmed in place.
+        deadline clamps to now), so a pending event moves in place, as
+        ``Simulator.rearm``'s pending path moves it, in this frame; a fired
+        one (this is its own handler's drain) is queued again through
+        ``rearm``: a queue allocates a timer only when its FIFO fills from
+        empty.
         """
         event = queue.timeout_event
         if not queue.fifo:
@@ -424,14 +434,17 @@ class ReorderEngine(Stateful):
         delay = queue.fifo[0][1] + self.config.timeout_ns - sim._now
         if delay < 0:
             delay = 0
-        if event is not None:
+        if event is None:
+            queue.timeout_event = sim.schedule(delay, self._on_timeout, ordq)
+        elif event.fired:
             sim.rearm(event, delay)
         else:
-            queue.timeout_event = sim.schedule(delay, self._on_timeout, ordq)
+            event.time = sim._now + delay
+            event.seq = sim.next_seq()
 
     def _on_timeout(self, ordq):
+        # The fired handle stays: the drain's _arm_timeout re-arms or drops it.
         queue = self._queues[ordq]
-        queue.timeout_event = None
         self._drain(ordq, queue)
 
     def _transmit_best_effort(self, packet):

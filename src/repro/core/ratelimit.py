@@ -24,6 +24,7 @@ import enum
 
 from repro.analysis.sanitizer import get_sanitizer
 from repro.controlplane.snapshot import Stateful, Table
+from repro.packet.flows import FlowMemo
 from repro.packet.hashing import crc32_vni_hash
 from repro.sim.units import SECOND
 
@@ -124,11 +125,18 @@ class _HitterSampler(Stateful):
     promoted to the pre_check table.  Heavy hitters dominate drops, so the
     promotion takes effect "in one second" as the paper states.  The
     window counts snapshot as ``[vni, count]`` pairs, keeping VNIs integer.
+
+    The sample is ``rng.randrange(sample_rate) == 0`` drawn in
+    :meth:`observe`'s own frame: ``getrandbits(sample_rate.bit_length())``
+    until the draw is below ``sample_rate``, which is what CPython's
+    ``Random.randrange(n)`` runs, so the stream advances identically.
     """
 
     STATE = (("counts", "_counts"), ("window_start", "_window_start"), "rng")
 
     def __init__(self, rng, sample_rate=100, threshold=8, window_ns=SECOND):
+        if sample_rate < 1:
+            raise ValueError(f"sample rate must be >= 1, got {sample_rate}")
         self.rng = rng
         self.sample_rate = sample_rate
         self.threshold = threshold
@@ -141,7 +149,14 @@ class _HitterSampler(Stateful):
         if now_ns - self._window_start > self.window_ns:
             self._counts.clear()
             self._window_start = now_ns
-        if self.rng.randrange(self.sample_rate) != 0:
+        # rng.randrange(sample_rate), without its two Python frames.
+        sample_rate = self.sample_rate
+        bits = sample_rate.bit_length()
+        getrandbits = self.rng.getrandbits
+        draw = getrandbits(bits)
+        while draw >= sample_rate:
+            draw = getrandbits(bits)
+        if draw:
             return False
         count = self._counts.get(vni, 0) + 1
         self._counts[vni] = count
@@ -166,6 +181,11 @@ class TwoStageRateLimiter(Stateful):
     counters.  Bucket tables are ``Table`` objects: ``[index, bucket]``
     pairs sorted by index, independent of arrival order.  Table sizes and the
     promotion policy stay as constructed.
+
+    A VNI's meter-table index is a pure function of the VNI (the table
+    size is fixed), so it is derived once per VNI into a bounded
+    :class:`~repro.packet.flows.FlowMemo` that no SRAM scrub or restore
+    touches.
     """
 
     STATE = (
@@ -174,6 +194,10 @@ class TwoStageRateLimiter(Stateful):
         ("bypass", "_bypass"), "decisions", "promotions", "sram_resets",
         ("sampler", "_sampler"),
     )
+    DERIVED = {
+        "_meter_slot": "memo of a VNI's meter index, a pure function of the VNI and "
+                       "the constructed table size",
+    }
 
     COLOR_ENTRY_BYTES = 32
     METER_ENTRY_BYTES = 32
@@ -203,6 +227,8 @@ class TwoStageRateLimiter(Stateful):
         self._color = Table(TokenBucket)   # index -> bucket (lazily materialized)
         self._meter = Table(TokenBucket)
         self._pre_meter = Table(TokenBucket)   # vni -> bucket
+        self._meter_slot = FlowMemo(   # vni -> meter index
+            lambda vni: crc32_vni_hash(vni, seed=0x3E7E) % meter_entries)
         self._bypass = set()
         self._sampler = _HitterSampler(rng, sample_rate=sample_rate)
         self.decisions = {decision: 0 for decision in RateLimitDecision}
@@ -298,7 +324,7 @@ class TwoStageRateLimiter(Stateful):
                     decision = failed
                     break
                 # Over the coarse limit: marked excess meets the meter table.
-                meter_index = crc32_vni_hash(vni, seed=0x3E7E) % self.meter_entries
+                meter_index = self._meter_slot[vni]
                 bucket = self._meter.get(meter_index)
                 if bucket is None:
                     bucket = self._meter[meter_index] = TokenBucket(self.stage2_rate_pps)

@@ -175,8 +175,10 @@ def pool_map(fn, payloads, workers, on_result=None):
 
     Inline or in a pool worker, ``gc.collect()`` runs before a process's
     second and later payloads, never after its last.  A worker freezes
-    what it inherits when it starts, so its collections walk only what
-    it built.
+    what it inherits when it starts, and the inline loop what its caller
+    held before the first payload (unfrozen after the last, unless the
+    caller had frozen objects itself), so a collection walks only the
+    shards.
 
     On a pool, payloads start in the order given (put the longest first)
     and ``on_result(payload, result)`` fires as each result lands,
@@ -191,21 +193,28 @@ def pool_map(fn, payloads, workers, on_result=None):
     payloads = list(payloads)
     if workers <= 1 or len(payloads) <= 1:
         results = []
-        for position, payload in enumerate(payloads):
-            if position:
-                gc.collect()  # free the previous shard first
-            try:
-                result = fn(payload)
-            except KeyboardInterrupt:
-                raise
-            except Exception as error:
-                raise ShardFailure(
-                    f"{_payload_label(payload)} failed with "
-                    f"{type(error).__name__}: {error}"
-                ) from error
-            if on_result is not None:
-                on_result(payload, result)
-            results.append(result)
+        freeze = not gc.get_freeze_count()
+        if freeze:
+            gc.freeze()
+        try:
+            for position, payload in enumerate(payloads):
+                if position:
+                    gc.collect()  # free the previous shard first
+                try:
+                    result = fn(payload)
+                except KeyboardInterrupt:
+                    raise
+                except Exception as error:
+                    raise ShardFailure(
+                        f"{_payload_label(payload)} failed with "
+                        f"{type(error).__name__}: {error}"
+                    ) from error
+                if on_result is not None:
+                    on_result(payload, result)
+                results.append(result)
+        finally:
+            if freeze:
+                gc.unfreeze()
         return results
     _export_import_path()
     context = _pool_context()

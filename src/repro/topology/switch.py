@@ -108,6 +108,8 @@ class FlowPodDispatch:
     The pod a flow hashes to is memoised in a bounded
     :class:`~repro.packet.flows.FlowMemo`: it is a pure function of the
     flow, the seed and the pod count, all fixed for the dispatcher's life.
+    A one-pod server has nothing to pick: every flow goes to pod 0,
+    unhashed, and no memo is kept.
     """
 
     __slots__ = ("server_name", "sinks", "hash_seed", "counters", "_sink_keys",
@@ -122,11 +124,13 @@ class FlowPodDispatch:
         self.hash_seed = hash_seed
         self.counters = CounterSet()
         self._sink_keys = tuple(f"to_pod.{name}" for name, _ in sinks)
-        self._pod_of = FlowMemo(  # FlowKey -> sink index
+        # FlowKey -> sink index; a lone pod needs neither hash nor memo.
+        self._pod_of = None if len(sinks) == 1 else FlowMemo(
             lambda flow: crc32_flow_hash(flow, hash_seed) % len(sinks))
 
     def forward(self, packet):
-        index = self._pod_of[packet.flow]
+        pod_of = self._pod_of
+        index = 0 if pod_of is None else pod_of[packet.flow]
         _, sink = self.sinks[index]
         counts = self.counters.counts
         sink_key = self._sink_keys[index]

@@ -27,13 +27,14 @@ class FlowPopulation:
 
     ``flows`` and ``vnis`` are sequences -- lists, or views that compute
     item ``i`` on demand -- held by reference.  What the population itself
-    keeps is a :class:`~repro.packet.flows.FlowMemo` of the flows drawn so
-    far (built on first draw, at most its capacity of them) and, only with
-    ``weights``, one ``array('d')`` of cumulative weight; a VNI is looked
-    up per draw.
+    keeps is a :class:`~repro.packet.flows.FlowMemo` of the ``(flow, vni)``
+    pairs drawn so far (at most its capacity of them), so a memoised draw
+    is one subscript, and, only with ``weights``, one ``array('d')`` of
+    cumulative weight.
     """
 
-    DERIVED = {"_drawn": "memo of flows[index] per drawn index; a rebuilt population re-derives it"}
+    DERIVED = {"_drawn": "memo of (flows[index], vnis[index]) per drawn index; "
+                         "a rebuilt population re-derives it"}
 
     def __init__(self, flows, weights=None, vnis=None):
         count = len(flows)
@@ -54,9 +55,8 @@ class FlowPopulation:
         self.vnis = vnis if vnis is not None else _TenantVnis(count, tenants=1)
         if len(self.vnis) != count:
             raise ValueError("vnis/flows length mismatch")
-        self._vni_at = self.vnis.__getitem__  # bound once, called per draw
         self._last = count - 1
-        self._drawn = FlowMemo(flows.__getitem__)
+        self._drawn = FlowMemo(self._pair)
 
     def __len__(self):
         return len(self.flows)
@@ -68,7 +68,10 @@ class FlowPopulation:
         index = int(point) if table is None else bisect.bisect_right(table, point)
         if index > self._last:
             index = self._last
-        return self._drawn[index], self._vni_at(index)
+        return self._drawn[index]
+
+    def _pair(self, index):
+        return self.flows[index], self.vnis[index]
 
 
 class _TenantFlows(Sequence):
@@ -201,8 +204,11 @@ class CbrSource(_SourceBase, Stateful):
     def _tick(self):
         # Once per packet, so ``_emit_one``/``_schedule_next`` are inlined.  Not
         # ``post``: the tick's ``(time, seq)`` is checkpointed, and it is
-        # cancelled.  The firing event is ``_next_event``; ``rearm`` queues it
-        # again at the ``(time, seq)`` a fresh ``schedule`` would take.
+        # cancelled.  The firing event is ``_next_event``: it is re-queued
+        # in this frame exactly as ``Simulator.rearm``'s fired path re-queues
+        # it, at the ``(time, seq)`` a fresh ``schedule`` would take.  A sink
+        # that re-set the rate has replaced it with a pending event, which
+        # ``rearm`` moves.
         if not self._running:
             return
         flow, vni = self.population.choose(self.rng)
@@ -211,7 +217,15 @@ class CbrSource(_SourceBase, Stateful):
         if self.count_limit is not None and self.emitted >= self.count_limit:
             self.stop()
         if self._running:
-            self.sim.rearm(self._next_event, self._interval)
+            event = self._next_event
+            sim = self.sim
+            if event.fired and not event.cancelled:
+                event.time = time = sim._now + self._interval
+                event.seq = seq = sim.next_seq()
+                event.fired = False
+                sim.push((time, seq, event.fn, event.args, event))
+            else:
+                sim.rearm(event, self._interval)
 
     def stop(self):
         super().stop()

@@ -519,6 +519,20 @@ class TestOneShardAtATime:
         assert pool_map(_echo, [1, 2, 3], workers=1) == [("done", 1), ("done", 2), ("done", 3)]
         assert len(collections) == 2
 
+    def test_inline_map_freezes_what_its_caller_held(self):
+        assert gc.get_freeze_count() == 0
+        assert all(pool_map(_frozen_objects, [0, 1], workers=1))
+        assert gc.get_freeze_count() == 0
+
+    def test_inline_map_leaves_a_callers_own_freeze_alone(self):
+        gc.freeze()
+        try:
+            frozen = gc.get_freeze_count()
+            assert pool_map(_frozen_objects, [0, 1], workers=1) == [frozen, frozen]
+            assert gc.get_freeze_count() == frozen
+        finally:
+            gc.unfreeze()
+
     def test_pool_workers_freeze_what_they_inherit(self):
         assert gc.get_freeze_count() == 0
         assert all(pool_map(_frozen_objects, [0, 1], workers=2))

@@ -2,17 +2,38 @@
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.ratelimit import RateLimitDecision, TokenBucket, TwoStageRateLimiter
+from repro.core.ratelimit import (
+    RateLimitDecision,
+    TokenBucket,
+    TwoStageRateLimiter,
+    _HitterSampler,
+)
+from repro.packet import flows
 from repro.packet.hashing import crc32_vni_hash
 from repro.sim.units import MS, SECOND
 
 
+def _randrange_observe(sampler, vni, now_ns):
+    """``_HitterSampler.observe`` with its sample drawn by ``randrange``."""
+    if now_ns - sampler._window_start > sampler.window_ns:
+        sampler._counts.clear()
+        sampler._window_start = now_ns
+    if sampler.rng.randrange(sampler.sample_rate) != 0:
+        return False
+    count = sampler._counts.get(vni, 0) + 1
+    sampler._counts[vni] = count
+    return count >= sampler.threshold
+
+
 def _bucket_level_admit(limiter, vni, now_ns):
-    """The §4.3 pipeline spelled with ``TokenBucket.allow`` table by table:
-    the reference that ``TwoStageRateLimiter.admit`` inlines."""
+    """The §4.3 pipeline spelled with ``TokenBucket.allow`` table by table,
+    the meter index hashed per packet and the sample drawn by
+    ``randrange``: the reference that ``TwoStageRateLimiter.admit``
+    inlines."""
     if vni in limiter._bypass:
         decision = RateLimitDecision.BYPASS
     elif vni in limiter._pre_meter:
@@ -32,7 +53,7 @@ def _bucket_level_admit(limiter, vni, now_ns):
                 decision = RateLimitDecision.ALLOW_MARKED
             else:
                 decision = RateLimitDecision.DROP_METER
-                if limiter.auto_promote and limiter._sampler.observe(vni, now_ns):
+                if limiter.auto_promote and _randrange_observe(limiter._sampler, vni, now_ns):
                     limiter.promote_heavy_hitter(vni)
     limiter.decisions[decision] += 1
     return decision
@@ -138,29 +159,58 @@ class TestTwoStageProperties:
         assert limiter.sram_bytes() < 2.2 * (1 << 20)
         assert TwoStageRateLimiter.naive_sram_bytes(tenants) == tenants * 208
 
+    @pytest.mark.parametrize("sample_rate", [1, 2, 3, 100, 128])
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 10_000))
-    def test_admit_is_the_bucket_level_pipeline_bit_for_bit(self, seed):
+    def test_admit_is_the_bucket_level_pipeline_bit_for_bit(self, sample_rate, seed):
         """Decisions, token floats, promotions and sampler draws all match
         ``TokenBucket.allow`` applied through the three tables.  Eight
         tenants at ~50 kpps on four color and three meter entries overload
-        both stages, and a 2-in-2 sampler promotes into a 300 pps
-        pre_meter, so every decision occurs; 400 arrivals leave token
-        floats that any reordering of the refill arithmetic would move."""
+        both stages, and a sampler with a threshold of 2 promotes into a
+        300 pps pre_meter, so every decision occurs; 400 arrivals leave
+        token floats that any reordering of the refill arithmetic would
+        move.  An SRAM scrub midway wipes the buckets but not the meter
+        index memo, which holds three of the eight VNIs here, so both its
+        hit and its miss path run; each snapshot carries the sampler rng."""
         def limiter():
             built = TwoStageRateLimiter(
                 random.Random(seed), stage1_rate_pps=2_000, stage2_rate_pps=500,
-                color_entries=4, meter_entries=3, sample_rate=2, pre_rate_pps=300,
+                color_entries=4, meter_entries=3, sample_rate=sample_rate,
+                pre_rate_pps=300,
             )
             built._sampler.threshold = 2
             built.add_bypass(7)
             return built
 
-        inlined, reference = limiter(), limiter()
-        arrivals = random.Random(seed)
-        now = 0
-        for _ in range(400):
-            now += arrivals.randrange(40_000)
-            vni = arrivals.randrange(8)
-            assert inlined.admit(vni, now) is _bucket_level_admit(reference, vni, now)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(flows, "FLOW_MEMO_CAPACITY", 3)
+            inlined, reference = limiter(), limiter()
+            arrivals = random.Random(seed)
+            now = 0
+            for arrival in range(400):
+                if arrival == 200:
+                    assert inlined.corrupt_sram() == reference.corrupt_sram()
+                    assert inlined.checkpoint() == reference.checkpoint()
+                now += arrivals.randrange(40_000)
+                vni = arrivals.randrange(8)
+                assert inlined.admit(vni, now) is _bucket_level_admit(reference, vni, now)
+            assert len(inlined._meter_slot) == 3
         assert inlined.checkpoint() == reference.checkpoint()
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_sampler_draw_is_randrange(self, seed):
+        """``observe`` samples with ``getrandbits`` in its own frame: for
+        every ``n`` in 1..1000 the draw is ``randrange(n) == 0`` and it
+        leaves the stream where ``randrange(n)`` leaves it."""
+        for sample_rate in range(1, 1001):
+            sampler = _HitterSampler(random.Random(seed), sample_rate=sample_rate,
+                                     threshold=1)
+            reference = random.Random(seed)
+            for _ in range(3):
+                sampled = sampler.observe(1, 0)
+                assert sampled == (reference.randrange(sample_rate) == 0)
+                assert sampler.rng.getstate() == reference.getstate()
+
+    def test_sampler_rejects_a_rate_below_one(self):
+        with pytest.raises(ValueError, match="sample rate"):
+            _HitterSampler(random.Random(0), sample_rate=0)

@@ -9,6 +9,7 @@ from repro.core.ratelimit import (
     TokenBucket,
     TwoStageRateLimiter,
 )
+from repro.scenarios import build, scenario_spec
 from repro.sim.units import MS, SECOND
 
 
@@ -164,3 +165,13 @@ class TestSramBudget:
         groups = limiter.meter_collision_pairs(range(100))
         assert groups  # with 100 VNIs over 4 entries there are collisions
         assert all(len(group) > 1 for group in groups)
+
+
+class TestRegistryScenario:
+    def test_ratelimit_churn_arms_its_limiter(self):
+        handle = build(scenario_spec("ratelimit-churn", quick=True))
+        handle.run()
+        decisions = handle.pods["pod"].nic.rate_limiter.decisions
+        for decision in (RateLimitDecision.ALLOW, RateLimitDecision.ALLOW_MARKED,
+                         RateLimitDecision.DROP_METER):
+            assert decisions[decision] > 0

@@ -37,8 +37,8 @@ REGISTRY_FINGERPRINTS = {
         "44c6ebf6fef049f9cf02f1d2b9a6109c40858acabe5fe493fcd2911ec64f1768",
     ),
     "ratelimit-churn": (
-        "121721073d906cbd86ee2e11416e22e662df5d859fb7c27af7d4be9221c1863b",
-        "a235f175e169e5aac6d5aefc130704271744f4c8b744ecd6d2105de372f09116",
+        "655be7562e815cf20786a136c2e8428d5086888319acc10e251a79848099ad4a",
+        "92665d34b9a528b259d847ac26298475e95ee2e9a9b47282ef5879a40a4ad29b",
     ),
     "fleet-steady": (
         "c62d8d7beb39cc30e977f1b8eaa0070ac0c54e9f73ca631284918b12e89baec0",

@@ -147,6 +147,19 @@ class TestFlowPodDispatch:
             assert dispatch.counters.get(f"to_pod.p{index}") == len(expected[index])
         assert dispatch.counters.get("dispatched") == 2 * len(flows)
 
+    def test_one_pod_is_picked_without_a_hash_or_memo(self, monkeypatch):
+        def no_hash(flow, seed):
+            raise AssertionError("a one-pod server hashed a flow")
+
+        monkeypatch.setattr("repro.topology.switch.crc32_flow_hash", no_hash)
+        received = []
+        dispatch = FlowPodDispatch("srv", [("p0", received.append)])
+        for index in range(64):
+            dispatch.forward(Packet(_flow(index)))
+        assert dispatch._pod_of is None
+        assert len(received) == 64
+        assert dispatch.counters.counts == {"dispatched": 64, "to_pod.p0": 64}
+
 
 class TestDpuPreClassifier:
     def test_fast_path_stamps_and_bypasses_host(self):
