@@ -2,7 +2,7 @@
 
 Stateful classes declare ``STATE`` and ``DERIVED``; every other attribute
 is constructor wiring (:mod:`repro.controlplane.snapshot`).  Small worlds
--- three scenarios (PLB + microburst, RSS + CBR, lossy PLB; limiter,
+-- three scenarios (PLB + microbursts, RSS + CBR, lossy PLB; limiter,
 telemetry and checkpoints armed), a flapped BFD link, a churned FPGA
 session table -- are built, run and held to four checks:
 
@@ -21,10 +21,12 @@ session table -- are built, run and held to four checks:
   ``STATE`` key, and its restore must fail with ``KeyError`` when any
   one of them is missing: its declaration cannot drift from its code.
 * **World probes.**  A mid-run scenario snapshot restored into a fresh
-  deployment replays to a byte-identical report.  This covers what
-  :data:`IN_PLACE_EXCLUSIONS` skips: the owners of pending heap events.
+  deployment replays to a byte-identical report.
 
-``statecheck -v`` prints every skip and every ``DERIVED`` reason.
+The component probes cover the owners of pending heap events too: the
+codec puts each restored event into its own ``(time, seq)`` slot in the
+twin's simulator.  ``statecheck -v`` prints every probe and every
+``DERIVED`` reason.
 """
 
 import enum
@@ -34,14 +36,6 @@ from collections import deque
 
 from repro.controlplane.snapshot import Stateful, ensure_plain, snapshot_bytes
 from repro.sim.rng import Stream
-
-#: Classes deliberately not probed against a twin, and why.  Their
-#: restore returns re-arm entries for pending events instead of
-#: scheduling them; they render in ``statecheck -v``.
-IN_PLACE_EXCLUSIONS = dict.fromkeys(
-    ("CbrSource", "MicroburstSource", "SimCheckpointer"),
-    "owns pending heap events; restore returns re-arm entries -- covered by the world probe",
-)
 
 #: What a checkpoint or restore that fails raises; reported, not propagated.
 _PROBE_ERRORS = (AttributeError, KeyError, TypeError, ValueError)
@@ -56,7 +50,7 @@ class ProbeResult:
 
     def __init__(self, cls_name, mode, instances, ok, detail=""):
         self.cls_name = cls_name
-        self.mode = mode          # "restore" | "world" | "skipped" | "state" | "keys"
+        self.mode = mode          # "restore" | "world" | "state" | "keys"
         self.instances = instances
         self.ok = ok
         self.detail = detail
@@ -82,9 +76,8 @@ class StatecheckResult:
 
     def summary(self):
         failed = sum(1 for probe in self.probes if not probe.ok)
-        skipped = sum(1 for probe in self.probes if probe.mode == "skipped")
         probed = sum(1 for probe in self.probes if probe.mode in ("restore", "world"))
-        return f"{probed} class(es) probed, {skipped} skipped, {failed} failed"
+        return f"{probed} class(es) probed, {failed} failed"
 
     def render_derived(self):
         return [f"     derived {cls}.{attr}: {reason}" for cls, attr, reason in self.derived]
@@ -271,8 +264,12 @@ def probe_keys(obj, twin):
 
 def _scenario_spec(name, mode, workload_kind, seed, silent_drop_probability=0.0):
     from repro.scenarios import PodSpec, ScenarioSpec, WorkloadSpec
-    from repro.sim.units import MS
+    from repro.sim.units import MS, US
 
+    bursts = {}
+    if workload_kind == "microburst":
+        # A burst every ~2 ms: the run goes through the burst cycle.
+        bursts = {"burst_duration_ns": 500 * US, "burst_period_ns": 2 * MS}
     return ScenarioSpec(
         name=name,
         pods=(
@@ -288,7 +285,7 @@ def _scenario_spec(name, mode, workload_kind, seed, silent_drop_probability=0.0)
         # so the pods need idle windows between packets.
         workload=WorkloadSpec(
             kind=workload_kind, flows=64, tenants=8, load=0.15,
-            stream="traffic",
+            stream="traffic", **bursts,
         ),
         duration_ns=8 * MS,
         seed=seed,
@@ -413,7 +410,7 @@ def run_statecheck(seed=42):
         for path, obj in aware:
             entry = by_class.setdefault(type(obj).__name__, [0, None])
             entry[0] += 1
-            if entry[1] is None and type(obj).__name__ not in IN_PLACE_EXCLUSIONS:
+            if entry[1] is None:
                 error = probe_object(obj, resolve(twin, path))
                 if error is not None:
                     entry[1] = f"{name}: {error}"
@@ -432,13 +429,8 @@ def run_statecheck(seed=42):
 
     probes.extend(ProbeResult(cls_name, "state", worlds, False, detail)
                   for (cls_name, detail), worlds in findings.items())
-    for cls_name, (instances, error) in sorted(by_class.items()):
-        if cls_name in IN_PLACE_EXCLUSIONS:
-            probes.append(ProbeResult(cls_name, "skipped", instances, True,
-                                      IN_PLACE_EXCLUSIONS[cls_name]))
-        else:
-            probes.append(ProbeResult(cls_name, "restore", instances,
-                                      error is None, error or ""))
+    probes.extend(ProbeResult(cls_name, "restore", instances, error is None, error or "")
+                  for cls_name, (instances, error) in sorted(by_class.items()))
     probes.extend(ProbeResult(cls_name, "keys", instances, error is None, error or "")
                   for cls_name, (instances, error) in keyed.items())
     return StatecheckResult(probes, derived)

@@ -6,7 +6,7 @@ A stateful class declares its state once and inherits :class:`Stateful`:
   written: an attribute name, or ``(key, attribute)`` where the key
   differs (``("tokens", "_tokens")``).  A property works too.
 * ``DERIVED`` -- ``{attribute: reason}`` for what is rebuilt or
-  transient: memo caches, in-flight packets, pending events.
+  transient: memo caches, in-flight packets and their timers.
 * every other attribute is constructor wiring, never changed by a run.
   ``python -m repro statecheck`` holds live worlds to all three.
 
@@ -16,13 +16,22 @@ table keyed by type: scalars as themselves, an ``Enum`` as its
 ``.value``, a :class:`Table` as ``[key, value]`` pairs sorted by key, a
 ``dict``/``list``/``deque``/``set`` copied out (``Enum`` keys as
 ``.value``, sets sorted), an rng stream as ``rng_state``, a pending
-event as its ``{"time", "seq"}`` (``None`` once cancelled; its owner's
-restore re-arms it); anything else raises ``TypeError`` naming the
-attribute.  :func:`restore` is the
-inverse into a live object of the same shape.  Containers and streams
-are refilled **in place** (the hot path aliases them: the NIC bumps
-``counters.counts`` directly), and a member one side has and the other
-lacks raises ``ValueError`` naming the attribute.
+event as its ``{"time", "seq"}`` (``None`` once cancelled or fired);
+anything else raises ``TypeError`` naming the attribute.
+:func:`restore` is the inverse into a live object of the same shape.
+Containers and streams are refilled **in place** (the hot path aliases
+them: the NIC bumps ``counters.counts`` directly), and a member one
+side has and the other lacks raises ``ValueError`` naming the attribute.
+
+A pending event is restored into its own ``(time, seq)`` slot, the one
+protocol for every event a snapshot carries.  The live event is kept
+when it already sits in that slot (a source's never-fired first burst
+edge, say); otherwise it is cancelled and its handler pushed at the slot
+(``Simulator.schedule_slot`` on the owner's ``sim``).  The simulator's
+own snapshot carries ``seq``, the next number it hands out, so a
+restored run numbers every later event as the straight run did.  No
+owner re-arms anything by hand, and same-instant ties replay in the
+straight run's order.
 
 Snapshots are *plain data* -- dicts, lists, strings, numbers, bools and
 None -- so they serialize losslessly to JSON and restore across process
@@ -74,9 +83,10 @@ class Stateful:
     """Base of a class whose snapshot is its declared ``STATE``.
 
     ``checkpoint()`` and ``restore(snapshot)`` are :func:`snapshot` and
-    :func:`restore`.  A subclass that validates its input, or re-arms
+    :func:`restore`.  A subclass that validates its input, or re-derives
     something after a restore, overrides ``restore`` and calls
-    ``super().restore(snapshot)``.
+    ``super().restore(snapshot)``.  One whose ``STATE`` holds a pending
+    event keeps the simulator that queues it as ``sim``.
     """
 
     __slots__ = ()
@@ -125,7 +135,9 @@ def _encode(value, path):
     if isinstance(value, Stream):
         return rng_state(value)
     if isinstance(value, Event):
-        return None if value.cancelled else {"time": value.time, "seq": value.seq}
+        if value.cancelled or value.fired:
+            return None
+        return {"time": value.time, "seq": value.seq}
     raise TypeError(f"{path} holds a {type(value).__name__} the snapshot codec cannot store")
 
 
@@ -197,11 +209,29 @@ def restore(obj, state):
         elif isinstance(live, (dict, list, deque, set)):
             _refill(live, value, path)
         else:
+            from repro.sim.engine import Event
             from repro.sim.rng import Stream, set_rng_state
 
-            if not isinstance(live, Stream):
+            if isinstance(live, Event):
+                setattr(obj, attr, _slot(obj.sim, live, value))
+            elif isinstance(live, Stream):
+                set_rng_state(live, value)
+            else:
                 raise TypeError(f"{path} holds a {type(live).__name__} the codec cannot restore")
-            set_rng_state(live, value)
+
+
+def _slot(sim, live, value):
+    """The event that stands for a snapshot's pending-event ``value``:
+    ``live`` itself when it is pending in that ``(time, seq)`` slot,
+    else ``live`` cancelled and its handler pushed at the slot (``None``
+    when the snapshot has no event pending)."""
+    if (value is not None and not (live.cancelled or live.fired)
+            and live.time == value["time"] and live.seq == value["seq"]):
+        return live
+    live.cancel()
+    if value is None:
+        return None
+    return sim.schedule_slot(value["time"], value["seq"], live.fn, *live.args)
 
 
 def ensure_plain(value, path="snapshot"):
@@ -242,44 +272,37 @@ def snapshot_bytes(snapshot):
     return json.dumps(snapshot, sort_keys=True, separators=(",", ":")).encode()
 
 
-CHECKPOINT_SCHEMA_VERSION = 1
+CHECKPOINT_SCHEMA_VERSION = 2
 
 
-class SimCheckpointer:
+class SimCheckpointer(Stateful):
     """Periodic whole-simulation checkpoints (``SimCheckpoint``).
 
     Every ``every_ns`` of simtime the checkpointer looks at the
     deployment; if every pod is :meth:`~repro.core.gateway.GwPodRuntime.
-    quiescent` it freezes a plain-data snapshot of the clock, every rng
-    stream, every pod and every workload source.  A non-quiescent
-    instant is not abandoned for a whole period: the checkpointer
-    retries every ``every_ns // 64`` until it lands in an idle window --
-    under load the quiescent instants sit in the gaps between packet
-    arrivals, rarely exactly on a period boundary.  Skips are counted, and the skip/capture decision depends
-    only on simulation state, so an interrupted-and-restored run makes
-    the exact same decisions as an uninterrupted one.
+    quiescent` it captures a plain-data snapshot of the world
+    (:meth:`capture`).  A non-quiescent instant is not abandoned for a
+    whole period: the checkpointer retries every ``every_ns // 64``
+    until it lands in an idle window -- under load the quiescent
+    instants sit in the gaps between packet arrivals, rarely exactly on
+    a period boundary.  Skips are counted, and the skip/capture decision
+    depends only on simulation state, so an interrupted-and-restored run
+    makes the exact same decisions as an uninterrupted one.
 
-    The pending-event story: a snapshot is legal only because, at a
-    quiescent instant, everything in the event heap belongs to a
-    component that can re-create its own events from its checkpoint --
-    the sources (next tick, next burst boundary), the telemetry recorder
-    (its next window flush) and the checkpointer
-    itself (its next fire).  Each records the absolute time *and* heap
-    sequence of its pending event; ``RunHandle.restore_checkpoint``
-    re-creates them sorted by ``(time, seq)``, so same-timestamp ties
-    fire in the original order and the rest of the run replays
-    byte-identically.
+    A capture is legal only because, at a quiescent instant, everything
+    in the event heap is a pending event some component holds in its
+    ``STATE`` -- the sources (next tick, next burst edge), the telemetry
+    recorder (its next window flush) and the checkpointer itself (its
+    next fire) -- and the codec restores each into its own
+    ``(time, seq)`` slot, so the rest of the run replays byte-identically.
 
     ``sink``, when set, receives every captured snapshot (the fleet
     engine points it at an atomic writer under ``RUNS/<run-id>/``).
-
-    Its snapshot is the whole world plus a re-arm entry, so it keeps a
-    hand-written pair.
     """
 
     STATE = (("next_fire", "_event"),)
     DERIVED = {
-        "latest": "the last capture itself; restore adopts the snapshot it is given",
+        "latest": "the last capture itself; a restored run has captured nothing yet",
         "captured": "capture-process telemetry; a resumed run tallies its own captures",
         "skipped": "capture-process telemetry; a resumed run tallies its own retries",
     }
@@ -309,24 +332,25 @@ class SimCheckpointer:
             self.skipped += 1
             self._event = self.sim.schedule(self.retry_ns, self._fire)
             return
-        # Re-arm *before* capturing so the snapshot records the next
-        # fire's (time, seq) and a restore can re-create it exactly.
+        # Queue the next fire *before* capturing, so the capture holds it.
         self._event = self.sim.schedule(self.every_ns, self._fire)
-        snapshot = ensure_plain(self.checkpoint(), "sim-checkpoint")
+        snapshot = ensure_plain(self.capture(), "sim-checkpoint")
         self.latest = snapshot
         self.captured += 1
         if self.sink is not None:
             self.sink(snapshot)
 
-    def checkpoint(self):
-        """The whole world now, plus the re-arm entry of the next fire.
+    def capture(self):
+        """The whole world now: the clock, every rng stream, pod and
+        source, the recorder and this checkpointer's own next fire.
 
         Every pod must be quiescent; :meth:`_fire` only calls it then.
+        ``RunHandle.restore_checkpoint`` is the inverse.
         """
         snapshot = {
             "schema_version": CHECKPOINT_SCHEMA_VERSION,
             "taken_ns": self.sim.now,
-            "next_fire": {"time": self._event.time, "seq": self._event.seq},
+            **self.checkpoint(),
             "sim": self.sim.checkpoint(),
             "rngs": self.rngs.checkpoint(),
             "pods": {
@@ -337,16 +361,3 @@ class SimCheckpointer:
         if self.recorder is not None:
             snapshot["telemetry"] = self.recorder.checkpoint()
         return snapshot
-
-    def restore(self, snapshot):
-        """Adopt a snapshot; return the rearm entry for the next fire."""
-        if self._event is not None:
-            self._event.cancel()
-            self._event = None
-        self.latest = snapshot
-        next_fire = snapshot["next_fire"]
-
-        def rearm(time=next_fire["time"]):
-            self._event = self.sim.schedule_at(time, self._fire)
-
-        return [(next_fire["time"], next_fire["seq"], rearm)]

@@ -123,10 +123,10 @@ class NicPipeline(Stateful):
         # ``_counts`` is the counter set's own dict (restore refills it in
         # place): the per-packet counters are bumped on it directly.  The
         # RX and TX DMA hops queue with ``sim.push`` (their delays are
-        # constant ints), the rare hops with ``sim.post``.
+        # constant ints), the rare hops with ``sim.post``; they read
+        # ``sim.next_seq`` per call, since restoring ``sim.seq`` rebinds it.
         self._post = sim.post
         self._push = sim.push
-        self._next_seq = sim.next_seq
         self._writeback = self.reorder.writeback
         for core in self.cores:
             core.overflow_fn = self.on_rx_overflow
@@ -281,7 +281,7 @@ class NicPipeline(Stateful):
             counts["dispatched"] += 1
         except KeyError:
             counts["dispatched"] = 1
-        self._push((now + self._rx_latency_ns, self._next_seq(), core.enqueue,
+        self._push((now + self._rx_latency_ns, self.sim.next_seq(), core.enqueue,
                     (packet,), None))
 
     def on_rx_overflow(self, packet):
@@ -314,7 +314,7 @@ class NicPipeline(Stateful):
             # Slow path forwarded a packet: maybe install the session.
             self.session_offload.note_cpu_packet(packet.flow)
         if packet.meta is not None:
-            self._push((self.sim._now + self._tx_dma_ns, self._next_seq(),
+            self._push((self.sim._now + self._tx_dma_ns, self.sim.next_seq(),
                         self._writeback, (packet,), None))
         else:
             # RSS path: no reordering, straight to the deparser.

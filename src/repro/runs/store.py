@@ -26,6 +26,7 @@ import os
 import re
 import time  # lint: disable=DET001(host-side run naming, never simulation state)
 
+from repro.controlplane.snapshot import CHECKPOINT_SCHEMA_VERSION
 from repro.runs.atomic import atomic_write_json, atomic_write_text, read_json
 
 MANIFEST_SCHEMA_VERSION = 1
@@ -129,7 +130,11 @@ class Run:
         self.discard_checkpoint(index)
 
     def load_checkpoint(self, index, fingerprint):
-        """The latest mid-shard checkpoint, or ``None`` when missing/stale."""
+        """The latest mid-shard checkpoint, or ``None`` when missing/stale.
+
+        A checkpoint of another ``CHECKPOINT_SCHEMA_VERSION`` is stale
+        too: this build cannot restore it, so its shard reruns from zero.
+        """
         payload = read_json(self.checkpoint_path(index))
         if not isinstance(payload, dict):
             return None
@@ -138,7 +143,9 @@ class Run:
         if payload.get("spec_hash") != fingerprint:
             return None
         checkpoint = payload.get("checkpoint")
-        return checkpoint if isinstance(checkpoint, dict) else None
+        if not isinstance(checkpoint, dict):
+            return None
+        return checkpoint if checkpoint.get("schema_version") == CHECKPOINT_SCHEMA_VERSION else None
 
     def discard_checkpoint(self, index):
         try:

@@ -151,10 +151,12 @@ class RunHandle:
         run (the checkpoint invariant test drives this at random
         simtimes).
 
-        Restore order: clock, rng streams (in place -- components keep
-        their bindings), pod state, then every pending event re-created
-        in ``(time, seq)`` order so same-timestamp ties replay exactly.
-        Only valid on a handle that has not run yet.
+        Restore order: clock and sequence counter, rng streams (in
+        place -- components keep their bindings), pods, then the
+        checkpointer, the recorder and the sources, each of whose pending
+        events goes back into its own ``(time, seq)`` slot, so
+        same-timestamp ties replay exactly.  Only valid on a handle that
+        has not run yet.
         """
         from repro.controlplane.snapshot import CHECKPOINT_SCHEMA_VERSION
 
@@ -173,7 +175,7 @@ class RunHandle:
         self.rngs.restore(snapshot["rngs"])
         for name, pod in self.pods.items():
             pod.restore(snapshot["pods"][name])
-        rearms = list(self.checkpointer.restore(snapshot))
+        self.checkpointer.restore(snapshot)
         if self.telemetry is not None:
             telemetry_snapshot = snapshot.get("telemetry")
             if telemetry_snapshot is None:
@@ -181,12 +183,9 @@ class RunHandle:
                     f"scenario {self.spec.name!r} has windowed telemetry "
                     "armed but the checkpoint carries no telemetry section"
                 )
-            rearms.extend(self.telemetry.restore(telemetry_snapshot))
+            self.telemetry.restore(telemetry_snapshot)
         for source, source_snapshot in zip(self.sources, snapshot["sources"]):
-            rearms.extend(source.restore(source_snapshot))
-        rearms.sort(key=lambda entry: (entry[0], entry[1]))
-        for _time, _seq, rearm in rearms:
-            rearm()
+            source.restore(source_snapshot)
         return self
 
     def report(self):

@@ -27,10 +27,16 @@ sequence source (``next_seq``):
   unchanged;
 * ``sim.push((sim._now + delay, sim.next_seq(), fn, args, None))`` is
   ``post(delay, fn, *args)`` without the Python frame: ``push`` and
-  ``next_seq`` are C callables bound at construction.  It skips ``post``'s
+  ``next_seq`` are C callables.  It skips ``post``'s
   negative-delay check, so it is allowed only where ``delay`` is an
   ``int`` >= 0 fixed when the caller was built, or where the site rejects
   a negative delay exactly as ``post`` does (by calling ``post`` for it).
+  ``next_seq`` is rebound when a snapshot restores ``seq``, so it is read
+  off the simulator per call, never kept elsewhere.
+
+A restore takes no number: ``schedule_slot`` puts a snapshot's pending
+event back at the ``(time, seq)`` it was given (see
+:func:`repro.controlplane.snapshot.restore`).
 
 Determinism guarantees:
 
@@ -97,9 +103,8 @@ class Event:
         self.args = args
         self.cancelled = False
         self.fired = False
-        # The heap tie-break, exposed so checkpoints can record the
-        # relative order of same-timestamp pending events (restore
-        # re-creates them sorted by (time, seq)).
+        # The heap tie-break: a snapshot records ``(time, seq)`` and a
+        # restore puts the event back in exactly that slot.
         self.seq = seq
 
     def cancel(self):
@@ -127,10 +132,10 @@ class Simulator(Stateful):
     ``step`` is bound per instance at construction: the sanitized variant
     when a sanitizer is installed, the unchecked variant otherwise.
 
-    Its snapshot is the clock and the processed-event count, never the
-    heap: at a quiescent checkpoint every pending event belongs to a
-    component that re-creates it from its own snapshot, in recorded
-    ``(time, seq)`` order (see ``SimCheckpointer``).
+    Its snapshot is the clock, the processed-event count and ``seq``,
+    never the heap: at a quiescent checkpoint every pending event sits
+    in its owner's ``STATE``, and restoring the owner puts it back in
+    its own ``(time, seq)`` slot (:meth:`schedule_slot`).
     """
 
     __slots__ = (
@@ -144,10 +149,11 @@ class Simulator(Stateful):
         "_sanitizer",
         "step",
     )
-    STATE = (("now", "_now"), ("events_processed", "_events_processed"))
+    STATE = (("now", "_now"), ("events_processed", "_events_processed"), "seq")
     DERIVED = {
-        "_heap": "entries hold closures, never serialized; owners re-arm their events on restore",
-        "next_seq": "tie-break source; restored events are re-armed in (time, seq) order",
+        "_heap": "entries hold closures, never serialized; each pending event is "
+                 "restored from its owner's snapshot into its own (time, seq) slot",
+        "next_seq": "the counter behind seq, bound for the hot path; restore rebinds it",
         "_running": "run-loop transient; checkpoints are only taken between runs",
         "_stopped": "run-loop transient; checkpoints are only taken between runs",
     }
@@ -156,7 +162,7 @@ class Simulator(Stateful):
         self._now = 0
         # ``_heap`` is never rebound: ``push`` holds it, bound once to the
         # module's ``_heappush``, and ``next_seq`` is the one tie-break
-        # source.
+        # source (rebound only by a restore of ``seq``).
         self._heap = []
         self.next_seq = itertools.count().__next__
         self.push = functools.partial(_heappush, self._heap)
@@ -176,6 +182,21 @@ class Simulator(Stateful):
     def events_processed(self):
         """Total callbacks executed since construction."""
         return self._events_processed
+
+    @property
+    def seq(self):
+        """The sequence number ``next_seq()`` hands out next; reading it
+        takes none."""
+        # ``itertools.count`` shows its position only in its repr: ``count(5)``.
+        return int(repr(self.next_seq.__self__)[6:-1])
+
+    @seq.setter
+    def seq(self, seq):
+        if seq < self.seq:
+            raise SimulationError(
+                f"cannot restore the sequence counter backwards to {seq} (next={self.seq})"
+            )
+        self.next_seq = itertools.count(seq).__next__
 
     @property
     def pending(self):
@@ -266,6 +287,17 @@ class Simulator(Stateful):
                 f"cannot schedule at t={time} before now={self._now}"
             )
         return self.schedule(time - self._now, fn, *args)
+
+    def schedule_slot(self, time, seq, fn, *args):
+        """:meth:`schedule_at` into the exact ``(time, seq)`` slot a
+        snapshot recorded, taking no sequence number: how a restore puts
+        a pending event back.  ``seq`` names one heap entry, so no live
+        entry may hold it."""
+        if time < self._now:
+            self._reject_past(time - self._now, fn)
+        event = Event(time, fn, args, seq)
+        self.push((time, seq, fn, args, event))
+        return event
 
     def stop(self):
         """Stop the run loop after the current handler returns."""
@@ -379,12 +411,13 @@ class Simulator(Stateful):
             self._running = False
 
     def restore(self, snapshot):
-        """Jump the clock forward to a checkpoint's instant.
+        """Jump the clock and the sequence counter forward to a checkpoint's.
 
         Must be called between runs (never from inside a handler) and
-        can only move time forward: stale events scheduled before the
-        restored instant (e.g. a freshly built source's first tick) must
-        be cancelled by their owners' ``restore()`` before they fire.
+        moves neither backwards (``seq``'s setter refuses a lower
+        number): stale events scheduled before the restored instant
+        (e.g. a freshly built source's first tick) are replaced when
+        their owners are restored, before they fire.
         """
         if self._running:
             raise SimulationError("cannot restore the clock mid-run")

@@ -28,13 +28,10 @@ Window semantics:
   partial row (``end_ns < start_ns + every_ns``); an exactly divisible
   run ends on a flush and has no partial row.
 
-Checkpoint/restore follows the repo's pending-event protocol: the
-recorder's authoritative next-fire state is the plain ``{"time", "seq"}``
-ref it keeps in ``_pending`` (updated whenever the flush event is
-scheduled), its ``checkpoint()`` is byte-stable under statecheck's
-probe, and ``restore()`` returns a re-arm entry that
-``RunHandle.restore_checkpoint`` executes in global ``(time, seq)``
-order -- so a mid-shard resume reproduces the identical series.
+Checkpoint/restore is the codec's (:mod:`repro.controlplane.snapshot`):
+the pending flush is ``STATE`` like the windows, and a restore puts it
+back in its own ``(time, seq)`` slot -- so a mid-shard resume
+reproduces the identical series.
 """
 
 from repro.controlplane.snapshot import Stateful
@@ -55,16 +52,13 @@ class TimeSeriesRecorder(Stateful):
             which ``build()`` subscribes to the deployment's packet exits).
         every_ns: window width in sim nanoseconds.
 
-    Its restore validates the pod set and returns a re-arm entry for the
-    next flush instead of scheduling it; ``_pending`` is the
-    authoritative next fire.
+    Its restore validates the pod set before the codec's.
     """
 
     STATE = (
         "every_ns", ("origin_ns", "_origin"), ("window", "_window"), "windows",
-        ("prev", "_prev"), ("hists", "_hists"), ("next_fire", "_pending"),
+        ("prev", "_prev"), ("hists", "_hists"), ("next_fire", "_event"),
     )
-    DERIVED = {"_event": "the pending flush; restore re-arms it from _pending"}
 
     def __init__(self, sim, pods, every_ns):
         if every_ns <= 0:
@@ -83,7 +77,6 @@ class TimeSeriesRecorder(Stateful):
             self._prev[name] = self._sample(pods[name]).snapshot()
             self._hists[name] = LatencyHistogram()
         self._event = sim.schedule(self.every_ns, self._fire)
-        self._pending = {"time": self._event.time, "seq": self._event.seq}
 
     def on_exit(self, packet, where, outcome):
         """Exit subscriber: a pod egress (not a drop, not a DPU
@@ -144,7 +137,6 @@ class TimeSeriesRecorder(Stateful):
             hist.reset()
         self._window += 1
         self._event = self.sim.schedule(self.every_ns, self._fire)
-        self._pending = {"time": self._event.time, "seq": self._event.seq}
 
     def series(self):
         """The report section: flushed windows plus any open partial one.
@@ -163,27 +155,12 @@ class TimeSeriesRecorder(Stateful):
         }
 
     def restore(self, snapshot):
-        """Adopt a checkpoint; return the re-arm entry for the next flush.
-
-        The returned entry is executed by
-        ``RunHandle.restore_checkpoint`` in global ``(time, seq)`` order.
-        """
         if sorted(snapshot["hists"]) != sorted(self._hists):
             raise ValueError(
                 f"checkpoint pods {sorted(snapshot['hists'])} do not match "
                 f"recorder pods {sorted(self._hists)}"
             )
-        if self._event is not None:
-            self._event.cancel()
-            self._event = None
         super().restore(snapshot)
-        next_fire = dict(self._pending)
-
-        def rearm(time=next_fire["time"]):
-            self._event = self.sim.schedule_at(time, self._fire)
-            self._pending = {"time": self._event.time, "seq": self._event.seq}
-
-        return [(next_fire["time"], next_fire["seq"], rearm)]
 
 
 def flatten_windows(windows, source=None):

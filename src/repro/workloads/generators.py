@@ -205,10 +205,9 @@ class CbrSource(_SourceBase, Stateful):
         # Once per packet, so ``_emit_one``/``_schedule_next`` are inlined.  Not
         # ``post``: the tick's ``(time, seq)`` is checkpointed, and it is
         # cancelled.  The firing event is ``_next_event``: it is re-queued
-        # in this frame exactly as ``Simulator.rearm``'s fired path re-queues
-        # it, at the ``(time, seq)`` a fresh ``schedule`` would take.  A sink
-        # that re-set the rate has replaced it with a pending event, which
-        # ``rearm`` moves.
+        # in this frame at the ``(time, seq)`` a fresh ``schedule`` would
+        # take.  A sink that re-set the rate has already queued the next
+        # tick in its place, and that one stands.
         if not self._running:
             return
         flow, vni = self.population.choose(self.rng)
@@ -218,14 +217,12 @@ class CbrSource(_SourceBase, Stateful):
             self.stop()
         if self._running:
             event = self._next_event
-            sim = self.sim
-            if event.fired and not event.cancelled:
+            if event.fired:
+                sim = self.sim
                 event.time = time = sim._now + self._interval
                 event.seq = seq = sim.next_seq()
                 event.fired = False
                 sim.push((time, seq, event.fn, event.args, event))
-            else:
-                sim.rearm(event, self._interval)
 
     def stop(self):
         super().stop()
@@ -234,30 +231,14 @@ class CbrSource(_SourceBase, Stateful):
             self._next_event = None
 
     def restore(self, snapshot):
-        """Restore state; return rearm entries for pending events.
-
-        Does **not** schedule anything itself -- each ``(time, seq,
-        rearm)`` entry is executed by the caller after sorting across
-        all components, so ties land in their checkpointed order.
-        """
         if snapshot["kind"] != self.SNAPSHOT_KIND:
             raise ValueError(
                 f"snapshot is for a {snapshot['kind']!r} source, cannot "
                 f"restore into {self.SNAPSHOT_KIND!r}"
             )
-        self.stop()  # cancels the pending events; the snapshot re-arms them
-        self.rate_pps = rate_pps = snapshot["rate_pps"]
+        super().restore(snapshot)
+        rate_pps = self.rate_pps
         self._interval = max(1, int(SECOND / rate_pps)) if rate_pps > 0 else None
-        self.emitted = snapshot["emitted"]
-        self._running = snapshot["running"]
-        rearms = []
-        pending = snapshot["next_tick"]
-        if pending is not None:
-            def rearm(time=pending["time"]):
-                self._next_event = self.sim.schedule_at(time, self._tick)
-
-            rearms.append((pending["time"], pending["seq"], rearm))
-        return rearms
 
 
 class PoissonSource(_SourceBase):

@@ -21,7 +21,6 @@ class MicroburstSource(CbrSource):
     STATE = CbrSource.STATE + (
         "bursts_started", ("in_burst", "_in_burst"), ("burst_event", "_burst_event"),
     )
-    DERIVED = {"_burst_event_kind": "rides inside burst_event as its fires field"}
 
     def __init__(
         self,
@@ -42,40 +41,31 @@ class MicroburstSource(CbrSource):
         self.burst_period_ns = burst_period_ns
         self.bursts_started = 0
         self._in_burst = False
-        # The one pending burst-cycle event (a burst start or a burst
-        # end), tracked so checkpoints can capture and restores re-arm it.
+        # The one pending burst edge: a burst's start, or (in a burst)
+        # its end.
         self._burst_event = None
-        self._burst_event_kind = None
         self._schedule_burst()
 
     def _schedule_burst(self):
         gap = self.rng.expovariate(1.0 / self.burst_period_ns)
-        self._burst_event = self.sim.schedule(max(1, int(gap)), self._start_burst)
-        self._burst_event_kind = "start"
+        self._burst_event = self.sim.schedule(max(1, int(gap)), self._burst_edge)
 
-    def _start_burst(self):
-        if not self._running and self.rate_pps == 0:
-            return  # source stopped; stop burst scheduling too
-        self._in_burst = True
-        self.bursts_started += 1
-        self.set_rate(int(self.base_rate_pps * self.burst_factor))
-        self._burst_event = self.sim.schedule(self.burst_duration_ns, self._end_burst)
-        self._burst_event_kind = "end"
-
-    def _end_burst(self):
-        self._in_burst = False
-        if self._running or self.rate_pps > 0:
-            self.set_rate(self.base_rate_pps)
-        self._schedule_burst()
-
-    @property
-    def in_burst(self):
-        return self._in_burst
+    def _burst_edge(self):
+        if self._in_burst:
+            self._in_burst = False
+            if self._running or self.rate_pps > 0:
+                self.set_rate(self.base_rate_pps)
+            self._schedule_burst()
+        elif self._running or self.rate_pps != 0:  # a stopped source stays stopped
+            self._in_burst = True
+            self.bursts_started += 1
+            self.set_rate(int(self.base_rate_pps * self.burst_factor))
+            self._burst_event = self.sim.schedule(self.burst_duration_ns, self._burst_edge)
 
     def stop(self):
         """Stop emission *and* the burst cycle.
 
-        Without cancelling the pending burst event, a burst start firing
+        Without cancelling the pending burst edge, a burst start firing
         after ``stop()`` would call ``set_rate`` and revive the source
         (its guard sees the stale non-zero ``rate_pps``) -- traffic kept
         flowing into drained pods long after the caller stopped it.
@@ -84,26 +74,3 @@ class MicroburstSource(CbrSource):
         if self._burst_event is not None:
             self._burst_event.cancel()
             self._burst_event = None
-            self._burst_event_kind = None
-
-    def checkpoint(self):
-        # The burst event's entry also names what it fires.
-        snapshot = super().checkpoint()
-        if snapshot["burst_event"] is not None:
-            snapshot["burst_event"]["fires"] = self._burst_event_kind
-        return snapshot
-
-    def restore(self, snapshot):
-        rearms = super().restore(snapshot)
-        self.bursts_started = snapshot["bursts_started"]
-        self._in_burst = snapshot["in_burst"]
-        pending = snapshot["burst_event"]
-        if pending is not None:
-            fn = self._start_burst if pending["fires"] == "start" else self._end_burst
-
-            def rearm(time=pending["time"], fn=fn, kind=pending["fires"]):
-                self._burst_event = self.sim.schedule_at(time, fn)
-                self._burst_event_kind = kind
-
-            rearms.append((pending["time"], pending["seq"], rearm))
-        return rearms

@@ -49,9 +49,6 @@ class TenantSet:
             for time_ns, rate_pps in profile.rate_changes:
                 sim.schedule_at(time_ns, source.set_rate, rate_pps)
 
-    def emitted(self, vni):
-        return self.sources[vni].emitted
-
     def stop_all(self):
         for source in self.sources.values():
             source.stop()

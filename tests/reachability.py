@@ -195,10 +195,6 @@ ALLOWED = {
     "repro.topology.switch.EcmpUplink.server_for": _TESTS,
     "repro.workloads.generators.FlowPopulation.__len__": _TESTS,
     "repro.workloads.generators.PoissonSource.set_rate": _TESTS,
-    "repro.workloads.microburst.MicroburstSource._start_burst": _TESTS,
-    "repro.workloads.microburst.MicroburstSource._end_burst": _TESTS,
-    "repro.workloads.microburst.MicroburstSource.in_burst": _TESTS,
-    "repro.workloads.tenants.TenantSet.emitted": _TESTS,
 }
 
 

@@ -8,7 +8,6 @@ import pytest
 
 import repro
 from repro.analysis.statecheck import (
-    IN_PLACE_EXCLUSIONS,
     ProbeResult,
     StatecheckResult,
     discover,
@@ -228,21 +227,13 @@ class TestResultRendering:
         assert not result.ok
         assert "1 failed" in result.summary()
 
-    def test_skips_are_counted_separately(self):
-        result = StatecheckResult([
-            ProbeResult("A", "restore", 1, True),
-            ProbeResult("Src", "skipped", 3, True, "world probe covers it"),
-        ])
-        assert result.ok
-        assert result.summary() == "1 class(es) probed, 1 skipped, 0 failed"
-
     def test_completeness_findings_fail_without_counting_as_probed(self):
         result = StatecheckResult([
             ProbeResult("A", "restore", 1, True),
             ProbeResult("A", "state", 1, False, "A.x changed outside STATE/DERIVED"),
         ])
         assert not result.ok
-        assert result.summary() == "1 class(es) probed, 0 skipped, 1 failed"
+        assert result.summary() == "1 class(es) probed, 1 failed"
 
     def test_derived_reasons_render_one_line_each(self):
         result = StatecheckResult([], [("B", "y", "why b"), ("A", "x", "why a")])
@@ -293,27 +284,25 @@ class TestFullStatecheck:
     def test_every_snapshot_aware_class_is_probed(self, full_run):
         # A runtime rule only sees what its worlds build: a class that
         # declares state but no world reaches is unchecked.
-        covered = {p.cls_name for p in full_run.probes if p.mode in ("restore", "skipped")}
+        covered = {p.cls_name for p in full_run.probes if p.mode == "restore"}
         missing = _snapshot_aware_classes() - covered
         assert not missing, f"no statecheck world reaches {sorted(missing)}"
 
     def test_hand_written_pairs_are_held_to_their_state(self, full_run):
         keyed = {p.cls_name for p in full_run.probes if p.mode == "keys"}
         for cls_name in (
-            "CbrSource", "MicroburstSource", "SimCheckpointer", "FpgaSessionOffload",
+            "CbrSource", "MicroburstSource", "FpgaSessionOffload",
             "TokenBucket", "ReorderEngine", "TimeSeriesRecorder",
         ):
             assert cls_name in keyed, f"{cls_name} not key-checked"
 
-    def test_every_exclusion_surfaces_as_reasoned_skip(self, full_run):
-        skipped = {
-            p.cls_name: p.detail
-            for p in full_run.probes
-            if p.mode == "skipped"
-        }
-        assert set(skipped) == set(IN_PLACE_EXCLUSIONS)
-        for cls_name, reason in skipped.items():
-            assert reason == IN_PLACE_EXCLUSIONS[cls_name]
+    def test_owners_of_pending_events_are_probed_in_place(self, full_run):
+        assert {p.mode for p in full_run.probes} == {"restore", "world", "keys"}
+        probed = {p.cls_name for p in full_run.probes if p.mode == "restore"}
+        for cls_name in (
+            "CbrSource", "MicroburstSource", "SimCheckpointer", "TimeSeriesRecorder",
+        ):
+            assert cls_name in probed, f"{cls_name} not probed in place"
 
     def test_derived_reasons_are_reported(self, full_run):
         derived = {(cls, attr): reason for cls, attr, reason in full_run.derived}
@@ -325,6 +314,6 @@ class TestFullStatecheck:
         assert main(["statecheck", "-v"]) == 0
         out = capsys.readouterr().out
         assert "ok   FpgaSessionOffload [restore x1]" in out
-        assert "ok   SimCheckpointer [keys x3]" in out
+        assert "ok   SimCheckpointer [restore x3]" in out
         assert "derived SimCheckpointer.captured: capture-process telemetry" in out
         assert out.rstrip().endswith("0 failed")

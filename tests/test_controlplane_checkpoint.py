@@ -34,8 +34,11 @@ from repro.packet.flows import FlowKey
 from repro.packet.packet import Packet
 from repro.scenarios import PodSpec
 from repro.sim import RngRegistry, Simulator
+from repro.sim.engine import SimulationError
 from repro.sim.rng import derived_stream, rng_state, set_rng_state
 from repro.sim.units import MS, SECOND
+from repro.workloads.generators import uniform_population
+from repro.workloads.microburst import MicroburstSource
 from tests.reorder_admission import Admitter
 
 
@@ -493,3 +496,78 @@ class TestSnapshotCodec:
 
         with pytest.raises(ValueError, match="Pair.parts: the snapshot has 3 members"):
             Pair(2).restore(Pair(3).checkpoint())
+
+
+class _Alarm(Stateful):
+    """One pending event in ``STATE``, held as the sources hold theirs."""
+
+    STATE = (("alarm", "_event"),)
+
+    def __init__(self, sim, delay, log, name):
+        self.sim = sim
+        self._event = sim.schedule(delay, log.append, name)   # the handler is wiring
+
+
+class TestPendingEvents:
+    """The codec's one protocol: a snapshot's pending event goes back
+    into its own ``(time, seq)`` slot."""
+
+    def test_restored_events_fire_in_slot_order_before_later_ones(self):
+        sim = Simulator()
+        first, second = _Alarm(sim, 10, [], "first"), _Alarm(sim, 10, [], "second")
+        state = json_round_trip({"sim": sim.checkpoint(), "first": first.checkpoint(),
+                                 "second": second.checkpoint()})
+
+        fresh, replay = Simulator(), []
+        alarms = {name: _Alarm(fresh, 3, replay, name) for name in ("first", "second")}
+        fresh.restore(state["sim"])
+        # Restored in reverse: the slots, not the restore order, decide.
+        for name in ("second", "first"):
+            alarms[name].restore(state[name])
+        assert (alarms["first"]._event.time, alarms["first"]._event.seq) == (10, 0)
+        fresh.schedule(10, replay.append, "later")
+        fresh.run()
+        assert replay == ["first", "second", "later"]
+
+    def test_an_event_already_in_its_slot_is_kept(self):
+        def world():
+            sim = Simulator()
+            source = MicroburstSource(
+                sim, RngRegistry(1).stream("s"), lambda packet: None,
+                uniform_population(4), base_rate_pps=10_000, burst_period_ns=50 * MS,
+            )
+            return sim, source
+
+        sim, source = world()
+        edge = source._burst_event.time
+        sim.run_until(edge - 1)       # ticks have fired, the first burst edge has not
+        state = json_round_trip({"sim": sim.checkpoint(), "source": source.checkpoint()})
+        twin_sim, twin = world()
+        never_fired = twin._burst_event
+        twin_sim.restore(state["sim"])
+        twin.restore(state["source"])
+        assert twin._burst_event is never_fired
+        assert sum(1 for entry in twin_sim._heap if entry[4] is never_fired) == 1
+        sim.run_until(edge + 1 * MS)
+        twin_sim.run_until(edge + 1 * MS)
+        assert twin.bursts_started == source.bursts_started == 1
+        assert snapshot_bytes(twin.checkpoint()) == snapshot_bytes(source.checkpoint())
+
+    def test_an_event_restored_into_an_object_without_one_is_refused(self):
+        sim = Simulator()
+        state = _Alarm(sim, 10, [], "a").checkpoint()
+        empty = _Alarm(sim, 10, [], "b")
+        empty._event.cancel()
+        empty._event = None
+        with pytest.raises(ValueError, match="_Alarm._event: the snapshot carries one"):
+            empty.restore(state)
+
+    def test_the_sequence_counter_never_moves_backwards(self):
+        sim = Simulator()
+        for _ in range(3):
+            sim.schedule(1, lambda: None)
+        with pytest.raises(SimulationError, match="sequence counter backwards to 2"):
+            sim.restore({"now": 0, "events_processed": 0, "seq": 2})
+        assert sim.seq == 3
+        sim.restore({"now": 0, "events_processed": 0, "seq": 3})
+        assert sim.schedule(1, lambda: None).seq == 3

@@ -299,3 +299,34 @@ class TestMidShardCheckpointWiring:
 
         resumed = run_shard(dict(payload, resume_checkpoint=snapshot))
         assert resumed == baseline
+
+    def test_checkpoint_of_another_schema_reruns_its_shard(self, store):
+        """A run-store checkpoint this build cannot restore is stale, as a
+        torn one is: ``sweep --resume`` reruns its shard from zero instead
+        of failing it, and merges to a cold run's bytes."""
+        from repro.controlplane.snapshot import CHECKPOINT_SCHEMA_VERSION
+        from repro.fleet import ShardSpec
+        from repro.runs.store import write_checkpoint_file
+        from repro.scenarios import PodSpec, ScenarioSpec, WorkloadSpec
+        from repro.sim.units import MS
+
+        spec = ScenarioSpec(
+            name="ckpt-schema",
+            pods=(PodSpec(name="pod", data_cores=2, per_core_pps=100_000),),
+            workload=WorkloadSpec(flows=8, tenants=4, load=0.1),
+            duration_ns=5 * MS,
+            seed=7,
+            checkpoint_every_ns=1 * MS,
+        )
+        shards = [ShardSpec(0, {}, spec)]
+        cold = sweep_to_json(run_sweep("ckpt", shards, workers=1, seed=7))
+        run = store.create("ckpt", 7, shards, run_id="old-schema")
+        run_shard(dict(shards[0].to_dict(), checkpoint_path=run.checkpoint_path(0)))
+        fingerprint = spec_fingerprint(spec)
+        snapshot = run.load_checkpoint(0, fingerprint)
+        assert snapshot is not None
+        write_checkpoint_file(run.checkpoint_path(0), fingerprint,
+                              dict(snapshot, schema_version=CHECKPOINT_SCHEMA_VERSION + 1))
+
+        report = run_sweep("ckpt", shards, workers=1, seed=7, run=run)
+        assert sweep_to_json(report) == cold

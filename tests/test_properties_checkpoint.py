@@ -11,6 +11,7 @@ simtimes, including mid-burst instants for the microburst source.
 
 import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -99,30 +100,25 @@ def test_every_snapshot_of_a_run_restores_identically(seed):
         assert snapshot_bytes(handle.report()) == snapshot_bytes(baseline)
 
 
-def _strip_seqs(value):
-    """Drop heap ``seq`` fields: absolute sequence numbers restart on a
-    fresh simulator, so only the semantic snapshot content is comparable
-    across a restore (relative tie order is pinned by the byte-identical
-    *report*, which replays those ties)."""
-    if isinstance(value, dict):
-        return {
-            key: _strip_seqs(item)
-            for key, item in value.items()
-            if key != "seq"
-        }
-    if isinstance(value, list):
-        return [_strip_seqs(item) for item in value]
-    return value
-
-
-def test_restored_run_recaptures_the_same_future_checkpoints():
-    """After a restore, the checkpointer itself continues identically:
-    the snapshots taken *after* the restore point carry the same state
-    at the same instants (skip/capture decisions are pure sim state)."""
-    spec = _spec("cbr", seed=7, every_ns=1 * MS)
+@pytest.mark.parametrize("kind, seed, every_ns", [
+    ("cbr", 7, 1 * MS),
+    ("microburst", 11, 250 * US),
+])
+def test_restored_run_recaptures_the_same_future_checkpoints(kind, seed, every_ns):
+    """After a restore the checkpointer itself continues identically: the
+    snapshots taken *after* the restore point are the same bytes at the
+    same instants, ``seq`` fields included (the simulator's sequence
+    counter is restored state, so every later event takes the number it
+    took in the straight run).  Telemetry is armed; the microburst run
+    resumes mid-burst."""
+    spec = _spec(kind, seed, every_ns).with_overrides(
+        overrides={"timeseries_every_ns": 1 * MS}
+    )
     _baseline, snapshots = _full_run(spec)
-    assert len(snapshots) >= 3
-    restore_point = snapshots[0]
+    restore_point = next(
+        snapshot for snapshot in snapshots
+        if kind == "cbr" or snapshot["sources"][0]["in_burst"]
+    )
 
     replay = []
     handle = build(spec)
@@ -135,9 +131,8 @@ def test_restored_run_recaptures_the_same_future_checkpoints():
         snapshot for snapshot in snapshots
         if snapshot["taken_ns"] > restore_point["taken_ns"]
     ]
-    assert [snapshot_bytes(_strip_seqs(s)) for s in replay] == [
-        snapshot_bytes(_strip_seqs(s)) for s in originals
-    ]
+    assert len(originals) >= 2 and "telemetry" in originals[0]
+    assert list(map(snapshot_bytes, replay)) == list(map(snapshot_bytes, originals))
 
 
 def test_restore_requires_checkpoint_cadence():

@@ -31,7 +31,11 @@ from repro.runs.query import (
     resolve_operand,
     show_rows,
 )
+from repro.controlplane.snapshot import CHECKPOINT_SCHEMA_VERSION
 from repro.runs.store import write_checkpoint_file
+
+#: The smallest checkpoint ``load_checkpoint`` accepts: this build's schema.
+CHECKPOINT = {"schema_version": CHECKPOINT_SCHEMA_VERSION, "taken_ns": 5}
 
 REPO = Path(__file__).parent.parent
 TRAJECTORY = [
@@ -208,9 +212,9 @@ class TestShardCache:
         atomic_write_json(run.checkpoint_path(0), {
             "schema_version": 1,
             "spec_hash": fingerprint,
-            "checkpoint": {"taken_ns": 5},
+            "checkpoint": CHECKPOINT,
         })
-        assert run.load_checkpoint(0, fingerprint) == {"taken_ns": 5}
+        assert run.load_checkpoint(0, fingerprint) == CHECKPOINT
         run.record_shard(0, fingerprint, _fake_result(0, shards[0].axes))
         assert not os.path.exists(run.checkpoint_path(0))
         assert run.load_checkpoint(0, fingerprint) is None
@@ -218,21 +222,28 @@ class TestShardCache:
     def test_written_checkpoint_round_trips(self, store, shards):
         run = store.create("s", 1, shards, run_id="r")
         fingerprint = spec_fingerprint(shards[0].spec)
-        write_checkpoint_file(run.checkpoint_path(0), fingerprint, {"taken_ns": 5})
-        assert run.load_checkpoint(0, fingerprint) == {"taken_ns": 5}
+        write_checkpoint_file(run.checkpoint_path(0), fingerprint, CHECKPOINT)
+        assert run.load_checkpoint(0, fingerprint) == CHECKPOINT
         assert run.load_checkpoint(0, "another-spec") is None
         assert read_json(run.checkpoint_path(0)) == {
             "schema_version": 1,
             "spec_hash": fingerprint,
-            "checkpoint": {"taken_ns": 5},
+            "checkpoint": CHECKPOINT,
         }
+
+    def test_checkpoint_of_another_schema_is_none(self, store, shards):
+        run = store.create("s", 1, shards, run_id="r")
+        fingerprint = spec_fingerprint(shards[0].spec)
+        for inner in ({"taken_ns": 5}, dict(CHECKPOINT, schema_version=CHECKPOINT_SCHEMA_VERSION - 1)):
+            write_checkpoint_file(run.checkpoint_path(0), fingerprint, inner)
+            assert run.load_checkpoint(0, fingerprint) is None
 
     def test_stale_checkpoint_is_none(self, store, shards):
         run = store.create("s", 1, shards, run_id="r")
         atomic_write_json(run.checkpoint_path(0), {
             "schema_version": 1,
             "spec_hash": "old",
-            "checkpoint": {"taken_ns": 5},
+            "checkpoint": CHECKPOINT,
         })
         assert run.load_checkpoint(0, spec_fingerprint(shards[0].spec)) is None
 

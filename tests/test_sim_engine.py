@@ -1057,8 +1057,10 @@ class TestRngRegistry:
 class TestClockErrors:
     def test_restore_clock_moves_forward(self):
         sim = Simulator()
-        sim.restore({"now": 5 * MS, "events_processed": 7})
-        assert sim.checkpoint() == {"now": 5 * MS, "events_processed": 7}
+        sim.restore({"now": 5 * MS, "events_processed": 7, "seq": 4})
+        assert sim.checkpoint() == {"now": 5 * MS, "events_processed": 7, "seq": 4}
+        event = sim.schedule(0, lambda: None)
+        assert (event.time, event.seq, sim.seq) == (5 * MS, 4, 5)
 
     def test_restore_clock_backwards_rejected(self):
         sim = Simulator()

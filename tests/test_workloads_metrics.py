@@ -352,6 +352,24 @@ class TestSources:
         assert len(stopped) == pytest.approx(500, rel=0.25)
         assert sim.pending == 0
 
+    def test_cbr_sink_that_resets_the_rate_keeps_one_tick(self):
+        """A sink may re-set its own source's rate mid-tick: the tick that
+        ``set_rate`` queues is the next one, and no second one is queued."""
+        sim = Simulator()
+        arrivals = []
+
+        def sink(packet):
+            arrivals.append(sim.now)
+            if len(arrivals) == 1:
+                source.set_rate(2_000)
+
+        source = CbrSource(
+            sim, RngRegistry(1).stream("s"), sink, uniform_population(4), rate_pps=1_000,
+        )
+        sim.run_until(10 * MS)
+        assert arrivals == [1 * MS + k * (SECOND // 2_000) for k in range(19)]
+        assert sim.pending == 1
+
     def test_cbr_restore_rejects_another_source_kind(self):
         sim = Simulator()
         source = CbrSource(
@@ -363,16 +381,25 @@ class TestSources:
             source.restore(snapshot)
 
     def test_cbr_stopped_source_has_no_pending_tick(self):
-        sim = Simulator()
-        source = CbrSource(
-            sim, RngRegistry(1).stream("s"), lambda packet: None, uniform_population(4),
-            rate_pps=1_000,
-        )
+        def world(received):
+            sim = Simulator()
+            return sim, CbrSource(
+                sim, RngRegistry(1).stream("s"), received.append, uniform_population(4),
+                rate_pps=1_000,
+            )
+
+        sim, source = world([])
         sim.run_until(10 * MS)
         source.stop()
         snapshot = source.checkpoint()
         assert snapshot["next_tick"] is None and not snapshot["running"]
-        assert source.restore(snapshot) == []
+        received = []
+        fresh_sim, fresh = world(received)
+        fresh_sim.restore(sim.checkpoint())
+        fresh.restore(snapshot)      # cancels the fresh source's first tick
+        fresh_sim.run_until(20 * MS)
+        assert received == [] and fresh_sim.pending == 0
+        assert fresh.checkpoint() == snapshot
 
 
 class TestMicroburst:
@@ -408,7 +435,7 @@ class TestMicroburst:
             burst_period_ns=50 * MS,
         )
         sim.run_until(1 * SECOND)
-        assert not source.in_burst or source.rate_pps > 10_000
+        assert not source.checkpoint()["in_burst"] or source.rate_pps > 10_000
 
     def test_stop_sticks_across_pending_burst(self):
         """A pending burst start must not revive a stopped source.
