@@ -272,7 +272,7 @@ def snapshot_bytes(snapshot):
     return json.dumps(snapshot, sort_keys=True, separators=(",", ":")).encode()
 
 
-CHECKPOINT_SCHEMA_VERSION = 2
+CHECKPOINT_SCHEMA_VERSION = 3
 
 
 class SimCheckpointer(Stateful):

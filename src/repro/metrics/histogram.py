@@ -18,6 +18,9 @@ bucket counts and no raw samples:
   fraction_below` is exact when the threshold is a bucket edge.
 * **Merge** adds bucket counts element-wise: exact, associative and
   commutative, so any grouping of shards merges to the same bytes.
+* **Difference** (:meth:`~LatencyHistogram.since`) subtracts an earlier
+  snapshot, as HdrHistogram's ``subtract`` does.  Its own ``max`` is
+  unknown, so a percentile read from it can sit higher in its bucket.
 * **State** is plain ``STATE``: the four scalars and a
   :class:`~repro.controlplane.snapshot.Table` of the non-zero buckets.
   Its snapshot is also the report's ``latency`` wire form.
@@ -59,16 +62,11 @@ class LatencyHistogram(Stateful):
     def __init__(self, seed=None):
         # ``seed`` is accepted and ignored: the benchmark probes still
         # pass one (ROADMAP 3(c)); nothing here draws randomness.
-        self.buckets = Table()
-        self.reset()
-
-    def reset(self):
-        """Drop all recorded data."""
         self.count = 0
         self.sum_ns = 0
         self.min_ns = None
         self.max_ns = None
-        self.buckets.clear()
+        self.buckets = Table()
 
     def record(self, latency_ns):
         # Inline of bucket_edge: the per-packet path pays no call.
@@ -138,3 +136,21 @@ class LatencyHistogram(Stateful):
         for edge, count in other.buckets.items():
             buckets[edge] = buckets.get(edge, 0) + count
         return self
+
+    def since(self, earlier):
+        """What was recorded since ``earlier``, a :meth:`checkpoint` of this
+        sketch: exact buckets, ``count`` and ``sum``; ``min``/``max`` moved
+        into the remaining buckets.  A non-prefix raises ``ValueError``."""
+        buckets = dict(self.buckets)
+        for edge, count in earlier["buckets"]:
+            buckets[edge] = buckets.get(edge, 0) - count
+        if earlier["count"] > self.count or min(buckets.values(), default=0) < 0:
+            raise ValueError("not an earlier snapshot of this sketch")
+        since = LatencyHistogram()
+        since.buckets.update((edge, count) for edge, count in buckets.items() if count)
+        since.count = self.count - earlier["count"]
+        since.sum_ns = self.sum_ns - earlier["sum"]
+        if since.buckets:
+            since.min_ns = max(self.min_ns, min(since.buckets))
+            since.max_ns = min(self.max_ns, bucket_top(max(since.buckets)))
+        return since

@@ -254,7 +254,6 @@ def build(spec):
         from repro.telemetry import TimeSeriesRecorder
 
         telemetry = TimeSeriesRecorder(sim, pods, spec.timeseries_every_ns)
-        subscribers.append(telemetry.on_exit)
     if spec.checkpoint_every_ns is not None:
         from repro.controlplane.snapshot import SimCheckpointer
 

@@ -2,12 +2,11 @@
 
 The paper's evaluation is trajectories over time -- P99 under ramping
 load (Fig. 9), HOL drops during a burst (Fig. 12), limiter behaviour
-across an overload window (Fig. 13/14) -- while run reports historically
-exposed only end-of-run aggregates.  The :class:`TimeSeriesRecorder`
-closes that gap: armed by a spec's ``timeseries_every_ns``, it samples
-every pod at fixed sim-time windows and the run report grows a
-``"timeseries"`` section (reports without the field stay byte-identical
-to a recorder-less build).
+across an overload window (Fig. 13/14).  Armed by a spec's
+``timeseries_every_ns``, the :class:`TimeSeriesRecorder` samples every
+pod at fixed sim-time windows into the run report's ``"timeseries"``
+section (a report without the field is byte-identical to a
+recorder-less build).
 
 Window semantics:
 
@@ -22,8 +21,9 @@ Window semantics:
 * Each window row carries, per pod, the window's counter *deltas*
   (:meth:`CounterSet.delta` over a combined NIC/limiter/reorder/core
   view; zero deltas are omitted, so an idle window renders as ``{}``)
-  and a latency summary (count/mean/p50/p99) from a per-window
-  histogram that resets at every flush.
+  and a latency summary (count/mean/p50/p99) of the pod's own
+  ``latency_histogram`` minus its snapshot at the window's left edge
+  (:meth:`LatencyHistogram.since`); the recorder subscribes to nothing.
 * A run whose duration is not a multiple of the window ends with a
   partial row (``end_ns < start_ns + every_ns``); an exactly divisible
   run ends on a flush and has no partial row.
@@ -36,8 +36,6 @@ reproduces the identical series.
 
 from repro.controlplane.snapshot import Stateful
 from repro.metrics.counters import CounterSet
-from repro.metrics.histogram import LatencyHistogram
-from repro.topology.dpu import DPU_FAST_PATH
 
 TIMESERIES_SCHEMA_VERSION = 1
 
@@ -47,9 +45,7 @@ class TimeSeriesRecorder(Stateful):
 
     Parameters:
         sim: the :class:`~repro.sim.engine.Simulator`.
-        pods: ``{name: GwPodRuntime}`` (the recorder reads each pod's
-            counters at flush time; latencies arrive through :meth:`on_exit`,
-            which ``build()`` subscribes to the deployment's packet exits).
+        pods: ``{name: GwPodRuntime}``, read at every window edge.
         every_ns: window width in sim nanoseconds.
 
     Its restore validates the pod set before the codec's.
@@ -57,7 +53,7 @@ class TimeSeriesRecorder(Stateful):
 
     STATE = (
         "every_ns", ("origin_ns", "_origin"), ("window", "_window"), "windows",
-        ("prev", "_prev"), ("hists", "_hists"), ("next_fire", "_event"),
+        ("prev", "_prev"), ("next_fire", "_event"),
     )
 
     def __init__(self, sim, pods, every_ns):
@@ -71,19 +67,16 @@ class TimeSeriesRecorder(Stateful):
         self.windows = []
         self._origin = sim.now
         self._window = 0
-        self._prev = {}
-        self._hists = {}
-        for name in sorted(pods):
-            self._prev[name] = self._sample(pods[name]).snapshot()
-            self._hists[name] = LatencyHistogram()
+        self._prev = {name: self._edge(pods[name]) for name in sorted(pods)}
         self._event = sim.schedule(self.every_ns, self._fire)
 
-    def on_exit(self, packet, where, outcome):
-        """Exit subscriber: a pod egress (not a drop, not a DPU
-        fast-forward) lands in that pod's open window -- the stream that
-        feeds the pod's own ``latency_histogram``."""
-        if outcome is not None and outcome != DPU_FAST_PATH:
-            self._hists[where].record(packet.latency_ns)
+    @classmethod
+    def _edge(cls, pod):
+        """One pod's counter view and latency sketch, as snapshots."""
+        return {
+            "counters": cls._sample(pod).snapshot(),
+            "latency": pod.latency_histogram.checkpoint(),
+        }
 
     @staticmethod
     def _sample(pod):
@@ -95,8 +88,7 @@ class TimeSeriesRecorder(Stateful):
         flat namespace so a window delta is a single ``delta()`` call.
         """
         combined = CounterSet()
-        for name, value in pod.counters.snapshot().items():
-            combined.incr(name, value)
+        combined.counts.update(pod.counters.counts)
         stats = pod.reorder_stats
         for slot in type(stats).__slots__:
             combined.incr("reorder_" + slot, getattr(stats, slot))
@@ -110,8 +102,9 @@ class TimeSeriesRecorder(Stateful):
         """One window row from the current per-pod state (no mutation)."""
         pods = {}
         for name in sorted(self._prev):
-            delta = self._sample(self.pods[name]).delta(self._prev[name])
-            hist = self._hists[name]
+            pod, prev = self.pods[name], self._prev[name]
+            delta = self._sample(pod).delta(prev["counters"])
+            hist = pod.latency_histogram.since(prev["latency"])
             pods[name] = {
                 "counters": {
                     key: value for key, value in sorted(delta.items()) if value
@@ -119,8 +112,8 @@ class TimeSeriesRecorder(Stateful):
                 "latency": {
                     "count": hist.count,
                     "mean_ns": round(hist.mean_ns, 3),
-                    "p50_ns": hist.percentile(0.50) if hist.count else 0,
-                    "p99_ns": hist.percentile(0.99) if hist.count else 0,
+                    "p50_ns": hist.percentile(0.50),
+                    "p99_ns": hist.percentile(0.99),
                 },
             }
         return {
@@ -132,9 +125,7 @@ class TimeSeriesRecorder(Stateful):
 
     def _fire(self):
         self.windows.append(self._row(self.sim.now))
-        for name, hist in self._hists.items():
-            self._prev[name] = self._sample(self.pods[name]).snapshot()
-            hist.reset()
+        self._prev = {name: self._edge(self.pods[name]) for name in self._prev}
         self._window += 1
         self._event = self.sim.schedule(self.every_ns, self._fire)
 
@@ -155,10 +146,10 @@ class TimeSeriesRecorder(Stateful):
         }
 
     def restore(self, snapshot):
-        if sorted(snapshot["hists"]) != sorted(self._hists):
+        if sorted(snapshot["prev"]) != sorted(self._prev):
             raise ValueError(
-                f"checkpoint pods {sorted(snapshot['hists'])} do not match "
-                f"recorder pods {sorted(self._hists)}"
+                f"checkpoint pods {sorted(snapshot['prev'])} do not match "
+                f"recorder pods {sorted(self._prev)}"
             )
         super().restore(snapshot)
 

@@ -53,23 +53,18 @@ class MicroburstSource(CbrSource):
     def _burst_edge(self):
         if self._in_burst:
             self._in_burst = False
-            if self._running or self.rate_pps > 0:
+            if self._running:
                 self.set_rate(self.base_rate_pps)
             self._schedule_burst()
-        elif self._running or self.rate_pps != 0:  # a stopped source stays stopped
+        else:
             self._in_burst = True
             self.bursts_started += 1
-            self.set_rate(int(self.base_rate_pps * self.burst_factor))
+            if self._running:
+                self.set_rate(int(self.base_rate_pps * self.burst_factor))
             self._burst_event = self.sim.schedule(self.burst_duration_ns, self._burst_edge)
 
     def stop(self):
-        """Stop emission *and* the burst cycle.
-
-        Without cancelling the pending burst edge, a burst start firing
-        after ``stop()`` would call ``set_rate`` and revive the source
-        (its guard sees the stale non-zero ``rate_pps``) -- traffic kept
-        flowing into drained pods long after the caller stopped it.
-        """
+        """Stop emission *and* the burst cycle (a ``set_rate(0)`` pause keeps it)."""
         super().stop()
         if self._burst_event is not None:
             self._burst_event.cancel()

@@ -1,5 +1,5 @@
-"""The log-linear latency sketch: bucket edges, read error, exact merge
-and the snapshot round trip.
+"""The log-linear latency sketch: bucket edges, read error, exact merge,
+the difference against an earlier snapshot and the snapshot round trip.
 
 Companions to the basic coverage in ``test_workloads_metrics.py``.  The
 properties compare the sketch against the exact answer over the raw
@@ -134,13 +134,6 @@ class TestQueries:
         assert histogram.mean_ns == 0.0
         assert (histogram.min_ns, histogram.max_ns, histogram.count) == (None, None, 0)
 
-    def test_reset_drops_everything(self):
-        histogram = _filled([0, 5, 50, 500])
-        histogram.reset()
-        assert histogram.checkpoint() == LatencyHistogram().checkpoint()
-        histogram.record(500)
-        assert (histogram.min_ns, histogram.max_ns, histogram.percentile(1.0)) == (500,) * 3
-
     @settings(max_examples=100, deadline=None)
     @given(values=latencies.filter(bool),
            fractions=st.lists(st.floats(min_value=1e-6, max_value=1.0),
@@ -241,6 +234,73 @@ class TestMerge:
         histogram = LatencyHistogram()
         with pytest.raises(ValueError, match="itself"):
             histogram.merge(histogram)
+
+
+class TestDifference:
+    @settings(max_examples=150, deadline=None)
+    @given(earlier=latencies, later=latencies)
+    def test_property_difference_is_the_later_records(self, earlier, later):
+        """Record A, snapshot, record B: the difference is B's sketch,
+        its reads at most lifted inside their own buckets."""
+        histogram = _filled(earlier)
+        mark = histogram.checkpoint()
+        for value in later:
+            histogram.record(value)
+        since = histogram.since(json.loads(json.dumps(mark)))
+        fresh = _filled(later)
+        assert since.checkpoint()["buckets"] == fresh.checkpoint()["buckets"]
+        assert (since.count, since.sum_ns) == (fresh.count, fresh.sum_ns)
+        if not later:
+            assert (since.min_ns, since.max_ns) == (None, None)
+            return
+        assert since.min_ns <= fresh.min_ns and bucket_edge(since.min_ns) == bucket_edge(fresh.min_ns)
+        assert since.max_ns >= fresh.max_ns and bucket_edge(since.max_ns) == bucket_edge(fresh.max_ns)
+        for fraction in (1e-6, 0.25, 0.5, 0.9, 0.99, 1.0):
+            got, own = since.percentile(fraction), fresh.percentile(fraction)
+            assert got >= own and bucket_edge(got) == bucket_edge(own)
+
+    @settings(max_examples=100, deadline=None)
+    @given(values=latencies.filter(bool), extra=st.integers(0, 10**12))
+    def test_property_non_prefix_raises(self, values, extra):
+        histogram = _filled(values)
+        ahead = _filled(values + [extra]).checkpoint()
+        with pytest.raises(ValueError, match="not an earlier snapshot"):
+            histogram.since(ahead)
+        # A bucket above the live one with the same count: a different
+        # record in place of one of ours.
+        moved = _filled(values[1:] + [values[0] + 2**40]).checkpoint()
+        with pytest.raises(ValueError, match="not an earlier snapshot"):
+            histogram.since(moved)
+
+    def test_difference_against_itself_is_empty(self):
+        histogram = _filled([3, 300, 30_000])
+        since = histogram.since(histogram.checkpoint())
+        assert since.checkpoint() == LatencyHistogram().checkpoint()
+        assert since.percentile(0.99) == 0
+
+    def test_max_is_clamped_to_the_highest_remaining_bucket(self):
+        histogram = _filled([1000, 1001])
+        mark = histogram.checkpoint()
+        histogram.record(1002)
+        histogram.record(5)
+        since = histogram.since(mark)
+        # 1 000..1 003 is one bucket: the difference knows the cumulative
+        # max 1 002 sits there, not that its own record is that one.
+        assert (since.min_ns, since.max_ns, since.count) == (5, 1002, 2)
+        histogram.record(70_000)
+        mark = histogram.checkpoint()
+        histogram.record(1001)
+        since = histogram.since(mark)
+        assert (since.min_ns, since.max_ns) == (1000, 1003)
+        assert since.percentile(0.5) == 1003
+
+    def test_difference_does_not_mutate_the_live_sketch(self):
+        histogram = _filled([7, 700, 70_000])
+        mark = histogram.checkpoint()
+        histogram.record(701)
+        before = histogram.checkpoint()
+        histogram.since(mark)
+        assert histogram.checkpoint() == before
 
 
 class TestSnapshot:

@@ -4,7 +4,8 @@ Covers the :mod:`repro.telemetry` recorder end to end: window edge
 semantics (partial trailing rows, exactly divisible runs, runs shorter
 than one window), per-window conservation against end-of-run aggregates,
 report purity and the disabled-path guarantee, the checkpoint/resume
-series identity, fleet-level shard merging (worker invariance), and the
+series identity, window latencies against a per-window reference,
+fleet-level shard merging (worker invariance), and the
 ``flatten_windows``/``validate_series`` rendering helpers.
 """
 
@@ -22,6 +23,7 @@ from repro.fleet import (
     sweep_to_json,
     with_timeseries,
 )
+from repro.metrics.histogram import LatencyHistogram, bucket_edge, bucket_top
 from repro.scenarios import (
     PodSpec,
     ScenarioSpec,
@@ -35,6 +37,7 @@ from repro.telemetry import (
     flatten_windows,
     validate_series,
 )
+from tests import test_golden_reports as golden_reports
 
 
 def _spec(duration_ns=7 * MS, every_ns=2 * MS, seed=11, **extra):
@@ -153,7 +156,7 @@ class TestRecorder:
     def test_restore_rejects_pod_mismatch(self):
         _, _, recorder = _quiet_world()
         snapshot = recorder.checkpoint()
-        snapshot["hists"] = {"other": next(iter(snapshot["hists"].values()))}
+        snapshot["prev"] = {"other": next(iter(snapshot["prev"].values()))}
         with pytest.raises(ValueError, match="do not match"):
             recorder.restore(snapshot)
 
@@ -173,6 +176,68 @@ class TestRecorder:
         assert resumed.sim.now > 0  # genuinely mid-run
         resumed.run(spec.duration_ns - resumed.sim.now)
         assert json.dumps(resumed.report(), sort_keys=True) == expected
+
+
+class TestOneRecordPerPacket:
+    """A window's latency is the difference of the pod's own sketch across
+    it, checked against a reference that records every pod egress a
+    second time into per-window sketches."""
+
+    def test_armed_build_subscribes_nothing(self):
+        assert build(_spec()).server.subscribers == []
+
+    @staticmethod
+    def _moved_reads(handle):
+        """Run ``handle`` beside the reference; how many window reads the
+        clamp moved."""
+        recorder = handle.telemetry
+        reference, run_max = {}, {}
+
+        @handle.subscribe
+        def record(packet, where, outcome):
+            # The window a packet lands in is the number flushed so far.
+            if outcome is not None and where in handle.pods:
+                window = len(recorder.windows)
+                reference.setdefault((window, where), LatencyHistogram()).record(
+                    packet.latency_ns
+                )
+                run_max[where] = max(run_max.get(where, 0), packet.latency_ns)
+                run_max[window, where] = run_max[where]
+
+        handle.run()
+        moved = 0
+        for window in handle.report()["timeseries"]["windows"]:
+            for name, pod in window["pods"].items():
+                got = pod["latency"]
+                own = reference.get((window["window"], name), LatencyHistogram())
+                assert got["count"] == own.count
+                assert got["mean_ns"] == round(own.mean_ns, 3)
+                for key, fraction in (("p50_ns", 0.50), ("p99_ns", 0.99)):
+                    want = own.percentile(fraction)
+                    if not own.count:
+                        assert got[key] == want == 0
+                        continue
+                    # The clamp is the run's max so far, not the window's.
+                    top = bucket_top(bucket_edge(want))
+                    assert got[key] == min(top, run_max[window["window"], name])
+                    assert got[key] >= want and bucket_edge(got[key]) == bucket_edge(want)
+                    moved += got[key] != want
+        return moved
+
+    def test_overload_windows_match_the_reference(self):
+        handle = build(golden_reports._burst_limited().with_overrides(
+            overrides={"timeseries_every_ns": 2 * MS}
+        ))
+        golden_reports._arm_bursts(handle)
+        assert self._moved_reads(handle) > 0
+
+    @pytest.mark.parametrize("name", MIGRATION_SCENARIOS)
+    def test_migration_windows_match_the_reference(self, name):
+        # Windows after the swap difference the rebuilt pod's restored sketch.
+        spec = migration_scenario_spec(name, seed=7, quick=True).with_overrides(
+            overrides={"timeseries_every_ns": 2 * MS}
+        )
+        self._moved_reads(build(spec))
 
 
 class TestReport:

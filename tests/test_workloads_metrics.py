@@ -464,6 +464,32 @@ class TestMicroburst:
         # Nothing may arrive after the stop instant.
         assert all(t <= 10 * MS for t in received)
 
+    def test_pause_across_a_burst_edge_keeps_the_cycle(self):
+        """A source paused by ``set_rate(0)`` over a burst edge bursts
+        again once resumed.
+
+        Regression: the edge that fired on the paused source queued no
+        next edge, so the resumed source never burst again.
+        """
+        sim = Simulator()
+        population = uniform_population(10)
+        source = MicroburstSource(
+            sim,
+            RngRegistry(1).stream("s"),
+            lambda p: None,
+            population,
+            base_rate_pps=10_000,
+            burst_factor=10.0,
+            burst_duration_ns=5 * MS,
+            burst_period_ns=20 * MS,
+        )
+        first_edge = source.checkpoint()["burst_event"]["time"]
+        sim.schedule_at(first_edge - 1, source.set_rate, 0)
+        sim.schedule_at(first_edge + 1, source.set_rate, 10_000)
+        sim.run_until(1 * SECOND)
+        assert source.bursts_started > 10
+        assert source.emitted > 10_000 * 1.1
+
 
 class TestTenants:
     def test_rate_changes_applied(self):
