@@ -3,7 +3,8 @@
 Stateful classes declare ``STATE`` and ``DERIVED``; every other attribute
 is constructor wiring (:mod:`repro.controlplane.snapshot`).  Small worlds
 -- three scenarios (PLB + microbursts, RSS + CBR, lossy PLB; limiter,
-telemetry and checkpoints armed), a flapped BFD link, a churned FPGA
+telemetry and checkpoints armed; the lossy pod also runs every
+periodic owner), eBGP beside a flapped BFD link, a churned FPGA
 session table -- are built, run and held to four checks:
 
 * **Completeness rule.**  The object graph is walked after the build and
@@ -23,10 +24,10 @@ session table -- are built, run and held to four checks:
 * **World probes.**  A mid-run scenario snapshot restored into a fresh
   deployment replays to a byte-identical report.
 
-The component probes cover the owners of pending heap events too: the
-codec puts each restored event into its own ``(time, seq)`` slot in the
-twin's simulator.  ``statecheck -v`` prints every probe and every
-``DERIVED`` reason.
+The component probes cover the owners of pending heap events too, every
+timer and periodic task among them: the codec puts each restored event
+into its own ``(time, seq)`` slot in the twin's simulator.
+``statecheck -v`` prints every probe and every ``DERIVED`` reason.
 """
 
 import enum
@@ -346,20 +347,58 @@ def _spec_world(spec):
     return spec.name, lambda: build(spec), run
 
 
-def _bfd_world():
-    """A BFD link pair with some traffic history, for direct probing."""
+def _owners_world(spec):
+    """``spec``'s world plus the periodic owners no spec arms, on its pod."""
+    from repro.core.hitters import CpuHitterDetector
+    from repro.core.watchdog import FpgaWatchdog, PlbWatchdog
+    from repro.cpu.numa import NumaBalancer
+    from repro.metrics.summary import UtilizationSampler
+    from repro.sim.units import MS, US
+
+    name, build_handle, run = _spec_world(spec)
+
+    def build():
+        handle = build_handle()
+        sim, pod = handle.sim, handle.pod
+        return handle, (
+            PlbWatchdog(sim, pod.nic, period_ns=MS),
+            FpgaWatchdog(sim, pod.nic, period_ns=MS),
+            CpuHitterDetector(sim, pod.nic.rate_limiter, period_ns=2 * MS),
+            UtilizationSampler(sim, pod.cores, MS),
+            NumaBalancer(sim, pod.cores, scan_period_ns=3 * MS, stall_ns=20 * US,
+                         rng=handle.rngs.stream("balancer")),
+            NumaBalancer(sim, pod.cores, enabled=False),
+        )
+
+    return name, build, lambda world: run(world[0])
+
+
+def _bgp_bfd_world():
+    """An eBGP pair, up before the walk (its speakers declare nothing), and
+    a BFD link; the run ends inside the link's second flap, both ends DOWN."""
     from repro.bgp.bfd import BfdLink
+    from repro.bgp.fsm import establish_pair
+    from repro.bgp.speaker import BgpSpeaker
     from repro.sim.engine import Simulator
     from repro.sim.units import MS
 
-    def run(link):
-        link.sim.run_until(400 * MS)
-        link.set_down()
-        link.sim.run_until(700 * MS)
-        link.set_up()
-        link.sim.run_until(900 * MS)
+    def build():
+        sim = Simulator()
+        link = BfdLink(sim)
+        speakers = [BgpSpeaker(sim, name, 65001 + i, 0x0A000001 + i)
+                    for i, name in enumerate("ab")]
+        sessions = establish_pair(sim, *speakers, hold_time_s=3)[:2]
+        sim.run_until(100 * MS)
+        return (link, *sessions)
 
-    return "bfd-link", lambda: BfdLink(Simulator()), run
+    def run(world):
+        link = world[0]
+        for until, flap in ((400, link.set_down), (700, link.set_up), (1_200, link.set_down)):
+            link.sim.run_until(until * MS)
+            flap()
+        link.sim.run_until(1_500 * MS)
+
+    return "bgp-bfd", build, run
 
 
 def _offload_world():
@@ -396,7 +435,9 @@ def run_statecheck(seed=42):
     by_class = {}
     keyed = {}      # class name -> [instances, error] of the STATE-key check
     findings = {}   # (class name, detail) -> worlds it shows up in
-    for name, build, run in [*map(_spec_world, specs), _bfd_world(), _offload_world()]:
+    worlds = [*map(_spec_world, specs[:2]), _owners_world(specs[2]), _bgp_bfd_world(),
+              _offload_world()]
+    for name, build, run in worlds:
         root = build()
         try:
             for finding in check_completeness([root], lambda: run(root)):

@@ -47,12 +47,8 @@ class BfdSession(Stateful):
 
     STATE = (
         "state", "discriminator", "peer_discriminator", "probes_sent",
-        "probes_received", "down_events",
+        "probes_received", "down_events", ("tx", "_tx_task"), ("detect", "_detect_event"),
     )
-    DERIVED = {
-        "_detect_event": "re-armed from now by restore() whenever the session is not DOWN",
-        "_tx_task": "periodic task wrapping heap events; it keeps running across a restore",
-    }
 
     def __init__(
         self,
@@ -78,7 +74,8 @@ class BfdSession(Stateful):
         self.probes_sent = 0
         self.probes_received = 0
         self.down_events = 0
-        self._detect_event = None
+        # Pending from the first probe received until detection expires.
+        self._detect_event = sim.idle(self._detect_expired)
         self._tx_task = sim.every(interval_ns, self._transmit, start_delay=0)
 
     @property
@@ -106,40 +103,17 @@ class BfdSession(Stateful):
         self._restart_detect_timer()
 
     def _restart_detect_timer(self):
-        if self._detect_event is not None:
-            self._detect_event.cancel()
+        self._detect_event.cancel()
         self._detect_event = self.sim.schedule(
             self.detect_time_ns, self._detect_expired
         )
 
     def _detect_expired(self):
-        self._detect_event = None
         if self.state is BfdState.UP or self.state is BfdState.INIT:
             self.state = BfdState.DOWN
             self.down_events += 1
             if self.on_down is not None:
                 self.on_down(self)
-
-    def stop(self):
-        self._tx_task.cancel()
-        if self._detect_event is not None:
-            self._detect_event.cancel()
-            self._detect_event = None
-
-    def restore(self, snapshot):
-        """Reinstate a :meth:`checkpoint` into this (live) session.
-
-        An UP/INIT session re-arms its detect timer from now -- exactly
-        what a freshly unfrozen endpoint does: it has just (conceptually)
-        heard from its peer, and missing the next ``multiplier`` probes
-        still tears the session down.
-        """
-        super().restore(snapshot)
-        if self.state is not BfdState.DOWN:
-            self._restart_detect_timer()
-        elif self._detect_event is not None:
-            self._detect_event.cancel()
-            self._detect_event = None
 
 
 def bfd_pair(sim, name_a="a", name_b="b", interval_ns=50 * MS, latency_ns=100_000,
@@ -214,7 +188,3 @@ class BfdLink(Stateful):
     @property
     def sessions_up(self):
         return self.a.state is BfdState.UP and self.b.state is BfdState.UP
-
-    def stop(self):
-        self.a.stop()
-        self.b.stop()

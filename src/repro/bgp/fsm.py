@@ -10,6 +10,7 @@ Sessions exchange immutable :mod:`repro.bgp.messages` objects; a
 import enum
 
 from repro.bgp import messages
+from repro.controlplane.snapshot import Stateful
 from repro.sim.units import SECOND
 
 
@@ -21,7 +22,7 @@ class BgpState(enum.Enum):
     ESTABLISHED = "established"
 
 
-class BgpSession:
+class BgpSession(Stateful):
     """One side of a BGP peering.
 
     Parameters:
@@ -34,7 +35,17 @@ class BgpSession:
 
     Callbacks on the speaker: ``on_session_up(session)``,
     ``on_session_down(session, reason)``, ``on_update(session, update)``.
+
+    Its three timers (connect, hold, keepalive) are handles it holds for
+    its whole life, each off until its state arms it.  Keepalives go out
+    every third of the negotiated hold time.
     """
+
+    STATE = (
+        "state", "hold_time_s", "messages_sent", "messages_received",
+        ("connect_timer", "_connect_event"), ("hold_timer", "_hold_event"),
+        ("keepalive_timer", "_keepalive_event"),
+    )
 
     def __init__(
         self,
@@ -52,11 +63,11 @@ class BgpSession:
         self.hold_time_s = hold_time_s
         self.connect_delay_ns = connect_delay_ns
         self.state = BgpState.IDLE
-        self.peer_open = None
         self.messages_sent = 0
         self.messages_received = 0
-        self._hold_event = None
-        self._keepalive_task = None
+        self._connect_event = sim.idle(self._connected)
+        self._hold_event = sim.idle(self._hold_expired)
+        self._keepalive_event = sim.idle(self._send_keepalive)
 
     # -- lifecycle -------------------------------------------------------
 
@@ -65,7 +76,7 @@ class BgpSession:
         if self.state is not BgpState.IDLE:
             return
         self.state = BgpState.CONNECT
-        self.sim.schedule(self.connect_delay_ns, self._connected)
+        self._connect_event = self.sim.schedule(self.connect_delay_ns, self._connected)
 
     def _connected(self):
         if self.state is not BgpState.CONNECT:
@@ -110,7 +121,6 @@ class BgpSession:
             self.state = BgpState.OPEN_SENT
         if self.state is not BgpState.OPEN_SENT:
             return
-        self.peer_open = message
         # Negotiate hold time down to the smaller of the two.
         self.hold_time_s = min(self.hold_time_s, message.hold_time)
         self._send(messages.BgpKeepalive())
@@ -144,40 +154,33 @@ class BgpSession:
     # -- timers --------------------------------------------------------------
 
     def _restart_hold_timer(self):
-        if self._hold_event is not None:
-            self._hold_event.cancel()
-        if self.hold_time_s <= 0:
-            self._hold_event = None
-            return
-        self._hold_event = self.sim.schedule(
-            self.hold_time_s * SECOND, self._hold_expired
-        )
+        self._hold_event.cancel()
+        if self.hold_time_s > 0:
+            self._hold_event = self.sim.schedule(
+                self.hold_time_s * SECOND, self._hold_expired
+            )
 
     def _hold_expired(self):
-        self._hold_event = None
         self._send(messages.BgpNotification(4))  # Hold Timer Expired
         self._go_idle("hold_timer_expired")
 
+    def _keepalive_interval(self):
+        return max(1, self.hold_time_s // 3) * SECOND
+
     def _start_keepalives(self):
-        interval = max(1, self.hold_time_s // 3) * SECOND
-        self._keepalive_task = self.sim.every(
-            interval, self._send_keepalive
+        self._keepalive_event = self.sim.schedule(
+            self._keepalive_interval(), self._send_keepalive
         )
 
     def _send_keepalive(self):
-        if self.state is BgpState.ESTABLISHED:
-            self._send(messages.BgpKeepalive())
+        self._send(messages.BgpKeepalive())
+        self.sim.rearm(self._keepalive_event, self._keepalive_interval())
 
     def _go_idle(self, reason):
         was_established = self.state is BgpState.ESTABLISHED
         self.state = BgpState.IDLE
-        self.peer_open = None
-        if self._hold_event is not None:
-            self._hold_event.cancel()
-            self._hold_event = None
-        if self._keepalive_task is not None:
-            self._keepalive_task.cancel()
-            self._keepalive_task = None
+        self._hold_event.cancel()
+        self._keepalive_event.cancel()
         if was_established:
             self.speaker.on_session_down(self, reason)
 

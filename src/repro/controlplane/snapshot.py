@@ -24,14 +24,16 @@ them: the NIC bumps ``counters.counts`` directly), and a member one
 side has and the other lacks raises ``ValueError`` naming the attribute.
 
 A pending event is restored into its own ``(time, seq)`` slot, the one
-protocol for every event a snapshot carries.  The live event is kept
-when it already sits in that slot (a source's never-fired first burst
-edge, say); otherwise it is cancelled and its handler pushed at the slot
-(``Simulator.schedule_slot`` on the owner's ``sim``).  The simulator's
-own snapshot carries ``seq``, the next number it hands out, so a
-restored run numbers every later event as the straight run did.  No
-owner re-arms anything by hand, and same-instant ties replay in the
-straight run's order.
+protocol for every timer a snapshot carries (a periodic task's state is
+its next firing).  The live event is kept when it already sits in that
+slot; otherwise it is cancelled and its handler pushed at the slot
+(``Simulator.schedule_slot`` on the owner's ``sim``), or only cancelled
+when the snapshot has none pending.  So an owner holds each timer's
+handle for its whole life, never ``None`` (``Simulator.idle`` is one
+that starts off).  The simulator's own snapshot carries ``seq``, the
+next number it hands out, so a restored run numbers every later event
+as the straight run did.  No owner re-arms anything by hand, and
+same-instant ties replay in the straight run's order.
 
 Snapshots are *plain data* -- dicts, lists, strings, numbers, bools and
 None -- so they serialize losslessly to JSON and restore across process
@@ -85,8 +87,9 @@ class Stateful:
     ``checkpoint()`` and ``restore(snapshot)`` are :func:`snapshot` and
     :func:`restore`.  A subclass that validates its input, or re-derives
     something after a restore, overrides ``restore`` and calls
-    ``super().restore(snapshot)``.  One whose ``STATE`` holds a pending
-    event keeps the simulator that queues it as ``sim``.
+    ``super().restore(snapshot)``; none schedules anything there.  One
+    whose ``STATE`` holds a timer (an ``Event``, never ``None``) keeps
+    the simulator that queues it as ``sim``.
     """
 
     __slots__ = ()
@@ -222,15 +225,14 @@ def restore(obj, state):
 
 def _slot(sim, live, value):
     """The event that stands for a snapshot's pending-event ``value``:
-    ``live`` itself when it is pending in that ``(time, seq)`` slot,
-    else ``live`` cancelled and its handler pushed at the slot (``None``
-    when the snapshot has no event pending)."""
+    ``live`` itself when it is pending in that ``(time, seq)`` slot (or,
+    cancelled, when ``value`` is None), else its handler pushed at the slot."""
     if (value is not None and not (live.cancelled or live.fired)
             and live.time == value["time"] and live.seq == value["seq"]):
         return live
     live.cancel()
     if value is None:
-        return None
+        return live
     return sim.schedule_slot(value["time"], value["seq"], live.fn, *live.args)
 
 

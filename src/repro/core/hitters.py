@@ -12,16 +12,21 @@ space-saving (Metwally et al.) top-k structure: bounded memory, no
 false negatives above the threshold.
 """
 
+from repro.controlplane.snapshot import Stateful, Table
 from repro.sim.units import SECOND
 
 
-class SpaceSavingSketch:
+class SpaceSavingSketch(Stateful):
     """Space-saving top-k counter over tenant VNIs.
 
     ``capacity`` bounds tracked tenants; a new tenant evicts the current
     minimum, inheriting its count (the classic over-estimate bound:
-    error <= min_count).
+    error <= min_count).  Ties in eviction and ranking go to the key
+    counted first, so the snapshot keeps ``[key, count]`` pairs in that
+    order rather than sorted.
     """
+
+    STATE = (("counts", "_counts"), "total")
 
     def __init__(self, capacity=1024):
         if capacity <= 0:
@@ -55,8 +60,16 @@ class SpaceSavingSketch:
         self._counts.clear()
         self.total = 0
 
+    def checkpoint(self):
+        return {"counts": [[key, count] for key, count in self._counts.items()],
+                "total": self.total}
 
-class CpuHitterDetector:
+    def restore(self, snapshot):
+        self._counts = {key: count for key, count in snapshot["counts"]}
+        self.total = snapshot["total"]
+
+
+class CpuHitterDetector(Stateful):
     """Periodic CPU-side detection feeding the limiter's pre tables.
 
     Parameters:
@@ -67,6 +80,11 @@ class CpuHitterDetector:
         demote_after_epochs: tenants quiet for this many epochs are
             removed from the pre tables (bursts end).
     """
+
+    STATE = (
+        "promotions", "demotions", ("quiet_epochs", "_quiet_epochs"), "sketch",
+        ("task", "_task"),
+    )
 
     def __init__(
         self,
@@ -85,7 +103,7 @@ class CpuHitterDetector:
         self.sketch = SpaceSavingSketch(sketch_capacity)
         self.promotions = 0
         self.demotions = 0
-        self._quiet_epochs = {}
+        self._quiet_epochs = Table()   # promoted VNI -> quiet epoch count
         self._task = sim.every(period_ns, self._epoch)
 
     def observe_packet(self, vni):
@@ -105,7 +123,7 @@ class CpuHitterDetector:
                 self.promotions += 1
             self._quiet_epochs[vni] = 0
         # Age out tenants that stopped being hot.
-        for vni in list(self._quiet_epochs):
+        for vni in sorted(self._quiet_epochs):
             if vni in hot:
                 continue
             self._quiet_epochs[vni] += 1
@@ -114,6 +132,3 @@ class CpuHitterDetector:
                 del self._quiet_epochs[vni]
                 self.demotions += 1
         self.sketch.reset()
-
-    def stop(self):
-        self._task.cancel()

@@ -17,10 +17,11 @@ and, after ``strikes`` missed beats, resets the pipeline (dropping all
 in-flight reorder state) to bring the NIC back.
 """
 
+from repro.controlplane.snapshot import Stateful
 from repro.sim.units import MS, SECOND
 
 
-class PlbWatchdog:
+class PlbWatchdog(Stateful):
     """Monitors one pod's reorder health and drives mode fallback.
 
     Parameters:
@@ -33,6 +34,11 @@ class PlbWatchdog:
         auto_restore_after_ns: restore PLB after this long in RSS
             (None = stay in RSS until told otherwise).
     """
+
+    STATE = ("fallbacks", "restores", ("strike_count", "_strike_count"),
+             ("last_hol", "_last_hol"), ("last_best_effort", "_last_best_effort"),
+             ("last_transmitted", "_last_transmitted"), ("fell_back_at", "_fell_back_at"),
+             ("task", "_task"))
 
     def __init__(
         self,
@@ -101,11 +107,8 @@ class PlbWatchdog:
         else:
             self._strike_count = 0
 
-    def stop(self):
-        self._task.cancel()
 
-
-class FpgaWatchdog:
+class FpgaWatchdog(Stateful):
     """Detects a stalled FPGA pipeline and resets it (§4.1 remediation).
 
     Polls ``nic.heartbeat()`` every ``period_ns``; a poll where the beat
@@ -122,6 +125,9 @@ class FpgaWatchdog:
         on_reset: optional callback ``on_reset(watchdog)`` fired after
             each reset (fault injectors hook detection metrics here).
     """
+
+    STATE = ("resets", "inflight_dropped", ("strike_count", "_strike_count"),
+             ("last_beat", "_last_beat"), ("task", "_task"))
 
     def __init__(self, sim, nic, period_ns=10 * MS, strikes=2, on_reset=None):
         self.sim = sim
@@ -149,6 +155,3 @@ class FpgaWatchdog:
         else:
             self._strike_count = 0
             self._last_beat = beat
-
-    def stop(self):
-        self._task.cancel()

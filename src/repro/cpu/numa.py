@@ -12,6 +12,8 @@
    the resulting latency bursts at 90% load vanish when it is disabled.
 """
 
+from repro.controlplane.snapshot import Stateful
+
 
 class NumaNode:
     """One socket: cores, local memory, and a shared L3."""
@@ -67,15 +69,19 @@ class NumaTopology:
         return self.CROSS_NUMA_COMPUTE_PENALTY
 
 
-class NumaBalancer:
+class NumaBalancer(Stateful):
     """Kernel automatic NUMA balancing, reduced to its observable effect.
 
     Every ``scan_period_ns`` the kernel samples a pinned pod's pages; the
     ensuing page unmaps + faults stall each affected core for
     ``stall_ns``.  Stalls only hurt when cores are busy, so the bursts of
     Fig. 17 appear under high load and disappear at low load -- and, of
-    course, when ``enabled`` is False.
+    course, when ``enabled`` is False: the scan timer is then off for
+    the balancer's whole life.
     """
+
+    STATE = ("scans", ("next_scan", "_event"))
+    DERIVED = {"rng": "a registry stream: the RngRegistry snapshot carries its position"}
 
     def __init__(
         self,
@@ -95,9 +101,8 @@ class NumaBalancer:
         self.cores_affected_fraction = cores_affected_fraction
         self.rng = rng
         self.scans = 0
-        self._task = None
-        if enabled:
-            self._task = sim.every(scan_period_ns, self._scan)
+        self._event = (sim.schedule(scan_period_ns, self._scan) if enabled
+                       else sim.idle(self._scan))
 
     def _scan(self):
         self.scans += 1
@@ -108,10 +113,4 @@ class NumaBalancer:
             victims = self.cores[:affected]
         for core in victims:
             core.inject_stall(self.stall_ns)
-
-    def disable(self):
-        """Turn balancing off (the paper's fix)."""
-        self.enabled = False
-        if self._task is not None:
-            self._task.cancel()
-            self._task = None
+        self.sim.rearm(self._event, self.scan_period_ns)

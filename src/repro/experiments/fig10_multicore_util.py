@@ -109,5 +109,4 @@ def _run_mode(
 
     sampler = UtilizationSampler(handle.sim, handle.pod.cores, sample_period_ns)
     handle.run(duration_ns)
-    sampler.stop()
     return sampler.stddev_series

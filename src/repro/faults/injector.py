@@ -153,9 +153,6 @@ class SteadyStateTracker:
                 still_waiting.append((record, baseline))
         self._waiting = still_waiting
 
-    def stop(self):
-        self._task.cancel()
-
 
 class FaultInjector:
     """Schedules a plan's faults onto the simulator and records outcomes."""

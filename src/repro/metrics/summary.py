@@ -9,6 +9,8 @@ busy-time delta, and records the across-core standard deviation.
 
 import math
 
+from repro.controlplane.snapshot import Stateful
+
 
 def mean(values):
     values = list(values)
@@ -24,19 +26,19 @@ def stddev(values):
     return math.sqrt(sum((value - center) ** 2 for value in values) / len(values))
 
 
-class UtilizationSampler:
+class UtilizationSampler(Stateful):
     """Samples per-core utilization at a fixed period.
 
-    After ``run``, ``samples`` holds one list of per-core utilizations per
-    period and ``stddev_series`` the across-core standard deviation of
-    each sample.
+    After ``run``, ``stddev_series`` holds the across-core standard
+    deviation of each period's per-core utilizations.
     """
+
+    STATE = ("stddev_series", ("previous_busy", "_previous_busy"), ("task", "_task"))
 
     def __init__(self, sim, cores, period_ns):
         self.sim = sim
         self.cores = list(cores)
         self.period_ns = period_ns
-        self.samples = []
         self.stddev_series = []
         self._previous_busy = [0] * len(self.cores)
         self._task = sim.every(period_ns, self._sample)
@@ -48,14 +50,4 @@ class UtilizationSampler:
             delta = busy - self._previous_busy[index]
             self._previous_busy[index] = busy
             utilizations.append(min(1.0, delta / self.period_ns))
-        self.samples.append(utilizations)
         self.stddev_series.append(stddev(utilizations))
-
-    def stop(self):
-        self._task.cancel()
-
-    def mean_stddev(self):
-        return mean(self.stddev_series)
-
-    def max_stddev(self):
-        return max(self.stddev_series) if self.stddev_series else 0.0

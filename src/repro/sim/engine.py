@@ -1,7 +1,7 @@
 """Event loop for the discrete-event simulator.
 
 The design is intentionally small: a binary heap of ``(time, seq, fn, args,
-event_or_None)`` entries and a handful of run/stop primitives.  Components
+event_or_None)`` entries and a handful of run primitives.  Components
 interact by scheduling callbacks; there is no process/coroutine machinery to
 keep the hot path cheap (the reorder and dispatch models schedule millions of
 events per simulated second).
@@ -52,15 +52,21 @@ Hot-path notes (see DESIGN.md "Performance"):
 * ``run`` and ``run_until`` share one loop (``_drive``; ``run`` is
   ``run_until`` an end time that never arrives).  Its plain branch binds
   the heap and ``heapq`` primitives to locals and pops directly instead of
-  delegating to ``step`` per event; a sanitized (or ``max_events``-counted)
-  run calls ``step`` per event, so checked execution is one function,
-  ``_step_checked``, whichever entry point drives it;
+  delegating to ``step`` per event; a sanitized run calls ``step`` per
+  event, so checked execution is one function, ``_step_checked``,
+  whichever entry point drives it;
 * same-timestamp batches write ``_now`` once per distinct timestamp.
 
 ``pending`` is derived (heap entries minus cancelled ones still queued), so
 no per-event counter is kept.  None of this changes observable behaviour:
 event order, ``now``, ``events_processed`` and ``pending`` are identical on
 the fast and checked paths (asserted by the engine test suite).
+
+Timers are handles held for their owner's whole life, never ``None``: a
+timer that is off is an :class:`Event` that is not pending (``idle`` makes
+one at birth, ``cancel()`` turns one off), and a :class:`PeriodicTask`
+is one event re-queued after every firing.  An owner declares the handle
+in ``STATE``, and a restore puts it back in its ``(time, seq)`` slot.
 """
 
 import functools
@@ -145,7 +151,6 @@ class Simulator(Stateful):
         "push",
         "_events_processed",
         "_running",
-        "_stopped",
         "_sanitizer",
         "step",
     )
@@ -155,7 +160,6 @@ class Simulator(Stateful):
                  "restored from its owner's snapshot into its own (time, seq) slot",
         "next_seq": "the counter behind seq, bound for the hot path; restore rebinds it",
         "_running": "run-loop transient; checkpoints are only taken between runs",
-        "_stopped": "run-loop transient; checkpoints are only taken between runs",
     }
 
     def __init__(self):
@@ -168,7 +172,6 @@ class Simulator(Stateful):
         self.push = functools.partial(_heappush, self._heap)
         self._events_processed = 0
         self._running = False
-        self._stopped = False
         self._sanitizer = get_sanitizer()
         # Resolved once: plain runs never test the sanitizer per event.
         self.step = self._step_checked if self._sanitizer is not None else self._step_fast
@@ -299,9 +302,14 @@ class Simulator(Stateful):
         self.push((time, seq, fn, args, event))
         return event
 
-    def stop(self):
-        """Stop the run loop after the current handler returns."""
-        self._stopped = True
+    def idle(self, fn, *args):
+        """A handle for ``fn(*args)`` that is not queued: the timer an owner
+        holds while it is off, from birth.  It is cancelled, so it fires
+        nothing, snapshots as no pending event, and starts with a fresh
+        ``schedule``; a restore finds it there to put back in a slot."""
+        event = Event(self._now, fn, args)
+        event.cancelled = True
+        return event
 
     def _pop_due(self, end_time):
         """Pop the next entry that fires by ``end_time`` (None: there is
@@ -351,9 +359,9 @@ class Simulator(Stateful):
         fn(*args)
         return True
 
-    def run(self, max_events=None):
-        """Run until the event heap drains (or ``max_events`` is hit)."""
-        self._drive(_NEVER, max_events)
+    def run(self):
+        """Run until the event heap drains."""
+        self._drive(_NEVER)
 
     def run_until(self, end_time):
         """Run events with timestamp <= ``end_time``, then set now to it.
@@ -365,31 +373,27 @@ class Simulator(Stateful):
             raise SimulationError(
                 f"run_until({end_time}) is before now={self._now}"
             )
-        self._drive(end_time, None)
-        if not self._stopped:
-            self._now = max(self._now, end_time)
+        self._drive(end_time)
+        self._now = max(self._now, end_time)
 
-    def _drive(self, end_time, max_events):
+    def _drive(self, end_time):
         """The run loop behind :meth:`run` and :meth:`run_until`."""
         if self._running:
             raise SimulationError("simulator is already running")
         self._running = True
-        self._stopped = False
         try:
-            if self._sanitizer is not None or max_events is not None:
-                # Checked or counted: one ``step`` per event.
+            if self._sanitizer is not None:
+                # Checked: one ``step`` per event.
                 step = self.step
-                count = 0
-                while (not self._stopped and (max_events is None or count < max_events)
-                       and step(end_time)):
-                    count += 1
+                while step(end_time):
+                    pass
             else:
                 # Fast path: pop first and push the single boundary-crossing
                 # entry back, instead of peeking the heap root every event.
                 heap = self._heap
                 pop = _heappop
                 now = self._now
-                while heap and not self._stopped:
+                while heap:
                     entry = pop(heap)
                     time, seq, fn, args, event = entry
                     if time > end_time:
@@ -428,52 +432,43 @@ class Simulator(Stateful):
             )
         super().restore(snapshot)
 
-    def every(self, interval, fn, *args, start_delay=None, jitter_fn=None):
-        """Schedule ``fn(*args)`` periodically.
+    def every(self, interval, fn, *args, start_delay=None):
+        """Call ``fn(*args)`` every ``interval`` ns, first after
+        ``start_delay`` (one interval when None).
 
-        Returns a :class:`PeriodicTask` whose ``cancel()`` stops the cycle.
-        ``jitter_fn``, if given, is called per period and must return extra
-        nanoseconds (possibly negative; the total delay is clamped to a
-        minimum of 1 ns so the clock always advances between firings).
+        Returns a :class:`PeriodicTask`; its ``cancel()`` stops the cycle.
         """
-        return PeriodicTask(self, interval, fn, args, start_delay, jitter_fn)
+        return PeriodicTask(self, interval, fn, args, start_delay)
 
 
-class PeriodicTask:
-    """A repeating event created by :meth:`Simulator.every`."""
+class PeriodicTask(Stateful):
+    """A repeating event created by :meth:`Simulator.every`.
 
-    __slots__ = ("_sim", "interval", "fn", "args", "_event", "_cancelled", "_jitter_fn")
+    One :class:`Event` re-queued after each firing (``Simulator.rearm``)
+    is the whole state: pending while the cycle runs, cancelled once it
+    is stopped.  An owner declares its task in ``STATE``, and a restore
+    puts the next firing back in its ``(time, seq)`` slot.
+    """
 
-    def __init__(self, sim, interval, fn, args, start_delay, jitter_fn):
+    __slots__ = ("sim", "interval", "fn", "args", "_event")
+    STATE = (("next_fire", "_event"),)
+
+    def __init__(self, sim, interval, fn, args, start_delay):
         if interval <= 0:
             raise SimulationError(f"interval must be positive (got {interval})")
-        self._sim = sim
+        self.sim = sim
         self.interval = int(interval)
         self.fn = fn
         self.args = args
-        self._cancelled = False
-        self._jitter_fn = jitter_fn
         first = self.interval if start_delay is None else int(start_delay)
         self._event = sim.schedule(first, self._fire)
 
     def _fire(self):
-        if self._cancelled:
-            return
         self.fn(*self.args)
-        if self._cancelled:  # fn may have cancelled us
-            return
-        delay = self.interval
-        if self._jitter_fn is not None:
-            # Clamp to >= 1 ns: a zero total delay re-fires at the same
-            # timestamp, so a jitter function returning <= -interval
-            # would livelock the run (time never advances past the task).
-            delay = max(1, delay + int(self._jitter_fn()))
-            if self._cancelled:  # jitter_fn may also have cancelled us
-                return
-        self._event = self._sim.schedule(delay, self._fire)
+        event = self._event
+        if not event.cancelled:  # fn may have cancelled us
+            self.sim.rearm(event, self.interval)
 
     def cancel(self):
         """Stop the periodic task.  Idempotent."""
-        self._cancelled = True
-        if self._event is not None:
-            self._event.cancel()
+        self._event.cancel()

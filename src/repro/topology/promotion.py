@@ -63,6 +63,3 @@ class HotFlowPromoter:
                 self.dpu.demote(flow)
                 del self._quiet_epochs[flow]
         self.sketch.reset()
-
-    def stop(self):
-        self._task.cancel()

@@ -155,6 +155,7 @@ class _SourceBase:
 
     def stop(self):
         self._running = False
+        self._next_event.cancel()
 
 
 class CbrSource(_SourceBase, Stateful):
@@ -180,7 +181,7 @@ class CbrSource(_SourceBase, Stateful):
     def __init__(self, sim, rng, sink, population, rate_pps, **kwargs):
         super().__init__(sim, rng, sink, population, **kwargs)
         self.rate_pps = 0
-        self._next_event = None
+        self._next_event = sim.idle(self._tick)
         self.set_rate(rate_pps)
 
     def set_rate(self, rate_pps):
@@ -189,9 +190,7 @@ class CbrSource(_SourceBase, Stateful):
         # The gap is fixed until the next set_rate; computing it per tick
         # costs a division per emitted packet.
         self._interval = max(1, int(SECOND / rate_pps)) if rate_pps > 0 else None
-        if self._next_event is not None:
-            self._next_event.cancel()
-            self._next_event = None
+        self._next_event.cancel()
         if rate_pps > 0:
             self._running = True
             self._schedule_next()
@@ -224,12 +223,6 @@ class CbrSource(_SourceBase, Stateful):
                 event.fired = False
                 sim.push((time, seq, event.fn, event.args, event))
 
-    def stop(self):
-        super().stop()
-        if self._next_event is not None:
-            self._next_event.cancel()
-            self._next_event = None
-
     def restore(self, snapshot):
         if snapshot["kind"] != self.SNAPSHOT_KIND:
             raise ValueError(
@@ -247,16 +240,14 @@ class PoissonSource(_SourceBase):
     def __init__(self, sim, rng, sink, population, rate_pps, **kwargs):
         super().__init__(sim, rng, sink, population, **kwargs)
         self.rate_pps = rate_pps
-        self._next_event = None
+        self._next_event = sim.idle(self._tick)
         if rate_pps > 0:
             self._running = True
             self._schedule_next()
 
     def set_rate(self, rate_pps):
         self.rate_pps = rate_pps
-        if self._next_event is not None:
-            self._next_event.cancel()
-            self._next_event = None
+        self._next_event.cancel()
         if rate_pps > 0:
             self._running = True
             self._schedule_next()
@@ -273,9 +264,3 @@ class PoissonSource(_SourceBase):
         self._emit_one()
         if self._running:
             self._schedule_next()
-
-    def stop(self):
-        super().stop()
-        if self._next_event is not None:
-            self._next_event.cancel()
-            self._next_event = None

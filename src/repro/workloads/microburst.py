@@ -43,7 +43,6 @@ class MicroburstSource(CbrSource):
         self._in_burst = False
         # The one pending burst edge: a burst's start, or (in a burst)
         # its end.
-        self._burst_event = None
         self._schedule_burst()
 
     def _schedule_burst(self):
@@ -66,6 +65,4 @@ class MicroburstSource(CbrSource):
     def stop(self):
         """Stop emission *and* the burst cycle (a ``set_rate(0)`` pause keeps it)."""
         super().stop()
-        if self._burst_event is not None:
-            self._burst_event.cancel()
-            self._burst_event = None
+        self._burst_event.cancel()

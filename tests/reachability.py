@@ -50,7 +50,6 @@ _ORACLE = "test oracle: tier-1 tests check the simulator against it"
 _REPR = "debugging text for an interactive session; no command prints it"
 _SCENARIO = "registry scenario: `inventory` lists it, tier-1 golden and wire tests build it"
 _TESTS = "library call only tier-1 tests make; next candidate for ROADMAP 6(b) removal"
-_STOP = "teardown of a periodic task; runs end by the clock instead"
 
 #: Dotted module, class or function path -> why it is kept although no
 #: command below calls it.  An entry covers everything under its path,
@@ -63,10 +62,8 @@ ALLOWED = {
     "repro.core.priority.PriorityQueueManager._start_next": _PRIORITY,
     "repro.core.priority.PriorityQueueManager._finish": _PRIORITY,
     "repro.core.priority.PriorityQueueManager.dropped": _PRIORITY,
-    "repro.core.watchdog.PlbWatchdog": _CLAIM_FALLBACK,
-    "repro.core.nic.NicPipeline.fallback_to_rss": _CLAIM_FALLBACK,
     "repro.core.nic.NicPipeline.restore_plb": _CLAIM_FALLBACK,
-    "repro.core.hitters.CpuHitterDetector": _CLAIM_HITTERS,
+    "repro.core.hitters.CpuHitterDetector.observe_packet": _CLAIM_HITTERS,
     "repro.core.hitters.SpaceSavingSketch.estimate": _CLAIM_HITTERS,
     "repro.core.ratelimit.TwoStageRateLimiter.demote": _CLAIM_HITTERS,
     "repro.core.ratelimit.TwoStageRateLimiter.pre_table_vnis": _CLAIM_HITTERS,
@@ -122,15 +119,6 @@ ALLOWED = {
     "repro.sim.engine.Simulator.run": "run-to-exhaustion entry point; commands run to a deadline",
     "repro.sim.engine.Simulator._step_fast": "run-to-exhaustion entry point; commands run to a deadline",
     "repro.sim.engine.Simulator._reject_past": _FAILURE,
-    # Teardown of periodic tasks.
-    "repro.bgp.bfd.BfdSession.stop": _STOP,
-    "repro.bgp.bfd.BfdLink.stop": _STOP,
-    "repro.core.watchdog.FpgaWatchdog.stop": _STOP,
-    "repro.faults.injector.SteadyStateTracker.stop": _STOP,
-    "repro.topology.promotion.HotFlowPromoter.stop": _STOP,
-    "repro.sim.engine.Simulator.stop": _STOP,
-    "repro.workloads.generators.PoissonSource.stop": _STOP,
-    "repro.cpu.numa.NumaBalancer.disable": _STOP,
     # Debugging text.
     "repro.analysis.reporter.Finding.__repr__": _REPR,
     "repro.bgp.speaker.RouteEntry.__repr__": _REPR,
@@ -184,8 +172,6 @@ ALLOWED = {
     "repro.faults.scenarios.ScenarioReport.to_dict": _TESTS,
     "repro.faults.scenarios.ScenarioReport.rows": _TESTS,
     "repro.metrics.counters.CounterSet.__getitem__": _TESTS,
-    "repro.metrics.summary.UtilizationSampler.mean_stddev": _TESTS,
-    "repro.metrics.summary.UtilizationSampler.max_stddev": _TESTS,
     "repro.packet.flows.ip_from_str": _TESTS,
     "repro.sim.engine.Simulator.pending": _TESTS,
     "repro.sim.rng.RngRegistry.reset": _TESTS,

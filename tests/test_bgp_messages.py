@@ -81,7 +81,7 @@ class TestOpen:
         sim.run_until(1 * SECOND)
         opens = [m for m in received if isinstance(m, msg.BgpOpen)]
         assert opens == [msg.BgpOpen(a.asn, 30, a.bgp_id)]
-        assert session_b.peer_open is opens[0]
+        assert session_b.hold_time_s == opens[0].hold_time
 
     def test_fields_are_the_speaker_parameters(self):
         sim = Simulator()
@@ -352,4 +352,4 @@ class TestReceiveDispatch:
         sim, speaker, session, _ = session_in(BgpState.ESTABLISHED)
         session.receive(msg.BgpNotification(4))
         assert speaker.session_down_count == 1
-        assert session.peer_open is None
+        assert session.state is BgpState.IDLE

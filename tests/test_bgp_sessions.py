@@ -303,34 +303,90 @@ class TestBfd:
         sim = Simulator()
         session = BfdSession(sim, "x", lambda data: None, interval_ns=50 * MS)
         assert session.detect_time_ns == 150 * MS
-        session.stop()
 
-    def test_stop_halts_probes_and_detection(self):
-        sim = Simulator()
-        downs = []
-        a, b = bfd_pair(sim, on_down=downs.append)
-        sim.run_until(1 * SECOND)
-        a.stop()
-        sent = a.probes_sent
-        sim.run_until(2 * SECOND)
-        assert a.probes_sent == sent
-        # b stops hearing a and goes down; a's own timer was cancelled.
-        assert b.state is BfdState.DOWN
-        assert a.state is BfdState.UP
-        assert downs == [b]
+    def test_pair_restored_mid_run_fires_where_the_straight_run_does(self):
+        # b hears nothing from a in [1.2 s, 1.5 s): a detect expiry, then
+        # a new handshake.  Restored at 1.01 s, no probe on the wire.
+        def world():
+            sim = Simulator()
+            log = _fired(sim)
+            pair = bfd_pair(sim, loss_fn_ab=lambda: 1_200 * MS <= sim.now < 1_500 * MS)
+            return sim, list(pair), log
+
+        _assert_restored_run_matches(
+            world, lambda sim, parts: sim.run_until(1_010 * MS), [(3 * SECOND, None)])
 
     def test_restoring_a_down_snapshot_cancels_detection(self):
         sim = Simulator()
-        a, b = bfd_pair(sim)
-        down_snapshot = a.checkpoint()
-        # Between probes, so none of b's is still on the wire when it stops.
-        sim.run_until(1 * SECOND + 10 * MS)
-        assert a.state is BfdState.UP
-        b.stop()
-        a.restore(down_snapshot)
+        link = BfdLink(sim)
+        sim.run_until(1 * SECOND)
+        link.set_down()
+        sim.run_until(1 * SECOND + 200 * MS)
+        assert link.a.state is BfdState.DOWN
+        down = (sim.checkpoint(), link.checkpoint())
+        # An UP twin whose detect timers are pending (at ~1.15 s), no
+        # probe on the wire, restored as RunHandle.restore_checkpoint
+        # does: the simulator first.
+        other_sim = Simulator()
+        other = BfdLink(other_sim)
+        other_sim.run_until(1_010 * MS)
+        assert other.sessions_up
+        other_sim.restore(down[0])
+        other.restore(down[1])
+        assert other.a.checkpoint()["detect"] is None
         sim.run_until(2 * SECOND)
-        assert a.state is BfdState.DOWN
-        assert a.down_events == 0
+        other_sim.run_until(2 * SECOND)
+        # A stale expiry would have fired, behind the clock: one more event.
+        assert other_sim.checkpoint() == sim.checkpoint()
+        assert other.checkpoint() == link.checkpoint()
+        assert other.a.state is BfdState.DOWN
+        assert other.a.down_events == 1
+
+
+def _fired(sim):
+    """Log ``(time, seq, handler)`` of every event ``sim`` fires from now
+    on: each entry it queues is wrapped as it is pushed."""
+    log = []
+    push = sim.push
+
+    def traced_push(entry):
+        time, seq, fn, args, event = entry
+
+        def fire(*args):
+            log.append((time, seq, fn.__qualname__))
+            fn(*args)
+
+        push((time, seq, fire, args, event))
+
+    sim.push = traced_push
+    return log
+
+
+def _assert_restored_run_matches(world, prefix, steps):
+    """Run ``world()`` -- ``(sim, parts, _fired(sim))`` -- through
+    ``prefix(sim, parts)``, and restore a fresh one from its snapshot
+    there, simulator first; then apply ``steps``, ``(run until,
+    call(parts) or None)``, to both.  Every event after the restore, each
+    probe and detect expiry among them, fires at the same ``(time, seq)``,
+    and the simulators and parts end with equal snapshots."""
+    sim, parts, log = world()
+    prefix(sim, parts)
+    restored_at = sim.now
+    snapshot = [sim.checkpoint(), [part.checkpoint() for part in parts]]
+    other_sim, others, other_log = world()
+    other_sim.restore(snapshot[0])
+    for other, state in zip(others, snapshot[1]):
+        other.restore(state)
+    for until, call in steps:
+        for side_sim, side in ((sim, parts), (other_sim, others)):
+            side_sim.run_until(until)
+            if call is not None:
+                call(side)
+    after = [entry for entry in log if entry[0] > restored_at]
+    assert "BfdSession._detect_expired" in {entry[2] for entry in after}
+    assert other_log == after
+    assert [part.checkpoint() for part in others] == [part.checkpoint() for part in parts]
+    assert other_sim.checkpoint() == sim.checkpoint()
 
 
 class TestBfdLink:
@@ -357,7 +413,6 @@ class TestBfdLink:
         link.set_up()
         link.set_down()
         assert link.flaps == 2
-        link.stop()
 
     def test_pair_discriminators_come_from_the_pair(self):
         first = BfdLink(Simulator())
@@ -372,20 +427,31 @@ class TestBfdLink:
         link.set_down()
         sim.run_until(1 * SECOND + 200 * MS)
         snapshot = link.checkpoint()
-        other = BfdLink(Simulator())
+        other_sim = Simulator()
+        other = BfdLink(other_sim)
+        other_sim.restore(sim.checkpoint())
         other.restore(snapshot)
         assert other.checkpoint() == snapshot
         assert not other.up
 
-    def test_stop_silences_both_endpoints(self):
-        sim = Simulator()
-        link = BfdLink(sim)
-        sim.run_until(1 * SECOND)
-        link.stop()
-        counts = (link.a.probes_sent, link.b.probes_sent)
-        sim.run_until(5 * SECOND)
-        assert (link.a.probes_sent, link.b.probes_sent) == counts
-        assert sim.pending == 0
+    def test_link_restored_across_a_flap_fires_where_the_straight_run_does(self):
+        # Cut at 1 s, restored at 1.11 s while both ends still wait out
+        # their detect timers (every probe is lost: none on the wire),
+        # brought back at 1.4 s.
+        def world():
+            sim = Simulator()
+            log = _fired(sim)
+            return sim, [BfdLink(sim)], log
+
+        def cut(sim, parts):
+            sim.run_until(1 * SECOND)
+            parts[0].set_down()
+            sim.run_until(1_110 * MS)
+
+        _assert_restored_run_matches(world, cut, [
+            (1_400 * MS, lambda parts: parts[0].set_up()),
+            (3 * SECOND, None),
+        ])
 
 
 class TestSwitchModel:

@@ -216,18 +216,27 @@ class TestBfd:
     def test_link_round_trip(self):
         sim = Simulator()
         link = BfdLink(sim)
-        sim.run_until(SECOND)
+        # Between probes: none is on the wire.
+        sim.run_until(SECOND + 10 * MS)
         assert link.sessions_up
-        snapshot = json_round_trip(link.checkpoint())
+        snapshot = json_round_trip([sim.checkpoint(), link.checkpoint()])
         ensure_plain(snapshot)
-        assert snapshot["a"]["state"] == BfdState.UP.value
-        link.set_down()
+        assert snapshot[1]["a"]["state"] == BfdState.UP.value
+        # A twin whose link is down, restored as RunHandle.restore_checkpoint
+        # does: the simulator first.
+        other_sim = Simulator()
+        other = BfdLink(other_sim)
+        other.set_down()
+        other_sim.run_until(SECOND // 2)
+        assert not other.sessions_up
+        other_sim.restore(snapshot[0])
+        other.restore(snapshot[1])
+        assert other.up
+        assert other.a.state is BfdState.UP
+        assert other.a.probes_sent == snapshot[1]["a"]["probes_sent"]
         sim.run_until(2 * SECOND)
-        assert not link.sessions_up
-        link.restore(snapshot)
-        assert link.up
-        assert link.a.state is BfdState.UP
-        assert link.a.probes_sent == snapshot["a"]["probes_sent"]
+        other_sim.run_until(2 * SECOND)
+        assert other.checkpoint() == link.checkpoint()
 
 
 class TestRssDispatcher:

@@ -63,14 +63,6 @@ class TestBalancer:
         assert balancer.scans == 0
         assert all(not core.stalls for core in cores)
 
-    def test_disable_stops_future_scans(self):
-        sim = Simulator()
-        cores = [FakeCore() for _ in range(4)]
-        balancer = NumaBalancer(sim, cores, scan_period_ns=10 * MS)
-        sim.schedule(15 * MS, balancer.disable)
-        sim.run_until(100 * MS)
-        assert balancer.scans == 1
-
 
 class TestStatefulNf:
     def test_write_light_scales_linearly(self):

@@ -108,9 +108,3 @@ class TestCpuHitterDetector:
         # ...so the meter table has no bucket for its hash (no collisions
         # possible with innocents).
         assert len(limiter._meter) == 0
-
-    def test_stop(self):
-        sim, limiter, detector = self._setup()
-        detector.stop()
-        sim.run_until(1 * SECOND)
-        assert detector.promotions == 0

@@ -87,12 +87,6 @@ class TestWatchdog:
         assert watchdog.fallbacks >= 1
         assert watchdog.restores >= 1
 
-    def test_stop(self):
-        sim, pod, watchdog = self._flooded_pod(silent_drop_probability=0.05)
-        watchdog.stop()
-        sim.run_until(500 * MS)
-        assert watchdog.fallbacks == 0
-
 
 class TestPodControlPlane:
     def test_default_bgp_id_is_the_same_in_every_process(self):

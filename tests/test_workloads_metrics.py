@@ -626,28 +626,27 @@ class TestCountersAndStats:
         sampler = UtilizationSampler(sim, cores, period_ns=10 * MS)
         sim.schedule_at(5 * MS, lambda: setattr(cores[0].stats, "busy_ns", 5 * MS))
         sim.run_until(20 * MS)
-        sampler.stop()
-        assert len(sampler.samples) == 2
-        assert sampler.samples[0] == [0.5, 0.0]
-        assert sampler.stddev_series[0] == pytest.approx(0.25)
+        # Utilizations [0.5, 0.0], then [0.0, 0.0].
+        assert sampler.stddev_series == [pytest.approx(0.25), 0.0]
 
-    def test_sampler_caps_utilization_and_summarizes(self):
+    def test_sampler_caps_utilization(self):
         sim = Simulator()
 
         class Stats:
             busy_ns = 0
 
         class FakeCore:
-            stats = Stats()
+            def __init__(self):
+                self.stats = Stats()
 
-        sampler = UtilizationSampler(sim, [FakeCore()], period_ns=10 * MS)
-        assert (sampler.mean_stddev(), sampler.max_stddev()) == (0.0, 0.0)
-        # Busy time accounted in a burst can exceed the period: capped at 1.
-        sim.schedule_at(5 * MS, lambda: setattr(Stats, "busy_ns", 25 * MS))
+        cores = [FakeCore(), FakeCore()]
+        sampler = UtilizationSampler(sim, cores, period_ns=10 * MS)
+        # Busy time accounted in a burst can exceed the period: capped at
+        # 1, a core 2.5 periods busy spreads no more than one fully busy.
+        sim.schedule_at(5 * MS, lambda: setattr(cores[0].stats, "busy_ns", 25 * MS))
+        sim.schedule_at(5 * MS, lambda: setattr(cores[1].stats, "busy_ns", 10 * MS))
         sim.run_until(30 * MS)
-        sampler.stop()
-        assert sampler.samples == [[1.0], [0.0], [0.0]]
-        assert sampler.max_stddev() == 0.0  # one core: no spread
+        assert sampler.stddev_series == [0.0, 0.0, 0.0]
 
     @pytest.mark.parametrize(
         "values,expected",
