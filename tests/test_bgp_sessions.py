@@ -15,6 +15,7 @@ from repro.bgp.switch import (
     proxied_peering_count,
 )
 from repro.sim import MS, SECOND, Simulator
+from tests.timer_restore import assert_restored_run_matches, fired
 
 
 def speakers(sim, count=2, asn=65001):
@@ -309,12 +310,13 @@ class TestBfd:
         # a new handshake.  Restored at 1.01 s, no probe on the wire.
         def world():
             sim = Simulator()
-            log = _fired(sim)
+            log = fired(sim)
             pair = bfd_pair(sim, loss_fn_ab=lambda: 1_200 * MS <= sim.now < 1_500 * MS)
             return sim, list(pair), log
 
-        _assert_restored_run_matches(
+        after = assert_restored_run_matches(
             world, lambda sim, parts: sim.run_until(1_010 * MS), [(3 * SECOND, None)])
+        assert "BfdSession._detect_expired" in {entry[2] for entry in after}
 
     def test_restoring_a_down_snapshot_cancels_detection(self):
         sim = Simulator()
@@ -341,52 +343,6 @@ class TestBfd:
         assert other.checkpoint() == link.checkpoint()
         assert other.a.state is BfdState.DOWN
         assert other.a.down_events == 1
-
-
-def _fired(sim):
-    """Log ``(time, seq, handler)`` of every event ``sim`` fires from now
-    on: each entry it queues is wrapped as it is pushed."""
-    log = []
-    push = sim.push
-
-    def traced_push(entry):
-        time, seq, fn, args, event = entry
-
-        def fire(*args):
-            log.append((time, seq, fn.__qualname__))
-            fn(*args)
-
-        push((time, seq, fire, args, event))
-
-    sim.push = traced_push
-    return log
-
-
-def _assert_restored_run_matches(world, prefix, steps):
-    """Run ``world()`` -- ``(sim, parts, _fired(sim))`` -- through
-    ``prefix(sim, parts)``, and restore a fresh one from its snapshot
-    there, simulator first; then apply ``steps``, ``(run until,
-    call(parts) or None)``, to both.  Every event after the restore, each
-    probe and detect expiry among them, fires at the same ``(time, seq)``,
-    and the simulators and parts end with equal snapshots."""
-    sim, parts, log = world()
-    prefix(sim, parts)
-    restored_at = sim.now
-    snapshot = [sim.checkpoint(), [part.checkpoint() for part in parts]]
-    other_sim, others, other_log = world()
-    other_sim.restore(snapshot[0])
-    for other, state in zip(others, snapshot[1]):
-        other.restore(state)
-    for until, call in steps:
-        for side_sim, side in ((sim, parts), (other_sim, others)):
-            side_sim.run_until(until)
-            if call is not None:
-                call(side)
-    after = [entry for entry in log if entry[0] > restored_at]
-    assert "BfdSession._detect_expired" in {entry[2] for entry in after}
-    assert other_log == after
-    assert [part.checkpoint() for part in others] == [part.checkpoint() for part in parts]
-    assert other_sim.checkpoint() == sim.checkpoint()
 
 
 class TestBfdLink:
@@ -440,7 +396,7 @@ class TestBfdLink:
         # brought back at 1.4 s.
         def world():
             sim = Simulator()
-            log = _fired(sim)
+            log = fired(sim)
             return sim, [BfdLink(sim)], log
 
         def cut(sim, parts):
@@ -448,10 +404,11 @@ class TestBfdLink:
             parts[0].set_down()
             sim.run_until(1_110 * MS)
 
-        _assert_restored_run_matches(world, cut, [
+        after = assert_restored_run_matches(world, cut, [
             (1_400 * MS, lambda parts: parts[0].set_up()),
             (3 * SECOND, None),
         ])
+        assert "BfdSession._detect_expired" in {entry[2] for entry in after}
 
 
 class TestSwitchModel:

@@ -248,7 +248,44 @@ class TestPeriodicTaskRestore:
         assert [task.checkpoint() for task in others] == [task.checkpoint() for task in handles]
 
 
+    def test_a_cancelled_snapshot_stops_a_running_task(self):
+        sim, (task,), _ = _task_world(False, [(10, 10)])
+        sim.run_until(25)
+        task.cancel()
+        other_sim, (other,), other_log = _task_world(False, [(10, 10)])
+        other_sim.restore(sim.checkpoint())
+        other.restore(task.checkpoint())
+        assert other.checkpoint() == {"next_fire": None}
+        assert other_sim.pending == 0
+        other_sim.run_until(100)
+        assert other_log == []
+
+    def test_a_running_snapshot_resumes_a_cancelled_task(self):
+        sim, (task,), log = _task_world(False, [(10, 10)])
+        sim.run_until(25)
+        other_sim, (other,), other_log = _task_world(False, [(10, 10)])
+        other.cancel()
+        other_sim.restore(sim.checkpoint())
+        other.restore(task.checkpoint())
+        for side in (sim, other_sim):
+            side.run_until(60)
+        assert other_log == [(30, 2, 0), (40, 3, 0), (50, 4, 0), (60, 5, 0)]
+        assert other_log == log[2:]
+
+
 class TestScheduleEdgeCases:
+    def test_idle_handle_is_off_until_its_owner_schedules(self):
+        # An owner's timer while it is off: queued nowhere, firing nothing,
+        # and not rearmable -- a fresh ``schedule`` turns it on.
+        sim = Simulator()
+        fired = []
+        event = sim.idle(fired.append, "x")
+        assert event.cancelled and sim.pending == 0
+        sim.run_until(100)
+        assert fired == [] and sim.seq == 0
+        with pytest.raises(SimulationError):
+            sim.rearm(event, 10)
+
     def test_schedule_at_exactly_now_fires_same_timestamp(self):
         sim = Simulator()
         seen = []
