@@ -9,35 +9,32 @@ notice.
 Run:  python examples/heavy_hitter_protection.py
 """
 
-from repro import RngRegistry, TwoStageRateLimiter
 from repro.scenarios import PodSpec, ScenarioSpec, build
 from repro.sim import MS, SECOND
-from repro.workloads.tenants import TenantSet, overload_scenario_profiles
+from repro.workloads.tenants import overload_workloads
 
 SCALE = 1 / 200  # paper rates are tens of Mpps; run at hundreds of Kpps
 
 
 def run_scenario(with_limiter):
-    pod_spec = PodSpec(data_cores=4, per_core_pps=25_000, rx_capacity=256)
-    handle = build(ScenarioSpec(name="scaled-pod", seed=7, pods=(pod_spec,)))
+    limiter = {}
     if with_limiter:
-        handle.pod.nic.rate_limiter = TwoStageRateLimiter(
-            handle.rngs.stream("limiter"),
-            stage1_rate_pps=int(8e6 * SCALE),   # paper: 8 Mpps
-            stage2_rate_pps=int(2e6 * SCALE),   # paper: 2 Mpps
-        )
+        limiter = {
+            "limiter_stage1_pps": int(8e6 * SCALE),   # paper: 8 Mpps
+            "limiter_stage2_pps": int(2e6 * SCALE),   # paper: 2 Mpps
+        }
+    handle = build(ScenarioSpec(
+        name="scaled-pod", seed=7,
+        pods=(PodSpec(data_cores=4, per_core_pps=25_000, rx_capacity=256, **limiter),),
+        # Four tenants at 20/15/10/5 Kpps; tenant 1 bursts to 170 Kpps.
+        workload=overload_workloads(burst_at_ns=500 * MS, scale=SCALE),
+    ))
     counts = {}                        # delivered packets per tenant VNI
 
     @handle.subscribe
     def count_delivered(packet, where, outcome):
         if packet.drop_reason is None:
             counts[packet.vni] = counts.get(packet.vni, 0) + 1
-
-    profiles = overload_scenario_profiles(
-        rates_mpps=(4, 3, 2, 1), burst_rate_mpps=34,
-        burst_at_ns=500 * MS, scale=SCALE,
-    )
-    TenantSet(handle.sim, handle.rngs, handle.pod.ingress, profiles)
 
     handle.run(500 * MS)           # steady state
     before = dict(counts)

@@ -8,30 +8,27 @@ PLB sprays it across all three and nothing drops.
 Run:  python examples/plb_vs_rss.py
 """
 
-from repro.packet.flows import flow_for_tenant
-from repro.scenarios import PodSpec, ScenarioSpec, build
+from repro.scenarios import PodSpec, ScenarioSpec, WorkloadSpec, build
 from repro.sim import MS
-from repro.workloads import CbrSource, FlowPopulation, uniform_population
 
 PER_CORE_PPS = 100_000
 CORES = 3
 
 
 def run_mode(mode, hitter_fraction):
-    pod_spec = PodSpec(data_cores=CORES, per_core_pps=PER_CORE_PPS, mode=mode)
-    handle = build(ScenarioSpec(name="scaled-pod", seed=5, pods=(pod_spec,)))
-    background = uniform_population(500, tenants=50)
-    CbrSource(
-        handle.sim, handle.rngs.stream("bg"), handle.pod.ingress, background,
-        rate_pps=int(0.1 * PER_CORE_PPS * CORES),
-    )
-    hitter = FlowPopulation([flow_for_tenant(999, 0)], vnis=[999])
-    CbrSource(
-        handle.sim, handle.rngs.stream("hh"), handle.pod.ingress, hitter,
-        rate_pps=int(hitter_fraction * PER_CORE_PPS),
-    )
     duration = 200 * MS
-    handle.run(duration)
+    handle = build(ScenarioSpec(
+        name="scaled-pod", seed=5, duration_ns=duration,
+        pods=(PodSpec(data_cores=CORES, per_core_pps=PER_CORE_PPS, mode=mode),),
+        workload=(
+            # 500 background flows over 50 tenants at 10% load...
+            WorkloadSpec(flows=500, tenants=50, stream="bg",
+                         rate_pps=int(0.1 * PER_CORE_PPS * CORES)),
+            # ...and one heavy-hitter flow of tenant 999.
+            WorkloadSpec(flows=1, tenants=1, first_tenant=999, stream="hh",
+                         rate_pps=int(hitter_fraction * PER_CORE_PPS)),
+        ),
+    )).run()
     utils = handle.pod.core_utilizations(duration)
     offered = int(0.1 * PER_CORE_PPS * CORES) + int(hitter_fraction * PER_CORE_PPS)
     delivered = handle.pod.transmitted() / (duration / 1e9)

@@ -9,11 +9,10 @@ the FPGA, restores scaling while keeping PLB's heavy-hitter tolerance.
 Run:  python examples/stateful_nf_offload.py
 """
 
-from repro.core.offload import FpgaSessionOffload, offload_throughput_mpps
+from repro.core.offload import offload_throughput_mpps
 from repro.cpu.stateful import write_heavy_nf, write_light_nf
-from repro.scenarios import PodSpec, ScenarioSpec, build
+from repro.scenarios import PodSpec, ScenarioSpec, WorkloadSpec, build
 from repro.sim import MS
-from repro.workloads import CbrSource, uniform_population
 
 
 def scaling_table():
@@ -34,18 +33,14 @@ def scaling_table():
 def simulated_offload():
     print("\nsimulated fast path (4 cores, 200 flows, 80% load):")
     for offloaded in (False, True):
-        pod_spec = PodSpec(data_cores=4, per_core_pps=100_000)
-        handle = build(ScenarioSpec(name="scaled-pod", seed=3, pods=(pod_spec,)))
-        if offloaded:
-            handle.pod.nic.session_offload = FpgaSessionOffload(
-                handle.sim, capacity=4096
-            )
-        population = uniform_population(200, tenants=20)
-        CbrSource(
-            handle.sim, handle.rngs.stream("traffic"), handle.pod.ingress,
-            population, rate_pps=320_000,
+        pod_spec = PodSpec(
+            data_cores=4, per_core_pps=100_000,
+            offload_capacity=4096 if offloaded else None,   # session-table entries
         )
-        handle.run(200 * MS)
+        handle = build(ScenarioSpec(
+            name="scaled-pod", seed=3, duration_ns=200 * MS, pods=(pod_spec,),
+            workload=WorkloadSpec(flows=200, tenants=20, rate_pps=320_000),
+        )).run()
         cpu = sum(core.stats.processed for core in handle.pod.cores)
         fast = handle.pod.counters.get("offload_fast_path")
         label = "with offload" if offloaded else "no offload  "

@@ -2,10 +2,11 @@
 
 Stateful classes declare ``STATE`` and ``DERIVED``; every other attribute
 is constructor wiring (:mod:`repro.controlplane.snapshot`).  Small worlds
--- three scenarios (PLB + microbursts, RSS + CBR, lossy PLB; limiter,
+-- four scenarios (PLB + microbursts, RSS + CBR, lossy PLB; limiter,
 telemetry and checkpoints armed; the lossy pod also runs every
-periodic owner), eBGP beside a flapped BFD link, a churned FPGA
-session table -- are built, run and held to four checks:
+periodic owner; a rate-scheduled CBR source beside a Poisson one),
+eBGP beside a flapped BFD link, a churned FPGA session table -- are
+built, run and held to four checks:
 
 * **Completeness rule.**  The object graph is walked after the build and
   after the run.  An attribute outside ``STATE``/``DERIVED`` that was
@@ -298,6 +299,29 @@ def _scenario_spec(name, mode, workload_kind, seed, silent_drop_probability=0.0)
     )
 
 
+def _scheduled_spec(seed):
+    """Two declared workloads on one pod: a CBR source whose rate schedule
+    is part way through at every capture, and a Poisson source on its own
+    tenants and flows."""
+    from repro.scenarios import PodSpec, ScenarioSpec, WorkloadSpec
+    from repro.sim.units import MS
+
+    return ScenarioSpec(
+        name="statecheck-scheduled",
+        pods=(PodSpec(name="gw", data_cores=2, per_core_pps=200_000),),
+        workload=(
+            WorkloadSpec(flows=16, tenants=4, rate_pps=30_000, stream="scheduled",
+                         schedule=((1 * MS, 60_000), (3 * MS, 0), (5 * MS, 30_000),
+                                   (20 * MS, 0))),
+            WorkloadSpec(kind="poisson", flows=16, tenants=2, rate_pps=20_000,
+                         stream="poisson", first_tenant=100, first_flow=16),
+        ),
+        duration_ns=8 * MS,
+        seed=seed,
+        checkpoint_every_ns=2 * MS,
+    )
+
+
 def _drain(handle, settle_ns):
     """Stop traffic and run until every pod is quiescent."""
     for source in handle.sources:
@@ -429,14 +453,15 @@ def run_statecheck(seed=42):
         _scenario_spec("statecheck-rss-cbr", "rss", "cbr", seed + 1),
         _scenario_spec("statecheck-plb-lossy", "plb", "cbr", seed + 2,
                        silent_drop_probability=0.02),
+        _scheduled_spec(seed + 3),
     ]
     probes = [_world_probe(spec) for spec in specs]
     derived = set()
     by_class = {}
     keyed = {}      # class name -> [instances, error] of the STATE-key check
     findings = {}   # (class name, detail) -> worlds it shows up in
-    worlds = [*map(_spec_world, specs[:2]), _owners_world(specs[2]), _bgp_bfd_world(),
-              _offload_world()]
+    worlds = [*map(_spec_world, specs[:2]), _owners_world(specs[2]),
+              _spec_world(specs[3]), _bgp_bfd_world(), _offload_world()]
     for name, build, run in worlds:
         root = build()
         try:

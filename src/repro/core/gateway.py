@@ -24,6 +24,7 @@ objects.  Quick example::
 from repro.controlplane.snapshot import Stateful
 from repro.core.meta import MetaPlacement, placement_throughput_factor
 from repro.core.nic import NicPipeline
+from repro.core.offload import FpgaSessionOffload
 from repro.core.plb.reorder import ReorderQueueConfig, TxOutcome
 from repro.core.ratelimit import TwoStageRateLimiter
 from repro.cpu.cache import PAPER_L3_BYTES, SharedL3Cache
@@ -57,7 +58,8 @@ class GwPodRuntime(Stateful):
     """A running GW pod: cores + NIC pipeline slice + metrics.
 
     Built by :meth:`AlbatrossServer.add_pod`, which resolves ``chain``,
-    ``reorder``, ``speed_factor`` and ``rate_limiter`` from ``spec``.
+    ``reorder``, ``speed_factor``, ``rate_limiter`` and ``session_offload``
+    from ``spec``.
     A data packet enters through :attr:`ingress`, the NIC's
     :meth:`~repro.core.nic.NicPipeline.ingress` itself, and leaves through
     exactly one of two exits, :meth:`_on_egress` (the wire) or
@@ -75,7 +77,7 @@ class GwPodRuntime(Stateful):
     )
 
     def __init__(self, sim, spec, core_ids, rng, chain, reorder, speed_factor,
-                 rate_limiter, subscribers):
+                 rate_limiter, session_offload, subscribers):
         self.sim = sim
         self.spec = spec
         self.name = spec.name
@@ -104,8 +106,8 @@ class GwPodRuntime(Stateful):
 
         self.nic = NicPipeline(
             sim, self.cores, reorder, self._on_egress, mode=spec.mode,
-            rate_limiter=rate_limiter, drop_flag_enabled=spec.drop_flag_enabled,
-            drop_fn=self._on_drop,
+            rate_limiter=rate_limiter, session_offload=session_offload,
+            drop_flag_enabled=spec.drop_flag_enabled, drop_fn=self._on_drop,
         )
         for core in self.cores:
             core.completion_fn = self.nic.on_cpu_completion
@@ -255,12 +257,11 @@ class AlbatrossServer:
         sim: the simulator.
         rngs: an :class:`~repro.sim.RngRegistry`.
         topology: NUMA topology (defaults to 2 x 48 cores).
-        cache_mode: ``"analytic"`` (expected hit rate; fast) or
-            ``"simulated"`` (shared LRU L3 per node; Fig. 4/5 mode).
-        l3_bytes: per-node L3 capacity for simulated mode.  Every pod's
-            table regions shrink by the same factor against the paper's
-            200 MB L3, so a scaled-down L3 keeps the paper's
-            working-set-to-cache ratio (Fig. 4/5).
+        l3_bytes: when set, each node's L3 is simulated as a shared LRU
+            cache of that size (Fig. 4/5), and every pod's table regions
+            shrink by the same factor against the paper's 200 MB L3, so a
+            scaled-down L3 keeps the paper's working-set-to-cache ratio.
+            Unset, lookups cost their expectation at the assumed hit rate.
         subscribers: the deployment's exit-subscriber list (servers of
             one AZ share one); defaults to a fresh empty list.
 
@@ -274,26 +275,21 @@ class AlbatrossServer:
 
     POD_READY_SECONDS = 10  # container elasticity (Tab. 6)
 
-    def __init__(self, sim, rngs, topology=None, cache_mode="analytic",
-                 l3_bytes=None, subscribers=None):
+    def __init__(self, sim, rngs, topology=None, l3_bytes=None, subscribers=None):
         self.sim = sim
         self.rngs = rngs
         self.subscribers = subscribers if subscribers is not None else []
         self.topology = topology if topology is not None else NumaTopology()
-        self.cache_mode = cache_mode
         self.table_scale = 1.0
         self.pods = {}
         self._free_cores = {
             node.node_id: list(node.core_ids) for node in self.topology.nodes
         }
         self._l3 = {}
-        if cache_mode == "simulated":
-            capacity = l3_bytes if l3_bytes is not None else PAPER_L3_BYTES
-            self.table_scale = capacity / PAPER_L3_BYTES
+        if l3_bytes is not None:
+            self.table_scale = l3_bytes / PAPER_L3_BYTES
             for node in self.topology.nodes:
-                self._l3[node.node_id] = SharedL3Cache(capacity)
-        elif cache_mode != "analytic":
-            raise ValueError(f"unknown cache_mode {cache_mode!r}")
+                self._l3[node.node_id] = SharedL3Cache(l3_bytes)
 
     def l3_cache(self, node_id):
         return self._l3.get(node_id)
@@ -319,9 +315,10 @@ class AlbatrossServer:
         (``per_core_pps`` selects :func:`~repro.cpu.service.scaled_service`,
         otherwise the named paper service), the two-stage limiter the
         ``limiter_stage*_pps`` fields declare (sampling from stream
-        ``limiter.<name>``), the reorder queues (scaled with the data
-        cores, :class:`ReorderQueueConfig`'s depth unless declared) and the cores' service-time
-        factor for NUMA and meta-header placement.
+        ``limiter.<name>``), the session offload ``offload_capacity``
+        declares, the reorder queues (scaled with the data cores,
+        :class:`ReorderQueueConfig`'s depth unless declared) and the cores'
+        service-time factor for NUMA and meta-header placement.
         """
         if spec.name in self.pods:
             raise ValueError(f"duplicate pod name {spec.name!r}")
@@ -345,6 +342,9 @@ class AlbatrossServer:
                     else spec.limiter_stage1_pps // 4 or 1
                 ),
             )
+        session_offload = None
+        if spec.offload_capacity is not None:
+            session_offload = FpgaSessionOffload(self.sim, capacity=spec.offload_capacity)
         depth = {} if spec.reorder_depth is None else {"depth": spec.reorder_depth}
         reorder = ReorderQueueConfig(
             spec.reorder_queues if spec.reorder_queues is not None
@@ -374,6 +374,7 @@ class AlbatrossServer:
             reorder,
             speed_factor=speed_factor,
             rate_limiter=rate_limiter,
+            session_offload=session_offload,
             subscribers=self.subscribers,
         )
         pod.numa_node = node_id

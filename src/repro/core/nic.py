@@ -55,15 +55,18 @@ class NicPipeline(Stateful):
         mode: ``"plb"`` or ``"rss"``, the default data path; a fallback
             switches :attr:`mode` at run time.
         rate_limiter: optional overload limiter (``admit(vni, now_ns)``).
+        session_offload: optional FPGA session fast path (§7,
+            :class:`~repro.core.offload.FpgaSessionOffload`).
         drop_flag_enabled: whether CPU ACL drops release their reorder
             slot through the active drop flag.
         drop_fn: optional; called as ``drop_fn(packet)`` once
             :meth:`_drop` has named, counted and settled a terminal drop.
 
-    ``rate_limiter`` and ``session_offload`` (an FPGA session fast path,
-    §7 roadmap) are plain attributes a caller may assign after
-    construction; so is ``priority.deliver_fn``, the one hook for protocol
-    packets.  The pod's cores must have been constructed with this
+    Both come from the pod's :class:`~repro.scenarios.PodSpec`.  They are
+    read per packet, not bound, because a fault scenario swaps the limiter
+    mid-run and tests hand-build pipelines; ``priority.deliver_fn``, the
+    one hook for protocol packets, is assigned after construction.  The
+    pod's cores must have been constructed with this
     pipeline's :meth:`on_cpu_completion` as their completion callback (the
     :mod:`~repro.core.gateway` runtime wires this up).  The RX DMA hop
     delivers straight to ``core.enqueue``, so the pipeline wires each
@@ -85,7 +88,8 @@ class NicPipeline(Stateful):
     }
 
     def __init__(self, sim, cores, reorder, egress_fn, mode="plb",
-                 rate_limiter=None, drop_flag_enabled=True, drop_fn=None):
+                 rate_limiter=None, session_offload=None, drop_flag_enabled=True,
+                 drop_fn=None):
         self.sim = sim
         self.cores = list(cores)
         self.egress_fn = egress_fn
@@ -109,7 +113,7 @@ class NicPipeline(Stateful):
         self.plb = PlbDispatcher(self.cores, self.reorder)
         self.rss = RssDispatcher(self.cores)
         self.rate_limiter = rate_limiter
-        self.session_offload = None
+        self.session_offload = session_offload
         self.priority = PriorityQueueManager(sim)
         self._fpga_stalled = False
         # The pod's container state, owned and captured by the pod
@@ -119,7 +123,7 @@ class NicPipeline(Stateful):
         self._sanitizer = get_sanitizer()
         # Hot-path bindings: these objects never change over the pipeline's
         # lifetime (unlike egress_fn/rate_limiter/session_offload, which
-        # experiments swap post-construction and must be read per call).
+        # tests and a fault scenario swap, so they are read per call).
         # ``_counts`` is the counter set's own dict (restore refills it in
         # place): the per-packet counters are bumped on it directly.  The
         # RX and TX DMA hops queue with ``sim.push`` (their delays are

@@ -15,9 +15,8 @@ from repro.cpu.service import MemoryTimings, ServiceChain, standard_services
 from repro.cpu.stateful import write_heavy_nf, write_light_nf
 from repro.experiments.common import ExperimentResult
 from repro.packet.hashing import crc32_vni_hash
-from repro.scenarios import PodSpec, ScenarioSpec, build
+from repro.scenarios import PodSpec, ScenarioSpec, WorkloadSpec, build
 from repro.sim.units import MS, SECOND
-from repro.workloads.generators import CbrSource, uniform_population
 
 
 def run_meta_placement(per_core_pps=100_000, duration_ns=150 * MS):
@@ -27,16 +26,12 @@ def run_meta_placement(per_core_pps=100_000, duration_ns=150 * MS):
         pod_spec = PodSpec(
             data_cores=2, per_core_pps=per_core_pps, meta_placement=placement
         )
-        handle = build(ScenarioSpec(name="scaled-pod", seed=91, pods=(pod_spec,)))
-        population = uniform_population(200, tenants=20)
-        CbrSource(
-            handle.sim,
-            handle.rngs.stream("traffic"),
-            handle.pod.ingress,
-            population,
-            rate_pps=int(per_core_pps * 2 * 1.3),
-        )
-        handle.run(duration_ns)
+        handle = build(ScenarioSpec(
+            name="scaled-pod", seed=91, duration_ns=duration_ns, pods=(pod_spec,),
+            workload=WorkloadSpec(
+                flows=200, tenants=20, rate_pps=int(per_core_pps * 2 * 1.3)
+            ),
+        )).run()
         rows.append(
             {
                 "placement": placement,
@@ -135,16 +130,12 @@ def run_reorder_queue_tradeoff(
             reorder_depth=depth,
             silent_drop_probability=silent_drop_probability,
         )
-        handle = build(ScenarioSpec(name="scaled-pod", seed=97, pods=(pod_spec,)))
-        population = uniform_population(400, tenants=40)
-        CbrSource(
-            handle.sim,
-            handle.rngs.stream("traffic"),
-            handle.pod.ingress,
-            population,
-            rate_pps=int(per_core_pps * 4 * 0.6),
-        )
-        handle.run(duration_ns)
+        handle = build(ScenarioSpec(
+            name="scaled-pod", seed=97, duration_ns=duration_ns, pods=(pod_spec,),
+            workload=WorkloadSpec(
+                flows=400, tenants=40, rate_pps=int(per_core_pps * 4 * 0.6)
+            ),
+        )).run()
         stats = handle.pod.reorder_stats
         # C1: max pps one queue can buffer for the 100 us timeout window.
         tolerance_mpps = depth / 100e-6 / 1e6
@@ -210,24 +201,18 @@ def run_session_offload_sim(
     flows=200,
 ):
     """Simulated offload: measured CPU load and fast-path hit rate."""
-    from repro.core.offload import FpgaSessionOffload
-
     rows = []
     for offloaded in (False, True):
-        pod_spec = PodSpec(data_cores=4, per_core_pps=per_core_pps)
-        handle = build(ScenarioSpec(name="scaled-pod", seed=113, pods=(pod_spec,)))
-        if offloaded:
-            offload = FpgaSessionOffload(handle.sim, capacity=4096)
-            handle.pod.nic.session_offload = offload
-        population = uniform_population(flows, tenants=20)
-        CbrSource(
-            handle.sim,
-            handle.rngs.stream("traffic"),
-            handle.pod.ingress,
-            population,
-            rate_pps=int(per_core_pps * 4 * 0.8),
+        pod_spec = PodSpec(
+            data_cores=4, per_core_pps=per_core_pps,
+            offload_capacity=4096 if offloaded else None,
         )
-        handle.run(duration_ns)
+        handle = build(ScenarioSpec(
+            name="scaled-pod", seed=113, duration_ns=duration_ns, pods=(pod_spec,),
+            workload=WorkloadSpec(
+                flows=flows, tenants=20, rate_pps=int(per_core_pps * 4 * 0.8)
+            ),
+        )).run()
         cpu_packets = sum(core.stats.processed for core in handle.pod.cores)
         row = {
             "offload": "on" if offloaded else "off",

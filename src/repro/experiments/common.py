@@ -6,9 +6,12 @@ matters (load fraction, heavy-hitter multiple, cache-to-table ratio,
 timeout-to-service-time ratio) preserved.  The scaling discipline lives
 in :func:`repro.cpu.service.scaled_service`: an experiment states a
 one-pod :class:`~repro.scenarios.ScenarioSpec` with ``per_core_pps``
-set, calls :func:`repro.scenarios.build` and injects its own traffic
-through the returned handle.
+set, declares its traffic on the same spec (one
+:class:`~repro.scenarios.WorkloadSpec` per source), and calls
+:func:`repro.scenarios.build`.
 """
+
+from repro.scenarios import WorkloadSpec
 
 
 class ExperimentResult:
@@ -81,3 +84,19 @@ def _fmt(value):
     if isinstance(value, float):
         return f"{value:.4g}"
     return str(value)
+
+
+def burst_workloads(first_tenant, rate_pps, duration_ns, gap_ns, horizon_ns):
+    """Repeated single-flow microbursts on rotating flows (Fig. 9/10):
+    burst ``i`` is flow ``i`` of tenant ``first_tenant + i`` on stream
+    ``burst<i>``, at ``rate_pps`` from ``gap_ns + i * (duration_ns +
+    gap_ns)`` for ``duration_ns``."""
+    starts = range(gap_ns, horizon_ns, duration_ns + gap_ns)
+    return tuple(
+        WorkloadSpec(
+            flows=1, tenants=1, first_tenant=first_tenant + index, first_flow=index,
+            rate_pps=0, stream=f"burst{index}",
+            schedule=((start, rate_pps), (start + duration_ns, 0)),
+        )
+        for index, start in enumerate(starts)
+    )

@@ -11,9 +11,8 @@ model on (rare latency spikes) and Poisson arrivals.
 
 from repro.cpu.service import JitterModel
 from repro.experiments.common import ExperimentResult
-from repro.scenarios import PodSpec, ScenarioSpec, build
+from repro.scenarios import PodSpec, ScenarioSpec, WorkloadSpec, build
 from repro.sim.units import MS, US
-from repro.workloads.generators import PoissonSource, uniform_population
 
 POD_LOADS = {"A": 0.20, "B": 0.17, "C": 0.06, "D": 0.05}
 CORES = 4
@@ -58,11 +57,17 @@ def _run_pod(
     slow_branch_probability,
     slow_branch_ns,
 ):
-    pod_spec = PodSpec(data_cores=CORES, per_core_pps=per_core_pps, mode="plb")
-    handle = build(ScenarioSpec(name="scaled-pod", seed=41, pods=(pod_spec,)))
-    # Attach jitter after construction so each pod gets its own stream.
-    # The rare slow branch (beyond the 100 us PLB timeout) is what makes
-    # the ~1e-5 disorder rate of the paper's production pods.
+    handle = build(ScenarioSpec(
+        name="scaled-pod", seed=41, duration_ns=duration_ns,
+        pods=(PodSpec(data_cores=CORES, per_core_pps=per_core_pps, mode="plb"),),
+        workload=WorkloadSpec(
+            kind="poisson", flows=600, tenants=60,
+            rate_pps=int(load * per_core_pps * CORES),
+        ),
+    ))
+    # The one model a spec does not state: each pod's jitter on its own
+    # stream.  The rare slow branch (beyond the 100 us PLB timeout) is
+    # what makes the ~1e-5 disorder rate of the paper's production pods.
     jitter = JitterModel(
         handle.rngs.stream(f"jitter.{pod_name}"),
         spike_probability=spike_probability,
@@ -72,15 +77,7 @@ def _run_pod(
     )
     for core in handle.pod.cores:
         core.jitter = jitter
-    population = uniform_population(600, tenants=60)
-    PoissonSource(
-        handle.sim,
-        handle.rngs.stream("traffic"),
-        handle.pod.ingress,
-        population,
-        rate_pps=int(load * per_core_pps * CORES),
-    )
-    handle.run(duration_ns)
+    handle.run()
     histogram = handle.pod.latency_histogram
     stats = handle.pod.reorder_stats
     return {

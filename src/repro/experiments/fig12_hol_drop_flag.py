@@ -11,9 +11,8 @@ the flag on and off; HOL events = reorder timeout releases.
 """
 
 from repro.experiments.common import ExperimentResult
-from repro.scenarios import PodSpec, ScenarioSpec, build
+from repro.scenarios import PodSpec, ScenarioSpec, WorkloadSpec, build
 from repro.sim.units import MS, SECOND, US
-from repro.workloads.generators import CbrSource, uniform_population
 
 CORES = 4
 
@@ -44,16 +43,12 @@ def _run_mode(drop_flag, per_core_pps, load, acl_drop_probability, duration_ns):
         drop_flag_enabled=drop_flag,
         acl_drop_probability=acl_drop_probability,
     )
-    handle = build(ScenarioSpec(name="scaled-pod", seed=53, pods=(pod_spec,)))
-    population = uniform_population(400, tenants=40)
-    CbrSource(
-        handle.sim,
-        handle.rngs.stream("traffic"),
-        handle.pod.ingress,
-        population,
-        rate_pps=int(load * per_core_pps * CORES),
-    )
-    handle.run(duration_ns)
+    handle = build(ScenarioSpec(
+        name="scaled-pod", seed=53, duration_ns=duration_ns, pods=(pod_spec,),
+        workload=WorkloadSpec(
+            flows=400, tenants=40, rate_pps=int(load * per_core_pps * CORES)
+        ),
+    )).run()
     stats = handle.pod.reorder_stats
     seconds = duration_ns / SECOND
     # Extra latency the timeout-blocked packets would have added: every

@@ -14,11 +14,10 @@ capacity 100 Kpps, tenants 20/15/10/5 Kpps, burst to 170 Kpps,
 limiter 40 + 10 Kpps.
 """
 
-from repro.core.ratelimit import TwoStageRateLimiter
 from repro.experiments.common import ExperimentResult
 from repro.scenarios import PodSpec, ScenarioSpec, build
 from repro.sim.units import MS, SECOND
-from repro.workloads.tenants import TenantSet, overload_scenario_profiles
+from repro.workloads.tenants import overload_workloads
 
 SCALE = 1 / 200
 CORES = 4
@@ -29,28 +28,19 @@ BUCKET_NS = 250 * MS
 
 def run(with_limiter, duration_ns=2 * SECOND, seed=61):
     """One scenario run; returns per-(bucket, tenant) delivered rates."""
-    limiter = None
-    pod_spec = PodSpec(
-        data_cores=CORES,
-        per_core_pps=PER_CORE_PPS,
-        mode="plb",
-        rx_capacity=256,
-    )
-    handle = build(ScenarioSpec(name="scaled-pod", seed=seed, pods=(pod_spec,)))
-    if with_limiter:
-        limiter = TwoStageRateLimiter(
-            handle.rngs.stream("limiter"),
-            stage1_rate_pps=int(8e6 * SCALE),
-            stage2_rate_pps=int(2e6 * SCALE),
-        )
-        handle.pod.nic.rate_limiter = limiter
-
-    profiles = overload_scenario_profiles(
-        rates_mpps=(4, 3, 2, 1),
-        burst_rate_mpps=34,
-        burst_at_ns=BURST_AT_NS,
-        scale=SCALE,
-    )
+    workloads = overload_workloads(burst_at_ns=BURST_AT_NS, scale=SCALE)
+    limiter = {}
+    if with_limiter:  # the paper's 8 + 2 Mpps, scaled
+        limiter = {
+            "limiter_stage1_pps": int(8e6 * SCALE),
+            "limiter_stage2_pps": int(2e6 * SCALE),
+        }
+    handle = build(ScenarioSpec(
+        name="scaled-pod", seed=seed, duration_ns=duration_ns,
+        pods=(PodSpec(data_cores=CORES, per_core_pps=PER_CORE_PPS, mode="plb",
+                      rx_capacity=256, **limiter),),
+        workload=workloads,
+    ))
 
     buckets = {}  # (bucket_index, vni) -> delivered count
 
@@ -60,30 +50,27 @@ def run(with_limiter, duration_ns=2 * SECOND, seed=61):
             key = (packet.departure_ns // BUCKET_NS, packet.vni)
             buckets[key] = buckets.get(key, 0) + 1
 
-    tenants = TenantSet(handle.sim, handle.rngs, handle.pod.ingress, profiles)
-    handle.run(duration_ns)
-    tenants.stop_all()
+    handle.run()
+    vnis = [workload.first_tenant for workload in workloads]
 
     rows = []
     bucket_count = duration_ns // BUCKET_NS
     for bucket in range(bucket_count):
         row = {"t_ms": int(bucket * BUCKET_NS / MS)}
-        for profile in profiles:
-            delivered = buckets.get((bucket, profile.vni), 0)
-            row[f"tenant{profile.vni}_kpps"] = round(
+        for vni in vnis:
+            delivered = buckets.get((bucket, vni), 0)
+            row[f"tenant{vni}_kpps"] = round(
                 delivered / (BUCKET_NS / SECOND) / 1e3, 1
             )
         row["total_kpps"] = round(
-            sum(
-                buckets.get((bucket, profile.vni), 0) for profile in profiles
-            )
+            sum(buckets.get((bucket, vni), 0) for vni in vnis)
             / (BUCKET_NS / SECOND)
             / 1e3,
             1,
         )
         rows.append(row)
     title = "Fig. 14: with" if with_limiter else "Fig. 13: without"
-    result = ExperimentResult(
+    return ExperimentResult(
         f"{title} tenant overload rate-limiting",
         rows,
         meta={
@@ -93,5 +80,3 @@ def run(with_limiter, duration_ns=2 * SECOND, seed=61):
             "limiter": "8+2 Mpps (scaled)" if with_limiter else "none",
         },
     )
-    result.limiter = limiter
-    return result

@@ -11,9 +11,8 @@ the maximum latency.
 
 from repro.cpu.numa import NumaBalancer, NumaTopology
 from repro.experiments.common import ExperimentResult
-from repro.scenarios import PodSpec, ScenarioSpec, build
+from repro.scenarios import PodSpec, ScenarioSpec, WorkloadSpec, build
 from repro.sim.units import MS, US
-from repro.workloads.generators import CbrSource, uniform_population
 
 CORES = 4
 
@@ -28,16 +27,12 @@ def run_fig16(per_core_pps=100_000, duration_ns=200 * MS):
             numa_node=0,
             memory_node=memory_node,
         )
-        handle = build(ScenarioSpec(name="scaled-pod", seed=71, pods=(pod_spec,)))
-        population = uniform_population(500, tenants=50)
-        CbrSource(
-            handle.sim,
-            handle.rngs.stream("traffic"),
-            handle.pod.ingress,
-            population,
-            rate_pps=int(per_core_pps * CORES * 1.3),  # saturation
-        )
-        handle.run(duration_ns)
+        handle = build(ScenarioSpec(
+            name="scaled-pod", seed=71, duration_ns=duration_ns, pods=(pod_spec,),
+            workload=WorkloadSpec(  # saturation
+                flows=500, tenants=50, rate_pps=int(per_core_pps * CORES * 1.3)
+            ),
+        )).run()
         rows.append(
             {
                 "placement": placement,
@@ -66,7 +61,12 @@ def run_fig17(per_core_pps=100_000, load=0.9, duration_ns=400 * MS):
     rows = []
     for balancing in (True, False):
         pod_spec = PodSpec(data_cores=CORES, per_core_pps=per_core_pps, numa_node=0)
-        handle = build(ScenarioSpec(name="scaled-pod", seed=73, pods=(pod_spec,)))
+        handle = build(ScenarioSpec(
+            name="scaled-pod", seed=73, duration_ns=duration_ns, pods=(pod_spec,),
+            workload=WorkloadSpec(
+                flows=500, tenants=50, rate_pps=int(load * per_core_pps * CORES)
+            ),
+        ))
         balancer = NumaBalancer(
             handle.sim,
             handle.pod.cores,
@@ -75,15 +75,7 @@ def run_fig17(per_core_pps=100_000, load=0.9, duration_ns=400 * MS):
             stall_ns=300 * US,
             rng=handle.rngs.stream("balancer"),
         )
-        population = uniform_population(500, tenants=50)
-        CbrSource(
-            handle.sim,
-            handle.rngs.stream("traffic"),
-            handle.pod.ingress,
-            population,
-            rate_pps=int(load * per_core_pps * CORES),
-        )
-        handle.run(duration_ns)
+        handle.run()
         histogram = handle.pod.latency_histogram
         rows.append(
             {

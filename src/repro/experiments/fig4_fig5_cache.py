@@ -12,14 +12,10 @@ Zipf-distributed (hot tenants) as in production.  The hit rate is
 *emergent* from the LRU model, not assumed.
 """
 
-from repro.core.gateway import AlbatrossServer
 from repro.cpu.cache import PAPER_L3_BYTES
 from repro.experiments.common import ExperimentResult
-from repro.scenarios import PodSpec
-from repro.sim.engine import Simulator
-from repro.sim.rng import RngRegistry
+from repro.scenarios import PodSpec, ScenarioSpec, WorkloadSpec, build
 from repro.sim.units import MS
-from repro.workloads.generators import CbrSource, zipf_population
 
 L3_BYTES = PAPER_L3_BYTES // 400  # 200 MB L3 -> 512 KB; tables shrink alike
 FLOWS = 5000                   # scaled concurrent-flow population
@@ -65,30 +61,23 @@ def run(core_counts=(1, 2, 4), per_run_ns=60 * MS, service="VPC-Internet"):
 
 
 def _run_point(mode, cores, duration_ns, service):
-    sim = Simulator()
-    rngs = RngRegistry(seed=83)
-    server = AlbatrossServer(sim, rngs, cache_mode="simulated", l3_bytes=L3_BYTES)
-    pod = server.add_pod(
-        PodSpec(name="pod", data_cores=cores, service=service, mode=mode)
-    )
-    population = zipf_population(FLOWS, exponent=ZIPF_EXPONENT, tenants=max(1, FLOWS // 4))
     # Saturate: offer 30% above the analytic capacity estimate.
-    capacity_pps = pod.expected_capacity_mpps() * 1e6
-    CbrSource(
-        sim,
-        rngs.stream("traffic"),
-        pod.ingress,
-        population,
-        rate_pps=int(capacity_pps * 1.3),
-    )
+    handle = build(ScenarioSpec(
+        name="scaled-pod", seed=83, l3_bytes=L3_BYTES,
+        pods=(PodSpec(data_cores=cores, service=service, mode=mode),),
+        workload=WorkloadSpec(
+            flows=FLOWS, tenants=max(1, FLOWS // 4), population="zipf",
+            zipf_exponent=ZIPF_EXPONENT, load=1.3,
+        ),
+    ))
+    pod = handle.pod
     # Warm the cache before measuring.
-    warmup_ns = duration_ns // 3
-    sim.run_until(warmup_ns)
-    cache = server.l3_cache(pod.memory_node)
+    handle.run(duration_ns // 3)
+    cache = handle.server.l3_cache(pod.memory_node)
     cache.stats.reset()
     processed_before = sum(core.stats.processed for core in pod.cores)
     busy_before = sum(core.stats.busy_ns for core in pod.cores)
-    sim.run_until(warmup_ns + duration_ns)
+    handle.run(duration_ns)
     processed = sum(core.stats.processed for core in pod.cores) - processed_before
     busy_ns = sum(core.stats.busy_ns for core in pod.cores) - busy_before
     # Busy-normalized per-core rate: isolates the cache effect from RSS's

@@ -9,10 +9,8 @@ Scaled setup: identical ratios at ~0.1 Mpps per core.
 """
 
 from repro.experiments.common import ExperimentResult
-from repro.packet.flows import flow_for_tenant
-from repro.scenarios import PodSpec, ScenarioSpec, build
+from repro.scenarios import PodSpec, ScenarioSpec, WorkloadSpec, build
 from repro.sim.units import MS
-from repro.workloads.generators import CbrSource, FlowPopulation, uniform_population
 
 CORES = 3
 BACKGROUND_UTILIZATION = 0.10
@@ -44,28 +42,22 @@ def run(
 
 
 def _run_point(mode, hitter_fraction, per_core_pps, duration_ns, background_flows):
-    pod_spec = PodSpec(data_cores=CORES, per_core_pps=per_core_pps, mode=mode)
-    handle = build(ScenarioSpec(name="scaled-pod", seed=11, pods=(pod_spec,)))
     background_rate = int(BACKGROUND_UTILIZATION * per_core_pps * CORES)
-    background = uniform_population(background_flows, tenants=50)
-    CbrSource(
-        handle.sim,
-        handle.rngs.stream("background"),
-        handle.pod.ingress,
-        background,
-        rate_pps=background_rate,
-    )
     hitter_rate = int(hitter_fraction * per_core_pps)
+    workloads = (
+        WorkloadSpec(flows=background_flows, tenants=50, rate_pps=background_rate,
+                     stream="background"),
+    )
     if hitter_rate > 0:
-        hitter_flow = FlowPopulation([flow_for_tenant(999, 0)], vnis=[999])
-        CbrSource(
-            handle.sim,
-            handle.rngs.stream("hitter"),
-            handle.pod.ingress,
-            hitter_flow,
-            rate_pps=hitter_rate,
+        workloads += (
+            WorkloadSpec(flows=1, tenants=1, first_tenant=999, rate_pps=hitter_rate,
+                         stream="hitter"),
         )
-    handle.run(duration_ns)
+    handle = build(ScenarioSpec(
+        name="scaled-pod", seed=11, duration_ns=duration_ns,
+        pods=(PodSpec(data_cores=CORES, per_core_pps=per_core_pps, mode=mode),),
+        workload=workloads,
+    )).run()
 
     utilizations = handle.pod.core_utilizations(duration_ns)
     offered = background_rate + hitter_rate

@@ -12,11 +12,9 @@ RSS core only saturates once its background share passes ~75% -- placing
 the crossover where the paper places it).
 """
 
-from repro.experiments.common import ExperimentResult
-from repro.packet.flows import flow_for_tenant
-from repro.scenarios import PodSpec, ScenarioSpec, build
+from repro.experiments.common import ExperimentResult, burst_workloads
+from repro.scenarios import PodSpec, ScenarioSpec, WorkloadSpec, build
 from repro.sim.units import MS, US
-from repro.workloads.generators import CbrSource, FlowPopulation, uniform_population
 
 CORES = 4
 
@@ -59,25 +57,21 @@ def _run_point(
     burst_duration_ns,
     burst_gap_ns,
 ):
-    pod_spec = PodSpec(data_cores=CORES, per_core_pps=per_core_pps, mode=mode)
-    handle = build(ScenarioSpec(name="scaled-pod", seed=23, pods=(pod_spec,)))
     burst_rate = int(burst_core_fraction * per_core_pps)
     # Average burst contribution counts toward the load target.
     duty_cycle = burst_duration_ns / (burst_duration_ns + burst_gap_ns)
     burst_average = burst_rate * duty_cycle
     background_rate = max(0, int(load * per_core_pps * CORES - burst_average))
-    background = uniform_population(400, tenants=40)
-    CbrSource(
-        handle.sim,
-        handle.rngs.stream("background"),
-        handle.pod.ingress,
-        background,
-        rate_pps=background_rate,
+    background = WorkloadSpec(
+        flows=400, tenants=40, rate_pps=background_rate, stream="background"
     )
-    _schedule_bursts(
-        handle, burst_rate, burst_duration_ns, burst_gap_ns, duration_ns
-    )
-    handle.run(duration_ns)
+    handle = build(ScenarioSpec(
+        name="scaled-pod", seed=23, duration_ns=duration_ns,
+        pods=(PodSpec(data_cores=CORES, per_core_pps=per_core_pps, mode=mode),),
+        workload=(background, *burst_workloads(
+            7000, burst_rate, burst_duration_ns, burst_gap_ns, duration_ns
+        )),
+    )).run()
     histogram = handle.pod.latency_histogram
     return {
         "mode": mode,
@@ -88,22 +82,3 @@ def _run_point(
         "packets": histogram.count,
     }
 
-
-def _schedule_bursts(handle, burst_rate, burst_duration_ns, burst_gap_ns, horizon_ns):
-    """Repeated single-flow microbursts on rotating flows."""
-    burst_index = 0
-    start = burst_gap_ns
-    while start < horizon_ns:
-        flow = flow_for_tenant(7000 + burst_index, burst_index)
-        population = FlowPopulation([flow], vnis=[7000 + burst_index])
-        source = CbrSource(
-            handle.sim,
-            handle.rngs.stream(f"burst{burst_index}"),
-            handle.pod.ingress,
-            population,
-            rate_pps=0,
-        )
-        handle.sim.schedule_at(start, source.set_rate, burst_rate)
-        handle.sim.schedule_at(start + burst_duration_ns, source.set_rate, 0)
-        start += burst_duration_ns + burst_gap_ns
-        burst_index += 1

@@ -5,7 +5,7 @@ it creates the simulator, the rng registry, one
 :class:`~repro.core.gateway.AlbatrossServer` per server (a flat spec is
 a single anonymous server), one pod per
 :class:`~repro.scenarios.spec.PodSpec` and (optionally) the migration
-controller, the AZ tiers, the declared workload, telemetry and the
+controller, the AZ tiers, the declared workloads, telemetry and the
 checkpointer, and returns a :class:`RunHandle` the caller drives.
 
 The handle's :meth:`RunHandle.report` emits the **run report**: a plain,
@@ -40,14 +40,13 @@ def _pod_capacity_pps(pod_spec):
     return pod_spec.data_cores * chain.per_core_mpps() * 1e6
 
 
-def offered_rate_pps(spec):
-    """Packets per second the declared workload offers.
+def offered_rate_pps(spec, workload):
+    """Packets per second one declared workload starts at.
 
     ``rate_pps`` verbatim; otherwise ``load`` is a fraction of the
     nominal capacity of what the source feeds -- the whole AZ on
     topology specs, the first pod on flat ones.
     """
-    workload = spec.workload
     if workload.rate_pps is not None:
         return workload.rate_pps
     targets = spec.all_pods if spec.servers else spec.pods[:1]
@@ -55,14 +54,14 @@ def offered_rate_pps(spec):
 
 
 def offered_packets(spec, from_ns=0):
-    """Packets the workload offers over ``[from_ns, duration_ns)``.
+    """Packets the workloads offer over ``[from_ns, duration_ns)``, each
+    at its starting rate (a rate schedule is not priced).
 
     The sweep pool's cost estimate for a shard: host time is ~linear in
     simulated packets (ROADMAP, "Where the numbers stand").
     """
-    if spec.workload is None:
-        return 0
-    return offered_rate_pps(spec) * max(0, spec.duration_ns - from_ns) // SECOND
+    rate = sum(offered_rate_pps(spec, workload) for workload in spec.workloads)
+    return rate * max(0, spec.duration_ns - from_ns) // SECOND
 
 
 @dataclass
@@ -77,9 +76,9 @@ class ServerRuntime:
     promoter: object = None         # HotFlowPromoter or None
 
 
-def _build_server(name, pod_specs, sim, rngs, subscribers):
+def _build_server(name, pod_specs, sim, rngs, subscribers, l3_bytes):
     """One server and its pods; a flat spec is a single unnamed server."""
-    server = AlbatrossServer(sim, rngs, subscribers=subscribers)
+    server = AlbatrossServer(sim, rngs, l3_bytes=l3_bytes, subscribers=subscribers)
     return ServerRuntime(name, server, {
         pod_spec.name: server.add_pod(pod_spec) for pod_spec in pod_specs
     })
@@ -96,10 +95,10 @@ class TopologyRuntime:
 class RunHandle:
     """A built scenario: simulator, server, pods and attached sources.
 
-    Scenario functions are free to wire extra machinery (fault
-    injectors, limiters, bespoke sinks) onto the handle before calling
-    :meth:`run`; everything reachable from ``sim``/``rngs``/``server``
-    is theirs to extend.
+    An experiment declares everything it simulates on the spec and
+    attaches only observers before :meth:`run` (:meth:`subscribe`, a
+    sampler reading the cores); the fault scenarios still wire injectors
+    onto the handle.
     """
 
     def __init__(self, spec, sim, rngs, server, pods, sources, migration=None,
@@ -210,9 +209,9 @@ def build(spec):
 
     subscribers = []
     runtimes = [
-        _build_server(server.name, server.pods, sim, rngs, subscribers)
+        _build_server(server.name, server.pods, sim, rngs, subscribers, spec.l3_bytes)
         for server in spec.servers
-    ] or [_build_server(None, spec.pods, sim, rngs, subscribers)]
+    ] or [_build_server(None, spec.pods, sim, rngs, subscribers, spec.l3_bytes)]
     pods = {
         name: pod for runtime in runtimes for name, pod in runtime.pods.items()
     }
@@ -245,9 +244,10 @@ def build(spec):
             sink = topology.uplink.forward
         else:
             sink = sinks[spec.pods[0].name]
-        sources.append(
-            _attach_workload(spec.workload, sim, rngs, sink, offered_rate_pps(spec))
-        )
+        sources = [
+            _attach_workload(workload, sim, rngs, sink, offered_rate_pps(spec, workload))
+            for workload in spec.workloads
+        ]
 
     telemetry = checkpointer = None
     if spec.timeseries_every_ns is not None:
@@ -315,30 +315,34 @@ def _attach_workload(workload, sim, rngs, sink, rate):
     """Start the declared source at ``rate`` pps into ``sink``."""
     from repro.workloads.generators import (
         CbrSource,
+        PoissonSource,
+        ScheduledSource,
         uniform_population,
         zipf_population,
     )
     from repro.workloads.microburst import MicroburstSource
 
+    layout = {
+        "tenants": workload.tenants,
+        "first_tenant": workload.first_tenant or 0,
+        "first_flow": workload.first_flow or 0,
+    }
     if workload.population == "zipf":
         population = zipf_population(
-            workload.flows,
-            exponent=workload.zipf_exponent,
-            tenants=workload.tenants,
+            workload.flows, exponent=workload.zipf_exponent, **layout
         )
     else:
-        population = uniform_population(workload.flows, tenants=workload.tenants)
-    stream = rngs.stream(workload.stream)
+        population = uniform_population(workload.flows, **layout)
+    args = (sim, rngs.stream(workload.stream), sink, population, rate)
     if workload.kind == "microburst":
         burst_kwargs = {"burst_factor": workload.burst_factor}
         if workload.burst_duration_ns is not None:
             burst_kwargs["burst_duration_ns"] = workload.burst_duration_ns
         if workload.burst_period_ns is not None:
             burst_kwargs["burst_period_ns"] = workload.burst_period_ns
-        return MicroburstSource(
-            sim, stream, sink, population, rate,
-            size=workload.size, **burst_kwargs,
-        )
-    return CbrSource(
-        sim, stream, sink, population, rate, size=workload.size
-    )
+        return MicroburstSource(*args, size=workload.size, **burst_kwargs)
+    if workload.kind == "poisson":
+        return PoissonSource(*args, size=workload.size)
+    if workload.schedule:
+        return ScheduledSource(*args, workload.schedule, size=workload.size)
+    return CbrSource(*args, size=workload.size)

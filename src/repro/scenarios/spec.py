@@ -7,14 +7,16 @@ defined once is runnable from every command and shardable across a
 worker fleet.
 
 Specs are **plain data**: every field is a scalar, a nested spec or a
-tuple of nested specs, declared exactly once as a dataclass field, so a
-spec round-trips losslessly through the one generic
+tuple of either, declared exactly once as a dataclass field, so a spec
+round-trips losslessly through the one generic
 :meth:`Spec.to_dict` / :meth:`Spec.from_dict` pair (the wire format the
 fleet engine ships to worker processes, and the schema
-``python -m repro sweep`` embeds in its report).  Anything that is not
-plain data -- a jitter model, a bespoke limiter, an exit subscriber -- is
-attached *after* :func:`repro.scenarios.build` by the calling scenario,
-through the returned handle (such runs are not shardable).
+``python -m repro sweep`` embeds in its report).  Every packet source,
+rate schedule, limiter, session offload and L3 cache model a run has is
+declared here and built by :func:`repro.scenarios.build`.  What still
+attaches through the returned handle only observes the run -- exit
+subscribers, a ``UtilizationSampler``, a ``NumaBalancer`` -- apart from
+Fig. 11's ``JitterModel`` on the pod's cores.
 """
 
 from dataclasses import dataclass, field, fields
@@ -67,7 +69,7 @@ def _to_wire(value):
     if isinstance(value, Spec):
         return value.to_dict()
     if isinstance(value, tuple):
-        return [item.to_dict() for item in value]
+        return [_to_wire(item) for item in value]
     return value
 
 
@@ -91,7 +93,8 @@ class Spec:
         """Rebuild from a wire dict.
 
         Absent keys take the field default (so specs serialized before a
-        field existed still load); an unknown key raises ``TypeError``.
+        field existed still load); an unknown key raises ``TypeError``.  A
+        nested spec's wire list is a tuple of them.
         """
         kwargs = dict(data)
         for f in fields(cls):
@@ -99,7 +102,7 @@ class Spec:
             value = kwargs.get(f.name)
             if nested is None or value is None:
                 continue
-            if f.default == ():
+            if isinstance(value, list):
                 kwargs[f.name] = tuple(nested.from_dict(item) for item in value)
             else:
                 kwargs[f.name] = nested.from_dict(value)
@@ -113,9 +116,20 @@ class WorkloadSpec(Spec):
     ``rate_pps`` and ``load`` are mutually exclusive: ``load`` is a
     fraction of the target pod's nominal capacity, resolved at build
     time (so the same workload spec scales with the pod it drives).
+
+    ``kind`` is ``"cbr"`` (constant rate), ``"microburst"`` (CBR plus
+    random bursts) or ``"poisson"`` (exponential gaps at that mean).
+
+    The last three fields are absent from the wire while unset:
+
+    * ``schedule`` -- ``((t_ns, rate_pps), ...)``, a CBR source's rate
+      changes at those absolute instants, in order;
+    * ``first_tenant`` -- the first VNI: flow ``i`` belongs to tenant
+      ``first_tenant + i // (flows // tenants) % tenants``;
+    * ``first_flow`` -- flow ``i`` is ``flow_for_tenant(vni, first_flow + i)``.
     """
 
-    KINDS = ("cbr", "microburst")
+    KINDS = ("cbr", "microburst", "poisson")
 
     kind: str = "cbr"
     flows: int = 1000
@@ -129,9 +143,24 @@ class WorkloadSpec(Spec):
     burst_factor: float = 6.0
     burst_duration_ns: Optional[int] = None
     burst_period_ns: Optional[int] = None
+    schedule: tuple = _field((), only_with="schedule")
+    first_tenant: Optional[int] = _field(None, only_with="first_tenant")
+    first_flow: Optional[int] = _field(None, only_with="first_flow")
 
     def __post_init__(self):
         _require(self.kind in self.KINDS, f"unknown workload kind {self.kind!r}")
+        if self.schedule:
+            self.schedule = tuple(map(tuple, self.schedule))
+            _require(self.kind == "cbr", "a rate schedule drives a cbr workload only")
+            times = [at_ns for at_ns, _rate in self.schedule]
+            _require(times == sorted(times) and times[0] >= 0,
+                     "schedule instants must be >= 0 and in order")
+            _require(all(rate >= 0 for _at_ns, rate in self.schedule),
+                     "schedule rates must be >= 0")
+        for offset in ("first_tenant", "first_flow"):
+            value = getattr(self, offset)
+            _require(value is None or value >= 0,
+                     f"workload {offset} must be >= 0, got {value}")
         _require(self.population in ("uniform", "zipf"),
                  f"unknown population {self.population!r}")
         _require((self.rate_pps is None) != (self.load is None),
@@ -169,8 +198,9 @@ class PodSpec(Spec):
     ``reorder_queues`` defaults to 1-8 queues scaled with the data cores
     and ``reorder_depth`` to 4096 entries per queue; ``meta_placement``
     (``"tail"`` unless set; ``"head"`` pays the §7 copy penalty) says
-    where the PLB meta header rides.  The last two are absent from the
-    wire while unset.
+    where the PLB meta header rides.  ``offload_capacity`` arms an FPGA
+    session offload (§7) with that many session-table entries.  The last
+    three are absent from the wire while unset.
     """
 
     name: str = "pod"
@@ -191,6 +221,7 @@ class PodSpec(Spec):
     limiter_stage2_pps: Optional[int] = None
     meta_placement: Optional[str] = _field(None, only_with="meta_placement")
     reorder_depth: Optional[int] = _field(None, only_with="reorder_depth")
+    offload_capacity: Optional[int] = _field(None, only_with="offload_capacity")
 
     def __post_init__(self):
         _require(self.data_cores >= 1, "a pod needs at least one data core")
@@ -347,9 +378,9 @@ class ScenarioSpec(Spec):
         name: scenario identity (report key, rng namespace for extras).
         pods: tuple of :class:`PodSpec` (may be empty for control-plane
             scenarios that build no gateway server).
-        workload: optional :class:`WorkloadSpec` aimed at the first pod;
-            scenarios with bespoke traffic leave it ``None`` and attach
-            sources through the built handle.
+        workload: optional :class:`WorkloadSpec`, or a tuple of them,
+            aimed at the first pod (at the uplink on a topology);
+            ``handle.sources`` holds one source per workload, in order.
         duration_ns: how long :meth:`RunHandle.run` advances the clock.
         seed: the experiment seed every rng stream derives from.
         migration: optional :class:`MigrationSpec`; build time attaches a
@@ -373,6 +404,14 @@ class ScenarioSpec(Spec):
             ``None`` with ``servers`` set means defaults.
         dpu_tier: optional :class:`DpuTierSpec` arming the per-server
             DPU pre-classifier in front of each NIC/FPGA+CPU pipeline.
+        l3_bytes: optional per-NUMA-node L3 size; when set, every server
+            simulates its shared L3 as an LRU cache of that size and the
+            pods' tables shrink by the same factor against the paper's
+            200 MB (Fig. 4/5), otherwise lookups cost their expectation.
+
+    The spec states the whole run; the built handle takes only
+    observers (exit subscribers, a ``UtilizationSampler``, a
+    ``NumaBalancer``) and Fig. 11's ``JitterModel``.
 
     Feature pairs that cannot be combined live in the declarative
     :data:`INCOMPATIBLE_FEATURES` table, not in ad-hoc guards here.
@@ -380,7 +419,7 @@ class ScenarioSpec(Spec):
 
     name: str
     pods: tuple = _field((), spec=PodSpec)
-    workload: Optional[WorkloadSpec] = _field(spec=WorkloadSpec)
+    workload: object = _field(spec=WorkloadSpec)    # a WorkloadSpec, a tuple or None
     duration_ns: int = 0
     seed: int = 42
     migration: Optional[MigrationSpec] = _field(spec=MigrationSpec)
@@ -393,9 +432,11 @@ class ScenarioSpec(Spec):
     servers: tuple = _field((), spec=ServerSpec, only_with="servers")
     ecmp: Optional[EcmpSpec] = _field(spec=EcmpSpec, only_with="servers")
     dpu_tier: Optional[DpuTierSpec] = _field(spec=DpuTierSpec, only_with="servers")
+    l3_bytes: Optional[int] = _field(None, only_with="l3_bytes")
 
     def __post_init__(self):
         _require(bool(self.name), "a scenario needs a name")
+        _require(self.workload != (), "a workload tuple needs at least one workload")
         _require(self.duration_ns >= 0,
                  f"duration_ns must be >= 0, got {self.duration_ns}")
         self.pods = tuple(self.pods)
@@ -432,14 +473,21 @@ class ScenarioSpec(Spec):
                     f"migration targets pod {migration.pod!r} on server "
                     f"{migration.server!r}, but it lives on {home!r}",
                 )
-        for cadence in ("checkpoint_every_ns", "timeseries_every_ns"):
-            value = getattr(self, cadence)
-            _require(value is None or value > 0, f"{cadence} must be > 0 when set")
+        for positive in ("checkpoint_every_ns", "timeseries_every_ns", "l3_bytes"):
+            value = getattr(self, positive)
+            _require(value is None or value > 0, f"{positive} must be > 0 when set")
         for left, right, why in INCOMPATIBLE_FEATURES:
             _require(
                 not (_is_set(getattr(self, left)) and _is_set(getattr(self, right))),
                 f"{left} cannot be combined with {right}: {why}",
             )
+
+    @property
+    def workloads(self):
+        """The declared workloads as a tuple (empty when there is none)."""
+        if isinstance(self.workload, WorkloadSpec):
+            return (self.workload,)
+        return self.workload or ()
 
     @property
     def all_pods(self):

@@ -419,9 +419,10 @@ class Simulator(Stateful):
 
         Must be called between runs (never from inside a handler) and
         moves neither backwards (``seq``'s setter refuses a lower
-        number): stale events scheduled before the restored instant
-        (e.g. a freshly built source's first tick) are replaced when
-        their owners are restored, before they fire.
+        number).  Every entry due before the restored instant (e.g. a
+        freshly built source's first tick) is dropped and its event
+        cancelled, so nothing fires behind the clock; restoring the
+        owners then puts what the snapshot holds back in its slots.
         """
         if self._running:
             raise SimulationError("cannot restore the clock mid-run")
@@ -431,6 +432,16 @@ class Simulator(Stateful):
                 f"cannot restore clock backwards to t={now} (now={self._now})"
             )
         super().restore(snapshot)
+        kept = []
+        for entry in self._heap:
+            event = entry[4]
+            # A rearmed event's entry may be older than its own slot.
+            if (entry[0] if event is None else event.time) >= now:
+                kept.append(entry)
+            elif event is not None:
+                event.cancel()
+        self._heap[:] = kept
+        heapq.heapify(self._heap)
 
     def every(self, interval, fn, *args, start_delay=None):
         """Call ``fn(*args)`` every ``interval`` ns, first after

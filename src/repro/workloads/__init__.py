@@ -11,22 +11,23 @@ from repro.workloads.generators import (
     CbrSource,
     FlowPopulation,
     PoissonSource,
+    ScheduledSource,
     uniform_population,
     zipf_population,
 )
 from repro.workloads.microburst import MicroburstSource
-from repro.workloads.tenants import TenantProfile, TenantSet
+from repro.workloads.tenants import overload_workloads
 from repro.workloads.traces import diurnal_rate_fn, weekly_load_profile
 
 __all__ = [
     "CbrSource",
     "FlowPopulation",
     "PoissonSource",
+    "ScheduledSource",
     "uniform_population",
     "zipf_population",
     "MicroburstSource",
-    "TenantProfile",
-    "TenantSet",
+    "overload_workloads",
     "diurnal_rate_fn",
     "weekly_load_profile",
 ]

@@ -76,9 +76,11 @@ class FlowPopulation:
 
 class _TenantFlows(Sequence):
     """The factories' flows, computed per index and never stored: flow
-    ``i`` belongs to tenant ``i // flows_per_tenant % tenants``."""
+    ``i`` is ``flow_for_tenant(vni, first_flow + i)`` of VNI
+    ``first_tenant + i // flows_per_tenant % tenants``."""
 
-    def __init__(self, count, tenants, flows_per_tenant=None):
+    def __init__(self, count, tenants, flows_per_tenant=None, first_tenant=0,
+                 first_flow=0):
         if flows_per_tenant is None:
             flows_per_tenant = max(1, count // max(1, tenants))
         if min(count, tenants, flows_per_tenant) < 1:
@@ -86,29 +88,37 @@ class _TenantFlows(Sequence):
         self._indexes = range(count)  # bounds check and negative indexes
         self.tenants = tenants
         self.flows_per_tenant = flows_per_tenant
+        self.first_tenant = first_tenant
+        self.first_flow = first_flow
 
     def __len__(self):
         return len(self._indexes)
 
     def __getitem__(self, index):
         index = self._indexes[index]
-        return flow_for_tenant(index // self.flows_per_tenant % self.tenants, index)
+        return flow_for_tenant(
+            self.first_tenant + index // self.flows_per_tenant % self.tenants,
+            self.first_flow + index,
+        )
 
 
 class _TenantVnis(_TenantFlows):
     """The VNI (tenant) of each of those flows."""
 
     def __getitem__(self, index):
-        return self._indexes[index] // self.flows_per_tenant % self.tenants
+        return (self.first_tenant
+                + self._indexes[index] // self.flows_per_tenant % self.tenants)
 
 
-def uniform_population(flow_count, tenants=1, flows_per_tenant=None):
-    """Equal-weight flows spread across ``tenants`` VNIs."""
-    layout = (flow_count, tenants, flows_per_tenant)
+def uniform_population(flow_count, tenants=1, flows_per_tenant=None,
+                       first_tenant=0, first_flow=0):
+    """Equal-weight flows spread across ``tenants`` VNIs from ``first_tenant``."""
+    layout = (flow_count, tenants, flows_per_tenant, first_tenant, first_flow)
     return FlowPopulation(_TenantFlows(*layout), vnis=_TenantVnis(*layout))
 
 
-def zipf_population(flow_count, exponent=1.05, tenants=1, flows_per_tenant=None):
+def zipf_population(flow_count, exponent=1.05, tenants=1, flows_per_tenant=None,
+                    first_tenant=0, first_flow=0):
     """Zipf-weighted flows: a few hot flows dominate (cloud reality).
 
     ``exponent`` ~1 gives the heavy skew that produces the paper's 30-45%
@@ -116,53 +126,19 @@ def zipf_population(flow_count, exponent=1.05, tenants=1, flows_per_tenant=None)
     """
     if exponent < 0:
         raise ValueError(f"zipf exponent must be >= 0, got {exponent}")
-    layout = (flow_count, tenants, flows_per_tenant)
+    layout = (flow_count, tenants, flows_per_tenant, first_tenant, first_flow)
     weights = (1.0 / (index + 1) ** exponent for index in range(flow_count))
     return FlowPopulation(
         _TenantFlows(*layout), weights=weights, vnis=_TenantVnis(*layout)
     )
 
 
-class _SourceBase:
-    """Common machinery: packet minting and start/stop."""
-
-    def __init__(
-        self,
-        sim,
-        rng,
-        sink,
-        population,
-        size=256,
-        kind=PacketKind.DATA,
-        count_limit=None,
-    ):
-        self.sim = sim
-        self.rng = rng
-        self.sink = sink
-        self.population = population
-        self.size = size
-        self.kind = kind
-        self.count_limit = count_limit
-        self.emitted = 0
-        self._running = False
-
-    def _emit_one(self):
-        flow, vni = self.population.choose(self.rng)
-        self.sink(Packet(flow, vni, self.size, self.kind))
-        self.emitted += 1
-        if self.count_limit is not None and self.emitted >= self.count_limit:
-            self.stop()
-
-    def stop(self):
-        self._running = False
-        self._next_event.cancel()
-
-
-class CbrSource(_SourceBase, Stateful):
+class CbrSource(Stateful):
     """Constant bit-rate (constant packet-rate) source.
 
     ``rate_pps`` can be changed at runtime with :meth:`set_rate`; a rate
-    of 0 pauses emission until the next ``set_rate``.
+    of 0 pauses emission until the next ``set_rate``, and :meth:`stop`
+    (or ``count_limit`` packets) ends it.
     """
 
     #: Tag written into checkpoints and validated on restore, so a
@@ -178,11 +154,31 @@ class CbrSource(_SourceBase, Stateful):
         "rng": "a registry stream: the RngRegistry snapshot carries its position",
     }
 
-    def __init__(self, sim, rng, sink, population, rate_pps, **kwargs):
-        super().__init__(sim, rng, sink, population, **kwargs)
+    def __init__(self, sim, rng, sink, population, rate_pps, size=256,
+                 kind=PacketKind.DATA, count_limit=None):
+        self.sim = sim
+        self.rng = rng
+        self.sink = sink
+        self.population = population
+        self.size = size
+        self.kind = kind
+        self.count_limit = count_limit
+        self.emitted = 0
+        self._running = False
         self.rate_pps = 0
         self._next_event = sim.idle(self._tick)
         self.set_rate(rate_pps)
+
+    def _emit_one(self):
+        flow, vni = self.population.choose(self.rng)
+        self.sink(Packet(flow, vni, self.size, self.kind))
+        self.emitted += 1
+        if self.count_limit is not None and self.emitted >= self.count_limit:
+            self.stop()
+
+    def stop(self):
+        self._running = False
+        self._next_event.cancel()
 
     def set_rate(self, rate_pps):
         """Change the emission rate immediately."""
@@ -234,25 +230,41 @@ class CbrSource(_SourceBase, Stateful):
         self._interval = max(1, int(SECOND / rate_pps)) if rate_pps > 0 else None
 
 
-class PoissonSource(_SourceBase):
-    """Poisson arrivals at a mean ``rate_pps``."""
+class ScheduledSource(CbrSource):
+    """A CBR source whose rate follows ``schedule``, ``((t_ns, rate_pps), ...)``:
+    at each absolute instant, in order, it calls :meth:`set_rate`.
 
-    def __init__(self, sim, rng, sink, population, rate_pps, **kwargs):
-        super().__init__(sim, rng, sink, population, **kwargs)
-        self.rate_pps = rate_pps
-        self._next_event = sim.idle(self._tick)
-        if rate_pps > 0:
-            self._running = True
-            self._schedule_next()
+    The schedule is one timer, queued for the next step when the last one
+    fires; a snapshot holds it and the step it is for.  :meth:`stop`
+    stops the schedule too.
+    """
 
-    def set_rate(self, rate_pps):
-        self.rate_pps = rate_pps
-        self._next_event.cancel()
-        if rate_pps > 0:
-            self._running = True
-            self._schedule_next()
-        else:
-            self._running = False
+    SNAPSHOT_KIND = "scheduled"
+
+    STATE = CbrSource.STATE + (("step", "_step"), ("next_change", "_change"))
+
+    def __init__(self, sim, rng, sink, population, rate_pps, schedule, **kwargs):
+        super().__init__(sim, rng, sink, population, rate_pps, **kwargs)
+        self.schedule = schedule
+        self._step = 0
+        self._change = sim.schedule_at(schedule[0][0], self._next_rate)
+
+    def _next_rate(self):
+        self.set_rate(self.schedule[self._step][1])
+        self._step += 1
+        if self._step < len(self.schedule):
+            self.sim.rearm(self._change, self.schedule[self._step][0] - self.sim.now)
+
+    def stop(self):
+        super().stop()
+        self._change.cancel()
+
+
+class PoissonSource(CbrSource):
+    """Poisson arrivals at a mean ``rate_pps``: a CBR source whose gaps are
+    drawn from the exponential distribution."""
+
+    SNAPSHOT_KIND = "poisson"
 
     def _schedule_next(self):
         gap = self.rng.expovariate(self.rate_pps / SECOND)

@@ -1,8 +1,8 @@
 """Production-style load traces (Fig. 10's week of operational data).
 
 Real gateways show a diurnal load curve with noise; the Fig. 10 experiment
-replays a compressed week through two pods (PLB and RSS) and compares
-per-core utilization spread.
+replays a compressed week, as a source's rate schedule, through two pods
+(PLB and RSS) and compares per-core utilization spread.
 """
 
 import math
@@ -42,13 +42,14 @@ def weekly_load_profile(base_pps, samples_per_day=24, days=7, peak_factor=1.5,
     return profile
 
 
-def schedule_profile(sim, source, profile, time_compression=1.0):
-    """Apply a [(t_seconds, pps)] profile to a source, compressed in time.
+def compressed_schedule(profile, time_compression):
+    """A [(t_seconds, pps)] profile as a ``WorkloadSpec.schedule``:
+    ``((t_ns, rate_pps), ...)``, compressed in time.
 
     ``time_compression`` < 1 replays the profile faster (0.001 turns a
     week into ~10 simulated minutes).
     """
-    for t_seconds, pps in profile:
-        at_ns = int(round(t_seconds * time_compression * SECOND))
-        if at_ns >= sim.now:
-            sim.schedule_at(at_ns, source.set_rate, int(pps))
+    return tuple(
+        (int(round(t_seconds * time_compression * SECOND)), int(pps))
+        for t_seconds, pps in profile
+    )

@@ -180,7 +180,6 @@ ALLOWED = {
     "repro.tofino.resources.TofinoSpec": _TESTS,
     "repro.topology.switch.EcmpUplink.server_for": _TESTS,
     "repro.workloads.generators.FlowPopulation.__len__": _TESTS,
-    "repro.workloads.generators.PoissonSource.set_rate": _TESTS,
 }
 
 

@@ -269,8 +269,9 @@ class TestFullStatecheck:
     def test_world_probes_cover_both_dispatch_modes(self, full_run):
         worlds = [p for p in full_run.probes if p.mode == "world"]
         details = " ".join(p.detail for p in worlds)
-        assert len(worlds) == 3
+        assert len(worlds) == 4
         assert "plb" in details and "rss" in details and "lossy" in details
+        assert "scheduled" in details
 
     def test_core_components_are_probed(self, full_run):
         probed = {p.cls_name for p in full_run.probes if p.mode == "restore"}
@@ -314,6 +315,8 @@ class TestFullStatecheck:
         assert main(["statecheck", "-v"]) == 0
         out = capsys.readouterr().out
         assert "ok   FpgaSessionOffload [restore x1]" in out
-        assert "ok   SimCheckpointer [restore x3]" in out
+        assert "ok   SimCheckpointer [restore x4]" in out
+        assert "ok   ScheduledSource [restore x1]" in out
+        assert "ok   PoissonSource [restore x1]" in out
         assert "derived SimCheckpointer.captured: capture-process telemetry" in out
         assert out.rstrip().endswith("0 failed")

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis.sanitizer import install, uninstall
 from repro.bgp.bfd import BfdLink, BfdPacket, BfdSession, BfdState, bfd_pair
 from repro.bgp.fsm import BgpState, establish_pair
 from repro.bgp.messages import BgpUpdate
@@ -409,6 +410,39 @@ class TestBfdLink:
             (3 * SECOND, None),
         ])
         assert "BfdSession._detect_expired" in {entry[2] for entry in after}
+
+    @pytest.mark.parametrize("sanitized", [False, True], ids=["plain", "sanitized"])
+    def test_a_twin_with_probes_on_the_wire_fires_nothing_behind_the_restored_clock(
+            self, sanitized):
+        # The twin runs to 1.0 s, probe deliveries queued by the send
+        # functions (no owner holds them); the snapshot is the link cut at
+        # 1.0 s and 1.2 s in.  Those deliveries are dropped by the restore.
+        def world():
+            if sanitized:
+                install()
+            try:
+                sim = Simulator()
+            finally:
+                uninstall()     # the sanitizer is resolved at construction
+            log = fired(sim)
+            return sim, BfdLink(sim), log
+
+        sim, link, _ = world()
+        sim.run_until(1 * SECOND)
+        link.set_down()
+        sim.run_until(1_200 * MS)
+        snapshot = (sim.checkpoint(), link.checkpoint())
+        other_sim, other, other_log = world()
+        other_sim.run_until(1 * SECOND)
+        assert other_sim.pending > 2    # more than the two transmit tasks
+        other_sim.restore(snapshot[0])
+        other.restore(snapshot[1])
+        restored_at = len(other_log)
+        for side in (sim, other_sim):
+            side.run_until(2 * SECOND)
+        assert all(entry[0] >= 1_200 * MS for entry in other_log[restored_at:])
+        assert other_sim.checkpoint() == sim.checkpoint()
+        assert other.checkpoint() == link.checkpoint()
 
 
 class TestSwitchModel:

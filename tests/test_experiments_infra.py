@@ -1,6 +1,7 @@
 """Tests for the experiment infrastructure (results, runner, scaling) and the
 paper claims, each checked at quick size."""
 
+import ast
 from pathlib import Path
 
 import pytest
@@ -74,12 +75,14 @@ class TestScaledService:
 
     def test_egress_fn_is_assignable_after_build(self):
         # benchmarks/perf watches flow order by wrapping the NIC's egress hook.
-        from repro.scenarios import PodSpec, ScenarioSpec, build
+        from repro.scenarios import PodSpec, ScenarioSpec, WorkloadSpec, build
         from repro.sim.units import MS
-        from repro.workloads.generators import CbrSource, uniform_population
 
-        pod_spec = PodSpec(data_cores=2, per_core_pps=100_000)
-        handle = build(ScenarioSpec(name="scaled-pod", seed=1, pods=(pod_spec,)))
+        handle = build(ScenarioSpec(
+            name="scaled-pod", seed=1,
+            pods=(PodSpec(data_cores=2, per_core_pps=100_000),),
+            workload=WorkloadSpec(flows=10, tenants=2, rate_pps=50_000, stream="t"),
+        ))
         counts = {}
         forward = handle.pod.nic.egress_fn
 
@@ -88,14 +91,55 @@ class TestScaledService:
             forward(packet, outcome)
 
         handle.pod.nic.egress_fn = count_egress
-        population = uniform_population(10, tenants=2)
-        CbrSource(
-            handle.sim, handle.rngs.stream("t"), handle.pod.ingress,
-            population, rate_pps=50_000,
-        )
         handle.run(10 * MS)
         assert sum(counts.values()) == handle.pod.transmitted()
         assert set(counts) == {0, 1}
+
+
+def _hand_wiring(text):
+    """``(line, what)`` for each place ``text`` constructs a packet source
+    or an ``AlbatrossServer``, or assigns an attribute of a ``.nic``."""
+    found = []
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+            if name.endswith("Source") or name == "AlbatrossServer":
+                found.append((node.lineno, f"constructs {name}"))
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found.extend(
+                (node.lineno, f"assigns .nic.{target.attr}") for target in targets
+                if isinstance(target, ast.Attribute)
+                and isinstance(target.value, ast.Attribute) and target.value.attr == "nic"
+            )
+    return sorted(found)
+
+
+class TestOneConstructionPath:
+    """An experiment states its run as a ``ScenarioSpec`` and gets it from
+    ``build(spec)``: it wires no source, server or NIC part by hand."""
+
+    def test_no_experiment_wires_a_deployment_by_hand(self):
+        findings = [
+            f"{path.name}:{line} {what}"
+            for path in sorted((REPO / "src" / "repro" / "experiments").glob("*.py"))
+            for line, what in _hand_wiring(path.read_text())
+        ]
+        assert not findings, findings
+
+    def test_the_guard_sees_each_form(self):
+        planted = (
+            "CbrSource(sim, rng, sink, population, 10)\n"
+            "source = generators.PoissonSource(sim, rng, sink, population, 10)\n"
+            "server = AlbatrossServer(sim, rngs, l3_bytes=1)\n"
+            "handle.pod.nic.session_offload = offload\n"
+            "pod.nic.rate_limiter: object = limiter\n"
+            "handle.pod.nic.mode = 'rss'\n"
+            "handle.pod.nic.egress_fn(packet, outcome)\n"
+            "spec = WorkloadSpec(rate_pps=10)\n"
+        )
+        assert [line for line, _what in _hand_wiring(planted)] == [1, 2, 3, 4, 5, 6]
 
 
 class TestRunner:

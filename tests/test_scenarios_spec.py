@@ -12,6 +12,7 @@ import json
 import pytest
 
 from repro.controlplane.scenarios import migration_scenario_spec
+from repro.cpu.cache import CACHE_LINE_BYTES, PAPER_L3_BYTES
 from repro.metrics.trace import PacketTracer
 from repro.scenarios import (
     PodSpec,
@@ -67,7 +68,7 @@ class TestSpecRoundTrip:
 class TestSpecValidation:
     def test_unknown_workload_kind(self):
         with pytest.raises(ValueError, match="unknown workload kind"):
-            WorkloadSpec(kind="poisson", load=0.5)
+            WorkloadSpec(kind="pareto", load=0.5)
 
     def test_rate_and_load_mutually_exclusive(self):
         with pytest.raises(ValueError, match="rate_pps/load"):
@@ -298,3 +299,71 @@ class TestPodSpecIsTheOnlyDescription:
         assert spec_fingerprint(handle.spec) == before
         # The report keys its reorder section on the declared mode.
         assert "reorder" in report["pods"]["pod"]
+
+
+class TestDeclaredTraffic:
+    """``build`` turns each declared workload into one source, in order,
+    on exactly the flows it states."""
+
+    def test_each_workload_is_one_source_on_its_flows(self):
+        from repro.packet.flows import flow_for_tenant
+
+        handle = build(_spec(workload=(
+            WorkloadSpec(flows=32, tenants=4, load=0.5),
+            WorkloadSpec(kind="poisson", flows=1, tenants=1, rate_pps=1000,
+                         first_tenant=7000, first_flow=3, stream="burst"),
+            WorkloadSpec(flows=128, tenants=2, rate_pps=0, first_tenant=1,
+                         stream="tenants", schedule=((MS, 64_000),)),
+        )))
+        kinds = [type(source).__name__ for source in handle.sources]
+        assert kinds == ["CbrSource", "PoissonSource", "ScheduledSource"]
+        assert handle.sources[0].rate_pps == int(400_000 * 0.5)
+        burst = handle.sources[1].population
+        assert (burst.flows[0], burst.vnis[0]) == (flow_for_tenant(7000, 3), 7000)
+        tenants = handle.sources[2].population
+        assert (tenants.vnis[0], tenants.vnis[127]) == (1, 2)
+        assert tenants.flows[127] == flow_for_tenant(2, 127)
+
+    def test_a_schedule_sets_the_rate_at_each_instant(self):
+        handle = build(_spec(workload=WorkloadSpec(
+            flows=8, tenants=1, rate_pps=10_000, stream="s",
+            schedule=((2 * MS, 50_000), (4 * MS, 0), (6 * MS, 20_000)),
+        )))
+        source = handle.sources[0]
+        rates = []
+        for until in (1, 3, 5, 7):
+            handle.sim.run_until(until * MS)
+            rates.append(source.rate_pps)
+        assert rates == [10_000, 50_000, 0, 20_000]
+        # 20 + 100 + 0 + 20 packets, give or take one at each edge.
+        assert abs(source.emitted - 140) <= 3
+        source.stop()
+        assert source.checkpoint()["next_change"] is None
+
+    def test_schedule_and_offsets_are_validated(self):
+        with pytest.raises(ValueError, match="cbr workload only"):
+            WorkloadSpec(kind="poisson", rate_pps=1, schedule=((0, 1),))
+        with pytest.raises(ValueError, match="in order"):
+            WorkloadSpec(rate_pps=1, schedule=((5, 1), (2, 1)))
+        with pytest.raises(ValueError, match="rates must be >= 0"):
+            WorkloadSpec(rate_pps=1, schedule=((5, -1),))
+        with pytest.raises(ValueError, match="first_flow must be >= 0"):
+            WorkloadSpec(rate_pps=1, first_flow=-1)
+        with pytest.raises(ValueError, match="at least one workload"):
+            _spec(workload=())
+        with pytest.raises(ValueError, match="l3_bytes must be > 0"):
+            _spec(l3_bytes=0)
+
+    def test_offload_and_l3_are_built_only_when_declared(self):
+        plain = build(_spec())
+        assert plain.pod.nic.session_offload is None
+        assert plain.server.l3_cache(plain.pod.memory_node) is None
+        declared = build(_spec(
+            pods=(PodSpec(per_core_pps=100_000, offload_capacity=64),),
+            l3_bytes=1 << 20,
+        ))
+        assert declared.pod.nic.session_offload.capacity == 64
+        cache = declared.server.l3_cache(declared.pod.memory_node)
+        assert cache.capacity_lines * CACHE_LINE_BYTES == 1 << 20
+        assert declared.server.table_scale == (1 << 20) / PAPER_L3_BYTES
+        assert declared.pod.chain.cache is cache

@@ -8,6 +8,8 @@ spec classes were made declarative; they may only change together with a
 deliberate wire-format bump.
 """
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -138,17 +140,28 @@ def _pods(name):
         limiter_stage1_pps=_optional_int,
         meta_placement=st.none() | st.sampled_from(("head", "tail")),
         reorder_depth=st.none() | st.integers(min_value=1, max_value=4096),
+        offload_capacity=_optional_int,
     )
 
 
-_workloads = st.none() | st.builds(
+_offset = st.none() | st.integers(min_value=0, max_value=10**6)
+_workload = st.builds(
     WorkloadSpec,
     kind=st.sampled_from(WorkloadSpec.KINDS),
     flows=st.integers(min_value=1, max_value=10**6),
     load=st.floats(min_value=0.01, max_value=2),
     population=st.sampled_from(("uniform", "zipf")),
     burst_duration_ns=_optional_int,
-) | st.builds(WorkloadSpec, rate_pps=st.integers(min_value=1, max_value=10**7))
+    first_tenant=_offset,
+) | st.builds(
+    WorkloadSpec,
+    rate_pps=st.integers(min_value=0, max_value=10**7),
+    schedule=st.lists(
+        st.tuples(st.integers(0, 10**10), st.integers(0, 10**7)), max_size=4,
+    ).map(lambda steps: tuple(sorted(steps))),
+    first_flow=_offset,
+)
+_workloads = st.none() | _workload | st.lists(_workload, min_size=1, max_size=3).map(tuple)
 
 
 @st.composite
@@ -174,6 +187,7 @@ def scenario_specs(draw):
     elif not topology:
         common["checkpoint_every_ns"] = draw(_optional_int)
     common["timeseries_every_ns"] = draw(_optional_int)
+    common["l3_bytes"] = draw(_optional_int)
     if not topology:
         return ScenarioSpec(pods=pods, **common)
     return ScenarioSpec(
@@ -193,7 +207,8 @@ class TestGeneratedRoundTrip:
     def test_from_dict_inverts_to_dict(self, spec):
         wire = spec.to_dict()
         assert ScenarioSpec.from_dict(wire).to_dict() == wire
-        assert list(wire) == (TOPOLOGY_KEYS if spec.servers else FLAT_KEYS)
+        keys = TOPOLOGY_KEYS if spec.servers else FLAT_KEYS
+        assert list(wire) == keys + (["l3_bytes"] if spec.l3_bytes else [])
 
     @given(scenario_specs(), st.data())
     @settings(max_examples=100, deadline=None)
@@ -203,9 +218,65 @@ class TestGeneratedRoundTrip:
         nested = [wire] + wire["pods"] + servers
         nested += [pod for server in servers for pod in server["pods"]]
         nested += [
-            wire[key] for key in ("workload", "migration", "ecmp", "dpu_tier")
+            wire[key] for key in ("migration", "ecmp", "dpu_tier")
             if wire.get(key) is not None
         ]
+        workload = wire["workload"]
+        if isinstance(workload, list):
+            nested += workload
+        elif workload is not None:
+            nested.append(workload)
         data.draw(st.sampled_from(nested))["no_such_field"] = 1
         with pytest.raises(TypeError, match="no_such_field"):
             ScenarioSpec.from_dict(wire)
+
+
+class TestDeclaredForms:
+    """What an experiment states its run with: a workload tuple, a rate
+    schedule, tenant and flow offsets, a session offload and an L3 size.
+    Each is on the wire exactly while it is set."""
+
+    SPEC = ScenarioSpec(
+        name="declared",
+        pods=(PodSpec(name="p0", offload_capacity=4096),),
+        workload=(
+            WorkloadSpec(rate_pps=1000, schedule=((5, 2000), (9, 0))),
+            WorkloadSpec(kind="poisson", rate_pps=500, first_tenant=7000, first_flow=3),
+        ),
+        l3_bytes=1 << 19,
+    )
+
+    def test_round_trip_through_json(self):
+        wire = self.SPEC.to_dict()
+        assert list(wire) == FLAT_KEYS + ["l3_bytes"]
+        assert list(wire["pods"][0]) == POD_KEYS + ["offload_capacity"]
+        first, second = wire["workload"]
+        assert list(first) == WORKLOAD_KEYS + ["schedule"]
+        assert first["schedule"] == [[5, 2000], [9, 0]]
+        assert list(second) == WORKLOAD_KEYS + ["first_tenant", "first_flow"]
+        shipped = ScenarioSpec.from_dict(json.loads(json.dumps(wire)))
+        assert shipped.to_dict() == wire
+        assert shipped.workload[0].schedule == ((5, 2000), (9, 0))
+        assert (shipped.l3_bytes, shipped.pods[0].offload_capacity) == (1 << 19, 4096)
+
+    def test_override_into_the_tuple(self):
+        spec = self.SPEC.with_overrides(overrides={"workload.1.rate_pps": 750})
+        assert [workload.rate_pps for workload in spec.workloads] == [1000, 750]
+        assert spec.workloads[1].first_tenant == 7000
+        with pytest.raises(KeyError, match="workload.2.rate_pps"):
+            self.SPEC.with_overrides(overrides={"workload.2.rate_pps": 1})
+
+    def test_unset_fields_stay_off_the_wire(self):
+        wire = ScenarioSpec(
+            name="plain", pods=(PodSpec(),), workload=WorkloadSpec(rate_pps=1),
+        ).to_dict()
+        assert list(wire) == FLAT_KEYS
+        assert list(wire["pods"][0]) == POD_KEYS
+        assert list(wire["workload"]) == WORKLOAD_KEYS
+
+    def test_a_single_workload_keeps_its_form(self):
+        spec = scenario_spec("steady-state-plb", quick=True)
+        assert isinstance(spec.to_dict()["workload"], dict)
+        assert spec.workloads == (spec.workload,)
+        tenants = spec.with_overrides(overrides={"workload.tenants": 3})
+        assert tenants.workload.tenants == 3

@@ -20,8 +20,14 @@ from repro.core.ratelimit import TwoStageRateLimiter
 from repro.core.watchdog import FpgaWatchdog, PlbWatchdog
 from repro.cpu.numa import NumaBalancer
 from repro.metrics.summary import UtilizationSampler
+from repro.scenarios import PodSpec, ScenarioSpec, WorkloadSpec
 from repro.sim import MS, SECOND, US, RngRegistry, Simulator
-from tests.timer_restore import assert_restored_run_matches, fired
+from tests.timer_restore import (
+    assert_restored_run_matches,
+    deployment,
+    fired,
+    until_quiescent,
+)
 
 
 class _ScriptedNic(Stateful):
@@ -237,3 +243,37 @@ class TestIdleTimers:
         assert b.checkpoint()["detect"] is None and a.checkpoint()["detect"] is not None
         after = assert_restored_run_matches(world, _until(1_010 * MS), [(2 * SECOND, None)])
         assert "BfdSession._detect_expired" not in {entry[2] for entry in after}
+
+
+class TestScheduledDeployment:
+    """A deployment of several declared workloads, two on rate schedules,
+    restored part way through both schedules: every later tick and rate
+    change lands where the straight run has it."""
+
+    SPEC = ScenarioSpec(
+        name="scheduled",
+        pods=(PodSpec(name="gw", data_cores=2, per_core_pps=200_000),),
+        workload=(
+            WorkloadSpec(flows=32, tenants=4, rate_pps=20_000, stream="base",
+                         schedule=((2 * MS, 40_000), (5 * MS, 10_000), (8 * MS, 30_000))),
+            WorkloadSpec(kind="poisson", flows=8, tenants=2, rate_pps=10_000,
+                         stream="poisson", first_tenant=100),
+            WorkloadSpec(flows=1, tenants=1, rate_pps=0, stream="burst", first_tenant=7000,
+                         first_flow=3, schedule=((3 * MS, 30_000), (7 * MS, 0))),
+        ),
+        seed=5,
+    )
+
+    @pytest.mark.parametrize("sanitized", [False, True], ids=["plain", "sanitized"])
+    def test_fires_where_the_straight_run_does(self, sanitized):
+        def stop_sources(parts):
+            for source in parts[2:]:
+                source.stop()
+
+        # Stopped at 12 ms, so the pod is drained when the snapshots meet.
+        after = assert_restored_run_matches(
+            lambda: deployment(self.SPEC, sanitized), until_quiescent(4 * MS),
+            [(12 * MS, stop_sources), (13 * MS, None)])
+        names = [entry[2] for entry in after]
+        assert names.count("ScheduledSource._next_rate") == 3
+        assert {"CbrSource._tick", "PoissonSource._tick"} <= set(names)

@@ -11,7 +11,7 @@ from tests import reference_population as reference
 from repro.metrics.counters import CounterSet
 from repro.metrics.histogram import LatencyHistogram
 from repro.metrics.summary import UtilizationSampler, mean, stddev
-from repro.scenarios import build, scenario_spec
+from repro.scenarios import PodSpec, ScenarioSpec, WorkloadSpec, build, scenario_spec
 from repro.sim import MS, SECOND, Simulator
 from repro.sim.rng import RngRegistry
 from repro.workloads.generators import (
@@ -22,8 +22,8 @@ from repro.workloads.generators import (
     zipf_population,
 )
 from repro.workloads.microburst import MicroburstSource
-from repro.workloads.tenants import TenantProfile, TenantSet, overload_scenario_profiles
-from repro.workloads.traces import diurnal_rate_fn, schedule_profile, weekly_load_profile
+from repro.workloads.tenants import overload_workloads
+from repro.workloads.traces import compressed_schedule, diurnal_rate_fn, weekly_load_profile
 
 
 class TestPopulations:
@@ -493,32 +493,31 @@ class TestMicroburst:
 
 class TestTenants:
     def test_rate_changes_applied(self):
-        sim = Simulator()
-        rngs = RngRegistry(seed=1)
-        received = {}
-        profiles = [
-            TenantProfile(vni=1, rate_pps=10_000, rate_changes=[(50 * MS, 50_000)]),
-            TenantProfile(vni=2, rate_pps=10_000),
-        ]
-        TenantSet(
-            sim,
-            rngs,
-            lambda p: received.__setitem__(
-                (p.vni, p.uid), sim.now
+        # Two declared tenants on one pod; VNI 1 steps up at 50 ms.
+        handle = build(ScenarioSpec(
+            name="tenants", seed=1,
+            pods=(PodSpec(data_cores=4, per_core_pps=100_000),),
+            workload=(
+                WorkloadSpec(flows=16, tenants=1, first_tenant=1, rate_pps=10_000,
+                             stream="tenant.1", schedule=((50 * MS, 50_000),)),
+                WorkloadSpec(flows=16, tenants=1, first_tenant=2, rate_pps=10_000,
+                             stream="tenant.2"),
             ),
-            profiles,
-        )
-        sim.run_until(100 * MS)
+        ))
+        received = {}
+        handle.subscribe(lambda p, where, outcome: received.__setitem__((p.vni, p.uid), p))
+        handle.run(100 * MS)
         tenant1 = sum(1 for (vni, _) in received if vni == 1)
         tenant2 = sum(1 for (vni, _) in received if vni == 2)
         assert tenant1 == pytest.approx(500 + 2500, rel=0.05)
         assert tenant2 == pytest.approx(1000, rel=0.05)
 
-    def test_overload_profiles_shape(self):
-        profiles = overload_scenario_profiles(scale=0.001)
-        assert [p.rate_pps for p in profiles] == [4000, 3000, 2000, 1000]
-        assert profiles[0].rate_changes == [(15 * SECOND, 34_000)]
-        assert all(not p.rate_changes for p in profiles[1:])
+    def test_overload_workloads_shape(self):
+        workloads = overload_workloads(scale=0.001)
+        assert [w.rate_pps for w in workloads] == [4000, 3000, 2000, 1000]
+        assert [w.first_tenant for w in workloads] == [1, 2, 3, 4]
+        assert workloads[0].schedule == ((15 * SECOND, 34_000),)
+        assert all(not w.schedule for w in workloads[1:])
 
 
 class TestTraces:
@@ -532,18 +531,17 @@ class TestTraces:
         profile = weekly_load_profile(1000, samples_per_day=24, days=7)
         assert len(profile) == 168
 
-    def test_schedule_profile_compression(self):
-        sim = Simulator()
-        rates = []
-
-        class FakeSource:
-            def set_rate(self, pps):
-                rates.append((sim.now, pps))
-
-        profile = [(0.0, 100), (86400.0, 200)]
-        schedule_profile(sim, FakeSource(), profile, time_compression=1e-6)
-        sim.run()
-        assert rates[-1] == (86400 * 1000, 200)
+    def test_compressed_schedule(self):
+        profile = [(0.0, 100), (86400.0, 200.7)]
+        schedule = compressed_schedule(profile, time_compression=1e-6)
+        assert schedule == ((0, 100), (86400 * 1000, 200))
+        # A source declared with it takes each rate at its instant.
+        handle = build(ScenarioSpec(
+            name="trace", pods=(PodSpec(per_core_pps=100_000),),
+            workload=WorkloadSpec(rate_pps=50, schedule=schedule),
+        ))
+        handle.run(86400 * 1000)
+        assert handle.sources[0].rate_pps == 200
 
 
 class TestHistogram:

@@ -55,3 +55,33 @@ def assert_restored_run_matches(world, prefix, steps, fresh=None):
     assert [part.checkpoint() for part in others] == [part.checkpoint() for part in parts]
     assert other_sim.checkpoint() == sim.checkpoint()
     return after
+
+
+def deployment(spec, sanitized=False):
+    """``build(spec)`` as a world: its parts are what
+    ``RunHandle.restore_checkpoint`` restores after the simulator, in its
+    order -- the rng registry, the pods, the sources."""
+    from repro.analysis.sanitizer import install, uninstall
+    from repro.scenarios import build
+
+    if sanitized:
+        install()
+    try:
+        handle = build(spec)
+    finally:
+        uninstall()     # the sanitizer is resolved at construction
+    log = fired(handle.sim)
+    return handle.sim, [handle.rngs, *handle.pods.values(), *handle.sources], log
+
+
+def until_quiescent(start):
+    """A prefix that runs to ``start``, then on 1 us at a time until no
+    packet is inside any pod: the restore instant has nothing on the wire."""
+
+    def prefix(sim, parts):
+        pods = [part for part in parts if hasattr(part, "quiescent")]
+        sim.run_until(start)
+        while not all(pod.quiescent() for pod in pods):
+            sim.run_until(sim.now + 1_000)
+
+    return prefix
