@@ -152,7 +152,10 @@ class FpgaSessionOffload:
         return True
 
     def checkpoint(self):
-        """Plain-data snapshot of the on-NIC session table."""
+        """Plain-data snapshot of the on-NIC session table.
+
+        A flow is stored as its five fields, ``list(flow)``, not as the
+        packed int, and ``FlowKey(*fields)`` rebuilds it on restore."""
         return {
             "sessions": [
                 [list(flow), session.installed_ns, session.last_hit_ns, session.hits]

@@ -5,7 +5,8 @@ Before a packet leaves for the CPU, dispatch:
 
 1. selects an order-preserving queue by hashing the 5-tuple
    (``get_ordq_idx``) -- so all packets of one flow share a FIFO and
-   per-flow order can be verified at egress;
+   per-flow order can be verified at egress.  An engine with one order
+   queue has nothing to select: every packet takes queue 0, unhashed;
 2. claims the next PSN within that queue and appends the reorder info
    (PSN + arrival timestamp) to the FIFO tail;
 3. tags the packet with the :class:`~repro.core.meta.PlbMeta` header.
@@ -46,7 +47,8 @@ class PlbDispatcher(Stateful):
         "_ordq_cache",
     )
     STATE = (("rr_index", "_rr_index"), "dispatched", "fifo_full_drops", "dead_core_drops")
-    DERIVED = {"_ordq_cache": "pure memo of the CRC ordq hash; a rebuilt cache re-derives it"}
+    DERIVED = {"_ordq_cache": "pure memo of the CRC ordq hash (None for one order queue); "
+                              "a rebuilt cache re-derives it"}
 
     def __init__(self, cores, reorder, now_fn=None):
         if not cores:
@@ -57,8 +59,9 @@ class PlbDispatcher(Stateful):
         self.dispatched = 0
         self.fifo_full_drops = 0
         self.dead_core_drops = 0
-        # Flow -> order queue: the CRC+mix is pure in the 5-tuple.
-        self._ordq_cache = FlowMemo(self.ordq_index)
+        # Flow -> order queue: the CRC+mix is pure in the 5-tuple; a lone
+        # order queue needs neither hash nor memo.
+        self._ordq_cache = None if reorder.queue_count == 1 else FlowMemo(self.ordq_index)
 
     def ordq_index(self, flow):
         """``get_ordq_idx``: 5-tuple hash onto the pod's order queues."""
@@ -91,7 +94,8 @@ class PlbDispatcher(Stateful):
                 return None
         reorder = self.reorder
         now = reorder.sim._now
-        ordq = self._ordq_cache[packet.flow]
+        ordq_cache = self._ordq_cache
+        ordq = 0 if ordq_cache is None else ordq_cache[packet.flow]
         queue = reorder._queues[ordq]
         fifo = queue.fifo
         occupancy = len(fifo)

@@ -9,7 +9,9 @@ Data structures, mirroring the FPGA implementation:
 * **BUF**  -- packet storage indexed by ``psn[11:0]``; holds packets that
   returned from the CPU but are not yet at the FIFO head.
 * **BITMAP** -- a lightweight mirror of BUF: (valid bit, PSN) per slot, the
-  only state the head-monitor has to consult per FPGA cycle.
+  only state the head-monitor has to consult per FPGA cycle.  The model
+  reads it off BUF itself: a slot is valid iff it holds a packet, and its
+  PSN is that packet's ``meta.psn``.
 
 Egress processing:
 
@@ -107,28 +109,25 @@ class ReorderStats(Stateful):
 
 
 class _ReorderQueue(Stateful):
-    """One FIFO + BUF + BITMAP triple; its snapshot is the PSN window."""
+    """One FIFO + BUF pair (BUF's occupancy is the BITMAP); its snapshot
+    is the PSN window."""
 
     __slots__ = (
         "fifo",
         "buf",
-        "bitmap_valid",
-        "bitmap_psn",
         "head_ptr",
         "tail_ptr",
         "timeout_event",
     )
     STATE = ("head_ptr", "tail_ptr")
     DERIVED = dict.fromkeys(
-        ("fifo", "buf", "bitmap_valid", "bitmap_psn", "timeout_event"),
+        ("fifo", "buf", "timeout_event"),
         "in-flight reorder state; the engine checkpoints drained",
     )
 
     def __init__(self):
         self.fifo = deque()
-        self.buf = [None] * 4096          # slot -> packet
-        self.bitmap_valid = [False] * 4096
-        self.bitmap_psn = [0] * 4096
+        self.buf = [None] * 4096          # slot -> packet; None is a clear valid bit
         self.head_ptr = 0                  # PSN of the current FIFO head
         self.tail_ptr = 0                  # next PSN to assign
         self.timeout_event = None
@@ -189,7 +188,7 @@ class ReorderEngine(Stateful):
     def writeback(self, packet):
         """A packet returned from the CPU via a TX data queue.
 
-        Runs the legal check; valid packets land in BUF/BITMAP, invalid
+        Runs the legal check; valid packets land in BUF, invalid
         ones leave best-effort immediately.  The drop flag releases the
         packet's reorder slot without transmission.
         """
@@ -209,9 +208,9 @@ class ReorderEngine(Stateful):
         fifo = queue.fifo
         psn = meta.psn
         slot = psn & 0xFFF
-        if fifo and fifo[0][0] == psn and not (meta.drop or queue.bitmap_valid[slot]):
+        if fifo and fifo[0][0] == psn and not meta.drop and queue.buf[slot] is None:
             # The FIFO head itself, live, into an empty slot: the legal
-            # check, the BUF/BITMAP store and the drain's reload of the
+            # check, the BUF store and the drain's reload of the
             # slot would release it in order (case 4), so it leaves now.
             if self._sanitizer is not None:
                 self._check_release_order(ordq, queue, psn)
@@ -232,7 +231,7 @@ class ReorderEngine(Stateful):
             if fifo:
                 head_psn, enqueue_ns = fifo[0]
                 timeout_ns = self.config.timeout_ns
-                if (queue.bitmap_valid[head_psn & 0xFFF]
+                if (queue.buf[head_psn & 0xFFF] is not None
                         or sim._now - enqueue_ns >= timeout_ns):
                     self._drain(ordq, queue)
                 elif event is not None:
@@ -263,14 +262,13 @@ class ReorderEngine(Stateful):
             self._drain(ordq, queue)
             return
 
-        if queue.bitmap_valid[slot]:
+        resident = queue.buf[slot]
+        if resident is not None:
             # Extremely late duplicate writeback into an occupied slot:
             # forward the resident best-effort and take the slot over.
             self.stats.stale_writebacks += 1
-            self._transmit_best_effort(queue.buf[slot])
+            self._transmit_best_effort(resident)
         queue.buf[slot] = packet
-        queue.bitmap_valid[slot] = True
-        queue.bitmap_psn[slot] = psn
         # A set drop flag (the CPU deliberately dropped this packet) is
         # honoured by the drain: the slot is reclaimed the moment the
         # packet reaches the head -- immediately, if it is the head.
@@ -279,7 +277,7 @@ class ReorderEngine(Stateful):
     def reset(self):
         """FPGA watchdog pipeline reset: drop all in-flight reorder state.
 
-        FIFOs, BUF and BITMAP are cleared, PSN generators rewind to 0 and
+        FIFOs and BUF are cleared, PSN generators rewind to 0 and
         the engine's epoch advances; writebacks of pre-reset packets are
         recognized by their stale epoch and handled best-effort.  BUF
         residents that had already returned from the CPU are lost with the
@@ -306,7 +304,7 @@ class ReorderEngine(Stateful):
         ``ValueError`` otherwise so a premature freeze is loud.
         """
         for ordq, queue in enumerate(self._queues):
-            if queue.fifo or any(queue.bitmap_valid):
+            if queue.fifo or any(queue.buf):
                 raise ValueError(
                     f"cannot checkpoint reorder engine: queue {ordq} has "
                     f"in-flight packets (drain the pod first)"
@@ -328,7 +326,7 @@ class ReorderEngine(Stateful):
                 f"{self.config.queue_count}"
             )
         for queue in self._queues:
-            if queue.fifo or any(queue.bitmap_valid):
+            if queue.fifo or any(queue.buf):
                 raise ValueError("cannot restore into a non-empty reorder engine")
             if queue.timeout_event is not None:
                 queue.timeout_event.cancel()
@@ -350,13 +348,12 @@ class ReorderEngine(Stateful):
         """Reorder check: release every in-order head that is ready."""
         fifo = queue.fifo
         buf = queue.buf
-        bitmap_valid = queue.bitmap_valid
-        bitmap_psn = queue.bitmap_psn
         stats = self.stats
         while fifo:
             head_psn, enqueue_ns = fifo[0]
             slot = head_psn & 0xFFF
-            if not bitmap_valid[slot]:
+            packet = buf[slot]
+            if packet is None:
                 if self.sim._now - enqueue_ns >= self.config.timeout_ns:
                     # Case 1: head timed out; release it unfulfilled.
                     fifo.popleft()
@@ -365,12 +362,11 @@ class ReorderEngine(Stateful):
                     stats.hol_events += 1
                     continue
                 break  # Case 2: keep waiting for the CPU.
-            packet = buf[slot]
-            if bitmap_psn[slot] != head_psn:
+            meta = packet.meta
+            if meta.psn != head_psn:
                 # Case 3: a stale (timed-out) packet passed the legal check.
                 stats.stale_writebacks += 1
                 buf[slot] = None
-                bitmap_valid[slot] = False
                 self._transmit_best_effort(packet)
                 continue  # head still waits for its real packet
             # Case 4: in-order transmission (or drop-flag release).
@@ -379,9 +375,7 @@ class ReorderEngine(Stateful):
             fifo.popleft()
             queue.head_ptr = head_psn + 1
             buf[slot] = None
-            bitmap_valid[slot] = False
-            meta = packet.meta
-            if meta is not None and meta.drop:
+            if meta.drop:
                 stats.drop_flag_releases += 1
                 self.transmit_fn(packet, _RELEASED_DROP_FLAG)
             else:

@@ -48,10 +48,9 @@ def toeplitz_hash(data, key=TOEPLITZ_DEFAULT_KEY):
 
 
 def rss_input_v4(flow):
-    """Serialize an IPv4 flow key into the RSS hash input bytes."""
-    return struct.pack(
-        ">IIHH", flow.src_ip, flow.dst_ip, flow.src_port, flow.dst_port
-    )
+    """Serialize an IPv4 flow key into the RSS hash input bytes:
+    src_ip . dst_ip . src_port . dst_port, the key's bytes above proto."""
+    return (flow >> 8).to_bytes(12, "big")
 
 
 def toeplitz_flow_hash(flow, key=TOEPLITZ_DEFAULT_KEY):
@@ -87,14 +86,9 @@ def crc32_flow_hash(flow, seed=0):
     collisions are uncorrelated (see :func:`_mix64` for why plain
     seeded CRC32 would not achieve that).
     """
-    data = struct.pack(
-        ">IIHHB",
-        flow.src_ip,
-        flow.dst_ip,
-        flow.src_port,
-        flow.dst_port,
-        flow.proto,
-    )
+    # The packed key's 13 big-endian bytes: src_ip . dst_ip . src_port .
+    # dst_port . proto, as ``struct.pack(">IIHHB", *flow)`` lays them out.
+    data = flow.to_bytes(13, "big")
     return _mix64(zlib.crc32(data) ^ ((seed & 0xFFFFFFFF) << 32 | (seed & 0xFFFFFFFF)))
 
 

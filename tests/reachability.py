@@ -133,6 +133,7 @@ ALLOWED = {
     "repro.fleet.report.SweepReport.__repr__": _REPR,
     "repro.fleet.shard.ShardSpec.__repr__": _REPR,
     "repro.metrics.counters.CounterSet.__repr__": _REPR,
+    "repro.packet.flows.FlowKey.__repr__": _REPR,
     "repro.packet.flows.FlowKey.__str__": _REPR,
     "repro.packet.flows._ip_str": _REPR,
     "repro.packet.packet.Packet.__repr__": _REPR,

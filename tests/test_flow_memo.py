@@ -1,17 +1,19 @@
 """The bounded per-flow memo and what it keeps on real deployments.
 
 ``FlowMemo`` is the one memo type of the per-packet path (the population
-draw, the PLB order queue, the RSS hash, the service chain's addresses
-and the in-server pod pick).  A recurring population must stay fully
-memoised -- each flow derived once -- and a million-tenant tail must not
-stay resident.
+draw, the PLB order queue when a pod has more than one, the RSS hash,
+the service chain's addresses and the in-server pod pick).  A recurring
+population must stay fully memoised -- each flow derived once -- and a
+million-tenant tail must not stay resident.
 """
 
 import pytest
 
+from repro.core.plb import dispatch as dispatch_module
 from repro.packet.flows import FLOW_MEMO_CAPACITY, FlowMemo, flow_for_tenant
 from repro.scenarios import PodSpec, ScenarioSpec, WorkloadSpec, build, scenario_spec
 from repro.sim.units import MS
+from repro.workloads.generators import FlowPopulation
 
 
 class _Counted:
@@ -93,30 +95,69 @@ def memo_log(monkeypatch):
     return log
 
 
-def _plb_pod(flows, tenants, duration_ms):
+def _plb_pod(flows, tenants, duration_ms, reorder_queues=None):
     return ScenarioSpec(
         name=f"memo-{flows}",
-        pods=(PodSpec(name="pod", data_cores=4, per_core_pps=150_000, mode="plb"),),
+        pods=(PodSpec(name="pod", data_cores=4, per_core_pps=150_000, mode="plb",
+                      reorder_queues=reorder_queues),),
         workload=WorkloadSpec(kind="cbr", flows=flows, tenants=tenants, load=0.6),
         duration_ns=duration_ms * MS,
         seed=3,
     )
 
 
+@pytest.fixture
+def ordq_hashes(monkeypatch):
+    """Every flow the PLB dispatcher hashes onto an order queue."""
+    hashed = []
+    real_hash = dispatch_module.crc32_flow_hash
+
+    def counting_hash(flow, seed=0):
+        hashed.append(flow)
+        return real_hash(flow, seed=seed)
+
+    monkeypatch.setattr(dispatch_module, "crc32_flow_hash", counting_hash)
+    return hashed
+
+
+def _used(handle, memo_log, flows):
+    """The memos ``handle``'s run derived through, each checked to have
+    derived every key once."""
+    handle.run()
+    used = [(memo, keys) for memo, keys in memo_log if keys]
+    for memo, keys in used:
+        assert len(keys) == len(set(keys)) == len(memo) <= flows
+    # Nearly every flow was drawn, many times over, and none derived twice.
+    assert max(len(keys) for _memo, keys in used) > 0.95 * flows
+    return used
+
+
 class TestRecurringPopulationsStayMemoised:
     @pytest.mark.parametrize("flows, tenants, duration_ms", [(64, 4, 5), (4096, 1024, 60)])
-    def test_each_memo_derives_once_per_distinct_flow(self, memo_log, flows, tenants,
-                                                      duration_ms):
+    def test_each_memo_derives_once_per_distinct_flow(self, memo_log, ordq_hashes, flows,
+                                                      tenants, duration_ms):
+        """A 4-core pod has one order queue: every packet takes queue 0, so
+        the dispatcher keeps no memo and hashes nothing; the population
+        draw is the one memo left."""
         handle = build(_plb_pod(flows, tenants, duration_ms))
-        handle.run()
-        used = [(memo, keys) for memo, keys in memo_log if keys]
-        # The population draw and the PLB order queue at least.
-        assert len(used) >= 2
-        for memo, keys in used:
-            assert len(keys) == len(set(keys)) == len(memo) <= flows
-        drawn = max(len(keys) for _memo, keys in used)
-        # Nearly every flow was drawn, many times over, and none derived twice.
-        assert drawn > 0.95 * flows
+        dispatcher = handle.pods["pod"].nic.plb
+        assert dispatcher.reorder.queue_count == 1
+        used = _used(handle, memo_log, flows)
+        assert [memo.derive.__func__ for memo, _keys in used] == [FlowPopulation._pair]
+        assert dispatcher._ordq_cache is None
+        assert ordq_hashes == []
+
+    @pytest.mark.parametrize("flows, tenants, duration_ms", [(64, 4, 5), (4096, 1024, 60)])
+    def test_a_two_queue_pod_memoises_its_order_queue_pick(self, memo_log, ordq_hashes,
+                                                           flows, tenants, duration_ms):
+        handle = build(_plb_pod(flows, tenants, duration_ms, reorder_queues=2))
+        dispatcher = handle.pods["pod"].nic.plb
+        used = _used(handle, memo_log, flows)
+        assert len(used) == 2
+        ordq_keys = next(keys for memo, keys in used if memo is dispatcher._ordq_cache)
+        # The dispatcher hashed each flow once, on the memo's miss.
+        assert ordq_hashes == ordq_keys
+        assert {dispatcher._ordq_cache[flow] for flow in ordq_keys} == {0, 1}
 
 
 class TestMillionTenantShardIsBounded:

@@ -1,6 +1,8 @@
 """The simulation packet, flow keys and the deterministic flow minting."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.packet.flows import PROTO_TCP, PROTO_UDP, FlowKey, flow_for_tenant, ip_from_str
 from repro.packet.hashing import toeplitz_hash
@@ -69,11 +71,11 @@ class TestFlowKeyText:
         with pytest.raises(ValueError):
             ip_from_str(text)
 
-    def test_is_a_hashable_tuple(self):
+    def test_is_hashable_and_equal_by_fields(self):
         flow = FlowKey(1, 2, 3, 4, PROTO_TCP)
-        assert flow == (1, 2, 3, 4, PROTO_TCP)
+        assert tuple(flow) == (1, 2, 3, 4, PROTO_TCP)
         assert {flow: "x"}[FlowKey(1, 2, 3, 4, PROTO_TCP)] == "x"
-        assert flow._replace(proto=PROTO_UDP) != flow
+        assert FlowKey(1, 2, 3, 4, PROTO_UDP) != flow
 
 
 class TestFlowForTenant:
@@ -105,7 +107,72 @@ class TestFlowForTenant:
     def test_proto_is_passed_through(self):
         flow = flow_for_tenant(1, 1, proto=PROTO_TCP)
         assert flow.proto == PROTO_TCP
-        assert flow._replace(proto=PROTO_UDP) == flow_for_tenant(1, 1)
+        src_ip, dst_ip, src_port, dst_port, _proto = flow
+        assert FlowKey(src_ip, dst_ip, src_port, dst_port, PROTO_UDP) == flow_for_tenant(1, 1)
+
+    @pytest.mark.parametrize("proto", [-1, 256])
+    def test_proto_out_of_range_raises(self, proto):
+        with pytest.raises(ValueError):
+            flow_for_tenant(1, 1, proto=proto)
+
+    @pytest.mark.parametrize("tenant, index", [(0, 0), (7, 123), (65535, 70_000)])
+    def test_minted_key_is_the_constructed_key(self, tenant, index):
+        flow = flow_for_tenant(tenant, index)
+        assert type(flow) is FlowKey
+        assert FlowKey(*flow) == flow
+
+
+#: Each 5-tuple field's width in bits, in field order.
+FIELD_BITS = (32, 32, 16, 16, 8)
+
+
+def _field(bits):
+    top = (1 << bits) - 1
+    return st.one_of(st.sampled_from([0, top]), st.integers(0, top))
+
+
+#: 5-tuples with every field in range, its bounds drawn often.
+FIELDS = st.tuples(*(_field(bits) for bits in FIELD_BITS))
+
+
+def _tuple_text(src_ip, dst_ip, src_port, dst_port, proto):
+    """``str()`` of the key as the NamedTuple spelled it."""
+    def dotted(ip):
+        return ".".join(str((ip >> shift) & 0xFF) for shift in (24, 16, 8, 0))
+    return f"{dotted(src_ip)}:{src_port}->{dotted(dst_ip)}:{dst_port}/{proto}"
+
+
+class TestPackedRepresentation:
+    """A key is one int that behaves as the 5-tuple it packs."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(fields=FIELDS)
+    def test_fields_round_trip(self, fields):
+        flow = FlowKey(*fields)
+        assert tuple(flow) == fields
+        assert (flow.src_ip, flow.dst_ip, flow.src_port, flow.dst_port, flow.proto) == fields
+        assert FlowKey(*flow) == flow
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=st.lists(FIELDS, max_size=40))
+    def test_sorted_order_is_the_tuples_order(self, rows):
+        assert [tuple(flow) for flow in sorted(FlowKey(*row) for row in rows)] == sorted(rows)
+
+    @settings(max_examples=100, deadline=None)
+    @given(fields=FIELDS)
+    def test_str_is_the_tuples_text(self, fields):
+        assert str(FlowKey(*fields)) == _tuple_text(*fields)
+        assert f"{FlowKey(*fields)}" == _tuple_text(*fields)
+
+    @settings(max_examples=100, deadline=None)
+    @given(fields=FIELDS, position=st.integers(0, 4), above=st.booleans(),
+           distance=st.one_of(st.just(1), st.integers(1, 1 << 40)))
+    def test_a_field_out_of_range_raises(self, fields, position, above, distance):
+        top = (1 << FIELD_BITS[position]) - 1
+        bad = list(fields)
+        bad[position] = top + distance if above else -distance
+        with pytest.raises(ValueError):
+            FlowKey(*bad)
 
 
 class TestToeplitzLinearity:

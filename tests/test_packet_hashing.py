@@ -1,16 +1,22 @@
 """Toeplitz and CRC hash tests, including published RSS test vectors."""
 
+import struct
+import zlib
+
 import pytest
+from hypothesis import given, settings
 
 from repro.packet.flows import FlowKey, ip_from_str
 from repro.packet.hashing import (
     TOEPLITZ_DEFAULT_KEY,
+    _mix64,
     crc32_flow_hash,
     crc32_vni_hash,
     rss_input_v4,
     toeplitz_flow_hash,
     toeplitz_hash,
 )
+from tests.test_packet_flows import FIELDS
 
 
 class TestToeplitzVectors:
@@ -53,22 +59,46 @@ class TestCrcHashes:
         assert crc32_flow_hash(flow, seed=1) != crc32_flow_hash(flow, seed=2)
 
     def test_sensitive_to_every_field(self):
-        base = FlowKey(1, 2, 3, 4, 17)
+        base = (1, 2, 3, 4, 17)
         variants = [
-            base._replace(src_ip=9),
-            base._replace(dst_ip=9),
-            base._replace(src_port=9),
-            base._replace(dst_port=9),
-            base._replace(proto=6),
+            FlowKey(*base[:position], 6 if position == 4 else 9, *base[position + 1:])
+            for position in range(5)
         ]
         hashes = {crc32_flow_hash(flow) for flow in variants}
-        hashes.add(crc32_flow_hash(base))
+        hashes.add(crc32_flow_hash(FlowKey(*base)))
         assert len(hashes) == 6
 
     def test_vni_hash_spread(self):
         indices = {crc32_vni_hash(vni) % 4096 for vni in range(1000)}
         # CRC spreads 1000 tenants over most of a 4K table.
         assert len(indices) > 800
+
+
+def _reference_crc32(fields, seed):
+    """The flow hash over ``struct.pack`` of the 5-tuple, as it was spelled
+    while a key was a tuple."""
+    data = struct.pack(">IIHHB", *fields)
+    return _mix64(zlib.crc32(data) ^ ((seed & 0xFFFFFFFF) << 32 | (seed & 0xFFFFFFFF)))
+
+
+class TestHashesOfThePackedKey:
+    """The packed key hashes the bytes the 5-tuple's ``struct.pack`` gave."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(fields=FIELDS)
+    def test_crc32_matches_the_struct_reference(self, fields):
+        flow = FlowKey(*fields)
+        # The ordq seed, the uplink's ECMP seed, the pod pick's seed, and 0.
+        for seed in (0, 101, 211, 0x0DD0):
+            assert crc32_flow_hash(flow, seed=seed) == _reference_crc32(fields, seed)
+
+    @settings(max_examples=50, deadline=None)
+    @given(fields=FIELDS)
+    def test_toeplitz_matches_the_struct_reference(self, fields):
+        flow = FlowKey(*fields)
+        data = struct.pack(">IIHH", *fields[:4])
+        assert rss_input_v4(flow) == data
+        assert toeplitz_flow_hash(flow) == toeplitz_hash(data)
 
 
 class TestFlowKey:
