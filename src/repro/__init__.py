@@ -36,7 +36,6 @@ from repro.core import (
     PlbMeta,
     RateLimitDecision,
     ReorderQueueConfig,
-    TokenBucket,
     TwoStageRateLimiter,
 )
 from repro.packet import FlowKey, Packet, PacketKind
@@ -53,7 +52,6 @@ __all__ = [
     "PodSpec",
     "RateLimitDecision",
     "ReorderQueueConfig",
-    "TokenBucket",
     "TwoStageRateLimiter",
     "FlowKey",
     "Packet",

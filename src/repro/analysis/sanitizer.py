@@ -18,7 +18,7 @@ Checks wired into the platform:
 * ``core.plb.reorder`` -- an in-order release carries exactly its order
   queue's FIFO head pointer, hence strictly increasing PSNs per queue
   (per-flow ordering); FIFO occupancy respects the configured depth.
-* ``core.ratelimit`` -- lazily materialized token buckets never exceed
+* ``core.ratelimit`` -- lazily materialized rows never exceed
   the provisioned SRAM table sizes.
 * ``cpu.core``      -- RX queue occupancy respects the descriptor ring
   bound; service times are never negative.

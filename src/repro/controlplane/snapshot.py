@@ -4,7 +4,7 @@ A stateful class declares its state once and inherits :class:`Stateful`:
 
 * ``STATE`` -- what a snapshot carries, in the order its keys are
   written: an attribute name, or ``(key, attribute)`` where the key
-  differs (``("tokens", "_tokens")``).  A property works too.
+  differs (``("counts", "_counts")``).  A property works too.
 * ``DERIVED`` -- ``{attribute: reason}`` for what is rebuilt or
   transient: memo caches, in-flight packets and their timers.
 * every other attribute is constructor wiring, never changed by a run.
@@ -45,7 +45,6 @@ prices a migration's state transfer.
 import enum
 import json
 from collections import deque
-from functools import partial
 
 _SCALARS = (str, int, float, bool, type(None))
 _SCALAR_TYPES = frozenset(_SCALARS)
@@ -68,17 +67,12 @@ class Table(dict):
 
     For tables keyed by integers (JSON object keys are strings) that
     fill in arrival order: sorting makes the snapshot independent of
-    that order.  ``item`` is the class of the values when they are
-    stateful -- restore rebuilds each with ``item.__new__`` and sets its
-    ``STATE`` straight from the row, so that must be every attribute the
-    item has, each a plain scalar -- and ``None`` for plain values.
+    that order.  A value is a scalar or a row (a list of scalars);
+    restore copies each row, so the live table never shares one with
+    the snapshot it came from.
     """
 
-    __slots__ = ("item",)
-
-    def __init__(self, item=None):
-        super().__init__()
-        self.item = item
+    __slots__ = ()
 
 
 class Stateful:
@@ -120,8 +114,9 @@ def _encode(value, path):
     if isinstance(value, enum.Enum):
         return value.value
     if isinstance(value, Table):
-        encode = partial(_encode, path=path) if value.item is None else value.item.checkpoint
-        return [[key, encode(value[key])] for key in sorted(value)]
+        # A row is copied out without the walk: a limiter holds thousands.
+        return [[key, item[:] if item.__class__ is list else _encode(item, path)]
+                for key, item in sorted(value.items())]
     if isinstance(value, dict):
         return {_key(key, path): _encode(item, path) for key, item in value.items()}
     if isinstance(value, (list, tuple, deque)):
@@ -156,16 +151,9 @@ def snapshot(obj):
 def _refill(live, value, path):
     """Put a snapshot's container ``value`` back into ``live``, in place."""
     if isinstance(live, Table):
-        item = live.item
-        fields = () if item is None else _FIELDS.get(item) or _fields(item)
         live.clear()
-        for key, state in value:
-            if item is not None:
-                member = item.__new__(item)
-                for name, attr, _path in fields:
-                    setattr(member, attr, state[name])
-                state = member
-            live[key] = state
+        live.update((key, state[:] if state.__class__ is list else state)
+                    for key, state in value)
     elif isinstance(live, dict):
         keys = {_key(key, path): key for key in live}
         if hasattr(next(iter(live.values()), None), "checkpoint"):
@@ -274,7 +262,7 @@ def snapshot_bytes(snapshot):
     return json.dumps(snapshot, sort_keys=True, separators=(",", ":")).encode()
 
 
-CHECKPOINT_SCHEMA_VERSION = 3
+CHECKPOINT_SCHEMA_VERSION = 4
 
 
 class SimCheckpointer(Stateful):

@@ -29,7 +29,7 @@ from repro.core.pktdir import PktDir
 from repro.core.plb.dispatch import PlbDispatcher
 from repro.core.plb.reorder import ReorderEngine, ReorderQueueConfig
 from repro.core.priority import PriorityQueueManager
-from repro.core.ratelimit import RateLimitDecision, TokenBucket, TwoStageRateLimiter
+from repro.core.ratelimit import RateLimitDecision, TwoStageRateLimiter
 from repro.core.resources import FpgaResourceModel, NIC_MODULE_LATENCY_US
 from repro.core.rss import RssDispatcher
 
@@ -50,7 +50,6 @@ __all__ = [
     "ReorderQueueConfig",
     "PriorityQueueManager",
     "RateLimitDecision",
-    "TokenBucket",
     "TwoStageRateLimiter",
     "FpgaResourceModel",
     "NIC_MODULE_LATENCY_US",

@@ -18,6 +18,9 @@ meter-table activity, since heavy hitters dominate the samples -- and
 rate-limits them early in a dedicated **pre_meter** (128 entries), keeping
 them out of the shared meter table.  Top-tier tenants can be configured in
 pre_check to bypass rate limiting entirely.
+
+Each table is laid out as its SRAM is: the rate and the burst belong to
+the table, and a row holds only what varies, ``[tokens, last_ns]``.
 """
 
 import enum
@@ -64,57 +67,6 @@ _DROP_METER = RateLimitDecision.DROP_METER
 _ALLOW_PRE = RateLimitDecision.ALLOW_PRE
 _DROP_PRE = RateLimitDecision.DROP_PRE
 _BYPASS = RateLimitDecision.BYPASS
-
-
-class TokenBucket(Stateful):
-    """Packet-rate token bucket with lazy refill.
-
-    ``rate_pps`` tokens accrue per second up to ``burst`` tokens.  Time is
-    integer nanoseconds; token state is kept in fractional tokens to avoid
-    rounding drift at low rates.
-    """
-
-    __slots__ = ("rate_pps", "burst", "_tokens", "_last_ns")
-    STATE = ("rate_pps", "burst", ("tokens", "_tokens"), ("last_ns", "_last_ns"))
-
-    def checkpoint(self):
-        # STATE spelled out: a limiter carries thousands of buckets, and
-        # this literal costs a quarter of the generic walk.
-        return {"rate_pps": self.rate_pps, "burst": self.burst,
-                "tokens": self._tokens, "last_ns": self._last_ns}
-
-    def __init__(self, rate_pps, burst=None):
-        if rate_pps <= 0:
-            raise ValueError(f"rate must be positive: {rate_pps}")
-        self.rate_pps = rate_pps
-        # Default burst: 10 ms worth of traffic, at least one packet.
-        self.burst = burst if burst is not None else max(1.0, rate_pps * 0.01)
-        self._tokens = float(self.burst)
-        self._last_ns = 0
-
-    def _refill(self, now_ns):
-        if now_ns > self._last_ns:
-            gained = (now_ns - self._last_ns) * self.rate_pps / SECOND
-            self._tokens = min(float(self.burst), self._tokens + gained)
-            self._last_ns = now_ns
-
-    def allow(self, now_ns, tokens=1.0):
-        """Consume ``tokens`` if available; returns True if admitted."""
-        self._refill(now_ns)
-        if self._tokens >= tokens:
-            self._tokens -= tokens
-            return True
-        return False
-
-    def tokens_at(self, now_ns):
-        self._refill(now_ns)
-        return self._tokens
-
-    def reconfigure(self, rate_pps, burst=None):
-        self.rate_pps = rate_pps
-        if burst is not None:
-            self.burst = burst
-            self._tokens = min(self._tokens, float(burst))
 
 
 class _HitterSampler(Stateful):
@@ -176,11 +128,16 @@ class TwoStageRateLimiter(Stateful):
             stage1 + stage2, i.e. the same effective ceiling).
         auto_promote: enable sampling-based promotion into pre_check.
 
-    Its snapshot is the limiter SRAM: every lazily materialized token
-    bucket, the bypass set, the sampler window and rng, and the decision
-    counters.  Bucket tables are ``Table`` objects: ``[index, bucket]``
-    pairs sorted by index, independent of arrival order.  Table sizes and the
-    promotion policy stay as constructed.
+    ``color`` and ``meter`` map a table index, ``pre_meter`` a VNI, to a
+    token-bucket row ``[tokens, last_ns]``.  A row is materialized on
+    first touch at ``[burst, 0]``; each table's rate is its constructor
+    argument and its burst 10 ms of that rate, at least one packet.
+
+    Its snapshot is the limiter SRAM: every materialized row as
+    ``[index, [tokens, last_ns]]`` sorted by index (independent of
+    arrival order), the bypass set, the sampler window and rng, and the
+    decision counters.  Rates, bursts, table sizes and the promotion
+    policy stay as constructed.
 
     A VNI's meter-table index is a pure function of the VNI (the table
     size is fixed), so it is derived once per VNI into a bounded
@@ -189,7 +146,6 @@ class TwoStageRateLimiter(Stateful):
     """
 
     STATE = (
-        "stage1_rate_pps", "stage2_rate_pps", "pre_rate_pps",
         ("color", "_color"), ("meter", "_meter"), ("pre_meter", "_pre_meter"),
         ("bypass", "_bypass"), "decisions", "promotions", "sram_resets",
         ("sampler", "_sampler"),
@@ -223,10 +179,16 @@ class TwoStageRateLimiter(Stateful):
         self.pre_rate_pps = (
             pre_rate_pps if pre_rate_pps is not None else stage1_rate_pps + stage2_rate_pps
         )
+        if min(stage1_rate_pps, stage2_rate_pps, self.pre_rate_pps) <= 0:
+            raise ValueError("limiter rates must be positive: "
+                             f"{stage1_rate_pps}, {stage2_rate_pps}, {self.pre_rate_pps}")
+        self.stage1_burst, self.stage2_burst, self.pre_burst = (
+            max(1.0, rate * 0.01)
+            for rate in (stage1_rate_pps, stage2_rate_pps, self.pre_rate_pps))
         self.auto_promote = auto_promote
-        self._color = Table(TokenBucket)   # index -> bucket (lazily materialized)
-        self._meter = Table(TokenBucket)
-        self._pre_meter = Table(TokenBucket)   # vni -> bucket
+        self._color = Table()   # index -> [tokens, last_ns]
+        self._meter = Table()
+        self._pre_meter = Table()   # vni -> [tokens, last_ns]
         self._meter_slot = FlowMemo(   # vni -> meter index
             lambda vni: crc32_vni_hash(vni, seed=0x3E7E) % meter_entries)
         self._bypass = set()
@@ -244,7 +206,7 @@ class TwoStageRateLimiter(Stateful):
             raise ValueError("pre_check table full")
         self._bypass.add(vni)
 
-    def promote_heavy_hitter(self, vni, rate_pps=None):
+    def promote_heavy_hitter(self, vni):
         """Install ``vni`` into pre_check/pre_meter for early limiting.
 
         Also the hook for the planned CPU-side proactive detection (§4.3).
@@ -254,7 +216,7 @@ class TwoStageRateLimiter(Stateful):
             return True
         if len(self._bypass) + len(self._pre_meter) >= self.pre_entries:
             return False
-        self._pre_meter[vni] = TokenBucket(rate_pps or self.pre_rate_pps)
+        self._pre_meter[vni] = [self.pre_burst, 0]
         self.promotions += 1
         return True
 
@@ -267,14 +229,14 @@ class TwoStageRateLimiter(Stateful):
         return set(self._pre_meter)
 
     def corrupt_sram(self):
-        """Fault injection: an SRAM scrub wipes every token bucket.
+        """Fault injection: an SRAM scrub wipes every row.
 
-        Buckets lazily re-materialize at full burst on the next packet, so
+        Rows re-materialize at full burst on the next packet, so
         the visible symptom is a transient over-admission burst (each
         tenant gets a fresh ``burst`` worth of tokens) before the limiter
         re-converges to steady-state enforcement.  Promoted heavy hitters
         lose their pre_meter entries and must be re-detected by sampling.
-        Returns the number of live bucket entries wiped.
+        Returns the number of live rows wiped.
         """
         wiped = len(self._color) + len(self._meter) + len(self._pre_meter)
         self._color.clear()
@@ -289,45 +251,47 @@ class TwoStageRateLimiter(Stateful):
         """Run one packet of tenant ``vni`` through the limiter.
 
         One frame per packet: pre_check, the color table and the meter
-        table run inline, and each bucket's refill-and-take is
-        :meth:`TokenBucket.allow` spelled out, its float expressions in
-        :meth:`TokenBucket._refill`'s order.
+        table run inline.  A row refills by ``elapsed * rate / SECOND``
+        tokens, capped at its table's burst, and a packet takes one.
         """
         if vni in self._bypass:
             decision = _BYPASS
         else:
             # pre_check: a known heavy hitter meets its pre_meter only;
             # anyone else meets the color table, then the meter table.
-            bucket = self._pre_meter.get(vni)
-            if bucket is not None:
+            row = self._pre_meter.get(vni)
+            if row is not None:
+                rate, burst = self.pre_rate_pps, self.pre_burst
                 passed, failed = _ALLOW_PRE, _DROP_PRE
             else:
+                rate, burst = self.stage1_rate_pps, self.stage1_burst
                 color_index = vni % self.color_entries
-                bucket = self._color.get(color_index)
-                if bucket is None:
-                    bucket = self._color[color_index] = TokenBucket(self.stage1_rate_pps)
+                row = self._color.get(color_index)
+                if row is None:
+                    row = self._color[color_index] = [burst, 0]
                 passed, failed = _ALLOW, None
             while True:
-                last_ns = bucket._last_ns
+                tokens, last_ns = row
                 if now_ns > last_ns:
-                    gained = (now_ns - last_ns) * bucket.rate_pps / SECOND
-                    tokens = bucket._tokens + gained
-                    burst = float(bucket.burst)
+                    tokens += (now_ns - last_ns) * rate / SECOND
                     # min(burst, tokens), without the builtin call.
-                    bucket._tokens = tokens if tokens < burst else burst
-                    bucket._last_ns = now_ns
-                if bucket._tokens >= 1.0:
-                    bucket._tokens -= 1.0
+                    if tokens > burst:
+                        tokens = burst
+                    row[1] = now_ns
+                if tokens >= 1.0:
+                    row[0] = tokens - 1.0
                     decision = passed
                     break
+                row[0] = tokens
                 if failed is not None:
                     decision = failed
                     break
                 # Over the coarse limit: marked excess meets the meter table.
+                rate, burst = self.stage2_rate_pps, self.stage2_burst
                 meter_index = self._meter_slot[vni]
-                bucket = self._meter.get(meter_index)
-                if bucket is None:
-                    bucket = self._meter[meter_index] = TokenBucket(self.stage2_rate_pps)
+                row = self._meter.get(meter_index)
+                if row is None:
+                    row = self._meter[meter_index] = [burst, 0]
                 passed, failed = _ALLOW_MARKED, _DROP_METER
             if (decision is _DROP_METER and self.auto_promote
                     and self._sampler.observe(vni, now_ns)):
@@ -338,17 +302,17 @@ class TwoStageRateLimiter(Stateful):
         return decision
 
     def _check_sram_budget(self):
-        """Lazily materialized buckets must fit the provisioned tables."""
+        """Materialized rows must fit the provisioned tables."""
         sanitizer = self._sanitizer
         sanitizer.ensure(
             len(self._color) <= self.color_entries, "sram-budget",
-            f"color table holds {len(self._color)} buckets, "
+            f"color table holds {len(self._color)} rows, "
             f"provisioned for {self.color_entries}",
             live=len(self._color), entries=self.color_entries,
         )
         sanitizer.ensure(
             len(self._meter) <= self.meter_entries, "sram-budget",
-            f"meter table holds {len(self._meter)} buckets, "
+            f"meter table holds {len(self._meter)} rows, "
             f"provisioned for {self.meter_entries}",
             live=len(self._meter), entries=self.meter_entries,
         )

@@ -33,10 +33,6 @@ class PacketQueue(Stateful):
     def __len__(self):
         return len(self.packets)
 
-    @property
-    def is_empty(self):
-        return not self.packets
-
     def push(self, packet):
         """Enqueue; returns False (and counts a drop) when full."""
         items = self.packets

@@ -76,6 +76,11 @@ class FlowKey(int):
     def __iter__(self):
         return iter((self.src_ip, self.dst_ip, self.src_port, self.dst_port, self.proto))
 
+    def __reduce__(self):
+        # pickle and copy rebuild through the five-field constructor, not
+        # int's one-argument ``__getnewargs__``.
+        return (FlowKey, tuple(self))
+
     def __repr__(self):
         return (
             f"FlowKey(src_ip={self.src_ip}, dst_ip={self.dst_ip}, src_port={self.src_port}, "

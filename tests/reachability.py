@@ -78,11 +78,9 @@ ALLOWED = {
     "repro.container.sriov.VfAllocator.switch_failure_impact": _CLAIM_SRIOV,
     # Samplers and oracles.
     "repro.metrics.trace": "ROADMAP 2(c)'s per-packet sampler: a subscriber no command arms yet",
-    "repro.core.ratelimit.TokenBucket._refill": _ORACLE,
-    "repro.core.ratelimit.TokenBucket.allow": _ORACLE,
-    "repro.core.ratelimit.TokenBucket.tokens_at": _ORACLE,
-    "repro.core.ratelimit.TokenBucket.reconfigure": _ORACLE,
     "repro.telemetry.recorder.validate_series": _ORACLE,
+    "repro.packet.flows.FlowKey.__reduce__": ("pickle and copy protocol: commands ship reports, "
+                                              "not keys, to workers; tier-1 tests pickle keys"),
     # Paths that need more than one worker, a failure or a fault.
     "repro.fleet.engine._worker_call": _POOL,
     "repro.fleet.engine._unwrap": _POOL,
@@ -161,7 +159,6 @@ ALLOWED = {
     "repro.cpu.cache.LruCacheModel.flush": _TESTS,
     "repro.cpu.numa.NumaTopology.total_cores": _TESTS,
     "repro.cpu.numa.NumaTopology.node_of_core": _TESTS,
-    "repro.cpu.queues.PacketQueue.is_empty": _TESTS,
     "repro.cpu.queues.PacketQueue.drain": _TESTS,
     "repro.cpu.stateful.StatefulNfModel.scaling_curve": _TESTS,
     "repro.cpu.stateful.StatefulNfModel.is_write_heavy": _TESTS,

@@ -22,7 +22,7 @@ from repro.cli import main
 from repro.controlplane import snapshot_bytes
 from repro.core.gateway import AlbatrossServer
 from repro.core.nic import NicPipeline
-from repro.core.ratelimit import TokenBucket, TwoStageRateLimiter
+from repro.core.ratelimit import TwoStageRateLimiter
 from repro.core.plb.reorder import ReorderEngine, ReorderQueueConfig
 from repro.cpu.core import CpuCore
 from repro.faults.scenarios import run_scenario
@@ -311,8 +311,8 @@ class TestQueueAndSramChecks:
             derived_stream("test.sampler", seed=1),
             color_entries=8, meter_entries=8, pre_entries=4,
         )
-        for index in range(9):  # one more bucket than the table holds
-            limiter._color[index] = TokenBucket(1_000)
+        for index in range(9):  # one more row than the table holds
+            limiter._color[index] = [10.0, 0]
         with pytest.raises(SanitizerViolation) as excinfo:
             limiter.admit(1, 0)
         violation = excinfo.value

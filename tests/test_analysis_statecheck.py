@@ -277,7 +277,7 @@ class TestFullStatecheck:
         probed = {p.cls_name for p in full_run.probes if p.mode == "restore"}
         for cls_name in (
             "GwPodRuntime", "NicPipeline", "ReorderEngine", "RngRegistry",
-            "Simulator", "TokenBucket", "BfdLink", "FpgaSessionOffload",
+            "Simulator", "TwoStageRateLimiter", "BfdLink", "FpgaSessionOffload",
         ):
             assert cls_name in probed, f"{cls_name} not probed"
         assert int(full_run.summary().split()[0]) >= 23
@@ -293,7 +293,7 @@ class TestFullStatecheck:
         keyed = {p.cls_name for p in full_run.probes if p.mode == "keys"}
         for cls_name in (
             "CbrSource", "MicroburstSource", "FpgaSessionOffload",
-            "TokenBucket", "ReorderEngine", "TimeSeriesRecorder",
+            "ReorderEngine", "TimeSeriesRecorder",
         ):
             assert cls_name in keyed, f"{cls_name} not key-checked"
 

@@ -26,7 +26,7 @@ from repro.core import AlbatrossServer
 from repro.core.offload import FpgaSessionOffload
 from repro.core.plb.dispatch import PlbDispatcher
 from repro.core.plb.reorder import ReorderEngine, ReorderQueueConfig
-from repro.core.ratelimit import TokenBucket, TwoStageRateLimiter
+from repro.core.ratelimit import TwoStageRateLimiter
 from repro.core.rss import RssDispatcher
 from repro.metrics.counters import CounterSet
 from repro.metrics.histogram import LatencyHistogram
@@ -178,6 +178,28 @@ class TestTwoStageRateLimiter:
             vni = step % 7
             assert fresh.admit(vni, now) == limiter.admit(vni, now)
             now += 40_000
+
+    def test_a_held_snapshot_restores_twice_to_the_same_run(self):
+        """A restore copies each row: driving the restored limiter leaves
+        the snapshot it came from (a checkpointer's ``latest``, a
+        migration's freeze) as it was, so a second restore replays it."""
+        snapshot = self._driven().checkpoint()
+        held = snapshot_bytes(snapshot)
+        runs = []
+        for _ in range(2):
+            fresh = TwoStageRateLimiter(
+                random.Random(0), stage1_rate_pps=1000, stage2_rate_pps=250
+            )
+            fresh.restore(snapshot)
+            now = 2000 * 100_000
+            decisions = []
+            for step in range(2000):
+                decisions.append(fresh.admit(step % 7, now))
+                now += 40_000
+            runs.append(decisions)
+            assert snapshot_bytes(snapshot) == held
+        assert runs[0] == runs[1]
+        assert len(set(runs[0])) > 1
 
     def test_sampler_rng_carried(self):
         snapshot = self._driven().checkpoint()
@@ -432,7 +454,7 @@ class _Gadget(Stateful):
         self._ticks = 0
         self.rng = derived_stream("gadget")
         self.table = Table()
-        self.buckets = Table(TokenBucket)
+        self.buckets = Table()
         self.tags = set()
         self.by_mode = {mode: 0 for mode in _Mode}
         self.history = deque()
@@ -444,8 +466,7 @@ class _Gadget(Stateful):
         self._ticks = 3
         self.rng.random()
         self.table.update({9: 1, 2: 5})
-        self.buckets[7] = TokenBucket(100)
-        self.buckets[7].allow(5 * MS)
+        self.buckets[7] = [0.5, 5 * MS]
         self.tags.update({"b", "a"})
         self.by_mode[_Mode.ON] += 2
         self.history.extend([1, 2])
@@ -461,8 +482,7 @@ class TestSnapshotCodec:
                                   "by_mode", "history", "child"]
         assert snapshot["mode"] == "on"
         assert snapshot["table"] == [[2, 5], [9, 1]]
-        assert snapshot["buckets"][0][0] == 7
-        assert list(snapshot["buckets"][0][1]) == ["rate_pps", "burst", "tokens", "last_ns"]
+        assert snapshot["buckets"] == [[7, [0.5, 5 * MS]]]
         assert snapshot["tags"] == ["a", "b"]
         assert snapshot["by_mode"] == {"on": 2, "off": 0}
         assert snapshot["history"] == [1, 2]
@@ -481,8 +501,19 @@ class TestSnapshotCodec:
              fresh.history, fresh.child.counts, fresh.rng], containers))
         assert fresh.mode is _Mode.ON
         assert snapshot_bytes(fresh.checkpoint()) == snapshot_bytes(snapshot)
+        assert fresh.buckets[7] == snapshot["buckets"][0][1]
         assert fresh.rng.random() == original.rng.random()
         assert fresh.memo == {}
+
+    def test_a_table_row_is_copied_out_and_back_in(self):
+        original = _Gadget().drive()
+        snapshot = original.checkpoint()
+        assert snapshot["buckets"][0][1] is not original.buckets[7]
+        fresh = _Gadget()
+        fresh.restore(snapshot)
+        assert fresh.buckets[7] is not snapshot["buckets"][0][1]
+        fresh.buckets[7][0] -= 0.5
+        assert snapshot["buckets"] == [[7, [0.5, 5 * MS]]]
 
     def test_a_value_the_codec_cannot_store_is_named(self):
         gadget = _Gadget()

@@ -339,7 +339,7 @@ class TestPacketQueue:
         queue.push(1)
         queue.push(2)
         assert queue.drain() == [1, 2]
-        assert queue.is_empty
+        assert len(queue) == 0
 
     def test_capacity_validation(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,8 @@
 """The simulation packet, flow keys and the deterministic flow minting."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -173,6 +176,25 @@ class TestPackedRepresentation:
         bad[position] = top + distance if above else -distance
         with pytest.raises(ValueError):
             FlowKey(*bad)
+
+    @pytest.mark.parametrize("fields", [
+        (0, 0, 0, 0, 0),
+        (0xFFFFFFFF, 0xFFFFFFFF, 0xFFFF, 0xFFFF, 0xFF),
+        *[tuple((1 << bits) - 1 if index == position else 0
+                for index, bits in enumerate(FIELD_BITS))
+          for position in range(5)],
+    ])
+    @pytest.mark.parametrize("clone", [
+        lambda flow: pickle.loads(pickle.dumps(flow)),
+        copy.copy,
+        copy.deepcopy,
+    ], ids=["pickle", "copy", "deepcopy"])
+    def test_pickles_and_copies_to_an_equal_key(self, fields, clone):
+        flow = FlowKey(*fields)
+        cloned = clone(flow)
+        assert type(cloned) is FlowKey
+        assert cloned == flow and tuple(cloned) == fields
+        assert hash(cloned) == hash(flow)
 
 
 class TestToeplitzLinearity:

@@ -6,57 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.ratelimit import (
-    RateLimitDecision,
-    TokenBucket,
-    TwoStageRateLimiter,
-    _HitterSampler,
-)
+from repro.core.ratelimit import TwoStageRateLimiter, _HitterSampler
 from repro.packet import flows
-from repro.packet.hashing import crc32_vni_hash
 from repro.sim.units import MS, SECOND
-
-
-def _randrange_observe(sampler, vni, now_ns):
-    """``_HitterSampler.observe`` with its sample drawn by ``randrange``."""
-    if now_ns - sampler._window_start > sampler.window_ns:
-        sampler._counts.clear()
-        sampler._window_start = now_ns
-    if sampler.rng.randrange(sampler.sample_rate) != 0:
-        return False
-    count = sampler._counts.get(vni, 0) + 1
-    sampler._counts[vni] = count
-    return count >= sampler.threshold
-
-
-def _bucket_level_admit(limiter, vni, now_ns):
-    """The §4.3 pipeline spelled with ``TokenBucket.allow`` table by table,
-    the meter index hashed per packet and the sample drawn by
-    ``randrange``: the reference that ``TwoStageRateLimiter.admit``
-    inlines."""
-    if vni in limiter._bypass:
-        decision = RateLimitDecision.BYPASS
-    elif vni in limiter._pre_meter:
-        decision = (RateLimitDecision.ALLOW_PRE if limiter._pre_meter[vni].allow(now_ns)
-                    else RateLimitDecision.DROP_PRE)
-    else:
-        color_index = vni % limiter.color_entries
-        if color_index not in limiter._color:
-            limiter._color[color_index] = TokenBucket(limiter.stage1_rate_pps)
-        if limiter._color[color_index].allow(now_ns):
-            decision = RateLimitDecision.ALLOW
-        else:
-            meter_index = crc32_vni_hash(vni, seed=0x3E7E) % limiter.meter_entries
-            if meter_index not in limiter._meter:
-                limiter._meter[meter_index] = TokenBucket(limiter.stage2_rate_pps)
-            if limiter._meter[meter_index].allow(now_ns):
-                decision = RateLimitDecision.ALLOW_MARKED
-            else:
-                decision = RateLimitDecision.DROP_METER
-                if limiter.auto_promote and _randrange_observe(limiter._sampler, vni, now_ns):
-                    limiter.promote_heavy_hitter(vni)
-    limiter.decisions[decision] += 1
-    return decision
+from tests.reference_limiter import ReferenceLimiter, TokenBucket
 
 
 class TestTokenBucketProperties:
@@ -163,39 +116,48 @@ class TestTwoStageProperties:
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 10_000))
     def test_admit_is_the_bucket_level_pipeline_bit_for_bit(self, sample_rate, seed):
-        """Decisions, token floats, promotions and sampler draws all match
-        ``TokenBucket.allow`` applied through the three tables.  Eight
-        tenants at ~50 kpps on four color and three meter entries overload
-        both stages, and a sampler with a threshold of 2 promotes into a
-        300 pps pre_meter, so every decision occurs; 400 arrivals leave
-        token floats that any reordering of the refill arithmetic would
-        move.  An SRAM scrub midway wipes the buckets but not the meter
-        index memo, which holds three of the eight VNIs here, so both its
-        hit and its miss path run; each snapshot carries the sampler rng."""
-        def limiter():
-            built = TwoStageRateLimiter(
-                random.Random(seed), stage1_rate_pps=2_000, stage2_rate_pps=500,
-                color_entries=4, meter_entries=3, sample_rate=sample_rate,
-                pre_rate_pps=300,
-            )
-            built._sampler.threshold = 2
-            built.add_bypass(7)
-            return built
+        """Decisions, promotions, sampler draws and every row's
+        ``(tokens, last_ns)`` match ``tests/reference_limiter.py``'s
+        bucket per slot.  Eight tenants at ~50 kpps on four color and
+        three meter entries overload both stages, and a sampler with a
+        threshold of 2 promotes into a 300 pps pre_meter, so every
+        decision occurs; 400 arrivals leave token floats that any
+        reordering of the refill arithmetic would move.  An SRAM scrub
+        midway wipes the rows but not the meter index memo, which holds
+        three of the eight VNIs here, so both its hit and its miss path
+        run."""
+        shape = dict(stage1_rate_pps=2_000, stage2_rate_pps=500, color_entries=4,
+                     meter_entries=3, sample_rate=sample_rate, pre_rate_pps=300)
+        inlined = TwoStageRateLimiter(random.Random(seed), **shape)
+        inlined._sampler.threshold = 2
+        reference = ReferenceLimiter(random.Random(seed), threshold=2, **shape)
+        inlined.add_bypass(7)
+        reference.add_bypass(7)
+
+        def same_state():
+            rows = {name: {index: tuple(row) for index, row in table.items()}
+                    for name, table in (("color", inlined._color), ("meter", inlined._meter),
+                                        ("pre_meter", inlined._pre_meter))}
+            # repr tells every float apart by its bits, -0.0 from 0.0 too.
+            assert repr(rows) == repr(reference.rows())
+            assert inlined.decisions == reference.decisions
+            assert inlined.promotions == reference.promotions
+            assert inlined._sampler.rng.getstate() == reference.rng.getstate()
+            assert dict(inlined._sampler._counts) == reference.counts
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(flows, "FLOW_MEMO_CAPACITY", 3)
-            inlined, reference = limiter(), limiter()
             arrivals = random.Random(seed)
             now = 0
             for arrival in range(400):
                 if arrival == 200:
+                    same_state()
                     assert inlined.corrupt_sram() == reference.corrupt_sram()
-                    assert inlined.checkpoint() == reference.checkpoint()
                 now += arrivals.randrange(40_000)
                 vni = arrivals.randrange(8)
-                assert inlined.admit(vni, now) is _bucket_level_admit(reference, vni, now)
+                assert inlined.admit(vni, now) is reference.admit(vni, now)
             assert len(inlined._meter_slot) == 3
-        assert inlined.checkpoint() == reference.checkpoint()
+        same_state()
 
     @pytest.mark.parametrize("seed", [0, 7])
     def test_sampler_draw_is_randrange(self, seed):

@@ -1,16 +1,16 @@
 """Two-stage rate limiter tests (§4.3)."""
 
+import gc
 import random
+import tracemalloc
 
 import pytest
 
-from repro.core.ratelimit import (
-    RateLimitDecision,
-    TokenBucket,
-    TwoStageRateLimiter,
-)
+from repro.core import ratelimit
+from repro.core.ratelimit import RateLimitDecision, TwoStageRateLimiter
 from repro.scenarios import build, scenario_spec
 from repro.sim.units import MS, SECOND
+from tests.reference_limiter import TokenBucket
 
 
 class TestTokenBucket:
@@ -111,8 +111,8 @@ class TestTwoStage:
         assert limiter.decisions[RateLimitDecision.BYPASS] == allowed
 
     def test_manual_promotion_uses_pre_meter(self):
-        limiter = make_limiter(auto_promote=False)
-        assert limiter.promote_heavy_hitter(9, rate_pps=100)
+        limiter = make_limiter(auto_promote=False, pre_rate_pps=100)
+        assert limiter.promote_heavy_hitter(9)
         allowed = offer(limiter, vni=9, pps=10_000, duration_ns=1 * SECOND)
         assert allowed == pytest.approx(100, rel=0.3)
         assert limiter.decisions[RateLimitDecision.DROP_PRE] > 0
@@ -134,6 +134,22 @@ class TestTwoStage:
         limiter.promote_heavy_hitter(9)
         limiter.demote(9)
         assert 9 not in limiter.pre_table_vnis
+
+    def test_a_row_is_tokens_and_last_ns_under_its_tables_burst(self):
+        limiter = make_limiter(pre_rate_pps=300)
+        assert (limiter.stage1_burst, limiter.stage2_burst, limiter.pre_burst) == (10.0, 2.0, 3.0)
+        limiter.admit(5, 0)
+        limiter.admit(5, 3 * MS)
+        assert limiter._color == {5: [9.0, 3 * MS]}
+        limiter.promote_heavy_hitter(9)
+        assert limiter._pre_meter == {9: [3.0, 0]}
+
+    @pytest.mark.parametrize("rates", [
+        dict(stage1_rate_pps=0), dict(stage2_rate_pps=-1), dict(pre_rate_pps=-5),
+    ])
+    def test_a_non_positive_rate_is_rejected(self, rates):
+        with pytest.raises(ValueError, match="rates must be positive"):
+            make_limiter(**rates)
 
     def test_pre_table_capacity_enforced(self):
         limiter = make_limiter(pre_entries=2)
@@ -159,6 +175,44 @@ class TestSramBudget:
         limiter = TwoStageRateLimiter(random.Random(1))
         factor = TwoStageRateLimiter.naive_sram_bytes(1_000_000) / limiter.sram_bytes()
         assert factor > 80
+
+    def test_memory_is_the_tables_not_the_tenants(self):
+        """§4.3's point, on a live limiter: once every row of a 64-entry
+        color and a 256-entry meter table exists, four times as many
+        tenants again leave the limiter's traced memory where it was, and
+        that is under a budget written from the table sizes.  Traced
+        memory is what ``ratelimit.py`` allocated and still holds (the
+        meter-index memo is a bounded cache that ``test_flow_memo.py``
+        pins); a full collection before each reading empties the float
+        free list."""
+        limiter = make_limiter(stage1_rate_pps=100, stage2_rate_pps=100, auto_promote=False)
+        only_limiter = [tracemalloc.Filter(True, ratelimit.__file__)]
+
+        def traced():
+            gc.collect()
+            return sum(trace.size for trace in
+                       tracemalloc.take_snapshot().filter_traces(only_limiter).traces)
+
+        def offer_two(vni):
+            limiter.admit(vni, vni * 1_000)
+            limiter.admit(vni, vni * 1_000)
+
+        tracemalloc.start()
+        try:
+            tenants = 0
+            while len(limiter._color) < 64 or len(limiter._meter) < 256:
+                offer_two(tenants)
+                tenants += 1
+            full = traced()
+            for vni in range(tenants, 5 * tenants):
+                offer_two(vni)
+            after = traced()
+        finally:
+            tracemalloc.stop()
+        assert limiter.decisions[RateLimitDecision.DROP_METER] > 4 * tenants
+        assert after <= full
+        # A row is a two-slot list, a float and an int, and a dict slot.
+        assert full < (limiter.color_entries + limiter.meter_entries) * 192
 
     def test_collision_pair_finder(self):
         limiter = make_limiter(meter_entries=4)

@@ -10,7 +10,7 @@ are written in changes one of the two digests pinned here:
   (PLB + microburst, RSS + CBR; limiter and telemetry armed);
 * every capture of the golden ``burst-limited`` case (x6 bursts into the
   per-tenant limiter, telemetry windows) and of quick ``fleet-steady``
-  with 5 ms telemetry windows (a thousand tenants' token buckets);
+  with 5 ms telemetry windows (a thousand tenants' limiter rows);
 * the pod snapshot each ``migrate all --quick`` scenario freezes, at
   seeds 42 and 7.
 
@@ -108,6 +108,13 @@ def test_rolling_upgrade_freeze_is_under_10_kb(seed):
     """The pod's latency observer is a few dozen buckets, not samples."""
     (snapshot,) = _snapshots(f"migrate-rolling-upgrade-seed{seed}")
     assert len(snapshot_bytes(snapshot)) < 10_000
+
+
+def test_burst_limited_first_capture_is_under_130_kb():
+    """The limiter's rows carry only ``[tokens, last_ns]``: a thousand
+    colour rows and as many meter rows, each table's rate held once."""
+    first = _snapshots("burst-limited")[0]
+    assert len(snapshot_bytes(first)) <= 130_000
 
 
 def test_the_capture_cases_reach_what_they_pin():
