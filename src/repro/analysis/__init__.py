@@ -25,19 +25,12 @@ snapshots.  This package makes those properties machine-checked:
   NIC pipeline, reorder engine, rate limiter and CPU cores.  Violations
   raise :class:`SanitizerViolation` with the offending event trace.  See
   :mod:`.sanitizer`.
+
+The package loads only the sanitizer, which every run consults; import
+the linter (:mod:`.registry`, :mod:`.reporter`) and :mod:`.statecheck`
+from their modules.
 """
 
-from repro.analysis.registry import (
-    all_rules,
-    get_rule,
-    select_rules,
-)
-from repro.analysis.reporter import (
-    Finding,
-    LintReport,
-    lint_paths,
-    lint_source,
-)
 from repro.analysis.sanitizer import (
     Sanitizer,
     SanitizerViolation,
@@ -47,16 +40,9 @@ from repro.analysis.sanitizer import (
 )
 
 __all__ = [
-    "Finding",
-    "LintReport",
     "Sanitizer",
     "SanitizerViolation",
-    "all_rules",
-    "get_rule",
     "get_sanitizer",
     "install",
-    "lint_paths",
-    "lint_source",
-    "select_rules",
     "uninstall",
 ]

@@ -2,9 +2,15 @@
 
 Every subcommand is one row of :data:`COMMANDS`: its help text, the
 function that runs it, its arguments and, for a named command, the
-registry its ``name`` positional resolves against.  :func:`build_parser`
-and :func:`main` are loops over that table; ``--help`` lists it.  A row
-``"a b"`` is subcommand ``b`` of row ``"a"``, a group with no function.
+dotted path of the registry its ``name`` positional resolves against.
+:func:`build_parser` and :func:`main` are loops over that table;
+``--help`` lists it.  A row ``"a b"`` is subcommand ``b`` of row
+``"a"``, a group with no function.
+
+A row imports what it runs when it runs: each function imports its
+modules in its body, and :func:`select` imports the chosen command's
+registry only.  So ``simulate`` never loads the experiments, the
+fault scenarios or the linter, and ``--help`` loads none of them.
 
 ``REPRO_SANITIZE=1`` in the environment runs any command under the
 runtime sanitizer: stdout stays byte-identical, a violation exits 1 with
@@ -12,30 +18,12 @@ its event trace on stderr.
 """
 
 import argparse
+import importlib
 import os
 import sys
-from functools import partial
 from typing import Callable, NamedTuple, Optional
 
-from repro.analysis import all_rules, lint_paths, select_rules
 from repro.analysis.sanitizer import SanitizerViolation, get_sanitizer
-from repro.analysis.statecheck import run_statecheck
-from repro.controlplane.scenarios import MIGRATION_SCENARIOS, run_migration_scenario
-from repro.cpu.service import standard_services
-from repro.experiments.claims import claims_for
-from repro.experiments.common import format_table
-from repro.experiments.runner import EXPERIMENTS, run_experiment
-from repro.faults import scenarios as faults
-from repro.fleet import (
-    SWEEP_FACTORIES, ShardFailure, build_sweep, default_workers, run_sweep,
-    sweep_to_json, with_timeseries,
-)
-from repro.runs import RunStore, RunStoreError, atomic_write_text, query
-from repro.scenarios import (
-    SCENARIO_FACTORIES, PodSpec, ScenarioSpec, WorkloadSpec, build, lookup,
-)
-from repro.sim.units import MS, US
-from repro.telemetry import flatten_windows
 
 
 class Command(NamedTuple):
@@ -44,7 +32,7 @@ class Command(NamedTuple):
     help: str
     run: Optional[Callable]     # None: a group, whose rows follow it
     arguments: tuple = ()       # (flags, add_argument kwargs) pairs
-    registry: Optional[dict] = None   # resolves the ``name`` positional
+    registry: Optional[str] = None    # "module.NAME" of the ``name`` registry
     what: str = ""              # the registry's noun, for help and errors
     every: bool = True          # ``name`` may be ``all``
 
@@ -67,6 +55,9 @@ RUNS_DIR = _arg(
 
 
 def _simulate(args):
+    from repro.scenarios import PodSpec, ScenarioSpec, WorkloadSpec, build
+    from repro.sim.units import MS, US
+
     try:
         handle = build(ScenarioSpec(
             name="cli-simulate",
@@ -113,12 +104,18 @@ def _simulate(args):
     }
     print(f"drops: {drops or 'none'}")
     if handle.telemetry is not None:
+        from repro.experiments.common import format_table
+        from repro.telemetry import flatten_windows
+
         print("timeseries:")
         print(format_table(flatten_windows(handle.telemetry.series()["windows"])))
     return 0
 
 
 def _experiment(args):
+    from repro.experiments.claims import claims_for
+    from repro.experiments.runner import run_experiment
+
     failed = 0
     for name in args.names:
         result = run_experiment(name, quick=args.quick)
@@ -144,7 +141,40 @@ def _print_reports(runner, args):
     return 0
 
 
+def _faults(args):
+    from repro.faults.scenarios import run_scenario
+
+    return _print_reports(run_scenario, args)
+
+
+def _migrate(args):
+    from repro.controlplane.scenarios import run_migration_scenario
+
+    return _print_reports(run_migration_scenario, args)
+
+
+def _uses_run_store(run):
+    """``run``, exiting 2 with the message on a run-store error (an
+    unknown, clashing or mismatched run id).  The store, and ``hashlib``
+    behind it, is imported only by the commands that use it."""
+    def run_with_store(args):
+        from repro.runs.store import RunStoreError
+
+        try:
+            return run(args)
+        except RunStoreError as error:
+            print(str(error), file=sys.stderr)
+            return 2
+    return run_with_store
+
+
+@_uses_run_store
 def _sweep(args):
+    from repro.fleet import ShardFailure, default_workers, run_sweep, sweep_to_json
+    from repro.fleet.sweeps import build_sweep, with_timeseries
+    from repro.runs import RunStore, atomic_write_text
+    from repro.sim.units import MS
+
     if args.workers < 0:
         print(f"--workers must be >= 0 (0 = auto), got {args.workers}",
               file=sys.stderr)
@@ -191,14 +221,22 @@ def _sweep(args):
     return 0
 
 
+@_uses_run_store
 def _runs_list(args):
+    from repro.experiments.common import format_table
+    from repro.runs import RunStore, query
+
     store = RunStore(args.runs_dir)
     rows = query.list_rows(store)
     print(format_table(rows) if rows else f"no runs under {store.root!r}")
     return 0
 
 
+@_uses_run_store
 def _runs_show(args):
+    from repro.experiments.common import format_table
+    from repro.runs import RunStore, query
+
     store = RunStore(args.runs_dir)
     if args.timeseries:
         run, rows = query.show_timeseries_rows(store, args.run_id)
@@ -217,7 +255,11 @@ def _runs_show(args):
     return 0
 
 
+@_uses_run_store
 def _runs_compare(args):
+    from repro.experiments.common import format_table
+    from repro.runs import RunStore, query
+
     store = RunStore(args.runs_dir)
     if args.timeseries:
         rows = query.compare_timeseries_rows(args.artifacts, store)
@@ -231,6 +273,9 @@ def _runs_compare(args):
 
 
 def _lint(args):
+    from repro.analysis.registry import all_rules, select_rules
+    from repro.analysis.reporter import lint_paths
+
     if args.select:
         try:
             rules = select_rules(args.select)
@@ -253,6 +298,8 @@ def _lint(args):
 
 
 def _statecheck(args):
+    from repro.analysis.statecheck import run_statecheck
+
     result = run_statecheck(seed=args.seed)
     for probe in result.probes:
         if args.verbose or not probe.ok:
@@ -264,17 +311,19 @@ def _statecheck(args):
 
 
 def _inventory(_args):
+    from repro.cpu.service import standard_services
+
     for title, registry in (
-        ("scenarios", SCENARIO_FACTORIES),
-        ("sweeps", SWEEP_FACTORIES),
-        ("fault scenarios", faults.SCENARIOS),
-        ("migration scenarios", MIGRATION_SCENARIOS),
+        ("scenarios", "repro.scenarios.registry.SCENARIO_FACTORIES"),
+        ("sweeps", COMMANDS["sweep"].registry),
+        ("fault scenarios", COMMANDS["faults"].registry),
+        ("migration scenarios", COMMANDS["migrate"].registry),
     ):
         print(f"{title}:")
-        for name, factory in registry.items():
+        for name, factory in _resolve(registry).items():
             print(f"  {name}: {factory.__doc__.strip().splitlines()[0]}")
     print("experiments:")
-    for name in EXPERIMENTS:
+    for name in _resolve(COMMANDS["experiment"].registry):
         print(f"  {name}")
     print("gateway services:")
     for name, service in standard_services().items():
@@ -300,12 +349,11 @@ COMMANDS = {
     )),
     "experiment": Command(
         "run a paper experiment and check its claims (exit 1 if one fails)",
-        _experiment, (QUICK,), EXPERIMENTS, "experiment",
+        _experiment, (QUICK,), "repro.experiments.runner.EXPERIMENTS", "experiment",
     ),
     "faults": Command(
-        "run a fault-injection scenario",
-        partial(_print_reports, faults.run_scenario),
-        (SEED, QUICK), faults.SCENARIOS, "fault scenario",
+        "run a fault-injection scenario", _faults,
+        (SEED, QUICK), "repro.faults.scenarios.SCENARIOS", "fault scenario",
     ),
     "sweep": Command(
         "run a sharded parameter sweep across workers", _sweep, (
@@ -321,7 +369,7 @@ COMMANDS = {
             _arg("--resume", default=None, metavar="RUN_ID",
                  help="resume an interrupted run: shards whose cached result "
                       "matches the current spec hash are served from disk"),
-        ), SWEEP_FACTORIES, "sweep", every=False,
+        ), "repro.fleet.sweeps.SWEEP_FACTORIES", "sweep", every=False,
     ),
     "runs": Command(
         "query the durable run store and past artifacts", None, (RUNS_DIR,)
@@ -339,9 +387,9 @@ COMMANDS = {
              help="diff windowed-telemetry columns across the operands"),
     )),
     "migrate": Command(
-        "run a live pod-migration scenario",
-        partial(_print_reports, run_migration_scenario),
-        (SEED, QUICK), MIGRATION_SCENARIOS, "migration scenario",
+        "run a live pod-migration scenario", _migrate,
+        (SEED, QUICK), "repro.controlplane.scenarios.MIGRATION_SCENARIOS",
+        "migration scenario",
     ),
     "lint": Command("run the static determinism analyzers", _lint, (
         _arg("paths", nargs="*", default=["src"],
@@ -389,11 +437,23 @@ def build_parser():
     return parser
 
 
+def _resolve(path):
+    """The object a dotted ``module.NAME`` path names, its module imported."""
+    module, _, name = path.rpartition(".")
+    return getattr(importlib.import_module(module), name)
+
+
 def select(command, name):
-    """The registry names ``name`` selects: every one for ``all``."""
+    """The registry names ``name`` selects: every one for ``all``.
+
+    The chosen command's registry is imported here, no other command's.
+    """
+    from repro.scenarios.registry import lookup
+
+    registry = _resolve(command.registry)
     if command.every and name == "all":
-        return tuple(command.registry)
-    lookup(command.registry, name, command.what)
+        return tuple(registry)
+    lookup(registry, name, command.what)
     return (name,)
 
 
@@ -415,9 +475,6 @@ def main(argv=None):
         # the interpreter's flush at exit, to /dev/null instead.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except RunStoreError as error:
-        print(str(error), file=sys.stderr)
-        return 2
     except SanitizerViolation as violation:
         print(str(violation), file=sys.stderr)
         return 1

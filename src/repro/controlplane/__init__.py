@@ -14,21 +14,17 @@ without dropping its traffic).
   simulator events and records per-phase timing in a
   :class:`MigrationPlan`.
 * :mod:`repro.controlplane.scenarios` -- named migration scenarios for
-  ``python -m repro migrate``.  Import it from its module: the package
-  loads only what ``repro.core`` needs to inherit ``Stateful``, no cycle.
+  ``python -m repro migrate``.
+
+The package loads only :mod:`~repro.controlplane.snapshot`, which
+``repro.core`` needs to inherit ``Stateful``; import the migration and
+scenario modules from their own names (a run without a migration never
+loads them).
 """
 
-from repro.controlplane.migration import (
-    MigrationController,
-    MigrationPhase,
-    MigrationPlan,
-)
 from repro.controlplane.snapshot import ensure_plain, snapshot_bytes
 
 __all__ = [
-    "MigrationController",
-    "MigrationPhase",
-    "MigrationPlan",
     "ensure_plain",
     "snapshot_bytes",
 ]

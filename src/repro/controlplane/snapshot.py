@@ -262,7 +262,7 @@ def snapshot_bytes(snapshot):
     return json.dumps(snapshot, sort_keys=True, separators=(",", ":")).encode()
 
 
-CHECKPOINT_SCHEMA_VERSION = 4
+CHECKPOINT_SCHEMA_VERSION = 5
 
 
 class SimCheckpointer(Stateful):

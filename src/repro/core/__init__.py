@@ -17,14 +17,16 @@ Subsystems (paper section in parentheses):
 * :mod:`repro.core.nic` -- the assembled NIC pipeline.
 * :mod:`repro.core.gateway` -- GW pod runtime + Albatross server: the
   top-level public API.
+
+The CPU heavy-hitter detector (:mod:`repro.core.hitters`) and the PCIe
+and port-capacity models (:mod:`repro.core.pcie`) are not on a pod's
+build path; import them from their modules.
 """
 
 from repro.core.gateway import AlbatrossServer, GwPodRuntime
-from repro.core.hitters import CpuHitterDetector, SpaceSavingSketch
 from repro.core.meta import MetaPlacement, PlbMeta
 from repro.core.nic import NicPipeline
 from repro.core.offload import FpgaSessionOffload
-from repro.core.pcie import PcieLinkModel, PortCapacityModel
 from repro.core.pktdir import PktDir
 from repro.core.plb.dispatch import PlbDispatcher
 from repro.core.plb.reorder import ReorderEngine, ReorderQueueConfig
@@ -39,11 +41,7 @@ __all__ = [
     "MetaPlacement",
     "PlbMeta",
     "NicPipeline",
-    "CpuHitterDetector",
-    "SpaceSavingSketch",
     "FpgaSessionOffload",
-    "PcieLinkModel",
-    "PortCapacityModel",
     "PktDir",
     "PlbDispatcher",
     "ReorderEngine",

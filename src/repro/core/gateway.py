@@ -334,7 +334,7 @@ class AlbatrossServer:
         rate_limiter = None
         if spec.limiter_stage1_pps is not None:
             rate_limiter = TwoStageRateLimiter(
-                self.rngs.stream(f"limiter.{spec.name}"),
+                self.rngs.carried_stream(f"limiter.{spec.name}"),
                 stage1_rate_pps=spec.limiter_stage1_pps,
                 stage2_rate_pps=(
                     spec.limiter_stage2_pps
@@ -369,7 +369,7 @@ class AlbatrossServer:
             self.sim,
             spec,
             core_ids,
-            self.rngs.stream(f"pod.{spec.name}"),
+            self.rngs.carried_stream(f"pod.{spec.name}"),
             chain,
             reorder,
             speed_factor=speed_factor,

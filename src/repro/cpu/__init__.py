@@ -3,6 +3,8 @@
 Models the x86 side of Albatross: GW-pod data cores polling RX queues,
 per-packet service times driven by table lookups through an LRU L3-cache
 model, NUMA placement effects, and DPDK-style bounded descriptor rings.
+The stateful-NF model (:mod:`.stateful`, the ablations' alone) is
+imported from its module.
 """
 
 from repro.cpu.cache import CacheStats, LruCacheModel, SharedL3Cache
@@ -15,7 +17,6 @@ from repro.cpu.service import (
     ServiceChain,
     standard_services,
 )
-from repro.cpu.stateful import StatefulNfModel
 
 __all__ = [
     "CacheStats",
@@ -32,5 +33,4 @@ __all__ = [
     "MemoryTimings",
     "ServiceChain",
     "standard_services",
-    "StatefulNfModel",
 ]

@@ -15,7 +15,8 @@ Layering:
 * :mod:`.engine` -- the worker pool: order-preserving ``pool_map``,
   longest-first ``run_sweep`` and the byte-identical ``workers=1``
   fallback.
-* :mod:`.sweeps` -- the named sweeps the CLI exposes.
+* :mod:`.sweeps` -- the named sweeps the CLI exposes (import it from
+  its module: a caller with its own shards never loads the registry).
 * :mod:`.report` -- merging and the :class:`SweepReport` artifact.
 """
 
@@ -35,16 +36,13 @@ from repro.fleet.shard import (
     replicate,
     shard_seed,
 )
-from repro.fleet.sweeps import SWEEP_FACTORIES, build_sweep, with_timeseries
 
 __all__ = [
     "MAX_SHARDS",
     "SCHEMA_VERSION",
-    "SWEEP_FACTORIES",
     "ShardFailure",
     "ShardSpec",
     "SweepReport",
-    "build_sweep",
     "default_workers",
     "merge_run_reports",
     "pool_map",
@@ -53,6 +51,5 @@ __all__ = [
     "run_sweep",
     "shard_seed",
     "sweep_to_json",
-    "with_timeseries",
     "write_sweep_report",
 ]

@@ -23,6 +23,9 @@ strict: **the merged report is byte-identical whether the sweep ran on
 One shard at a time per process: a built deployment is a reference
 cycle, so a process collects its previous shard before the next one.
 
+A process that runs inline (``workers=1``) imports no
+``multiprocessing``: only :func:`_pool_context` loads it.
+
 What may run in a worker: pure simulation from a spec.  What must stay
 in the parent: merging, report rendering, and anything that touches
 the ordering of shards.
@@ -40,9 +43,7 @@ and the merged artifact is still byte-identical to an uninterrupted run.
 """
 
 import gc
-import multiprocessing
 import os
-import traceback
 from functools import partial
 
 from repro.fleet.report import SweepReport, merge_run_reports
@@ -127,6 +128,8 @@ def _worker_call(task):
     try:
         return position, {"ok": True, "value": fn(payload)}
     except Exception as error:  # noqa: BLE001 - reported, not swallowed
+        import traceback
+
         return position, {
             "ok": False,
             "label": _payload_label(payload),
@@ -145,7 +148,14 @@ def _unwrap(outcome):
 
 
 def _pool_context():
-    """Prefer fork (fast, inherits sys.path); fall back to spawn."""
+    """Prefer fork (fast, inherits sys.path); fall back to spawn.
+
+    ``multiprocessing`` (with ``socket``, ``pickle`` and ``selectors``
+    behind it) is imported here, so a process that never builds a pool
+    never loads it.
+    """
+    import multiprocessing
+
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
 

@@ -56,16 +56,19 @@ class RngRegistry(Stateful):
     True
 
     Streams snapshot as ``[name, position]`` pairs sorted by name, so
-    the bytes do not depend on materialization order.  Its restore is
-    hand-written: it repositions live streams and derives the ones it
-    lacks, which a table refill cannot.
+    the bytes do not depend on materialization order.  A stream handed
+    out by :meth:`carried_stream` is left out: its owner's own snapshot
+    carries its position, so a whole-world capture writes each stream
+    once.  Its restore is hand-written: it repositions live streams and
+    derives the ones it lacks, which a table refill cannot.
     """
 
-    STATE = ("seed", ("streams", "_streams"))
+    STATE = ("seed", ("streams", "uncarried_streams"))
 
     def __init__(self, seed=0):
         self.seed = seed
         self._streams = Table()
+        self._carried = set()
 
     def stream(self, name):
         """Return the ``random.Random`` for ``name``, creating it on first use."""
@@ -74,6 +77,24 @@ class RngRegistry(Stateful):
             rng = derived_stream(name, seed=self.seed)
             self._streams[name] = rng
         return rng
+
+    def carried_stream(self, name):
+        """:meth:`stream` ``name`` for an owner whose snapshot carries it.
+
+        A GW pod's verdict stream and its limiter's sampler stream ride
+        in the pod's snapshot (a migration's freeze carries no
+        registry), so the registry's snapshot leaves them out.
+        """
+        self._carried.add(name)
+        return self.stream(name)
+
+    @property
+    def uncarried_streams(self):
+        """The streams this registry's snapshot carries: all but the carried."""
+        return Table(
+            (name, rng) for name, rng in self._streams.items()
+            if name not in self._carried
+        )
 
     def reset(self):
         """Drop all streams; subsequent calls re-derive from the seed."""

@@ -196,7 +196,7 @@ def _run_ids(runs_dir):
 def exercise(workdir):
     """Everything the check counts as reachable, in one process."""
     from repro.analysis.sanitizer import install, uninstall
-    from repro.fleet import SWEEP_FACTORIES
+    from repro.fleet.sweeps import SWEEP_FACTORIES
 
     runs = str(workdir / "RUNS")
     _cli("experiment", "all", "--quick")

@@ -6,13 +6,8 @@ import textwrap
 import pytest
 
 import repro
-from repro.analysis import (
-    all_rules,
-    get_rule,
-    lint_paths,
-    lint_source,
-    select_rules,
-)
+from repro.analysis.registry import all_rules, get_rule, select_rules
+from repro.analysis.reporter import lint_paths, lint_source
 from repro.cli import main
 
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))

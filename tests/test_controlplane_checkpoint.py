@@ -105,6 +105,13 @@ class TestRngState:
         for name, draws in expected.items():
             assert [restored.stream(name).random() for _ in range(5)] == draws
 
+    def test_registry_leaves_out_the_streams_their_owners_carry(self):
+        rngs = RngRegistry(seed=7)
+        carried = rngs.carried_stream("pod.gw")
+        assert rngs.stream("pod.gw") is carried
+        rngs.stream("traffic").random()
+        assert [name for name, _ in rngs.checkpoint()["streams"]] == ["traffic"]
+
 
 class TestCounterSet:
     def test_round_trip(self):
@@ -348,6 +355,21 @@ class TestPodCheckpoint:
         other = server.add_pod(PodSpec(name="wide", data_cores=4))
         with pytest.raises(ValueError):
             other.restore(snapshot)
+
+    def test_a_frozen_limiter_pod_resumes_its_sampler_on_another_registry(self):
+        """A migration's freeze carries no registry: the pod's own snapshot
+        repositions its limiter's sampler stream, the registry's left out."""
+        sim, rngs, _, pod = _server_with_pod(limiter_stage1_pps=1_000)
+        for index in range(64):
+            pod.ingress(Packet(_flow(index)))
+        sim.run_until(MS)
+        snapshot = json_round_trip(pod.checkpoint())
+        assert [name for name, _ in rngs.checkpoint()["streams"]] == []
+        _, fresh_rngs, _, fresh = _server_with_pod(seed=555, limiter_stage1_pps=1_000)
+        fresh.restore(snapshot)
+        for name in ("limiter.gw", "pod.gw"):
+            assert fresh_rngs.stream(name).getstate() == rngs.stream(name).getstate()
+        assert snapshot_bytes(fresh.checkpoint()) == snapshot_bytes(snapshot)
 
     def test_verdict_rng_resumes(self):
         """The pod's ACL-roll rng continues from the frozen position."""

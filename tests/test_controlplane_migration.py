@@ -9,7 +9,7 @@ the spec wire format and the registry contracts.
 
 import pytest
 
-from repro.controlplane import MigrationPhase
+from repro.controlplane.migration import MigrationPhase
 from repro.controlplane.scenarios import (
     MIGRATION_SCENARIOS,
     migration_scenario_spec,

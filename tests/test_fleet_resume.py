@@ -19,7 +19,8 @@ from types import SimpleNamespace
 import pytest
 
 from repro.cli import main
-from repro.fleet import ShardFailure, build_sweep, pool_map, run_shard, run_sweep, sweep_to_json
+from repro.fleet import ShardFailure, pool_map, run_shard, run_sweep, sweep_to_json
+from repro.fleet.sweeps import build_sweep
 from repro.runs import RunStore, spec_fingerprint
 
 SWEEP = "seed-replication"

@@ -26,9 +26,7 @@ from repro.cli import build_parser, main
 from repro.fleet import engine
 from repro.fleet import (
     MAX_SHARDS,
-    SWEEP_FACTORIES,
     ShardSpec,
-    build_sweep,
     default_workers,
     merge_run_reports,
     pool_map,
@@ -38,6 +36,7 @@ from repro.fleet import (
     shard_seed,
     sweep_to_json,
 )
+from repro.fleet.sweeps import SWEEP_FACTORIES, build_sweep
 from repro.runs import RunStore
 from repro.runs.store import canonical_bytes
 from repro.scenarios import (
@@ -482,6 +481,37 @@ class TestPoolArtifactsByteIdentical:
         assert report.cached_shards == len(shards) // 2
         assert sweep_to_json(report) == text
         assert killed.completed_indices() == [shard.index for shard in shards]
+
+
+class TestSpawnPool:
+    """The pool path hosts without ``fork`` take: CI's Linux only forks."""
+
+    def test_spawned_workers_merge_the_inline_bytes(self, monkeypatch):
+        import multiprocessing
+
+        import repro
+
+        contexts = []
+
+        def spawn_context():
+            contexts.append(multiprocessing.get_context("spawn"))
+            return contexts[-1]
+
+        monkeypatch.setattr(engine, "_pool_context", spawn_context)
+        # A spawned worker inherits only the environment: the engine must
+        # export the package root itself.
+        monkeypatch.delenv("PYTHONPATH", raising=False)
+        shards = [
+            ShardSpec(index, {"tenants": tenants}, _tiny_spec(tenants=tenants))
+            for index, tenants in enumerate((4, 8))
+        ]
+        inline = sweep_to_json(run_sweep("spawn", shards, workers=1, seed=5))
+        assert contexts == []
+        pooled = sweep_to_json(run_sweep("spawn", shards, workers=2, seed=5))
+        assert len(contexts) == 1
+        assert pooled == inline
+        package_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        assert os.environ["PYTHONPATH"].split(os.pathsep) == [package_root]
 
 
 class TestOneShardAtATime:

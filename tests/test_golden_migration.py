@@ -12,7 +12,8 @@ import pytest
 
 from repro.analysis.sanitizer import install, uninstall
 from repro.controlplane.scenarios import MIGRATION_SCENARIOS, run_migration_scenario
-from repro.fleet import build_sweep, run_sweep, sweep_to_json
+from repro.fleet import run_sweep, sweep_to_json
+from repro.fleet.sweeps import build_sweep
 from repro.scenarios import build
 from repro.controlplane.scenarios import migration_scenario_spec
 

@@ -1,0 +1,96 @@
+"""A process imports what it runs.
+
+A package ``__init__`` loads only what its package's build path runs,
+``repro.fleet.engine`` loads ``multiprocessing`` only when it builds a
+pool, and each ``repro.cli.COMMANDS`` row imports its modules when it
+runs.  Each check starts a fresh interpreter: this test process has
+imported most of the tree already, so only a new one shows what a path
+loads.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+#: Off the build-and-run path of a plain spec: the pool, the migration
+#: controller, the linter, the observers a caller attaches, the
+#: ablations' NF model, the sweep registry, heavy-hitter detection and
+#: the PCIe model.
+OFF_THE_RUN_PATH = (
+    "multiprocessing",
+    "repro.controlplane.migration",
+    "repro.analysis.registry",
+    "repro.analysis.reporter",
+    "repro.metrics.trace",
+    "repro.metrics.summary",
+    "repro.cpu.stateful",
+    "repro.fleet.sweeps",
+    "repro.core.hitters",
+    "repro.core.pcie",
+)
+
+#: Loaded by other commands than ``simulate``: the experiments, the
+#: fault scenarios, the state checker, the lint rules and the migration
+#: scenarios.
+OTHER_COMMANDS = (
+    "repro.experiments",
+    "repro.faults",
+    "repro.analysis.statecheck",
+    "repro.analysis.rules",
+    "repro.controlplane.scenarios",
+)
+
+
+def _modules_after(body):
+    """Every module name in ``sys.modules`` once ``body`` has run in a
+    fresh interpreter with ``src`` on its path."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (
+        str(SRC), os.environ.get("PYTHONPATH"))))}
+    probe = f"{body}\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))\n"
+    child = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env,
+        timeout=120,
+    )
+    assert child.returncode == 0, child.stderr
+    return set(json.loads(child.stdout.splitlines()[-1]))
+
+
+def _loaded(modules, names):
+    """The entries of ``names`` loaded, each itself or as a package."""
+    return sorted(
+        module for module in modules for name in names
+        if module == name or module.startswith(name + ".")
+    )
+
+
+def test_a_plain_run_loads_nothing_off_its_path():
+    modules = _modules_after(
+        "import repro.fleet, repro.runs, repro.scenarios\n"
+        "from repro.scenarios import build, scenario_spec\n"
+        "build(scenario_spec('steady-state-plb', quick=True)).run().report()"
+    )
+    assert "repro.scenarios.build" in modules
+    assert _loaded(modules, OFF_THE_RUN_PATH) == []
+
+
+def test_simulate_loads_no_other_commands_modules():
+    modules = _modules_after(
+        "from repro.cli import main\n"
+        "assert main(['simulate', '--duration-ms', '1']) == 0"
+    )
+    assert "repro.cli" in modules
+    assert _loaded(modules, OFF_THE_RUN_PATH + OTHER_COMMANDS) == []
+
+
+def test_a_named_command_loads_its_own_registry_only():
+    modules = _modules_after(
+        "from repro.cli import main\n"
+        "assert main(['experiment', 'tab1']) == 0"
+    )
+    assert "repro.experiments.runner" in modules
+    assert _loaded(modules, ("repro.faults", "repro.controlplane.scenarios",
+                             "repro.fleet.sweeps", "repro.analysis.statecheck")) == []

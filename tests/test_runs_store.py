@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.fleet import build_sweep
+from repro.fleet.sweeps import build_sweep
 from repro.runs import (
     MERGED_NAME,
     RunStore,

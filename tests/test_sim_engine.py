@@ -820,9 +820,10 @@ class TestHeapTrafficPerPacket:
         packets = report["pods"]["pod"]["counters"]["rx_packets"]
         assert packets >= 1_000
         assert report["pods"]["pod"]["reorder"]["in_order"] >= packets - 16
-        # Measured 1 100 (1 115 while the run loop tested a stop flag per
-        # event; 1 127 while the pod's latency record checked the
-        # packet's stamps for None; 1 190 while the source tick and the head release
+        # Measured 1 097 (1 101 while every flow key was a tuple and a
+        # one-queue pod hashed it for its order queue; 1 115 while the run
+        # loop tested a stop flag per event; 1 127 while the pod's latency
+        # record checked the packet's stamps for None; 1 190 while the source tick and the head release
         # re-queued their timers through `rearm` and a population draw
         # looked its VNI up; 1 166 while histograms folded on read, so that
         # `record` only appended; 1 286 before frameless hops and
@@ -854,10 +855,13 @@ class TestOverloadPathPerPacket:
         assert pod["counters"]["rate_limited_drops"] > 0
         assert pod["counters"]["rx_queue_drops"] > 0
         assert pod["reorder"]["hol_events"] > 0
-        # Measured 1 146 (1 157 while the run loop tested a stop flag per
-        # event; 1 226 while the telemetry recorder recorded every
-        # egress into a per-window sketch of its own and the pod's record
-        # checked the packet's stamps for None; 1 312 while a marked
+        # Measured 1 102 (1 104 while each capture wrote the pod's verdict
+        # and sampler streams twice; 1 125 while the limiter kept a
+        # `TokenBucket` per slot; 1 148 while every flow key was a tuple;
+        # 1 157 while the run loop tested a stop flag per event; 1 226
+        # while the telemetry recorder recorded every egress into a
+        # per-window sketch of its own and the pod's record checked the
+        # packet's stamps for None; 1 312 while a marked
         # packet hashed its VNI, a meter drop sampled through `randrange`, a
         # drop bumped its counter through `incr` and the per-packet timers
         # re-queued through `rearm`).

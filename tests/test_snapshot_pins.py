@@ -117,6 +117,28 @@ def test_burst_limited_first_capture_is_under_130_kb():
     assert len(snapshot_bytes(first)) <= 130_000
 
 
+def _stream_states(value):
+    """Every rng position a snapshot holds, as ``rng_state`` writes one."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    elif not isinstance(value, list):
+        return []
+    if len(value) == 3 and isinstance(value[1], list) and len(value[1]) == 625:
+        return [value]
+    return [state for item in value for state in _stream_states(item)]
+
+
+@pytest.mark.parametrize("case", sorted(CAPTURE_CASES))
+def test_a_capture_writes_each_stream_once(case):
+    """A pod's verdict and sampler streams ride in the pod's own snapshot,
+    so the registry's section leaves them out."""
+    for snapshot in _snapshots(case):
+        states = [json.dumps(state) for state in _stream_states(snapshot)]
+        assert len(set(states)) == len(states) >= 2
+        names = [name for name, _ in snapshot["rngs"]["streams"]]
+        assert not [name for name in names if name.startswith(("pod.", "limiter."))]
+
+
 def test_the_capture_cases_reach_what_they_pin():
     limited = _snapshots("burst-limited")[-1]
     limiter = limited["pods"]["pod"]["nic"]["limiter"]

@@ -16,13 +16,8 @@ import pytest
 from repro.analysis.statecheck import probe_object
 from repro.core.gateway import AlbatrossServer
 from repro.controlplane.scenarios import MIGRATION_SCENARIOS, migration_scenario_spec
-from repro.fleet import (
-    build_sweep,
-    replicate,
-    run_sweep,
-    sweep_to_json,
-    with_timeseries,
-)
+from repro.fleet import replicate, run_sweep, sweep_to_json
+from repro.fleet.sweeps import build_sweep, with_timeseries
 from repro.metrics.histogram import LatencyHistogram, bucket_edge, bucket_top
 from repro.scenarios import (
     PodSpec,
