@@ -5,8 +5,9 @@ full FPGA NIC pipeline (PLB spray -> CPU service -> reorder -> wire).
 Run:  python examples/quickstart.py
 """
 
-from repro import AlbatrossServer, PodSpec, RngRegistry, Simulator
-from repro.sim import MS, US
+from repro.core import AlbatrossServer
+from repro.scenarios import PodSpec
+from repro.sim import MS, US, RngRegistry, Simulator
 from repro.workloads import CbrSource, uniform_population
 
 

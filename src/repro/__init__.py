@@ -5,7 +5,7 @@ FPGA-accelerated packet-level load balancing.  This library rebuilds every
 subsystem the paper describes as a deterministic discrete-event simulation:
 
 * the FPGA NIC pipeline -- packet-level load balancing (PLB) with the
-  FIFO/BUF/BITMAP reorder engine, the two-stage tenant rate limiter, the
+  FIFO/BUF reorder engine, the two-stage tenant rate limiter, the
   ``pkt_dir`` classifier and protocol priority queues (:mod:`repro.core`);
 * the x86 substrate -- cores, service chains, an LRU L3-cache model and
   NUMA effects (:mod:`repro.cpu`);
@@ -19,8 +19,9 @@ subsystem the paper describes as a deterministic discrete-event simulation:
 
 Quickstart::
 
-    from repro import AlbatrossServer, PodSpec, Simulator, RngRegistry
-    from repro.sim import SECOND
+    from repro.core import AlbatrossServer
+    from repro.scenarios import PodSpec
+    from repro.sim import SECOND, RngRegistry, Simulator
 
     sim = Simulator()
     server = AlbatrossServer(sim, RngRegistry(seed=1))
@@ -29,34 +30,4 @@ Quickstart::
     sim.run_until(1 * SECOND)
 """
 
-from repro.core import (
-    AlbatrossServer,
-    GwPodRuntime,
-    NicPipeline,
-    PlbMeta,
-    RateLimitDecision,
-    ReorderQueueConfig,
-    TwoStageRateLimiter,
-)
-from repro.packet import FlowKey, Packet, PacketKind
-from repro.scenarios import PodSpec
-from repro.sim import RngRegistry, Simulator
-
 __version__ = "1.0.0"
-
-__all__ = [
-    "AlbatrossServer",
-    "GwPodRuntime",
-    "NicPipeline",
-    "PlbMeta",
-    "PodSpec",
-    "RateLimitDecision",
-    "ReorderQueueConfig",
-    "TwoStageRateLimiter",
-    "FlowKey",
-    "Packet",
-    "PacketKind",
-    "RngRegistry",
-    "Simulator",
-    "__version__",
-]

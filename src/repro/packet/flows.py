@@ -7,14 +7,21 @@ tracks the tenant via the VXLAN VNI carried on the packet itself.
 PROTO_TCP = 6
 PROTO_UDP = 17
 
-#: Entries a :class:`FlowMemo` keeps: every recurring registry population
-#: fits, a million-tenant tail of one-shot flows does not.
+#: Entries a :class:`FlowMemo` keeps, and the most flows a population
+#: builds up front as its head: every recurring registry population fits,
+#: a million-tenant tail of one-shot flows does not.
 FLOW_MEMO_CAPACITY = 4096
 
 
 class FlowMemo(dict):
     """``memo[key] == derive(key)`` for a pure ``derive``; a hit is a plain
-    dict subscript, and a miss is kept while ``len < FLOW_MEMO_CAPACITY``."""
+    dict subscript, and a miss is kept while ``len < FLOW_MEMO_CAPACITY``.
+
+    The memo of the per-packet path's per-flow results (RSS hash, PLB
+    order queue, service-chain addresses, pod pick, meter slot).  A
+    population draw uses none: see
+    :class:`~repro.workloads.generators.FlowPopulation`.
+    """
 
     __slots__ = ("derive",)
 

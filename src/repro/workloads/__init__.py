@@ -16,8 +16,6 @@ from repro.workloads.generators import (
     zipf_population,
 )
 from repro.workloads.microburst import MicroburstSource
-from repro.workloads.tenants import overload_workloads
-from repro.workloads.traces import diurnal_rate_fn, weekly_load_profile
 
 __all__ = [
     "CbrSource",
@@ -27,7 +25,4 @@ __all__ = [
     "uniform_population",
     "zipf_population",
     "MicroburstSource",
-    "overload_workloads",
-    "diurnal_rate_fn",
-    "weekly_load_profile",
 ]

@@ -5,10 +5,11 @@ attached); sources draw flows from it and emit
 :class:`~repro.packet.packet.Packet` objects into a sink -- normally a GW
 pod's ``ingress``.
 
-A population costs what is *drawn* from it, not what is declared: the
-two factories describe flow ``i`` by arithmetic on ``i``
-(:class:`_TenantFlows`), so a million tenants are three integers until
-:meth:`FlowPopulation.choose` first draws one of their flows.
+A population costs its heavy head, not what is declared: the two
+factories describe flow ``i`` by arithmetic on ``i`` (:class:`_TenantFlows`),
+so a million tenants are three integers.  A population whose first
+``FLOW_MEMO_CAPACITY`` flows carry at least half of the draw mass builds
+those flows once, at construction; every other draw derives its flow.
 """
 
 import bisect
@@ -17,7 +18,7 @@ from array import array
 from collections.abc import Sequence
 
 from repro.controlplane.snapshot import Stateful
-from repro.packet.flows import FlowMemo, flow_for_tenant
+from repro.packet.flows import FLOW_MEMO_CAPACITY, flow_for_tenant
 from repro.packet.packet import Packet, PacketKind
 from repro.sim.units import SECOND
 
@@ -26,37 +27,43 @@ class FlowPopulation:
     """Weighted flows: ``choose`` picks one proportionally to its weight.
 
     ``flows`` and ``vnis`` are sequences -- lists, or views that compute
-    item ``i`` on demand -- held by reference.  What the population itself
-    keeps is a :class:`~repro.packet.flows.FlowMemo` of the ``(flow, vni)``
-    pairs drawn so far (at most its capacity of them), so a memoised draw
-    is one subscript, and, only with ``weights``, one ``array('d')`` of
-    cumulative weight.
+    item ``i`` on demand -- held by reference.  When the first
+    ``min(len, FLOW_MEMO_CAPACITY)`` indexes carry at least half of the
+    weight, the population keeps them as its head: a list of their flows
+    and an ``array('q')`` of their VNIs, built once here, so a head draw
+    is two subscripts.  Below that line it keeps no per-flow state and a
+    draw reads ``flows[i], vnis[i]``.  With ``weights`` it also keeps
+    one ``array('d')`` of cumulative weight.
     """
-
-    DERIVED = {"_drawn": "memo of (flows[index], vnis[index]) per drawn index; "
-                         "a rebuilt population re-derives it"}
 
     def __init__(self, flows, weights=None, vnis=None):
         count = len(flows)
         if not count:
             raise ValueError("population needs at least one flow")
+        head = min(count, FLOW_MEMO_CAPACITY)
         if weights is None:
             # No table: bisect_right over the equal weights' running sums
             # [1.0, 2.0, ..., n] is exactly int(point) for 0 <= point < n,
             # and their total is exactly float(n).
             self._cumulative = None
             self.total_weight = float(count)
+            head_weight = float(head)
         else:
             self._cumulative = array("d", itertools.accumulate(weights))
             if len(self._cumulative) != count:
                 raise ValueError("weights/flows length mismatch")
             self.total_weight = self._cumulative[-1]
+            head_weight = self._cumulative[head - 1]
         self.flows = flows
         self.vnis = vnis if vnis is not None else _TenantVnis(count, tenants=1)
         if len(self.vnis) != count:
             raise ValueError("vnis/flows length mismatch")
         self._last = count - 1
-        self._drawn = FlowMemo(self._pair)
+        if 2 * head_weight < self.total_weight:
+            head = 0
+        self._head = head
+        self._head_flows = [flows[index] for index in range(head)]
+        self._head_vnis = array("q", (self.vnis[index] for index in range(head)))
 
     def __len__(self):
         return len(self.flows)
@@ -68,9 +75,8 @@ class FlowPopulation:
         index = int(point) if table is None else bisect.bisect_right(table, point)
         if index > self._last:
             index = self._last
-        return self._drawn[index]
-
-    def _pair(self, index):
+        if index < self._head:
+            return self._head_flows[index], self._head_vnis[index]
         return self.flows[index], self.vnis[index]
 
 

@@ -1,9 +1,9 @@
 """A process imports what it runs.
 
-A package ``__init__`` loads only what its package's build path runs,
-``repro.fleet.engine`` loads ``multiprocessing`` only when it builds a
-pool, and each ``repro.cli.COMMANDS`` row imports its modules when it
-runs.  Each check starts a fresh interpreter: this test process has
+A package ``__init__`` loads only what its package's build path runs
+(``repro`` itself loads nothing), ``repro.fleet.engine`` loads
+``multiprocessing`` only when it builds a pool, and each
+``repro.cli.COMMANDS`` row imports its modules when it runs.  Each check starts a fresh interpreter: this test process has
 imported most of the tree already, so only a new one shows what a path
 loads.
 """
@@ -42,6 +42,16 @@ OTHER_COMMANDS = (
     "repro.analysis.statecheck",
     "repro.analysis.rules",
     "repro.controlplane.scenarios",
+)
+
+#: The simulator and its build path: a command that only parses
+#: arguments loads none of them.
+BUILD_PATH = (
+    "repro.core",
+    "repro.scenarios",
+    "repro.sim",
+    "repro.packet",
+    "repro.workloads",
 )
 
 
@@ -94,3 +104,20 @@ def test_a_named_command_loads_its_own_registry_only():
     assert "repro.experiments.runner" in modules
     assert _loaded(modules, ("repro.faults", "repro.controlplane.scenarios",
                              "repro.fleet.sweeps", "repro.analysis.statecheck")) == []
+
+
+def test_importing_the_package_loads_no_submodule():
+    assert _loaded(_modules_after("import repro"), ("repro",)) == ["repro"]
+
+
+def test_help_loads_nothing_of_the_build_path():
+    modules = _modules_after(
+        "import runpy, sys\n"
+        "sys.argv = ['repro', '--help']\n"
+        "try:\n"
+        "    runpy.run_module('repro', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as done:\n"
+        "    assert done.code == 0, done.code\n"
+    )
+    assert "repro.cli" in modules
+    assert _loaded(modules, BUILD_PATH) == []

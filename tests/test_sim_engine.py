@@ -820,7 +820,8 @@ class TestHeapTrafficPerPacket:
         packets = report["pods"]["pod"]["counters"]["rx_packets"]
         assert packets >= 1_000
         assert report["pods"]["pod"]["reorder"]["in_order"] >= packets - 16
-        # Measured 1 097 (1 101 while every flow key was a tuple and a
+        # Measured 1 099 (1 097 while a population draw returned a memoised
+        # pair, where a head draw now builds it; 1 101 while every flow key was a tuple and a
         # one-queue pod hashed it for its order queue; 1 115 while the run
         # loop tested a stop flag per event; 1 127 while the pod's latency
         # record checked the packet's stamps for None; 1 190 while the source tick and the head release
@@ -855,7 +856,8 @@ class TestOverloadPathPerPacket:
         assert pod["counters"]["rate_limited_drops"] > 0
         assert pod["counters"]["rx_queue_drops"] > 0
         assert pod["reorder"]["hol_events"] > 0
-        # Measured 1 102 (1 104 while each capture wrote the pod's verdict
+        # Measured 1 076 (1 102 while the population derived each flow on
+        # its first draw, inside the run; 1 104 while each capture wrote the pod's verdict
         # and sampler streams twice; 1 125 while the limiter kept a
         # `TokenBucket` per slot; 1 148 while every flow key was a tuple;
         # 1 157 while the run loop tested a stop flag per event; 1 226
