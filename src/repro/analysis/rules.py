@@ -324,16 +324,25 @@ class CompletionOrderRule(LintRule):
     position and returns them in the order given, and ``run_sweep``
     re-keys them by shard index before the merge, so completion order
     decides only when a shard is persisted -- never what any reader sees.
+    Readiness and exit-order waits (``select.select``, ``os.wait``) are
+    matched module-qualified only, so a method or function of another
+    module that happens to be named ``select`` stays clean.
     """
 
     code = "DET005"
     summary = (
-        "no completion-order parallelism (imap_unordered/as_completed); "
-        "fold worker results in submission order (Pool.map or "
-        "repro.fleet.pool_map, the one sanctioned site: it re-slots "
-        "results by position before anything observes them)"
+        "no completion-order parallelism (imap_unordered/as_completed, "
+        "select.select/poll/epoll, os.wait/wait3/wait4/waitid); fold worker "
+        "results in submission order (Pool.map or repro.fleet.pool_map, the "
+        "one sanctioned site: it re-slots results by position before "
+        "anything observes them)"
     )
     FORBIDDEN_NAMES = frozenset({"imap_unordered", "as_completed"})
+    #: module -> the waits it offers that return whichever is ready first.
+    FORBIDDEN_QUALIFIED = {
+        "select": frozenset({"select", "poll", "epoll"}),
+        "os": frozenset({"wait", "wait3", "wait4", "waitid"}),
+    }
 
     def _message(self, name):
         return (
@@ -350,10 +359,19 @@ class CompletionOrderRule(LintRule):
             self.report(node, self._message(func.attr))
         elif isinstance(func, ast.Name) and func.id in self.FORBIDDEN_NAMES:
             self.report(node, self._message(func.id))
+        elif (
+            isinstance(func, ast.Attribute)
+            and isinstance(func.value, ast.Name)
+            and func.attr in self.FORBIDDEN_QUALIFIED.get(func.value.id, ())
+        ):
+            self.report(node, self._message(f"{func.value.id}.{func.attr}"))
         self.generic_visit(node)
 
     def visit_ImportFrom(self, node):
+        qualified = self.FORBIDDEN_QUALIFIED.get(node.module, ())
         for alias in node.names:
             if alias.name in self.FORBIDDEN_NAMES:
                 self.report(node, self._message(alias.name))
+            elif alias.name in qualified:
+                self.report(node, self._message(f"{node.module}.{alias.name}"))
         self.generic_visit(node)

@@ -104,7 +104,7 @@ def _simulate(args):
     }
     print(f"drops: {drops or 'none'}")
     if handle.telemetry is not None:
-        from repro.experiments.common import format_table
+        from repro.table import format_table
         from repro.telemetry import flatten_windows
 
         print("timeseries:")
@@ -223,7 +223,7 @@ def _sweep(args):
 
 @_uses_run_store
 def _runs_list(args):
-    from repro.experiments.common import format_table
+    from repro.table import format_table
     from repro.runs import RunStore, query
 
     store = RunStore(args.runs_dir)
@@ -234,7 +234,7 @@ def _runs_list(args):
 
 @_uses_run_store
 def _runs_show(args):
-    from repro.experiments.common import format_table
+    from repro.table import format_table
     from repro.runs import RunStore, query
 
     store = RunStore(args.runs_dir)
@@ -257,7 +257,7 @@ def _runs_show(args):
 
 @_uses_run_store
 def _runs_compare(args):
-    from repro.experiments.common import format_table
+    from repro.table import format_table
     from repro.runs import RunStore, query
 
     store = RunStore(args.runs_dir)

@@ -7,6 +7,6 @@ each experiment and its full and quick sizes; :mod:`repro.experiments.claims`
 holds the paper claims each result is checked against.
 """
 
-from repro.experiments.common import ExperimentResult, format_table
+from repro.experiments.common import ExperimentResult
 
-__all__ = ["ExperimentResult", "format_table"]
+__all__ = ["ExperimentResult"]

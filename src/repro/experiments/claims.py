@@ -17,7 +17,7 @@ Scaled experiments quote the paper's number scaled the same way: Fig.
 
 from typing import Callable, NamedTuple, Optional
 
-from repro.experiments.common import _fmt
+from repro.table import _fmt
 
 
 class Claim(NamedTuple):

@@ -4,17 +4,17 @@ The paper's headline claims are fleet-level -- a region of Albatross
 servers absorbing millions of tenants -- while a single simulator
 process models one box.  This package closes that gap by sharding
 *independent* runs (tenant-scaling axes, seed replications, parameter
-grids) across a ``multiprocessing`` pool and merging the results with
-the exact-aggregation machinery single runs already use
+grids) across forked children, one shard per child, and merging the
+results with the exact-aggregation machinery single runs already use
 (:meth:`LatencyHistogram.merge`, :class:`CounterSet`).
 
 Layering:
 
 * :mod:`.shard` -- the shard record, seed replication and the injective
   per-shard seed derivation (no two shards of a sweep ever share a seed).
-* :mod:`.engine` -- the worker pool: order-preserving ``pool_map``,
+* :mod:`.engine` -- the fork runner: order-preserving ``pool_map``,
   longest-first ``run_sweep`` and the byte-identical ``workers=1``
-  fallback.
+  inline path.
 * :mod:`.sweeps` -- the named sweeps the CLI exposes (import it from
   its module: a caller with its own shards never loads the registry).
 * :mod:`.report` -- merging and the :class:`SweepReport` artifact.

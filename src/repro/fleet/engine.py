@@ -1,15 +1,16 @@
 """The multi-process sweep engine.
 
-``run_sweep`` fans a list of shards out over a ``multiprocessing`` pool
-and folds the per-shard run reports into one fleet-level
+``run_sweep`` fans a list of shards out over forked children, one shard
+per child, and folds the per-shard run reports into one fleet-level
 :class:`~repro.fleet.report.SweepReport`.  The correctness bar is
 strict: **the merged report is byte-identical whether the sweep ran on
 1 worker or N.**  Three rules make that hold:
 
-* Workers receive only serialized specs (``ShardSpec.to_dict``) and
-  return only the plain-data run report -- no live simulator state ever
-  crosses a process boundary, so a shard computes the same report
-  in-process (``workers=1`` runs without a pool) or in a worker.
+* Workers inherit only serialized specs (``ShardSpec.to_dict``) and
+  return only the plain-data run report, as ``marshal`` bytes (which
+  refuse anything else) -- no live simulator state ever crosses a
+  process boundary, so a shard computes the same report in-process
+  (``workers=1`` forks nothing) or in a child.
 * Results are keyed by shard index and re-sorted before anything reads
   them: ``pool_map`` returns them in the order it was given whatever
   order they finished in, and the merge folds shard 0, 1, 2, ...
@@ -21,10 +22,10 @@ strict: **the merged report is byte-identical whether the sweep ran on
   printed by the CLI, never written into the artifact.
 
 One shard at a time per process: a built deployment is a reference
-cycle, so a process collects its previous shard before the next one.
-
-A process that runs inline (``workers=1``) imports no
-``multiprocessing``: only :func:`_pool_context` loads it.
+cycle, so the inline loop collects its previous shard before the next
+one, and a child runs one shard and exits.  No path loads
+``multiprocessing``, ``pickle`` or ``socket``; ``select`` and ``signal``
+load only when a map forks.
 
 What may run in a worker: pure simulation from a spec.  What must stay
 in the parent: merging, report rendering, and anything that touches
@@ -43,7 +44,9 @@ and the merged artifact is still byte-identical to an uninterrupted run.
 """
 
 import gc
+import marshal
 import os
+import sys
 from functools import partial
 
 from repro.fleet.report import SweepReport, merge_run_reports
@@ -54,7 +57,8 @@ from repro.scenarios.spec import ScenarioSpec
 
 
 class ShardFailure(RuntimeError):
-    """A shard raised inside a worker; the message names the shard."""
+    """A shard raised, returned what ``marshal`` refuses, or lost its
+    worker before a result; the message names the shard."""
 
 
 def _payload_label(payload):
@@ -76,8 +80,8 @@ def _payload_label(payload):
 def run_shard(payload):
     """Worker entry point: run one serialized shard, return plain data.
 
-    Top-level (picklable) and dependent only on its payload, so the
-    result is identical no matter which process runs it.
+    Dependent only on its payload, so the result is identical no matter
+    which process runs it.
 
     Two optional payload keys wire in mid-shard durability:
 
@@ -107,101 +111,70 @@ def run_shard(payload):
     return {"index": payload["index"], "axes": payload["axes"], "report": report}
 
 
-#: Shards this pool worker has run.  The parent never calls
-#: ``_worker_call``, so a freshly forked worker starts at 0.
-_worker_tasks = 0
-
-
-def _worker_call(task):
-    """Run ``fn(payload)`` in a worker, capturing failures as data.
-
-    A raised exception travels back as a plain dict instead of killing
-    the pool with a bare remote traceback; the parent re-raises it as a
-    :class:`ShardFailure` that names the shard and its axes.  The
-    payload's position rides along so the parent can place the outcome.
-    """
-    global _worker_tasks
-    fn, position, payload = task
-    if _worker_tasks:
-        gc.collect()  # free this worker's previous shard first
-    _worker_tasks += 1
-    try:
-        return position, {"ok": True, "value": fn(payload)}
-    except Exception as error:  # noqa: BLE001 - reported, not swallowed
-        import traceback
-
-        return position, {
-            "ok": False,
-            "label": _payload_label(payload),
-            "error": f"{type(error).__name__}: {error}",
-            "traceback": traceback.format_exc(),
-        }
-
-
 def _unwrap(outcome):
     if outcome["ok"]:
         return outcome["value"]
-    raise ShardFailure(
-        f"{outcome['label']} failed with {outcome['error']}\n"
-        f"--- worker traceback ---\n{outcome['traceback']}"
-    )
+    message = f"{outcome['label']} failed with {outcome['error']}"
+    if outcome["traceback"]:
+        message += f"\n--- worker traceback ---\n{outcome['traceback']}"
+    raise ShardFailure(message)
 
 
-def _pool_context():
-    """Prefer fork (fast, inherits sys.path); fall back to spawn.
+def _child(fn, payload, fd):
+    """A forked child's whole life: run one payload, write its outcome
+    to ``fd`` as ``marshal`` bytes (a result that is not plain data
+    fails its shard), leave by ``os._exit`` -- status 0 once every byte
+    is written -- so nothing of the parent's stack runs twice."""
+    status = 1
+    try:
+        gc.freeze()  # what it inherits is never this child's garbage
+        try:
+            data = marshal.dumps({"ok": True, "value": fn(payload)})
+        except Exception as error:  # noqa: BLE001 - reported, not swallowed
+            import traceback
 
-    ``multiprocessing`` (with ``socket``, ``pickle`` and ``selectors``
-    behind it) is imported here, so a process that never builds a pool
-    never loads it.
-    """
-    import multiprocessing
-
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
-
-
-def _export_import_path():
-    """Make ``repro`` importable in spawn-started workers.
-
-    Fork children inherit ``sys.path``; spawn children only inherit the
-    environment, so runs driven from a source tree (``PYTHONPATH=src``)
-    need the package root exported explicitly.
-    """
-    import repro
-
-    package_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-    existing = os.environ.get("PYTHONPATH", "")
-    if package_root not in existing.split(os.pathsep):
-        os.environ["PYTHONPATH"] = (
-            package_root + (os.pathsep + existing if existing else "")
-        )
+            data = marshal.dumps({
+                "ok": False,
+                "label": _payload_label(payload),
+                "error": f"{type(error).__name__}: {error}",
+                "traceback": traceback.format_exc(),
+            })
+        with open(fd, "wb") as pipe:
+            pipe.write(data)
+        status = 0
+    finally:
+        try:
+            sys.stdout.flush()
+            sys.stderr.flush()
+        finally:
+            os._exit(status)
 
 
 def pool_map(fn, payloads, workers, on_result=None):
     """Parallel map: dispatched and returned in the order given.
 
-    ``workers <= 1`` runs inline -- same code path, no pool -- so a
-    parallel run can always be cross-checked against a serial one.
+    ``workers <= 1`` (or a host without ``os.fork``) runs inline -- same
+    code path, no child -- so a parallel run can always be cross-checked
+    against a serial one.  The inline loop runs ``gc.collect()`` before
+    the second and later payloads, never after the last, and freezes
+    what its caller held before the first (unfrozen after the last,
+    unless the caller had frozen objects itself), so a collection walks
+    only the shards.
 
-    Inline or in a pool worker, ``gc.collect()`` runs before a process's
-    second and later payloads, never after its last.  A worker freezes
-    what it inherits when it starts, and the inline loop what its caller
-    held before the first payload (unfrozen after the last, unless the
-    caller had frozen objects itself), so a collection walks only the
-    shards.
-
-    On a pool, payloads start in the order given (put the longest first)
-    and ``on_result(payload, result)`` fires as each result lands,
-    whatever its position (the durable run store persists shards through
-    it); the returned list is in the order given regardless.  A payload
-    that raises does not stop the others: every result that lands is
-    still passed to ``on_result``, then the failure at the lowest
-    position surfaces as :class:`ShardFailure` naming the shard/axes.
-    ``KeyboardInterrupt`` terminates the pool immediately instead of
-    hanging in the context-manager join while stragglers finish.
+    Otherwise each payload runs in its own forked child (see
+    :func:`_child`), at most ``workers`` at once, started in the order
+    given (put the longest first).  ``on_result(payload, result)`` fires
+    as each result lands, whatever its position (the durable run store
+    persists shards through it); the returned list is in the order given
+    regardless.  A payload that raises, returns what ``marshal``
+    refuses or exits without a result does not stop the others: every
+    result that lands still reaches ``on_result``, then the failure at
+    the lowest position surfaces as :class:`ShardFailure` naming the
+    shard/axes.  No child outlives the call: on a raise (a failing
+    ``on_result``, ``KeyboardInterrupt``) the running ones are killed.
     """
     payloads = list(payloads)
-    if workers <= 1 or len(payloads) <= 1:
+    if workers <= 1 or len(payloads) <= 1 or not hasattr(os, "fork"):
         results = []
         freeze = not gc.get_freeze_count()
         if freeze:
@@ -226,29 +199,48 @@ def pool_map(fn, payloads, workers, on_result=None):
             if freeze:
                 gc.unfreeze()
         return results
-    _export_import_path()
-    context = _pool_context()
-    processes = min(workers, len(payloads))
-    pool = context.Pool(processes=processes, initializer=gc.freeze)
+    import select
+    import signal
+
+    outcomes = [None] * len(payloads)
+    running = {}  # the read end of a child's pipe -> (pid, position)
+    started = 0
     try:
-        outcomes = [None] * len(payloads)
-        tasks = [
-            (fn, position, payload) for position, payload in enumerate(payloads)
-        ]
-        # The one sanctioned completion-order site: an ordered imap would
-        # hold every finished short shard unrecorded behind the longest.
-        for position, outcome in pool.imap_unordered(_worker_call, tasks):  # lint: disable=DET005(outcomes are slotted by position and returned in the order given; completion order only decides when on_result persists a shard)
-            outcomes[position] = outcome
-            if outcome["ok"] and on_result is not None:
-                on_result(payloads[position], outcome["value"])
-        pool.close()
-        pool.join()
-    except BaseException:
-        # Covers KeyboardInterrupt and a failing on_result alike: kill
-        # stragglers now rather than joining on them.
-        pool.terminate()
-        pool.join()
-        raise
+        while started < len(payloads) or running:
+            if started < len(payloads) and len(running) < workers:
+                read_fd, write_fd = os.pipe()
+                sys.stdout.flush()  # or the child would print it again
+                sys.stderr.flush()
+                pid = os.fork()
+                if not pid:
+                    _child(fn, payloads[started], write_fd)
+                running[open(read_fd, "rb")] = pid, started
+                os.close(write_fd)
+                started += 1
+                continue
+            # The one sanctioned completion-order site: an ordered wait
+            # would hold every finished short shard unrecorded behind the
+            # longest.
+            ready, _, _ = select.select(list(running), (), ())  # lint: disable=DET005(outcomes are slotted by position and returned in the order given; completion order only decides when on_result persists a shard)
+            for pipe in ready:
+                data = pipe.read()  # the child writes its outcome whole
+                pid, position = running[pipe]
+                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                del running[pipe]
+                pipe.close()
+                outcome = marshal.loads(data) if data and not status else {
+                    "ok": False, "label": _payload_label(payloads[position]),
+                    "error": f"no result (its worker exited with status {status})",
+                    "traceback": "",
+                }
+                outcomes[position] = outcome
+                if outcome["ok"] and on_result is not None:
+                    on_result(payloads[position], outcome["value"])
+    finally:
+        for pipe, (pid, _position) in running.items():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)  # only a raise leaves any running
+            os.waitpid(pid, 0)
     return [_unwrap(outcome) for outcome in outcomes]
 
 
@@ -260,7 +252,7 @@ def run_sweep(name, shards, workers=1, seed=42, run=None):
     current spec fingerprint are served from disk without re-simulating.
     The merge always folds results in shard-index order, so cached and
     fresh shards produce the same bytes as a cold run -- which is what
-    lets a pool (``workers > 1``) start its pending shards longest
+    lets the fork runner (``workers > 1``) start its pending shards longest
     first; one worker runs them inline in shard order.
     """
     shards = list(shards)

@@ -5,12 +5,12 @@ are folded into one fleet view by the rows of
 :data:`repro.scenarios.sections.SECTIONS`: counters sum, latency merges
 through :meth:`LatencyHistogram.merge` (exact: bucket counts add).
 Merging is strictly shard-order: the engine hands reports over in
-shard-index order however the pool dispatched them, so the merged
+shard-index order however the children were dispatched, so the merged
 artifact is byte-identical under any worker count.
 
 ``SweepReport`` follows the repo-wide tabular convention: ``to_dict()``
 for the JSON artifact and ``rows()`` (list of flat dicts) for tooling
-and :func:`repro.experiments.common.format_table`.
+and :func:`repro.table.format_table`.
 """
 
 # summarize_histogram stays importable from here, its historical home.
@@ -87,7 +87,7 @@ class SweepReport:
 
     def render(self):
         """Human table: per-shard rows plus the merged headline."""
-        from repro.experiments.common import format_table
+        from repro.table import format_table
 
         merged = self.merged
         latency = merged["latency"]

@@ -4,7 +4,7 @@ Reads what the toolkit has accumulated on disk -- ``RUNS/<run-id>/``
 directories, merged ``SWEEP_*.json`` artifacts and the benchmark
 ledger's ``BENCH_<pr>.json`` (``benchmarks/trajectory/``) -- into the
 cross-run trajectory rows that the CLI's ``runs list|show|compare``
-render with :func:`~repro.experiments.common.format_table`.  Everything
+render with :func:`~repro.table.format_table`.  Everything
 here is a pure function of the files it reads: listing or comparing
 runs never mutates the store.
 

@@ -44,8 +44,8 @@ _FPGA_RESET = ("FPGA stall and watchdog reset: the chaos plan can draw it, "
 _FAULT = "fault path that no quick scenario triggers; tier-1 tests force it"
 _FAILURE = "runs only when a check fails; tier-1 tests plant the failure"
 _NO_INPUT = "the linted tree has no such construct; tier-1 tests lint one"
-_POOL = ("pool path (--workers > 1, or 0 = auto): CI's two sanitized sweeps run it; "
-         "worker bodies run in child processes")
+_POOL = ("fork path (--workers > 1, or 0 = auto): CI's sanitized --workers 2 sweeps "
+         "run it; a child's body runs in the forked process")
 _ORACLE = "test oracle: tier-1 tests check the simulator against it"
 _REPR = "debugging text for an interactive session; no command prints it"
 _SCENARIO = "registry scenario: `inventory` lists it, tier-1 golden and wire tests build it"
@@ -82,10 +82,8 @@ ALLOWED = {
     "repro.packet.flows.FlowKey.__reduce__": ("pickle and copy protocol: commands ship reports, "
                                               "not keys, to workers; tier-1 tests pickle keys"),
     # Paths that need more than one worker, a failure or a fault.
-    "repro.fleet.engine._worker_call": _POOL,
+    "repro.fleet.engine._child": _POOL,
     "repro.fleet.engine._unwrap": _POOL,
-    "repro.fleet.engine._pool_context": _POOL,
-    "repro.fleet.engine._export_import_path": _POOL,
     "repro.fleet.engine.default_workers": _POOL,
     "repro.fleet.engine._payload_label": _FAILURE,
     "repro.analysis.sanitizer.SanitizerViolation": _FAILURE,

@@ -303,10 +303,35 @@ class TestDet005CompletionOrder:
     ])
     @pytest.mark.parametrize("call", [
         "pool.imap_unordered(work, jobs)", "as_completed(jobs)",
+        "select.select(jobs, [], [])[0]", "select.poll().poll()",
+        "select.epoll().poll()", "[os.wait()]", "[os.wait3(0)]",
+        "[os.wait4(-1, 0)]", "[os.waitid(os.P_ALL, 0, os.WEXITED)]",
     ])
     def test_fires_everywhere_no_path_is_exempt(self, path, call):
         source = f"def run(pool, jobs):\n    return list({call})\n"
         assert codes(source, path=path) == ["DET005"]
+
+    @pytest.mark.parametrize("name", [
+        "select", "poll", "epoll", "wait", "wait3", "wait4", "waitid",
+    ])
+    def test_readiness_wait_import_fires(self, name):
+        module = "os" if name.startswith("wait") else "select"
+        assert codes(f"from {module} import {name}\n") == ["DET005"]
+
+    def test_unqualified_and_ordered_waits_are_clean(self):
+        """Only the ``select`` and ``os`` modules' waits fire: a method or
+        function named ``select`` (``repro.cli.select``) and a wait on
+        one given pid stay clean."""
+        source = """\
+        import os
+
+        def run(args, parser, pid):
+            registry = select(args.command, args.name)
+            parser.select(registry)
+            args.select()
+            return os.waitpid(pid, 0)
+        """
+        assert codes(source) == []
 
     def test_pool_map_is_the_only_sanctioned_site(self):
         """One reasoned suppression in the shipped tree, on pool_map's loop."""
@@ -321,7 +346,7 @@ class TestDet005CompletionOrder:
         ]
         assert sites == [(
             "engine.py",
-            "for position, outcome in pool.imap_unordered(_worker_call, tasks):",
+            "ready, _, _ = select.select(list(running), (), ())",
         )]
 
 

@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 from repro.experiments.claims import CLAIMS, claims_for
-from repro.experiments.common import ExperimentResult, format_table
+from repro.experiments.common import ExperimentResult
+from repro.table import format_table
 from repro.experiments.runner import EXPERIMENTS, run_experiment
 from repro.sim.units import MS
 

@@ -21,6 +21,7 @@ import pytest
 from repro.cli import main
 from repro.fleet import ShardFailure, pool_map, run_shard, run_sweep, sweep_to_json
 from repro.fleet.sweeps import build_sweep
+from repro.packet.flows import FlowKey
 from repro.runs import RunStore, spec_fingerprint
 
 SWEEP = "seed-replication"
@@ -118,6 +119,20 @@ def _fails_at_zero(payload):
     return {"index": payload["index"]}
 
 
+def _exits_at_one(payload):
+    """Shard 1's worker dies without writing a result."""
+    if payload["index"] == 1:
+        os._exit(3)
+    return {"index": payload["index"]}
+
+
+def _flow_key_at_one(payload):
+    """Shard 1 returns live state that ``marshal`` refuses."""
+    if payload["index"] == 1:
+        return {"index": 1, "key": FlowKey(1, 2, 3, 4, 17)}
+    return {"index": payload["index"]}
+
+
 class TestShardFailureNaming:
     def test_inline_failure_names_shard_and_axes(self):
         payload = {
@@ -154,6 +169,33 @@ class TestShardFailureNaming:
                 on_result=lambda payload, result: recorded.append(result["index"]),
             )
         assert sorted(recorded) == [1, 2]
+
+    def test_a_worker_that_exits_without_a_result_fails_its_shard(self):
+        payloads = [{"index": index, "axes": {"replica": index}} for index in range(3)]
+        recorded = []
+        with pytest.raises(ShardFailure, match=(
+            r"^shard 1 replica=1 failed with no result "
+            r"\(its worker exited with status 3\)$"
+        )):
+            pool_map(
+                _exits_at_one, payloads, workers=2,
+                on_result=lambda payload, result: recorded.append(result["index"]),
+            )
+        assert sorted(recorded) == [0, 2]
+        with pytest.raises(ChildProcessError):  # every child was reaped
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_a_result_marshal_refuses_fails_its_shard(self):
+        payloads = [{"index": index, "axes": {"replica": index}} for index in range(2)]
+        with pytest.raises(ShardFailure) as excinfo:
+            pool_map(_flow_key_at_one, payloads, workers=2)
+        message = str(excinfo.value)
+        assert message.startswith(
+            "shard 1 replica=1 failed with ValueError: unmarshallable object"
+        )
+        assert "worker traceback" in message
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestSweepCliResume:

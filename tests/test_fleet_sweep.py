@@ -14,6 +14,7 @@ import json
 import math
 import os
 import shutil
+import signal
 import time
 import weakref
 from pathlib import Path
@@ -483,35 +484,87 @@ class TestPoolArtifactsByteIdentical:
         assert killed.completed_indices() == [shard.index for shard in shards]
 
 
-class TestSpawnPool:
-    """The pool path hosts without ``fork`` take: CI's Linux only forks."""
+class TestNoForkHost:
+    """A host without ``os.fork`` runs every worker count inline."""
 
-    def test_spawned_workers_merge_the_inline_bytes(self, monkeypatch):
-        import multiprocessing
-
-        import repro
-
-        contexts = []
-
-        def spawn_context():
-            contexts.append(multiprocessing.get_context("spawn"))
-            return contexts[-1]
-
-        monkeypatch.setattr(engine, "_pool_context", spawn_context)
-        # A spawned worker inherits only the environment: the engine must
-        # export the package root itself.
-        monkeypatch.delenv("PYTHONPATH", raising=False)
+    def test_two_workers_run_inline_and_merge_the_inline_bytes(self, monkeypatch):
         shards = [
             ShardSpec(index, {"tenants": tenants}, _tiny_spec(tenants=tenants))
             for index, tenants in enumerate((4, 8))
         ]
-        inline = sweep_to_json(run_sweep("spawn", shards, workers=1, seed=5))
-        assert contexts == []
-        pooled = sweep_to_json(run_sweep("spawn", shards, workers=2, seed=5))
-        assert len(contexts) == 1
+        inline = sweep_to_json(run_sweep("nofork", shards, workers=1, seed=5))
+        ran_in = []
+
+        def recorded_run_shard(payload):
+            ran_in.append(os.getpid())  # lost if a child ran it
+            return run_shard(payload)
+
+        monkeypatch.setattr(engine, "run_shard", recorded_run_shard)
+        monkeypatch.delattr(os, "fork")
+        pooled = sweep_to_json(run_sweep("nofork", shards, workers=2, seed=5))
+        assert ran_in == [os.getpid(), os.getpid()]
         assert pooled == inline
-        package_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-        assert os.environ["PYTHONPATH"].split(os.pathsep) == [package_root]
+
+
+def _pid_and_freeze(payload):
+    return os.getpid(), gc.get_freeze_count()
+
+
+def _slow_unless_first(payload):
+    """Payload 0 returns at once; the others outlive the test unless
+    the parent kills them."""
+    if payload["id"]:
+        Path(payload["started"]).touch()
+        time.sleep(60)
+    elif payload["interrupt"]:
+        _wait_for(lambda: os.path.exists(payload["started"]), "the second child")
+        os.kill(os.getppid(), signal.SIGINT)
+        time.sleep(60)
+    return payload["id"]
+
+
+class TestForkedChildren:
+    """One child per payload, and none left behind on any exit path."""
+
+    @staticmethod
+    def _no_child_remains():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @staticmethod
+    def _payloads(tmp_path, interrupt):
+        started = str(tmp_path / "started")
+        return [
+            {"id": index, "started": started, "interrupt": interrupt}
+            for index in range(3)
+        ]
+
+    def test_each_payload_runs_in_its_own_child_with_a_frozen_gc(self):
+        results = pool_map(_pid_and_freeze, range(4), workers=2)
+        pids = [pid for pid, _frozen in results]
+        assert len(set(pids)) == 4
+        assert os.getpid() not in pids
+        assert all(frozen for _pid, frozen in results)
+        self._no_child_remains()
+
+    def test_a_raising_on_result_leaves_no_child(self, tmp_path):
+        def on_result(payload, result):
+            raise RuntimeError("store full")
+
+        with pytest.raises(RuntimeError, match="store full"):
+            pool_map(
+                _slow_unless_first, self._payloads(tmp_path, interrupt=False),
+                workers=2, on_result=on_result,
+            )
+        self._no_child_remains()
+
+    def test_keyboard_interrupt_leaves_no_child(self, tmp_path):
+        with pytest.raises(KeyboardInterrupt):
+            pool_map(
+                _slow_unless_first, self._payloads(tmp_path, interrupt=True),
+                workers=2,
+            )
+        self._no_child_remains()
 
 
 class TestOneShardAtATime:
@@ -566,17 +619,6 @@ class TestOneShardAtATime:
     def test_pool_workers_freeze_what_they_inherit(self):
         assert gc.get_freeze_count() == 0
         assert all(pool_map(_frozen_objects, [0, 1], workers=2))
-
-    def test_a_pool_worker_collects_before_its_later_tasks_only(self, monkeypatch):
-        collections = []
-        monkeypatch.setattr(engine, "_worker_tasks", 0)
-        monkeypatch.setattr(engine.gc, "collect", lambda: collections.append(1))
-        seen = []
-        for position in range(3):
-            assert engine._worker_call((_echo, position, position)) == (
-                position, {"ok": True, "value": ("done", position)})
-            seen.append(len(collections))
-        assert seen == [0, 1, 2]
 
 
 class TestSweepCli:

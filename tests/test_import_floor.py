@@ -1,9 +1,9 @@
 """A process imports what it runs.
 
 A package ``__init__`` loads only what its package's build path runs
-(``repro`` itself loads nothing), ``repro.fleet.engine`` loads
-``multiprocessing`` only when it builds a pool, and each
-``repro.cli.COMMANDS`` row imports its modules when it runs.  Each check starts a fresh interpreter: this test process has
+(``repro`` itself loads nothing), ``repro.fleet.engine`` never loads
+``multiprocessing``, and each ``repro.cli.COMMANDS`` row imports its
+modules when it runs.  Each check starts a fresh interpreter: this test process has
 imported most of the tree already, so only a new one shows what a path
 loads.
 """
@@ -121,3 +121,36 @@ def test_help_loads_nothing_of_the_build_path():
     )
     assert "repro.cli" in modules
     assert _loaded(modules, BUILD_PATH) == []
+
+
+def test_a_forked_sweep_loads_no_multiprocessing():
+    modules = _modules_after(
+        "from repro.fleet import ShardSpec, run_sweep\n"
+        "from repro.scenarios import scenario_spec\n"
+        "spec = scenario_spec('steady-state-plb', quick=True)\n"
+        "shards = [ShardSpec(index, {}, spec) for index in range(2)]\n"
+        "assert run_sweep('floor', shards, workers=2).cached_shards == 0"
+    )
+    assert "repro.fleet.engine" in modules
+    assert _loaded(modules, ("multiprocessing", "pickle", "socket")) == []
+
+
+def test_runs_list_loads_nothing_of_the_simulator(tmp_path):
+    from repro.fleet import ShardSpec
+    from repro.runs import RunStore
+    from repro.scenarios import scenario_spec
+
+    runs_dir = str(tmp_path / "RUNS")
+    shards = [ShardSpec(0, {}, scenario_spec("steady-state-plb", quick=True))]
+    RunStore(runs_dir).create("floor", 42, shards, run_id="listed")
+    modules = _modules_after(
+        "import contextlib, io\n"
+        "from repro.cli import main\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        f"    assert main(['runs', '--runs-dir', {runs_dir!r}, 'list']) == 0\n"
+        "assert 'listed' in out.getvalue(), out.getvalue()"
+    )
+    assert "repro.table" in modules
+    assert _loaded(modules, ("repro.scenarios", "repro.core", "repro.sim",
+                             "repro.experiments")) == []

@@ -344,7 +344,7 @@ class TestQueryLayer:
                         == was["metrics"]["sim_delivered_frac"]), where
 
     def test_compare_rows_mixes_sweep_and_bench_operands(self, store):
-        from repro.experiments.common import format_table
+        from repro.table import format_table
 
         rows = compare_rows([GOLDEN_SWEEP, TRAJECTORY[1]], store)
         assert [row["kind"] for row in rows] == ["sweep"] + ["bench"] * 4
