@@ -337,9 +337,11 @@ def _world_probe(spec):
     """Mid-run snapshot restored into a fresh world must replay identically."""
     from repro.scenarios import build
 
-    baseline = build(spec).run()
-    snapshot = baseline.checkpointer.latest
-    if snapshot is None:
+    baseline = build(spec)
+    captures = []
+    baseline.checkpointer.sink = captures.append
+    baseline.run()
+    if not captures:
         return ProbeResult(
             "RunHandle", "world", 1, False,
             f"{spec.name}: no checkpoint was captured during the run",
@@ -347,7 +349,7 @@ def _world_probe(spec):
     expected = json.dumps(baseline.report(), sort_keys=True)
 
     resumed = build(spec)
-    resumed.restore_checkpoint(json.loads(json.dumps(snapshot)))
+    resumed.restore_checkpoint(json.loads(json.dumps(captures[-1])))
     resumed.run(spec.duration_ns - resumed.sim.now)
     actual = json.dumps(resumed.report(), sort_keys=True)
     ok = actual == expected

@@ -155,8 +155,8 @@ def _migrate(args):
 
 def _uses_run_store(run):
     """``run``, exiting 2 with the message on a run-store error (an
-    unknown, clashing or mismatched run id).  The store, and ``hashlib``
-    behind it, is imported only by the commands that use it."""
+    unknown, clashing or mismatched run id).  The store is imported only
+    by the commands that use it."""
     def run_with_store(args):
         from repro.runs.store import RunStoreError
 

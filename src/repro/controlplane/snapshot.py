@@ -292,7 +292,6 @@ class SimCheckpointer(Stateful):
 
     STATE = (("next_fire", "_event"),)
     DERIVED = {
-        "latest": "the last capture itself; a restored run has captured nothing yet",
         "captured": "capture-process telemetry; a resumed run tallies its own captures",
         "skipped": "capture-process telemetry; a resumed run tallies its own retries",
     }
@@ -312,7 +311,6 @@ class SimCheckpointer(Stateful):
         self.every_ns = int(every_ns)
         self.retry_ns = max(1, self.every_ns // 64)
         self.sink = sink
-        self.latest = None
         self.captured = 0
         self.skipped = 0
         self._event = sim.schedule(self.every_ns, self._fire)
@@ -325,7 +323,6 @@ class SimCheckpointer(Stateful):
         # Queue the next fire *before* capturing, so the capture holds it.
         self._event = self.sim.schedule(self.every_ns, self._fire)
         snapshot = ensure_plain(self.capture(), "sim-checkpoint")
-        self.latest = snapshot
         self.captured += 1
         if self.sink is not None:
             self.sink(snapshot)

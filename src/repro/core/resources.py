@@ -1,16 +1,14 @@
 """FPGA latency and resource accounting (Tab. 4 and Tab. 5).
 
-The paper's FPGA: 912,800 LUTs and 265 Mbit of BRAM per card.  Tab. 4
-gives per-module RX/TX latency; Tab. 5 gives per-module LUT/BRAM shares.
-This module carries those constants, a latency model for the NIC pipeline,
-and a bottom-up BRAM estimator for the PLB structures (FIFO + BUF +
-BITMAP) and the rate limiter, which the tests check against Tab. 5's
-ballpark.
+The paper's FPGA has 265 Mbit of BRAM per card.  Tab. 4 gives per-module
+RX/TX latency; Tab. 5 gives per-module LUT/BRAM shares.  This module
+carries those constants (EXPERIMENTS.md cites them as inputs), a latency
+model for the NIC pipeline, and a bottom-up BRAM estimator for the PLB
+structures (FIFO + BUF + BITMAP), which Tab. 5's PLB share checks.
 """
 
 from repro.sim.units import US
 
-FPGA_TOTAL_LUTS = 912_800
 FPGA_TOTAL_BRAM_MBIT = 265
 
 # Tab. 4: per-module (RX, TX) latency in microseconds.
@@ -37,56 +35,22 @@ class NicLatencyModel:
         self.modules = dict(NIC_MODULE_LATENCY_US if modules is None else modules)
 
     def rx_ns(self, include=None):
-        return self._sum(0, include)
-
-    def tx_ns(self, include=None):
-        return self._sum(1, include)
-
-    def _sum(self, direction, include):
         names = self.modules if include is None else include
-        total_us = sum(self.modules[name][direction] for name in names)
-        return int(round(total_us * US))
+        return int(round(sum(self.modules[name][0] for name in names) * US))
 
     def module_ns(self, name, direction):
         index = 0 if direction == "rx" else 1
         return int(round(self.modules[name][index] * US))
 
-    @property
-    def round_trip_ns(self):
-        """Total NIC-added latency (RX + TX, ~8 us in the paper)."""
-        return self.rx_ns() + self.tx_ns()
-
 
 class FpgaResourceModel:
-    """Resource accounting against the card's LUT/BRAM budget."""
+    """Resource accounting against the card's BRAM budget."""
 
-    def __init__(
-        self,
-        total_luts=FPGA_TOTAL_LUTS,
-        total_bram_mbit=FPGA_TOTAL_BRAM_MBIT,
-        module_pct=None,
-    ):
-        self.total_luts = total_luts
-        self.total_bram_mbit = total_bram_mbit
-        self.module_pct = dict(
-            NIC_MODULE_RESOURCES_PCT if module_pct is None else module_pct
-        )
-
-    def luts_used(self, module):
-        return int(self.total_luts * self.module_pct[module][0] / 100)
-
-    def bram_mbit_used(self, module):
-        return self.total_bram_mbit * self.module_pct[module][1] / 100
-
-    def totals(self):
-        """(LUT %, BRAM %) summed over all modules (Tab. 5 bottom row)."""
-        lut = sum(pct[0] for pct in self.module_pct.values())
-        bram = sum(pct[1] for pct in self.module_pct.values())
-        return lut, bram
-
-    def headroom(self):
+    @staticmethod
+    def headroom():
         """(LUT %, BRAM %) left for the future offloads of §7."""
-        lut, bram = self.totals()
+        lut = sum(pct[0] for pct in NIC_MODULE_RESOURCES_PCT.values())
+        bram = sum(pct[1] for pct in NIC_MODULE_RESOURCES_PCT.values())
         return 100.0 - lut, 100.0 - bram
 
     # -- bottom-up estimates -------------------------------------------
@@ -105,4 +69,4 @@ class FpgaResourceModel:
 
     def plb_bram_pct(self, **kwargs):
         bits = self.plb_bram_bits(**kwargs)
-        return 100.0 * bits / (self.total_bram_mbit * 1_000_000)
+        return 100.0 * bits / (FPGA_TOTAL_BRAM_MBIT * 1_000_000)

@@ -7,9 +7,13 @@ per-packet (PLB), because the L3 is shared across all cores either way.
 This model reproduces that: a single LRU cache shared by every core of a
 socket, accessed with table-entry addresses.
 
-Line-accurate LRU over millions of lines is feasible in Python thanks to
-dict's preserved insertion order (move-to-back on hit is O(1)).
+Line-accurate LRU over millions of lines is feasible in Python because an
+``OrderedDict`` moves a hit line to the back and evicts the front line in
+O(1).  A plain ``dict`` would not do: deleting from its front leaves dead
+slots that every later ``next(iter(...))`` walks past.
 """
+
+from collections import OrderedDict
 
 CACHE_LINE_BYTES = 64
 
@@ -54,7 +58,7 @@ class LruCacheModel:
         if capacity_bytes < CACHE_LINE_BYTES:
             raise ValueError(f"cache too small: {capacity_bytes} bytes")
         self.capacity_lines = capacity_bytes // CACHE_LINE_BYTES
-        self._lines = {}  # line_id -> None, insertion order == LRU order
+        self._lines = OrderedDict()  # line_id -> None, front is least recent
         self.stats = CacheStats()
 
     @property
@@ -78,16 +82,13 @@ class LruCacheModel:
     def _touch(self, line):
         lines = self._lines
         if line in lines:
-            # Move to back (most recently used).
-            del lines[line]
-            lines[line] = None
+            lines.move_to_end(line)
             self.stats.hits += 1
             return True
         self.stats.misses += 1
         lines[line] = None
         if len(lines) > self.capacity_lines:
-            # Evict the least recently used line (front of the dict).
-            lines.pop(next(iter(lines)))
+            lines.popitem(last=False)
         return False
 
     def flush(self):

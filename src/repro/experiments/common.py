@@ -19,8 +19,8 @@ class ExperimentResult:
     """Container for an experiment's output rows.
 
     ``rows`` is a list of dicts, one per output line (a table row or a
-    figure series point); ``meta`` carries scalars (summaries, paper
-    reference values).
+    figure series point), and may be empty; ``meta`` carries scalars
+    (summaries, paper reference values).
     """
 
     def __init__(self, name, rows, meta=None):
@@ -43,7 +43,8 @@ class ExperimentResult:
 
     def print_table(self):
         print(f"\n== {self.name} ==")
-        print(format_table(self._rows))
+        if self._rows:
+            print(format_table(self._rows))
         for key, value in self.meta.items():
             print(f"  {key}: {value}")
 

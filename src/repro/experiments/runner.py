@@ -24,7 +24,6 @@ from repro.experiments import (
     tab1_tofino,
     tab3_throughput,
     tab4_tab5_nic,
-    tab6_comparison,
 )
 from repro.scenarios.registry import lookup
 from repro.sim.units import MS
@@ -43,7 +42,6 @@ EXPERIMENTS = {
              {"simulate": True, "sim_cores": 1, "sim_duration_ns": 5 * MS}),
     "tab4": (tab4_tab5_nic.run_latency, {}, {}),
     "tab5": (tab4_tab5_nic.run_resources, {}, {}),
-    "tab6": (tab6_comparison.run, {}, {}),
     "fig4_fig5": (fig4_fig5_cache.run, {"per_run_ns": 60 * MS}, {"per_run_ns": 3 * MS}),
     "fig7_peers": (fig7_bgp.run_peer_scaling, {}, {}),
     "fig7_protocol": (fig7_bgp.run_protocol, {"pods": 8}, {"pods": 8}),

@@ -13,8 +13,9 @@ for the JSON artifact and ``rows()`` (list of flat dicts) for tooling
 and :func:`repro.table.format_table`.
 """
 
+from repro.runs.query import shard_row
 # summarize_histogram stays importable from here, its historical home.
-from repro.scenarios.sections import SECTIONS, merge_histograms, summarize_histogram
+from repro.scenarios.sections import SECTIONS, summarize_histogram
 from repro.sim.units import US
 
 SCHEMA_VERSION = 1
@@ -32,25 +33,6 @@ def merge_run_reports(run_reports, seed=None):
     return merged
 
 
-def _shard_row(result):
-    """Flatten one shard result into a table row."""
-    report = result["report"]
-    pods = report["pods"].values()
-    row = {"shard": result["index"]}
-    row.update(result["axes"])
-    row["seed"] = report["seed"]
-    row["packets"] = sum(pod["transmitted"] for pod in pods)
-    row["events"] = report["events"]
-    # No pods (a control-plane-only run) or no latencies: a zeroed row.
-    latency = merge_histograms([pod["latency"] for pod in pods])
-    if latency.count:
-        row["mean_us"] = round(latency.mean_ns / US, 2)
-        row["p99_us"] = round(latency.percentile(0.99) / US, 2)
-    else:
-        row["mean_us"] = row["p99_us"] = 0.0
-    return row
-
-
 class SweepReport:
     """The merged result of a sweep, with the common tabular shape."""
 
@@ -62,7 +44,7 @@ class SweepReport:
 
     def rows(self):
         """One flat dict per shard (axes become columns)."""
-        return [_shard_row(result) for result in self.shard_results]
+        return [shard_row(result) for result in self.shard_results]
 
     def to_dict(self):
         """The JSON artifact: shard summaries + the fleet aggregate.

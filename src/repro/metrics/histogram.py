@@ -154,3 +154,14 @@ class LatencyHistogram(Stateful):
             since.min_ns = max(self.min_ns, min(since.buckets))
             since.max_ns = min(self.max_ns, bucket_top(max(since.buckets)))
         return since
+
+
+def merge_histograms(snapshots):
+    """Fold ``LatencyHistogram`` snapshots into a fresh histogram (no
+    input is mutated)."""
+    merged = LatencyHistogram()
+    for snapshot in snapshots:
+        shard = LatencyHistogram()
+        shard.restore(snapshot)
+        merged.merge(shard)
+    return merged

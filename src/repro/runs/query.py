@@ -8,15 +8,36 @@ render with :func:`~repro.table.format_table`.  Everything
 here is a pure function of the files it reads: listing or comparing
 runs never mutates the store.
 
-:mod:`repro.runs` does not import this module (it pulls in
-:mod:`repro.fleet.report`, which itself imports :mod:`repro.runs` --
-an eager import there would be a cycle).
+:func:`shard_row` is also the sweep artifact's per-shard row
+(:class:`repro.fleet.report.SweepReport`), kept here so that ``runs
+show`` renders a run without loading the simulator.
 """
 
 import os
 
+from repro.metrics.histogram import merge_histograms
 from repro.runs.atomic import read_json
 from repro.runs.store import MERGED_NAME, RunStoreError
+
+
+def shard_row(result):
+    """Flatten one shard result into a table row."""
+    report = result["report"]
+    pods = report["pods"].values()
+    row = {"shard": result["index"]}
+    row.update(result["axes"])
+    row["seed"] = report["seed"]
+    row["packets"] = sum(pod["transmitted"] for pod in pods)
+    row["events"] = report["events"]
+    # No pods (a control-plane-only run) or no latencies: a zeroed row.
+    latency = merge_histograms([pod["latency"] for pod in pods])
+    if latency.count:
+        # Latencies are in ns; repro.sim.units.US would load the engine.
+        row["mean_us"] = round(latency.mean_ns / 1_000, 2)
+        row["p99_us"] = round(latency.percentile(0.99) / 1_000, 2)
+    else:
+        row["mean_us"] = row["p99_us"] = 0.0
+    return row
 
 
 def list_rows(store):
@@ -40,13 +61,11 @@ def list_rows(store):
 def show_rows(store, run_id):
     """Per-shard rows for one run, from its cached shard results.
 
-    Completed shards render through the same ``_shard_row`` flattening
-    the sweep artifact uses; shards not yet on disk (or stale against
-    the manifest's spec hash) get a ``pending`` status row so an
+    Completed shards render through the same :func:`shard_row`
+    flattening the sweep artifact uses; shards not yet on disk (or stale
+    against the manifest's spec hash) get a ``pending`` status row so an
     interrupted run is legible at a glance.
     """
-    from repro.fleet.report import _shard_row
-
     run = store.open(run_id)
     rows = []
     for entry in run.manifest.get("shards", ()):
@@ -56,7 +75,7 @@ def show_rows(store, run_id):
             row.update(entry.get("axes", {}))
             row["status"] = "pending"
         else:
-            row = _shard_row(result)
+            row = shard_row(result)
             row["status"] = "done"
         rows.append(row)
     return run, rows

@@ -20,7 +20,6 @@ silently invalidates exactly the stale shards and nothing else, and the
 resumed merge is byte-identical to an uninterrupted run.
 """
 
-import hashlib
 import json
 import os
 import re
@@ -55,6 +54,8 @@ def spec_fingerprint(spec):
     duration, checkpoint cadence and the shard's derived seed -- so two
     shards agree on it iff they would run the exact same simulation.
     """
+    import hashlib  # OpenSSL is ~3.7 MiB of RSS that ``runs list`` never needs
+
     return hashlib.sha256(canonical_bytes(spec.to_dict())).hexdigest()
 
 

@@ -20,7 +20,7 @@ one row.
 
 from typing import Callable, NamedTuple
 
-from repro.metrics.histogram import LatencyHistogram
+from repro.metrics.histogram import merge_histograms
 
 #: Percentiles carried in latency summaries (label, fraction).
 _PERCENTILES = (("p50_ns", 0.50), ("p90_ns", 0.90), ("p99_ns", 0.99))
@@ -33,17 +33,6 @@ def summarize_histogram(histogram):
     for label, fraction in _PERCENTILES:
         summary[label] = histogram.percentile(fraction) if histogram.count else 0
     return summary
-
-
-def merge_histograms(snapshots):
-    """Fold ``LatencyHistogram`` snapshots into a fresh histogram (no
-    input is mutated)."""
-    merged = LatencyHistogram()
-    for snapshot in snapshots:
-        shard = LatencyHistogram()
-        shard.restore(snapshot)
-        merged.merge(shard)
-    return merged
 
 
 # -- fold primitives ------------------------------------------------------

@@ -218,7 +218,7 @@ class TestCommands:
 
         monkeypatch.setitem(resources.NIC_MODULE_LATENCY_US, "dma", (4.17, 2.98))
         assert main(["experiment", "tab4"]) == 1
-        assert "[FAILS] tab4.rx-total: 4.9" in capsys.readouterr().out
+        assert "[FAILS] tab4.unloaded-latency: 9.07" in capsys.readouterr().out
 
     @pytest.mark.parametrize("command, message", [
         pytest.param(command, message, id=command) for command, message in (

@@ -1,5 +1,7 @@
 """L3 cache model tests."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -114,12 +116,46 @@ class TestWorkingSetBehaviour:
         """Model must agree with a straightforward reference LRU."""
         capacity = 8
         cache = LruCacheModel(capacity_bytes=capacity * CACHE_LINE_BYTES)
-        reference = []
+        reference = ReferenceLru(capacity)
         for line in accesses:
-            expected_hit = line in reference
-            if expected_hit:
-                reference.remove(line)
-            reference.append(line)
-            if len(reference) > capacity:
-                reference.pop(0)
-            assert cache.access(line * 64) == expected_hit
+            assert cache.access(line * 64) == reference.access(line * 64)
+
+    def test_seeded_trace_matches_reference_lru(self):
+        """A long skewed trace of one- to four-line entries evicts on most
+        misses; hits and misses agree with the reference access by access."""
+        rng = random.Random(7)
+        capacity = 256
+        cache = LruCacheModel(capacity_bytes=capacity * CACHE_LINE_BYTES)
+        reference = ReferenceLru(capacity)
+        for _ in range(40_000):
+            entry = min(rng.randrange(4096), rng.randrange(4096))
+            address, size = entry * 80, rng.choice((8, 64, 200))
+            assert cache.access(address, size) == reference.access(address, size)
+        assert (cache.stats.hits, cache.stats.misses) == (reference.hits, reference.misses)
+        assert reference.misses - capacity > 10_000  # evictions, not a warm cache
+
+
+class ReferenceLru:
+    """A list in recency order, least recent first: the LRU written out."""
+
+    def __init__(self, capacity_lines):
+        self.capacity_lines = capacity_lines
+        self.lines = []
+        self.hits = self.misses = 0
+
+    def access(self, address, size=1):
+        first = address // CACHE_LINE_BYTES
+        last = (address + max(size, 1) - 1) // CACHE_LINE_BYTES
+        return [self._touch(line) for line in range(first, last + 1)][0]
+
+    def _touch(self, line):
+        hit = line in self.lines
+        if hit:
+            self.lines.remove(line)
+            self.hits += 1
+        else:
+            self.misses += 1
+        self.lines.append(line)
+        if len(self.lines) > self.capacity_lines:
+            self.lines.pop(0)
+        return hit

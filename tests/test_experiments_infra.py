@@ -6,13 +6,70 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.claims import CLAIMS, claims_for
+from repro.bgp.switch import SAFE_PEER_THRESHOLD
+from repro.container.elasticity import POD_PREPARE_NS
+from repro.core.plb.reorder import ReorderQueueConfig
+from repro.core.resources import (
+    NIC_MODULE_LATENCY_US,
+    NIC_MODULE_RESOURCES_PCT,
+    NicLatencyModel,
+)
+from repro.experiments.claims import CALIBRATED, CLAIMS, EMERGENT, claims_for
 from repro.experiments.common import ExperimentResult
+from repro.experiments.fig15_cost import RELATIVE_COST
+from repro.experiments.fig7_bgp import SERVERS_PER_SWITCH
 from repro.table import format_table
 from repro.experiments.runner import EXPERIMENTS, run_experiment
-from repro.sim.units import MS
+from repro.sim.units import MS, SECOND, US
+from repro.tofino.sailfish import sailfish_egress_program
 
 REPO = Path(__file__).parent.parent
+
+
+def _md_rows():
+    """EXPERIMENTS.md's ``| `id` | ...`` rows as ``(claims, cited)``, each
+    mapping an id to the cells after it; "## Cited inputs" holds the cited."""
+    claims, cited, table = {}, {}, {}
+    for line in (REPO / "EXPERIMENTS.md").read_text().splitlines():
+        if line.startswith("## "):
+            table = cited if line == "## Cited inputs" else claims
+        elif line.startswith("| `"):
+            cells = [cell.strip() for cell in line.strip("|").split(" | ")]
+            table[cells[0].strip("`")] = cells[1:]
+    return claims, cited
+
+
+def _pct_sum(column, modules):
+    return sum(NIC_MODULE_RESOURCES_PCT[module][column] for module in modules)
+
+
+#: Each echo that left ``CLAIMS`` -> ``(paper, repo)`` pairs: the paper's
+#: number, and what the constants the echo read give for it.
+#: ``tab6.performance`` has none: its cells were typed into a driver that
+#: is gone, and no other code read them.
+CITED_INPUTS = {
+    "tab4.rx-total": [(3.90, lambda: NicLatencyModel().rx_ns() / US)],
+    "tab4.tx-total": [(4.17, lambda: sum(tx for _, tx in NIC_MODULE_LATENCY_US.values()))],
+    "tab4.dma-dominates": [((3.17, 2.98), lambda: NIC_MODULE_LATENCY_US["dma"])],
+    "tab5.lut-total": [(60.0, lambda: _pct_sum(0, NIC_MODULE_RESOURCES_PCT))],
+    "tab5.bram-total": [(44.5, lambda: _pct_sum(1, NIC_MODULE_RESOURCES_PCT))],
+    "tab5.plb-overload-lut": [(14.6, lambda: _pct_sum(0, ("plb", "overload_detection")))],
+    "tab6.lpm-capacity": [(0.2, lambda: round(
+        sailfish_egress_program().table("vxlan_route_lpm").entries / 1e6, 1))],
+    "tab6.elasticity": [(10, lambda: POD_PREPARE_NS / SECOND)],
+    "tab6.cost": [(2.0, lambda: RELATIVE_COST["albatross"] / RELATIVE_COST["physical"])],
+    "tab6.performance": [],
+    "fig7.direct-caps-density": [(2, lambda: SAFE_PEER_THRESHOLD // SERVERS_PER_SWITCH)],
+    "reorder.more-queues-less-tolerance": [
+        (4096, lambda: ReorderQueueConfig().depth),
+        (100, lambda: ReorderQueueConfig().timeout_ns / US),
+    ],
+}
+
+
+def _cited_mismatches():
+    return {cited for cited, pairs in CITED_INPUTS.items() for paper, repo in pairs
+            if repo() != pytest.approx(paper, abs=0.01)}
 
 
 class TestExperimentResult:
@@ -143,10 +200,24 @@ class TestOneConstructionPath:
         assert [line for line, _what in _hand_wiring(planted)] == [1, 2, 3, 4, 5, 6]
 
 
+class TestCitedInputs:
+    """The paper numbers no model code computes: each constant an echo
+    read still gives the paper's number, and EXPERIMENTS.md's "Cited
+    inputs" table lists every echo."""
+
+    def test_every_cited_constant_gives_the_paper_number(self):
+        assert _cited_mismatches() == set()
+
+    def test_experiments_md_cites_each_echo(self):
+        _claims, cited = _md_rows()
+        assert set(cited) == set(CITED_INPUTS)
+        assert set(cited).isdisjoint(claim.id for claim in CLAIMS)
+
+
 class TestRunner:
     def test_covers_every_table_and_figure(self):
         for required in (
-            "tab1", "tab3", "tab4", "tab5", "tab6",
+            "tab1", "tab3", "tab4", "tab5",
             "fig4_fig5", "fig7_peers", "fig8", "fig9", "fig10", "fig11",
             "fig12", "fig13", "fig14", "fig15", "fig16", "fig17",
         ):
@@ -183,25 +254,29 @@ class TestClaims:
         assert len(ids) == len(set(ids))
 
     def test_experiments_md_rows_are_the_claims(self):
-        """EXPERIMENTS.md has one row per claim, carrying its paper text."""
-        rows = {}
-        for line in (REPO / "EXPERIMENTS.md").read_text().splitlines():
-            if line.startswith("| `"):
-                cells = [cell.strip() for cell in line.strip("|").split(" | ")]
-                rows[cells[0].strip("`")] = cells[1]
-        assert rows == {claim.id: claim.statement for claim in CLAIMS}
+        """EXPERIMENTS.md has one row per claim, carrying its paper text and
+        a Kind cell that opens with the claim's kind, then gives the reason."""
+        claims, _cited = _md_rows()
+        kinds = {claim: cells[2].split(": ", 1) for claim, cells in claims.items()}
+        assert [claim for claim, kind in kinds.items() if len(kind) != 2] == []
+        assert ({claim: (cells[0], kinds[claim][0]) for claim, cells in claims.items()}
+                == {claim.id: (claim.statement, claim.kind) for claim in CLAIMS})
 
-    def test_dma_latency_perturbation_fails_exactly_the_tab4_sums(self, monkeypatch):
-        """+0.5 us of DMA latency per direction breaks Tab. 4's totals and
-        the measured unloaded latency, and no claim of any other cheap
-        experiment; DMA then dominates even more, so that claim holds."""
+    def test_no_claim_is_an_echo(self):
+        assert {claim.kind for claim in CLAIMS} <= {EMERGENT, CALIBRATED}
+
+    def test_dma_latency_perturbation_fails_exactly_the_unloaded_latency(self, monkeypatch):
+        """+0.5 us of DMA latency per direction breaks the measured unloaded
+        latency and no claim of any other cheap experiment.  The cited
+        Tab. 4 inputs see it too: their sums and DMA row no longer read
+        the paper's."""
         from repro.core import resources
 
         rx_us, tx_us = resources.NIC_MODULE_LATENCY_US["dma"]
         monkeypatch.setitem(
             resources.NIC_MODULE_LATENCY_US, "dma", (rx_us + 0.5, tx_us + 0.5)
         )
-        cheap = ("tab1", "tab4", "tab5", "tab6", "fig7_peers", "fig7_protocol",
+        cheap = ("tab1", "tab4", "tab5", "fig7_peers", "fig7_protocol",
                  "fig15", "ablation_stateful", "ablation_memfreq",
                  "ablation_collisions", "ablation_offload", "appendix_split",
                  "appendix_port")
@@ -209,7 +284,9 @@ class TestClaims:
         for name in cheap:
             result = run_experiment(name, quick=True)
             failing |= {c.id for c in claims_for(name) if not c.check(result)[0]}
-        assert failing == {"tab4.rx-total", "tab4.tx-total", "tab4.unloaded-latency"}
+        assert failing == {"tab4.unloaded-latency"}
+        assert _cited_mismatches() == {"tab4.rx-total", "tab4.tx-total",
+                                       "tab4.dma-dominates"}
 
     @pytest.mark.parametrize("name, holding", [
         ("fig13", {"fig13.full-rate-before-burst"}),

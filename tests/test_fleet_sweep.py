@@ -166,7 +166,7 @@ class TestMerge:
     def test_shard_row_with_zero_pods_is_zeroed_not_indexerror(self):
         # Regression: a control-plane-only report (no pods) used to hit
         # latencies[0] and die with an IndexError while rendering rows.
-        from repro.fleet.report import _shard_row
+        from repro.runs.query import shard_row
 
         result = {
             "index": 5,
@@ -176,7 +176,7 @@ class TestMerge:
                 "sim_ns": 10, "events": 2, "pods": {},
             },
         }
-        row = _shard_row(result)
+        row = shard_row(result)
         assert row["shard"] == 5
         assert row["packets"] == 0
         assert row["mean_us"] == 0.0

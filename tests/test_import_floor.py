@@ -135,6 +135,18 @@ def test_a_forked_sweep_loads_no_multiprocessing():
     assert _loaded(modules, ("multiprocessing", "pickle", "socket")) == []
 
 
+def _runs_command_modules(runs_dir, command, expected):
+    """The modules ``runs <command>`` loads; its stdout holds ``expected``."""
+    return _modules_after(
+        "import contextlib, io\n"
+        "from repro.cli import main\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        f"    assert main(['runs', '--runs-dir', {runs_dir!r}, *{command!r}]) == 0\n"
+        f"assert {expected!r} in out.getvalue(), out.getvalue()"
+    )
+
+
 def test_runs_list_loads_nothing_of_the_simulator(tmp_path):
     from repro.fleet import ShardSpec
     from repro.runs import RunStore
@@ -143,14 +155,23 @@ def test_runs_list_loads_nothing_of_the_simulator(tmp_path):
     runs_dir = str(tmp_path / "RUNS")
     shards = [ShardSpec(0, {}, scenario_spec("steady-state-plb", quick=True))]
     RunStore(runs_dir).create("floor", 42, shards, run_id="listed")
-    modules = _modules_after(
-        "import contextlib, io\n"
-        "from repro.cli import main\n"
-        "out = io.StringIO()\n"
-        "with contextlib.redirect_stdout(out):\n"
-        f"    assert main(['runs', '--runs-dir', {runs_dir!r}, 'list']) == 0\n"
-        "assert 'listed' in out.getvalue(), out.getvalue()"
-    )
+    modules = _runs_command_modules(runs_dir, ["list"], "listed")
     assert "repro.table" in modules
     assert _loaded(modules, ("repro.scenarios", "repro.core", "repro.sim",
                              "repro.experiments")) == []
+    assert "_hashlib" not in modules
+
+
+def test_runs_show_loads_nothing_of_the_build_path(tmp_path):
+    """A completed shard renders through ``shard_row`` without the simulator."""
+    from repro.fleet import ShardSpec, run_sweep
+    from repro.runs import RunStore
+    from repro.scenarios import scenario_spec
+
+    runs_dir = str(tmp_path / "RUNS")
+    shards = [ShardSpec(0, {}, scenario_spec("steady-state-plb", quick=True))]
+    run = RunStore(runs_dir).create("floor", 42, shards, run_id="shown")
+    run_sweep("floor", shards, run=run)
+    modules = _runs_command_modules(runs_dir, ["show", "shown"], "done")
+    assert "repro.runs.query" in modules
+    assert _loaded(modules, BUILD_PATH) == []

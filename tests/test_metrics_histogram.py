@@ -19,8 +19,8 @@ from repro.metrics.histogram import (
     LatencyHistogram,
     bucket_edge,
     bucket_top,
+    merge_histograms,
 )
-from repro.scenarios.sections import merge_histograms
 
 #: The sketch's relative error bound.
 ERROR = 2 ** -MANTISSA_BITS

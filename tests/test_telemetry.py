@@ -161,13 +161,14 @@ class TestRecorder:
         spec = _spec(
             duration_ns=8 * MS, every_ns=2 * MS, checkpoint_every_ns=3 * MS,
         ).with_overrides(overrides={"workload.load": 0.15})
-        baseline = build(spec).run()
-        expected = json.dumps(baseline.report(), sort_keys=True)
+        baseline = build(spec)
+        captures = []
+        baseline.checkpointer.sink = captures.append
+        expected = json.dumps(baseline.run().report(), sort_keys=True)
 
-        snapshot = baseline.checkpointer.latest
-        assert snapshot is not None
+        assert captures
         resumed = build(spec)
-        resumed.restore_checkpoint(json.loads(json.dumps(snapshot)))
+        resumed.restore_checkpoint(json.loads(json.dumps(captures[-1])))
         assert resumed.sim.now > 0  # genuinely mid-run
         resumed.run(spec.duration_ns - resumed.sim.now)
         assert json.dumps(resumed.report(), sort_keys=True) == expected
