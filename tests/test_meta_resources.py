@@ -48,6 +48,12 @@ def _tx_ns(model):
 
 
 class TestLatencyModel:
+    def test_tab4_sums(self):
+        model = NicLatencyModel()
+        assert model.rx_ns() == pytest.approx(3.90 * US, abs=10)
+        assert _tx_ns(model) == pytest.approx(4.17 * US, abs=10)
+        assert model.rx_ns() + _tx_ns(model) == pytest.approx(8.07 * US, abs=20)
+
     def test_dma_dominates(self):
         """Tab. 4's observation: most latency is the DMA procedure."""
         model = NicLatencyModel()
@@ -72,6 +78,11 @@ class TestLatencyModel:
 
 
 class TestResourceModel:
+    def test_totals_match_tab5(self):
+        lut_free, bram_free = FpgaResourceModel().headroom()
+        assert 100.0 - lut_free == pytest.approx(60.0, abs=0.1)
+        assert 100.0 - bram_free == pytest.approx(44.5, abs=0.1)
+
     def test_headroom_for_future_offloads(self):
         """§7: room is reserved for session/crypto/billing offloads."""
         lut_free, bram_free = FpgaResourceModel().headroom()
