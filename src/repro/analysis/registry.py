@@ -46,12 +46,6 @@ def known_codes():
     return frozenset(_RULES) | REPORTER_CODES
 
 
-def get_rule(code):
-    """Look one rule up by its code."""
-    _load_rules()
-    return _RULES[code]
-
-
 def select_rules(selectors):
     """Resolve ``--select`` items (codes or prefixes) to rule classes.
 

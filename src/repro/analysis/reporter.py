@@ -145,7 +145,7 @@ class LintReport:
         return "\n".join(lines)
 
 
-def _lint_files(files, rules=None, check_stale=True):
+def _lint_files(files, rules=None):
     """The lint engine: per file, every rule, its suppressions, then the audits.
 
     ``files`` is ``[(path, source), ...]``.  Returns the final finding
@@ -184,7 +184,7 @@ def _lint_files(files, rules=None, check_stale=True):
                         f"see 'python -m repro lint --list-rules'",
                     )
                 )
-            elif check_stale and not entry.used and entry.code in active:
+            elif not entry.used and entry.code in active:
                 findings.append(
                     Finding(
                         path, entry.line, entry.col, "LNT002",
@@ -194,16 +194,6 @@ def _lint_files(files, rules=None, check_stale=True):
                     )
                 )
     return findings
-
-
-def lint_source(source, path="<string>", rules=None, check_stale=True):
-    """Lint one source string; returns the list of live findings.
-
-    Parse failures surface as a single LNT001 finding rather than an
-    exception, so one broken file cannot hide the rest of the tree.
-    Passing ``rules`` runs exactly those rules.
-    """
-    return _lint_files([(path, source)], rules=rules, check_stale=check_stale)
 
 
 def iter_python_files(paths):
@@ -229,11 +219,16 @@ def iter_python_files(paths):
     return sorted(files)
 
 
-def lint_paths(paths, rules=None, check_stale=True):
-    """Lint every Python file under ``paths``; returns a :class:`LintReport`."""
+def lint_paths(paths, rules=None):
+    """Lint every Python file under ``paths``; returns a :class:`LintReport`.
+
+    A file that does not parse surfaces as one LNT001 finding rather than
+    an exception, so one broken file cannot hide the rest of the tree.
+    Passing ``rules`` runs exactly those rules.
+    """
     files = []
     for file_path in iter_python_files(paths):
         with open(file_path, encoding="utf-8") as handle:
             files.append((file_path, handle.read()))
-    findings = _lint_files(files, rules=rules, check_stale=check_stale)
+    findings = _lint_files(files, rules=rules)
     return LintReport(findings, files_checked=len(files))

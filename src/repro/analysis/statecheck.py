@@ -4,7 +4,8 @@ Stateful classes declare ``STATE`` and ``DERIVED``; every other attribute
 is constructor wiring (:mod:`repro.controlplane.snapshot`).  Small worlds
 -- four scenarios (PLB + microbursts, RSS + CBR, lossy PLB; limiter,
 telemetry and checkpoints armed; the lossy pod also runs every
-periodic owner; a rate-scheduled CBR source beside a Poisson one),
+periodic owner and exempts one tenant from its limiter; a rate-scheduled
+CBR source beside a Poisson one),
 eBGP beside a flapped BFD link, a churned FPGA session table -- are
 built, run and held to four checks:
 
@@ -396,7 +397,13 @@ def _owners_world(spec):
             NumaBalancer(sim, pod.cores, enabled=False),
         )
 
-    return name, build, lambda world: run(world[0])
+    def run_owners(world):
+        # A bypassed tenant, so the limiter's bypass set is not empty
+        # when the probes restore it into the twin.
+        world[0].pod.nic.rate_limiter.add_bypass(0)
+        run(world[0])
+
+    return name, build, run_owners
 
 
 def _bgp_bfd_world():

@@ -22,9 +22,6 @@ class RouteEntry:
         self.peer_name = peer_name
         self.local_pref = local_pref
 
-    def key(self):
-        return (self.prefix, self.length)
-
     def __repr__(self):
         return (
             f"RouteEntry(0x{self.prefix:08x}/{self.length} via "
@@ -145,19 +142,6 @@ class BgpSpeaker:
             )
 
     # -- RIB queries --------------------------------------------------------
-
-    def best_route(self, prefix, length):
-        """Best path: highest LOCAL_PREF, then shortest AS_PATH."""
-        peers = self.rib.get((prefix, length))
-        if not peers:
-            return None
-        return max(
-            peers.values(),
-            key=lambda e: (
-                e.local_pref if e.local_pref is not None else 100,
-                -len(e.as_path),
-            ),
-        )
 
     def knows_route(self, prefix, length):
         return (prefix, length) in self.rib or (prefix, length) in self.local_routes

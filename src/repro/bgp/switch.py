@@ -12,7 +12,6 @@ from repro.bgp.speaker import BgpSpeaker
 from repro.sim.units import SECOND
 
 SAFE_PEER_THRESHOLD = 64
-MAX_SERVER_PORTS = 32
 
 
 class UplinkSwitch(BgpSpeaker):
@@ -38,9 +37,6 @@ class UplinkSwitch(BgpSpeaker):
         excess = peer_count - SAFE_PEER_THRESHOLD
         return base + excess * excess * (3 * SECOND // 10)
 
-    def is_overloaded(self):
-        return self.peer_count > SAFE_PEER_THRESHOLD
-
     def restart(self):
         """Abnormal restart: drop everything, relearn after convergence.
 
@@ -65,8 +61,3 @@ def direct_peering_count(servers, pods_per_server):
 def proxied_peering_count(servers, proxies_per_server=1):
     """Peers with the BGP proxy deployed (Fig. 7 right)."""
     return servers * proxies_per_server
-
-
-def max_pods_per_server_direct(servers=MAX_SERVER_PORTS, safe_peers=SAFE_PEER_THRESHOLD):
-    """How many directly-peering pods per server the threshold allows."""
-    return max(0, safe_peers // servers)

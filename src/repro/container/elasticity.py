@@ -11,7 +11,6 @@ from repro.sim.units import SECOND
 
 POD_PREPARE_NS = 10 * SECOND
 VALIDATION_NS = 30 * SECOND
-PHYSICAL_CLUSTER_PREPARE_NS = 20 * 86400 * SECOND  # "tens of days"
 
 
 class MigrationPlan:
@@ -106,8 +105,3 @@ class ElasticityManager:
         plan.advance("cutover", self.sim.now)
         self.withdraw_fn(plan.old_pod_name)
         plan.advance("done", self.sim.now)
-
-    @staticmethod
-    def speedup_vs_physical():
-        """How much faster a pod is ready vs. a physical cluster."""
-        return PHYSICAL_CLUSTER_PREPARE_NS / POD_PREPARE_NS

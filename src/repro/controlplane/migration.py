@@ -258,7 +258,3 @@ class MigrationController:
         self.plan.enter(MigrationPhase.COMPLETE, self.sim.now)
         self.plan.completed_ns = self.sim.now
         self._buffering = False
-
-    @property
-    def complete(self):
-        return self.plan.state == MigrationPhase.COMPLETE

@@ -32,7 +32,7 @@ from repro.core.plb.dispatch import PlbDispatcher
 from repro.core.plb.reorder import ReorderEngine, ReorderQueueConfig
 from repro.core.priority import PriorityQueueManager
 from repro.core.ratelimit import RateLimitDecision, TwoStageRateLimiter
-from repro.core.resources import FpgaResourceModel, NIC_MODULE_LATENCY_US
+from repro.core.resources import NIC_MODULE_LATENCY_US
 from repro.core.rss import RssDispatcher
 
 __all__ = [
@@ -49,7 +49,6 @@ __all__ = [
     "PriorityQueueManager",
     "RateLimitDecision",
     "TwoStageRateLimiter",
-    "FpgaResourceModel",
     "NIC_MODULE_LATENCY_US",
     "RssDispatcher",
 ]

@@ -32,7 +32,6 @@ from repro.cpu.core import CpuCore, Verdict
 from repro.cpu.numa import NumaTopology
 from repro.cpu.service import ServiceChain, scaled_service, standard_services
 from repro.metrics.histogram import LatencyHistogram
-from repro.sim.units import SECOND
 
 # Egress outcome -> report key.  ``Enum.value`` is a Python-level descriptor
 # call, paid per packet; the NIC's two string outcomes are their own keys.
@@ -184,10 +183,6 @@ class GwPodRuntime(Stateful):
 
     # -- checkpoint / restore (live migration, repro.controlplane) ---------
 
-    def in_flight(self):
-        """Data-plane packets currently inside the pod (counter-based)."""
-        return self.nic.in_flight()
-
     def quiescent(self):
         """True when the pod holds no packet state anywhere.
 
@@ -273,8 +268,6 @@ class AlbatrossServer:
     only read: they may not schedule events or draw from the run's rngs.
     """
 
-    POD_READY_SECONDS = 10  # container elasticity (Tab. 6)
-
     def __init__(self, sim, rngs, topology=None, l3_bytes=None, subscribers=None):
         self.sim = sim
         self.rngs = rngs
@@ -293,9 +286,6 @@ class AlbatrossServer:
 
     def l3_cache(self, node_id):
         return self._l3.get(node_id)
-
-    def free_cores(self, node_id):
-        return len(self._free_cores[node_id])
 
     def _pick_node(self, numa_node, cores):
         if numa_node is not None:
@@ -388,7 +378,3 @@ class AlbatrossServer:
         pod = self.pods.pop(name)
         self._free_cores[pod.numa_node].extend(pod.allocated_core_ids)
         return pod
-
-    def pod_ready_delay_ns(self):
-        """Container elasticity: a new pod is serving in ~10 seconds."""
-        return self.POD_READY_SECONDS * SECOND

@@ -50,11 +50,6 @@ class PlbMeta:
         self.drop = drop
         self.epoch = epoch
 
-    @property
-    def psn12(self):
-        """The low 12 bits used by the legal check."""
-        return self.psn & 0xFFF
-
 
 def placement_throughput_factor(placement):
     """Relative forwarding throughput for a meta placement strategy.

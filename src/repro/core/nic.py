@@ -8,7 +8,8 @@ deparser -> wire.  Explicit CPU drops take the active-drop-flag shortcut
 so reorder resources are released immediately.
 
 Per-module latencies come from Tab. 4 via
-:class:`~repro.core.resources.NicLatencyModel`.
+:func:`~repro.core.resources.rx_ns` and
+:func:`~repro.core.resources.module_ns`.
 """
 
 from repro.analysis.sanitizer import get_sanitizer
@@ -19,7 +20,7 @@ from repro.core.plb.dispatch import PlbDispatcher
 from repro.core.plb.reorder import ReorderEngine
 from repro.core.priority import PriorityQueueManager
 from repro.core.ratelimit import RateLimitDecision
-from repro.core.resources import NicLatencyModel
+from repro.core.resources import module_ns, rx_ns
 from repro.core.rss import RssDispatcher
 from repro.cpu.core import Verdict
 from repro.metrics.counters import CounterSet
@@ -98,12 +99,11 @@ class NicPipeline(Stateful):
         self.counters = CounterSet()
         self.pkt_dir = PktDir()
         self.mode = mode
-        latency = NicLatencyModel()
-        self._rx_latency_ns = latency.rx_ns()
-        self._tx_dma_ns = latency.module_ns("dma", "tx")
-        self._tx_post_reorder_ns = latency.module_ns(
-            "plb", "tx"
-        ) + latency.module_ns("basic_pipeline", "tx")
+        self._rx_latency_ns = rx_ns()
+        self._tx_dma_ns = module_ns("dma", "tx")
+        self._tx_post_reorder_ns = module_ns("plb", "tx") + module_ns(
+            "basic_pipeline", "tx"
+        )
         # In-order and best-effort releases post the deparser hop
         # themselves; only drop-flag releases come back.
         self.reorder = ReorderEngine(

@@ -82,9 +82,6 @@ class FpgaSessionOffload:
         self.install_rejections = 0
         self.evictions = 0
 
-    def __len__(self):
-        return len(self._sessions)
-
     @property
     def hit_rate(self):
         total = self.fast_path_hits + self.slow_path_misses

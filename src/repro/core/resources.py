@@ -2,9 +2,10 @@
 
 The paper's FPGA has 265 Mbit of BRAM per card.  Tab. 4 gives per-module
 RX/TX latency; Tab. 5 gives per-module LUT/BRAM shares.  This module
-carries those constants (EXPERIMENTS.md cites them as inputs), a latency
-model for the NIC pipeline, and a bottom-up BRAM estimator for the PLB
-structures (FIFO + BUF + BITMAP), which Tab. 5's PLB share checks.
+carries those constants (EXPERIMENTS.md cites them as inputs), the NIC
+pipeline's latency budget drawn from them, and a bottom-up BRAM estimate
+for the PLB structures (FIFO + BUF + BITMAP), which Tab. 5's PLB share
+checks.
 """
 
 from repro.sim.units import US
@@ -28,45 +29,34 @@ NIC_MODULE_RESOURCES_PCT = {
 }
 
 
-class NicLatencyModel:
-    """Per-direction latency budget assembled from Tab. 4's modules."""
-
-    def __init__(self, modules=None):
-        self.modules = dict(NIC_MODULE_LATENCY_US if modules is None else modules)
-
-    def rx_ns(self, include=None):
-        names = self.modules if include is None else include
-        return int(round(sum(self.modules[name][0] for name in names) * US))
-
-    def module_ns(self, name, direction):
-        index = 0 if direction == "rx" else 1
-        return int(round(self.modules[name][index] * US))
+# The PLB structures of one pod complement, counted bottom-up for Tab. 5.
+PLB_REORDER_QUEUES = 8
+PLB_FIFO_DEPTH = 4096
+PLB_REORDER_INFO_BITS = 64   # PSN + timestamp
+PLB_BITMAP_ENTRY_BITS = 13   # valid bit + psn[11:0]
+PLB_BUF_ENTRY_BITS = 320     # meta + packet-header descriptor in BUF
 
 
-class FpgaResourceModel:
-    """Resource accounting against the card's BRAM budget."""
+def rx_ns():
+    """The RX latency budget: Tab. 4's RX column summed, in nanoseconds."""
+    return int(round(sum(rx for rx, _ in NIC_MODULE_LATENCY_US.values()) * US))
 
-    @staticmethod
-    def headroom():
-        """(LUT %, BRAM %) left for the future offloads of §7."""
-        lut = sum(pct[0] for pct in NIC_MODULE_RESOURCES_PCT.values())
-        bram = sum(pct[1] for pct in NIC_MODULE_RESOURCES_PCT.values())
-        return 100.0 - lut, 100.0 - bram
 
-    # -- bottom-up estimates -------------------------------------------
+def module_ns(name, direction):
+    """One module's Tab. 4 cell (``direction`` is "rx" or "tx"), in nanoseconds."""
+    index = 0 if direction == "rx" else 1
+    return int(round(NIC_MODULE_LATENCY_US[name][index] * US))
 
-    @staticmethod
-    def plb_bram_bits(
-        queue_count=8,
-        depth=4096,
-        reorder_info_bits=64,     # PSN + timestamp
-        bitmap_entry_bits=13,     # valid bit + psn[11:0]
-        buf_entry_bits=320,       # meta + packet-header descriptor in BUF
-    ):
-        """BRAM bits needed by the PLB structures for one pod complement."""
-        per_queue = depth * (reorder_info_bits + bitmap_entry_bits + buf_entry_bits)
-        return queue_count * per_queue
 
-    def plb_bram_pct(self, **kwargs):
-        bits = self.plb_bram_bits(**kwargs)
-        return 100.0 * bits / (FPGA_TOTAL_BRAM_MBIT * 1_000_000)
+def headroom():
+    """(LUT %, BRAM %) left for the future offloads of §7."""
+    lut = sum(pct[0] for pct in NIC_MODULE_RESOURCES_PCT.values())
+    bram = sum(pct[1] for pct in NIC_MODULE_RESOURCES_PCT.values())
+    return 100.0 - lut, 100.0 - bram
+
+
+def plb_bram_pct():
+    """BRAM share of the PLB structures (FIFO + BITMAP + BUF) of one pod."""
+    per_entry = PLB_REORDER_INFO_BITS + PLB_BITMAP_ENTRY_BITS + PLB_BUF_ENTRY_BITS
+    bits = PLB_REORDER_QUEUES * PLB_FIFO_DEPTH * per_entry
+    return 100.0 * bits / (FPGA_TOTAL_BRAM_MBIT * 1_000_000)

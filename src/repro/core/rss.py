@@ -36,10 +36,6 @@ class RssDispatcher(Stateful):
         self.set_indirection(snapshot["indirection"])  # validated against these cores
         super().restore(snapshot)
 
-    @property
-    def indirection_table(self):
-        return list(self._indirection)
-
     def set_indirection(self, table):
         """Reprogram the indirection table (len must divide evenly)."""
         if len(table) != INDIRECTION_ENTRIES:

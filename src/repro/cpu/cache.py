@@ -61,10 +61,6 @@ class LruCacheModel:
         self._lines = OrderedDict()  # line_id -> None, front is least recent
         self.stats = CacheStats()
 
-    @property
-    def occupancy_lines(self):
-        return len(self._lines)
-
     def access(self, address, size=1):
         """Touch ``size`` bytes at ``address``; returns True on (first-line) hit.
 
@@ -90,10 +86,6 @@ class LruCacheModel:
         if len(lines) > self.capacity_lines:
             lines.popitem(last=False)
         return False
-
-    def flush(self):
-        """Drop all cached lines (stats are kept)."""
-        self._lines.clear()
 
 
 PAPER_L3_BYTES = 200 * (1 << 20)  # the testbed's ~200 MB shared L3 (§4.2)

@@ -49,17 +49,6 @@ class NumaTopology:
             next_core += cores_per_node
             self.nodes.append(node)
 
-    @property
-    def total_cores(self):
-        return sum(node.core_count for node in self.nodes)
-
-    def node_of_core(self, core_id):
-        """Which node owns ``core_id``."""
-        for node in self.nodes:
-            if core_id in node.core_ids:
-                return node
-        raise ValueError(f"unknown core id {core_id}")
-
     def speed_factor(self, core_node, memory_node, lookup_heavy=True):
         """Service-time multiplier for a core/memory placement."""
         if core_node == memory_node:

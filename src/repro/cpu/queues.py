@@ -50,9 +50,3 @@ class PacketQueue(Stateful):
         if not self.packets:
             return None
         return self.packets.popleft()
-
-    def drain(self):
-        """Remove and return all queued packets."""
-        items = list(self.packets)
-        self.packets.clear()
-        return items

@@ -104,17 +104,6 @@ class StatefulNfModel:
             return total
         raise ValueError(f"unknown mode {mode!r}")
 
-    def scaling_curve(self, core_counts, mode="plb", locked=True, group_size=None):
-        """[(cores, Mpps)] across ``core_counts`` -- the §7 ablation data."""
-        return [
-            (cores, self.throughput_mpps(cores, mode, locked, group_size))
-            for cores in core_counts
-        ]
-
-    def is_write_heavy(self, threshold_writes=0.5):
-        """The paper's classification knob."""
-        return self.writes_per_packet >= threshold_writes
-
 
 def write_light_nf():
     """Session establish/teardown only: ~1 write per 100 packets."""

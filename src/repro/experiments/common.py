@@ -31,13 +31,6 @@ class ExperimentResult:
     def rows(self):
         return list(self._rows)
 
-    def to_dict(self):
-        return {
-            "experiment": self.name,
-            "rows": self.rows(),
-            "meta": dict(self.meta),
-        }
-
     def column(self, key):
         return [row[key] for row in self._rows]
 

@@ -12,7 +12,7 @@ measure what the model computes from them:
   bits for 8 queues), against the paper's 5%.
 """
 
-from repro.core.resources import FpgaResourceModel
+from repro.core.resources import plb_bram_pct
 from repro.experiments.common import ExperimentResult
 from repro.packet.flows import flow_for_tenant
 from repro.packet.packet import Packet
@@ -39,9 +39,9 @@ def _measure_unloaded_latency():
     return packet.latency_ns - service_ns
 
 
-def run_resources(reorder_queues=8):
+def run_resources():
     """The bottom-up PLB BRAM estimate."""
-    estimate_pct = FpgaResourceModel().plb_bram_pct(queue_count=reorder_queues)
+    estimate_pct = plb_bram_pct()
     return ExperimentResult(
         "Tab. 5: FPGA resource consumption", [],
         meta={"plb_bram_estimate_pct": round(estimate_pct, 2)},

@@ -65,19 +65,8 @@ class FaultPlan:
     def __init__(self, faults=()):
         self.faults = sorted(faults, key=lambda fault: fault.at_ns)
 
-    def add(self, fault):
-        self.faults.append(fault)
-        self.faults.sort(key=lambda entry: entry.at_ns)
-        return fault
-
-    def __len__(self):
-        return len(self.faults)
-
     def __iter__(self):
         return iter(self.faults)
-
-    def kinds(self):
-        return [fault.kind for fault in self.faults]
 
     @classmethod
     def chaos(

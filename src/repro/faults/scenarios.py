@@ -60,33 +60,16 @@ class ScenarioReport:
         self.name = name
         self.seed = seed
         self.values = {}
-        self._order = []
         self.records = []
         self.metrics = None
 
     def add(self, key, value):
-        if key not in self.values:
-            self._order.append(key)
         self.values[key] = value
-
-    def get(self, key):
-        return self.values.get(key)
 
     def render(self):
         lines = [f"scenario: {self.name} (seed {self.seed})"]
-        lines.extend(f"  {key}: {_fmt(self.values[key])}" for key in self._order)
+        lines.extend(f"  {key}: {_fmt(self.values[key])}" for key in self.values)
         return "\n".join(lines)
-
-    def to_dict(self):
-        return {
-            "scenario": self.name,
-            "seed": self.seed,
-            **{key: self.values[key] for key in self._order},
-        }
-
-    def rows(self):
-        """The common one-row-per-report shape (see ``format_table``)."""
-        return [self.to_dict()]
 
 
 def _add_headline(report, record):

@@ -39,8 +39,5 @@ class CounterSet(Stateful):
             for name, value in self.counts.items()
         }
 
-    def __getitem__(self, name):
-        return self.get(name)
-
     def __repr__(self):
         return f"CounterSet({self.counts!r})"

@@ -109,20 +109,6 @@ def _ip_str(ip):
     return ".".join(str((ip >> shift) & 0xFF) for shift in (24, 16, 8, 0))
 
 
-def ip_from_str(text):
-    """Parse dotted-quad notation into a 32-bit int."""
-    parts = text.split(".")
-    if len(parts) != 4:
-        raise ValueError(f"not a dotted quad: {text!r}")
-    value = 0
-    for part in parts:
-        octet = int(part)
-        if not 0 <= octet <= 255:
-            raise ValueError(f"octet out of range in {text!r}")
-        value = (value << 8) | octet
-    return value
-
-
 def flow_for_tenant(tenant_id, flow_index, proto=PROTO_UDP):
     """Deterministic flow key for (tenant, index) pairs.
 

@@ -15,7 +15,7 @@ Public API:
 
 from repro.sim.engine import Event, Simulator, SimulationError
 from repro.sim.rng import RngRegistry
-from repro.sim.units import MS, NS, SECOND, US, from_seconds, to_seconds
+from repro.sim.units import MS, NS, SECOND, US
 
 __all__ = [
     "Event",
@@ -26,6 +26,4 @@ __all__ = [
     "US",
     "MS",
     "SECOND",
-    "from_seconds",
-    "to_seconds",
 ]

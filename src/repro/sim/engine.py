@@ -201,18 +201,6 @@ class Simulator(Stateful):
             )
         self.next_seq = itertools.count(seq).__next__
 
-    @property
-    def pending(self):
-        """Number of not-yet-cancelled events still queued.
-
-        A heap scan (every event has exactly one entry, rearmed or not):
-        nothing on a hot path reads it, so no live-event counter is kept.
-        """
-        heap = self._heap
-        return len(heap) - sum(
-            1 for entry in heap if entry[4] is not None and entry[4].cancelled
-        )
-
     def schedule(self, delay, fn, *args):
         """Schedule ``fn(*args)`` to run ``delay`` nanoseconds from now.
 

@@ -96,10 +96,6 @@ class RngRegistry(Stateful):
             if name not in self._carried
         )
 
-    def reset(self):
-        """Drop all streams; subsequent calls re-derive from the seed."""
-        self._streams.clear()
-
     def restore(self, snapshot):
         """Reposition every stream from a checkpoint, **in place**.
 

@@ -11,13 +11,3 @@ NS = 1
 US = 1_000
 MS = 1_000_000
 SECOND = 1_000_000_000
-
-
-def from_seconds(seconds):
-    """Convert float seconds to integer nanoseconds (rounded)."""
-    return int(round(seconds * SECOND))
-
-
-def to_seconds(nanoseconds):
-    """Convert integer nanoseconds to float seconds."""
-    return nanoseconds / SECOND

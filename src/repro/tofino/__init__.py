@@ -14,7 +14,7 @@ lists.
 
 from repro.tofino.allocator import AllocationError, AllocationResult, PipelineAllocator
 from repro.tofino.program import Header, P4Program, Table
-from repro.tofino.resources import PipelineSpec, TofinoSpec
+from repro.tofino.resources import PipelineSpec
 from repro.tofino.sailfish import sailfish_egress_program, sailfish_ingress_program
 
 __all__ = [
@@ -25,7 +25,6 @@ __all__ = [
     "P4Program",
     "Table",
     "PipelineSpec",
-    "TofinoSpec",
     "sailfish_egress_program",
     "sailfish_ingress_program",
 ]

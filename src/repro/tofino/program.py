@@ -92,9 +92,6 @@ class P4Program:
         self.tables.append(table)
         return table
 
-    def table(self, name):
-        return self._by_name[name]
-
     def phv_bits(self):
         """Total PHV demand of the parsed header stack."""
         return sum(header.bits for header in self.headers)

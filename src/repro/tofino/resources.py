@@ -53,16 +53,3 @@ class PipelineSpec:
             tcam_entry_bits=self.tcam_entry_bits,
             phv_bits=self.phv_bits,
         )
-
-
-class TofinoSpec:
-    """A whole chip: four pipelines plus line-rate characteristics."""
-
-    def __init__(self, pipelines=4, pipeline_spec=None, pipeline_tbps=1.6):
-        self.pipelines = pipelines
-        self.pipeline_spec = pipeline_spec if pipeline_spec is not None else PipelineSpec()
-        self.pipeline_tbps = pipeline_tbps
-
-    @property
-    def total_tbps(self):
-        return self.pipelines * self.pipeline_tbps

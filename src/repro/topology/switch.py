@@ -45,14 +45,6 @@ class EcmpUplink:
         self._affinity = {}       # FlowKey -> member index
         self._member_keys = tuple(f"to_server.{name}" for name, _ in members)
 
-    def server_for(self, flow):
-        """The member index ``flow`` resolves to (pin first, then hash)."""
-        if self.pin_flows:
-            index = self._affinity.get(flow)
-            if index is not None:
-                return index
-        return crc32_flow_hash(flow, self.hash_seed) % len(self.members)
-
     def forward(self, packet):
         """Deliver ``packet`` to its flow's server, synchronously.
 

@@ -65,9 +65,6 @@ class FlowPopulation:
         self._head_flows = [flows[index] for index in range(head)]
         self._head_vnis = array("q", (self.vnis[index] for index in range(head)))
 
-    def __len__(self):
-        return len(self.flows)
-
     def choose(self, rng):
         """Return (flow, vni) sampled by weight."""
         point = rng.random() * self.total_weight

@@ -2,7 +2,8 @@
 command, or the allow-list below says why it is kept.
 
 In this one process, under a ``sys.setprofile`` hook, the script runs the
-CLI surface at quick size, the four quick sweeps on one worker,
+CLI surface at quick size, the four quick sweeps on one worker, one of
+them resumed once finished and once run without ``--run-id``,
 ``runs list/show/compare`` over the runs they leave, the five examples
 and a fault run under an installed sanitizer.  Then it walks
 every ``def`` under ``src/repro`` and exits 1 if a function was neither
@@ -10,7 +11,7 @@ called nor covered by an :data:`ALLOWED` entry, or if an entry covers a
 function that *was* called (the entry is stale: delete it) or covers
 nothing at all.  An entry names a module, a class or a function by its
 dotted path and carries a one-line reason, the same idiom as
-``lint: disable``.
+``lint: disable``; the summary counts the entries by reason.
 
 Its name does not start with ``test_``, so pytest does not collect it (it
 takes about two minutes on a 2-core host).  Run it from the repository
@@ -49,7 +50,6 @@ _POOL = ("fork path (--workers > 1, or 0 = auto): CI's sanitized --workers 2 swe
 _ORACLE = "test oracle: tier-1 tests check the simulator against it"
 _REPR = "debugging text for an interactive session; no command prints it"
 _SCENARIO = "registry scenario: `inventory` lists it, tier-1 golden and wire tests build it"
-_TESTS = "library call only tier-1 tests make; next candidate for ROADMAP 6(b) removal"
 
 #: Dotted module, class or function path -> why it is kept although no
 #: command below calls it.  An entry covers everything under its path,
@@ -70,7 +70,7 @@ ALLOWED = {
     "repro.core.ratelimit.TwoStageRateLimiter.sram_bytes": _CLAIM_SRAM,
     "repro.core.ratelimit.TwoStageRateLimiter.naive_sram_bytes": _CLAIM_SRAM,
     "repro.core.ratelimit.TwoStageRateLimiter.meter_collision_pairs": _CLAIM_SRAM,
-    "repro.core.resources.FpgaResourceModel.headroom": _CLAIM_SRAM,
+    "repro.core.resources.headroom": _CLAIM_SRAM,
     "repro.container.sriov.NicPort.recover": _CLAIM_SRIOV,
     "repro.container.sriov.NicCard.fail": _CLAIM_SRIOV,
     "repro.container.sriov.NicCard.recover": _CLAIM_SRIOV,
@@ -92,8 +92,6 @@ ALLOWED = {
     "repro.analysis.reporter.Finding.render": _FAILURE,
     "repro.analysis.rules._is_datetime_name": _NO_INPUT,
     "repro.analysis.rules.UnorderedIterationRule.visit_AsyncFor": _NO_INPUT,
-    "repro.runs.store.RunStore.resume": "sweep --resume after an interrupted run; tier-1 kills one",
-    "repro.runs.store.RunStore.default_run_id": "sweep without --run-id; the check names its runs",
     "repro.core.nic.NicPipeline.fpga_stalled": _FPGA_RESET,
     "repro.core.nic.NicPipeline.set_fpga_stalled": _FPGA_RESET,
     "repro.core.nic.NicPipeline.recover_fpga": _FPGA_RESET,
@@ -137,45 +135,6 @@ ALLOWED = {
     "repro.sim.engine.Event.__repr__": _REPR,
     "repro.tofino.program.Header.__repr__": _REPR,
     "repro.tofino.program.Table.__repr__": _REPR,
-    # Library calls only tier-1 tests make.
-    "repro.analysis.registry.get_rule": _TESTS,
-    "repro.analysis.reporter.lint_source": _TESTS,
-    "repro.bgp.speaker.RouteEntry.key": _TESTS,
-    "repro.bgp.speaker.BgpSpeaker.best_route": _TESTS,
-    "repro.bgp.switch.UplinkSwitch.is_overloaded": _TESTS,
-    "repro.bgp.switch.max_pods_per_server_direct": _TESTS,
-    "repro.container.elasticity.ElasticityManager.speedup_vs_physical": _TESTS,
-    "repro.controlplane.migration.MigrationController.complete": _TESTS,
-    "repro.core.gateway.GwPodRuntime.in_flight": _TESTS,
-    "repro.core.gateway.AlbatrossServer.free_cores": _TESTS,
-    "repro.core.gateway.AlbatrossServer.pod_ready_delay_ns": _TESTS,
-    "repro.core.meta.PlbMeta.psn12": _TESTS,
-    "repro.core.offload.FpgaSessionOffload.__len__": _TESTS,
-    "repro.core.ratelimit.TwoStageRateLimiter.add_bypass": _TESTS,
-    "repro.core.rss.RssDispatcher.indirection_table": _TESTS,
-    "repro.cpu.cache.LruCacheModel.occupancy_lines": _TESTS,
-    "repro.cpu.cache.LruCacheModel.flush": _TESTS,
-    "repro.cpu.numa.NumaTopology.total_cores": _TESTS,
-    "repro.cpu.numa.NumaTopology.node_of_core": _TESTS,
-    "repro.cpu.queues.PacketQueue.drain": _TESTS,
-    "repro.cpu.stateful.StatefulNfModel.scaling_curve": _TESTS,
-    "repro.cpu.stateful.StatefulNfModel.is_write_heavy": _TESTS,
-    "repro.experiments.common.ExperimentResult.to_dict": _TESTS,
-    "repro.faults.plan.FaultPlan.add": _TESTS,
-    "repro.faults.plan.FaultPlan.__len__": _TESTS,
-    "repro.faults.plan.FaultPlan.kinds": _TESTS,
-    "repro.faults.scenarios.ScenarioReport.get": _TESTS,
-    "repro.faults.scenarios.ScenarioReport.to_dict": _TESTS,
-    "repro.faults.scenarios.ScenarioReport.rows": _TESTS,
-    "repro.metrics.counters.CounterSet.__getitem__": _TESTS,
-    "repro.packet.flows.ip_from_str": _TESTS,
-    "repro.sim.engine.Simulator.pending": _TESTS,
-    "repro.sim.rng.RngRegistry.reset": _TESTS,
-    "repro.sim.units": _TESTS,
-    "repro.tofino.program.P4Program.table": _TESTS,
-    "repro.tofino.resources.TofinoSpec": _TESTS,
-    "repro.topology.switch.EcmpUplink.server_for": _TESTS,
-    "repro.workloads.generators.FlowPopulation.__len__": _TESTS,
 }
 
 
@@ -212,6 +171,13 @@ def exercise(workdir):
         _cli("sweep", name, "--quick", "--workers", "1", *extra,
              "--runs-dir", runs, "--run-id", name,
              "--output", str(workdir / f"{name}.json"))
+    # A finished run resumed: every shard is served from the store.
+    _cli("sweep", "tenant-scaling", "--quick", "--workers", "1", "--runs-dir", runs,
+         "--resume", "tenant-scaling", "--output", str(workdir / "resumed.json"))
+    # A run named by the store, in a runs dir of its own so that
+    # ``_run_ids(runs)`` below lists only the runs named above.
+    _cli("sweep", "tenant-scaling", "--quick", "--workers", "1",
+         "--runs-dir", str(workdir / "UNNAMED"), "--output", str(workdir / "unnamed.json"))
     _cli("runs", "--runs-dir", runs, "list")
     for run_id in _run_ids(runs):
         _cli("runs", "--runs-dir", runs, "show", run_id)
@@ -308,6 +274,18 @@ def find_problems(functions, reached, allowed):
     return unreached, problems
 
 
+def reason_counts():
+    """``[(reason constant, entries)]`` over :data:`ALLOWED`, in the order
+    the constants are defined, then ``other`` for the one-off reasons."""
+    constants = {value: name for name, value in globals().items()
+                 if name.startswith("_") and name.isupper() and isinstance(value, str)}
+    counts = dict.fromkeys(constants.values(), 0)
+    counts["other"] = 0
+    for reason in ALLOWED.values():
+        counts[constants.get(reason, "other")] += 1
+    return list(counts.items())
+
+
 def main():
     reached = profile_reached()
     functions = list(definitions())
@@ -321,6 +299,8 @@ def main():
         print(problem)
     print(f"reachability: {len(ALLOWED)} allow-list entries, "
           f"{len(problems)} problem(s)")
+    print("reachability: entries by reason: "
+          + ", ".join(f"{name} {count}" for name, count in reason_counts()))
     return 1 if problems else 0
 
 if __name__ == "__main__":

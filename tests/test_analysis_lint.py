@@ -1,21 +1,32 @@
 """Determinism-linter tests: each DET rule fires exactly where expected."""
 
 import os
+import tempfile
 import textwrap
 
 import pytest
 
 import repro
-from repro.analysis.registry import all_rules, get_rule, select_rules
-from repro.analysis.reporter import lint_paths, lint_source
+from repro.analysis.registry import all_rules, select_rules
+from repro.analysis.reporter import lint_paths
 from repro.cli import main
 
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
 
+def lint_findings(source, path="repro/example.py", rules=None):
+    """Lint ``source`` the way the ``lint`` command does: from a file at
+    ``path`` under a fresh temporary directory."""
+    with tempfile.TemporaryDirectory() as root:
+        target = os.path.join(root, path)
+        os.makedirs(os.path.dirname(target), exist_ok=True)
+        with open(target, "w", encoding="utf-8") as handle:
+            handle.write(textwrap.dedent(source))
+        return lint_paths([target], rules=rules).findings
+
+
 def lint(source, path="repro/example.py"):
-    findings = lint_source(textwrap.dedent(source), path=path)
-    return [(finding.code, finding.line) for finding in findings]
+    return [(finding.code, finding.line) for finding in lint_findings(source, path=path)]
 
 
 def codes(source, path="repro/example.py"):
@@ -106,7 +117,7 @@ class TestDet001Entropy:
         def pick(name, buckets):
             return hash(name) % buckets
         """
-        findings = lint_source(textwrap.dedent(source), path="repro/example.py")
+        findings = lint_findings(source)
         assert [finding.code for finding in findings] == ["DET001"]
         assert "salted per process" in findings[0].message
         assert "zlib.crc32" in findings[0].message
@@ -413,17 +424,9 @@ class TestSuppressions:
         # A DET004 baseline in a file linted with only the entropy rule
         # selected must not be called stale: the rule that could match
         # it never ran.
-        findings = lint_source(
+        findings = lint_findings(
             "# lint: disable=DET004(exempted heap use)\nx = 1\n",
-            path="repro/example.py",
             rules=select_rules(["DET001"]),
-        )
-        assert findings == []
-
-    def test_stale_check_can_be_disabled(self):
-        source = "# lint: disable=DET001(baseline kept on purpose)\nx = 1\n"
-        findings = lint_source(
-            source, path="repro/example.py", check_stale=False
         )
         assert findings == []
 
@@ -440,13 +443,12 @@ class TestReporting:
     def test_syntax_error_reported_not_raised(self):
         assert codes("def broken(:\n") == ["LNT001"]
 
-    def test_findings_carry_position(self):
-        findings = lint_source("import random\n", path="repro/x.py")
-        finding = findings[0]
-        assert (finding.path, finding.line, finding.code) == (
-            "repro/x.py", 1, "DET001"
-        )
-        assert "repro/x.py:1:1: DET001" in finding.render()
+    def test_findings_carry_position(self, tmp_path):
+        path = tmp_path / "x.py"
+        path.write_text("import random\n")
+        finding = lint_paths([str(path)]).findings[0]
+        assert (finding.path, finding.line, finding.code) == (str(path), 1, "DET001")
+        assert f"{path}:1:1: DET001" in finding.render()
 
     def test_rule_registry_complete(self):
         rules = all_rules()
@@ -457,14 +459,11 @@ class TestReporting:
             assert code in codes_seen
         assert len(codes_seen) == len(set(codes_seen))
         assert all(rule.summary for rule in rules)
-        assert get_rule("DET001").code == "DET001"
 
     def test_snapshot_completeness_is_not_a_lint_rule(self):
         # statecheck's runtime rule replaced the SNAP family.
         with pytest.raises(ValueError):
             select_rules(["SNAP"])
-        with pytest.raises(KeyError):
-            get_rule("SNAP003")
 
     def test_select_rules_by_prefix_and_code(self):
         det_rules = select_rules(["DET"])

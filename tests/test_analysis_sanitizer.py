@@ -434,4 +434,4 @@ class TestScenarioIntegration:
         assert sanitizer.violations == 0
         assert sanitizer.checks > 0
         assert sanitizer.events_traced > 0
-        assert report.get("faults_injected") >= 1
+        assert report.values["faults_injected"] >= 1

@@ -282,7 +282,7 @@ class TestRssDispatcher:
         snapshot = json_round_trip(rss.checkpoint())
         fresh = RssDispatcher(cores)
         fresh.restore(snapshot)
-        assert fresh.indirection_table == table
+        assert fresh.checkpoint()["indirection"] == table
         assert fresh.dispatched == 1
 
 
@@ -318,13 +318,13 @@ def _server_with_pod(seed=11, **spec_kwargs):
 class TestPodCheckpoint:
     def test_idle_pod_quiescent_and_zero_in_flight(self):
         sim, _, _, pod = _server_with_pod()
-        assert pod.in_flight() == 0
+        assert pod.nic.in_flight() == 0
         assert pod.quiescent()
         pod.ingress(Packet(_flow(1)))
-        assert pod.in_flight() == 1
+        assert pod.nic.in_flight() == 1
         assert not pod.quiescent()
         sim.run_until(MS)
-        assert pod.in_flight() == 0
+        assert pod.nic.in_flight() == 0
         assert pod.quiescent()
         assert pod.transmitted() == 1
 

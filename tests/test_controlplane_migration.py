@@ -27,28 +27,28 @@ def scenario_report(request):
 
 class TestScenarioInvariants:
     def test_migration_completes(self, scenario_report):
-        assert scenario_report.get("final_state") == MigrationPhase.COMPLETE
+        assert scenario_report.values["final_state"] == MigrationPhase.COMPLETE
 
     def test_zero_packet_loss(self, scenario_report):
-        assert scenario_report.get("drops_total") == 0
+        assert scenario_report.values["drops_total"] == 0
 
     def test_zero_reordering(self, scenario_report):
-        assert scenario_report.get("best_effort_total") == 0
+        assert scenario_report.values["best_effort_total"] == 0
 
     def test_traffic_was_actually_held(self, scenario_report):
         """The blackout was real: packets arrived while the pod was down."""
-        assert scenario_report.get("packets_buffered") > 0
+        assert scenario_report.values["packets_buffered"] > 0
 
     def test_pod_moved_numa_nodes(self, scenario_report):
-        assert scenario_report.get("source_numa_node") == 0
-        assert scenario_report.get("target_numa_node") == 1
+        assert scenario_report.values["source_numa_node"] == 0
+        assert scenario_report.values["target_numa_node"] == 1
 
     def test_timing_metrics_populated(self, scenario_report):
-        assert scenario_report.get("drain_ms") > 0
-        assert scenario_report.get("blackout_ms") > 0
-        assert scenario_report.get("total_ms") >= scenario_report.get("blackout_ms")
-        assert scenario_report.get("snapshot_kib") > 0
-        assert scenario_report.get("drain_polls") >= 1
+        assert scenario_report.values["drain_ms"] > 0
+        assert scenario_report.values["blackout_ms"] > 0
+        assert scenario_report.values["total_ms"] >= scenario_report.values["blackout_ms"]
+        assert scenario_report.values["snapshot_kib"] > 0
+        assert scenario_report.values["drain_polls"] >= 1
 
 
 class TestPhaseTimeline:
@@ -130,7 +130,7 @@ class TestPerFlowOrderAcrossMigration:
         """Every packet that entered came out: rx == tx, nothing in flight."""
         handle, egress = tapped_run
         pod = handle.pods["gw"]
-        assert pod.in_flight() == 0
+        assert pod.nic.in_flight() == 0
         counters = pod.counters.snapshot()
         assert counters["tx_packets"] == counters["rx_packets"]
         # The tap saw every transmit, pre- and post-migration.
@@ -139,7 +139,7 @@ class TestPerFlowOrderAcrossMigration:
     def test_buffer_fully_flushed(self, tapped_run):
         handle, _ = tapped_run
         controller = handle.migration
-        assert controller.complete
+        assert controller.plan.state == MigrationPhase.COMPLETE
         assert not controller._buffer
         assert controller.plan.packets_buffered > 0
 

@@ -40,24 +40,23 @@ class TestLruBasics:
         cache = LruCacheModel(capacity_bytes=4 * CACHE_LINE_BYTES)
         for line in range(100):
             cache.access(line * 64)
-        assert cache.occupancy_lines == 4
+        # The last four lines stay; the fifth from last was evicted.
+        assert [cache.access(line * 64) for line in range(96, 100)] == [True] * 4
+        assert cache.access(95 * 64) is False
 
     def test_multi_line_entry_touches_all_lines(self):
-        cache = LruCacheModel(capacity_bytes=1024)
+        cache = LruCacheModel(capacity_bytes=4 * CACHE_LINE_BYTES)
         cache.access(0, size=256)  # 4 lines
-        assert cache.occupancy_lines == 4
-        assert cache.access(192) is True
+        assert [cache.access(line * 64) for line in range(4)] == [True] * 4
+        # Exactly four lines were installed: one new line evicts only line 0.
+        assert cache.access(4 * 64) is False
+        assert [cache.access(line * 64) for line in range(1, 5)] == [True] * 4
+        assert cache.access(0) is False
 
     def test_multi_line_return_is_first_line(self):
         cache = LruCacheModel(capacity_bytes=1024)
         cache.access(128)
         assert cache.access(0, size=256) is False  # first line missing
-
-    def test_flush(self):
-        cache = LruCacheModel(capacity_bytes=1024)
-        cache.access(0)
-        cache.flush()
-        assert cache.access(0) is False
 
     def test_too_small_rejected(self):
         with pytest.raises(ValueError):

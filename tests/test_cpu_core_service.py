@@ -20,6 +20,7 @@ from repro.packet.flows import FlowKey, flow_for_tenant
 from repro.packet.packet import Packet
 from repro.sim import Simulator, US
 from repro.sim.rng import RngRegistry
+from tests.timer_restore import live_events
 
 
 class TestMemoryTimings:
@@ -282,7 +283,7 @@ class _CoreSide:
         core, sim = self.core, self.sim
         return (
             core.rx_queue.checkpoint(), core.stats.checkpoint(), len(core.rx_queue),
-            core.busy, sim.now, sim.pending, sim.events_processed, self.log,
+            core.busy, sim.now, live_events(sim), sim.events_processed, self.log,
         )
 
 
@@ -334,13 +335,15 @@ class TestPacketQueue:
         queue.pop()
         assert queue.high_watermark == 7
 
-    def test_drain(self):
-        queue = PacketQueue(10)
-        queue.push(1)
-        queue.push(2)
-        assert queue.drain() == [1, 2]
-        assert len(queue) == 0
-
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
             PacketQueue(0)
+
+    def test_popping_everything_empties_the_ring_and_frees_its_room(self):
+        queue = PacketQueue(3)
+        for item in range(4):
+            queue.push(item)
+        assert [queue.pop() for _ in range(4)] == [0, 1, 2, None]
+        assert len(queue) == 0
+        assert all(queue.push(item) for item in range(3))
+        assert (queue.enqueued, queue.dropped, queue.high_watermark) == (6, 1, 3)

@@ -10,16 +10,13 @@ from repro.sim import MS, Simulator
 class TestTopology:
     def test_default_albatross_shape(self):
         topology = NumaTopology()
-        assert len(topology.nodes) == 2
-        assert topology.total_cores == 96
+        assert [node.core_count for node in topology.nodes] == [48, 48]
         assert topology.nodes[0].memory_gb == 512
 
     def test_core_ids_partitioned(self):
         topology = NumaTopology()
-        assert topology.node_of_core(0).node_id == 0
-        assert topology.node_of_core(48).node_id == 1
-        with pytest.raises(ValueError):
-            topology.node_of_core(96)
+        assert [node.core_ids for node in topology.nodes] == [
+            list(range(48)), list(range(48, 96))]
 
     def test_speed_factor_intra_is_one(self):
         topology = NumaTopology()
@@ -113,10 +110,6 @@ class TestStatefulNf:
             nf.throughput_mpps(1, "rss"), rel=0.05
         )
 
-    def test_classification(self):
-        assert write_heavy_nf().is_write_heavy()
-        assert not write_light_nf().is_write_heavy()
-
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             StatefulNfModel().throughput_mpps(4, "bogus")
@@ -125,7 +118,30 @@ class TestStatefulNf:
         with pytest.raises(ValueError):
             StatefulNfModel().throughput_mpps(0)
 
-    def test_scaling_curve_shape(self):
-        curve = write_heavy_nf().scaling_curve([1, 2, 4, 8])
-        assert [cores for cores, _ in curve] == [1, 2, 4, 8]
-        assert all(mpps > 0 for _, mpps in curve)
+    @pytest.mark.parametrize("mode", ["plb", "rss", "plb_local", "plb_grouped"])
+    @pytest.mark.parametrize(
+        "make_nf", [write_light_nf, write_heavy_nf], ids=["write-light", "write-heavy"]
+    )
+    def test_no_mode_beats_core_local_scaling(self, make_nf, mode):
+        """Core-local state is the compute cap: sharing can only cost."""
+        nf = make_nf()
+        one_core = nf.throughput_mpps(1, "plb_local")
+        for cores in (1, 2, 3, 4, 8, 10, 16, 32, 64):
+            mpps = nf.throughput_mpps(cores, mode)
+            assert 0 < mpps <= cores * one_core * (1 + 1e-12)
+
+    @pytest.mark.parametrize(
+        "make_nf,peak_cores",
+        [(write_light_nf, 64), (write_heavy_nf, 2)],
+        ids=["write-light", "write-heavy"],
+    )
+    def test_scaling_curve_shape(self, make_nf, peak_cores):
+        """§7: under PLB a write-light NF gains from every core added, a
+        write-heavy one peaks early and then loses with every doubling."""
+        nf = make_nf()
+        core_counts = [1, 2, 4, 8, 16, 32, 64]
+        curve = [nf.throughput_mpps(cores, "plb") for cores in core_counts]
+        peak = core_counts.index(peak_cores)
+        assert curve[peak] == max(curve)
+        assert all(a < b for a, b in zip(curve[:peak + 1], curve[1:peak + 1]))
+        assert all(a > b for a, b in zip(curve[peak:], curve[peak + 1:]))

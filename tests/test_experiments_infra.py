@@ -12,7 +12,7 @@ from repro.core.plb.reorder import ReorderQueueConfig
 from repro.core.resources import (
     NIC_MODULE_LATENCY_US,
     NIC_MODULE_RESOURCES_PCT,
-    NicLatencyModel,
+    rx_ns,
 )
 from repro.experiments.claims import CALIBRATED, CLAIMS, EMERGENT, claims_for
 from repro.experiments.common import ExperimentResult
@@ -48,14 +48,15 @@ def _pct_sum(column, modules):
 #: ``tab6.performance`` has none: its cells were typed into a driver that
 #: is gone, and no other code read them.
 CITED_INPUTS = {
-    "tab4.rx-total": [(3.90, lambda: NicLatencyModel().rx_ns() / US)],
+    "tab4.rx-total": [(3.90, lambda: rx_ns() / US)],
     "tab4.tx-total": [(4.17, lambda: sum(tx for _, tx in NIC_MODULE_LATENCY_US.values()))],
     "tab4.dma-dominates": [((3.17, 2.98), lambda: NIC_MODULE_LATENCY_US["dma"])],
     "tab5.lut-total": [(60.0, lambda: _pct_sum(0, NIC_MODULE_RESOURCES_PCT))],
     "tab5.bram-total": [(44.5, lambda: _pct_sum(1, NIC_MODULE_RESOURCES_PCT))],
     "tab5.plb-overload-lut": [(14.6, lambda: _pct_sum(0, ("plb", "overload_detection")))],
-    "tab6.lpm-capacity": [(0.2, lambda: round(
-        sailfish_egress_program().table("vxlan_route_lpm").entries / 1e6, 1))],
+    "tab6.lpm-capacity": [(0.2, lambda: round(next(
+        t.entries for t in sailfish_egress_program().tables if t.name == "vxlan_route_lpm"
+    ) / 1e6, 1))],
     "tab6.elasticity": [(10, lambda: POD_PREPARE_NS / SECOND)],
     "tab6.cost": [(2.0, lambda: RELATIVE_COST["albatross"] / RELATIVE_COST["physical"])],
     "tab6.performance": [],

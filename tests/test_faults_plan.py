@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.faults.plan import Fault, FaultKind, FaultPlan
 from repro.sim import MS
@@ -45,26 +47,25 @@ class TestFaultPlan:
         early = Fault(FaultKind.LINK_FLAP, 10)
         plan = FaultPlan([late, early])
         assert list(plan) == [early, late]
-        assert plan.kinds() == [FaultKind.LINK_FLAP, FaultKind.POD_CRASH]
-        assert len(plan) == 2
-
-    def test_add_keeps_order_and_returns_the_fault(self):
-        plan = FaultPlan([Fault(FaultKind.POD_CRASH, 30)])
-        middle = plan.add(Fault(FaultKind.CORE_STALL, 20, target=0))
-        plan.add(Fault(FaultKind.LINK_FLAP, 40))
-        assert [fault.at_ns for fault in plan] == [20, 30, 40]
-        assert plan.faults[0] is middle
 
     def test_equal_times_keep_insertion_order(self):
         first = Fault(FaultKind.FPGA_STALL, 10)
         second = Fault(FaultKind.LIMITER_SRAM, 10)
-        plan = FaultPlan([first, second])
-        third = plan.add(Fault(FaultKind.LINK_FLAP, 10))
-        assert list(plan) == [first, second, third]
+        third = Fault(FaultKind.LINK_FLAP, 10)
+        assert list(FaultPlan([first, second, third])) == [first, second, third]
 
     def test_empty_plan(self):
-        plan = FaultPlan()
-        assert len(plan) == 0 and plan.kinds() == []
+        assert list(FaultPlan()) == []
+
+    @settings(max_examples=100, deadline=None)
+    @given(times=st.lists(st.integers(0, 5), max_size=12))
+    def test_any_order_is_sorted_stably_by_time(self, times):
+        faults = [Fault(FaultKind.LINK_FLAP, at_ns) for at_ns in times]
+        position = {id(fault): index for index, fault in enumerate(faults)}
+        planned = list(FaultPlan(faults))
+        assert sorted(map(id, planned)) == sorted(map(id, faults))
+        for earlier, later in zip(planned, planned[1:]):
+            assert (earlier.at_ns, position[id(earlier)]) < (later.at_ns, position[id(later)])
 
 
 class TestChaosValidation:
@@ -76,7 +77,7 @@ class TestChaosValidation:
         # Four faults need five 50 ms gaps: 250 ms.
         with pytest.raises(ValueError, match="too short"):
             FaultPlan.chaos(random.Random(1), duration_ns=249 * MS, count=4)
-        assert len(FaultPlan.chaos(random.Random(1), duration_ns=250 * MS, count=4)) == 4
+        assert len(FaultPlan.chaos(random.Random(1), duration_ns=250 * MS, count=4).faults) == 4
 
     @pytest.mark.parametrize("kind", list(FaultKind), ids=lambda kind: kind.value)
     def test_single_kind_plans(self, kind):
@@ -84,7 +85,7 @@ class TestChaosValidation:
             random.Random(11), duration_ns=2_000 * MS, kinds=[kind], count=3,
             max_fault_ns=40 * MS, core_count=2,
         )
-        assert plan.kinds() == [kind] * 3
+        assert [fault.kind for fault in plan] == [kind] * 3
         for fault in plan:
             assert fault.at_ns < 2_000 * MS
             if kind is FaultKind.LIMITER_SRAM:

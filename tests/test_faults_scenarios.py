@@ -64,92 +64,90 @@ class TestScenarioRegistry:
 
 class TestPodCrashReschedule:
     def test_detected_within_bfd_budget(self, pod_crash_report):
-        detection = pod_crash_report.get("detection_latency_ms")
-        budget = pod_crash_report.get("bfd_detect_budget_ms")
+        detection = pod_crash_report.values["detection_latency_ms"]
+        budget = pod_crash_report.values["bfd_detect_budget_ms"]
         assert 0 < detection <= budget + BFD_MARGIN_MS
 
     def test_blackout_is_bounded_by_recovery_window(self, pod_crash_report):
         # 20k pps with a ~400 ms outage: the blackhole must be real but
         # cannot exceed the offered load over the recovery window.
-        drops = pod_crash_report.get("blackout_drops")
+        drops = pod_crash_report.values["blackout_drops"]
         assert drops > 0
-        recovery_ms = pod_crash_report.get("recovery_latency_ms")
+        recovery_ms = pod_crash_report.values["recovery_latency_ms"]
         assert drops <= 20_000 * (recovery_ms / 1000.0) * 1.05
 
     def test_throughput_back_within_tolerance(self, pod_crash_report):
         # The steady-state tracker only stamps a window whose rate is
         # within 5% of the pre-fault baseline; reaching it IS the claim.
-        steady = pod_crash_report.get("time_to_steady_state_ms")
+        steady = pod_crash_report.values["time_to_steady_state_ms"]
         assert isinstance(steady, float)
-        assert steady > pod_crash_report.get("detection_latency_ms")
+        assert steady > pod_crash_report.values["detection_latency_ms"]
 
     def test_rescheduled_away_from_failed_server(self, pod_crash_report):
-        assert pod_crash_report.get("rescheduled_to").startswith("server-1")
+        assert pod_crash_report.values["rescheduled_to"].startswith("server-1")
 
 
 class TestCoreStallPlbVsRss:
     def test_plb_detects_via_doorbell_rss_never_does(self, core_stall_report):
-        assert core_stall_report.get("plb_detection_latency_ms") < 1.0
+        assert core_stall_report.values["plb_detection_latency_ms"] < 1.0
         # RSS only "notices" when the core heals: detection == duration.
-        assert core_stall_report.get("rss_detection_latency_ms") >= 200.0
+        assert core_stall_report.values["rss_detection_latency_ms"] >= 200.0
 
     def test_plb_spray_absorbs_lost_core(self, core_stall_report):
-        offered = core_stall_report.get("offered_during_stall")
-        delivered = core_stall_report.get("plb_delivered_during_stall")
+        offered = core_stall_report.values["offered_during_stall"]
+        delivered = core_stall_report.values["plb_delivered_during_stall"]
         assert delivered >= offered * 0.95
-        assert core_stall_report.get("plb_rx_queue_drops") == 0
+        assert core_stall_report.values["plb_rx_queue_drops"] == 0
 
     def test_rss_shows_hol_blocking_by_contrast(self, core_stall_report):
-        assert core_stall_report.get("rss_rx_queue_drops") > 0
+        assert core_stall_report.values["rss_rx_queue_drops"] > 0
         assert (
-            core_stall_report.get("rss_delivered_during_stall")
-            < core_stall_report.get("plb_delivered_during_stall")
+            core_stall_report.values["rss_delivered_during_stall"]
+            < core_stall_report.values["plb_delivered_during_stall"]
         )
 
     def test_both_modes_return_to_steady_state(self, core_stall_report):
-        assert isinstance(core_stall_report.get("plb_time_to_steady_state_ms"), float)
-        assert isinstance(core_stall_report.get("rss_time_to_steady_state_ms"), float)
+        assert isinstance(core_stall_report.values["plb_time_to_steady_state_ms"], float)
+        assert isinstance(core_stall_report.values["rss_time_to_steady_state_ms"], float)
 
 
 class TestBfdFlap:
     def test_detected_within_three_probe_intervals(self, bfd_flap_report):
-        detection = bfd_flap_report.get("detection_latency_ms")
-        budget = bfd_flap_report.get("bfd_detect_budget_ms")
+        detection = bfd_flap_report.values["detection_latency_ms"]
+        budget = bfd_flap_report.values["bfd_detect_budget_ms"]
         assert budget == 150.0  # paper-faithful 3 x 50 ms
         assert 0 < detection <= budget + BFD_MARGIN_MS
 
     def test_probes_lost_during_blackout(self, bfd_flap_report):
-        assert bfd_flap_report.get("blackout_drops") > 0
-        assert bfd_flap_report.get("blackout_drops") == bfd_flap_report.get(
-            "probes_lost"
-        )
+        assert bfd_flap_report.values["blackout_drops"] > 0
+        assert bfd_flap_report.values["blackout_drops"] == bfd_flap_report.values["probes_lost"]
 
     def test_sessions_recover_and_steady(self, bfd_flap_report):
-        assert bfd_flap_report.get("sessions_up") is True
-        assert bfd_flap_report.get("down_events") >= 2  # both endpoints
-        assert isinstance(bfd_flap_report.get("time_to_steady_state_ms"), float)
+        assert bfd_flap_report.values["sessions_up"] is True
+        assert bfd_flap_report.values["down_events"] >= 2  # both endpoints
+        assert isinstance(bfd_flap_report.values["time_to_steady_state_ms"], float)
 
 
 class TestLimiterReset:
     def test_detection_is_synchronous(self, limiter_report):
-        assert limiter_report.get("detection_latency_ms") == 0.0
-        assert limiter_report.get("sram_resets") == 1
+        assert limiter_report.values["detection_latency_ms"] == 0.0
+        assert limiter_report.values["sram_resets"] == 1
 
     def test_transient_over_admission_not_drops(self, limiter_report):
         # The failure mode of a bucket wipe is letting traffic THROUGH:
         # a burst of over-admissions and zero blackout drops.
-        assert limiter_report.get("blackout_drops") == 0
-        assert limiter_report.get("over_admissions") > 0
-        assert limiter_report.get("buckets_wiped") > 0
+        assert limiter_report.values["blackout_drops"] == 0
+        assert limiter_report.values["over_admissions"] > 0
+        assert limiter_report.values["buckets_wiped"] > 0
 
     def test_heavy_hitter_redetected(self, limiter_report):
         assert (
-            limiter_report.get("promotions_total")
-            >= limiter_report.get("promotions_before_reset") + 1
+            limiter_report.values["promotions_total"]
+            >= limiter_report.values["promotions_before_reset"] + 1
         )
 
     def test_enforcement_back_to_steady_state(self, limiter_report):
-        assert isinstance(limiter_report.get("time_to_steady_state_ms"), float)
+        assert isinstance(limiter_report.values["time_to_steady_state_ms"], float)
 
 
 class TestChaosDeterminism:
@@ -161,8 +159,8 @@ class TestChaosDeterminism:
 
     def test_chaos_injects_every_planned_fault(self):
         report = run_scenario("chaos", seed=21, quick=True)
-        assert report.get("faults_injected") == len(report.records)
-        assert report.get("faults_injected") >= 4
+        assert report.values["faults_injected"] == len(report.records)
+        assert report.values["faults_injected"] >= 4
 
 
 class TestRecoveryOrdering:

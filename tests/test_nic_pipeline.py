@@ -177,7 +177,7 @@ class TestExits:
         sim.run_until(30 * MS)
         source.set_rate(0)
         sim.run_until(32 * MS)      # drain: nothing may stay in flight
-        assert pod.in_flight() == 0
+        assert pod.nic.in_flight() == 0
         pod.crash()
         source.set_rate(300_000)
         sim.run_until(33 * MS)
@@ -319,8 +319,21 @@ class TestServerPlacement:
         server = AlbatrossServer(sim, RngRegistry(1))
         server.add_pod(PodSpec(name="a", data_cores=44))
         server.remove_pod("a")
-        assert server.free_cores(0) == 48
+        # Two full-node pods fit only if "a" gave its node's cores back.
         server.add_pod(PodSpec(name="b", data_cores=44))
+        server.add_pod(PodSpec(name="c", data_cores=44))
+
+    @pytest.mark.parametrize("node", [0, 1])
+    def test_removed_pod_returns_its_cores_to_its_own_node(self, node):
+        server = AlbatrossServer(Simulator(), RngRegistry(1))
+        server.add_pod(PodSpec(name="a", data_cores=44, numa_node=node))
+        server.remove_pod("a")
+        # A node has 48 cores: a second 44-core pod fits only after the return.
+        second = server.add_pod(PodSpec(name="b", data_cores=44, numa_node=node))
+        assert set(second.allocated_core_ids) <= set(range(48 * node, 48 * node + 48))
+        server.add_pod(PodSpec(name="c", data_cores=44, numa_node=1 - node))
+        with pytest.raises(ValueError):
+            server.add_pod(PodSpec(name="d", data_cores=5, numa_node=node))
 
     def test_duplicate_name_rejected(self):
         sim = Simulator()
@@ -343,8 +356,3 @@ class TestServerPlacement:
             PodSpec(name="b", data_cores=2, numa_node=0, memory_node=1)
         )
         assert remote.cores[0].speed_factor > local.cores[0].speed_factor
-
-    def test_pod_ready_delay_is_10s(self):
-        sim = Simulator()
-        server = AlbatrossServer(sim, RngRegistry(1))
-        assert server.pod_ready_delay_ns() == 10 * 1_000_000_000

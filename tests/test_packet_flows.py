@@ -2,12 +2,13 @@
 
 import copy
 import pickle
+from ipaddress import IPv4Address
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.packet.flows import PROTO_TCP, PROTO_UDP, FlowKey, flow_for_tenant, ip_from_str
+from repro.packet.flows import PROTO_TCP, PROTO_UDP, FlowKey, flow_for_tenant
 from repro.packet.hashing import toeplitz_hash
 from repro.packet.packet import Packet, PacketKind
 
@@ -43,7 +44,7 @@ class TestPacket:
 
     @pytest.mark.parametrize("kind", list(PacketKind), ids=lambda kind: kind.value)
     def test_repr_names_kind_size_and_flow(self, kind):
-        flow = FlowKey(ip_from_str("10.0.0.1"), ip_from_str("10.0.0.2"), 5, 6, PROTO_TCP)
+        flow = FlowKey(0x0A000001, 0x0A000002, 5, 6, PROTO_TCP)
         packet = Packet(flow, vni=42, size=64, kind=kind)
         assert repr(packet) == (
             f"<Packet uid={packet.uid} vni=42 10.0.0.1:5->10.0.0.2:6/6 64B {kind.value}>"
@@ -62,17 +63,15 @@ class TestFlowKeyText:
             ("255.255.255.255", 0xFFFFFFFF),
         ],
     )
-    def test_ip_round_trip(self, text, value):
-        assert ip_from_str(text) == value
+    def test_ip_text(self, text, value):
         flow = FlowKey(value, value, 1, 2, PROTO_UDP)
         assert str(flow) == f"{text}:1->{text}:2/{PROTO_UDP}"
 
-    @pytest.mark.parametrize(
-        "text", ["", "1.2.3", "1.2.3.4.5", "256.0.0.1", "1.2.3.-1", "a.b.c.d", "1..2.3"]
-    )
-    def test_ip_from_str_rejects(self, text):
-        with pytest.raises(ValueError):
-            ip_from_str(text)
+    @settings(max_examples=200, deadline=None)
+    @given(src=st.integers(0, 0xFFFFFFFF), dst=st.integers(0, 0xFFFFFFFF))
+    def test_ip_text_is_the_dotted_quad(self, src, dst):
+        flow = FlowKey(src, dst, 1, 2, PROTO_TCP)
+        assert str(flow) == f"{IPv4Address(src)}:1->{IPv4Address(dst)}:2/{PROTO_TCP}"
 
     def test_is_hashable_and_equal_by_fields(self):
         flow = FlowKey(1, 2, 3, 4, PROTO_TCP)

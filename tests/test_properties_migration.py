@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.controlplane import snapshot_bytes
+from repro.controlplane.migration import MigrationPhase
 from repro.core import AlbatrossServer
 from repro.core.plb.reorder import TxOutcome
 from repro.packet.flows import FlowKey
@@ -99,9 +100,9 @@ class TestRandomizedMigrations:
     )
     def test_conservation_and_completion(self, workload, start_ns, seed):
         handle, egress = _migrated_run(workload, start_ns, seed)
-        assert handle.migration.complete
+        assert handle.migration.plan.state == MigrationPhase.COMPLETE
         pod = handle.pods["gw"]
-        assert pod.in_flight() == 0
+        assert pod.nic.in_flight() == 0
         assert not handle.migration._buffer
         counters = pod.counters.snapshot()
         assert counters["rx_packets"] > 0
@@ -120,7 +121,7 @@ class TestRandomizedMigrations:
     )
     def test_per_flow_order_survives(self, workload, start_ns, seed):
         handle, egress = _migrated_run(workload, start_ns, seed)
-        assert handle.migration.complete
+        assert handle.migration.plan.state == MigrationPhase.COMPLETE
         per_flow = {}
         for flow, uid, outcome in egress:
             if outcome is TxOutcome.IN_ORDER:

@@ -3,11 +3,12 @@
 The check itself runs every command and takes minutes, so CI's lint job
 runs it.  These tests run its parts on a small planted package instead:
 how ``def``s are named and keyed, how allow-list entries cover names,
-and which problems make it exit 1.  The last two also hold today's
+and which problems make it exit 1.  The last three also hold today's
 allow-list to the shape the check needs without running any command.
 """
 
 import importlib
+import re
 import sys
 import textwrap
 
@@ -209,3 +210,10 @@ class TestAllowList:
     def test_every_reason_is_one_line(self):
         for entry, reason in ALLOWED.items():
             assert reason.strip() and "\n" not in reason, entry
+
+    def test_no_entry_keeps_code_only_tests_call_and_the_list_only_shrinks(self):
+        """Code that only tests call goes, with the tests that call it; an
+        entry names a command, a non-test caller or an oracle role."""
+        assert [entry for entry, reason in ALLOWED.items()
+                if re.search(r"only (tier-1 )?tests", reason)] == []
+        assert len(ALLOWED) <= 75

@@ -17,10 +17,11 @@ from repro.core import ratelimit as ratelimit_module
 from repro.core.plb.reorder import ReorderEngine
 from repro.core.ratelimit import RateLimitDecision
 from repro.scenarios import PodSpec, ScenarioSpec, WorkloadSpec, build, scenario_spec
-from repro.sim import MS, SECOND, US, Simulator, SimulationError, from_seconds, to_seconds
+from repro.sim import MS, SECOND, US, Simulator, SimulationError
 from repro.sim import engine as engine_module
 from repro.sim.rng import RngRegistry, derived_stream
 from tests import test_golden_reports as golden_reports
+from tests.timer_restore import live_events
 
 
 class TestScheduling:
@@ -115,7 +116,7 @@ class TestCancellation:
         keep = sim.schedule(10, lambda: None)
         drop = sim.schedule(20, lambda: None)
         drop.cancel()
-        assert sim.pending == 1
+        assert live_events(sim) == 1
         assert keep.cancelled is False
 
 
@@ -257,7 +258,7 @@ class TestPeriodicTaskRestore:
         other_sim.restore(sim.checkpoint())
         other.restore(task.checkpoint())
         assert other.checkpoint() == {"next_fire": None}
-        assert other_sim.pending == 0
+        assert live_events(other_sim) == 0
         other_sim.run_until(100)
         assert other_log == []
 
@@ -281,7 +282,7 @@ class TestScheduleEdgeCases:
         sim = Simulator()
         fired = []
         event = sim.idle(fired.append, "x")
-        assert event.cancelled and sim.pending == 0
+        assert event.cancelled and live_events(sim) == 0
         sim.run_until(100)
         assert fired == [] and sim.seq == 0
         with pytest.raises(SimulationError):
@@ -300,37 +301,38 @@ class TestScheduleEdgeCases:
 
 
 class TestPendingAccounting:
-    """The live-event counter must stay exact across cancel/pop paths."""
+    """A cancelled handle's entry stays in the heap until it surfaces: the
+    live count stays exact across cancel/pop paths."""
 
     def test_cancel_then_pop_accounting(self):
         sim = Simulator()
         fired = []
         keep = sim.schedule(10, fired.append, "keep")
         drop = sim.schedule(5, fired.append, "drop")
-        assert sim.pending == 2
+        assert live_events(sim) == 2
         drop.cancel()
-        assert sim.pending == 1
+        assert live_events(sim) == 1
         sim.run()  # pops both heap entries: one cancelled, one live
         assert fired == ["keep"]
-        assert sim.pending == 0
+        assert live_events(sim) == 0
         assert keep.cancelled is False
 
     def test_late_cancel_after_fire_does_not_double_decrement(self):
         sim = Simulator()
         event = sim.schedule(10, lambda: None)
         sim.run()
-        assert sim.pending == 0
+        assert live_events(sim) == 0
         event.cancel()  # already fired: must be a no-op on the counter
-        assert sim.pending == 0
+        assert live_events(sim) == 0
         sim.schedule(10, lambda: None)
-        assert sim.pending == 1
+        assert live_events(sim) == 1
 
     def test_event_cancelling_itself_inside_callback(self):
         sim = Simulator()
         holder = {}
         holder["event"] = sim.schedule(10, lambda: holder["event"].cancel())
         sim.run()
-        assert sim.pending == 0
+        assert live_events(sim) == 0
 
     def test_double_cancel_decrements_once(self):
         sim = Simulator()
@@ -338,24 +340,24 @@ class TestPendingAccounting:
         other = sim.schedule(20, lambda: None)
         event.cancel()
         event.cancel()
-        assert sim.pending == 1
+        assert live_events(sim) == 1
         other.cancel()
-        assert sim.pending == 0
+        assert live_events(sim) == 0
 
     def test_pending_tracks_run_until_boundary(self):
         sim = Simulator()
         sim.schedule(10, lambda: None)
         sim.schedule(100, lambda: None)
         sim.run_until(50)
-        assert sim.pending == 1
+        assert live_events(sim) == 1
 
     def test_pending_with_periodic_task(self):
         sim = Simulator()
         task = sim.every(10, lambda: None)
         sim.run_until(35)
-        assert sim.pending == 1  # the next firing is queued
+        assert live_events(sim) == 1  # the next firing is queued
         task.cancel()
-        assert sim.pending == 0
+        assert live_events(sim) == 0
 
 
 class TestPost:
@@ -366,17 +368,17 @@ class TestPost:
         assert sim.post(5, fired.append, "b") is None
         sim.schedule(5, fired.append, "c")
         sim.post(1, fired.append, "first")
-        assert sim.pending == 4
+        assert live_events(sim) == 4
         sim.run()
         assert fired == ["first", "a", "b", "c"]
         assert sim.events_processed == 4
-        assert sim.pending == 0
+        assert live_events(sim) == 0
 
     def test_negative_delay_rejected_like_schedule(self):
         sim = Simulator()
         with pytest.raises(SimulationError):
             sim.post(-1, lambda: None)
-        assert sim.pending == 0
+        assert live_events(sim) == 0
 
     def test_negative_delay_reports_event_causality_when_sanitized(self):
         install()
@@ -405,7 +407,7 @@ class TestPush:
         assert sim.next_seq() == 4
         sim.run()
         assert fired == ["post", "push", "schedule"]
-        assert (sim.events_processed, sim.pending) == (3, 0)
+        assert (sim.events_processed, live_events(sim)) == (3, 0)
 
     def test_entry_pushed_behind_the_clock_is_caught_when_sanitized(self):
         install()
@@ -429,7 +431,7 @@ class TestRearm:
         sim.schedule(30, fired.append, "a")
         sim.rearm(timer, 30)           # now ties with "a", but queued after it
         sim.schedule(30, fired.append, "b")
-        assert (timer.time, sim.pending) == (30, 3)
+        assert (timer.time, live_events(sim)) == (30, 3)
         sim.run()
         assert fired == ["a", "timer", "b"]
         assert sim.events_processed == 3
@@ -441,11 +443,11 @@ class TestRearm:
         sim.run()
         sim.schedule(5, fired.append, "a")   # (15, 1)
         sim.rearm(event, 5)                  # (15, 2): what schedule() takes next
-        assert (event.time, event.seq, event.fired, sim.pending) == (15, 2, False, 2)
+        assert (event.time, event.seq, event.fired, live_events(sim)) == (15, 2, False, 2)
         sim.schedule(5, fired.append, "b")   # (15, 3)
         sim.run()
         assert fired == ["x", "a", "x", "b"]
-        assert (sim.events_processed, sim.pending, event.fired) == (4, 0, True)
+        assert (sim.events_processed, live_events(sim), event.fired) == (4, 0, True)
 
     def test_fired_event_refuses_cancelled_or_earlier(self):
         sim = Simulator()
@@ -453,11 +455,11 @@ class TestRearm:
         sim.run_until(20)
         with pytest.raises(SimulationError):
             sim.rearm(event, -1)         # before now, as schedule() refuses
-        assert (event.time, event.seq, sim.pending) == (10, 0, 0)
+        assert (event.time, event.seq, live_events(sim)) == (10, 0, 0)
         event.cancel()
         with pytest.raises(SimulationError):
             sim.rearm(event, 5)
-        assert sim.pending == 0
+        assert live_events(sim) == 0
 
     def test_fired_event_into_the_past_reports_event_causality_when_sanitized(self):
         install()
@@ -470,7 +472,7 @@ class TestRearm:
         finally:
             uninstall()
         assert excinfo.value.check == "event-causality"
-        assert (event.time, event.seq, sim.pending) == (10, 0, 0)
+        assert (event.time, event.seq, live_events(sim)) == (10, 0, 0)
 
     def test_pending_event_moved_earlier_stays_a_contract_error_when_sanitized(self):
         install()
@@ -496,7 +498,7 @@ class TestRearm:
         holder = [sim.schedule(10, tick)]
         sim.run()
         assert fired == [10, 20, 30, 40]
-        assert (sim.events_processed, sim.pending) == (4, 0)
+        assert (sim.events_processed, live_events(sim)) == (4, 0)
 
     def test_rearm_of_cancelled_event_raises(self):
         sim = Simulator()
@@ -528,7 +530,7 @@ class TestRearm:
         sim.rearm(event, 60)
         sim.run_until(50)              # the stale entry at t=10 surfaces here
         assert fired == []
-        assert (sim.pending, sim.events_processed, sim.now) == (1, 0, 50)
+        assert (live_events(sim), sim.events_processed, sim.now) == (1, 0, 50)
         sim.run_until(100)
         assert fired == ["x"]
         assert sim.events_processed == 1
@@ -539,12 +541,12 @@ class TestRearm:
         event = sim.schedule(10, fired.append, "x")
         sim.schedule(20, fired.append, "y")
         sim.rearm(event, 30)
-        assert sim.pending == 2
+        assert live_events(sim) == 2
         event.cancel()
-        assert sim.pending == 1
+        assert live_events(sim) == 1
         sim.run()
         assert fired == ["y"]
-        assert (sim.pending, sim.events_processed) == (0, 1)
+        assert (live_events(sim), sim.events_processed) == (0, 1)
 
 
 class _Spelled:
@@ -672,11 +674,11 @@ class TestRearmAndPostAreTheParentsSemantics:
             assert native.log == spelled.log
             assert native.sim.now == spelled.sim.now
             assert native.sim.events_processed == spelled.sim.events_processed
-            assert native.sim.pending == spelled.sim.pending
+            assert live_events(native.sim) == live_events(spelled.sim)
         native.sim.run()
         spelled.sim.run()
         assert native.log == spelled.log
-        assert native.sim.pending == spelled.sim.pending == 0
+        assert live_events(native.sim) == live_events(spelled.sim) == 0
 
 
 def _executed_bytecodes(handle):
@@ -1006,10 +1008,6 @@ class TestUnits:
         assert MS == 1_000_000
         assert SECOND == 1_000_000_000
 
-    def test_round_trip(self):
-        assert to_seconds(from_seconds(1.5)) == pytest.approx(1.5)
-        assert from_seconds(0.000001) == 1000
-
 
 class TestRngRegistry:
     def test_streams_are_deterministic(self):
@@ -1034,12 +1032,6 @@ class TestRngRegistry:
             != RngRegistry(seed=2).stream("x").random()
         )
 
-    def test_reset_rederives(self):
-        rngs = RngRegistry(seed=9)
-        first = rngs.stream("x").random()
-        rngs.reset()
-        assert rngs.stream("x").random() == first
-
     def test_derived_stream_matches_the_registry(self):
         assert (
             derived_stream("x", seed=5).random() == RngRegistry(seed=5).stream("x").random()
@@ -1061,6 +1053,18 @@ class TestRngRegistry:
         rngs.restore(json.loads(json.dumps(snapshot)))
         assert rngs.stream("traffic") is bound
         assert [bound.random() for _ in range(3)] == expected
+
+    def test_restore_derives_the_streams_it_lacks(self):
+        rngs = RngRegistry(seed=3)
+        [rngs.stream("traffic").random() for _ in range(5)]
+        snapshot = json.loads(json.dumps(rngs.checkpoint()))
+        expected = [rngs.stream("traffic").random() for _ in range(3)]
+        fresh = RngRegistry(seed=99)
+        fresh.restore(snapshot)
+        assert fresh.seed == 3
+        assert [fresh.stream("traffic").random() for _ in range(3)] == expected
+        # A stream the snapshot did not name derives from the restored seed.
+        assert fresh.stream("other").random() == RngRegistry(seed=3).stream("other").random()
 
 
 class TestClockErrors:

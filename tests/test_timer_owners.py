@@ -26,6 +26,7 @@ from tests.timer_restore import (
     assert_restored_run_matches,
     deployment,
     fired,
+    live_events,
     until_quiescent,
 )
 
@@ -222,11 +223,11 @@ class TestIdleTimers:
         assert all(state[timer] is None for state in states
                    for timer in ("connect_timer", "hold_timer", "keepalive_timer"))
         other_sim, others, other_log = _bgp_world()
-        assert other_sim.pending == 1       # a's connect
+        assert live_events(other_sim) == 1       # a's connect
         other_sim.restore(sim.checkpoint())
         for other, state in zip(others, states):
             other.restore(state)
-        assert other_sim.pending == 0
+        assert live_events(other_sim) == 0
         other_sim.run_until(60 * SECOND)
         assert other_log == []
         assert [other.checkpoint() for other in others] == states

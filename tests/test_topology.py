@@ -273,18 +273,23 @@ class TestTopologyScenario:
         home = {}
         for server, runtime in handle.topology.servers.items():
             home.update(dict.fromkeys([runtime.dpu.name, *runtime.pods], server))
+        servers = {}                  # flow -> the servers it left through
         uids = {}                     # (flow, exit) -> [uids]
 
         @handle.subscribe
         def on_exit(packet, where, outcome):
-            pinned, _sink = uplink.members[uplink.server_for(packet.flow)]
-            assert home[where] == pinned, "flow left its pinned server"
+            # Static members: the pin always agrees with the ECMP hash.
+            index = crc32_flow_hash(packet.flow, uplink.hash_seed) % len(uplink.members)
+            pinned, _sink = uplink.members[index]
+            assert home[where] == pinned, "flow left its hashed server"
+            servers.setdefault(packet.flow, set()).add(home[where])
             if packet.drop_reason is None:
                 # Per exit: a flow promoted mid-run leaves through the DPU
                 # while its earlier packets are still in the host pipeline.
                 uids.setdefault((packet.flow, where), []).append(packet.uid)
 
         handle.run()
+        assert all(len(left) == 1 for left in servers.values()), "a flow left two servers"
         assert {home[where] for _flow, where in uids} == set(home.values())
         for stream in uids.values():
             assert stream == sorted(stream), "per-flow uid order broke"
@@ -308,7 +313,7 @@ class TestTopologyScenario:
         assert forwarded == fast + dispatched
         # AZ-wide over the three exits: every emitted packet is accounted for.
         emitted = sum(source.emitted for source in handle.sources)
-        in_flight = sum(pod.in_flight() for pod in handle.pods.values())
+        in_flight = sum(pod.nic.in_flight() for pod in handle.pods.values())
         assert emitted == forwarded == sum(exits.values()) + in_flight
         assert exits["dpu"] == fast > 0
         assert exits["egress"] == report["tiers"]["host"]["packets"] > 0

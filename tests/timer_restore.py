@@ -5,6 +5,12 @@
 from repro.sim.engine import PeriodicTask
 
 
+def live_events(sim):
+    """How many queued entries of ``sim`` would still fire: a cancelled
+    handle's entry stays in the heap until it surfaces."""
+    return sum(1 for entry in sim._heap if entry[4] is None or not entry[4].cancelled)
+
+
 def fired(sim):
     """Log ``(now, seq, handler)`` of every event ``sim`` fires from now
     on: each entry it queues is wrapped as it is pushed.  A periodic
