@@ -2,10 +2,11 @@
 
 Stateful classes declare ``STATE`` and ``DERIVED``; every other attribute
 is constructor wiring (:mod:`repro.controlplane.snapshot`).  Small worlds
--- four scenarios (PLB + microbursts, RSS + CBR, lossy PLB; limiter,
+-- five scenarios (PLB + microbursts, RSS + CBR, lossy PLB; limiter,
 telemetry and checkpoints armed; the lossy pod also runs every
 periodic owner and exempts one tenant from its limiter; a rate-scheduled
-CBR source beside a Poisson one),
+CBR source beside a Poisson one; an AZ of two servers, one running two
+pods, behind the ECMP uplink and the DPU tier),
 eBGP beside a flapped BFD link, a churned FPGA session table -- are
 built, run and held to four checks:
 
@@ -323,6 +324,32 @@ def _scheduled_spec(seed):
     )
 
 
+def _az_spec(seed):
+    """Two servers behind the uplink, the second running two pods, with
+    the DPU tier, telemetry and checkpoints armed.  A small fast table
+    and short epochs: flows are promoted, refused and demoted mid-run."""
+    from repro.scenarios import PodSpec, ScenarioSpec, WorkloadSpec
+    from repro.scenarios.spec import DpuTierSpec, ServerSpec
+    from repro.sim.units import MS
+
+    def pod(name):
+        return PodSpec(name=name, data_cores=2, per_core_pps=100_000)
+
+    return ScenarioSpec(
+        name="statecheck-az",
+        servers=(ServerSpec(name="srv0", pods=(pod("a"),)),
+                 ServerSpec(name="srv1", pods=(pod("b"), pod("c")))),
+        dpu_tier=DpuTierSpec(table_capacity=5, threshold_pps=2_000, epoch_ns=2 * MS),
+        # Light load, for the checkpointer's quiescent instants.
+        workload=WorkloadSpec(flows=200, tenants=50, load=0.15, population="zipf",
+                              stream="traffic"),
+        duration_ns=8 * MS,
+        seed=seed,
+        checkpoint_every_ns=2 * MS,
+        timeseries_every_ns=2 * MS,
+    )
+
+
 def _drain(handle, settle_ns):
     """Stop traffic and run until every pod is quiescent."""
     for source in handle.sources:
@@ -376,7 +403,7 @@ def _spec_world(spec):
 
 def _owners_world(spec):
     """``spec``'s world plus the periodic owners no spec arms, on its pod."""
-    from repro.core.hitters import CpuHitterDetector
+    from repro.core.hitters import HotFlowPromoter
     from repro.core.watchdog import FpgaWatchdog, PlbWatchdog
     from repro.cpu.numa import NumaBalancer
     from repro.metrics.summary import UtilizationSampler
@@ -390,7 +417,7 @@ def _owners_world(spec):
         return handle, (
             PlbWatchdog(sim, pod.nic, period_ns=MS),
             FpgaWatchdog(sim, pod.nic, period_ns=MS),
-            CpuHitterDetector(sim, pod.nic.rate_limiter, period_ns=2 * MS),
+            HotFlowPromoter(sim, pod.nic.rate_limiter, epoch_ns=2 * MS),
             UtilizationSampler(sim, pod.cores, MS),
             NumaBalancer(sim, pod.cores, scan_period_ns=3 * MS, stall_ns=20 * US,
                          rng=handle.rngs.stream("balancer")),
@@ -463,6 +490,7 @@ def run_statecheck(seed=42):
         _scenario_spec("statecheck-plb-lossy", "plb", "cbr", seed + 2,
                        silent_drop_probability=0.02),
         _scheduled_spec(seed + 3),
+        _az_spec(seed + 4),
     ]
     probes = [_world_probe(spec) for spec in specs]
     derived = set()
@@ -470,7 +498,7 @@ def run_statecheck(seed=42):
     keyed = {}      # class name -> [instances, error] of the STATE-key check
     findings = {}   # (class name, detail) -> worlds it shows up in
     worlds = [*map(_spec_world, specs[:2]), _owners_world(specs[2]),
-              _spec_world(specs[3]), _bgp_bfd_world(), _offload_world()]
+              *map(_spec_world, specs[3:]), _bgp_bfd_world(), _offload_world()]
     for name, build, run in worlds:
         root = build()
         try:

@@ -282,12 +282,19 @@ class SimCheckpointer(Stateful):
     A capture is legal only because, at a quiescent instant, everything
     in the event heap is a pending event some component holds in its
     ``STATE`` -- the sources (next tick, next burst edge), the telemetry
-    recorder (its next window flush) and the checkpointer itself (its
-    next fire) -- and the codec restores each into its own
-    ``(time, seq)`` slot, so the rest of the run replays byte-identically.
+    recorder (its next window flush), the DPU tier's promoters (their
+    next epoch) and the checkpointer itself (its next fire) -- and the
+    codec restores each into its own ``(time, seq)`` slot, so the rest
+    of the run replays byte-identically.  The AZ tiers forward
+    synchronously, so at that instant only the pods could hold packets.
 
-    ``sink``, when set, receives every captured snapshot (the fleet
-    engine points it at an atomic writer under ``RUNS/<run-id>/``).
+    ``sections`` maps a snapshot key to an optional armed part, each
+    written under its key: the ``TimeSeriesRecorder`` as ``"telemetry"``
+    and the AZ (uplink, DPU tier, pod dispatch) as ``"topology"``.  An
+    unarmed part writes no key, so checkpoints without it keep their
+    exact historical bytes.  ``sink``, when set, receives every captured
+    snapshot (the fleet engine points it at an atomic writer under
+    ``RUNS/<run-id>/``).
     """
 
     STATE = (("next_fire", "_event"),)
@@ -297,17 +304,14 @@ class SimCheckpointer(Stateful):
     }
 
     def __init__(self, sim, rngs, pods, sources, every_ns, sink=None,
-                 recorder=None):
+                 sections=None):
         if every_ns <= 0:
             raise ValueError(f"checkpoint cadence must be positive (got {every_ns})")
         self.sim = sim
         self.rngs = rngs
         self.pods = pods            # {name: GwPodRuntime}
         self.sources = list(sources)
-        # Optional TimeSeriesRecorder; when present its state rides in
-        # the snapshot's "telemetry" section (absent otherwise, so
-        # telemetry-less checkpoints keep their exact historical bytes).
-        self.recorder = recorder
+        self.sections = sections or {}
         self.every_ns = int(every_ns)
         self.retry_ns = max(1, self.every_ns // 64)
         self.sink = sink
@@ -329,7 +333,7 @@ class SimCheckpointer(Stateful):
 
     def capture(self):
         """The whole world now: the clock, every rng stream, pod and
-        source, the recorder and this checkpointer's own next fire.
+        source, each armed section and this checkpointer's own next fire.
 
         Every pod must be quiescent; :meth:`_fire` only calls it then.
         ``RunHandle.restore_checkpoint`` is the inverse.
@@ -345,6 +349,6 @@ class SimCheckpointer(Stateful):
             },
             "sources": [source.checkpoint() for source in self.sources],
         }
-        if self.recorder is not None:
-            snapshot["telemetry"] = self.recorder.checkpoint()
+        for key, part in self.sections.items():
+            snapshot[key] = part.checkpoint()
         return snapshot

@@ -18,7 +18,7 @@ Subsystems (paper section in parentheses):
 * :mod:`repro.core.gateway` -- GW pod runtime + Albatross server: the
   top-level public API.
 
-The CPU heavy-hitter detector (:mod:`repro.core.hitters`) and the PCIe
+The heavy-hitter promoter (:mod:`repro.core.hitters`) and the PCIe
 and port-capacity models (:mod:`repro.core.pcie`) are not on a pod's
 build path; import them from their modules.
 """

@@ -1,15 +1,19 @@
-"""CPU-side proactive heavy-hitter detection (§4.3, planned work).
+"""Proactive heavy-hitter promotion: one sketch, one epoch policy.
 
-The paper: "we plan to utilize the CPU to detect heavy hitters in
-advance and then install them to the pre_check and pre_meter table for
-avoiding triggering hash collisions in the meter_table."
+The paper (§4.3, planned work): "we plan to utilize the CPU to detect
+heavy hitters in advance and then install them to the pre_check and
+pre_meter table for avoiding triggering hash collisions in the
+meter_table."  The CPU side sees every forwarded packet anyway, so a
+space-saving stream sketch can rank keys by rate and push the top
+talkers into a small table *before* their overflow ever reaches the
+shared one.  The sketch is the classic space-saving (Metwally et al.)
+top-k structure: bounded memory, no false negatives above the
+threshold.
 
-This module implements that plan.  The CPU side sees every forwarded
-packet anyway, so a space-saving stream sketch can rank tenants by rate
-and push the top talkers into the limiter's pre tables *before* their
-overflow ever reaches the shared meter table.  The sketch is the classic
-space-saving (Metwally et al.) top-k structure: bounded memory, no
-false negatives above the threshold.
+:class:`HotFlowPromoter` is that policy over any such table: tenant
+VNIs into the limiter's pre tables
+(:class:`~repro.core.ratelimit.TwoStageRateLimiter`), or flows into a
+DPU's fast table (:class:`~repro.topology.dpu.DpuPreClassifier`).
 """
 
 from repro.controlplane.snapshot import Stateful, Table
@@ -17,7 +21,7 @@ from repro.sim.units import SECOND
 
 
 class SpaceSavingSketch(Stateful):
-    """Space-saving top-k counter over tenant VNIs.
+    """Space-saving top-k counter over integer keys (VNIs or flows).
 
     ``capacity`` bounds tracked tenants; a new tenant evicts the current
     minimum, inheriting its count (the classic over-estimate bound:
@@ -69,66 +73,61 @@ class SpaceSavingSketch(Stateful):
         self.total = snapshot["total"]
 
 
-class CpuHitterDetector(Stateful):
-    """Periodic CPU-side detection feeding the limiter's pre tables.
+class HotFlowPromoter(Stateful):
+    """Epoch-driven promotion and demotion over one bounded table.
+
+    Whoever sees the traffic feeds ``sketch.observe(key)``.  Every epoch
+    the sketch's top ``table.table_capacity`` keys above the rate
+    threshold are installed, heaviest first, so when the table fills the
+    heaviest keys win the slots; installed keys that go quiet for
+    ``demote_after_epochs`` consecutive epochs are demoted, so slots
+    recycle when bursts end.  The sketch then resets.
 
     Parameters:
         sim: the simulator.
-        limiter: a :class:`~repro.core.ratelimit.TwoStageRateLimiter`.
-        threshold_pps: tenants exceeding this observed rate are promoted.
-        period_ns: detection epoch; the sketch resets every epoch.
-        demote_after_epochs: tenants quiet for this many epochs are
-            removed from the pre tables (bursts end).
+        table: what the keys are installed into.  It offers
+            ``promote(key)`` (False when already installed or full),
+            ``installed(key)``, ``demote(key)`` and ``table_capacity``.
+        threshold_pps: keys observed above this rate are promoted.
+        epoch_ns: detection epoch; the sketch resets every epoch.
+        demote_after_epochs: installed keys unseen as hot for this many
+            epochs are demoted.
+        sketch_capacity: space-saving sketch size.
     """
 
-    STATE = (
-        "promotions", "demotions", ("quiet_epochs", "_quiet_epochs"), "sketch",
-        ("task", "_task"),
-    )
+    __slots__ = ("sim", "table", "threshold_pps", "epoch_ns",
+                 "demote_after_epochs", "sketch", "_quiet_epochs", "_task")
+    STATE = (("quiet_epochs", "_quiet_epochs"), "sketch", ("task", "_task"))
 
-    def __init__(
-        self,
-        sim,
-        limiter,
-        threshold_pps=1_000_000,
-        period_ns=1 * SECOND,
-        sketch_capacity=1024,
-        demote_after_epochs=3,
-    ):
+    def __init__(self, sim, table, threshold_pps=5_000, epoch_ns=10_000_000,
+                 demote_after_epochs=2, sketch_capacity=1024):
         self.sim = sim
-        self.limiter = limiter
+        self.table = table
         self.threshold_pps = threshold_pps
-        self.period_ns = period_ns
+        self.epoch_ns = epoch_ns
         self.demote_after_epochs = demote_after_epochs
         self.sketch = SpaceSavingSketch(sketch_capacity)
-        self.promotions = 0
-        self.demotions = 0
-        self._quiet_epochs = Table()   # promoted VNI -> quiet epoch count
-        self._task = sim.every(period_ns, self._epoch)
-
-    def observe_packet(self, vni):
-        """Call from the CPU fast path (cheap: one dict update)."""
-        self.sketch.observe(vni)
+        self._quiet_epochs = Table()   # installed key -> quiet epoch count
+        self._task = sim.every(epoch_ns, self._epoch)
 
     def _epoch(self):
-        threshold_count = self.threshold_pps * self.period_ns / SECOND
-        hot = {
-            vni
-            for vni, count in self.sketch.top(self.limiter.pre_entries)
+        table = self.table
+        threshold_count = self.threshold_pps * self.epoch_ns / SECOND
+        # top() ranks by count descending with deterministic ties.
+        hot = [
+            key
+            for key, count in self.sketch.top(table.table_capacity)
             if count >= threshold_count
-        }
-        for vni in hot:
-            already_installed = vni in self.limiter.pre_table_vnis
-            if self.limiter.promote_heavy_hitter(vni) and not already_installed:
-                self.promotions += 1
-            self._quiet_epochs[vni] = 0
-        # Age out tenants that stopped being hot.
-        for vni in sorted(self._quiet_epochs):
-            if vni in hot:
+        ]
+        for key in hot:
+            if table.promote(key) or table.installed(key):
+                self._quiet_epochs[key] = 0
+        hot_set = set(hot)
+        for key in sorted(self._quiet_epochs):
+            if key in hot_set:
                 continue
-            self._quiet_epochs[vni] += 1
-            if self._quiet_epochs[vni] >= self.demote_after_epochs:
-                self.limiter.demote(vni)
-                del self._quiet_epochs[vni]
-                self.demotions += 1
+            self._quiet_epochs[key] += 1
+            if self._quiet_epochs[key] >= self.demote_after_epochs:
+                table.demote(key)
+                del self._quiet_epochs[key]
         self.sketch.reset()

@@ -123,7 +123,8 @@ class TwoStageRateLimiter(Stateful):
         stage1_rate_pps / stage2_rate_pps: per-entry limits.
         color_entries: stage-1 table size (4K in hardware).
         meter_entries: stage-2 hash-table size.
-        pre_entries: capacity of pre_check / pre_meter (128 in hardware).
+        pre_entries: capacity of pre_check / pre_meter (128 in hardware),
+            kept as ``table_capacity``.
         pre_rate_pps: rate granted to promoted heavy hitters (defaults to
             stage1 + stage2, i.e. the same effective ceiling).
         auto_promote: enable sampling-based promotion into pre_check.
@@ -175,7 +176,7 @@ class TwoStageRateLimiter(Stateful):
         self.stage2_rate_pps = stage2_rate_pps
         self.color_entries = color_entries
         self.meter_entries = meter_entries
-        self.pre_entries = pre_entries
+        self.table_capacity = pre_entries
         self.pre_rate_pps = (
             pre_rate_pps if pre_rate_pps is not None else stage1_rate_pps + stage2_rate_pps
         )
@@ -202,31 +203,32 @@ class TwoStageRateLimiter(Stateful):
 
     def add_bypass(self, vni):
         """Exempt a top-tier tenant from all rate limiting."""
-        if len(self._bypass) + len(self._pre_meter) >= self.pre_entries:
+        if len(self._bypass) + len(self._pre_meter) >= self.table_capacity:
             raise ValueError("pre_check table full")
         self._bypass.add(vni)
 
-    def promote_heavy_hitter(self, vni):
+    def promote(self, vni):
         """Install ``vni`` into pre_check/pre_meter for early limiting.
 
-        Also the hook for the planned CPU-side proactive detection (§4.3).
-        Returns False when the 128-entry table is full.
+        The sampler's hook, and the table a
+        :class:`~repro.core.hitters.HotFlowPromoter` drives for the
+        planned CPU-side proactive detection (§4.3).  Returns False when
+        ``vni`` is already installed or the 128-entry table is full.
         """
         if vni in self._pre_meter:
-            return True
-        if len(self._bypass) + len(self._pre_meter) >= self.pre_entries:
+            return False
+        if len(self._bypass) + len(self._pre_meter) >= self.table_capacity:
             return False
         self._pre_meter[vni] = [self.pre_burst, 0]
         self.promotions += 1
         return True
 
+    def installed(self, vni):
+        return vni in self._pre_meter
+
     def demote(self, vni):
         """Remove a tenant from the pre tables (burst over)."""
         self._pre_meter.pop(vni, None)
-
-    @property
-    def pre_table_vnis(self):
-        return set(self._pre_meter)
 
     def corrupt_sram(self):
         """Fault injection: an SRAM scrub wipes every row.
@@ -295,7 +297,7 @@ class TwoStageRateLimiter(Stateful):
                 passed, failed = _ALLOW_MARKED, _DROP_METER
             if (decision is _DROP_METER and self.auto_promote
                     and self._sampler.observe(vni, now_ns)):
-                self.promote_heavy_hitter(vni)
+                self.promote(vni)
         self.decisions[decision] += 1
         if self._sanitizer is not None:
             self._check_sram_budget()
@@ -318,10 +320,10 @@ class TwoStageRateLimiter(Stateful):
         )
         pre_live = len(self._bypass) + len(self._pre_meter)
         sanitizer.ensure(
-            pre_live <= self.pre_entries, "sram-budget",
+            pre_live <= self.table_capacity, "sram-budget",
             f"pre_check/pre_meter hold {pre_live} entries, "
-            f"provisioned for {self.pre_entries}",
-            live=pre_live, entries=self.pre_entries,
+            f"provisioned for {self.table_capacity}",
+            live=pre_live, entries=self.table_capacity,
         )
 
     # -- accounting ------------------------------------------------------
@@ -338,7 +340,7 @@ class TwoStageRateLimiter(Stateful):
         return (
             self.color_entries * self.COLOR_ENTRY_BYTES
             + self.meter_entries * self.METER_ENTRY_BYTES
-            + 2 * self.pre_entries * self.PRE_ENTRY_BYTES  # pre_check + pre_meter
+            + 2 * self.table_capacity * self.PRE_ENTRY_BYTES  # pre_check + pre_meter
         )
 
     @staticmethod

@@ -16,6 +16,7 @@ shards, so its key order and value types must stay stable.
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.controlplane.snapshot import Stateful
 from repro.core.gateway import AlbatrossServer
 from repro.scenarios.sections import SECTIONS
 from repro.scenarios.spec import EcmpSpec
@@ -65,15 +66,20 @@ def offered_packets(spec, from_ns=0):
 
 
 @dataclass
-class ServerRuntime:
-    """One live server: its deployment, pods and (on AZ runs) offload tier."""
+class ServerRuntime(Stateful):
+    """One live server: its deployment, pods and (on AZ runs) offload tier.
+
+    Its snapshot is the AZ tiers only: the pods are the capture's own
+    ``"pods"`` section.
+    """
+
+    STATE = ("dispatch", "dpu")
 
     name: Optional[str]             # None for a flat spec's only server
     server: AlbatrossServer
     pods: dict                      # {name: GwPodRuntime}, spec order
     dispatch: object = None         # FlowPodDispatch (topology specs)
-    dpu: object = None              # DpuPreClassifier or None
-    promoter: object = None         # HotFlowPromoter or None
+    dpu: object = None              # DpuPreClassifier (its promoter inside) or None
 
 
 def _build_server(name, pod_specs, sim, rngs, subscribers, l3_bytes):
@@ -85,8 +91,11 @@ def _build_server(name, pod_specs, sim, rngs, subscribers, l3_bytes):
 
 
 @dataclass
-class TopologyRuntime:
-    """The live AZ: the ECMP uplink plus every :class:`ServerRuntime`."""
+class TopologyRuntime(Stateful):
+    """The live AZ: the ECMP uplink plus every :class:`ServerRuntime`;
+    a ``SimCheckpoint``'s ``"topology"`` section."""
+
+    STATE = ("uplink", "servers")
 
     uplink: object                  # EcmpUplink
     servers: dict                   # {name: ServerRuntime}, spec order
@@ -152,10 +161,10 @@ class RunHandle:
 
         Restore order: clock and sequence counter, rng streams (in
         place -- components keep their bindings), pods, then the
-        checkpointer, the recorder and the sources, each of whose pending
-        events goes back into its own ``(time, seq)`` slot, so
-        same-timestamp ties replay exactly.  Only valid on a handle that
-        has not run yet.
+        checkpointer, its armed sections (telemetry, topology) and the
+        sources, each of whose pending events goes back into its own
+        ``(time, seq)`` slot, so same-timestamp ties replay exactly.
+        Only valid on a handle that has not run yet.
         """
         from repro.controlplane.snapshot import CHECKPOINT_SCHEMA_VERSION
 
@@ -175,14 +184,13 @@ class RunHandle:
         for name, pod in self.pods.items():
             pod.restore(snapshot["pods"][name])
         self.checkpointer.restore(snapshot)
-        if self.telemetry is not None:
-            telemetry_snapshot = snapshot.get("telemetry")
-            if telemetry_snapshot is None:
+        for key, part in self.checkpointer.sections.items():
+            if key not in snapshot:
                 raise ValueError(
-                    f"scenario {self.spec.name!r} has windowed telemetry "
-                    "armed but the checkpoint carries no telemetry section"
+                    f"scenario {self.spec.name!r} arms {key} but the "
+                    f"checkpoint carries no {key} section"
                 )
-            self.telemetry.restore(telemetry_snapshot)
+            part.restore(snapshot[key])
         for source, source_snapshot in zip(self.sources, snapshot["sources"]):
             source.restore(source_snapshot)
         return self
@@ -257,9 +265,10 @@ def build(spec):
     if spec.checkpoint_every_ns is not None:
         from repro.controlplane.snapshot import SimCheckpointer
 
+        sections = {"telemetry": telemetry, "topology": topology}
         checkpointer = SimCheckpointer(
             sim, rngs, pods, sources, spec.checkpoint_every_ns,
-            recorder=telemetry,
+            sections={key: part for key, part in sections.items() if part is not None},
         )
     # handle.server is the first (on flat specs: only) server's
     # deployment, so single-server tooling (capacity probes, fault
@@ -295,14 +304,13 @@ def _build_topology(spec, sim, runtimes, sinks, subscribers):
                 fast_latency_ns=tier.fast_latency_ns,
                 name=runtime.name, subscribers=subscribers,
             )
-            runtime.promoter = HotFlowPromoter(
+            runtime.dpu.promoter = HotFlowPromoter(
                 sim, runtime.dpu,
                 threshold_pps=tier.threshold_pps,
                 epoch_ns=tier.epoch_ns,
                 demote_after_epochs=tier.demote_after_epochs,
                 sketch_capacity=tier.sketch_capacity,
             )
-            runtime.dpu.promoter = runtime.promoter
             entry = runtime.dpu.ingress
         members.append((runtime.name, entry))
     uplink = EcmpUplink(

@@ -31,16 +31,12 @@ def _require(condition, message):
 #: Declarative feature-compatibility table.  Each entry is
 #: ``(feature_a, feature_b, why)``; a spec that activates both sides of
 #: any row is rejected with one uniform message.  Features are named by
-#: the spec field that arms them, so adding a new mutually-exclusive
-#: pair is one line here instead of another hand-rolled ``_require``.
+#: the spec field that arms them.  One row is left: every other part of
+#: a deployment, the AZ tiers included, is in the one snapshot protocol.
 INCOMPATIBLE_FEATURES = (
     (
         "migration", "checkpoint_every_ns",
         "a mid-migration deployment is not quiescent-restorable",
-    ),
-    (
-        "servers", "checkpoint_every_ns",
-        "the uplink switch and DPU tier are not snapshot-aware yet",
     ),
 )
 
@@ -340,8 +336,8 @@ class DpuTierSpec(Spec):
     """The cheap per-server "DPU" pre-classifier tier, scalars only.
 
     Hot tenants are promoted into the DPU's fast table by the hitter
-    machinery (:class:`~repro.core.hitters.SpaceSavingSketch` ranked per
-    epoch); promoted traffic is forwarded at ``fast_latency_ns`` without
+    policy (:class:`~repro.core.hitters.HotFlowPromoter`, its
+    space-saving sketch ranked per epoch); promoted traffic is forwarded at ``fast_latency_ns`` without
     ever touching the server's NIC/FPGA+CPU pipeline, and tenants quiet
     for ``demote_after_epochs`` epochs fall back to the slow path.
 
@@ -390,8 +386,10 @@ class ScenarioSpec(Spec):
             build time attaches a :class:`~repro.controlplane.snapshot.
             SimCheckpointer` that freezes the whole deployment every
             that many sim-ns (at quiescent instants), giving long shards
-            a restart point.  Mutually exclusive with ``migration`` --
-            a mid-migration deployment is not quiescent-restorable.
+            a restart point; on a topology the capture carries the
+            uplink, DPU tier and pod dispatch too.  Mutually exclusive
+            with ``migration`` -- a mid-migration deployment is not
+            quiescent-restorable.
         timeseries_every_ns: optional windowed-telemetry cadence; build
             time attaches a :class:`~repro.telemetry.TimeSeriesRecorder`
             that samples every pod at that window and the run report

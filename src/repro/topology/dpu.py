@@ -4,9 +4,9 @@ Gryphon-style hierarchical co-offloading (PAPERS.md): a cheap match
 stage in front of each server's NIC/FPGA+CPU pipeline.  Flows installed
 in its exact-match table are forwarded entirely in the DPU at a fixed,
 low latency; everything else falls through to the host pipeline.  Which
-flows deserve a table entry is :class:`~repro.topology.promotion.
+flows deserve a table entry is :class:`~repro.core.hitters.
 HotFlowPromoter`'s call -- this class only owns the table and the data
-path.
+path, and offers the promoter its table API.
 
 The fast path is synchronous and terminal: a fast-forwarded packet gets
 its arrival/departure stamps here and never reaches a pod, exactly like
@@ -14,8 +14,12 @@ hardware offload bypassing the host; its latency is the constant
 ``fast_latency_ns``.  It is the deployment's third packet exit, next to
 a pod's egress and drop points (see
 :class:`~repro.core.gateway.AlbatrossServer`).
+
+The table, its promoter and the counters are the tier's snapshot
+``STATE``: nothing here holds a packet past the call that brought it.
 """
 
+from repro.controlplane.snapshot import Stateful, Table
 from repro.metrics.counters import CounterSet
 from repro.metrics.histogram import LatencyHistogram, bucket_edge
 
@@ -23,7 +27,7 @@ from repro.metrics.histogram import LatencyHistogram, bucket_edge
 DPU_FAST_PATH = "dpu_fast_path"
 
 
-class DpuPreClassifier:
+class DpuPreClassifier(Stateful):
     """Exact-match hot-flow table fronting one server's pipeline.
 
     Parameters:
@@ -34,7 +38,7 @@ class DpuPreClassifier:
             refused (``table_full`` counter).
         fast_latency_ns: fixed DPU forwarding latency.
         promoter: optional
-            :class:`~repro.topology.promotion.HotFlowPromoter`; every
+            :class:`~repro.core.hitters.HotFlowPromoter`; every
             packet (both paths) feeds its ``sketch`` so installed flows
             keep registering as hot while they stay hot.
         name: the hosting server's name.
@@ -48,6 +52,7 @@ class DpuPreClassifier:
     __slots__ = ("sim", "slow_sink", "table_capacity", "fast_latency_ns",
                  "promoter", "counters", "_table",
                  "name", "subscribers")
+    STATE = ("counters", ("table", "_table"), "promoter")
 
     def __init__(self, sim, slow_sink, table_capacity=256,
                  fast_latency_ns=2_000, promoter=None, name=None,
@@ -60,7 +65,7 @@ class DpuPreClassifier:
         self.fast_latency_ns = fast_latency_ns
         self.promoter = promoter
         self.counters = CounterSet()
-        self._table = {}          # FlowKey -> install simtime (ns)
+        self._table = Table()     # FlowKey -> install simtime (ns)
         self.name = name
         self.subscribers = subscribers
 

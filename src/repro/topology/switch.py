@@ -4,15 +4,17 @@ Both stages are pure synchronous forwarders: they pick a destination
 with a seeded flow hash (:func:`~repro.packet.hashing.crc32_flow_hash`)
 and call its sink in the same event.  No state here schedules simulator
 events, so per-flow ordering across the AZ follows directly from the
-workload sources' per-flow emission order.
+workload sources' per-flow emission order, and a snapshot carries only
+the counters and the uplink's pin table.
 """
 
+from repro.controlplane.snapshot import Stateful, Table
 from repro.metrics.counters import CounterSet
 from repro.packet.flows import FlowMemo
 from repro.packet.hashing import crc32_flow_hash
 
 
-class EcmpUplink:
+class EcmpUplink(Stateful):
     """ECMP uplink switch spraying flows across gateway servers.
 
     Parameters:
@@ -33,6 +35,7 @@ class EcmpUplink:
 
     __slots__ = ("members", "hash_seed", "pin_flows", "counters", "_affinity",
                  "_member_keys")
+    STATE = ("counters", ("affinity", "_affinity"))
 
     def __init__(self, members, hash_seed=101, pin_flows=True):
         members = tuple(members)
@@ -42,7 +45,7 @@ class EcmpUplink:
         self.hash_seed = hash_seed
         self.pin_flows = pin_flows
         self.counters = CounterSet()
-        self._affinity = {}       # FlowKey -> member index
+        self._affinity = Table()  # FlowKey -> member index
         self._member_keys = tuple(f"to_server.{name}" for name, _ in members)
 
     def forward(self, packet):
@@ -85,7 +88,7 @@ class EcmpUplink:
         return len(self._affinity)
 
 
-class FlowPodDispatch:
+class FlowPodDispatch(Stateful):
     """In-server pod selector: one seeded flow hash over the pod list.
 
     Parameters:
@@ -106,6 +109,11 @@ class FlowPodDispatch:
 
     __slots__ = ("server_name", "sinks", "hash_seed", "counters", "_sink_keys",
                  "_pod_of")
+    STATE = ("counters",)
+    DERIVED = {
+        "_pod_of": "memo of a flow's pod index, a pure function of the flow, the "
+                   "seed and the pod count",
+    }
 
     def __init__(self, server_name, sinks, hash_seed=211):
         sinks = tuple(sinks)

@@ -36,7 +36,8 @@ _CLAIM_BGP = ("§4.3 BGP/BFD over the priority path under a saturated data plane
               "waits on its ROADMAP 6(a) claim")
 _PRIORITY = "the priority path: only PodControlPlane's protocol packets take it (ROADMAP 6(a))"
 _CLAIM_FALLBACK = "§4.1 PLB->RSS fallback: waits on its ROADMAP 6(a) claim"
-_CLAIM_HITTERS = "§4.3 CPU heavy-hitter detection: waits on its ROADMAP 6(a) claim"
+_CLAIM_HITTERS = ("§4.3 CPU heavy-hitter detection: statecheck runs HotFlowPromoter over a "
+                  "pod's limiter unfed; waits on its ROADMAP 6(a) claim")
 _CLAIM_SRAM = "§4.3 limiter SRAM budget: waits on its ROADMAP 6(a) claim"
 _CLAIM_SRIOV = ("SR-IOV VF bookkeeping: ROADMAP 6(a) routes Fig. 15 placement through "
                 "VfAllocator or deletes it")
@@ -63,10 +64,9 @@ ALLOWED = {
     "repro.core.priority.PriorityQueueManager._finish": _PRIORITY,
     "repro.core.priority.PriorityQueueManager.dropped": _PRIORITY,
     "repro.core.nic.NicPipeline.restore_plb": _CLAIM_FALLBACK,
-    "repro.core.hitters.CpuHitterDetector.observe_packet": _CLAIM_HITTERS,
     "repro.core.hitters.SpaceSavingSketch.estimate": _CLAIM_HITTERS,
     "repro.core.ratelimit.TwoStageRateLimiter.demote": _CLAIM_HITTERS,
-    "repro.core.ratelimit.TwoStageRateLimiter.pre_table_vnis": _CLAIM_HITTERS,
+    "repro.core.ratelimit.TwoStageRateLimiter.installed": _CLAIM_HITTERS,
     "repro.core.ratelimit.TwoStageRateLimiter.sram_bytes": _CLAIM_SRAM,
     "repro.core.ratelimit.TwoStageRateLimiter.naive_sram_bytes": _CLAIM_SRAM,
     "repro.core.ratelimit.TwoStageRateLimiter.meter_collision_pairs": _CLAIM_SRAM,

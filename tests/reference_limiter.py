@@ -70,7 +70,7 @@ class ReferenceLimiter:
         self.pre_rate_pps = pre_rate_pps or stage1_rate_pps + stage2_rate_pps
         self.color_entries = color_entries
         self.meter_entries = meter_entries
-        self.pre_entries = pre_entries
+        self.table_capacity = pre_entries
         self.auto_promote = auto_promote
         self.color, self.meter, self.pre_meter = {}, {}, {}
         self.bypass = set()
@@ -88,8 +88,8 @@ class ReferenceLimiter:
 
     def promote(self, vni):
         if vni in self.pre_meter:
-            return True
-        if len(self.bypass) + len(self.pre_meter) >= self.pre_entries:
+            return False
+        if len(self.bypass) + len(self.pre_meter) >= self.table_capacity:
             return False
         self.pre_meter[vni] = TokenBucket(self.pre_rate_pps)
         self.promotions += 1

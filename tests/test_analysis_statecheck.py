@@ -269,15 +269,16 @@ class TestFullStatecheck:
     def test_world_probes_cover_both_dispatch_modes(self, full_run):
         worlds = [p for p in full_run.probes if p.mode == "world"]
         details = " ".join(p.detail for p in worlds)
-        assert len(worlds) == 4
+        assert len(worlds) == 5
         assert "plb" in details and "rss" in details and "lossy" in details
-        assert "scheduled" in details
+        assert "scheduled" in details and "az" in details
 
     def test_core_components_are_probed(self, full_run):
         probed = {p.cls_name for p in full_run.probes if p.mode == "restore"}
         for cls_name in (
             "GwPodRuntime", "NicPipeline", "ReorderEngine", "RngRegistry",
             "Simulator", "TwoStageRateLimiter", "BfdLink", "FpgaSessionOffload",
+            "EcmpUplink", "FlowPodDispatch", "DpuPreClassifier", "HotFlowPromoter",
         ):
             assert cls_name in probed, f"{cls_name} not probed"
         assert int(full_run.summary().split()[0]) >= 23
@@ -315,7 +316,8 @@ class TestFullStatecheck:
         assert main(["statecheck", "-v"]) == 0
         out = capsys.readouterr().out
         assert "ok   FpgaSessionOffload [restore x1]" in out
-        assert "ok   SimCheckpointer [restore x4]" in out
+        assert "ok   SimCheckpointer [restore x5]" in out
+        assert "ok   TopologyRuntime [restore x1]" in out
         assert "ok   ScheduledSource [restore x1]" in out
         assert "ok   PoissonSource [restore x1]" in out
         assert "derived SimCheckpointer.captured: capture-process telemetry" in out

@@ -112,7 +112,7 @@ class TestTwoStage:
 
     def test_manual_promotion_uses_pre_meter(self):
         limiter = make_limiter(auto_promote=False, pre_rate_pps=100)
-        assert limiter.promote_heavy_hitter(9)
+        assert limiter.promote(9)
         allowed = offer(limiter, vni=9, pps=10_000, duration_ns=1 * SECOND)
         assert allowed == pytest.approx(100, rel=0.3)
         assert limiter.decisions[RateLimitDecision.DROP_PRE] > 0
@@ -121,19 +121,19 @@ class TestTwoStage:
         """§4.3: early rate-limiting takes effect 'in one second'."""
         limiter = make_limiter(auto_promote=True)
         offer(limiter, vni=9, pps=50_000, duration_ns=1 * SECOND)
-        assert 9 in limiter.pre_table_vnis
+        assert limiter.installed(9)
         assert limiter.promotions == 1
 
     def test_no_promotion_for_innocents(self):
         limiter = make_limiter(auto_promote=True)
         offer(limiter, vni=9, pps=800, duration_ns=1 * SECOND)
-        assert limiter.pre_table_vnis == set()
+        assert not limiter.installed(9)
 
     def test_demote(self):
         limiter = make_limiter()
-        limiter.promote_heavy_hitter(9)
+        limiter.promote(9)
         limiter.demote(9)
-        assert 9 not in limiter.pre_table_vnis
+        assert not limiter.installed(9)
 
     def test_a_row_is_tokens_and_last_ns_under_its_tables_burst(self):
         limiter = make_limiter(pre_rate_pps=300)
@@ -141,7 +141,7 @@ class TestTwoStage:
         limiter.admit(5, 0)
         limiter.admit(5, 3 * MS)
         assert limiter._color == {5: [9.0, 3 * MS]}
-        limiter.promote_heavy_hitter(9)
+        limiter.promote(9)
         assert limiter._pre_meter == {9: [3.0, 0]}
 
     @pytest.mark.parametrize("rates", [
@@ -153,9 +153,10 @@ class TestTwoStage:
 
     def test_pre_table_capacity_enforced(self):
         limiter = make_limiter(pre_entries=2)
-        assert limiter.promote_heavy_hitter(1)
-        assert limiter.promote_heavy_hitter(2)
-        assert not limiter.promote_heavy_hitter(3)
+        assert limiter.promote(1)
+        assert limiter.promote(2)
+        assert not limiter.promote(3)
+        assert not limiter.promote(1)      # already installed
         with pytest.raises(ValueError):
             limiter.add_bypass(4)
 

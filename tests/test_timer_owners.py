@@ -15,7 +15,7 @@ from repro.bgp.bfd import bfd_pair
 from repro.bgp.fsm import BgpState, establish_pair
 from repro.bgp.speaker import BgpSpeaker
 from repro.controlplane.snapshot import Stateful
-from repro.core.hitters import CpuHitterDetector
+from repro.core.hitters import HotFlowPromoter
 from repro.core.ratelimit import TwoStageRateLimiter
 from repro.core.watchdog import FpgaWatchdog, PlbWatchdog
 from repro.cpu.numa import NumaBalancer
@@ -116,13 +116,14 @@ def _hitter_world():
     rngs = RngRegistry(1)
     limiter = TwoStageRateLimiter(rngs.stream("limiter"), stage1_rate_pps=1000,
                                   stage2_rate_pps=200, auto_promote=False)
-    detector = CpuHitterDetector(sim, limiter, threshold_pps=5_000, period_ns=50 * MS)
+    promoter = HotFlowPromoter(sim, limiter, threshold_pps=5_000, epoch_ns=50 * MS,
+                               demote_after_epochs=3)
 
     def offer():
         if sim.now < 400 * MS:
-            detector.observe_packet(7)
+            promoter.sketch.observe(7)
 
-    return sim, [rngs, limiter, detector, sim.every(100 * US, offer)], log
+    return sim, [rngs, limiter, promoter, sim.every(100 * US, offer)], log
 
 
 def _numa_world(enabled=True):
@@ -170,7 +171,7 @@ class TestOwnersRestoreIntoTheirSlots:
         # One strike into the stall; a reset every second poll follows.
         (_fpga_watchdog_world, 315 * MS, SECOND, "recover_fpga"),
         # Mid-epoch, the sketch half full; the demotion follows.
-        (_hitter_world, 25_050 * US, SECOND, "CpuHitterDetector._epoch"),
+        (_hitter_world, 25_050 * US, SECOND, "HotFlowPromoter._epoch"),
         (_numa_world, 35 * MS, 200 * MS, "stall core"),
         (_sampler_world, 45 * MS, 200 * MS, "UtilizationSampler._sample"),
         # ESTABLISHED between keepalives; both hold timers expire after.
@@ -189,10 +190,12 @@ class TestOwnersRestoreIntoTheirSlots:
         sim, (fpga,), _ = _fpga_watchdog_world()
         sim.run_until(SECOND)
         assert fpga.resets == 7
-        sim, (_, limiter, detector, _), _ = _hitter_world()
+        sim, (_, limiter, _, _), _ = _hitter_world()
+        sim.run_until(450 * MS)
+        assert limiter.installed(7)
         sim.run_until(SECOND)
-        assert (detector.promotions, detector.demotions) == (1, 1)
-        assert 7 not in limiter.pre_table_vnis
+        assert limiter.promotions == 1      # promoted once, then demoted
+        assert not limiter.installed(7)
         sim, sessions, _ = _bgp_world()
         sim.run_until(30 * SECOND)
         assert [session.state for session in sessions] == [BgpState.IDLE] * 2

@@ -1,4 +1,4 @@
-"""AZ topology: ECMP uplink, pod dispatch, DPU tier, promotion policy.
+"""AZ topology: ECMP uplink, pod dispatch, DPU tier.
 
 The load-bearing invariants:
 
@@ -26,7 +26,7 @@ from repro.scenarios import build
 from repro.scenarios.registry import scenario_spec
 from repro.sim.engine import Simulator
 from repro.sim.units import MS
-from repro.topology import DpuPreClassifier, EcmpUplink, FlowPodDispatch, HotFlowPromoter
+from repro.topology import DpuPreClassifier, EcmpUplink, FlowPodDispatch
 from repro.topology.dpu import DPU_FAST_PATH
 
 AZ_GOLDEN = Path(__file__).parent / "golden" / "SWEEP_az_scaling_quick_ts5.json"
@@ -205,57 +205,6 @@ class TestDpuPreClassifier:
     def test_bad_capacity_rejected(self):
         with pytest.raises(ValueError, match="table_capacity"):
             DpuPreClassifier(Simulator(), _collector([]), table_capacity=0)
-
-
-class TestHotFlowPromoter:
-    def _world(self):
-        sim = Simulator()
-        slow = []
-        dpu = DpuPreClassifier(sim, _collector(slow))
-        promoter = HotFlowPromoter(
-            sim, dpu, threshold_pps=1_000, epoch_ns=1 * MS,
-            demote_after_epochs=2,
-        )
-        dpu.promoter = promoter
-        return sim, dpu, promoter
-
-    def test_hot_flow_promoted_then_demoted_when_quiet(self):
-        sim, dpu, _promoter = self._world()
-        hot = _flow(1)
-        for _ in range(10):
-            dpu.ingress(Packet(hot))
-        sim.run_until(int(1.5 * MS))           # first epoch fires
-        assert dpu.installed(hot)
-        assert dpu.counters.get("promotions") == 1
-        packet = Packet(hot)
-        dpu.ingress(packet)
-        assert packet.latency_ns is not None   # rides the fast path now
-        # Quiet for demote_after_epochs epochs: the entry is evicted.
-        sim.run_until(4 * MS)
-        assert not dpu.installed(hot)
-        assert dpu.counters.get("demotions") == 1
-
-    def test_cold_flows_stay_on_host_path(self):
-        sim, dpu, _promoter = self._world()
-        # One packet per epoch per flow is under the 1000 pps threshold
-        # only if it misses the count bound; at 1 MS epochs the bound is
-        # exactly 1, so use zero traffic in the observed epoch instead.
-        sim.run_until(int(1.5 * MS))
-        assert dpu.occupancy == 0
-
-    def test_sustained_flow_stays_installed(self):
-        sim, dpu, _promoter = self._world()
-        hot = _flow(7)
-
-        def offer():
-            for _ in range(5):
-                dpu.ingress(Packet(hot))
-
-        for epoch in range(4):
-            offer()
-            sim.run_until(int((epoch + 1.5) * MS))
-        assert dpu.installed(hot)
-        assert dpu.counters.get("demotions") == 0
 
 
 class TestTopologyScenario:

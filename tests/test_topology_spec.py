@@ -1,14 +1,17 @@
-"""Spec wire-format evolution: topology fields, compat table, overrides.
+"""Spec wire-format evolution: topology fields, validation, checkpoints,
+overrides.
 
-Three guarantees under test:
+Four guarantees under test:
 
 * **Backward wire compat** -- pre-topology dicts (no ``servers`` key)
   load through :meth:`ScenarioSpec.from_dict` unchanged, serialize back
   byte-identically (so spec fingerprints keying the durable run store's
   resume cache are stable), and build byte-identical reports.
 * **Validation** -- duplicate server names, a migration naming the
-  wrong server, and ill-formed topology combinations are rejected with
-  the uniform feature-compatibility message.
+  wrong server, and ill-formed topology combinations are rejected.
+* **Checkpoints** -- an AZ restored from any capture, or a sweep of AZ
+  shards killed and resumed on one or two workers, plain or sanitized,
+  reports the straight run's bytes.
 * **Override paths** -- every malformed ``apply_override`` path raises
   the same ``KeyError`` (bad list indices included), per the CLI
   contract.
@@ -18,6 +21,9 @@ import json
 
 import pytest
 
+from repro.analysis.sanitizer import install, uninstall
+from repro.fleet import ShardSpec, run_shard, run_sweep, sweep_to_json
+from repro.runs import RunStore
 from repro.scenarios import build
 from repro.scenarios.registry import scenario_spec
 from repro.scenarios.spec import (
@@ -130,14 +136,6 @@ class TestTopologyValidation:
         with pytest.raises(ValueError, match="require a server topology"):
             ScenarioSpec(name="az", pods=(_pod(),), dpu_tier=DpuTierSpec())
 
-    def test_topology_with_checkpoint_rejected_via_compat_table(self):
-        with pytest.raises(ValueError, match="cannot be combined"):
-            ScenarioSpec(
-                name="az",
-                servers=(ServerSpec(name="srv", pods=(_pod(),)),),
-                checkpoint_every_ns=1 * MS,
-            )
-
     def test_migration_on_wrong_server_rejected(self):
         migration = MigrationSpec(pod="a", start_ns=1 * MS, server="srv1")
         with pytest.raises(ValueError, match="lives on 'srv0'"):
@@ -163,6 +161,72 @@ class TestTopologyValidation:
             DpuTierSpec(table_capacity=0)
         with pytest.raises(ValueError):
             DpuTierSpec(epoch_ns=-1)
+
+
+def _checkpointed_topology_spec(seed=10):
+    """Light load, for the checkpointer's quiescent instants; a small fast
+    table and short epochs, so flows are promoted, refused and demoted
+    around the captures."""
+    return ScenarioSpec(
+        name="az-ckpt",
+        servers=(
+            ServerSpec(name="srv0", pods=(_pod("a"),)),
+            ServerSpec(name="srv1", pods=(_pod("b"), _pod("c"))),
+        ),
+        dpu_tier=DpuTierSpec(table_capacity=5, threshold_pps=2_000, epoch_ns=2 * MS),
+        workload=WorkloadSpec(kind="cbr", flows=200, tenants=50, load=0.15,
+                              population="zipf"),
+        duration_ns=10 * MS,
+        seed=seed,
+        checkpoint_every_ns=2 * MS,
+        timeseries_every_ns=3 * MS,
+    )
+
+
+@pytest.fixture(params=[False, True], ids=["plain", "sanitized"])
+def sanitized(request):
+    """Run the test body plain, then under an installed sanitizer (what
+    ``REPRO_SANITIZE=1`` installs at import)."""
+    if request.param:
+        install()
+    yield request.param
+    uninstall()
+
+
+class TestTopologyCheckpoints:
+    """An AZ checkpoints like a flat spec: every capture, restored into a
+    fresh build, and every killed-and-resumed sweep, gives the straight
+    run's bytes."""
+
+    def test_restore_from_each_capture_replays_the_straight_run(self, sanitized):
+        spec = _checkpointed_topology_spec()
+        straight = build(spec)
+        assert (straight.sim._sanitizer is not None) == sanitized
+        captures = []
+        straight.checkpointer.sink = captures.append
+        expected = json.dumps(straight.run().report(), sort_keys=True)
+        assert len(captures) >= 3
+        assert all("topology" in capture for capture in captures)
+        tier = json.loads(expected)["tiers"]["dpu"]["counters"]
+        assert tier["demotions"] > 0 and tier["table_full"] > 0
+        for capture in captures:
+            resumed = build(spec)
+            resumed.restore_checkpoint(json.loads(json.dumps(capture)))
+            resumed.run(spec.duration_ns - resumed.sim.now)
+            assert json.dumps(resumed.report(), sort_keys=True) == expected, capture["taken_ns"]
+
+    @pytest.mark.parametrize("workers", (1, 2))
+    def test_killed_sweep_resumes_to_the_straight_bytes(self, sanitized, workers, tmp_path):
+        shards = [ShardSpec(index, {"seed": seed}, _checkpointed_topology_spec(seed))
+                  for index, seed in enumerate((10, 11))]
+        straight = sweep_to_json(run_sweep("az-ckpt", shards, workers=1, seed=10))
+        run = RunStore(str(tmp_path / "RUNS")).create("az-ckpt", 10, shards, run_id="r")
+        # "Kill" the first shard late: only its checkpoint survives.
+        run_shard(dict(shards[0].to_dict(), checkpoint_path=run.checkpoint_path(0)))
+        fingerprint = run.manifest["shards"][0]["spec_hash"]
+        assert "topology" in run.load_checkpoint(0, fingerprint)
+        report = run_sweep("az-ckpt", shards, workers=workers, seed=10, run=run)
+        assert sweep_to_json(report) == straight
 
 
 class TestApplyOverride:
